@@ -11,6 +11,13 @@ Three solvers share the sensitivity ordering from the model:
   covers their sensitivity, runs a capped variant of the unlimited solver on
   one part and the fixed solver at full power on the other, and returns the
   larger solution. Powers never exceed the cap.
+
+Every greedy pass streams: it keeps one running load per candidate and, on
+each acceptance, adds the accepted link's O(n) weight or affectance row.
+No solver builds an n x n matrix over its n candidates. A solve takes
+O(n * |accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
+recurrence and the SINR evaluation of the accepted links. Link lengths come
+from the cache on ``Instance``.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ import numpy as np
 from .model import (
     FEAS_RTOL,
     INF,
-    Geometry,
     Instance,
     Solution,
+    _received,
     empty_solution,
     evaluate_sinrs,
     geometry,
@@ -42,28 +49,77 @@ def weight_budget(alpha: float) -> float:
     return 1.0 / (6.0 * 3.0**alpha + 2.0)
 
 
-def _rank(order: Sequence[int]) -> dict:
-    return {lid: pos for pos, lid in enumerate(order)}
+def _weights(s_from, s_to, x_ft, x_tf):
+    """Directed weight min(1, s_f s_t / (x_ft x_tf) + s_f / x_ft + s_f / x_tf).
 
-
-def _weight_matrix(geo: Geometry, beta: np.ndarray, rank: Mapping[int, int]) -> np.ndarray:
-    """W[a, b] = directed weight from link a onto link b.
-
-    Nonzero only when a is strictly less sensitive than b (rank[a] > rank[b]);
-    zero cross-distances saturate individual terms, and the min clamps at 1.
+    s is the sensitivity beta * d^alpha, x_ft = d(sender_from, receiver_to)^alpha
+    and x_tf = d(sender_to, receiver_from)^alpha; operands broadcast. Zero
+    cross-distances saturate individual terms, and the min clamps at 1.
     """
-    sens = beta * geo.d_alpha  # beta * d^alpha per link
-    # x[a, b] = d(sender_a, receiver_b)^alpha = cross_alpha[b, a]
-    x = geo.cross_alpha.T
     with np.errstate(divide="ignore", over="ignore"):
-        pair = (sens[:, None] * sens[None, :]) / (x * x.T)
-        toward = sens[:, None] / x
-        away = sens[:, None] / x.T
-        w = np.minimum(1.0, pair + toward + away)
-    ranks = np.array([rank[lid] for lid in geo.ids])
-    w[ranks[:, None] <= ranks[None, :]] = 0.0
-    np.fill_diagonal(w, 0.0)
-    return w
+        return np.minimum(1.0, (s_from * s_to) / (x_ft * x_tf) + s_from / x_ft + s_from / x_tf)
+
+
+def _affectances(beta, margin, received):
+    """Affectance onto targets with thresholds ``beta`` and noise margins
+    p / d^alpha - beta * N from senders received at strength ``received``;
+    operands broadcast. Saturates at 1, and a target without a positive
+    margin takes 1 from every sender, silent or not."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = beta * received / margin
+    a = np.where(margin > 0, a, np.where(received > 0, INF, 0.0))
+    return np.where(margin <= 0, 1.0, np.minimum(1.0, a))
+
+
+class _Candidates:
+    """O(n) arrays over a candidate set and the O(n) rows the greedies add up.
+
+    Row methods give the value from candidate k onto every candidate, column
+    methods the value from every candidate onto k; entry k itself is zero.
+    """
+
+    def __init__(self, instance, ids, thresholds, powers=None):
+        self.metric = instance.metric
+        self.alpha = instance.alpha
+        self.index = {lid: k for k, lid in enumerate(ids)}
+        self.senders = np.array([instance.link(lid).sender for lid in ids], dtype=np.intp)
+        self.receivers = np.array([instance.link(lid).receiver for lid in ids], dtype=np.intp)
+        self.d_alpha = self.metric.distances(self.receivers, self.senders) ** self.alpha
+        if np.any(self.d_alpha <= 0):
+            raise ValueError("zero-length link in candidate set")
+        self.beta = thresholds_for(instance, ids, thresholds)
+        self.sens = self.beta * self.d_alpha
+        if powers is not None:
+            self.p = np.array([powers[lid] for lid in ids], dtype=np.float64)
+            self.margin = self.p / self.d_alpha - self.beta * instance.noise
+
+    def _out_alpha(self, k):
+        """d(sender_k, receiver_b)^alpha for every candidate b."""
+        return self.metric.distances(self.receivers, self.senders[k]) ** self.alpha
+
+    def _in_alpha(self, k):
+        """d(sender_a, receiver_k)^alpha for every candidate a."""
+        return self.metric.distances(self.receivers[k], self.senders) ** self.alpha
+
+    def weight_row(self, k):
+        row = _weights(self.sens[k], self.sens, self._out_alpha(k), self._in_alpha(k))
+        row[k] = 0.0
+        return row
+
+    def weight_col(self, k):
+        col = _weights(self.sens, self.sens[k], self._in_alpha(k), self._out_alpha(k))
+        col[k] = 0.0
+        return col
+
+    def affectance_row(self, k):
+        row = _affectances(self.beta, self.margin, _received(self.p[k], self._out_alpha(k)))
+        row[k] = 0.0
+        return row
+
+    def affectance_col(self, k):
+        col = _affectances(self.beta[k], self.margin[k], _received(self.p, self._in_alpha(k)))
+        col[k] = 0.0
+        return col
 
 
 def weight(
@@ -73,17 +129,21 @@ def weight(
     order: Optional[Sequence[int]] = None,
     thresholds: Optional[Mapping[int, float]] = None,
 ) -> float:
-    """Directed conflict weight of ``from_link`` onto ``to_link`` in [0, 1]."""
-    ids = [from_link, to_link] if from_link != to_link else [from_link]
+    """Directed conflict weight of ``from_link`` onto ``to_link`` in [0, 1].
+
+    Nonzero only when ``from_link`` is strictly less sensitive than
+    ``to_link`` in ``order`` (default: the sensitivity order of the pair).
+    """
     if from_link == to_link:
         return 0.0
+    ids = [from_link, to_link]
     if order is None:
         order = sensitivity_order(instance, ids, thresholds)
-    rank = _rank(order)
-    geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    w = _weight_matrix(geo, beta, rank)
-    return float(w[geo.index[from_link], geo.index[to_link]])
+    rank = {lid: pos for pos, lid in enumerate(order)}
+    cands = _Candidates(instance, ids, thresholds)
+    if rank[from_link] <= rank[to_link]:
+        return 0.0
+    return float(cands.weight_row(0)[1])
 
 
 def affectance(
@@ -100,31 +160,8 @@ def affectance(
     """
     if from_link == to_link:
         return 0.0
-    ids = [from_link, to_link]
-    geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    p = np.array([powers[lid] for lid in ids], dtype=np.float64)
-    a = _affectance_matrix(geo, beta, p, instance.noise)
-    return float(a[0, 1])
-
-
-def _affectance_matrix(geo: Geometry, beta: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
-    """A[a, b] = affectance of link a on link b; diagonal zero."""
-    margin = p / geo.d_alpha - beta * noise  # per target link b
-    # received[b, a] = p_a / d(sender_a, receiver_b)^alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        received = p[None, :] / geo.cross_alpha
-    received = np.where(p[None, :] == 0, 0.0, received)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = beta[:, None] * received / margin[:, None]
-    a = np.where(margin[:, None] > 0, a, np.where(received > 0, INF, 0.0))
-    a = np.minimum(1.0, a).T
-    # degenerate target: saturate every incoming affectance, silent or not
-    bad = margin <= 0
-    if np.any(bad):
-        a[:, bad] = 1.0
-    np.fill_diagonal(a, 0.0)
-    return a
+    cands = _Candidates(instance, [from_link, to_link], thresholds, powers)
+    return float(cands.affectance_row(0)[1])
 
 
 def solve_unlimited(
@@ -140,54 +177,59 @@ def solve_unlimited(
     each power covers noise plus the interference of the more sensitive links
     twice over, which guarantees every accepted link meets its threshold.
     """
-    selected, powers, trace, _ = _greedy_unlimited(
+    selected, trace, order = _greedy_unlimited(
         instance, links, thresholds, budget=weight_budget(instance.alpha)
     )
+    if not selected:
+        return empty_solution("unlimited")
+    powers = _power_recurrence(instance, order, selected, thresholds)
     return _finish(instance, selected, powers, "unlimited", trace)
 
 
 def _greedy_unlimited(instance, links, thresholds, budget):
+    """Accepted links (in acceptance order), trace rows and sensitivity order.
+
+    ``incoming[c]`` holds the summed weight from the accepted links onto c,
+    added one accepted row at a time in acceptance order. Accepted links are
+    less sensitive than every later candidate, so no rank mask is needed.
+    """
     if links is None:
         links = instance.link_ids
     ids = list(links)
     if not ids:
-        return [], {}, (), None
+        return [], (), None
     order = sensitivity_order(instance, ids, thresholds)
-    rank = _rank(order)
-    geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    w = _weight_matrix(geo, beta, rank)
+    cands = _Candidates(instance, ids, thresholds)
 
+    incoming = np.zeros(len(ids))
     accepted: list[int] = []
     trace = []
     for cand in reversed(order):  # decreasing rank value: least sensitive first
-        c = geo.index[cand]
-        incoming = float(sum(w[geo.index[a], c] for a in accepted))
-        ok = incoming <= budget
-        trace.append((cand, ok, incoming))
+        c = cands.index[cand]
+        load = float(incoming[c])
+        ok = load <= budget
+        trace.append((cand, ok, load))
         if ok:
             accepted.append(cand)
+            incoming += cands.weight_row(c)
+    return accepted, tuple(trace), order
 
-    powers = _power_recurrence(instance, geo, beta, order, accepted)
-    return accepted, powers, tuple(trace), order
 
-
-def _power_recurrence(instance, geo, beta, order, accepted):
+def _power_recurrence(instance, order, accepted, thresholds):
     """p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha,
     walking from the most sensitive accepted link down."""
-    member = set(accepted)
+    geo = geometry(instance, accepted)
+    beta = thresholds_for(instance, accepted, thresholds)
+    # interference[k]: summed p / cross-distance^alpha at link k from the
+    # links assigned so far, in assignment order
+    interference = np.zeros(geo.n)
     powers: dict[int, float] = {}
-    assigned: list[int] = []
     for lid in order:
-        if lid not in member:
+        k = geo.index.get(lid)
+        if k is None:
             continue
-        k = geo.index[lid]
-        b = beta[k]
-        interference = 0.0
-        for prev in assigned:
-            interference += powers[prev] * geo.gain[k, geo.index[prev]]
-        powers[lid] = float(2.0 * b * geo.d_alpha[k] * (instance.noise + interference))
-        assigned.append(lid)
+        powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
+        interference += powers[lid] * geo.gain[:, k]
     return powers
 
 
@@ -218,18 +260,18 @@ def check_power_preconditions(
     """
     beta = thresholds_for(instance, ids, thresholds)
     issues = []
-    sens = [(float(beta[k]) * instance.length(lid) ** instance.alpha, lid, float(beta[k])) for k, lid in enumerate(ids)]
+    rows = []  # (sensitivity, id, power, power / sensitivity) per link
+    for k, lid in enumerate(ids):
+        b, d_alpha = float(beta[k]), instance.length(lid) ** instance.alpha
+        rows.append((b * d_alpha, lid, powers[lid], powers[lid] / (b * d_alpha)))
     rtol = 1e-12
-    for s_a, a, b_a in sens:
-        for s_b, b, b_b in sens:
+    for s_a, a, p_a, q_a in rows:
+        for s_b, b, p_b, q_b in rows:
             if a == b or s_a > s_b:
                 continue
-            p_a, p_b = powers[a], powers[b]
             if p_a > p_b * (1 + rtol):
                 issues.append(f"power not monotone in sensitivity: links {a}, {b}")
-            da = instance.length(a) ** instance.alpha
-            db = instance.length(b) ** instance.alpha
-            if p_a / (b_a * da) < p_b / (b_b * db) * (1 - rtol):
+            if q_a < q_b * (1 - rtol):
                 issues.append(f"normalized power not antitone in sensitivity: links {a}, {b}")
     return issues
 
@@ -277,38 +319,32 @@ def solve_fixed(
             )
 
     order = sensitivity_order(instance, ids, thresholds)
-    geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    p = np.array([powers[lid] for lid in geo.ids], dtype=np.float64)
-    a = _affectance_matrix(geo, beta, p, instance.noise)
-
+    cands = _Candidates(instance, ids, thresholds, powers)
     # solo SINR gate: p / d^alpha must reach beta * N up to tolerance
-    solo_ok = {
-        lid: p[geo.index[lid]] / geo.d_alpha[geo.index[lid]]
-        >= beta[geo.index[lid]] * instance.noise * (1 - FEAS_RTOL)
-        for lid in ids
-    }
+    solo_ok = cands.p / cands.d_alpha >= cands.beta * instance.noise * (1 - FEAS_RTOL)
 
+    # load[c]: affectance between c and the tentative links, both ways;
+    # incoming[c]: affectance from the tentative links onto c
+    load = np.zeros(len(ids))
+    incoming = np.zeros(len(ids))
     tentative: list[int] = []
     trace = []
     for cand in reversed(order):
-        c = geo.index[cand]
-        if not solo_ok[cand]:
+        c = cands.index[cand]
+        if not solo_ok[c]:
             trace.append((cand, False, INF))
             continue
-        load = float(sum(a[geo.index[t], c] + a[c, geo.index[t]] for t in tentative))
-        ok = load <= 0.5
-        trace.append((cand, ok, load))
+        lc = float(load[c])
+        ok = lc <= 0.5
+        trace.append((cand, ok, lc))
         if ok:
             tentative.append(cand)
+            row = cands.affectance_row(c)
+            load += row + cands.affectance_col(c)
+            incoming += row
 
-    final = [
-        lid
-        for lid in tentative
-        if sum(a[geo.index[t], geo.index[lid]] for t in tentative) < 1.0
-    ]
-    sol = _finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", trace)
-    return sol
+    final = [lid for lid in tentative if incoming[cands.index[lid]] < 1.0]
+    return _finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", trace)
 
 
 def solve_limited(
@@ -341,7 +377,8 @@ def solve_limited(
         for k, lid in enumerate(ids)
     }
     r1 = [lid for lid in ids if sens[lid] <= instance.p_max / 4.0]
-    r2 = [lid for lid in ids if lid not in set(r1)]
+    in_r1 = set(r1)
+    r2 = [lid for lid in ids if lid not in in_r1]
 
     sol1 = _limited_first_branch(instance, r1, thresholds) if r1 else empty_solution("limited")
     sol2 = (
@@ -364,27 +401,27 @@ def solve_limited(
 
 
 def _limited_first_branch(instance, r1, thresholds):
-    budget = weight_budget(instance.alpha)
-    first_pass, _, trace1, order = _greedy_unlimited(instance, r1, thresholds, budget)
+    first_pass, trace1, order = _greedy_unlimited(
+        instance, r1, thresholds, weight_budget(instance.alpha)
+    )
     if not first_pass:
         return empty_solution("limited")
-    geo = geometry(instance, r1)
-    beta = thresholds_for(instance, r1, thresholds)
-    rank = _rank(order)
-    w = _weight_matrix(geo, beta, rank)
+    cands = _Candidates(instance, first_pass, thresholds)
 
-    member = set(first_pass)
+    # outgoing[c]: weight from c onto the kept links, all more sensitive than c
+    outgoing = np.zeros(len(first_pass))
     kept: list[int] = []
     trace2 = []
     for cand in order:  # increasing rank value: most sensitive first
-        if cand not in member:
+        c = cands.index.get(cand)
+        if c is None:
             continue
-        c = geo.index[cand]
-        outgoing = float(sum(w[c, geo.index[k]] for k in kept))
-        ok = outgoing <= SECOND_PASS_BUDGET
-        trace2.append((cand, ok, outgoing))
+        load = float(outgoing[c])
+        ok = load <= SECOND_PASS_BUDGET
+        trace2.append((cand, ok, load))
         if ok:
             kept.append(cand)
+            outgoing += cands.weight_col(c)
 
-    powers = _power_recurrence(instance, geo, beta, order, kept)
+    powers = _power_recurrence(instance, order, kept, thresholds)
     return _finish(instance, kept, powers, "limited", tuple(trace1) + tuple(trace2))

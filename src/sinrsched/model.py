@@ -29,7 +29,9 @@ class MetricSpace:
 
     Euclidean spaces compute L2 distances on demand; matrix spaces store the
     full symmetric matrix and validate metric axioms (incl. the triangle
-    inequality, O(n^3)) at load time unless ``validate=False``.
+    inequality, O(n^3) time and O(n^2) memory) at load time unless
+    ``validate=False``. ``distances`` costs O(size of its result) in both
+    kinds, so a row of distances from one node is O(n).
     """
 
     __slots__ = ("_points", "_matrix", "dim")
@@ -80,15 +82,21 @@ class MetricSpace:
             return float(self._matrix[i, j])
         return float(np.linalg.norm(self._points[i] - self._points[j]))
 
+    def distances(self, i, j) -> np.ndarray:
+        """Element-wise distances d(i[k], j[k]) for node index arrays (or
+        scalars) ``i`` and ``j`` that broadcast together."""
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
+        if self._matrix is not None:
+            return self._matrix[i, j]
+        diff = self._points[i] - self._points[j]
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
     def pair_distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Matrix D with D[i, j] = d(rows[i], cols[j])."""
         ri = np.asarray(rows, dtype=np.intp)
         ci = np.asarray(cols, dtype=np.intp)
-        if self._matrix is not None:
-            return self._matrix[np.ix_(ri, ci)]
-        a = self._points[ri]
-        b = self._points[ci]
-        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        return self.distances(ri[:, None], ci[None, :])
 
     def to_dict(self) -> dict:
         if self._points is not None:
@@ -114,8 +122,11 @@ def _validate_metric(mat: np.ndarray) -> None:
     if not np.array_equal(mat, mat.T):
         raise ValueError("distance matrix must be symmetric")
     if n >= 3:
-        # min over k of d[i,k] + d[k,j] must not undercut d[i,j]
-        via = np.min(mat[:, :, None] + mat[None, :, :], axis=1)
+        # min over k of d[i,k] + d[k,j] must not undercut d[i,j]; one k at a
+        # time keeps the memory at O(n^2)
+        via = mat[:, 0, None] + mat[None, 0, :]
+        for k in range(1, n):
+            np.minimum(via, mat[:, k, None] + mat[None, k, :], out=via)
         slack = 1e-12 * max(1.0, float(mat.max()))
         if np.any(via < mat - slack):
             i, j = np.unravel_index(np.argmin(via - mat), mat.shape)
@@ -157,7 +168,11 @@ class Link:
 
 @dataclass(frozen=True)
 class Instance:
-    """A scheduling world: metric space, physical constants and links."""
+    """A scheduling world: metric space, physical constants and links.
+
+    Every link's sender-receiver distance is computed once, at construction,
+    and ``length`` returns the cached value.
+    """
 
     metric: MetricSpace
     alpha: float
@@ -174,12 +189,12 @@ class Instance:
         if not self.p_max > 0:
             raise ValueError("p_max must be positive (math.inf for unlimited)")
         object.__setattr__(self, "links", tuple(self.links))
-        seen = set()
+        lengths = {}
         for link in self.links:
-            if link.id in seen:
+            if link.id in lengths:
                 raise ValueError(f"duplicate link id {link.id}")
-            seen.add(link.id)
-            if self.metric.distance(link.sender, link.receiver) <= 0:
+            lengths[link.id] = self.metric.distance(link.sender, link.receiver)
+            if lengths[link.id] <= 0:
                 raise ValueError(f"link {link.id}: zero sender-receiver distance")
             if (
                 link.threshold is not None
@@ -191,6 +206,7 @@ class Instance:
                     "(set allow_sub_unit_threshold to permit)"
                 )
         object.__setattr__(self, "_by_id", {link.id: link for link in self.links})
+        object.__setattr__(self, "_lengths", lengths)
 
     def link(self, link_id: int) -> Link:
         try:
@@ -203,8 +219,11 @@ class Instance:
         return tuple(link.id for link in self.links)
 
     def length(self, link_id: int) -> float:
-        link = self.link(link_id)
-        return self.metric.distance(link.sender, link.receiver)
+        """Sender-receiver distance, cached at construction."""
+        try:
+            return self._lengths[link_id]
+        except KeyError:
+            raise KeyError(f"no link with id {link_id}") from None
 
     def to_dict(self) -> dict:
         links = []
@@ -259,7 +278,11 @@ class Instance:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Precomputed per-candidate-set arrays used by solvers and oracles.
+    """Dense per-candidate-set arrays used by oracles and SINR evaluation.
+
+    Building one for k links costs O(k^2) time and memory. The capacity
+    solvers never build one over all candidates, only over the links they
+    accepted.
 
     ids         candidate link ids, fixed order
     d_alpha     own sender-receiver distance^alpha per link

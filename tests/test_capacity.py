@@ -72,6 +72,8 @@ def test_affectance_saturates_on_degenerate_target():
     # p(target)/d^alpha equals beta*N exactly: denominator 0, clamp to 1
     inst = gen_line([(0, 1, 1), (4, 5, 1)], alpha=2, noise=0.1)
     assert affectance(inst, 1, 0, {0: 0.1, 1: 1.0}) == 1.0
+    # a silent sender saturates it too
+    assert affectance(inst, 1, 0, {0: 0.1, 1: 0.0}) == 1.0
 
 
 def test_solve_unlimited_single_link():

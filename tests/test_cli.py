@@ -1,15 +1,24 @@
 """Command-line harness: round trips and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import sinrsched
+
+# the child process imports the same package as the tests, installed or not
+SRC = str(Path(sinrsched.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "sinrsched.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

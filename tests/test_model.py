@@ -125,6 +125,16 @@ def test_instance_validation():
         Link(id=0, sender=1, receiver=1)
 
 
+def test_length_is_the_metric_distance():
+    metric = MetricSpace.euclidean([[0.1, 0.7], [3.3, -1.9], [2.0, 2.0]])
+    links = (Link(id=4, sender=0, receiver=1), Link(id=9, sender=2, receiver=0))
+    inst = Instance(metric=metric, alpha=3.0, noise=1.0, links=links)
+    for link in links:
+        assert inst.length(link.id) == metric.distance(link.sender, link.receiver)
+    with pytest.raises(KeyError, match="no link with id 5"):
+        inst.length(5)
+
+
 def _three_link_instance():
     return gen_line([(0, 1, 1), (4, 5, 1), (9, 8, 1)], alpha=2, noise=0.1)
 
