@@ -51,4 +51,4 @@ for name, s, cap in (
     ("limited", sol_cap, instance.p_max),
 ):
     cert = ss.check_admissible(instance, s.selected, cap=cap)
-    print(f"{name}: oracle says feasible={cert.feasible} after {cert.iterations} iterations")
+    print(f"{name}: oracle says feasible={cert.feasible} ({cert.method})")

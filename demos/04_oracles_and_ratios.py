@@ -1,4 +1,4 @@
-"""Exact oracles: the power-control fixed point, the spectral test, and
+"""Exact oracles: the minimal-power linear solve, the spectral test, and
 brute-force optima as a yardstick for the greedy solvers."""
 
 import math
@@ -16,14 +16,14 @@ B = ss.relative_interference_matrix(instance, [0, 1])
 print("relative interference matrix:\n", np.round(B, 4))
 print("spectral radius:", ss.spectral_radius(B))
 cert = ss.check_admissible(instance, [0, 1], cap=math.inf)
-print(f"fixed point: feasible={cert.feasible}, minimal powers {cert.powers}")
+print(f"linear solve: feasible={cert.feasible}, minimal powers {cert.powers}")
 
 # push the thresholds up until the pair stops being admissible
 for beta in (1.0, 2.0, 3.0, 4.0, 5.0):
     scaled = {0: beta, 1: beta}
-    fp = ss.check_admissible(instance, [0, 1], cap=math.inf, thresholds=scaled).feasible
+    ls = ss.check_admissible(instance, [0, 1], cap=math.inf, thresholds=scaled).feasible
     sp = ss.spectral_admissible(instance, [0, 1], thresholds=scaled)
-    print(f"beta={beta}: fixed point {fp}, spectral {sp}")
+    print(f"beta={beta}: linear solve {ls}, spectral {sp}")
 
 print("\n=== greedy vs exhaustive search ===")
 config = ss.GenConfig(n=9, seed=12, area=400.0, d_range=(1.0, 50.0), beta_range=(1.0, 4.0))

@@ -21,6 +21,7 @@ from .generate import GenConfig, gen_line, gen_random
 from .latency import Schedule, SchemeRun, Slot, UnschedulableDemand, solve_latency
 from .lemmas import (
     AlohaResult,
+    CertificationError,
     Decomposition,
     aloha_instance,
     gen_greedy_adversary,
@@ -56,6 +57,7 @@ from .utility import (
     ShannonUtility,
     StepUtility,
     UnboundedObjective,
+    UtilityContractError,
     inverse_threshold,
     max_utility,
     utility_from_dict,
@@ -69,6 +71,7 @@ __all__ = [
     "AdmissibilityCertificate",
     "AlohaResult",
     "CappedUtility",
+    "CertificationError",
     "Decomposition",
     "FEAS_RTOL",
     "FlexibleLevel",
@@ -86,6 +89,7 @@ __all__ = [
     "StepUtility",
     "UnboundedObjective",
     "UnschedulableDemand",
+    "UtilityContractError",
     "SECOND_PASS_BUDGET",
     "affectance",
     "aloha_instance",

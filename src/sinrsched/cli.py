@@ -1,7 +1,8 @@
 """Command-line harness: gen, solve, verify, schedule, oracle, experiment.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input. All
-randomness enters through --seed; reports echo their configuration.
+Exit codes: 0 success, 1 verification failure, 2 malformed input, 3 internal
+error (any other exception). All randomness enters through --seed; reports
+echo their configuration.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
@@ -30,6 +32,7 @@ from .verify import verify_flexible_run, verify_schedule, verify_solution
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_json(path: str) -> dict:
@@ -232,6 +235,10 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

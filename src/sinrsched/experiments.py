@@ -2,8 +2,7 @@
 
 Every driver returns a plain report dict (config echo, seed, per-trial rows,
 summary) that serializes to JSON; ``write_csv`` flattens the rows. Trials
-only draw randomness through explicit seeds, and the worker fan-out honours
-SINRSCHED_THREADS without changing results.
+only draw randomness through explicit seeds and run one after another.
 """
 
 from __future__ import annotations
@@ -11,10 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
 from .generate import GenConfig, gen_random
@@ -22,21 +19,6 @@ from .lemmas import gen_greedy_adversary, reverse_dual, simulate_aloha, strength
 from .model import FEAS_RTOL, INF, Instance, evaluate_sinrs
 from .oracle import brute_opt_threshold, check_admissible
 from .verify import verify_solution
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SINRSCHED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn: Callable[[int], dict], trials: int) -> list[dict]:
-    workers = _threads()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def instance_digest(instance: Instance) -> str:
@@ -120,7 +102,7 @@ def experiment_ratio(
         row["runtime_ms"] = 1000.0 * (time.perf_counter() - started)
         return row
 
-    rows = _map_trials(one, trials)
+    rows = [one(t) for t in range(trials)]
     summary: dict = {"violations": 0, "empty_vs_nonempty": 0}
     for name in ("unlimited", "limited", "fixed"):
         summary[f"{name}_ratio"] = _summary_stats([r[f"{name}_ratio"] for r in rows])

@@ -31,6 +31,12 @@ from .oracle import check_admissible
 PERTURB = 1e-9
 
 
+class CertificationError(RuntimeError):
+    """The exact oracle rejected a set that a decomposition guarantees to be
+    admissible: a defect or a numerically degenerate input, not a bad
+    argument."""
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Partition of a link set; every part is admissible at scale * beta."""
@@ -86,7 +92,7 @@ def strengthen(
     Runs first-fit binning with powers scaled by 2c, demanding SINR at least
     2c * beta against the links already binned; a second pass re-bins each
     part in reverse insertion order. Every part is certified through the
-    fixed-point oracle at the scaled thresholds.
+    exact oracle at the scaled thresholds.
     """
     if c < 1:
         raise ValueError("scale c must be >= 1")
@@ -108,7 +114,7 @@ def strengthen(
     for part in parts:
         cert = check_admissible(instance, part, cap=INF, thresholds=scaled_thresholds)
         if not cert.feasible:
-            raise AssertionError(f"decomposition part {part} failed certification at scale {c}")
+            raise CertificationError(f"decomposition part {part} failed certification at scale {c}")
     return Decomposition(tuple(parts), c)
 
 
@@ -186,7 +192,7 @@ def reverse_dual(
 
     The Markov filter keeps links with dual interference at most twice the
     dual signal (at least half); the reversed survivors, admissible at a
-    third of the thresholds via the oracle's fixed point, are strengthened by
+    third of the thresholds by the exact oracle, are strengthened by
     a factor 3 and the largest resulting part is returned.
     """
     ids = sorted(admissible_set)
@@ -200,7 +206,7 @@ def reverse_dual(
     third = {lid: beta_of[lid] / 3.0 for lid in ids}
     cert = check_admissible(fragment, survivors, cap=INF, thresholds=third)
     if not cert.feasible:
-        raise AssertionError("reversed survivor set failed the third-threshold certification")
+        raise CertificationError("reversed survivor set failed the third-threshold certification")
     decomposition = strengthen(fragment, survivors, cert.powers, c=3.0, thresholds=third)
     best = max(decomposition.parts, key=len)
     return best, fragment

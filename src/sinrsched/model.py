@@ -373,6 +373,14 @@ def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:
     return np.where(p == 0, 0.0, out)
 
 
+def sinr_vector(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
+    """SINR of every link of a candidate set, given its matrix
+    cross_alpha[i, j] = d(sender_j, receiver_i)^alpha and its power array."""
+    received = _received(p[None, :], cross_alpha)
+    signal = np.diagonal(received)
+    return signal / (received.sum(axis=1) - signal + noise)
+
+
 def evaluate_sinrs(
     instance: Instance,
     selected: Sequence[int],
@@ -384,13 +392,7 @@ def evaluate_sinrs(
         return {}
     geo = geometry(instance, selected)
     p = np.array([powers[lid] for lid in selected], dtype=np.float64)
-    out = {}
-    for k, lid in enumerate(selected):
-        received = _received(p, geo.cross_alpha[k])
-        signal = received[k]
-        interference = float(received.sum() - signal)
-        out[lid] = float(signal / (interference + instance.noise))
-    return out
+    return dict(zip(selected, sinr_vector(geo.cross_alpha, p, instance.noise).tolist()))
 
 
 def sensitivity_order(

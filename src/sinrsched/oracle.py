@@ -1,16 +1,19 @@
 """Exact reference procedures: admissibility decisions and brute-force optima.
 
-``check_admissible`` runs the classic monotone fixed-point power iteration
-from zero; its limit, when finite and within the cap, is the minimal power
-assignment meeting every threshold. ``spectral_admissible`` answers the
-uncapped question independently through the spectral radius of the relative
-interference matrix. The brute-force searches enumerate all subsets and are
-meant for desk-scale ratio experiments and tests.
+A subset is admissible exactly when the spectral radius of its relative
+interference matrix B is below 1, and then the minimal power vector is the
+unique positive solution of (I - B) p = beta * d^alpha * N (Zander 1992;
+Foschini & Miljanic 1993). ``check_admissible`` decides a subset with one
+LU solve of that system; ``spectral_admissible`` answers the uncapped
+question independently through the eigenvalues of B. Either costs
+O(k^2) to build B and O(k^3) to factor it, for a subset of k links, with no
+iteration count that grows near the boundary rho(B) = 1. The brute-force
+searches enumerate all subsets over slices of arrays built once per call and
+are meant for desk-scale ratio experiments and tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
@@ -21,31 +24,31 @@ from .model import (
     FEAS_RTOL,
     INF,
     Instance,
-    evaluate_sinrs,
     geometry,
+    sinr_vector,
     thresholds_for,
 )
 from .utility import UtilitySpec, value
 
-MAX_ITERATIONS = 100_000
-DIVERGENCE_LIMIT = 1e30
-CONVERGENCE_RTOL = 1e-12
 BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
-    """Outcome of a fixed-point admissibility check.
+    """Outcome of an admissibility check.
 
-    powers is the minimal fixed point and is present exactly when feasible;
-    violated names the first link whose power exceeded a finite cap.
+    powers is the minimal power vector and is present exactly when feasible.
+    iterations counts linear solves: 1, or 0 for the empty subset. violated
+    names the first link, in subset order, whose minimal power exceeds a
+    finite cap; it is None when the subset has no positive power vector at
+    all, whatever the cap.
     """
 
     feasible: bool
     powers: Optional[dict]
     iterations: int
     violated: Optional[int] = None
-    method: str = "fixed_point"
+    method: str = "linear_solve"
 
     def to_dict(self) -> dict:
         out = {
@@ -59,13 +62,29 @@ class AdmissibilityCertificate:
         return out
 
 
-def _interference_setup(instance, ids, thresholds):
+def _coupling(instance, ids, thresholds):
+    """Relative interference matrix B and base vector beta * d^alpha * N."""
     geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    coupling = beta[:, None] * geo.d_alpha[:, None] * geo.gain
+    sens = thresholds_for(instance, ids, thresholds) * geo.d_alpha
+    coupling = sens[:, None] * geo.gain
     np.fill_diagonal(coupling, 0.0)
-    base = beta * geo.d_alpha * instance.noise
-    return geo, coupling, base
+    return coupling, sens * instance.noise
+
+
+def _minimal_powers(coupling, base, cap):
+    """Solve (I - B) p = base; return (p, None) when p is positive and within
+    the cap, (None, k) when entry k is the first over the cap, and (None,
+    None) when no positive solution exists."""
+    try:
+        p = np.linalg.solve(np.eye(len(base)) - coupling, base)
+    except np.linalg.LinAlgError:
+        return None, None
+    if not (np.isfinite(p).all() and (p > 0).all()):
+        return None, None
+    over = p > cap
+    if over.any():
+        return None, int(over.argmax())
+    return p, None
 
 
 def check_admissible(
@@ -77,86 +96,29 @@ def check_admissible(
     """Decide whether some power assignment within the cap meets every
     threshold of ``subset``.
 
-    Iterates p <- beta * d^alpha * (interference(p) + N) from zero; the
-    sequence is componentwise nondecreasing and converges exactly when the
-    subset is admissible. Divergence is flagged as soon as any power exceeds
-    the cap (finite cap) or an absolute guard (infinite cap). If the
-    iteration budget runs out, a still-growing update marks the subset
-    infeasible; a contracting one is run further until the limit is resolved.
+    Solves (I - B) p = beta * d^alpha * N once. A positive solution exists
+    exactly when rho(B) < 1 and is then the minimal power vector; the subset
+    is feasible when that vector is also within the cap (default p_max).
     """
     ids = list(subset)
     if not ids:
         return AdmissibilityCertificate(True, {}, 0)
     cap = instance.p_max if cap is None else cap
-    geo, coupling, base = _interference_setup(instance, ids, thresholds)
-
-    p = np.zeros(len(ids))
-    limit = cap if cap != INF else DIVERGENCE_LIMIT
-    iterations = 0
-    budget = MAX_ITERATIONS
-    while True:
-        p_next = coupling @ p + base
-        iterations += 1
-        if np.any(p_next < p):
-            raise AssertionError("fixed-point iteration lost monotonicity")
-        over = p_next > limit
-        if np.any(over):
-            violated = ids[int(np.argmax(over))] if cap != INF else None
-            return AdmissibilityCertificate(False, None, iterations, violated)
-        delta = p_next - p
-        scale = np.where(p_next > 0, p_next, 1.0)
-        converged = bool(np.all(delta <= CONVERGENCE_RTOL * scale))
-        if converged:
-            p = p_next
-            break
-        if iterations >= budget:
-            # contraction factor of the update tail equals the spectral
-            # radius of the coupling; a non-contracting tail cannot converge
-            growth = float(np.linalg.norm(coupling @ delta) / np.linalg.norm(delta))
-            if growth >= 1.0 - 1e-12:
-                return AdmissibilityCertificate(False, None, iterations, None)
-            # slow contraction: extend the budget until the remaining gap,
-            # bounded by the geometric tail, is negligible
-            tail = float(np.linalg.norm(delta)) * growth / (1.0 - growth)
-            if tail <= 1e-11 * float(np.linalg.norm(scale)):
-                p = p_next
-                break
-            budget += MAX_ITERATIONS
-            if budget > 100 * MAX_ITERATIONS:
-                return AdmissibilityCertificate(False, None, iterations, None)
-        p = p_next
-
-    powers = {lid: float(p[k]) for k, lid in enumerate(ids)}
-    return AdmissibilityCertificate(True, powers, iterations)
+    p, over = _minimal_powers(*_coupling(instance, ids, thresholds), cap)
+    if p is None:
+        return AdmissibilityCertificate(False, None, 1, None if over is None else ids[over])
+    return AdmissibilityCertificate(True, {lid: float(p[k]) for k, lid in enumerate(ids)}, 1)
 
 
-def spectral_radius(mat: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
-    """Perron root of a nonnegative matrix by power iteration.
-
-    Iterates on mat + I (positive diagonal breaks periodicity) and subtracts
-    the shift, so two-cycles like reversed link pairs still converge.
-    """
+def spectral_radius(mat: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a nonnegative matrix; INF when an entry
+    is infinite (a sender on top of another link's receiver)."""
     mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    if n == 0:
+    if mat.shape[0] == 0:
         return 0.0
-    if n == 1:
-        return float(mat[0, 0])
-    shifted = mat + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0 or not math.isfinite(norm):
-            return float(norm) - 1.0 if math.isfinite(norm) else INF
-        lam_new = norm
-        x = y / norm
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return lam - 1.0
+    if not np.all(np.isfinite(mat)):
+        return INF
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 def relative_interference_matrix(
@@ -165,12 +127,7 @@ def relative_interference_matrix(
     thresholds: Optional[Mapping[int, float]] = None,
 ) -> np.ndarray:
     """B[i, j] = beta_i * d_i^alpha / d(sender_j, receiver_i)^alpha, zero diagonal."""
-    ids = list(subset)
-    geo = geometry(instance, ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    b = beta[:, None] * geo.d_alpha[:, None] * geo.gain
-    np.fill_diagonal(b, 0.0)
-    return b
+    return _coupling(instance, list(subset), thresholds)[0]
 
 
 def spectral_admissible(
@@ -182,15 +139,25 @@ def spectral_admissible(
     ids = list(subset)
     if len(ids) <= 1:
         return True
-    return spectral_radius(relative_interference_matrix(instance, subset, thresholds)) < 1.0
+    return spectral_radius(relative_interference_matrix(instance, ids, thresholds)) < 1.0
 
 
-def _feasible_under_powers(instance, ids, powers, thresholds):
-    if not ids:
-        return True
-    sinrs = evaluate_sinrs(instance, ids, powers)
-    beta = thresholds_for(instance, ids, thresholds)
-    return all(sinrs[lid] >= beta[k] * (1 - FEAS_RTOL) for k, lid in enumerate(ids))
+def _brute_ids(instance, links):
+    ids = sorted(instance.link_ids if links is None else links)
+    if len(ids) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} links, got {len(ids)}")
+    return ids
+
+
+def _power_array(instance, ids, powers):
+    """Powers from the mapping when given, else the links' fixed powers."""
+    out = []
+    for lid in ids:
+        fp = instance.link(lid).fixed_power if powers is None else powers[lid]
+        if fp is None:
+            raise ValueError(f"link {lid} has no fixed power")
+        out.append(fp)
+    return np.array(out, dtype=np.float64)
 
 
 def brute_opt_threshold(
@@ -205,34 +172,31 @@ def brute_opt_threshold(
     regime: "variable" (any powers), "variable_capped" (powers within
     p_max) or "fixed" (SINRs evaluated under the given powers). Ties break
     toward the lexicographically smallest sorted id tuple. Hard limit of
-    20 links.
+    20 links. The coupling (or, for "fixed", the cross-distance) matrix is
+    built once over all links; each subset is tested on a slice of it.
     """
-    if links is None:
-        links = instance.link_ids
-    ids = sorted(links)
-    if len(ids) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} links, got {len(ids)}")
+    ids = _brute_ids(instance, links)
     if regime not in ("variable", "variable_capped", "fixed"):
         raise ValueError(f"unknown regime {regime!r}")
-    if regime == "fixed" and powers is None:
-        powers = {}
-        for lid in ids:
-            fp = instance.link(lid).fixed_power
-            if fp is None:
-                raise ValueError(f"link {lid} has no fixed power")
-            powers[lid] = fp
+    if regime == "fixed":
+        p = _power_array(instance, ids, powers)
+        cross_alpha = geometry(instance, ids).cross_alpha
+        floor = thresholds_for(instance, ids, thresholds) * (1 - FEAS_RTOL)
 
-    def feasible(sub):
-        if regime == "variable":
-            return check_admissible(instance, sub, cap=INF, thresholds=thresholds).feasible
-        if regime == "variable_capped":
-            return check_admissible(instance, sub, cap=instance.p_max, thresholds=thresholds).feasible
-        return _feasible_under_powers(instance, list(sub), powers, thresholds)
+        def feasible(idx):
+            gamma = sinr_vector(cross_alpha[idx[:, None], idx], p[idx], instance.noise)
+            return bool((gamma >= floor[idx]).all())
+    else:
+        coupling, base = _coupling(instance, ids, thresholds)
+        cap = INF if regime == "variable" else instance.p_max
+
+        def feasible(idx):
+            return _minimal_powers(coupling[idx[:, None], idx], base[idx], cap)[0] is not None
 
     for size in range(len(ids), 0, -1):
-        for combo in combinations(ids, size):
-            if feasible(combo):
-                return combo, size
+        for combo in combinations(range(len(ids)), size):
+            if feasible(np.array(combo)):
+                return tuple(ids[k] for k in combo), size
     return (), 0
 
 
@@ -246,19 +210,10 @@ def brute_opt_flexible_fixed(
 
     Evaluates the summed realized utility of every subset; ties go to the
     lexicographically smallest sorted id tuple (the empty set scores 0).
+    SINRs come from slices of one cross-distance matrix over all links.
     """
-    if links is None:
-        links = instance.link_ids
-    ids = sorted(links)
-    if len(ids) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} links, got {len(ids)}")
-    if powers is None:
-        powers = {}
-        for lid in ids:
-            fp = instance.link(lid).fixed_power
-            if fp is None:
-                raise ValueError(f"link {lid} has no fixed power")
-            powers[lid] = fp
+    ids = _brute_ids(instance, links)
+    p = _power_array(instance, ids, powers)
 
     def util_of(lid) -> UtilitySpec:
         if utilities is not None and lid in utilities:
@@ -268,12 +223,15 @@ def brute_opt_flexible_fixed(
             raise ValueError(f"link {lid} has no utility")
         return u
 
-    best_ids: tuple[int, ...] = ()
+    utils = [util_of(lid) for lid in ids]
+    cross_alpha = geometry(instance, ids).cross_alpha
+    best_combo: tuple[int, ...] = ()
     best_value = 0.0
     for size in range(1, len(ids) + 1):
-        for combo in combinations(ids, size):
-            sinrs = evaluate_sinrs(instance, combo, powers)
-            total = sum(value(util_of(lid), sinrs[lid]) for lid in combo)
-            if total > best_value or (total == best_value and list(combo) < list(best_ids)):
-                best_ids, best_value = combo, total
-    return best_ids, best_value
+        for combo in combinations(range(len(ids)), size):
+            idx = np.array(combo)
+            gamma = sinr_vector(cross_alpha[idx[:, None], idx], p[idx], instance.noise)
+            total = sum(value(utils[k], g) for k, g in zip(combo, gamma.tolist()))
+            if total > best_value or (total == best_value and combo < best_combo):
+                best_combo, best_value = combo, total
+    return tuple(ids[k] for k in best_combo), best_value

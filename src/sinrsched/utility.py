@@ -20,6 +20,10 @@ class UnboundedObjective(ValueError):
     """Raised when a maximum utility is requested with no finite SINR cap."""
 
 
+class UtilityContractError(RuntimeError):
+    """A utility family reported a positive value below SINR 1."""
+
+
 @dataclass(frozen=True)
 class StepUtility:
     """Piecewise-constant utility: value of the largest step gamma <= SINR."""
@@ -135,7 +139,7 @@ def inverse_threshold(u: UtilitySpec, target: float) -> Optional[float]:
         raise ValueError("target value must be > 0")
     gamma = u.min_gamma_for(target)
     if gamma is not None and gamma < 1:
-        raise AssertionError("utility reached a positive value below SINR 1")
+        raise UtilityContractError("utility reached a positive value below SINR 1")
     return gamma
 
 

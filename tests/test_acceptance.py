@@ -91,7 +91,7 @@ def test_criterion_2_limited_power_cap_and_feasibility():
 
 
 def test_criterion_3_oracle_cross_validation():
-    """Fixed-point and spectral admissibility agree on every small subset."""
+    """Linear-solve and spectral admissibility agree on every small subset."""
     started = time.perf_counter()
     mismatches = 0
     checked = 0
@@ -101,14 +101,14 @@ def test_criterion_3_oracle_cross_validation():
         ids = list(inst.link_ids)
         for size in range(1, len(ids) + 1):
             for combo in combinations(ids, size):
-                fp = check_admissible(inst, combo, cap=math.inf).feasible
+                ls = check_admissible(inst, combo, cap=math.inf).feasible
                 sp = spectral_admissible(inst, combo)
-                mismatches += fp != sp
+                mismatches += ls != sp
                 checked += 1
     _report(
         3,
         mismatches == 0,
-        f"fixed point vs spectral radius, {mismatches} mismatches over {checked} subsets",
+        f"linear solve vs spectral radius, {mismatches} mismatches over {checked} subsets",
         time.perf_counter() - started,
         120.0,
     )

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sinrsched
+from sinrsched import CertificationError, UtilityContractError, cli
 
 # the child process imports the same package as the tests, installed or not
 SRC = str(Path(sinrsched.__file__).resolve().parents[1])
@@ -126,19 +129,17 @@ def test_experiment_adversary():
     assert report["summary"]["ratio"] >= 8
 
 
-def test_thread_fanout_does_not_change_results():
-    import os
+@pytest.mark.parametrize("error", [RuntimeError, CertificationError, UtilityContractError])
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "4", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
 
-    from sinrsched.experiments import experiment_ratio
+    def broken(instance):
+        raise error("forced failure")
 
-    sequential = experiment_ratio(n=5, trials=8, seed=13)
-    os.environ["SINRSCHED_THREADS"] = "4"
-    try:
-        threaded = experiment_ratio(n=5, trials=8, seed=13)
-    finally:
-        del os.environ["SINRSCHED_THREADS"]
-
-    def strip(rep):
-        return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rep["rows"]]
-
-    assert strip(threaded) == strip(sequential)
+    monkeypatch.setattr(cli, "solve_unlimited", broken)
+    capsys.readouterr()
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"])
+    assert code == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "forced failure" in err

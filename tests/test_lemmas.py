@@ -5,6 +5,8 @@ import math
 import pytest
 
 from sinrsched import (
+    AdmissibilityCertificate,
+    CertificationError,
     GenConfig,
     check_admissible,
     gen_greedy_adversary,
@@ -16,10 +18,11 @@ from sinrsched import (
     solve_unlimited,
     strengthen,
 )
+from sinrsched import lemmas
 
 
 def _certified_pair():
-    # symmetric pair whose minimal fixed point meets the thresholds exactly
+    # symmetric pair whose minimal power vector meets the thresholds exactly
     inst = gen_line([(0, 1, 1), (3, 2, 1)], alpha=2, noise=1e-6)
     cert = check_admissible(inst, [0, 1], cap=math.inf)
     assert cert.feasible
@@ -157,3 +160,21 @@ def test_aloha_single_side_succeeds_immediately():
 def test_aloha_empirical_bound_small():
     res = simulate_aloha(16, trials=40, seed=5)
     assert res.fraction_fast <= 0.5
+
+
+def _rejecting_oracle(instance, subset, cap=None, thresholds=None):
+    return AdmissibilityCertificate(False, None, 1)
+
+
+def test_strengthen_uncertified_part_raises_named_error(monkeypatch):
+    inst, powers = _certified_pair()
+    monkeypatch.setattr(lemmas, "check_admissible", _rejecting_oracle)
+    with pytest.raises(CertificationError, match="decomposition part"):
+        strengthen(inst, [0, 1], powers, c=1.0)
+
+
+def test_reverse_dual_uncertified_survivors_raise_named_error(monkeypatch):
+    inst, powers = _certified_pair()
+    monkeypatch.setattr(lemmas, "check_admissible", _rejecting_oracle)
+    with pytest.raises(CertificationError, match="third-threshold"):
+        reverse_dual(inst, [0, 1], powers)

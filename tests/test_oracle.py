@@ -1,11 +1,21 @@
-"""Admissibility oracles and brute-force optima."""
+"""Admissibility oracles and brute-force optima.
+
+The reference below is the monotone fixed-point power iteration the linear
+solve replaced: p <- B p + beta * d^alpha * N from zero, run until it
+converges, exceeds the cap or stops contracting. The solve must reproduce its
+verdicts and, to a relative 1e-9, its powers. The brute-force searches test
+subsets on slices of matrices built once; a per-subset search is their
+reference.
+"""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sinrsched import (
+    INF,
     GenConfig,
     StepUtility,
     brute_opt_flexible_fixed,
@@ -18,8 +28,53 @@ from sinrsched import (
     spectral_admissible,
     spectral_radius,
     evaluate_sinrs,
+    value,
 )
-from sinrsched.model import FEAS_RTOL, Instance, Link, MetricSpace
+from sinrsched.model import FEAS_RTOL, Instance, Link, MetricSpace, thresholds_for
+
+
+# -- fixed-point reference -----------------------------------------------------
+
+def _fixed_point(instance, ids, cap, max_iterations=100_000):
+    """(feasible, minimal powers or None) from the iteration p <- B p + base."""
+    coupling = relative_interference_matrix(instance, ids)
+    beta = thresholds_for(instance, ids)
+    base = beta * np.array([instance.length(lid) ** instance.alpha for lid in ids]) * instance.noise
+    p = np.zeros(len(ids))
+    limit = cap if cap != INF else 1e30
+    iterations, budget = 0, max_iterations
+    while True:
+        p_next = coupling @ p + base
+        iterations += 1
+        assert np.all(p_next >= p), "fixed-point iteration lost monotonicity"
+        over = p_next > limit
+        if np.any(over):
+            return False, None
+        delta = p_next - p
+        scale = np.where(p_next > 0, p_next, 1.0)
+        if np.all(delta <= 1e-12 * scale):
+            return True, p_next
+        if iterations >= budget:
+            # the update tail contracts by the spectral radius of the coupling
+            growth = float(np.linalg.norm(coupling @ delta) / np.linalg.norm(delta))
+            if growth >= 1.0 - 1e-12:
+                return False, None
+            tail = float(np.linalg.norm(delta)) * growth / (1.0 - growth)
+            if tail <= 1e-11 * float(np.linalg.norm(scale)):
+                return True, p_next
+            budget += max_iterations
+            if budget > 100 * max_iterations:
+                return False, None
+        p = p_next
+
+
+def _random_subsets(seeds, n):
+    for seed in seeds:
+        inst = gen_random(GenConfig(n=n, seed=seed, beta_range=(1.0, 5.0), noise=1e-3))
+        ids = list(inst.link_ids)
+        for size in range(1, len(ids) + 1):
+            for combo in combinations(ids, size):
+                yield inst, list(combo)
 
 
 def test_singleton_fixed_point_is_sensitivity():
@@ -169,8 +224,144 @@ def test_brute_flexible_all_zero_utilities():
     assert best == () and util == 0.0
 
 
-def test_spectral_radius_power_iteration_handles_two_cycle():
-    # [[0, 4], [1, 0]] has eigenvalues +-2; plain iteration would oscillate
+def test_spectral_radius_handles_two_cycle():
+    # [[0, 4], [1, 0]] has eigenvalues +-2; plain power iteration would oscillate
     assert spectral_radius(np.array([[0.0, 4.0], [1.0, 0.0]])) == pytest.approx(2.0, rel=1e-9)
     assert spectral_radius(np.zeros((1, 1))) == 0.0
     assert spectral_radius(np.zeros((0, 0))) == 0.0
+    # an infinite coupling (sender on a foreign receiver) is never admissible
+    assert spectral_radius(np.array([[0.0, INF], [1.0, 0.0]])) == INF
+
+
+# -- linear solve against the fixed-point reference ----------------------------
+
+def test_linear_solve_matches_fixed_point_uncapped():
+    feasible = infeasible = 0
+    for inst, ids in _random_subsets(range(700, 720), n=6):
+        cert = check_admissible(inst, ids, cap=INF)
+        ok, p = _fixed_point(inst, ids, INF)
+        assert cert.feasible == ok, (inst, ids)
+        assert cert.iterations == 1 and cert.method == "linear_solve"
+        assert cert.violated is None
+        if ok:
+            got = np.array([cert.powers[lid] for lid in ids])
+            np.testing.assert_allclose(got, p, rtol=1e-9, atol=0)
+            feasible += 1
+        else:
+            assert cert.powers is None
+            infeasible += 1
+    # the seeds exercise both verdicts
+    assert feasible > 50 and infeasible > 50
+
+
+def test_linear_solve_matches_fixed_point_capped():
+    violations = 0
+    for inst, ids in _random_subsets(range(720, 735), n=5):
+        uncapped_ok, p_min = _fixed_point(inst, ids, INF)
+        # a cap halfway between two middle minimal powers splits the links
+        if uncapped_ok:
+            ordered = np.sort(p_min)
+            m = len(ordered) // 2
+            cap = float(ordered[0] / 2 if m == 0 else (ordered[m - 1] + ordered[m]) / 2)
+        else:
+            cap = 1.0
+        cert = check_admissible(inst, ids, cap=cap)
+        ok, p = _fixed_point(inst, ids, cap)
+        assert cert.feasible == ok, (inst, ids, cap)
+        if ok:
+            np.testing.assert_allclose([cert.powers[lid] for lid in ids], p, rtol=1e-9, atol=0)
+            assert cert.violated is None
+        elif uncapped_ok:
+            # the first link, in subset order, whose minimal power exceeds the cap
+            first = next(k for k in range(len(ids)) if p_min[k] > cap)
+            assert cert.violated == ids[first]
+            violations += 1
+        else:
+            # no positive power vector at all: no link to blame
+            assert cert.violated is None
+    assert violations > 20
+
+
+@pytest.mark.parametrize("factor, admissible", [(1.0, False), (1 + 1e-9, False), (1 - 1e-9, True)])
+def test_symmetric_pair_at_the_boundary(factor, admissible):
+    # own length 1, cross distances 2: B = [[0, b/4], [b/4, 0]], rho = b/4
+    beta = 4.0 * factor
+    inst = gen_line([(0, 1, beta), (3, 2, beta)], alpha=2, noise=1e-6)
+    B = relative_interference_matrix(inst, [0, 1])
+    assert (spectral_radius(B) < 1.0) == admissible
+    assert spectral_admissible(inst, [0, 1]) == admissible
+    cert = check_admissible(inst, [0, 1], cap=INF)
+    assert cert.feasible == admissible
+    assert cert.violated is None
+    if admissible:
+        # p = b + (beta/4) p on both links
+        expected = beta * 1e-6 / (1.0 - B[0, 1])
+        assert cert.powers[0] == pytest.approx(expected, rel=1e-6)
+        assert cert.powers[1] == pytest.approx(expected, rel=1e-6)
+    if factor == 1.0:
+        # I - B is exactly singular; the reference runs out its budget (cut
+        # short here) and finds a non-contracting tail
+        assert np.linalg.matrix_rank(np.eye(2) - B) == 1
+        assert _fixed_point(inst, [0, 1], INF, max_iterations=1000)[0] is False
+
+
+# -- sliced brute force against a per-subset search ----------------------------
+
+def _brute_threshold_reference(inst, regime, powers=None, thresholds=None):
+    ids = sorted(inst.link_ids)
+    for size in range(len(ids), 0, -1):
+        for combo in combinations(ids, size):
+            if regime == "fixed":
+                sinrs = evaluate_sinrs(inst, combo, powers)
+                beta = thresholds_for(inst, combo, thresholds)
+                ok = all(sinrs[lid] >= beta[k] * (1 - FEAS_RTOL) for k, lid in enumerate(combo))
+            else:
+                cap = INF if regime == "variable" else inst.p_max
+                ok = check_admissible(inst, combo, cap=cap, thresholds=thresholds).feasible
+            if ok:
+                return combo, size
+    return (), 0
+
+
+def _brute_flexible_reference(inst, powers):
+    best_ids, best_value = (), 0.0
+    ids = sorted(inst.link_ids)
+    for size in range(1, len(ids) + 1):
+        for combo in combinations(ids, size):
+            sinrs = evaluate_sinrs(inst, combo, powers)
+            total = sum(value(inst.link(lid).utility, sinrs[lid]) for lid in combo)
+            if total > best_value or (total == best_value and list(combo) < list(best_ids)):
+                best_ids, best_value = combo, total
+    return best_ids, best_value
+
+
+def test_sliced_brute_threshold_matches_per_subset_search():
+    p_max = 20.0 * 30.0**2
+    sizes = set()
+    for seed in range(40):
+        n = seed % 8 + 1
+        inst = gen_random(GenConfig(n=n, seed=900 + seed, area=1000.0, beta_range=(1.0, 10.0), p_max=p_max))
+        uniform = {lid: p_max for lid in inst.link_ids}
+        halved = {lid: inst.link(lid).threshold / 2 for lid in inst.link_ids[::2]}
+        for regime in ("variable", "variable_capped", "fixed"):
+            for thresholds in (None, halved):
+                powers = uniform if regime == "fixed" else None
+                got = brute_opt_threshold(inst, regime=regime, powers=powers, thresholds=thresholds)
+                assert got == _brute_threshold_reference(inst, regime, powers, thresholds), (seed, regime)
+                sizes.add(got[1])
+    assert len(sizes) >= 4
+
+
+def test_sliced_brute_flexible_matches_per_subset_search():
+    values = set()
+    for seed in range(30):
+        n = seed % 7 + 1
+        inst = gen_random(GenConfig(
+            n=n, seed=950 + seed, area=300.0, d_range=(1.0, 60.0), power=4e3,
+            utility={"family": "step", "steps": 3, "value_max": 2.0},
+        ))
+        powers = {lid: inst.link(lid).fixed_power for lid in inst.link_ids}
+        got = brute_opt_flexible_fixed(inst)
+        assert got == _brute_flexible_reference(inst, powers), seed
+        values.add(got[1])
+    assert len(values) >= 4

@@ -11,6 +11,7 @@ from sinrsched import (
     ShannonUtility,
     StepUtility,
     UnboundedObjective,
+    UtilityContractError,
     inverse_threshold,
     max_utility,
     utility_from_dict,
@@ -51,6 +52,15 @@ def test_inverse_threshold_shannon():
 
 def test_inverse_threshold_unreachable():
     assert inverse_threshold(StepUtility(((1.0, 0.5),)), 0.6) is None
+
+
+def test_inverse_threshold_rejects_utility_positive_below_one():
+    class BelowOne:
+        def min_gamma_for(self, target):
+            return 0.5
+
+    with pytest.raises(UtilityContractError, match="below SINR 1"):
+        inverse_threshold(BelowOne(), 1.0)
 
 
 def test_inverse_threshold_rejects_nonpositive_target():
