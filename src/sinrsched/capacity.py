@@ -16,8 +16,13 @@ Every greedy pass streams: it keeps one running load per candidate and, on
 each acceptance, adds the accepted link's O(n) weight or affectance row.
 No solver builds an n x n matrix over its n candidates. A solve takes
 O(n * |accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
-recurrence and the SINR evaluation of the accepted links. Link lengths come
-from the cache on ``Instance``.
+recurrence and the SINR evaluation of the accepted links, which share one
+geometry. Endpoints, ``d^alpha`` and thresholds are sliced from the per-link
+arrays cached on ``Instance``.
+
+``thresholds`` is a mapping id -> beta that overrides the links' own
+thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
+solver resolves it to an array once and hands slices of that array down.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ from .model import (
     INF,
     Instance,
     Solution,
+    Thresholds,
     _received,
     empty_solution,
-    evaluate_sinrs,
     geometry,
     sensitivity_order,
+    sinr_vector,
     thresholds_for,
 )
 
@@ -82,9 +88,10 @@ class _Candidates:
         self.metric = instance.metric
         self.alpha = instance.alpha
         self.index = {lid: k for k, lid in enumerate(ids)}
-        self.senders = np.array([instance.link(lid).sender for lid in ids], dtype=np.intp)
-        self.receivers = np.array([instance.link(lid).receiver for lid in ids], dtype=np.intp)
-        self.d_alpha = self.metric.distances(self.receivers, self.senders) ** self.alpha
+        pos = instance.positions(ids)
+        self.senders = instance.senders[pos]
+        self.receivers = instance.receivers[pos]
+        self.d_alpha = instance.d_alpha[pos]
         if np.any(self.d_alpha <= 0):
             raise ValueError("zero-length link in candidate set")
         self.beta = thresholds_for(instance, ids, thresholds)
@@ -92,6 +99,10 @@ class _Candidates:
         if powers is not None:
             self.p = np.array([powers[lid] for lid in ids], dtype=np.float64)
             self.margin = self.p / self.d_alpha - self.beta * instance.noise
+
+    def beta_of(self, ids):
+        """Thresholds of the given candidate ids."""
+        return self.beta[[self.index[lid] for lid in ids]]
 
     def _out_alpha(self, k):
         """d(sender_k, receiver_b)^alpha for every candidate b."""
@@ -127,7 +138,7 @@ def weight(
     from_link: int,
     to_link: int,
     order: Optional[Sequence[int]] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> float:
     """Directed conflict weight of ``from_link`` onto ``to_link`` in [0, 1].
 
@@ -151,7 +162,7 @@ def affectance(
     from_link: int,
     to_link: int,
     powers: Mapping[int, float],
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> float:
     """Normalized interference of ``from_link`` on ``to_link`` in [0, 1].
 
@@ -167,7 +178,7 @@ def affectance(
 def solve_unlimited(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> Solution:
     """Greedy capacity maximization choosing powers from an unbounded range.
 
@@ -177,17 +188,18 @@ def solve_unlimited(
     each power covers noise plus the interference of the more sensitive links
     twice over, which guarantees every accepted link meets its threshold.
     """
-    selected, trace, order = _greedy_unlimited(
+    selected, trace, order, cands = _greedy_unlimited(
         instance, links, thresholds, budget=weight_budget(instance.alpha)
     )
     if not selected:
         return empty_solution("unlimited")
-    powers = _power_recurrence(instance, order, selected, thresholds)
-    return _finish(instance, selected, powers, "unlimited", trace)
+    powers, geo = _power_recurrence(instance, order, selected, cands)
+    return _finish(instance, selected, powers, "unlimited", trace, geo)
 
 
 def _greedy_unlimited(instance, links, thresholds, budget):
-    """Accepted links (in acceptance order), trace rows and sensitivity order.
+    """Accepted links (in acceptance order), trace rows, sensitivity order
+    and the candidates.
 
     ``incoming[c]`` holds the summed weight from the accepted links onto c,
     added one accepted row at a time in acceptance order. Accepted links are
@@ -197,9 +209,10 @@ def _greedy_unlimited(instance, links, thresholds, budget):
         links = instance.link_ids
     ids = list(links)
     if not ids:
-        return [], (), None
-    order = sensitivity_order(instance, ids, thresholds)
-    cands = _Candidates(instance, ids, thresholds)
+        return [], (), None, None
+    beta = thresholds_for(instance, ids, thresholds)
+    order = sensitivity_order(instance, ids, beta)
+    cands = _Candidates(instance, ids, beta)
 
     incoming = np.zeros(len(ids))
     accepted: list[int] = []
@@ -212,14 +225,17 @@ def _greedy_unlimited(instance, links, thresholds, budget):
         if ok:
             accepted.append(cand)
             incoming += cands.weight_row(c)
-    return accepted, tuple(trace), order
+    return accepted, tuple(trace), order, cands
 
 
-def _power_recurrence(instance, order, accepted, thresholds):
+def _power_recurrence(instance, order, accepted, cands):
     """p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha,
-    walking from the most sensitive accepted link down."""
-    geo = geometry(instance, accepted)
-    beta = thresholds_for(instance, accepted, thresholds)
+    walking from the most sensitive accepted link down.
+
+    Returns the powers and the accepted links' geometry in sorted id order,
+    which ``_finish`` reuses for the SINRs."""
+    geo = geometry(instance, sorted(accepted))
+    beta = cands.beta_of(geo.ids)
     # interference[k]: summed p / cross-distance^alpha at link k from the
     # links assigned so far, in assignment order
     interference = np.zeros(geo.n)
@@ -229,19 +245,25 @@ def _power_recurrence(instance, order, accepted, thresholds):
         if k is None:
             continue
         powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
-        interference += powers[lid] * geo.gain[:, k]
-    return powers
+        with np.errstate(divide="ignore"):
+            gain = 1.0 / geo.cross_alpha[:, k]
+        interference += powers[lid] * gain
+    return powers, geo
 
 
-def _finish(instance, selected, powers, algorithm, trace):
+def _finish(instance, selected, powers, algorithm, trace, geo=None):
+    """Solution over ``selected``; ``geo``, when given, is their geometry in
+    sorted id order. SINRs are ``evaluate_sinrs``' arithmetic."""
     if not selected:
         return empty_solution(algorithm)
     selected = tuple(sorted(selected))
-    sinr_map = evaluate_sinrs(instance, selected, powers)
+    if geo is None:
+        geo = geometry(instance, selected)
+    p = np.array([powers[lid] for lid in selected], dtype=np.float64)
     return Solution(
         selected=selected,
         powers={lid: powers[lid] for lid in selected},
-        sinr=sinr_map,
+        sinr=dict(zip(selected, sinr_vector(geo.cross_alpha, p, instance.noise).tolist())),
         objective=float(len(selected)),
         algorithm=algorithm,
         trace=trace,
@@ -252,7 +274,7 @@ def check_power_preconditions(
     instance: Instance,
     ids: Sequence[int],
     powers: Mapping[int, float],
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> list[str]:
     """Monotone / inverse-normalized power conditions for the fixed solver.
 
@@ -280,7 +302,7 @@ def solve_fixed(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
     powers: Optional[Mapping[int, float]] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
     warn_preconditions: bool = True,
 ) -> Solution:
     """Greedy capacity maximization under a given power assignment.
@@ -308,8 +330,9 @@ def solve_fixed(
             if lid not in powers:
                 raise ValueError(f"missing power for link {lid}")
 
+    beta = thresholds_for(instance, ids, thresholds)
     if warn_preconditions:
-        issues = check_power_preconditions(instance, ids, powers, thresholds)
+        issues = check_power_preconditions(instance, ids, powers, beta)
         if issues:
             warnings.warn(
                 "fixed power assignment is not monotone (sub-)linear in sensitivity: "
@@ -318,8 +341,8 @@ def solve_fixed(
                 stacklevel=2,
             )
 
-    order = sensitivity_order(instance, ids, thresholds)
-    cands = _Candidates(instance, ids, thresholds, powers)
+    order = sensitivity_order(instance, ids, beta)
+    cands = _Candidates(instance, ids, beta, powers)
     # solo SINR gate: p / d^alpha must reach beta * N up to tolerance
     solo_ok = cands.p / cands.d_alpha >= cands.beta * instance.noise * (1 - FEAS_RTOL)
 
@@ -350,7 +373,7 @@ def solve_fixed(
 def solve_limited(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> Solution:
     """Capacity maximization with powers chosen from [0, p_max].
 
@@ -372,21 +395,20 @@ def solve_limited(
     if not ids:
         return empty_solution("limited")
     beta = thresholds_for(instance, ids, thresholds)
-    sens = {
-        lid: float(beta[k]) * instance.noise * instance.length(lid) ** instance.alpha
-        for k, lid in enumerate(ids)
-    }
-    r1 = [lid for lid in ids if sens[lid] <= instance.p_max / 4.0]
-    in_r1 = set(r1)
-    r2 = [lid for lid in ids if lid not in in_r1]
+    # beta * N * d^alpha on the sensitivity_order key's d^alpha
+    sens = beta * instance.noise * instance.length_alpha[instance.positions(ids)]
+    small = sens <= instance.p_max / 4.0
+    flags = small.tolist()
+    r1 = [lid for lid, ok in zip(ids, flags) if ok]
+    r2 = [lid for lid, ok in zip(ids, flags) if not ok]
 
-    sol1 = _limited_first_branch(instance, r1, thresholds) if r1 else empty_solution("limited")
+    sol1 = _limited_first_branch(instance, r1, beta[small]) if r1 else empty_solution("limited")
     sol2 = (
         solve_fixed(
             instance,
             r2,
             powers={lid: instance.p_max for lid in r2},
-            thresholds=thresholds,
+            thresholds=beta[~small],
             warn_preconditions=False,
         )
         if r2
@@ -400,13 +422,13 @@ def solve_limited(
     return Solution(chosen.selected, chosen.powers, chosen.sinr, chosen.objective, "limited", trace)
 
 
-def _limited_first_branch(instance, r1, thresholds):
-    first_pass, trace1, order = _greedy_unlimited(
-        instance, r1, thresholds, weight_budget(instance.alpha)
+def _limited_first_branch(instance, r1, beta):
+    first_pass, trace1, order, all_cands = _greedy_unlimited(
+        instance, r1, beta, weight_budget(instance.alpha)
     )
     if not first_pass:
         return empty_solution("limited")
-    cands = _Candidates(instance, first_pass, thresholds)
+    cands = _Candidates(instance, first_pass, all_cands.beta_of(first_pass))
 
     # outgoing[c]: weight from c onto the kept links, all more sensitive than c
     outgoing = np.zeros(len(first_pass))
@@ -423,5 +445,5 @@ def _limited_first_branch(instance, r1, thresholds):
             kept.append(cand)
             outgoing += cands.weight_col(c)
 
-    powers = _power_recurrence(instance, order, kept, thresholds)
-    return _finish(instance, kept, powers, "limited", tuple(trace1) + tuple(trace2))
+    powers, geo = _power_recurrence(instance, order, kept, cands)
+    return _finish(instance, kept, powers, "limited", tuple(trace1) + tuple(trace2), geo)

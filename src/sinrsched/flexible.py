@@ -4,6 +4,11 @@ The wrapper sweeps geometrically decreasing value targets. At each level it
 asks every utility for the smallest SINR reaching the target, uses those as
 individual thresholds, runs the requested threshold solver and scores the
 result by the utilities realized at the actual SINRs. The best level wins.
+
+A level's solution depends only on its candidates and their thresholds, so a
+caller that sweeps again on the same instance (the latency scheduler, once
+per slot) can hand in the previous run and every level whose input is
+unchanged reuses the stored solution instead of solving again.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
 from .model import INF, Instance, Solution, empty_solution
@@ -72,8 +79,12 @@ class FlexibleRun:
         }
 
 
-def _gamma_cap(instance: Instance, lid: int, mode: str, powers) -> float:
-    """Best SINR the link can reach alone: power / (noise * d^alpha)."""
+def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float:
+    """Best SINR the link can reach alone under ``mode``: power / (noise * d^alpha).
+
+    The power is unbounded for "unlimited", the instance cap for "limited"
+    and the link's given or fixed power for "fixed".
+    """
     if mode == "unlimited":
         return INF
     if mode == "limited":
@@ -84,8 +95,7 @@ def _gamma_cap(instance: Instance, lid: int, mode: str, powers) -> float:
             raise ValueError(f"link {lid} has no fixed power")
     if p == INF:
         return INF
-    d_alpha = instance.length(lid) ** instance.alpha
-    return p / (instance.noise * d_alpha)
+    return p / (instance.noise * instance.length(lid) ** instance.alpha)
 
 
 def solve_flexible(
@@ -94,6 +104,8 @@ def solve_flexible(
     links: Optional[Sequence[int]] = None,
     utilities: Optional[Mapping[int, UtilitySpec]] = None,
     powers: Optional[Mapping[int, float]] = None,
+    *,
+    previous: Optional[FlexibleRun] = None,
 ) -> FlexibleRun:
     """Maximize summed utility by sweeping ceil(log2 n) + 1 value targets.
 
@@ -101,9 +113,19 @@ def solve_flexible(
     scheduler passes residual-capped ones). Links whose utility cannot reach
     a level's target are left out of that level only. Levels are scored at
     realized SINRs, so the reported objective is the honest achieved value.
+
+    ``previous`` is an earlier run on the same instance, mode and powers (the
+    latency scheduler passes the previous slot's run). A threshold solve is a
+    function of its candidates and thresholds alone, so a level whose sorted
+    candidates and thresholds equal those of a level of ``previous`` takes
+    that level's solution instead of solving again; its objective is still
+    scored under the current utilities. Without ``previous`` every level is
+    solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if previous is not None and previous.mode != mode:
+        raise ValueError(f"previous run has mode {previous.mode!r}, not {mode!r}")
     if links is None:
         links = instance.link_ids
     ids = list(links)
@@ -118,9 +140,8 @@ def solve_flexible(
             raise ValueError(f"link {lid} has no utility")
         return u
 
-    caps = {lid: _gamma_cap(instance, lid, mode, powers) for lid in ids}
-    max_values = {lid: max_utility(util_of(lid), caps[lid]) for lid in ids}
-    top = max(max_values.values())
+    utils = {lid: util_of(lid) for lid in ids}
+    top = max(max_utility(utils[lid], solo_sinr_cap(instance, lid, mode, powers)) for lid in ids)
     if not math.isfinite(top):
         raise ValueError("objective unbounded")
     if top <= 0.0:
@@ -128,30 +149,52 @@ def solve_flexible(
         return FlexibleRun(0.0, mode, (), None)
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
+    known = {}
+    if previous is not None:
+        known = {_level_input(lvl.thresholds): lvl.solution for lvl in previous.levels}
+    levels = _sweep(instance, mode, utils, powers, top, n_levels, known)
+    # ties go to the shallowest level, whose members each carry the top value
+    best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
+    return FlexibleRun(float(top), mode, tuple(levels), best_index)
+
+
+def _level_input(thresholds: Mapping[int, float]) -> tuple:
+    """A level's exact solver input: (id, threshold) of its candidates in id
+    order."""
+    return tuple(sorted(thresholds.items()))
+
+
+def _sweep(instance, mode, utils, powers, top, n_levels, known) -> list[FlexibleLevel]:
+    """Solve the levels top, top / 2, ...; a level whose input is a key of
+    ``known`` takes the stored solution."""
     levels = []
     for i in range(n_levels):
         target = top * 2.0**-i
         thresholds = {}
-        for lid in ids:
-            gamma = inverse_threshold(util_of(lid), target)
-            if gamma is None:
-                continue  # link sits this level out; it may join deeper ones
-            thresholds[lid] = gamma
-        candidates = sorted(thresholds)
-        if not candidates:
-            sol = empty_solution(mode)
-        elif mode == "unlimited":
-            sol = solve_unlimited(instance, candidates, thresholds=thresholds)
-        elif mode == "limited":
-            sol = solve_limited(instance, candidates, thresholds=thresholds)
-        else:
-            sol = solve_fixed(
-                instance, candidates, powers=powers, thresholds=thresholds,
-                warn_preconditions=False,
-            )
-        realized = sum(value(util_of(lid), sol.sinr[lid]) for lid in sol.selected)
+        for lid, u in utils.items():
+            gamma = inverse_threshold(u, target)
+            if gamma is not None:  # else the link sits this level out
+                thresholds[lid] = gamma
+        key = _level_input(thresholds)
+        sol = known.get(key)
+        if sol is None:
+            sol = _solve_level(instance, mode, key, powers)
+        realized = sum(value(utils[lid], sol.sinr[lid]) for lid in sol.selected)
         levels.append(FlexibleLevel(i, target, thresholds, sol, float(realized)))
+    return levels
 
-    # ties go to the shallowest level, whose members each carry the top value
-    best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index)
+
+def _solve_level(instance, mode, key, powers) -> Solution:
+    """Run the threshold solver on a level's input, handing it the threshold
+    array aligned with the candidates."""
+    if not key:
+        return empty_solution(mode)
+    candidates = [lid for lid, _ in key]
+    thresholds = np.array([beta for _, beta in key], dtype=np.float64)
+    if mode == "unlimited":
+        return solve_unlimited(instance, candidates, thresholds=thresholds)
+    if mode == "limited":
+        return solve_limited(instance, candidates, thresholds=thresholds)
+    return solve_fixed(
+        instance, candidates, powers=powers, thresholds=thresholds, warn_preconditions=False
+    )

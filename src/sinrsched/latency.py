@@ -7,6 +7,11 @@ normalizes utilities by their maximum and scales demands accordingly. Each
 round caps the utilities at the remaining demands, runs the flexible-rate
 solver, schedules the winning set for one slot and subtracts the realized
 gains.
+
+Each slot's flexible sweep gets the previous slot's run: a level whose
+candidates and thresholds did not change since then reuses that slot's
+solution (see ``flexible``), so only levels touched by the last slot's
+progress are solved again. Only the previous slot's run is kept.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .flexible import FlexibleRun, solve_flexible
+from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
 from .model import INF, Instance, Solution
 from .utility import (
     CappedUtility,
@@ -140,6 +145,7 @@ def _run_scheme(
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
     slots: list[Slot] = []
     stalled = False
+    run: Optional[FlexibleRun] = None  # the previous slot's sweep, for level reuse
 
     def slot_gains(solution):
         gains = {}
@@ -152,8 +158,8 @@ def _run_scheme(
     while sum(residual.values()) > 0.0:
         live = sorted(lid for lid in ids if residual[lid] > 0.0)
         capped = {lid: CappedUtility(scheme_utils[lid], residual[lid]) for lid in live}
-        run: FlexibleRun = solve_flexible(
-            instance, mode=mode, links=live, utilities=capped, powers=powers
+        run = solve_flexible(
+            instance, mode=mode, links=live, utilities=capped, powers=powers, previous=run
         )
         if run.best_index is None or run.objective <= 0.0:
             stalled = True  # rounding can zero out every reachable value
@@ -243,11 +249,9 @@ def solve_latency(
     if not ids:
         return Schedule(2, (), {1: 0.0, 2: 0.0}, True, True, {1: None, 2: None})
 
-    from .flexible import _gamma_cap  # shared single-link SINR cap rule
-
     max_values = {}
     for lid in ids:
-        cap = _gamma_cap(instance, lid, mode, powers)
+        cap = solo_sinr_cap(instance, lid, mode, powers)
         max_values[lid] = max_utility(original_utils[lid], cap)
         if max_values[lid] <= 0.0:
             raise UnschedulableDemand(
@@ -286,8 +290,7 @@ def loose_length_bound(instance: Instance, links: Optional[Sequence[int]] = None
     total = 0.0
     for lid in ids:
         link = instance.link(lid)
-        top = max_utility(link.utility, INF if instance.p_max == INF else
-                          instance.p_max / (instance.noise * instance.length(lid) ** instance.alpha))
+        top = max_utility(link.utility, solo_sinr_cap(instance, lid, "limited"))
         total += math.ceil(link.demand / top)
     levels = max(0, math.ceil(math.log2(len(ids)))) + 1
     return 4.0 * total * levels**2
@@ -302,8 +305,7 @@ def schedule_lower_bound(instance: Instance, links: Optional[Sequence[int]] = No
         link = instance.link(lid)
         if not link.demand:
             continue
-        top = max_utility(link.utility, INF if instance.p_max == INF else
-                          instance.p_max / (instance.noise * instance.length(lid) ** instance.alpha))
+        top = max_utility(link.utility, solo_sinr_cap(instance, lid, "limited"))
         if top > 0:
             best = max(best, math.ceil(link.demand / top))
     return best

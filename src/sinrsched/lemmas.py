@@ -172,9 +172,9 @@ def markov_survivors(
     survivors = []
     for lid in ids:
         k = geo.index[lid]
-        interference = sum(
-            dual[other] * geo.gain[k, geo.index[other]] for other in ids if other != lid
-        )
+        with np.errstate(divide="ignore"):
+            gain = 1.0 / geo.cross_alpha[k]
+        interference = sum(dual[other] * gain[geo.index[other]] for other in ids if other != lid)
         signal = dual[lid] / geo.d_alpha[k]
         if beta_of[lid] * interference <= 2.0 * signal * (1 + 1e-12):
             survivors.append(lid)
@@ -316,6 +316,8 @@ def simulate_aloha(
     instance = aloha_instance(k, alpha=alpha)
     ids = list(instance.link_ids)
     geo = geometry(instance, ids)
+    with np.errstate(divide="ignore"):
+        gain = 1.0 / geo.cross_alpha
     beta = 1.0 / k
     uniform_p = 2.0 / (k + 2)
     target = k // 2
@@ -334,7 +336,7 @@ def simulate_aloha(
                 continue
             tx = np.flatnonzero(transmit)
             # received[i, j] = power of transmitter j at receiver of link i
-            received = geo.gain[np.ix_(tx, tx)]
+            received = gain[np.ix_(tx, tx)]
             signal = np.diag(received)
             interference = received.sum(axis=1) - signal
             sinr = signal / (interference + noise)

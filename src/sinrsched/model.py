@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,10 @@ FEAS_RTOL = 1e-9
 
 # Relative tolerance for power-cap comparisons.
 CAP_RTOL = 1e-12
+
+# Threshold overrides: a mapping id -> beta, or an array aligned with the
+# link ids it comes with (see ``thresholds_for``).
+Thresholds = Union[Mapping[int, float], np.ndarray]
 
 
 class MetricSpace:
@@ -75,12 +79,22 @@ class MetricSpace:
         return self._matrix.shape[0]
 
     def distance(self, i: int, j: int) -> float:
+        return self.distance_list([i], [j])[0]
+
+    def distance_list(self, i: Sequence[int], j: Sequence[int]) -> list[float]:
+        """d(i[k], j[k]) for node index sequences of equal length, as Python
+        floats. Euclidean distances are np.linalg.norm's arithmetic, the
+        square root of the difference's dot product with itself."""
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
         n = self.n_points
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"node index out of range: ({i}, {j}) with {n} nodes")
+        outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise IndexError(f"node index out of range: ({i[k]}, {j[k]}) with {n} nodes")
         if self._matrix is not None:
-            return float(self._matrix[i, j])
-        return float(np.linalg.norm(self._points[i] - self._points[j]))
+            return self._matrix[i, j].tolist()
+        return [math.sqrt(diff.dot(diff)) for diff in self._points[i] - self._points[j]]
 
     def distances(self, i, j) -> np.ndarray:
         """Element-wise distances d(i[k], j[k]) for node index arrays (or
@@ -106,11 +120,16 @@ class MetricSpace:
     @classmethod
     def from_dict(cls, data: Mapping, validate: bool = True) -> "MetricSpace":
         kind = data.get("type")
-        if kind == "euclidean":
-            return cls.euclidean(data["points"], dim=int(data["dim"]))
-        if kind == "matrix":
+        if kind not in ("euclidean", "matrix"):
+            raise ValueError(f"unknown metric type: {kind!r}")
+        key = "points" if kind == "euclidean" else "d"
+        _require(data.get(key), list, "a list", f"metric.{key}")
+        try:
+            if kind == "euclidean":
+                return cls.euclidean(data["points"], dim=_integer(data.get("dim"), "metric.dim"))
             return cls.from_matrix(data["d"], validate=validate)
-        raise ValueError(f"unknown metric type: {kind!r}")
+        except TypeError as exc:  # a non-numeric entry
+            raise ValueError(f"metric.{key}: {exc}") from None
 
 
 def _validate_metric(mat: np.ndarray) -> None:
@@ -170,8 +189,17 @@ class Link:
 class Instance:
     """A scheduling world: metric space, physical constants and links.
 
-    Every link's sender-receiver distance is computed once, at construction,
-    and ``length`` returns the cached value.
+    Per-link data is computed once, at construction. ``length`` returns the
+    cached sender-receiver distance, and ``positions`` maps link ids to rows
+    of the cached arrays, which follow the order of ``links``:
+
+    senders, receivers  node indices
+    d_alpha             d(receiver, sender)^alpha with ``MetricSpace.distances``'
+                        numpy arithmetic; the capacity greedies use it
+    length_alpha        ``length(id) ** alpha`` in Python floats; the key of
+                        ``sensitivity_order``. It can differ from ``d_alpha``
+                        in the last bit, so each stays with its user.
+    thresholds          link thresholds, NaN where a link has none
     """
 
     metric: MetricSpace
@@ -189,12 +217,15 @@ class Instance:
         if not self.p_max > 0:
             raise ValueError("p_max must be positive (math.inf for unlimited)")
         object.__setattr__(self, "links", tuple(self.links))
-        lengths = {}
-        for link in self.links:
-            if link.id in lengths:
+        senders = np.array([link.sender for link in self.links], dtype=np.intp)
+        receivers = np.array([link.receiver for link in self.links], dtype=np.intp)
+        lengths = self.metric.distance_list(senders, receivers)
+        positions = {}
+        for k, link in enumerate(self.links):
+            if link.id in positions:
                 raise ValueError(f"duplicate link id {link.id}")
-            lengths[link.id] = self.metric.distance(link.sender, link.receiver)
-            if lengths[link.id] <= 0:
+            positions[link.id] = k
+            if lengths[k] <= 0:
                 raise ValueError(f"link {link.id}: zero sender-receiver distance")
             if (
                 link.threshold is not None
@@ -205,25 +236,45 @@ class Instance:
                     f"link {link.id}: threshold {link.threshold} < 1 "
                     "(set allow_sub_unit_threshold to permit)"
                 )
-        object.__setattr__(self, "_by_id", {link.id: link for link in self.links})
-        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        arrays = {
+            "senders": senders,
+            "receivers": receivers,
+            "d_alpha": self.metric.distances(receivers, senders) ** self.alpha,
+            "length_alpha": np.array([d ** self.alpha for d in lengths], dtype=np.float64),
+            "thresholds": np.array(
+                [math.nan if link.threshold is None else link.threshold for link in self.links],
+                dtype=np.float64,
+            ),
+        }
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def link(self, link_id: int) -> Link:
+    def _position(self, link_id: int) -> int:
         try:
-            return self._by_id[link_id]
+            return self._positions[link_id]
         except KeyError:
             raise KeyError(f"no link with id {link_id}") from None
+
+    def link(self, link_id: int) -> Link:
+        return self.links[self._position(link_id)]
 
     @property
     def link_ids(self) -> tuple[int, ...]:
         return tuple(link.id for link in self.links)
 
+    def positions(self, ids: Sequence[int]) -> np.ndarray:
+        """Rows of the cached per-link arrays for the given link ids."""
+        try:
+            return np.array([self._positions[lid] for lid in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"no link with id {exc.args[0]}") from None
+
     def length(self, link_id: int) -> float:
         """Sender-receiver distance, cached at construction."""
-        try:
-            return self._lengths[link_id]
-        except KeyError:
-            raise KeyError(f"no link with id {link_id}") from None
+        return self._lengths[self._position(link_id)]
 
     def to_dict(self) -> dict:
         links = []
@@ -251,29 +302,84 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping, validate_metric: bool = True) -> "Instance":
-        p_max = data.get("p_max", "inf")
+        """Instance from its JSON form. A field of the wrong type raises
+        ValueError naming the field."""
+        _require(data, Mapping, "an object", "instance")
+        metric = data.get("metric")
+        _require(metric, Mapping, "an object", "metric")
+        metric = MetricSpace.from_dict(metric, validate=validate_metric)
+        entries = data.get("links")
+        _require(entries, list, "a list", "links")
+        n_points = metric.n_points
         links = []
-        for entry in data["links"]:
+        for k, entry in enumerate(entries):
+            _require(entry, Mapping, "an object", None, k)
+            sender = _integer(entry.get("s"), "s", k)
+            receiver = _integer(entry.get("r"), "r", k)
+            if not (0 <= sender < n_points and 0 <= receiver < n_points):
+                key, node = ("s", sender) if not 0 <= sender < n_points else ("r", receiver)
+                raise ValueError(f"links[{k}].{key}: node {node} is not in the metric")
             utility = entry.get("utility")
+            if utility is not None:
+                _require(utility, Mapping, "an object", "utility", k)
+                try:
+                    utility = utility_from_dict(utility)
+                except TypeError as exc:
+                    raise ValueError(f"links[{k}].utility: {exc}") from None
             links.append(
                 Link(
-                    id=int(entry["id"]),
-                    sender=int(entry["s"]),
-                    receiver=int(entry["r"]),
-                    threshold=entry.get("beta"),
-                    utility=utility_from_dict(utility) if utility is not None else None,
-                    demand=entry.get("demand"),
-                    fixed_power=entry.get("power"),
+                    id=_integer(entry.get("id"), "id", k),
+                    sender=sender,
+                    receiver=receiver,
+                    threshold=_number(entry.get("beta"), "beta", k, optional=True),
+                    utility=utility,
+                    demand=_number(entry.get("demand"), "demand", k, optional=True),
+                    fixed_power=_number(entry.get("power"), "power", k, optional=True),
                 )
             )
+        p_max = data.get("p_max", "inf")
         return cls(
-            metric=MetricSpace.from_dict(data["metric"], validate=validate_metric),
-            alpha=float(data["alpha"]),
-            noise=float(data["noise"]),
-            p_max=INF if p_max in ("inf", None) else float(p_max),
+            metric=metric,
+            alpha=_number(data.get("alpha"), "alpha"),
+            noise=_number(data.get("noise"), "noise"),
+            p_max=INF if p_max in ("inf", None) else _number(p_max, "p_max"),
             links=tuple(links),
             allow_sub_unit_threshold=bool(data.get("allow_sub_unit_threshold", False)),
         )
+
+
+# Checks of decoded JSON fields. A field is named by its key, or by the index
+# of its link entry plus the key; the name is built only for the error.
+
+_JSON_TYPES = {
+    type(None): "null", bool: "a boolean", str: "a string", list: "a list", dict: "an object"
+}
+
+
+def _type_error(value, what: str, key, link) -> ValueError:
+    name = key if link is None else f"links[{link}]" + ("" if key is None else f".{key}")
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return ValueError(f"{name} must be {what}, got {got}")
+
+
+def _require(value, kind, what: str, key, link=None) -> None:
+    # a dict is a Mapping; skip the slower abstract-class check for it
+    if not (kind is Mapping and type(value) is dict) and not isinstance(value, kind):
+        raise _type_error(value, what, key, link)
+
+
+def _number(value, key: str, link=None, optional: bool = False) -> Optional[float]:
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _type_error(value, "a number", key, link)
+    return float(value)
+
+
+def _integer(value, key: str, link=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _type_error(value, "an integer", key, link)
+    return value
 
 
 @dataclass(frozen=True)
@@ -286,14 +392,13 @@ class Geometry:
 
     ids         candidate link ids, fixed order
     d_alpha     own sender-receiver distance^alpha per link
-    cross_alpha cross_alpha[i, j] = d(sender_j, receiver_i)^alpha
-    gain        gain[i, j] = 1 / cross_alpha[i, j]; diagonal 1 / d_alpha
+    cross_alpha cross_alpha[i, j] = d(sender_j, receiver_i)^alpha; the gain
+                of sender j at receiver i is its reciprocal
     """
 
     ids: tuple[int, ...]
     d_alpha: np.ndarray
     cross_alpha: np.ndarray
-    gain: np.ndarray
     index: dict
 
     @property
@@ -305,33 +410,40 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     if ids is None:
         ids = instance.link_ids
     ids = tuple(ids)
-    senders = [instance.link(i).sender for i in ids]
-    receivers = [instance.link(i).receiver for i in ids]
-    cross = instance.metric.pair_distances(receivers, senders)
+    pos = instance.positions(ids)
+    cross = instance.metric.pair_distances(instance.receivers[pos], instance.senders[pos])
     cross_alpha = cross**instance.alpha
     d_alpha = np.diag(cross_alpha).copy()
     if np.any(d_alpha <= 0):
         raise ValueError("zero-length link in candidate set")
-    with np.errstate(divide="ignore"):
-        gain = 1.0 / cross_alpha
-    return Geometry(ids, d_alpha, cross_alpha, gain, {lid: k for k, lid in enumerate(ids)})
+    return Geometry(ids, d_alpha, cross_alpha, {lid: k for k, lid in enumerate(ids)})
 
 
 def thresholds_for(
     instance: Instance,
     ids: Sequence[int],
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> np.ndarray:
-    """Per-link threshold array; override mapping wins over link attributes."""
-    out = np.empty(len(ids))
-    for k, lid in enumerate(ids):
-        if thresholds is not None and lid in thresholds:
-            out[k] = thresholds[lid]
-        else:
-            beta = instance.link(lid).threshold
-            if beta is None:
-                raise ValueError(f"link {lid} has no threshold")
-            out[k] = beta
+    """Per-link threshold array for ``ids``.
+
+    ``thresholds`` is a mapping id -> beta that wins over the links' own
+    thresholds, or an array of thresholds aligned with ``ids``, which is
+    used as is.
+    """
+    ids = list(ids)
+    if isinstance(thresholds, np.ndarray):
+        if thresholds.shape != (len(ids),):
+            raise ValueError("threshold array does not match the links")
+        out = thresholds
+    else:
+        out = instance.thresholds[instance.positions(ids)]
+        missing = np.isnan(out)
+        if thresholds:
+            given = [k for k, lid in enumerate(ids) if lid in thresholds]
+            out[given] = [thresholds[ids[k]] for k in given]
+            missing[given] = False
+        if missing.any():
+            raise ValueError(f"link {ids[int(np.argmax(missing))]} has no threshold")
     if np.any(out <= 0):
         raise ValueError("thresholds must be positive")
     return out
@@ -398,20 +510,21 @@ def evaluate_sinrs(
 def sensitivity_order(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> list[int]:
     """Link ids ordered by decreasing sensitivity beta * d^alpha.
 
     Position 0 is the most sensitive link (rank 1). Ties break by ascending
     link id so runs are reproducible. The ordering is a total order and does
-    not depend on the order of the input list.
+    not depend on the order of the input list. The key is the threshold
+    times the cached ``length_alpha``.
     """
     if links is None:
         links = instance.link_ids
     ids = list(links)
     beta = thresholds_for(instance, ids, thresholds)
-    sens = {lid: float(beta[k]) * instance.length(lid) ** instance.alpha for k, lid in enumerate(ids)}
-    return sorted(ids, key=lambda lid: (-sens[lid], lid))
+    sens = beta * instance.length_alpha[instance.positions(ids)]
+    return [ids[k] for k in np.lexsort((np.array(ids), -sens)).tolist()]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ def _coupling(instance, ids, thresholds):
     """Relative interference matrix B and base vector beta * d^alpha * N."""
     geo = geometry(instance, ids)
     sens = thresholds_for(instance, ids, thresholds) * geo.d_alpha
-    coupling = sens[:, None] * geo.gain
+    with np.errstate(divide="ignore"):
+        coupling = sens[:, None] * (1.0 / geo.cross_alpha)
     np.fill_diagonal(coupling, 0.0)
     return coupling, sens * instance.noise
 

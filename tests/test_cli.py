@@ -143,3 +143,49 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error):
     assert code == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "forced failure" in err
+
+
+def _set(path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (_set(["alpha"], [2]), "alpha"),
+        (_set(["noise"], "1"), "noise"),
+        (_set(["p_max"], True), "p_max"),
+        (_set(["links"], None), "links"),
+        (_set(["links", 0], 7), "links[0]"),
+        (_set(["links", 0, "s"], None), "links[0].s"),
+        (_set(["links", 1, "r"], 99), "links[1].r"),
+        (_set(["links", 0, "id"], 1.5), "links[0].id"),
+        (_set(["links", 0, "beta"], "x"), "links[0].beta"),
+        (_set(["links", 0, "demand"], [1]), "links[0].demand"),
+        (_set(["links", 0, "utility"], 3), "links[0].utility"),
+        (_set(["links", 0, "utility", "steps"], [[None, 1]]), "links[0].utility"),
+        (_set(["metric"], None), "metric"),
+        (_set(["metric", "points"], {"a": 1}), "metric.points"),
+        (_set(["metric", "points", 0], [1, {}]), "metric.points"),
+        (_set(["metric", "dim"], "2"), "metric.dim"),
+        (lambda data: [data], "instance"),
+    ],
+)
+def test_mistyped_instance_field_is_bad_input(tmp_path, capsys, edit, field):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    data = json.loads(inst.read_text())
+    data["links"][0]["utility"] = {"type": "step", "steps": [[1.0, 1.0]]}
+    data["links"][0]["demand"] = 1.0
+    inst.write_text(json.dumps(edit(data)))
+    capsys.readouterr()
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: {field}")

@@ -1,0 +1,294 @@
+"""Level reuse in the latency loop and the per-instance link arrays.
+
+The latency scheduler hands each slot's flexible sweep the previous slot's
+run, and levels with unchanged input reuse its solutions. The reference
+below is the scheme loop that solves every level of every slot; schedules
+must match it exactly. The cached arrays on ``Instance`` must give the same
+floats as the per-link constructions they replaced.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from sinrsched import capacity, flexible, latency
+from sinrsched.capacity import _Candidates, solve_fixed, solve_limited, solve_unlimited
+from sinrsched.flexible import solve_flexible
+from sinrsched.generate import GenConfig, gen_random
+from sinrsched.latency import RESIDUAL_TOL, SchemeRun, Slot, solve_latency
+from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order
+from sinrsched.utility import CappedUtility, value
+
+
+def _reference_run_scheme(
+    instance, scheme, mode, ids, scheme_utils, scheme_demands,
+    original_utils, original_demands, powers, slot_cap,
+):
+    """The scheme loop without level reuse: a fresh sweep every slot."""
+    residual = {lid: float(scheme_demands[lid]) for lid in ids}
+    slots = []
+    stalled = False
+
+    def slot_gains(solution):
+        gains = {}
+        completes = False
+        for lid in solution.selected:
+            gains[lid] = value(capped[lid], solution.sinr[lid])
+            completes = completes or residual[lid] - gains[lid] <= RESIDUAL_TOL
+        return gains, completes
+
+    while sum(residual.values()) > 0.0:
+        live = sorted(lid for lid in ids if residual[lid] > 0.0)
+        capped = {lid: CappedUtility(scheme_utils[lid], residual[lid]) for lid in live}
+        run = solve_flexible(instance, mode=mode, links=live, utilities=capped, powers=powers)
+        if run.best_index is None or run.objective <= 0.0:
+            stalled = True
+            break
+        level = run.best
+        gains, completes = slot_gains(level.solution)
+        if scheme == 2 and not completes and sum(gains.values()) < 1.0 - RESIDUAL_TOL:
+            best_alt = None
+            for alt in sorted(run.levels, key=lambda l: -l.objective):
+                alt_gains, alt_completes = slot_gains(alt.solution)
+                if alt_completes:
+                    best_alt = (alt, alt_gains)
+                    break
+            if best_alt is not None:
+                level, gains = best_alt
+
+        sol = level.solution
+        original_gains, completed = {}, []
+        for lid in sol.selected:
+            original_gains[lid] = value(original_utils[lid], sol.sinr[lid])
+            residual[lid] = max(0.0, residual[lid] - gains[lid])
+            if residual[lid] <= RESIDUAL_TOL:
+                residual[lid] = 0.0
+                completed.append(lid)
+        slots.append(
+            Slot(
+                solution=sol,
+                level_index=level.index,
+                thresholds=dict(level.thresholds),
+                gains=gains,
+                original_gains=original_gains,
+                residual_after=dict(residual),
+                completed=tuple(completed),
+            )
+        )
+        if len(slots) > slot_cap:
+            raise RuntimeError("slot cap")
+
+    fulfilled_scheme = not stalled and all(residual[lid] == 0.0 for lid in ids)
+    delivered = {lid: 0.0 for lid in ids}
+    for slot in slots:
+        for lid, gain in slot.original_gains.items():
+            delivered[lid] += gain
+    fulfilled_original = not stalled and all(
+        delivered[lid] >= original_demands[lid] - RESIDUAL_TOL for lid in ids
+    )
+    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_scheme, fulfilled_original)
+
+
+STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
+SHANNON = {"family": "shannon", "scale_range": (0.5, 2.0), "cutoff_range": (1.0, 4.0)}
+
+
+def _demand_instance(seed, n, utility, p_max=float("inf"), power=None):
+    return gen_random(GenConfig(
+        n=n, seed=seed, area=400.0, d_range=(1.0, 40.0), beta_range=(1.0, 2.0),
+        utility=utility, demand_range=(0.5, 3.0), p_max=p_max, power=power,
+    ))
+
+
+CASES = [
+    ("unlimited", STEP, float("inf"), None),
+    ("limited", STEP, 5e4, None),
+    ("fixed", STEP, 3e3, 3e3),
+    ("limited", SHANNON, 5e4, None),
+    ("fixed", SHANNON, 3e3, 3e3),
+]
+
+
+@pytest.mark.parametrize("mode,utility,p_max,power", CASES)
+def test_reuse_matches_fresh_sweeps(monkeypatch, mode, utility, p_max, power):
+    for seed in range(3):
+        inst = _demand_instance(70 + seed, 14, utility, p_max, power)
+        got = solve_latency(inst, mode=mode)
+        with monkeypatch.context() as m:
+            m.setattr(latency, "_run_scheme", _reference_run_scheme)
+            want = solve_latency(inst, mode=mode)
+        assert got.to_dict(include_trace=True) == want.to_dict(include_trace=True)
+        for scheme in (1, 2):
+            assert len(got.runs[scheme].slots) == len(want.runs[scheme].slots)
+        assert got.lengths == want.lengths
+
+
+def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
+    # the benchmark's latency instance recipe
+    inst = gen_random(GenConfig(
+        n=64, seed=0, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+        demand_range=(0.5, 3.0), utility=STEP,
+    ))
+    solves, levels = [], []
+
+    def counting_solver(*args, **kwargs):
+        solves.append(1)
+        return solve_unlimited(*args, **kwargs)
+
+    def counting_sweep(*args, **kwargs):
+        run = solve_flexible(*args, **kwargs)
+        levels.append(len(run.levels))
+        return run
+
+    monkeypatch.setattr(flexible, "solve_unlimited", counting_solver)
+    monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
+    solve_latency(inst)
+    assert 0 < len(solves) < sum(levels)
+
+
+def test_previous_run_reuses_equal_levels_only():
+    inst = _demand_instance(5, 12, STEP)
+    first = solve_flexible(inst)
+    again = solve_flexible(inst, previous=first)
+    assert again.to_dict(include_trace=True) == first.to_dict(include_trace=True)
+    for old, new in zip(first.levels, again.levels):
+        assert new.solution is old.solution
+    # new utilities move every level's thresholds: nothing is reused
+    halved = {l.id: CappedUtility(l.utility, 0.5) for l in inst.links}
+    fresh = solve_flexible(inst, utilities=halved)
+    reused = solve_flexible(inst, utilities=halved, previous=first)
+    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+    with pytest.raises(ValueError, match="mode"):
+        solve_flexible(inst, mode="limited", previous=first)
+
+
+def test_threshold_array_equals_mapping():
+    inst = _demand_instance(9, 30, STEP, p_max=2e4, power=2e3)
+    rng = random.Random(3)
+    ids = [lid for lid in inst.link_ids if rng.random() < 0.8]
+    mapping = {lid: rng.uniform(1.0, 6.0) for lid in ids}
+    array = np.array([mapping[lid] for lid in ids])
+    for solver in (solve_unlimited, solve_limited):
+        a = solver(inst, ids, thresholds=mapping)
+        b = solver(inst, ids, thresholds=array)
+        assert a.to_dict(include_trace=True) == b.to_dict(include_trace=True)
+    a = solve_fixed(inst, ids, thresholds=mapping)
+    b = solve_fixed(inst, ids, thresholds=array)
+    assert a.to_dict(include_trace=True) == b.to_dict(include_trace=True)
+    with pytest.raises(ValueError, match="does not match"):
+        solve_unlimited(inst, ids, thresholds=array[:-1])
+
+
+def _tied_instance(alpha, seed):
+    """Links that share endpoints or repeat a geometry, so sensitivities tie."""
+    rng = random.Random(seed)
+    points = [[rng.uniform(0, 50), rng.uniform(0, 50)] for _ in range(8)]
+    points += [[0.0, 0.0], [3.0, 4.0], [10.0, 0.0], [13.0, 4.0]]  # two length-5 pairs
+    links = []
+    for lid in range(30):
+        if lid % 3 == 0:
+            s, r = (8, 9) if lid % 2 else (10, 11)
+        else:
+            s, r = rng.sample(range(8), 2)
+        links.append(Link(id=lid, sender=s, receiver=r, threshold=rng.choice([1.0, 2.0, 2.5])))
+    rng.shuffle(links)
+    return Instance(MetricSpace.euclidean(points), alpha, 0.5, tuple(links))
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2, 2.5, 3, 4])
+def test_sensitivity_order_matches_python_key(alpha):
+    for seed in range(4):
+        inst = _tied_instance(alpha, seed)
+        rng = random.Random(seed)
+        ids = list(inst.link_ids)
+        rng.shuffle(ids)
+        overrides = {lid: rng.choice([1.0, 2.0, 3.5]) for lid in ids if rng.random() < 0.5}
+        for thresholds in (None, overrides):
+            def beta(lid):
+                if thresholds is not None and lid in thresholds:
+                    return float(thresholds[lid])
+                return float(inst.link(lid).threshold)
+
+            want = sorted(ids, key=lambda lid: (-beta(lid) * inst.length(lid) ** alpha, lid))
+            assert sensitivity_order(inst, ids, thresholds) == want
+            assert sensitivity_order(inst, ids[::-1], thresholds) == want
+        sens = [inst.link(l).threshold * inst.length(l) ** alpha for l in inst.link_ids]
+        assert len(set(sens)) < len(sens), "the instance should contain ties"
+
+
+def test_sensitivity_order_keeps_python_lengths():
+    # mirrored link vectors (x, y) and (y, x): numpy's sqrt of the summed
+    # squares ties them, while the norm behind ``length`` can differ in the
+    # last bit, and the order must follow ``length``
+    rng = random.Random(5)
+    points, links = [[0.0, 0.0]], []
+    for pair in range(40):
+        x, y = rng.uniform(0.5, 40.0), rng.uniform(0.5, 40.0)
+        points += [[x, y], [y, x]]
+        for j in (1, 2):
+            lid = 2 * pair + j - 1
+            links.append(Link(id=lid, sender=0, receiver=len(points) - 3 + j, threshold=1.0))
+    inst = Instance(MetricSpace.euclidean(points), 2.5, 1.0, tuple(links))
+    ids = list(inst.link_ids)
+    want = sorted(ids, key=lambda lid: (-inst.length(lid) ** 2.5, lid))
+    assert sensitivity_order(inst, ids) == want
+    assert any(inst.length(l) != inst.length(l + 1) for l in ids[::2])
+    assert all(inst.d_alpha[l] == inst.d_alpha[l + 1] for l in ids[::2])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.0, 4.0])
+def test_candidate_arrays_equal_per_link_construction(alpha):
+    inst = gen_random(GenConfig(n=60, seed=int(alpha * 10), d_range=(0.5, 80.0), alpha=alpha))
+    rng = random.Random(1)
+    ids = [lid for lid in inst.link_ids if rng.random() < 0.7]
+    rng.shuffle(ids)
+    thresholds = {lid: rng.uniform(1.0, 5.0) for lid in ids[::2]}
+    powers = {lid: rng.uniform(0.0, 1e4) for lid in ids}
+    cands = _Candidates(inst, ids, thresholds, powers)
+    for k, lid in enumerate(ids):
+        link = inst.link(lid)
+        s = np.array([link.sender], dtype=np.intp)
+        r = np.array([link.receiver], dtype=np.intp)
+        d_alpha = inst.metric.distances(r, s) ** alpha
+        beta = np.array([thresholds.get(lid, link.threshold)])
+        assert cands.index[lid] == k
+        assert (cands.senders[k], cands.receivers[k]) == (link.sender, link.receiver)
+        assert _bits(cands.d_alpha[k:k + 1]) == _bits(d_alpha)
+        assert _bits(cands.beta[k:k + 1]) == _bits(beta)
+        assert _bits(cands.sens[k:k + 1]) == _bits(beta * d_alpha)
+        p = np.array([powers[lid]])
+        assert _bits(cands.margin[k:k + 1]) == _bits(p / d_alpha - beta * inst.noise)
+
+
+def test_instance_arrays_follow_link_order():
+    inst = _tied_instance(2.5, 7)
+    for k, link in enumerate(inst.links):
+        assert inst.positions([link.id]).tolist() == [k]
+        assert inst.senders[k] == link.sender and inst.receivers[k] == link.receiver
+        assert inst.length_alpha[k] == inst.length(link.id) ** 2.5
+        assert inst.thresholds[k] == link.threshold
+    with pytest.raises(KeyError, match="no link with id 999"):
+        inst.positions([999])
+    with pytest.raises(ValueError):
+        inst.senders[0] = 1  # read-only
+
+
+def test_solvers_still_call_public_layers(monkeypatch):
+    # the benchmark traces these layers by rebinding the module attributes
+    calls = {"sensitivity_order": 0, "geometry": 0}
+    for name in calls:
+        original = getattr(capacity, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, name, spy)
+    inst = _demand_instance(2, 20, STEP)
+    assert solve_unlimited(inst, thresholds={l: 1.0 for l in inst.link_ids}).selected
+    assert calls["sensitivity_order"] == 1 and calls["geometry"] == 1

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,18 @@ def test_length_is_the_metric_distance():
         assert inst.length(link.id) == metric.distance(link.sender, link.receiver)
     with pytest.raises(KeyError, match="no link with id 5"):
         inst.length(5)
+
+
+def test_distance_list_is_the_norm_of_the_difference():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 4):
+        pts = rng.uniform(-50.0, 50.0, size=(40, dim))
+        metric = MetricSpace.euclidean(pts)
+        i, j = rng.integers(0, 40, size=200), rng.integers(0, 40, size=200)
+        want = [float(np.linalg.norm(pts[a] - pts[b])) for a, b in zip(i, j)]
+        assert metric.distance_list(i, j) == want
+    with pytest.raises(IndexError, match=r"\(3, -1\)"):
+        metric.distance_list([0, 3], [1, -1])
 
 
 def _three_link_instance():

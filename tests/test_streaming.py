@@ -89,9 +89,11 @@ def _ref_power_recurrence(instance, geo, beta, order, accepted):
         if lid not in member:
             continue
         k = geo.index[lid]
+        with np.errstate(divide="ignore"):
+            gain = 1.0 / geo.cross_alpha[k]
         interference = 0.0
         for prev in assigned:
-            interference += powers[prev] * geo.gain[k, geo.index[prev]]
+            interference += powers[prev] * gain[geo.index[prev]]
         powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference))
         assigned.append(lid)
     return powers
