@@ -72,9 +72,7 @@ def _affectances(beta, margin, received):
     operands broadcast. Saturates at 1, and a target without a positive
     margin takes 1 from every sender, silent or not."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = beta * received / margin
-    a = np.where(margin > 0, a, np.where(received > 0, INF, 0.0))
-    return np.where(margin <= 0, 1.0, np.minimum(1.0, a))
+        return np.where(margin > 0, np.minimum(1.0, beta * received / margin), 1.0)
 
 
 class _Candidates:

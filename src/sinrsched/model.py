@@ -31,17 +31,25 @@ Thresholds = Union[Mapping[int, float], np.ndarray]
 class MetricSpace:
     """Finite metric space: Euclidean point set or explicit distance matrix.
 
-    Euclidean spaces compute L2 distances on demand; matrix spaces store the
-    full symmetric matrix and validate metric axioms (incl. the triangle
-    inequality, O(n^3) time and O(n^2) memory) at load time unless
-    ``validate=False``. ``distances`` costs O(size of its result) in both
-    kinds, so a row of distances from one node is O(n).
+    Euclidean spaces store their points coordinate-major, as one contiguous
+    array per coordinate (shape ``(dim, n)``), and compute L2 distances on
+    demand. ``distances`` adds up ``(x_d[i] - x_d[j])^2`` one coordinate at a
+    time, in coordinate order, and takes the square root; for dim <= 7 that is
+    bit for bit the sum numpy's ``add.reduce`` gives over the last axis of a
+    row-major ``(n, dim)`` difference, and within a few ulp above that, where
+    ``add.reduce`` sums pairwise. ``distance_list`` transposes its differences
+    back to rows and keeps ``np.linalg.norm``'s dot-product arithmetic.
+
+    Matrix spaces store the full symmetric matrix and validate metric axioms
+    (incl. the triangle inequality, O(n^3) time and O(n^2) memory) at load
+    time unless ``validate=False``. ``distances`` costs O(size of its result)
+    in both kinds, so a row of distances from one node is O(n).
     """
 
-    __slots__ = ("_points", "_matrix", "dim")
+    __slots__ = ("_coords", "_matrix", "dim")
 
-    def __init__(self, points: Optional[np.ndarray], matrix: Optional[np.ndarray], dim: int):
-        self._points = points
+    def __init__(self, coords: Optional[np.ndarray], matrix: Optional[np.ndarray], dim: int):
+        self._coords = coords
         self._matrix = matrix
         self.dim = dim
 
@@ -54,8 +62,9 @@ class MetricSpace:
             raise ValueError(f"points have dimension {pts.shape[1]}, declared {dim}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
-        pts.flags.writeable = False
-        return cls(pts, None, pts.shape[1])
+        coords = np.ascontiguousarray(pts.T)
+        coords.flags.writeable = False
+        return cls(coords, None, pts.shape[1])
 
     @classmethod
     def from_matrix(cls, d: Sequence[Sequence[float]], validate: bool = True) -> "MetricSpace":
@@ -70,12 +79,12 @@ class MetricSpace:
 
     @property
     def is_euclidean(self) -> bool:
-        return self._points is not None
+        return self._coords is not None
 
     @property
     def n_points(self) -> int:
-        if self._points is not None:
-            return self._points.shape[0]
+        if self._coords is not None:
+            return self._coords.shape[1]
         return self._matrix.shape[0]
 
     def distance(self, i: int, j: int) -> float:
@@ -94,7 +103,8 @@ class MetricSpace:
             raise IndexError(f"node index out of range: ({i[k]}, {j[k]}) with {n} nodes")
         if self._matrix is not None:
             return self._matrix[i, j].tolist()
-        return [math.sqrt(diff.dot(diff)) for diff in self._points[i] - self._points[j]]
+        diffs = (self._coords[:, i] - self._coords[:, j]).T.copy()
+        return [math.sqrt(diff.dot(diff)) for diff in diffs]
 
     def distances(self, i, j) -> np.ndarray:
         """Element-wise distances d(i[k], j[k]) for node index arrays (or
@@ -103,8 +113,15 @@ class MetricSpace:
         j = np.asarray(j, dtype=np.intp)
         if self._matrix is not None:
             return self._matrix[i, j]
-        diff = self._points[i] - self._points[j]
-        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        # x[i] - x[j] is a fresh array, so squaring and adding in place is safe
+        first, *rest = self._coords
+        total = first[i] - first[j]
+        total *= total
+        for x in rest:
+            diff = x[i] - x[j]
+            diff *= diff
+            total += diff
+        return np.sqrt(total)
 
     def pair_distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Matrix D with D[i, j] = d(rows[i], cols[j])."""
@@ -113,8 +130,8 @@ class MetricSpace:
         return self.distances(ri[:, None], ci[None, :])
 
     def to_dict(self) -> dict:
-        if self._points is not None:
-            return {"type": "euclidean", "dim": self.dim, "points": self._points.tolist()}
+        if self._coords is not None:
+            return {"type": "euclidean", "dim": self.dim, "points": self._coords.T.tolist()}
         return {"type": "matrix", "d": self._matrix.tolist()}
 
     @classmethod
@@ -189,9 +206,10 @@ class Link:
 class Instance:
     """A scheduling world: metric space, physical constants and links.
 
-    Per-link data is computed once, at construction. ``length`` returns the
-    cached sender-receiver distance, and ``positions`` maps link ids to rows
-    of the cached arrays, which follow the order of ``links``:
+    Per-link data is computed once, at construction. ``link_ids`` is the
+    tuple of link ids, ``length`` returns the cached sender-receiver
+    distance, and ``positions`` maps link ids to rows of the cached arrays,
+    which follow the order of ``links``:
 
     senders, receivers  node indices
     d_alpha             d(receiver, sender)^alpha with ``MetricSpace.distances``'
@@ -237,6 +255,7 @@ class Instance:
                     "(set allow_sub_unit_threshold to permit)"
                 )
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "link_ids", tuple(positions))
         object.__setattr__(self, "_lengths", tuple(lengths))
         arrays = {
             "senders": senders,
@@ -260,10 +279,6 @@ class Instance:
 
     def link(self, link_id: int) -> Link:
         return self.links[self._position(link_id)]
-
-    @property
-    def link_ids(self) -> tuple[int, ...]:
-        return tuple(link.id for link in self.links)
 
     def positions(self, ids: Sequence[int]) -> np.ndarray:
         """Rows of the cached per-link arrays for the given link ids."""
@@ -380,6 +395,20 @@ def _integer(value, key: str, link=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _type_error(value, "an integer", key, link)
     return value
+
+
+def _id_numbers(value, key: str) -> dict[int, float]:
+    """A JSON object link id -> number, such as a solution's powers."""
+    _require(value, Mapping, "an object", key)
+    out = {}
+    for lid, number in value.items():
+        name = f'{key}["{lid}"]'
+        try:
+            lid = int(lid)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}: key is not a link id") from None
+        out[lid] = _number(number, name)
+    return out
 
 
 @dataclass(frozen=True)
@@ -551,14 +580,27 @@ class Solution:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Solution":
+    def from_dict(cls, data: Mapping, name: str = "") -> "Solution":
+        """Solution from its JSON form. A field of the wrong type raises
+        ValueError naming the field, after ``name`` (where the solution sits
+        in a larger artifact) when one is given."""
+        _require(data, Mapping, "an object", name or "solution")
+        at = f"{name}." if name else ""
+        selected = data.get("selected")
+        _require(selected, list, "a list", at + "selected")
+        algorithm = data.get("algorithm", "")
+        _require(algorithm, str, "a string", at + "algorithm")
+        trace = data.get("trace", [])
+        _require(trace, list, "a list", at + "trace")
+        for k, row in enumerate(trace):
+            _require(row, list, "a list", f"{at}trace[{k}]")
         return cls(
-            selected=tuple(int(i) for i in data["selected"]),
-            powers={int(k): float(v) for k, v in data["powers"].items()},
-            sinr={int(k): float(v) for k, v in data["sinr"].items()},
-            objective=float(data["objective"]),
-            algorithm=str(data.get("algorithm", "")),
-            trace=tuple(tuple(row) for row in data.get("trace", ())),
+            selected=tuple(_integer(lid, f"{at}selected[{k}]") for k, lid in enumerate(selected)),
+            powers=_id_numbers(data.get("powers"), at + "powers"),
+            sinr=_id_numbers(data.get("sinr"), at + "sinr"),
+            objective=_number(data.get("objective"), at + "objective"),
+            algorithm=algorithm,
+            trace=tuple(tuple(row) for row in trace),
         )
 
 

@@ -8,7 +8,15 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .model import CAP_RTOL, FEAS_RTOL, Instance, Solution, evaluate_sinrs
+from .model import (
+    CAP_RTOL,
+    FEAS_RTOL,
+    Instance,
+    Solution,
+    _id_numbers,
+    _require,
+    evaluate_sinrs,
+)
 
 SINR_MATCH_RTOL = 1e-6
 
@@ -75,11 +83,12 @@ def verify_solution(
 def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
     """Check every level of a serialized flexible-rate run."""
     problems = []
-    for level in run_data.get("levels", []):
-        thresholds = {int(k): float(v) for k, v in level["thresholds"].items()}
-        sol = Solution.from_dict(level["solution"])
+    for t, level in enumerate(run_data.get("levels", [])):
+        _require(level, Mapping, "an object", f"levels[{t}]")
+        thresholds = _id_numbers(level.get("thresholds"), f"levels[{t}].thresholds")
+        sol = Solution.from_dict(level.get("solution"), f"levels[{t}].solution")
         for issue in verify_solution(instance, sol, thresholds=thresholds):
-            problems.append(f"level {level['i']}: {issue}")
+            problems.append(f"level {level.get('i', t)}: {issue}")
     return problems
 
 
@@ -89,7 +98,7 @@ def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
     problems = []
     delivered: dict[int, float] = {}
     for t, slot in enumerate(schedule_data.get("slots", [])):
-        sol = Solution.from_dict(slot)
+        sol = Solution.from_dict(slot, f"slots[{t}]")
         for issue in verify_solution(instance, sol, check_thresholds=False):
             problems.append(f"slot {t}: {issue}")
         for lid in sol.selected:

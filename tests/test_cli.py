@@ -189,3 +189,53 @@ def test_mistyped_instance_field_is_bad_input(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith(f"error: {field}")
+
+
+def _in_slot(edit):
+    return lambda data: {"scheme": 1, "slots": [edit(data)]}
+
+
+def _in_level(edit, thresholds=None):
+    def wrap(data):
+        level = {"i": 0, "thresholds": {"0": 1.0}, "solution": edit(data)}
+        if thresholds is not None:
+            level["thresholds"] = thresholds
+        return {"levels": [level]}
+    return wrap
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (_set(["selected"], [None]), "selected[0]"),
+        (_set(["selected"], [0.0]), "selected[0]"),
+        (_set(["selected"], "0"), "selected"),
+        (_set(["powers"], {"3": None}), 'powers["3"]'),
+        (_set(["powers"], {"x": 1.0}), 'powers["x"]'),
+        (_set(["powers"], [1.0]), "powers"),
+        (_set(["sinr"], {"3": "2"}), 'sinr["3"]'),
+        (lambda data: {k: v for k, v in data.items() if k != "objective"}, "objective"),
+        (_set(["objective"], "1"), "objective"),
+        (_set(["algorithm"], 5), "algorithm"),
+        (_set(["trace"], [None]), "trace[0]"),
+        (lambda data: [data], "solution"),
+        (_in_slot(_set(["selected"], [None])), "slots[0].selected[0]"),
+        (lambda data: {"slots": [None]}, "slots[0]"),
+        (_in_level(_set(["powers"], {"3": None})), 'levels[0].solution.powers["3"]'),
+        (_in_level(lambda data: data, {"0": None}), 'levels[0].thresholds["0"]'),
+        (lambda data: {"levels": [7]}, "levels[0]"),
+    ],
+)
+def test_mistyped_artifact_field_is_bad_input(tmp_path, capsys, edit, field):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    assert cli.main(["gen", "--n", "6", "--seed", "7", "--out", str(inst)]) == cli.EXIT_OK
+    assert cli.main(
+        ["solve", "--instance", str(inst), "--algorithm", "unlimited", "--out", str(sol)]
+    ) == cli.EXIT_OK
+    sol.write_text(json.dumps(edit(json.loads(sol.read_text()))))
+    capsys.readouterr()
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(sol)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: {field}")

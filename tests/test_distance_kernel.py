@@ -1,0 +1,109 @@
+"""Coordinate-major Euclidean distance kernel against the row-major reference.
+
+``MetricSpace`` stores Euclidean points as one array per coordinate and sums
+squared coordinate differences one coordinate at a time. The reference below
+is the row-major arithmetic it replaced: gather ``(n, dim)`` rows, subtract,
+square and ``np.add.reduce`` over the last axis. numpy adds fewer than 8
+terms in order, so for dim 1-7 both give the same bits. From 8 terms on,
+``add.reduce`` sums pairwise, and the two agree within a few ulp only.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from sinrsched import Instance, Link, MetricSpace
+from sinrsched.model import geometry
+
+ALPHA = 2.7
+
+
+def _reference(points, i, j):
+    """Row-major distances: the kernel before the coordinate-major layout."""
+    diff = points[np.asarray(i, dtype=np.intp)] - points[np.asarray(j, dtype=np.intp)]
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def _points(dim, n=60, seed=0):
+    rng = np.random.default_rng(seed + dim)
+    # coordinates over several orders of magnitude, so rounding differs per term
+    return rng.uniform(-1e3, 1e3, size=(n, dim)) * rng.uniform(1e-3, 1.0, size=(n, 1))
+
+
+def _index_shapes(n, seed=0):
+    """(i, j) pairs: element-wise arrays, scalar x array both ways, column x
+    row, and two scalars."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=80), rng.integers(0, n, size=80)
+    return [
+        (i, j),
+        (int(i[0]), j),
+        (i, int(j[0])),
+        (i[:, None], j[None, :]),
+        (int(i[1]), int(j[1])),
+    ]
+
+
+def _shared_endpoint_instance(points):
+    """Links chained through shared nodes, so several cross distances are 0."""
+    n = len(points)
+    links = [Link(k, k, k + 1) for k in range(n - 1)]
+    links += [Link(n - 1 + k, k + 2, k) for k in range(n - 2)]
+    return Instance(MetricSpace.euclidean(points), ALPHA, 1.0, tuple(links))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_distances_bit_equal_to_row_major_reference(dim):
+    pts = _points(dim)
+    space = MetricSpace.euclidean(pts)
+    for i, j in _index_shapes(len(pts)):
+        got = space.distances(i, j)
+        want = _reference(pts, i, j)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    rows, cols = [3, 0, 59, 17, 17], [5, 8, 1, 17, 40, 2]
+    assert np.array_equal(
+        space.pair_distances(rows, cols),
+        _reference(pts, np.array(rows)[:, None], np.array(cols)[None, :]),
+    )
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_instance_and_geometry_bit_equal_to_row_major_reference(dim):
+    pts = _points(dim, n=12)
+    inst = _shared_endpoint_instance(pts)
+    senders = np.array([link.sender for link in inst.links])
+    receivers = np.array([link.receiver for link in inst.links])
+    assert np.array_equal(inst.d_alpha, _reference(pts, receivers, senders) ** ALPHA)
+    cross_alpha = geometry(inst).cross_alpha
+    want = _reference(pts, receivers[:, None], senders[None, :]) ** ALPHA
+    assert np.array_equal(cross_alpha, want)
+    assert np.count_nonzero(cross_alpha == 0) > 0
+
+
+@pytest.mark.parametrize("dim", range(8, 13))
+def test_distances_within_a_few_ulp_where_reduce_sums_pairwise(dim):
+    pts = _points(dim)
+    space = MetricSpace.euclidean(pts)
+    for i, j in _index_shapes(len(pts)):
+        got, want = np.atleast_1d(space.distances(i, j)), np.atleast_1d(_reference(pts, i, j))
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    inst = _shared_endpoint_instance(pts[:12])
+    receivers = np.array([link.receiver for link in inst.links])
+    senders = np.array([link.sender for link in inst.links])
+    want = _reference(pts, receivers[:, None], senders[None, :]) ** ALPHA
+    np.testing.assert_allclose(geometry(inst).cross_alpha, want, rtol=16 * ALPHA * 2.0**-52)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_distance_list_stays_the_norm_and_to_dict_the_points(dim):
+    pts = _points(dim)
+    space = MetricSpace.euclidean(pts)
+    i, j = _index_shapes(len(pts))[0]
+    want = [float(np.linalg.norm(pts[a] - pts[b])) for a, b in zip(i, j)]
+    assert space.distance_list(i, j) == want
+    data = space.to_dict()
+    assert data == {"type": "euclidean", "dim": dim, "points": pts.tolist()}
+    text = json.dumps(data)
+    assert json.dumps(MetricSpace.from_dict(json.loads(text)).to_dict()) == text
