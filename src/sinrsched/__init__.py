@@ -38,7 +38,6 @@ from .model import (
     Link,
     MetricSpace,
     Solution,
-    distance,
     evaluate_sinrs,
     sensitivity_order,
     sinr,
@@ -96,7 +95,6 @@ __all__ = [
     "brute_opt_flexible_fixed",
     "brute_opt_threshold",
     "check_admissible",
-    "distance",
     "evaluate_sinrs",
     "gen_greedy_adversary",
     "gen_line",

@@ -276,24 +276,62 @@ def check_power_preconditions(
 ) -> list[str]:
     """Monotone / inverse-normalized power conditions for the fixed solver.
 
-    Violations are reported, not enforced; adversarial inputs still run.
+    With sensitivity s = beta * d^alpha, a pair of distinct links a, b with
+    s_a <= s_b violates monotonicity when p_a > p_b * (1 + 1e-12), and
+    antitonicity of p / s when p_a / s_a < p_b / s_b * (1 - 1e-12). Each
+    condition is decided exactly on the links sorted by sensitivity, in
+    O(n log n). The result holds at most one message per violated condition:
+    it names one violating pair a, b and counts the links b that have a
+    violating partner. Violations are reported, not enforced; adversarial
+    inputs still run.
     """
-    beta = thresholds_for(instance, ids, thresholds)
-    issues = []
-    rows = []  # (sensitivity, id, power, power / sensitivity) per link
-    for k, lid in enumerate(ids):
-        b, d_alpha = float(beta[k]), instance.length(lid) ** instance.alpha
-        rows.append((b * d_alpha, lid, powers[lid], powers[lid] / (b * d_alpha)))
+    s = thresholds_for(instance, ids, thresholds) * instance.length_alpha[instance.positions(ids)]
+    p = np.array([powers[lid] for lid in ids], dtype=np.float64)
+    q = p / s
     rtol = 1e-12
-    for s_a, a, p_a, q_a in rows:
-        for s_b, b, p_b, q_b in rows:
-            if a == b or s_a > s_b:
-                continue
-            if p_a > p_b * (1 + rtol):
-                issues.append(f"power not monotone in sensitivity: links {a}, {b}")
-            if q_a < q_b * (1 - rtol):
-                issues.append(f"normalized power not antitone in sensitivity: links {a}, {b}")
+    issues = []
+    # q_a < q_b * (1 - rtol) is -q_a > -(q_b * (1 - rtol)): both conditions
+    # ask for a partner whose value exceeds a bound
+    for what, v, bound in (
+        ("power not monotone", p, p * (1 + rtol)),
+        ("normalized power not antitone", -q, -(q * (1 - rtol))),
+    ):
+        found = _first_violation(s, v, bound)
+        if found is not None:
+            a, b, count = found
+            issues.append(
+                f"{what} in sensitivity: links {ids[a]}, {ids[b]} "
+                f"({count} of {len(ids)} links with a violating partner)"
+            )
     return issues
+
+
+def _first_violation(s, v, bound):
+    """(a, b, count) over the pairs of distinct positions with s[a] <= s[b]
+    and v[a] > bound[b], or None when there is no such pair.
+
+    b is the first such position in increasing (s, v) order, a its partner
+    with the largest v, and count the number of positions b that have a
+    partner. A NaN value compares false, so it takes part in no pair.
+    """
+    keep = ~np.isnan(v)
+    order = np.flatnonzero(keep)[np.lexsort((v[keep], s[keep]))]
+    s, v, bound = s[order], v[order], bound[order]
+    at = np.arange(len(v))
+    # b's partners are the links up to the end of its tie group, minus b;
+    # v ascends within a group, so leaving b out lowers the maximum only
+    # when b ends its group
+    last = np.searchsorted(s, s, side="right") - 1
+    upto = np.where(last == at, last - 1, last)
+    best = np.maximum.accumulate(v)
+    # the latest position holding the running maximum: at upto[b] that is
+    # never b, since a group's values ascend and b leaves out its group's end
+    holder = np.maximum.accumulate(np.where(v == best, at, 0))
+    hits = np.flatnonzero((upto >= 0) & (best[upto] > bound))
+    if not hits.size:
+        return None
+    b = hits[0]
+    return order[holder[upto[b]]], order[b], len(hits)
 
 
 def solve_fixed(

@@ -169,11 +169,6 @@ def _validate_metric(mat: np.ndarray) -> None:
             raise ValueError(f"triangle inequality violated at pair ({i}, {j})")
 
 
-def distance(space: MetricSpace, i: int, j: int) -> float:
-    """Distance between two node indices."""
-    return space.distance(i, j)
-
-
 @dataclass(frozen=True)
 class Link:
     """Directed sender/receiver pair with optional per-problem attributes.

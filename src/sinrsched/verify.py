@@ -96,12 +96,15 @@ def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
     """Check per-slot feasibility of a serialized schedule and that demands
     come out fulfilled."""
     problems = []
+    known = set(instance.link_ids)
     delivered: dict[int, float] = {}
     for t, slot in enumerate(schedule_data.get("slots", [])):
         sol = Solution.from_dict(slot, f"slots[{t}]")
         for issue in verify_solution(instance, sol, check_thresholds=False):
             problems.append(f"slot {t}: {issue}")
         for lid in sol.selected:
+            if lid not in known or lid not in sol.sinr:
+                continue  # verify_solution has reported it above
             link = instance.link(lid)
             if link.utility is not None:
                 delivered[lid] = delivered.get(lid, 0.0) + link.utility.value(sol.sinr[lid])

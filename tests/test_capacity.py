@@ -2,8 +2,13 @@
 
 import json
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrsched import (
     FEAS_RTOL,
@@ -21,6 +26,7 @@ from sinrsched import (
     weight_budget,
 )
 from sinrsched.capacity import check_power_preconditions
+from sinrsched.model import thresholds_for
 
 
 def test_weight_budget_small_for_alpha_at_least_one():
@@ -179,6 +185,92 @@ def test_solve_fixed_precondition_warning():
     assert check_power_preconditions(inst, [0, 1], bad)
     with pytest.warns(RuntimeWarning, match="monotone"):
         solve_fixed(inst, powers=bad)
+
+
+def pairwise_preconditions(instance, ids, powers, thresholds=None):
+    """Reference: one message per violating pair, by the O(n^2) definition."""
+    beta = thresholds_for(instance, ids, thresholds)
+    issues = []
+    rows = []  # (sensitivity, id, power, power / sensitivity) per link
+    for k, lid in enumerate(ids):
+        b, d_alpha = float(beta[k]), instance.length(lid) ** instance.alpha
+        rows.append((b * d_alpha, lid, powers[lid], powers[lid] / (b * d_alpha)))
+    rtol = 1e-12
+    for s_a, a, p_a, q_a in rows:
+        for s_b, b, p_b, q_b in rows:
+            if a == b or s_a > s_b:
+                continue
+            if p_a > p_b * (1 + rtol):
+                issues.append(f"power not monotone in sensitivity: links {a}, {b}")
+            if q_a < q_b * (1 - rtol):
+                issues.append(f"normalized power not antitone in sensitivity: links {a}, {b}")
+    return issues
+
+
+CONDITIONS = ("power not monotone in sensitivity", "normalized power not antitone in sensitivity")
+PAIR = re.compile(r"links (\d+), (\d+)")
+COUNT = re.compile(r"\((\d+) of (\d+) links with a violating partner\)$")
+
+
+@st.composite
+def precondition_cases(draw):
+    """Links of length 1 or 2 with thresholds 1 or 4, so that sensitivities
+    tie across links; powers near the 1e-12 tolerance of a tie in power or
+    in power / sensitivity, zero, negative and NaN powers included."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    lengths = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    inst = gen_line([(10.0 * k, 10.0 * k + d, 1.0) for k, d in enumerate(lengths)])
+    ids = draw(st.permutations(list(inst.link_ids)))
+    betas = draw(st.lists(st.sampled_from([1.0, 4.0, 4.0 + 4e-13]), min_size=n, max_size=n))
+    rel = st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12])
+    powers = {}
+    for lid, beta in zip(ids, betas):
+        sens = beta * lengths[lid] ** 2
+        base = draw(st.sampled_from([0.0, 1.0, 4.0, sens, 2.0 * sens, -1.0, math.nan]))
+        powers[lid] = base * (1.0 + draw(rel))
+    if draw(st.booleans()):
+        thresholds = np.array(betas)
+    else:
+        thresholds = dict(zip(ids, betas))
+    return inst, ids, powers, thresholds
+
+
+@given(case=precondition_cases())
+@settings(max_examples=500, deadline=None)
+def test_preconditions_match_pairwise_reference(case):
+    inst, ids, powers, thresholds = case
+    expected = pairwise_preconditions(inst, ids, powers, thresholds)
+    issues = check_power_preconditions(inst, ids, powers, thresholds)
+    for condition in CONDITIONS:
+        pairs = {
+            tuple(map(int, PAIR.search(m).groups())) for m in expected if m.startswith(condition)
+        }
+        found = [m for m in issues if m.startswith(condition)]
+        assert len(found) == (1 if pairs else 0)
+        if found:
+            assert tuple(map(int, PAIR.search(found[0]).groups())) in pairs
+            count, total = map(int, COUNT.search(found[0]).groups())
+            assert (count, total) == (len({b for _, b in pairs}), len(ids))
+
+
+def test_preconditions_scale_to_ten_thousand_links():
+    # uniform power with the most sensitive link at half power: that link
+    # is the one violating b, and power / sensitivity stays antitone
+    n = 10_000
+    inst = gen_random(GenConfig(n=n, seed=3, area=1000.0 * math.sqrt(n / 300)))
+    powers = {lid: 1e6 for lid in inst.link_ids}
+    most = sensitivity_order(inst)[0]
+    powers[most] = 5e5
+    issues = check_power_preconditions(inst, inst.link_ids, powers)
+    assert len(issues) == 1 and issues[0].startswith(CONDITIONS[0])
+    a, b = map(int, PAIR.search(issues[0]).groups())
+    assert b == most and powers[a] > powers[b]
+    assert COUNT.search(issues[0]).groups() == ("1", str(n))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_fixed(inst, powers=powers)
+    assert [str(w.message).endswith(issues[0]) for w in caught] == [True]
+    assert sol.selected
 
 
 def test_solve_fixed_filter_keeps_at_least_half_of_tentative():

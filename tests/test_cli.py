@@ -239,3 +239,39 @@ def test_mistyped_artifact_field_is_bad_input(tmp_path, capsys, edit, field):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith(f"error: {field}")
+
+
+def _drop_first_sinr(slot):
+    del slot["sinr"][str(slot["selected"][0])]
+
+
+def _add_unknown_link(slot):
+    slot["selected"].append(99)
+    slot["powers"]["99"] = 1.0
+    slot["sinr"]["99"] = 1.0
+
+
+@pytest.mark.parametrize(
+    "edit,violation",
+    [
+        (_drop_first_sinr, "slot 0: sinr keys do not match the selected set"),
+        (_add_unknown_link, "slot 0: link 99: not part of the instance"),
+    ],
+)
+def test_broken_schedule_slot_is_violation(tmp_path, capsys, edit, violation):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    assert cli.main([
+        "gen", "--n", "5", "--seed", "9",
+        "--utility", json.dumps({"family": "step", "steps": 3, "value_max": 2.0}),
+        "--demand-min", "0.5", "--demand-max", "2.0", "--out", str(inst),
+    ]) == cli.EXIT_OK
+    assert cli.main(["schedule", "--instance", str(inst), "--out", str(sched)]) == cli.EXIT_OK
+    data = json.loads(sched.read_text())
+    edit(data["slots"][0])
+    sched.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(sched)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY_FAILED == 1, err
+    assert f"VIOLATION: {violation}" in err.splitlines()

@@ -12,7 +12,6 @@ from sinrsched import (
     Instance,
     Link,
     MetricSpace,
-    distance,
     evaluate_sinrs,
     gen_line,
     sensitivity_order,
@@ -22,23 +21,23 @@ from sinrsched import (
 
 def test_distance_unit_segment():
     space = MetricSpace.euclidean([[0.0], [1.0]], dim=1)
-    assert distance(space, 0, 1) == 1.0
+    assert space.distance(0, 1) == 1.0
 
 
 def test_distance_identity():
     space = MetricSpace.euclidean([[3.0, 4.0], [1.0, 1.0]], dim=2)
-    assert distance(space, 1, 1) == 0.0
+    assert space.distance(1, 1) == 0.0
 
 
 def test_distance_matrix_readback():
     space = MetricSpace.from_matrix([[0.0, 2.0], [2.0, 0.0]])
-    assert distance(space, 0, 1) == 2.0
+    assert space.distance(0, 1) == 2.0
 
 
 def test_distance_index_out_of_range():
     space = MetricSpace.euclidean([[0.0], [1.0]], dim=1)
     with pytest.raises(IndexError):
-        distance(space, 0, 5)
+        space.distance(0, 5)
 
 
 def test_matrix_validation_rejects_triangle_violation():
