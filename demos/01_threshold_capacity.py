@@ -29,8 +29,9 @@ print("greedy budget tau =", ss.weight_budget(instance.alpha))
 print("\n=== unlimited powers ===")
 sol = ss.solve_unlimited(instance)
 print("selected:", sol.selected)
-for lid in sol.selected:
-    gamma = ss.sinr(instance, sol.selected, sol.powers, lid)
+# recompute the SINRs from the geometry instead of trusting sol.sinr
+gammas = ss.evaluate_sinrs(instance, sol.selected, sol.powers)
+for lid, gamma in gammas.items():
     beta = instance.link(lid).threshold
     print(f"  link {lid}: power {sol.powers[lid]:12.4f}  SINR {gamma:8.3f} >= beta {beta:4.2f}")
 

@@ -9,11 +9,9 @@ experiments.
 
 from .capacity import (
     SECOND_PASS_BUDGET,
-    affectance,
     solve_fixed,
     solve_limited,
     solve_unlimited,
-    weight,
     weight_budget,
 )
 from .flexible import FlexibleLevel, FlexibleRun, solve_flexible
@@ -40,7 +38,6 @@ from .model import (
     Solution,
     evaluate_sinrs,
     sensitivity_order,
-    sinr,
 )
 from .oracle import (
     AdmissibilityCertificate,
@@ -90,7 +87,6 @@ __all__ = [
     "UnschedulableDemand",
     "UtilityContractError",
     "SECOND_PASS_BUDGET",
-    "affectance",
     "aloha_instance",
     "brute_opt_flexible_fixed",
     "brute_opt_threshold",
@@ -107,7 +103,6 @@ __all__ = [
     "reversed_instance",
     "sensitivity_order",
     "simulate_aloha",
-    "sinr",
     "solve_fixed",
     "solve_flexible",
     "solve_latency",
@@ -119,6 +114,5 @@ __all__ = [
     "utility_from_dict",
     "utility_to_dict",
     "value",
-    "weight",
     "weight_budget",
 ]

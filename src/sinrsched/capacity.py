@@ -12,13 +12,14 @@ Three solvers share the sensitivity ordering from the model:
   one part and the fixed solver at full power on the other, and returns the
   larger solution. Powers never exceed the cap.
 
-Every greedy pass streams: it keeps one running load per candidate and, on
-each acceptance, adds the accepted link's O(n) weight or affectance row.
-No solver builds an n x n matrix over its n candidates. A solve takes
-O(n * |accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
-recurrence and the SINR evaluation of the accepted links, which share one
-geometry. Endpoints, ``d^alpha`` and thresholds are sliced from the per-link
-arrays cached on ``Instance``.
+Every greedy pass is one loop, ``_greedy``: it walks the candidates in
+sensitivity order, accepts a candidate while its running load stays within
+the budget and, on each acceptance, adds the accepted link's O(n) weight or
+affectance row to the loads. No solver builds an n x n matrix over its n
+candidates. A solve takes O(n * |accepted|) time and O(n) memory, plus
+O(|accepted|^2) for the power recurrence and the SINR evaluation of the
+accepted links, which share one geometry. Endpoints, ``d^alpha`` and
+thresholds are sliced from the per-link arrays cached on ``Instance``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -28,6 +29,7 @@ solver resolves it to an array once and hands slices of that array down.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from .model import (
     _received,
     empty_solution,
     geometry,
+    powers_for,
     sensitivity_order,
     sinr_vector,
     thresholds_for,
@@ -131,48 +134,6 @@ class _Candidates:
         return col
 
 
-def weight(
-    instance: Instance,
-    from_link: int,
-    to_link: int,
-    order: Optional[Sequence[int]] = None,
-    thresholds: Optional[Thresholds] = None,
-) -> float:
-    """Directed conflict weight of ``from_link`` onto ``to_link`` in [0, 1].
-
-    Nonzero only when ``from_link`` is strictly less sensitive than
-    ``to_link`` in ``order`` (default: the sensitivity order of the pair).
-    """
-    if from_link == to_link:
-        return 0.0
-    ids = [from_link, to_link]
-    if order is None:
-        order = sensitivity_order(instance, ids, thresholds)
-    rank = {lid: pos for pos, lid in enumerate(order)}
-    cands = _Candidates(instance, ids, thresholds)
-    if rank[from_link] <= rank[to_link]:
-        return 0.0
-    return float(cands.weight_row(0)[1])
-
-
-def affectance(
-    instance: Instance,
-    from_link: int,
-    to_link: int,
-    powers: Mapping[int, float],
-    thresholds: Optional[Thresholds] = None,
-) -> float:
-    """Normalized interference of ``from_link`` on ``to_link`` in [0, 1].
-
-    Zero for a link onto itself and for a silent sender; saturates at 1 when
-    the target cannot exceed its threshold even without interference.
-    """
-    if from_link == to_link:
-        return 0.0
-    cands = _Candidates(instance, [from_link, to_link], thresholds, powers)
-    return float(cands.affectance_row(0)[1])
-
-
 def solve_unlimited(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
@@ -186,49 +147,57 @@ def solve_unlimited(
     each power covers noise plus the interference of the more sensitive links
     twice over, which guarantees every accepted link meets its threshold.
     """
-    selected, trace, order, cands = _greedy_unlimited(
-        instance, links, thresholds, budget=weight_budget(instance.alpha)
-    )
+    ids = list(instance.link_ids if links is None else links)
+    if not ids:
+        return empty_solution("unlimited")
+    selected, trace, cands = _greedy_unlimited(instance, ids, thresholds)
     if not selected:
         return empty_solution("unlimited")
-    powers, geo = _power_recurrence(instance, order, selected, cands)
+    powers, geo = _power_recurrence(instance, selected[::-1], cands)
     return _finish(instance, selected, powers, "unlimited", trace, geo)
 
 
-def _greedy_unlimited(instance, links, thresholds, budget):
-    """Accepted links (in acceptance order), trace rows, sensitivity order
-    and the candidates.
+def _greedy(candidates, cands, load, budget, row):
+    """Walk ``candidates`` (ids of ``cands``) in the given order and accept
+    each whose entry of ``load`` is within ``budget``; accepting the
+    candidate at position k adds ``row(k)`` to ``load`` in place.
 
-    ``incoming[c]`` holds the summed weight from the accepted links onto c,
-    added one accepted row at a time in acceptance order. Accepted links are
-    less sensitive than every later candidate, so no rank mask is needed.
+    Returns the accepted ids in acceptance order and one trace row
+    (id, accepted, load) per candidate.
     """
-    if links is None:
-        links = instance.link_ids
-    ids = list(links)
-    if not ids:
-        return [], (), None, None
+    accepted = []
+    trace = []
+    for cand in candidates:
+        k = cands.index[cand]
+        lk = float(load[k])
+        ok = lk <= budget
+        trace.append((cand, ok, lk))
+        if ok:
+            accepted.append(cand)
+            load += row(k)
+    return accepted, tuple(trace)
+
+
+def _greedy_unlimited(instance, ids, thresholds):
+    """Weight-budget pass of the unlimited greedy over a nonempty ``ids``:
+    accepted links (least sensitive first), trace rows and the candidates.
+
+    A load is the summed weight from the accepted links, added one row at a
+    time in acceptance order. Accepted links are less sensitive than every
+    later candidate, so no rank mask is needed.
+    """
     beta = thresholds_for(instance, ids, thresholds)
     order = sensitivity_order(instance, ids, beta)
     cands = _Candidates(instance, ids, beta)
-
-    incoming = np.zeros(len(ids))
-    accepted: list[int] = []
-    trace = []
-    for cand in reversed(order):  # decreasing rank value: least sensitive first
-        c = cands.index[cand]
-        load = float(incoming[c])
-        ok = load <= budget
-        trace.append((cand, ok, load))
-        if ok:
-            accepted.append(cand)
-            incoming += cands.weight_row(c)
-    return accepted, tuple(trace), order, cands
+    accepted, trace = _greedy(
+        reversed(order), cands, np.zeros(len(ids)), weight_budget(instance.alpha), cands.weight_row
+    )
+    return accepted, trace, cands
 
 
-def _power_recurrence(instance, order, accepted, cands):
+def _power_recurrence(instance, accepted, cands):
     """p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha,
-    walking from the most sensitive accepted link down.
+    over ``accepted`` ordered from the most sensitive link down.
 
     Returns the powers and the accepted links' geometry in sorted id order,
     which ``_finish`` reuses for the SINRs."""
@@ -238,10 +207,8 @@ def _power_recurrence(instance, order, accepted, cands):
     # links assigned so far, in assignment order
     interference = np.zeros(geo.n)
     powers: dict[int, float] = {}
-    for lid in order:
-        k = geo.index.get(lid)
-        if k is None:
-            continue
+    for lid in accepted:
+        k = geo.index[lid]
         powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
         with np.errstate(divide="ignore"):
             gain = 1.0 / geo.cross_alpha[:, k]
@@ -349,23 +316,10 @@ def solve_fixed(
     keeps links whose total incoming affectance is below 1, so every returned
     link meets its threshold.
     """
-    if links is None:
-        links = instance.link_ids
-    ids = list(links)
+    ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("fixed")
-    if powers is None:
-        powers = {}
-        for lid in ids:
-            fp = instance.link(lid).fixed_power
-            if fp is None:
-                raise ValueError(f"link {lid} has no fixed power")
-            powers[lid] = fp
-    else:
-        for lid in ids:
-            if lid not in powers:
-                raise ValueError(f"missing power for link {lid}")
-
+    powers = dict(zip(ids, powers_for(instance, ids, powers)))
     beta = thresholds_for(instance, ids, thresholds)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, powers, beta)
@@ -379,31 +333,24 @@ def solve_fixed(
 
     order = sensitivity_order(instance, ids, beta)
     cands = _Candidates(instance, ids, beta, powers)
-    # solo SINR gate: p / d^alpha must reach beta * N up to tolerance
+    # load[c]: affectance between c and the tentative links, both ways. A
+    # link that misses the solo SINR gate (p / d^alpha must reach beta * N
+    # up to tolerance) starts at an infinite load and is never accepted.
     solo_ok = cands.p / cands.d_alpha >= cands.beta * instance.noise * (1 - FEAS_RTOL)
-
-    # load[c]: affectance between c and the tentative links, both ways;
+    # such a link's power reaches only its own load, through affectance_col;
+    # silenced, it adds 0 or 1 there, so a NaN or -inf power keeps it infinite
+    cands.p = np.where(solo_ok, cands.p, 0.0)
     # incoming[c]: affectance from the tentative links onto c
-    load = np.zeros(len(ids))
     incoming = np.zeros(len(ids))
-    tentative: list[int] = []
-    trace = []
-    for cand in reversed(order):
-        c = cands.index[cand]
-        if not solo_ok[c]:
-            trace.append((cand, False, INF))
-            continue
-        lc = float(load[c])
-        ok = lc <= 0.5
-        trace.append((cand, ok, lc))
-        if ok:
-            tentative.append(cand)
-            row = cands.affectance_row(c)
-            load += row + cands.affectance_col(c)
-            incoming += row
 
+    def both_ways(k):
+        row = cands.affectance_row(k)
+        np.add(incoming, row, out=incoming)
+        return row + cands.affectance_col(k)
+
+    tentative, trace = _greedy(reversed(order), cands, np.where(solo_ok, 0.0, INF), 0.5, both_ways)
     final = [lid for lid in tentative if incoming[cands.index[lid]] < 1.0]
-    return _finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", trace)
+    return _finish(instance, final, powers, "fixed", trace)
 
 
 def solve_limited(
@@ -420,14 +367,10 @@ def solve_limited(
     the fixed-power solver at full power. The larger solution wins.
     """
     if instance.p_max == INF:
-        # no cap: the whole input fits the first branch and the second pass
-        # is vacuous, so this is exactly the unlimited solver
-        sol = solve_unlimited(instance, links, thresholds)
-        return Solution(sol.selected, sol.powers, sol.sinr, sol.objective, "limited", sol.trace)
+        # no cap to respect: the unlimited solver's solution stands as is
+        return replace(solve_unlimited(instance, links, thresholds), algorithm="limited")
 
-    if links is None:
-        links = instance.link_ids
-    ids = list(links)
+    ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("limited")
     beta = thresholds_for(instance, ids, thresholds)
@@ -450,36 +393,22 @@ def solve_limited(
         if r2
         else empty_solution("fixed")
     )
-
-    if len(sol1.selected) >= len(sol2.selected):
-        chosen, trace = sol1, sol1.trace
-    else:
-        chosen, trace = sol2, sol2.trace
-    return Solution(chosen.selected, chosen.powers, chosen.sinr, chosen.objective, "limited", trace)
+    chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
+    return replace(chosen, algorithm="limited")
 
 
 def _limited_first_branch(instance, r1, beta):
-    first_pass, trace1, order, all_cands = _greedy_unlimited(
-        instance, r1, beta, weight_budget(instance.alpha)
-    )
+    """The unlimited greedy's weight-budget pass, then a second pass over the
+    links it accepted, most sensitive first, that keeps a link while its
+    outgoing weight onto the kept links stays within the budget."""
+    first_pass, trace1, all_cands = _greedy_unlimited(instance, r1, beta)
     if not first_pass:
         return empty_solution("limited")
     cands = _Candidates(instance, first_pass, all_cands.beta_of(first_pass))
-
-    # outgoing[c]: weight from c onto the kept links, all more sensitive than c
-    outgoing = np.zeros(len(first_pass))
-    kept: list[int] = []
-    trace2 = []
-    for cand in order:  # increasing rank value: most sensitive first
-        c = cands.index.get(cand)
-        if c is None:
-            continue
-        load = float(outgoing[c])
-        ok = load <= SECOND_PASS_BUDGET
-        trace2.append((cand, ok, load))
-        if ok:
-            kept.append(cand)
-            outgoing += cands.weight_col(c)
-
-    powers, geo = _power_recurrence(instance, order, kept, cands)
-    return _finish(instance, kept, powers, "limited", tuple(trace1) + tuple(trace2), geo)
+    # the first pass accepted its links least sensitive first; a load is the
+    # weight from c onto the kept links, all more sensitive than c
+    kept, trace2 = _greedy(
+        reversed(first_pass), cands, np.zeros(len(first_pass)), SECOND_PASS_BUDGET, cands.weight_col
+    )
+    powers, geo = _power_recurrence(instance, kept, cands)
+    return _finish(instance, kept, powers, "limited", trace1 + trace2, geo)

@@ -45,6 +45,8 @@ def experiment_ratio(
 ) -> dict:
     """Empirical |OPT| / |ALG| for the three threshold regimes, with oracle
     certification of every algorithm output."""
+    if n < 1:
+        raise ValueError("ratio experiment needs n >= 1")
     if n > 20:
         raise ValueError("ratio experiment needs n <= 20 for the brute-force oracle")
 

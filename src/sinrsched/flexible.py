@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
-from .model import INF, Instance, Solution, empty_solution
+from .model import INF, Instance, Solution, empty_solution, powers_for, utilities_for
 from .utility import UtilitySpec, inverse_threshold, max_utility, value
 
 MODES = ("unlimited", "fixed", "limited")
@@ -83,16 +83,12 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     """Best SINR the link can reach alone under ``mode``: power / (noise * d^alpha).
 
     The power is unbounded for "unlimited", the instance cap for "limited"
-    and the link's given or fixed power for "fixed".
+    and, for "fixed", the link's entry in ``powers`` when that is given, else
+    its fixed power (see ``powers_for``).
     """
     if mode == "unlimited":
         return INF
-    if mode == "limited":
-        p = instance.p_max
-    else:
-        p = powers[lid] if powers is not None and lid in powers else instance.link(lid).fixed_power
-        if p is None:
-            raise ValueError(f"link {lid} has no fixed power")
+    p = instance.p_max if mode == "limited" else powers_for(instance, [lid], powers)[0]
     if p == INF:
         return INF
     return p / (instance.noise * instance.length(lid) ** instance.alpha)
@@ -131,16 +127,7 @@ def solve_flexible(
     ids = list(links)
     if not ids:
         raise ValueError("no links to schedule")
-
-    def util_of(lid) -> UtilitySpec:
-        if utilities is not None and lid in utilities:
-            return utilities[lid]
-        u = instance.link(lid).utility
-        if u is None:
-            raise ValueError(f"link {lid} has no utility")
-        return u
-
-    utils = {lid: util_of(lid) for lid in ids}
+    utils = dict(zip(ids, utilities_for(instance, ids, utilities)))
     top = max(max_utility(utils[lid], solo_sinr_cap(instance, lid, mode, powers)) for lid in ids)
     if not math.isfinite(top):
         raise ValueError("objective unbounded")

@@ -24,12 +24,11 @@ from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
 from .model import INF, Instance, Solution
 from .utility import (
     CappedUtility,
-    ShannonUtility,
     StepUtility,
     UtilitySpec,
     inverse_threshold,
     max_utility,
-    scaled_step,
+    scaled,
     value,
 )
 
@@ -120,14 +119,6 @@ def _rounded_step_utility(u: UtilitySpec, demand: float, n: int) -> StepUtility:
     for gamma, val in steps:
         dedup[gamma] = max(val, dedup.get(gamma, 0.0))
     return StepUtility(tuple(sorted(dedup.items())))
-
-
-def _scaled_utility(u: UtilitySpec, factor: float) -> UtilitySpec:
-    if isinstance(u, StepUtility):
-        return scaled_step(u, factor)
-    if isinstance(u, ShannonUtility):
-        return ShannonUtility(scale=u.scale * factor, cutoff=u.cutoff)
-    raise TypeError(f"cannot scale utility of type {type(u).__name__}")
 
 
 def _run_scheme(
@@ -249,19 +240,11 @@ def solve_latency(
     if not ids:
         return Schedule(2, (), {1: 0.0, 2: 0.0}, True, True, {1: None, 2: None})
 
-    max_values = {}
-    for lid in ids:
-        cap = solo_sinr_cap(instance, lid, mode, powers)
-        max_values[lid] = max_utility(original_utils[lid], cap)
-        if max_values[lid] <= 0.0:
-            raise UnschedulableDemand(
-                f"link {lid} demands {original_demands[lid]} but its maximum utility is 0"
-            )
-
+    max_values = {lid: _max_value(instance, lid, mode, powers) for lid in ids}
     n = len(ids)
     u1 = {lid: _rounded_step_utility(original_utils[lid], original_demands[lid], n) for lid in ids}
     d1 = {lid: 1.0 for lid in ids}
-    u2 = {lid: _scaled_utility(original_utils[lid], 1.0 / max_values[lid]) for lid in ids}
+    u2 = {lid: scaled(original_utils[lid], 1.0 / max_values[lid]) for lid in ids}
     d2 = {lid: original_demands[lid] / max_values[lid] for lid in ids}
 
     run1 = _run_scheme(instance, 1, mode, ids, u1, d1, original_utils, original_demands, powers, slot_cap)
@@ -280,32 +263,36 @@ def solve_latency(
     )
 
 
+def _max_value(instance: Instance, lid: int, mode: str, powers=None) -> float:
+    """Largest utility link ``lid`` can realize alone under ``mode``. Raises
+    UnschedulableDemand when that is 0; callers pass links with demand."""
+    link = instance.link(lid)
+    top = max_utility(link.utility, solo_sinr_cap(instance, lid, mode, powers))
+    if top <= 0.0:
+        raise UnschedulableDemand(f"link {lid} demands {link.demand} but its maximum utility is 0")
+    return top
+
+
+def _solo_slots(instance: Instance, links: Optional[Sequence[int]]) -> list[int]:
+    """ceil(demand / max utility under the power cap) for every link with
+    demand: the slots each needs on its own."""
+    ids = instance.link_ids if links is None else links
+    return [
+        math.ceil(instance.link(lid).demand / _max_value(instance, lid, "limited"))
+        for lid in ids
+        if instance.link(lid).demand
+    ]
+
+
 def loose_length_bound(instance: Instance, links: Optional[Sequence[int]] = None) -> float:
     """4 * sum(ceil(demand / max utility)) * (ceil(log2 n) + 1)^2."""
-    if links is None:
-        links = instance.link_ids
-    ids = [lid for lid in links if (instance.link(lid).demand or 0.0) > 0.0]
-    if not ids:
+    slots = _solo_slots(instance, links)
+    if not slots:
         return 0.0
-    total = 0.0
-    for lid in ids:
-        link = instance.link(lid)
-        top = max_utility(link.utility, solo_sinr_cap(instance, lid, "limited"))
-        total += math.ceil(link.demand / top)
-    levels = max(0, math.ceil(math.log2(len(ids)))) + 1
-    return 4.0 * total * levels**2
+    levels = max(0, math.ceil(math.log2(len(slots)))) + 1
+    return 4.0 * sum(slots) * levels**2
 
 
 def schedule_lower_bound(instance: Instance, links: Optional[Sequence[int]] = None) -> int:
     """max over links of ceil(demand / max utility): slots any schedule needs."""
-    if links is None:
-        links = instance.link_ids
-    best = 0
-    for lid in links:
-        link = instance.link(lid)
-        if not link.demand:
-            continue
-        top = max_utility(link.utility, solo_sinr_cap(instance, lid, "limited"))
-        if top > 0:
-            best = max(best, math.ceil(link.demand / top))
-    return best
+    return max(_solo_slots(instance, links), default=0)

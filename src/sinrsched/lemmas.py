@@ -24,6 +24,7 @@ from .model import (
     MetricSpace,
     evaluate_sinrs,
     geometry,
+    sinr_vector,
     thresholds_for,
 )
 from .oracle import check_admissible
@@ -315,9 +316,7 @@ def simulate_aloha(
 
     instance = aloha_instance(k, alpha=alpha)
     ids = list(instance.link_ids)
-    geo = geometry(instance, ids)
-    with np.errstate(divide="ignore"):
-        gain = 1.0 / geo.cross_alpha
+    cross_alpha = geometry(instance, ids).cross_alpha
     beta = 1.0 / k
     uniform_p = 2.0 / (k + 2)
     target = k // 2
@@ -335,11 +334,8 @@ def simulate_aloha(
             if not transmit.any():
                 continue
             tx = np.flatnonzero(transmit)
-            # received[i, j] = power of transmitter j at receiver of link i
-            received = gain[np.ix_(tx, tx)]
-            signal = np.diag(received)
-            interference = received.sum(axis=1) - signal
-            sinr = signal / (interference + noise)
+            # every transmitter sends at unit power
+            sinr = sinr_vector(cross_alpha[np.ix_(tx, tx)], np.ones(tx.size), noise)
             winners = tx[sinr >= beta * (1 - FEAS_RTOL)]
             if winners.size:
                 remaining[winners] = False

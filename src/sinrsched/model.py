@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -348,13 +348,15 @@ class Instance:
                 )
             )
         p_max = data.get("p_max", "inf")
+        sub_unit = data.get("allow_sub_unit_threshold", False)
+        _require(sub_unit, bool, "a boolean", "allow_sub_unit_threshold")
         return cls(
             metric=metric,
             alpha=_number(data.get("alpha"), "alpha"),
             noise=_number(data.get("noise"), "noise"),
             p_max=INF if p_max in ("inf", None) else _number(p_max, "p_max"),
             links=tuple(links),
-            allow_sub_unit_threshold=bool(data.get("allow_sub_unit_threshold", False)),
+            allow_sub_unit_threshold=sub_unit,
         )
 
 
@@ -473,34 +475,6 @@ def thresholds_for(
     return out
 
 
-def sinr(
-    instance: Instance,
-    active: Iterable[int],
-    powers: Mapping[int, float],
-    target: int,
-) -> float:
-    """SINR of ``target`` when the links in ``active`` transmit with ``powers``.
-
-    Received strength is p / d^alpha; the denominator adds the ambient noise,
-    so it is strictly positive.
-    """
-    active = list(active)
-    if target not in active:
-        raise ValueError(f"target link {target} is not active")
-    for lid in active:
-        if lid not in powers:
-            raise ValueError(f"missing power for link {lid}")
-    geo = geometry(instance, active)
-    p = np.array([powers[lid] for lid in active], dtype=np.float64)
-    if np.any(p < 0):
-        raise ValueError("powers must be >= 0")
-    t = geo.index[target]
-    received = _received(p, geo.cross_alpha[t])
-    signal = received[t]
-    interference = float(received.sum() - signal)
-    return float(signal / (interference + instance.noise))
-
-
 def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:
     """Per-sender received strength p / d^alpha; zero power emits nothing even
     from a zero-distance sender."""
@@ -527,8 +501,45 @@ def evaluate_sinrs(
     if not selected:
         return {}
     geo = geometry(instance, selected)
-    p = np.array([powers[lid] for lid in selected], dtype=np.float64)
+    p = np.array(powers_for(instance, selected, powers), dtype=np.float64)
     return dict(zip(selected, sinr_vector(geo.cross_alpha, p, instance.noise).tolist()))
+
+
+def powers_for(
+    instance: Instance,
+    ids: Sequence[int],
+    powers: Optional[Mapping[int, float]] = None,
+) -> list[float]:
+    """Power of each link in ``ids``, in order: its entry in ``powers`` when
+    a mapping is given, else its own fixed power. Raises ValueError naming
+    the first link without one."""
+    if powers is None:
+        out = [instance.link(lid).fixed_power for lid in ids]
+        missing = "link {} has no fixed power"
+    else:
+        out = [powers.get(lid) for lid in ids]
+        missing = "missing power for link {}"
+    for lid, p in zip(ids, out):
+        if p is None:
+            raise ValueError(missing.format(lid))
+    return out
+
+
+def utilities_for(
+    instance: Instance,
+    ids: Sequence[int],
+    utilities: Optional[Mapping[int, UtilitySpec]] = None,
+) -> list[UtilitySpec]:
+    """Utility of each link in ``ids``, in order: its entry in
+    ``utilities``, else its own. Raises ValueError naming the first link
+    without one."""
+    out = []
+    for lid in ids:
+        u = None if utilities is None else utilities.get(lid)
+        out.append(instance.link(lid).utility if u is None else u)
+        if out[-1] is None:
+            raise ValueError(f"link {lid} has no utility")
+    return out
 
 
 def sensitivity_order(

@@ -25,8 +25,10 @@ from .model import (
     INF,
     Instance,
     geometry,
+    powers_for,
     sinr_vector,
     thresholds_for,
+    utilities_for,
 )
 from .utility import UtilitySpec, value
 
@@ -150,17 +152,6 @@ def _brute_ids(instance, links):
     return ids
 
 
-def _power_array(instance, ids, powers):
-    """Powers from the mapping when given, else the links' fixed powers."""
-    out = []
-    for lid in ids:
-        fp = instance.link(lid).fixed_power if powers is None else powers[lid]
-        if fp is None:
-            raise ValueError(f"link {lid} has no fixed power")
-        out.append(fp)
-    return np.array(out, dtype=np.float64)
-
-
 def brute_opt_threshold(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
@@ -180,7 +171,7 @@ def brute_opt_threshold(
     if regime not in ("variable", "variable_capped", "fixed"):
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "fixed":
-        p = _power_array(instance, ids, powers)
+        p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
         cross_alpha = geometry(instance, ids).cross_alpha
         floor = thresholds_for(instance, ids, thresholds) * (1 - FEAS_RTOL)
 
@@ -214,17 +205,8 @@ def brute_opt_flexible_fixed(
     SINRs come from slices of one cross-distance matrix over all links.
     """
     ids = _brute_ids(instance, links)
-    p = _power_array(instance, ids, powers)
-
-    def util_of(lid) -> UtilitySpec:
-        if utilities is not None and lid in utilities:
-            return utilities[lid]
-        u = instance.link(lid).utility
-        if u is None:
-            raise ValueError(f"link {lid} has no utility")
-        return u
-
-    utils = [util_of(lid) for lid in ids]
+    p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
+    utils = utilities_for(instance, ids, utilities)
     cross_alpha = geometry(instance, ids).cross_alpha
     best_combo: tuple[int, ...] = ()
     best_value = 0.0

@@ -143,8 +143,13 @@ def inverse_threshold(u: UtilitySpec, target: float) -> Optional[float]:
     return gamma
 
 
-def scaled_step(u: StepUtility, factor: float) -> StepUtility:
-    return StepUtility(tuple((g, v * factor) for g, v in u.steps))
+def scaled(u: UtilitySpec, factor: float) -> UtilitySpec:
+    """``u`` with every value multiplied by ``factor``."""
+    if isinstance(u, StepUtility):
+        return StepUtility(tuple((g, v * factor) for g, v in u.steps))
+    if isinstance(u, ShannonUtility):
+        return ShannonUtility(scale=u.scale * factor, cutoff=u.cutoff)
+    raise TypeError(f"cannot scale utility of type {type(u).__name__}")
 
 
 def utility_to_dict(u: UtilitySpec) -> dict:

@@ -83,7 +83,9 @@ def verify_solution(
 def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
     """Check every level of a serialized flexible-rate run."""
     problems = []
-    for t, level in enumerate(run_data.get("levels", [])):
+    levels = run_data.get("levels", [])
+    _require(levels, list, "a list", "levels")
+    for t, level in enumerate(levels):
         _require(level, Mapping, "an object", f"levels[{t}]")
         thresholds = _id_numbers(level.get("thresholds"), f"levels[{t}].thresholds")
         sol = Solution.from_dict(level.get("solution"), f"levels[{t}].solution")
@@ -98,7 +100,9 @@ def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
     problems = []
     known = set(instance.link_ids)
     delivered: dict[int, float] = {}
-    for t, slot in enumerate(schedule_data.get("slots", [])):
+    slots = schedule_data.get("slots", [])
+    _require(slots, list, "a list", "slots")
+    for t, slot in enumerate(slots):
         sol = Solution.from_dict(slot, f"slots[{t}]")
         for issue in verify_solution(instance, sol, check_thresholds=False):
             problems.append(f"slot {t}: {issue}")

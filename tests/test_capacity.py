@@ -13,20 +13,34 @@ from hypothesis import strategies as st
 from sinrsched import (
     FEAS_RTOL,
     GenConfig,
-    affectance,
     check_admissible,
+    evaluate_sinrs,
     gen_line,
     gen_random,
     sensitivity_order,
-    sinr,
     solve_fixed,
     solve_limited,
     solve_unlimited,
-    weight,
     weight_budget,
 )
-from sinrsched.capacity import check_power_preconditions
+from sinrsched.capacity import _Candidates, check_power_preconditions
 from sinrsched.model import thresholds_for
+
+
+def weight(inst, from_link, to_link):
+    """Directed weight of ``from_link`` onto ``to_link``: an entry of the
+    greedy's weight row."""
+    cands = _Candidates(inst, [from_link, to_link], None)
+    return float(cands.weight_row(0)[1])
+
+
+def affectance(inst, from_link, to_link, powers):
+    """Affectance of ``from_link`` on ``to_link``: an entry of the greedy's
+    affectance row, zero for a link onto itself."""
+    if from_link == to_link:
+        return 0.0
+    cands = _Candidates(inst, [from_link, to_link], None, powers)
+    return float(cands.affectance_row(0)[1])
 
 
 def test_weight_budget_small_for_alpha_at_least_one():
@@ -37,15 +51,8 @@ def test_weight_budget_small_for_alpha_at_least_one():
 
 def test_weight_self_is_zero():
     inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
-    assert weight(inst, 0, 0) == 0.0
-
-
-def test_weight_directed():
-    # link 0 and link 1 have equal sensitivity; id 0 takes rank 1, so only
-    # the weight from the later-ranked link 1 onto link 0 is nonzero
-    inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
-    assert weight(inst, 0, 1) == 0.0
-    assert weight(inst, 1, 0) > 0.0
+    cands = _Candidates(inst, [0, 1], None)
+    assert cands.weight_row(0)[0] == 0.0 and cands.weight_col(0)[0] == 0.0
 
 
 def test_weight_worked_example():
@@ -101,12 +108,12 @@ def test_solve_unlimited_empty_input():
 def test_solve_unlimited_far_pair_both_selected():
     inst = gen_line([(0, 1, 2), (30, 31, 2)], alpha=2, noise=0.1)
     tau = weight_budget(2.0)
-    order = sensitivity_order(inst)
-    assert weight(inst, 1, 0, order=order) < tau
+    # link 1 is the less sensitive one (equal sensitivity, larger id)
+    assert sensitivity_order(inst) == [0, 1]
+    assert weight(inst, 1, 0) < tau
     sol = solve_unlimited(inst)
     assert sol.selected == (0, 1)
-    for lid in sol.selected:
-        gamma = sinr(inst, sol.selected, sol.powers, lid)
+    for gamma in evaluate_sinrs(inst, sol.selected, sol.powers).values():
         assert gamma >= 2.0 * (1 - FEAS_RTOL)
 
 
@@ -114,21 +121,21 @@ def test_solve_unlimited_feasibility_random():
     for seed in range(30):
         inst = gen_random(GenConfig(n=12, seed=seed, beta_range=(1.0, 6.0)))
         sol = solve_unlimited(inst)
-        for lid in sol.selected:
-            gamma = sinr(inst, sol.selected, sol.powers, lid)
+        for lid, gamma in evaluate_sinrs(inst, sol.selected, sol.powers).items():
             assert gamma >= inst.link(lid).threshold * (1 - FEAS_RTOL)
 
 
 def test_solve_unlimited_greedy_maximality_replay():
     # every rejected link must have been over budget against the links
-    # accepted before it; replay with the pairwise weight operation
+    # accepted before it; replay with pairwise weights. Accepted links are
+    # all less sensitive than the candidate, so every weight counts
     inst = gen_random(GenConfig(n=14, seed=5, beta_range=(1.0, 4.0)))
     sol = solve_unlimited(inst)
     tau = weight_budget(inst.alpha)
     order = sensitivity_order(inst)
     accepted = []
     for cand in reversed(order):
-        incoming = sum(weight(inst, a, cand, order=order) for a in accepted)
+        incoming = sum(weight(inst, a, cand) for a in accepted)
         if cand in sol.selected:
             assert incoming <= tau + 1e-15
             accepted.append(cand)
@@ -288,8 +295,7 @@ def test_solve_fixed_filter_keeps_at_least_half_of_tentative():
             if sum(affectance(inst, other, lid, uniform) for other in tentative) < 1.0
         ]
         assert sorted(sol.selected) == sorted(replayed)
-        for lid in sol.selected:
-            gamma = sinr(inst, sol.selected, {k: uniform[k] for k in sol.selected}, lid)
+        for lid, gamma in evaluate_sinrs(inst, sol.selected, uniform).items():
             assert gamma >= inst.link(lid).threshold * (1 - FEAS_RTOL)
 
 
@@ -324,10 +330,10 @@ def test_solve_limited_cap_and_feasibility_random():
         p_max = 20.0 * 30.0**2
         inst = gen_random(GenConfig(n=12, seed=100 + seed, beta_range=(1.0, 6.0), p_max=p_max))
         sol = solve_limited(inst)
+        gammas = evaluate_sinrs(inst, sol.selected, sol.powers)
         for lid in sol.selected:
             assert sol.powers[lid] <= p_max * (1 + 1e-12)
-            gamma = sinr(inst, sol.selected, sol.powers, lid)
-            assert gamma >= inst.link(lid).threshold * (1 - FEAS_RTOL)
+            assert gammas[lid] >= inst.link(lid).threshold * (1 - FEAS_RTOL)
 
 
 def test_solutions_certified_by_oracle():

@@ -122,6 +122,14 @@ def test_experiment_report_and_csv(tmp_path):
     assert strip(rerun) == strip(report)
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_experiment_ratio_rejects_empty_instances(capsys, n):
+    code = cli.main(["experiment", "--name", "ratio", "--n", n, "--trials", "2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: ratio experiment needs n >= 1")
+
+
 def test_experiment_adversary():
     r = run_cli("experiment", "--name", "adversary", "--k", "8")
     assert r.returncode == 0
@@ -174,6 +182,7 @@ def _set(path, value):
         (_set(["metric", "points"], {"a": 1}), "metric.points"),
         (_set(["metric", "points", 0], [1, {}]), "metric.points"),
         (_set(["metric", "dim"], "2"), "metric.dim"),
+        (_set(["allow_sub_unit_threshold"], "false"), "allow_sub_unit_threshold"),
         (lambda data: [data], "instance"),
     ],
 )
@@ -221,9 +230,11 @@ def _in_level(edit, thresholds=None):
         (lambda data: [data], "solution"),
         (_in_slot(_set(["selected"], [None])), "slots[0].selected[0]"),
         (lambda data: {"slots": [None]}, "slots[0]"),
+        (lambda data: {"slots": 5}, "slots"),
         (_in_level(_set(["powers"], {"3": None})), 'levels[0].solution.powers["3"]'),
         (_in_level(lambda data: data, {"0": None}), 'levels[0].thresholds["0"]'),
         (lambda data: {"levels": [7]}, "levels[0]"),
+        (lambda data: {"levels": 5}, "levels"),
     ],
 )
 def test_mistyped_artifact_field_is_bad_input(tmp_path, capsys, edit, field):

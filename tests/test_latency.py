@@ -84,6 +84,25 @@ def test_unschedulable_demand():
         solve_latency(inst)
 
 
+def test_link_out_of_reach_under_cap_is_unschedulable():
+    # alone at the cap, link 1 reaches SINR 0.5 / (1 * 1^2) < 1: utility 0
+    inst = Instance(
+        metric=MetricSpace.euclidean([[0.0], [1.0], [50.0], [51.0]], dim=1),
+        alpha=2.0,
+        noise=1.0,
+        p_max=0.5,
+        links=(
+            Link(id=0, sender=0, receiver=1, utility=U, demand=0.0),
+            Link(id=1, sender=2, receiver=3, utility=U, demand=1.0),
+        ),
+    )
+    for bound in (loose_length_bound, schedule_lower_bound):
+        with pytest.raises(UnschedulableDemand, match="link 1 demands 1.0"):
+            bound(inst)
+    with pytest.raises(UnschedulableDemand, match="link 1 demands 1.0"):
+        solve_latency(inst, mode="limited")
+
+
 def _random_demand_instance(seed, n=6):
     return gen_random(
         GenConfig(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sinrsched
 from sinrsched import (
     Instance,
     Link,
@@ -15,8 +16,12 @@ from sinrsched import (
     evaluate_sinrs,
     gen_line,
     sensitivity_order,
-    sinr,
 )
+
+
+def sinr(inst, active, powers, target):
+    """SINR of ``target`` when the links in ``active`` transmit."""
+    return evaluate_sinrs(inst, active, powers)[target]
 
 
 def test_distance_unit_segment():
@@ -71,10 +76,8 @@ def test_sinr_zero_power_interferer_vanishes():
 
 def test_sinr_errors():
     inst = gen_line([(0, 1, 1), (4, 5, 1)], alpha=2, noise=0.1)
-    with pytest.raises(ValueError, match="not active"):
-        sinr(inst, [1], {1: 1.0}, 0)
-    with pytest.raises(ValueError, match="missing power"):
-        sinr(inst, [0, 1], {0: 1.0}, 0)
+    with pytest.raises(ValueError, match="missing power for link 1"):
+        evaluate_sinrs(inst, [0, 1], {0: 1.0})
 
 
 def test_sensitivity_order_strict():
@@ -209,8 +212,21 @@ def test_instance_json_infinite_cap():
 
 
 def test_evaluate_sinrs_matches_pointwise():
+    # received strength p / d^alpha summed one sender at a time
     inst = _three_link_instance()
     powers = {0: 1.0, 1: 0.7, 2: 0.3}
     batch = evaluate_sinrs(inst, [0, 1, 2], powers)
-    for lid in (0, 1, 2):
-        assert batch[lid] == pytest.approx(sinr(inst, [0, 1, 2], powers, lid), rel=1e-12)
+    for target in (0, 1, 2):
+        receiver = inst.link(target).receiver
+        received = {
+            lid: powers[lid] / inst.metric.distance(inst.link(lid).sender, receiver) ** 2
+            for lid in (0, 1, 2)
+        }
+        interference = sum(v for lid, v in received.items() if lid != target)
+        want = received[target] / (interference + inst.noise)
+        assert batch[target] == pytest.approx(want, rel=1e-12)
+
+
+def test_every_exported_name_resolves():
+    for name in sinrsched.__all__:
+        assert hasattr(sinrsched, name), name

@@ -141,7 +141,7 @@ def ref_fixed(instance, ids, powers, thresholds=None):
             tentative.append(cand)
     final = [lid for lid in tentative
              if sum(a[geo.index[t], geo.index[lid]] for t in tentative) < 1.0]
-    return _ref_finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", trace)
+    return _ref_finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", tuple(trace))
 
 
 def ref_limited(instance, thresholds=None):
@@ -242,6 +242,14 @@ def test_streaming_matches_dense_degenerate_powers():
         powers[lid] = float(rng.choice([0.0, floor, floor * (1 - 1e-10), floor * 0.5, 1e5, 1e7]))
     assert any(p == 0.0 for p in powers.values())
     _check_all(inst, powers=powers)
+
+
+def test_streaming_matches_dense_powers_failing_the_gate():
+    # links given NaN, -inf or negative powers fail the solo gate, and their
+    # trace rows keep the reference's infinite load
+    inst = gen_random(GenConfig(n=40, seed=12, area=200.0, d_range=(1.0, 30.0), p_max=P_MAX))
+    given = [np.nan, -np.inf, -1.0, 1e6]
+    _check_all(inst, powers={lid: given[k % 4] for k, lid in enumerate(inst.link_ids)})
 
 
 def test_streaming_matches_dense_shared_endpoints():
