@@ -19,7 +19,8 @@ affectance row to the loads. No solver builds an n x n matrix over its n
 candidates. A solve takes O(n * |accepted|) time and O(n) memory, plus
 O(|accepted|^2) for the power recurrence and the SINR evaluation of the
 accepted links, which share one geometry. Endpoints, ``d^alpha`` and
-thresholds are sliced from the per-link arrays cached on ``Instance``.
+thresholds are sliced from the per-link arrays cached on ``Instance``, so
+every sensitivity and row here reads the one ``Instance.d_alpha``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -93,8 +94,6 @@ class _Candidates:
         self.senders = instance.senders[pos]
         self.receivers = instance.receivers[pos]
         self.d_alpha = instance.d_alpha[pos]
-        if np.any(self.d_alpha <= 0):
-            raise ValueError("zero-length link in candidate set")
         self.beta = thresholds_for(instance, ids, thresholds)
         self.sens = self.beta * self.d_alpha
         if powers is not None:
@@ -151,8 +150,6 @@ def solve_unlimited(
     if not ids:
         return empty_solution("unlimited")
     selected, trace, cands = _greedy_unlimited(instance, ids, thresholds)
-    if not selected:
-        return empty_solution("unlimited")
     powers, geo = _power_recurrence(instance, selected[::-1], cands)
     return _finish(instance, selected, powers, "unlimited", trace, geo)
 
@@ -184,7 +181,8 @@ def _greedy_unlimited(instance, ids, thresholds):
 
     A load is the summed weight from the accepted links, added one row at a
     time in acceptance order. Accepted links are less sensitive than every
-    later candidate, so no rank mask is needed.
+    later candidate, so no rank mask is needed. The first candidate starts at
+    load 0, so at least one link is accepted.
     """
     beta = thresholds_for(instance, ids, thresholds)
     order = sensitivity_order(instance, ids, beta)
@@ -218,9 +216,8 @@ def _power_recurrence(instance, accepted, cands):
 
 def _finish(instance, selected, powers, algorithm, trace, geo=None):
     """Solution over ``selected``; ``geo``, when given, is their geometry in
-    sorted id order. SINRs are ``evaluate_sinrs``' arithmetic."""
-    if not selected:
-        return empty_solution(algorithm)
+    sorted id order. SINRs are ``evaluate_sinrs``' arithmetic. The trace is
+    kept even when nothing is selected."""
     selected = tuple(sorted(selected))
     if geo is None:
         geo = geometry(instance, selected)
@@ -252,7 +249,7 @@ def check_power_preconditions(
     violating partner. Violations are reported, not enforced; adversarial
     inputs still run.
     """
-    s = thresholds_for(instance, ids, thresholds) * instance.length_alpha[instance.positions(ids)]
+    s = thresholds_for(instance, ids, thresholds) * instance.d_alpha[instance.positions(ids)]
     p = np.array([powers[lid] for lid in ids], dtype=np.float64)
     q = p / s
     rtol = 1e-12
@@ -374,8 +371,7 @@ def solve_limited(
     if not ids:
         return empty_solution("limited")
     beta = thresholds_for(instance, ids, thresholds)
-    # beta * N * d^alpha on the sensitivity_order key's d^alpha
-    sens = beta * instance.noise * instance.length_alpha[instance.positions(ids)]
+    sens = beta * instance.noise * instance.d_alpha[instance.positions(ids)]
     small = sens <= instance.p_max / 4.0
     flags = small.tolist()
     r1 = [lid for lid, ok in zip(ids, flags) if ok]
@@ -402,8 +398,6 @@ def _limited_first_branch(instance, r1, beta):
     links it accepted, most sensitive first, that keeps a link while its
     outgoing weight onto the kept links stays within the budget."""
     first_pass, trace1, all_cands = _greedy_unlimited(instance, r1, beta)
-    if not first_pass:
-        return empty_solution("limited")
     cands = _Candidates(instance, first_pass, all_cands.beta_of(first_pass))
     # the first pass accepted its links least sensitive first; a load is the
     # weight from c onto the kept links, all more sensitive than c

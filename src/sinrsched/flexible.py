@@ -91,7 +91,7 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     p = instance.p_max if mode == "limited" else powers_for(instance, [lid], powers)[0]
     if p == INF:
         return INF
-    return p / (instance.noise * instance.length(lid) ** instance.alpha)
+    return p / (instance.noise * float(instance.d_alpha[instance._position(lid)]))
 
 
 def solve_flexible(

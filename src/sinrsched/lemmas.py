@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -121,28 +121,13 @@ def strengthen(
 
 def reversed_instance(instance: Instance, ids: Optional[Sequence[int]] = None) -> Instance:
     """Fragment with each link's sender and receiver swapped."""
-    if ids is None:
-        ids = instance.link_ids
-    links = []
-    for lid in ids:
-        link = instance.link(lid)
-        links.append(
-            Link(
-                id=link.id,
-                sender=link.receiver,
-                receiver=link.sender,
-                threshold=link.threshold,
-                utility=link.utility,
-                demand=link.demand,
-                fixed_power=link.fixed_power,
-            )
-        )
+    links = instance.links if ids is None else [instance.link(lid) for lid in ids]
     return Instance(
         metric=instance.metric,
         alpha=instance.alpha,
         noise=instance.noise,
         p_max=instance.p_max,
-        links=tuple(links),
+        links=tuple(replace(link, sender=link.receiver, receiver=link.sender) for link in links),
         allow_sub_unit_threshold=True,
     )
 

@@ -37,8 +37,8 @@ class MetricSpace:
     time, in coordinate order, and takes the square root; for dim <= 7 that is
     bit for bit the sum numpy's ``add.reduce`` gives over the last axis of a
     row-major ``(n, dim)`` difference, and within a few ulp above that, where
-    ``add.reduce`` sums pairwise. ``distance_list`` transposes its differences
-    back to rows and keeps ``np.linalg.norm``'s dot-product arithmetic.
+    ``add.reduce`` sums pairwise. It is the package's only distance
+    arithmetic: ``distance`` and every length and ``d^alpha`` go through it.
 
     Matrix spaces store the full symmetric matrix and validate metric axioms
     (incl. the triangle inequality, O(n^3) time and O(n^2) memory) at load
@@ -78,33 +78,23 @@ class MetricSpace:
         return cls(None, mat, 0)
 
     @property
-    def is_euclidean(self) -> bool:
-        return self._coords is not None
-
-    @property
     def n_points(self) -> int:
         if self._coords is not None:
             return self._coords.shape[1]
         return self._matrix.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        return self.distance_list([i], [j])[0]
-
-    def distance_list(self, i: Sequence[int], j: Sequence[int]) -> list[float]:
-        """d(i[k], j[k]) for node index sequences of equal length, as Python
-        floats. Euclidean distances are np.linalg.norm's arithmetic, the
-        square root of the difference's dot product with itself."""
-        i = np.asarray(i, dtype=np.intp)
-        j = np.asarray(j, dtype=np.intp)
+    def _check_nodes(self, i: np.ndarray, j: np.ndarray) -> None:
+        """Raise IndexError naming the first pair (i[k], j[k]) with a node
+        outside the space; ``distances`` would wrap a negative index."""
         n = self.n_points
         outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
         if outside.any():
             k = int(np.argmax(outside))
             raise IndexError(f"node index out of range: ({i[k]}, {j[k]}) with {n} nodes")
-        if self._matrix is not None:
-            return self._matrix[i, j].tolist()
-        diffs = (self._coords[:, i] - self._coords[:, j]).T.copy()
-        return [math.sqrt(diff.dot(diff)) for diff in diffs]
+
+    def distance(self, i: int, j: int) -> float:
+        self._check_nodes(np.array([i]), np.array([j]))
+        return float(self.distances(i, j))
 
     def distances(self, i, j) -> np.ndarray:
         """Element-wise distances d(i[k], j[k]) for node index arrays (or
@@ -207,11 +197,9 @@ class Instance:
     which follow the order of ``links``:
 
     senders, receivers  node indices
-    d_alpha             d(receiver, sender)^alpha with ``MetricSpace.distances``'
-                        numpy arithmetic; the capacity greedies use it
-    length_alpha        ``length(id) ** alpha`` in Python floats; the key of
-                        ``sensitivity_order``. It can differ from ``d_alpha``
-                        in the last bit, so each stays with its user.
+    d_alpha             length^alpha, lengths from ``MetricSpace.distances``;
+                        every sensitivity, weight, affectance, power and SINR
+                        in the package reads it, so it must be positive
     thresholds          link thresholds, NaN where a link has none
     """
 
@@ -232,14 +220,19 @@ class Instance:
         object.__setattr__(self, "links", tuple(self.links))
         senders = np.array([link.sender for link in self.links], dtype=np.intp)
         receivers = np.array([link.receiver for link in self.links], dtype=np.intp)
-        lengths = self.metric.distance_list(senders, receivers)
+        self.metric._check_nodes(senders, receivers)
+        lengths = self.metric.distances(receivers, senders)
+        d_alpha = lengths**self.alpha
         positions = {}
         for k, link in enumerate(self.links):
             if link.id in positions:
                 raise ValueError(f"duplicate link id {link.id}")
             positions[link.id] = k
-            if lengths[k] <= 0:
-                raise ValueError(f"link {link.id}: zero sender-receiver distance")
+            if not d_alpha[k] > 0:  # also when a short length underflows
+                raise ValueError(
+                    f"link {link.id}: sender-receiver distance^alpha must be > 0 "
+                    f"(distance {lengths[k]:g}, alpha {self.alpha:g})"
+                )
             if (
                 link.threshold is not None
                 and link.threshold < 1
@@ -251,12 +244,11 @@ class Instance:
                 )
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "link_ids", tuple(positions))
-        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_lengths", tuple(lengths.tolist()))
         arrays = {
             "senders": senders,
             "receivers": receivers,
-            "d_alpha": self.metric.distances(receivers, senders) ** self.alpha,
-            "length_alpha": np.array([d ** self.alpha for d in lengths], dtype=np.float64),
+            "d_alpha": d_alpha,
             "thresholds": np.array(
                 [math.nan if link.threshold is None else link.threshold for link in self.links],
                 dtype=np.float64,
@@ -438,11 +430,9 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     ids = tuple(ids)
     pos = instance.positions(ids)
     cross = instance.metric.pair_distances(instance.receivers[pos], instance.senders[pos])
-    cross_alpha = cross**instance.alpha
-    d_alpha = np.diag(cross_alpha).copy()
-    if np.any(d_alpha <= 0):
-        raise ValueError("zero-length link in candidate set")
-    return Geometry(ids, d_alpha, cross_alpha, {lid: k for k, lid in enumerate(ids)})
+    return Geometry(
+        ids, instance.d_alpha[pos], cross**instance.alpha, {lid: k for k, lid in enumerate(ids)}
+    )
 
 
 def thresholds_for(
@@ -552,13 +542,14 @@ def sensitivity_order(
     Position 0 is the most sensitive link (rank 1). Ties break by ascending
     link id so runs are reproducible. The ordering is a total order and does
     not depend on the order of the input list. The key is the threshold
-    times the cached ``length_alpha``.
+    times ``Instance.d_alpha``, the same float the greedies' weight and
+    affectance rows use.
     """
     if links is None:
         links = instance.link_ids
     ids = list(links)
     beta = thresholds_for(instance, ids, thresholds)
-    sens = beta * instance.length_alpha[instance.positions(ids)]
+    sens = beta * instance.d_alpha[instance.positions(ids)]
     return [ids[k] for k in np.lexsort((np.array(ids), -sens)).tolist()]
 
 

@@ -31,10 +31,15 @@ def verify_solution(
     objective of a threshold Solution."""
     problems = []
     known = set(instance.link_ids)
+    seen = set()
     for lid in solution.selected:
         if lid not in known:
             problems.append(f"link {lid}: not part of the instance")
             return problems
+        if lid in seen:
+            problems.append(f"link {lid}: selected more than once")
+            return problems
+        seen.add(lid)
     if set(solution.sinr) != set(solution.selected):
         problems.append("sinr keys do not match the selected set")
     # the unlimited-power solver is exempt from the instance cap by definition

@@ -157,6 +157,16 @@ def test_solve_fixed_noise_infeasible_link_dropped():
     assert sol.selected == ()
 
 
+def test_solve_fixed_keeps_the_trace_when_nothing_is_selected():
+    # both powers miss the solo gate: the greedy still decides on both links,
+    # least sensitive first (equal sensitivities, so the higher id first)
+    inst = gen_line([(0, 1, 1), (10, 11, 1)], alpha=2, noise=0.1)
+    sol = solve_fixed(inst, powers={0: 0.05, 1: 0.05})
+    assert sol.selected == ()
+    assert sol.trace == ((1, False, math.inf), (0, False, math.inf))
+    assert sol.to_dict(include_trace=True)["trace"] == [[1, False, math.inf], [0, False, math.inf]]
+
+
 def test_solve_fixed_exact_noise_boundary_kept():
     # at p/d^alpha == beta*N the solo SINR equals the threshold exactly
     inst = gen_line([(0, 1, 1)], alpha=2, noise=0.1)

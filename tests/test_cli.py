@@ -286,3 +286,35 @@ def test_broken_schedule_slot_is_violation(tmp_path, capsys, edit, violation):
     err = capsys.readouterr().err
     assert code == cli.EXIT_VERIFY_FAILED == 1, err
     assert f"VIOLATION: {violation}" in err.splitlines()
+
+
+def test_repeated_selected_id_is_violation(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    assert cli.main(["gen", "--n", "8", "--seed", "7", "--out", str(inst)]) == cli.EXIT_OK
+    sol.write_text(json.dumps({
+        "selected": [3, 4, 5, 3],
+        "powers": {"3": 1.0, "4": 1.0, "5": 1.0},
+        "sinr": {"3": 1.0, "4": 1.0, "5": 1.0},
+        "objective": 4.0,
+        "algorithm": "unlimited",
+    }))
+    capsys.readouterr()
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(sol)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY_FAILED == 1, err
+    assert err.splitlines() == ["VIOLATION: link 3: selected more than once"]
+
+
+def test_link_whose_d_alpha_underflows_is_bad_input(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "alpha": 3.0,
+        "noise": 1.0,
+        "metric": {"type": "euclidean", "dim": 1, "points": [[0.0], [1.0], [1e-150]]},
+        "links": [{"id": 0, "s": 0, "r": 1, "beta": 1.0}, {"id": 5, "s": 0, "r": 2, "beta": 1.0}],
+    }))
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: link 5: sender-receiver distance^alpha must be > 0")

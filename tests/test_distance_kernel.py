@@ -98,12 +98,33 @@ def test_distances_within_a_few_ulp_where_reduce_sums_pairwise(dim):
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_distance_list_stays_the_norm_and_to_dict_the_points(dim):
+    """``to_dict`` emits the points it was given. (``distance_list`` is gone;
+    the name stays so that the test ids stay stable.)"""
     pts = _points(dim)
     space = MetricSpace.euclidean(pts)
-    i, j = _index_shapes(len(pts))[0]
-    want = [float(np.linalg.norm(pts[a] - pts[b])) for a, b in zip(i, j)]
-    assert space.distance_list(i, j) == want
     data = space.to_dict()
     assert data == {"type": "euclidean", "dim": dim, "points": pts.tolist()}
     text = json.dumps(data)
     assert json.dumps(MetricSpace.from_dict(json.loads(text)).to_dict()) == text
+
+
+def _assert_lengths_are_kernel_bits(inst):
+    lengths = inst.metric.distances(inst.receivers, inst.senders)
+    assert [inst.length(lid) for lid in inst.link_ids] == lengths.tolist()
+    assert np.array_equal(inst.d_alpha, lengths**inst.alpha)
+    for link in inst.links:
+        assert inst.metric.distance(link.sender, link.receiver) == inst.length(link.id)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_length_and_d_alpha_are_the_kernel_bits(dim):
+    _assert_lengths_are_kernel_bits(_shared_endpoint_instance(_points(dim, n=30)))
+
+
+def test_length_and_d_alpha_are_the_matrix_entries():
+    pts = _points(3, n=20)
+    matrix = _reference(pts, np.arange(20)[:, None], np.arange(20)[None, :])
+    inst = Instance(MetricSpace.from_matrix(matrix), ALPHA, 1.0, _shared_endpoint_instance(pts).links)
+    _assert_lengths_are_kernel_bits(inst)
+    for link in inst.links:
+        assert inst.length(link.id) == matrix[link.receiver, link.sender]

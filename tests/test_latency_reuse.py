@@ -204,23 +204,26 @@ def test_sensitivity_order_matches_python_key(alpha):
         ids = list(inst.link_ids)
         rng.shuffle(ids)
         overrides = {lid: rng.choice([1.0, 2.0, 3.5]) for lid in ids if rng.random() < 0.5}
+
+        def d_alpha(lid):
+            return float(inst.d_alpha[inst.positions([lid])[0]])
+
         for thresholds in (None, overrides):
             def beta(lid):
                 if thresholds is not None and lid in thresholds:
                     return float(thresholds[lid])
                 return float(inst.link(lid).threshold)
 
-            want = sorted(ids, key=lambda lid: (-beta(lid) * inst.length(lid) ** alpha, lid))
+            want = sorted(ids, key=lambda lid: (-beta(lid) * d_alpha(lid), lid))
             assert sensitivity_order(inst, ids, thresholds) == want
             assert sensitivity_order(inst, ids[::-1], thresholds) == want
-        sens = [inst.link(l).threshold * inst.length(l) ** alpha for l in inst.link_ids]
+        sens = [inst.link(l).threshold * d_alpha(l) for l in inst.link_ids]
         assert len(set(sens)) < len(sens), "the instance should contain ties"
 
 
-def test_sensitivity_order_keeps_python_lengths():
-    # mirrored link vectors (x, y) and (y, x): numpy's sqrt of the summed
-    # squares ties them, while the norm behind ``length`` can differ in the
-    # last bit, and the order must follow ``length``
+def test_sensitivity_order_ties_mirrored_links_by_id():
+    # mirrored link vectors (x, y) and (y, x) have the same summed squares,
+    # so their lengths and sensitivities tie, and the lower id comes first
     rng = random.Random(5)
     points, links = [[0.0, 0.0]], []
     for pair in range(40):
@@ -231,10 +234,12 @@ def test_sensitivity_order_keeps_python_lengths():
             links.append(Link(id=lid, sender=0, receiver=len(points) - 3 + j, threshold=1.0))
     inst = Instance(MetricSpace.euclidean(points), 2.5, 1.0, tuple(links))
     ids = list(inst.link_ids)
-    want = sorted(ids, key=lambda lid: (-inst.length(lid) ** 2.5, lid))
-    assert sensitivity_order(inst, ids) == want
-    assert any(inst.length(l) != inst.length(l + 1) for l in ids[::2])
-    assert all(inst.d_alpha[l] == inst.d_alpha[l + 1] for l in ids[::2])
+    order = sensitivity_order(inst, ids)
+    assert order == sorted(ids, key=lambda lid: (-inst.d_alpha[lid], lid))
+    for l in ids[::2]:
+        assert inst.length(l) == inst.length(l + 1)
+        assert inst.d_alpha[l] == inst.d_alpha[l + 1]
+        assert order.index(l) + 1 == order.index(l + 1)
 
 
 def _bits(a):
@@ -270,7 +275,8 @@ def test_instance_arrays_follow_link_order():
     for k, link in enumerate(inst.links):
         assert inst.positions([link.id]).tolist() == [k]
         assert inst.senders[k] == link.sender and inst.receivers[k] == link.receiver
-        assert inst.length_alpha[k] == inst.length(link.id) ** 2.5
+        d_alpha = inst.metric.distances([link.receiver], [link.sender]) ** 2.5
+        assert _bits(inst.d_alpha[k:k + 1]) == _bits(d_alpha)
         assert inst.thresholds[k] == link.threshold
     with pytest.raises(KeyError, match="no link with id 999"):
         inst.positions([999])

@@ -138,16 +138,24 @@ def test_length_is_the_metric_distance():
         inst.length(5)
 
 
-def test_distance_list_is_the_norm_of_the_difference():
-    rng = np.random.default_rng(3)
-    for dim in (1, 2, 3, 4):
-        pts = rng.uniform(-50.0, 50.0, size=(40, dim))
-        metric = MetricSpace.euclidean(pts)
-        i, j = rng.integers(0, 40, size=200), rng.integers(0, 40, size=200)
-        want = [float(np.linalg.norm(pts[a] - pts[b])) for a, b in zip(i, j)]
-        assert metric.distance_list(i, j) == want
-    with pytest.raises(IndexError, match=r"\(3, -1\)"):
-        metric.distance_list([0, 3], [1, -1])
+@pytest.mark.parametrize("sender,receiver", [(3, -1), (-2, 0), (1, 4), (4, 0)])
+def test_instance_rejects_a_node_outside_the_metric(sender, receiver):
+    # numpy would wrap a negative index to a real node without the check
+    metric = MetricSpace.euclidean([[0.0], [1.0], [3.0], [7.0]])
+    links = (Link(id=0, sender=0, receiver=1), Link(id=1, sender=sender, receiver=receiver))
+    with pytest.raises(IndexError, match=rf"\({sender}, {receiver}\) with 4 nodes"):
+        Instance(metric=metric, alpha=2.0, noise=1.0, links=links)
+    with pytest.raises(IndexError, match=rf"\({sender}, {receiver}\)"):
+        metric.distance(sender, receiver)
+
+
+@pytest.mark.parametrize("length", [0.0, 1e-150])
+def test_instance_rejects_a_link_whose_d_alpha_is_zero(length):
+    # 1e-150 ** 3 underflows to 0, which no sensitivity or SINR survives
+    metric = MetricSpace.euclidean([[1.0], [2.0], [0.0], [length]])
+    links = (Link(id=0, sender=0, receiver=1), Link(id=7, sender=2, receiver=3))
+    with pytest.raises(ValueError, match="link 7: sender-receiver distance\\^alpha must be > 0"):
+        Instance(metric=metric, alpha=3.0, noise=1.0, links=links)
 
 
 def _three_link_instance():
