@@ -13,8 +13,8 @@ shannon = ss.ShannonUtility(scale=0.8, cutoff=1.0)
 print("=== the two utility queries ===")
 for gamma_cap in (2.0, 8.0, 64.0):
     print(
-        f"cap {gamma_cap:5.1f}: step max {ss.max_utility(step, gamma_cap):4.2f}   "
-        f"shannon max {ss.max_utility(shannon, gamma_cap):5.3f}"
+        f"cap {gamma_cap:5.1f}: step max {step.max_value(gamma_cap):4.2f}   "
+        f"shannon max {shannon.max_value(gamma_cap):5.3f}"
     )
 for target in (0.5, 1.5, 2.5):
     print(

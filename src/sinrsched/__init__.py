@@ -55,10 +55,8 @@ from .utility import (
     UnboundedObjective,
     UtilityContractError,
     inverse_threshold,
-    max_utility,
     utility_from_dict,
     utility_to_dict,
-    value,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +95,6 @@ __all__ = [
     "gen_random",
     "inverse_threshold",
     "markov_survivors",
-    "max_utility",
     "relative_interference_matrix",
     "reverse_dual",
     "reversed_instance",
@@ -113,6 +110,5 @@ __all__ = [
     "strengthen",
     "utility_from_dict",
     "utility_to_dict",
-    "value",
     "weight_budget",
 ]

@@ -22,7 +22,7 @@ from .experiments import (
     experiment_strengthen,
     write_csv,
 )
-from .flexible import solve_flexible
+from .flexible import MODES, solve_flexible
 from .generate import GenConfig, gen_random
 from .latency import solve_latency
 from .model import INF, Instance, Solution
@@ -73,19 +73,21 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# One table per subcommand gives both its argparse choices and its dispatch.
+# The entries look the library functions up when called, so a function that
+# is rebound on this module (as a tracing wrapper is) is the one that runs.
+ALGORITHMS = {
+    "unlimited": lambda instance, args: solve_unlimited(instance),
+    "fixed": lambda instance, args: solve_fixed(instance),
+    "limited": lambda instance, args: solve_limited(instance),
+    "flexible": lambda instance, args: solve_flexible(instance, mode=args.mode),
+}
+
+
 def _cmd_solve(args) -> int:
     instance = Instance.from_dict(_load_json(args.instance))
-    if args.algorithm == "unlimited":
-        data = solve_unlimited(instance).to_dict(include_trace=args.trace)
-    elif args.algorithm == "limited":
-        data = solve_limited(instance).to_dict(include_trace=args.trace)
-    elif args.algorithm == "fixed":
-        data = solve_fixed(instance).to_dict(include_trace=args.trace)
-    elif args.algorithm == "flexible":
-        data = solve_flexible(instance, mode=args.mode).to_dict(include_trace=args.trace)
-    else:
-        raise ValueError(f"unknown algorithm {args.algorithm!r}")
-    _emit(data, args.out)
+    result = ALGORITHMS[args.algorithm](instance, args)
+    _emit(result.to_dict(include_trace=args.trace), args.out)
     return EXIT_OK
 
 
@@ -113,40 +115,54 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _certificate(instance, subset, args) -> dict:
+    cert = check_admissible(
+        instance,
+        subset if subset is not None else instance.link_ids,
+        cap=_pmax(args.cap) if args.cap else None,
+    )
+    return cert.to_dict()
+
+
+def _brute_threshold(instance, subset, args) -> dict:
+    ids, size = brute_opt_threshold(instance, links=subset, regime=args.brute)
+    return {"best": list(ids), "size": size, "regime": args.brute}
+
+
+def _brute_flexible_fixed(instance, subset, args) -> dict:
+    ids, util = brute_opt_flexible_fixed(instance, links=subset)
+    return {"best": list(ids), "utility": util}
+
+
+ORACLE_REQUESTS = {
+    "none": _certificate,
+    "variable": _brute_threshold,
+    "variable_capped": _brute_threshold,
+    "fixed": _brute_threshold,
+    "flexible_fixed": _brute_flexible_fixed,
+}
+
+
 def _cmd_oracle(args) -> int:
     instance = Instance.from_dict(_load_json(args.instance))
     subset = [int(x) for x in args.subset.split(",")] if args.subset else None
-    if args.brute == "none":
-        cert = check_admissible(
-            instance,
-            subset if subset is not None else instance.link_ids,
-            cap=_pmax(args.cap) if args.cap else None,
-        )
-        _emit(cert.to_dict(), args.out)
-    elif args.brute in ("variable", "variable_capped", "fixed"):
-        ids, size = brute_opt_threshold(instance, links=subset, regime=args.brute)
-        _emit({"best": list(ids), "size": size, "regime": args.brute}, args.out)
-    elif args.brute == "flexible_fixed":
-        ids, util = brute_opt_flexible_fixed(instance, links=subset)
-        _emit({"best": list(ids), "utility": util}, args.out)
-    else:
-        raise ValueError(f"unknown oracle request {args.brute!r}")
+    _emit(ORACLE_REQUESTS[args.brute](instance, subset, args), args.out)
     return EXIT_OK
 
 
+EXPERIMENTS = {
+    "ratio": lambda args: experiment_ratio(
+        n=args.n, trials=args.trials, seed=args.seed, alpha=args.alpha
+    ),
+    "adversary": lambda args: experiment_adversary(k=args.k, alpha=args.alpha),
+    "aloha": lambda args: experiment_aloha(k=args.k, trials=args.trials, seed=args.seed),
+    "strengthen": lambda args: experiment_strengthen(sets=args.trials, seed=args.seed),
+    "reverse": lambda args: experiment_reverse(sets=args.trials, seed=args.seed),
+}
+
+
 def _cmd_experiment(args) -> int:
-    if args.name == "ratio":
-        report = experiment_ratio(n=args.n, trials=args.trials, seed=args.seed, alpha=args.alpha)
-    elif args.name == "adversary":
-        report = experiment_adversary(k=args.k, alpha=args.alpha)
-    elif args.name == "aloha":
-        report = experiment_aloha(k=args.k, trials=args.trials, seed=args.seed)
-    elif args.name == "strengthen":
-        report = experiment_strengthen(sets=args.trials, seed=args.seed)
-    elif args.name == "reverse":
-        report = experiment_reverse(sets=args.trials, seed=args.seed)
-    else:
-        raise ValueError(f"unknown experiment {args.name!r}")
+    report = EXPERIMENTS[args.name](args)
     _emit(report, args.out)
     if args.csv:
         write_csv(report, args.csv)
@@ -180,17 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run a capacity-maximization algorithm")
     solve.add_argument("--instance", required=True)
-    solve.add_argument(
-        "--algorithm", required=True, choices=["unlimited", "fixed", "limited", "flexible"]
-    )
-    solve.add_argument("--mode", default="unlimited", choices=["unlimited", "fixed", "limited"])
+    solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    solve.add_argument("--mode", default="unlimited", choices=MODES)
     solve.add_argument("--trace", action="store_true")
     solve.add_argument("--out")
     solve.set_defaults(func=_cmd_solve)
 
     schedule = sub.add_parser("schedule", help="run the latency scheduler")
     schedule.add_argument("--instance", required=True)
-    schedule.add_argument("--mode", default="unlimited", choices=["unlimited", "fixed", "limited"])
+    schedule.add_argument("--mode", default="unlimited", choices=MODES)
     schedule.add_argument("--out")
     schedule.set_defaults(func=_cmd_schedule)
 
@@ -203,18 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--subset", help="comma-separated link ids")
     oracle.add_argument("--cap", help="power cap (number or inf)")
-    oracle.add_argument(
-        "--brute",
-        default="none",
-        choices=["none", "variable", "variable_capped", "fixed", "flexible_fixed"],
-    )
+    oracle.add_argument("--brute", default="none", choices=ORACLE_REQUESTS)
     oracle.add_argument("--out")
     oracle.set_defaults(func=_cmd_oracle)
 
     experiment = sub.add_parser("experiment", help="run a named experiment")
-    experiment.add_argument(
-        "--name", required=True, choices=["ratio", "adversary", "aloha", "strengthen", "reverse"]
-    )
+    experiment.add_argument("--name", required=True, choices=EXPERIMENTS)
     experiment.add_argument("--n", type=int, default=10)
     experiment.add_argument("--k", type=int, default=8)
     experiment.add_argument("--trials", type=int, default=100)

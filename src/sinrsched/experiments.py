@@ -20,6 +20,9 @@ from .model import FEAS_RTOL, INF, Instance, evaluate_sinrs
 from .oracle import brute_opt_threshold, check_admissible
 from .verify import verify_solution
 
+# the strengthening scales c that experiment_strengthen decomposes at
+C_VALUES = (1.0, 2.0, 3.0)
+
 
 def instance_digest(instance: Instance) -> str:
     payload = json.dumps(instance.to_dict(), sort_keys=True).encode()
@@ -144,18 +147,17 @@ def experiment_adversary(k: int = 8, alpha: float = 2.0) -> dict:
     }
 
 
-def experiment_aloha(
-    k: int = 32, trials: int = 400, seed: int = 0, probs="uniform"
-) -> dict:
-    """Empirical distribution of the time to k/2 ALOHA successes."""
-    result = simulate_aloha(k, probs=probs, trials=trials, seed=seed)
+def experiment_aloha(k: int = 32, trials: int = 400, seed: int = 0) -> dict:
+    """Empirical distribution of the time to k/2 ALOHA successes under the
+    uniform transmit probability."""
+    result = simulate_aloha(k, trials=trials, seed=seed)
     rows = [
         {"trial": t, "rounds": ("inf" if r == INF else r)}
         for t, r in enumerate(result.rounds)
     ]
     return {
         "experiment": "aloha",
-        "params": {"k": k, "trials": trials, "probs": probs},
+        "params": {"k": k, "trials": trials, "probs": "uniform"},
         "seed": seed,
         "rows": rows,
         "summary": {
@@ -165,46 +167,38 @@ def experiment_aloha(
     }
 
 
-def harvest_admissible_sets(
-    count: int,
-    seed: int = 0,
-    n: int = 8,
-    alpha: float = 2.0,
-    min_size: int = 1,
-) -> list[tuple[Instance, tuple, dict]]:
-    """Admissible sets with witness powers, harvested from greedy solutions
-    on random instances."""
+def harvest_admissible_sets(count: int, seed: int = 0) -> list[tuple[Instance, tuple, dict]]:
+    """Nonempty admissible sets with witness powers, harvested from greedy
+    solutions on random instances of 2 to 8 links."""
     out = []
     t = 0
     while len(out) < count:
         config = GenConfig(
-            n=max(2, (seed + t) % n + 1),
+            n=max(2, (seed + t) % 8 + 1),
             seed=seed * 7_777_777 + t,
             area=200.0,
             d_range=(1.0, 40.0),
             beta_range=(1.0, 4.0),
-            alpha=alpha,
             noise=1.0,
         )
         t += 1
         instance = gen_random(config)
         sol = solve_unlimited(instance)
-        if len(sol.selected) >= min_size:
+        if sol.selected:
             out.append((instance, sol.selected, sol.powers))
         if t > 100 * count:
             raise RuntimeError("could not harvest enough admissible sets")
     return out
 
 
-def experiment_strengthen(
-    sets: int = 100, seed: int = 0, c_values: Sequence[float] = (1.0, 2.0, 3.0)
-) -> dict:
-    """Signal-strengthening decompositions over harvested admissible sets."""
+def experiment_strengthen(sets: int = 100, seed: int = 0) -> dict:
+    """Signal-strengthening decompositions over harvested admissible sets, at
+    each scale c in C_VALUES."""
     harvest = harvest_admissible_sets(sets, seed=seed)
     rows = []
     violations = 0
     for idx, (instance, selected, powers) in enumerate(harvest):
-        for c in c_values:
+        for c in C_VALUES:
             deco = strengthen(instance, selected, powers, c)
             bound = math.ceil(2 * c) ** 2
             certified = all(
@@ -230,7 +224,7 @@ def experiment_strengthen(
             )
     return {
         "experiment": "strengthen",
-        "params": {"sets": sets, "c_values": list(c_values)},
+        "params": {"sets": sets, "c_values": list(C_VALUES)},
         "seed": seed,
         "rows": rows,
         "summary": {"violations": violations},

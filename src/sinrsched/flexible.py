@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
 from .model import INF, Instance, Solution, empty_solution, powers_for, utilities_for
-from .utility import UtilitySpec, inverse_threshold, max_utility, value
+from .utility import UtilitySpec, inverse_threshold
 
 MODES = ("unlimited", "fixed", "limited")
 
@@ -128,7 +128,7 @@ def solve_flexible(
     if not ids:
         raise ValueError("no links to schedule")
     utils = dict(zip(ids, utilities_for(instance, ids, utilities)))
-    top = max(max_utility(utils[lid], solo_sinr_cap(instance, lid, mode, powers)) for lid in ids)
+    top = max(utils[lid].max_value(solo_sinr_cap(instance, lid, mode, powers)) for lid in ids)
     if not math.isfinite(top):
         raise ValueError("objective unbounded")
     if top <= 0.0:
@@ -166,7 +166,7 @@ def _sweep(instance, mode, utils, powers, top, n_levels, known) -> list[Flexible
         sol = known.get(key)
         if sol is None:
             sol = _solve_level(instance, mode, key, powers)
-        realized = sum(value(utils[lid], sol.sinr[lid]) for lid in sol.selected)
+        realized = sum(utils[lid].value(sol.sinr[lid]) for lid in sol.selected)
         levels.append(FlexibleLevel(i, target, thresholds, sol, float(realized)))
     return levels
 

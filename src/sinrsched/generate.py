@@ -53,51 +53,6 @@ class GenConfig:
         if not self.allow_sub_unit and any(b < 1 for b in betas):
             raise ValueError("thresholds below 1 need allow_sub_unit")
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "seed": self.seed,
-            "area": self.area,
-            "d_range": list(self.d_range),
-            "alpha": self.alpha,
-            "noise": self.noise,
-            "p_max": "inf" if self.p_max == INF else self.p_max,
-            "dim": self.dim,
-        }
-        if self.beta_set is not None:
-            out["beta_set"] = list(self.beta_set)
-        else:
-            out["beta_range"] = list(self.beta_range)
-        if self.utility is not None:
-            out["utility"] = dict(self.utility)
-        if self.demand_range is not None:
-            out["demand_range"] = list(self.demand_range)
-        if self.power is not None:
-            out["power"] = self.power
-        if self.allow_sub_unit:
-            out["allow_sub_unit"] = True
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GenConfig":
-        p_max = data.get("p_max", "inf")
-        return cls(
-            n=int(data["n"]),
-            seed=int(data["seed"]),
-            area=float(data.get("area", 1000.0)),
-            d_range=tuple(data.get("d_range", (1.0, 100.0))),
-            beta_range=tuple(data["beta_range"]) if "beta_range" in data else None,
-            beta_set=tuple(data["beta_set"]) if "beta_set" in data else None,
-            utility=dict(data["utility"]) if data.get("utility") else None,
-            demand_range=tuple(data["demand_range"]) if data.get("demand_range") else None,
-            alpha=float(data.get("alpha", 2.0)),
-            noise=float(data.get("noise", 1.0)),
-            p_max=INF if p_max in ("inf", None) else float(p_max),
-            dim=int(data.get("dim", 2)),
-            power=data.get("power"),
-            allow_sub_unit=bool(data.get("allow_sub_unit", False)),
-        )
-
 
 def _stream(seed: int, link_index: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, link_index, tag]))
@@ -126,14 +81,6 @@ def _random_utility(params: Mapping, rng: np.random.Generator) -> UtilitySpec:
             scale=float(rng.uniform(lo, hi)), cutoff=float(rng.uniform(clo, chi))
         )
     raise ValueError(f"unknown utility family {family!r}")
-
-
-def _bounded_max_utility(u: UtilitySpec, cfg: GenConfig, d: float) -> float:
-    if cfg.p_max == INF:
-        if isinstance(u, StepUtility):
-            return u.steps[-1][1]
-        raise ValueError("relative demands need a bounded utility or finite p_max")
-    return u.max_value(cfg.p_max / (cfg.noise * d**cfg.alpha))
 
 
 def gen_random(config: GenConfig) -> Instance:
@@ -167,7 +114,8 @@ def gen_random(config: GenConfig) -> Instance:
             if utility is None:
                 raise ValueError("demands need utilities")
             rel = float(_stream(config.seed, i, _DEMAND).uniform(*config.demand_range))
-            demand = rel * _bounded_max_utility(utility, config, radius)
+            # UnboundedObjective for a Shannon utility without a power cap
+            demand = rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
 
         power = None
         if config.power is not None:

@@ -22,17 +22,9 @@ from typing import Mapping, Optional, Sequence
 
 from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
 from .model import INF, Instance, Solution
-from .utility import (
-    CappedUtility,
-    StepUtility,
-    UtilitySpec,
-    inverse_threshold,
-    max_utility,
-    scaled,
-    value,
-)
+from .utility import CappedUtility, StepUtility, UtilitySpec, inverse_threshold, scaled
 
-SLOT_CAP = 1_000_000
+SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
 RESIDUAL_TOL = 1e-9
 
 
@@ -131,7 +123,6 @@ def _run_scheme(
     original_utils: Mapping[int, UtilitySpec],
     original_demands: Mapping[int, float],
     powers: Optional[Mapping[int, float]],
-    slot_cap: int,
 ) -> SchemeRun:
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
     slots: list[Slot] = []
@@ -142,7 +133,7 @@ def _run_scheme(
         gains = {}
         completes = False
         for lid in solution.selected:
-            gains[lid] = value(capped[lid], solution.sinr[lid])
+            gains[lid] = capped[lid].value(solution.sinr[lid])
             completes = completes or residual[lid] - gains[lid] <= RESIDUAL_TOL
         return gains, completes
 
@@ -175,7 +166,7 @@ def _run_scheme(
         sol = level.solution
         original_gains, completed = {}, []
         for lid in sol.selected:
-            original_gains[lid] = value(original_utils[lid], sol.sinr[lid])
+            original_gains[lid] = original_utils[lid].value(sol.sinr[lid])
             residual[lid] = max(0.0, residual[lid] - gains[lid])
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
@@ -191,9 +182,9 @@ def _run_scheme(
                 completed=tuple(completed),
             )
         )
-        if len(slots) > slot_cap:
+        if len(slots) > SLOT_CAP:
             raise RuntimeError(
-                f"schedule exceeded the safety cap of {slot_cap} slots; "
+                f"schedule exceeded the safety cap of {SLOT_CAP} slots; "
                 "residual demands are not making progress"
             )
 
@@ -213,7 +204,6 @@ def solve_latency(
     mode: str = "unlimited",
     links: Optional[Sequence[int]] = None,
     powers: Optional[Mapping[int, float]] = None,
-    slot_cap: int = SLOT_CAP,
 ) -> Schedule:
     """Schedule every link until its demand is met, in few slots.
 
@@ -247,8 +237,8 @@ def solve_latency(
     u2 = {lid: scaled(original_utils[lid], 1.0 / max_values[lid]) for lid in ids}
     d2 = {lid: original_demands[lid] / max_values[lid] for lid in ids}
 
-    run1 = _run_scheme(instance, 1, mode, ids, u1, d1, original_utils, original_demands, powers, slot_cap)
-    run2 = _run_scheme(instance, 2, mode, ids, u2, d2, original_utils, original_demands, powers, slot_cap)
+    run1 = _run_scheme(instance, 1, mode, ids, u1, d1, original_utils, original_demands, powers)
+    run2 = _run_scheme(instance, 2, mode, ids, u2, d2, original_utils, original_demands, powers)
     if run1.stalled and run2.stalled:
         raise RuntimeError("both schedule schemes stalled; demands cannot be met")
 
@@ -267,7 +257,7 @@ def _max_value(instance: Instance, lid: int, mode: str, powers=None) -> float:
     """Largest utility link ``lid`` can realize alone under ``mode``. Raises
     UnschedulableDemand when that is 0; callers pass links with demand."""
     link = instance.link(lid)
-    top = max_utility(link.utility, solo_sinr_cap(instance, lid, mode, powers))
+    top = link.utility.max_value(solo_sinr_cap(instance, lid, mode, powers))
     if top <= 0.0:
         raise UnschedulableDemand(f"link {lid} demands {link.demand} but its maximum utility is 0")
     return top

@@ -16,12 +16,11 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .generate import gen_line
 from .model import (
     FEAS_RTOL,
     INF,
     Instance,
-    Link,
-    MetricSpace,
     evaluate_sinrs,
     geometry,
     sinr_vector,
@@ -30,6 +29,7 @@ from .model import (
 from .oracle import check_admissible
 
 PERTURB = 1e-9
+NOISE = 1e-9  # ambient noise of the lower-bound line instances
 
 
 class CertificationError(RuntimeError):
@@ -198,57 +198,31 @@ def reverse_dual(
     return best, fragment
 
 
-def gen_greedy_adversary(k: int, alpha: float = 2.0, noise: float = 1e-9) -> Instance:
+def _reversed_entries(k: int) -> list[tuple]:
+    """The k reversed unit links, sender near 1 and receiver near 0, at
+    threshold 1/k; endpoints are spread by PERTURB to keep distances
+    positive."""
+    return [(1.0 + i * PERTURB, -i * PERTURB, 1 / k) for i in range(1, k + 1)]
+
+
+def gen_greedy_adversary(k: int, alpha: float = 2.0) -> Instance:
     """Line instance on which any greedy selection loses a factor k.
 
     One forward link of unit length comes first in the processing order
     (smallest sensitivity); the k reversed links that follow are mutually
     compatible at threshold 1/k but each conflicts fatally with the forward
-    link. Colocated endpoints are perturbed to keep distances positive.
+    link.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    beta = 1.0 / k
-    points = [[0.0], [1.0]]
-    links = [Link(id=0, sender=0, receiver=1, threshold=beta)]
-    for i in range(1, k + 1):
-        s = len(points)
-        points.append([1.0 + i * PERTURB])
-        points.append([-i * PERTURB])
-        links.append(Link(id=i, sender=s, receiver=s + 1, threshold=beta))
-    return Instance(
-        metric=MetricSpace.euclidean(points, dim=1),
-        alpha=alpha,
-        noise=noise,
-        links=tuple(links),
-        p_max=INF,
-        allow_sub_unit_threshold=True,
-    )
+    entries = [(0.0, 1.0, 1 / k)] + _reversed_entries(k)
+    return gen_line(entries, alpha=alpha, noise=NOISE, allow_sub_unit=True)
 
 
-def aloha_instance(k: int, alpha: float = 2.0, noise: float = 1e-9) -> Instance:
+def aloha_instance(k: int) -> Instance:
     """k forward and k reversed unit links between (about) 0 and 1."""
-    beta = 1.0 / k
-    points: list[list[float]] = []
-    links = []
-    for i in range(k):  # forward: sender near 0, receiver near 1
-        s = len(points)
-        points.append([i * PERTURB])
-        points.append([1.0 - i * PERTURB])
-        links.append(Link(id=i, sender=s, receiver=s + 1, threshold=beta))
-    for j in range(1, k + 1):  # reversed: sender near 1, receiver near 0
-        s = len(points)
-        points.append([1.0 + j * PERTURB])
-        points.append([-j * PERTURB])
-        links.append(Link(id=k + j - 1, sender=s, receiver=s + 1, threshold=beta))
-    return Instance(
-        metric=MetricSpace.euclidean(points, dim=1),
-        alpha=alpha,
-        noise=noise,
-        links=tuple(links),
-        p_max=INF,
-        allow_sub_unit_threshold=True,
-    )
+    forward = [(i * PERTURB, 1.0 - i * PERTURB, 1 / k) for i in range(k)]
+    return gen_line(forward + _reversed_entries(k), noise=NOISE, allow_sub_unit=True)
 
 
 @dataclass(frozen=True)
@@ -262,16 +236,6 @@ class AlohaResult:
     threshold_rounds: float
     fraction_fast: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rounds": ["inf" if r == INF else r for r in self.rounds],
-            "threshold_rounds": self.threshold_rounds,
-            "fraction_fast": self.fraction_fast,
-        }
-
 
 def simulate_aloha(
     k: int,
@@ -279,7 +243,6 @@ def simulate_aloha(
     trials: int = 1,
     seed: int = 0,
     max_rounds: int = 10_000,
-    alpha: float = 2.0,
 ) -> AlohaResult:
     """Random-access simulation on the two-direction adversary instance.
 
@@ -299,7 +262,7 @@ def simulate_aloha(
         if not probs or any(not (0.0 <= p <= 1.0) for p in probs):
             raise ValueError("transmit probabilities must lie in [0, 1]")
 
-    instance = aloha_instance(k, alpha=alpha)
+    instance = aloha_instance(k)
     ids = list(instance.link_ids)
     cross_alpha = geometry(instance, ids).cross_alpha
     beta = 1.0 / k

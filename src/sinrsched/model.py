@@ -42,8 +42,9 @@ class MetricSpace:
 
     Matrix spaces store the full symmetric matrix and validate metric axioms
     (incl. the triangle inequality, O(n^3) time and O(n^2) memory) at load
-    time unless ``validate=False``. ``distances`` costs O(size of its result)
-    in both kinds, so a row of distances from one node is O(n).
+    time; only ``from_matrix(..., validate=False)`` skips the check.
+    ``distances`` costs O(size of its result) in both kinds, so a row of
+    distances from one node is O(n).
     """
 
     __slots__ = ("_coords", "_matrix", "dim")
@@ -125,7 +126,7 @@ class MetricSpace:
         return {"type": "matrix", "d": self._matrix.tolist()}
 
     @classmethod
-    def from_dict(cls, data: Mapping, validate: bool = True) -> "MetricSpace":
+    def from_dict(cls, data: Mapping) -> "MetricSpace":
         kind = data.get("type")
         if kind not in ("euclidean", "matrix"):
             raise ValueError(f"unknown metric type: {kind!r}")
@@ -134,7 +135,7 @@ class MetricSpace:
         try:
             if kind == "euclidean":
                 return cls.euclidean(data["points"], dim=_integer(data.get("dim"), "metric.dim"))
-            return cls.from_matrix(data["d"], validate=validate)
+            return cls.from_matrix(data["d"])
         except TypeError as exc:  # a non-numeric entry
             raise ValueError(f"metric.{key}: {exc}") from None
 
@@ -181,8 +182,10 @@ class Link:
     def __post_init__(self):
         if self.sender == self.receiver:
             raise ValueError(f"link {self.id}: sender and receiver coincide")
-        if self.demand is not None and self.demand < 0:
-            raise ValueError(f"link {self.id}: demand must be >= 0")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"link {self.id}: threshold must be finite")
+        if self.demand is not None and not (0 <= self.demand < INF):
+            raise ValueError(f"link {self.id}: demand must be finite and >= 0")
         if self.fixed_power is not None and not (0 <= self.fixed_power < INF):
             raise ValueError(f"link {self.id}: fixed power must be finite and >= 0")
 
@@ -211,10 +214,10 @@ class Instance:
     allow_sub_unit_threshold: bool = False
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("path-loss exponent alpha must be > 0")
-        if not self.noise > 0:
-            raise ValueError("ambient noise must be strictly positive")
+        if not 0 < self.alpha < INF:
+            raise ValueError("path-loss exponent alpha must be finite and > 0")
+        if not 0 < self.noise < INF:
+            raise ValueError("ambient noise must be finite and strictly positive")
         if not self.p_max > 0:
             raise ValueError("p_max must be positive (math.inf for unlimited)")
         object.__setattr__(self, "links", tuple(self.links))
@@ -303,13 +306,13 @@ class Instance:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping, validate_metric: bool = True) -> "Instance":
+    def from_dict(cls, data: Mapping) -> "Instance":
         """Instance from its JSON form. A field of the wrong type raises
         ValueError naming the field."""
         _require(data, Mapping, "an object", "instance")
         metric = data.get("metric")
         _require(metric, Mapping, "an object", "metric")
-        metric = MetricSpace.from_dict(metric, validate=validate_metric)
+        metric = MetricSpace.from_dict(metric)
         entries = data.get("links")
         _require(entries, list, "a list", "links")
         n_points = metric.n_points
@@ -326,7 +329,9 @@ class Instance:
                 _require(utility, Mapping, "an object", "utility", k)
                 try:
                     utility = utility_from_dict(utility)
-                except TypeError as exc:
+                except KeyError as exc:
+                    raise ValueError(f"links[{k}].utility: missing field {exc}") from None
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"links[{k}].utility: {exc}") from None
             links.append(
                 Link(

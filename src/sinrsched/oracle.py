@@ -30,7 +30,7 @@ from .model import (
     thresholds_for,
     utilities_for,
 )
-from .utility import UtilitySpec, value
+from .utility import UtilitySpec
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -214,7 +214,7 @@ def brute_opt_flexible_fixed(
         for combo in combinations(range(len(ids)), size):
             idx = np.array(combo)
             gamma = sinr_vector(cross_alpha[idx[:, None], idx], p[idx], instance.noise)
-            total = sum(value(utils[k], g) for k, g in zip(combo, gamma.tolist()))
+            total = sum(utils[k].value(g) for k, g in zip(combo, gamma.tolist()))
             if total > best_value or (total == best_value and combo < best_combo):
                 best_combo, best_value = combo, total
     return tuple(ids[k] for k in best_combo), best_value

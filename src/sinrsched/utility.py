@@ -1,9 +1,9 @@
 """Utility functions mapping SINR to data-rate value.
 
 Algorithms never inspect a utility's shape; they only use the two queries
-``max_utility`` (value at a given SINR cap) and ``inverse_threshold``
-(smallest SINR reaching a target value). Every family returns 0 below
-SINR 1.
+``max_value`` (the method: value at a given SINR cap) and
+``inverse_threshold`` (smallest SINR reaching a target value). Every family
+returns 0 below SINR 1.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class StepUtility:
             raise ValueError("step utility needs at least one step")
         if len(steps) > MAX_STEPS:
             raise ValueError(f"step utility limited to {MAX_STEPS} steps")
+        if not all(math.isfinite(g) and math.isfinite(v) for g, v in steps):
+            raise ValueError("step gammas and values must be finite")
         if steps[0][0] < 1:
             raise ValueError("first step gamma must be >= 1 (zero utility below SINR 1)")
         for (g0, v0), (g1, v1) in zip(steps, steps[1:]):
@@ -70,10 +72,10 @@ class ShannonUtility:
     cutoff: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and > 0")
+        if not 1 <= self.cutoff < math.inf:
+            raise ValueError("cutoff must be finite and >= 1")
 
     def value(self, gamma: float) -> float:
         if gamma < self.cutoff:
@@ -87,7 +89,10 @@ class ShannonUtility:
 
     def min_gamma_for(self, target: float) -> Optional[float]:
         # closed form, clamped up to the cutoff; never numerical root-finding
-        gamma = 2.0 ** (target / self.scale) - 1.0
+        try:
+            gamma = 2.0 ** (target / self.scale) - 1.0
+        except OverflowError:  # target / scale >= 1024: beyond every finite SINR
+            return None
         return max(gamma, self.cutoff)
 
 
@@ -115,19 +120,6 @@ class CappedUtility:
 
 
 UtilitySpec = Union[StepUtility, ShannonUtility, CappedUtility]
-
-
-def value(u: UtilitySpec, gamma: float) -> float:
-    """Utility at an achieved SINR (used to report realized objectives)."""
-    return u.value(gamma)
-
-
-def max_utility(u: UtilitySpec, gamma_cap: float) -> float:
-    """Largest value reachable when the SINR can be driven up to gamma_cap.
-
-    Raises UnboundedObjective for an unbounded family with an infinite cap.
-    """
-    return u.max_value(gamma_cap)
 
 
 def inverse_threshold(u: UtilitySpec, target: float) -> Optional[float]:

@@ -1,6 +1,7 @@
 """Command-line harness: round trips and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -318,3 +319,69 @@ def test_link_whose_d_alpha_underflows_is_bad_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith("error: link 5: sender-receiver distance^alpha must be > 0")
+
+
+def _two_demand_links():
+    step = {"type": "step", "steps": [[1.0, 1.0], [4.0, 2.0]]}
+    return {
+        "alpha": 2.0,
+        "noise": 1.0,
+        "metric": {"type": "euclidean", "dim": 1, "points": [[0.0], [1.0], [10.0], [11.0]]},
+        "links": [
+            {"id": 0, "s": 0, "r": 1, "beta": 1.0, "utility": step, "demand": 1.0},
+            {"id": 1, "s": 2, "r": 3, "beta": 1.0, "utility": dict(step), "demand": 1.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set(["alpha"], math.inf), "path-loss exponent alpha must be finite"),
+        (_set(["noise"], math.inf), "ambient noise must be finite"),
+        (_set(["links", 1, "demand"], math.inf), "link 1: demand must be finite"),
+        (_set(["links", 1, "beta"], math.nan), "link 1: threshold must be finite"),
+        (_set(["links", 1, "utility", "steps"], [[math.nan, 1.0]]), "links[1].utility: step"),
+        (_set(["links", 1, "utility", "steps"], [[1.0, math.inf]]), "links[1].utility: step"),
+        (_set(["links", 1, "utility", "steps"], [[1.0, math.nan]]), "links[1].utility: step"),
+        (
+            _set(["links", 1, "utility"], {"type": "shannon", "scale": 1.0, "cutoff": math.nan}),
+            "links[1].utility: cutoff must be finite",
+        ),
+        (
+            _set(["links", 1, "utility"], {"type": "shannon", "scale": math.inf}),
+            "links[1].utility: scale must be finite",
+        ),
+        (
+            _set(["links", 1, "utility"], {"type": "step"}),
+            "links[1].utility: missing field 'steps'",
+        ),
+    ],
+    ids=[
+        "alpha-inf", "noise-inf", "demand-inf", "beta-nan", "step-gamma-nan", "step-value-inf",
+        "step-value-nan", "shannon-cutoff-nan", "shannon-scale-inf", "step-without-steps",
+    ],
+)
+def test_non_finite_field_is_bad_input(tmp_path, capsys, edit, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(edit(_two_demand_links())))
+    code = cli.main(["schedule", "--instance", str(inst)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: {message}")
+
+
+def test_shannon_demand_beyond_every_finite_sinr_schedules(tmp_path, capsys):
+    # one slot's best value is log2(1 + 1e4) ~ 13.3, and scheme 1 asks for
+    # targets up to the demand 2000, which no finite SINR reaches
+    data = _two_demand_links()
+    data["p_max"] = 1e4
+    data["links"][0]["utility"] = {"type": "shannon", "scale": 1.0, "cutoff": 1.0}
+    data["links"][0]["demand"] = 2000.0
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps(data))
+    code = cli.main(["schedule", "--instance", str(inst), "--mode", "limited", "--out", str(sched)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    assert len(json.loads(sched.read_text())["slots"]) >= math.ceil(2000 / math.log2(1 + 1e4))
+    assert cli.main(["verify", "--instance", str(inst), "--artifact", str(sched)]) == cli.EXIT_OK

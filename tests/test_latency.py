@@ -15,6 +15,7 @@ from sinrsched import (
     gen_random,
     solve_latency,
 )
+from sinrsched import latency
 from sinrsched.latency import loose_length_bound, schedule_lower_bound
 
 U = StepUtility(((1.0, 1.0), (8.0, 2.0)))
@@ -184,7 +185,8 @@ def test_length_within_loose_bound():
         assert len(sched.slots) >= schedule_lower_bound(inst)
 
 
-def test_slot_cap_trips_runtime_error():
+def test_slot_cap_trips_runtime_error(monkeypatch):
     inst = _single(2.0)
+    monkeypatch.setattr(latency, "SLOT_CAP", 0)
     with pytest.raises(RuntimeError, match="cap"):
-        solve_latency(inst, slot_cap=0)
+        solve_latency(inst)

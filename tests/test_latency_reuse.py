@@ -18,12 +18,12 @@ from sinrsched.flexible import solve_flexible
 from sinrsched.generate import GenConfig, gen_random
 from sinrsched.latency import RESIDUAL_TOL, SchemeRun, Slot, solve_latency
 from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order
-from sinrsched.utility import CappedUtility, value
+from sinrsched.utility import CappedUtility
 
 
 def _reference_run_scheme(
     instance, scheme, mode, ids, scheme_utils, scheme_demands,
-    original_utils, original_demands, powers, slot_cap,
+    original_utils, original_demands, powers,
 ):
     """The scheme loop without level reuse: a fresh sweep every slot."""
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
@@ -34,7 +34,7 @@ def _reference_run_scheme(
         gains = {}
         completes = False
         for lid in solution.selected:
-            gains[lid] = value(capped[lid], solution.sinr[lid])
+            gains[lid] = capped[lid].value(solution.sinr[lid])
             completes = completes or residual[lid] - gains[lid] <= RESIDUAL_TOL
         return gains, completes
 
@@ -60,7 +60,7 @@ def _reference_run_scheme(
         sol = level.solution
         original_gains, completed = {}, []
         for lid in sol.selected:
-            original_gains[lid] = value(original_utils[lid], sol.sinr[lid])
+            original_gains[lid] = original_utils[lid].value(sol.sinr[lid])
             residual[lid] = max(0.0, residual[lid] - gains[lid])
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
@@ -76,7 +76,7 @@ def _reference_run_scheme(
                 completed=tuple(completed),
             )
         )
-        if len(slots) > slot_cap:
+        if len(slots) > latency.SLOT_CAP:
             raise RuntimeError("slot cap")
 
     fulfilled_scheme = not stalled and all(residual[lid] == 0.0 for lid in ids)

@@ -8,6 +8,10 @@ from sinrsched import (
     AdmissibilityCertificate,
     CertificationError,
     GenConfig,
+    Instance,
+    Link,
+    MetricSpace,
+    aloha_instance,
     check_admissible,
     gen_greedy_adversary,
     gen_line,
@@ -19,6 +23,7 @@ from sinrsched import (
     strengthen,
 )
 from sinrsched import lemmas
+from sinrsched.lemmas import PERTURB
 
 
 def _certified_pair():
@@ -104,6 +109,40 @@ def test_reverse_on_harvested_sets():
         subset, fragment = reverse_dual(inst, sol.selected, sol.powers)
         assert len(subset) >= max(1, len(sol.selected) // 72)
         assert check_admissible(fragment, subset, cap=math.inf).feasible
+
+
+# -- the line constructions, built point by point as references ---------------
+
+def _line_reference(points, k, alpha):
+    links = [Link(id=i, sender=2 * i, receiver=2 * i + 1, threshold=1.0 / k)
+             for i in range(len(points) // 2)]
+    return Instance(metric=MetricSpace.euclidean(points, dim=1), alpha=alpha, noise=1e-9,
+                    links=tuple(links), p_max=math.inf, allow_sub_unit_threshold=True)
+
+
+def _reversed_points(k):
+    return [p for j in range(1, k + 1) for p in ([1.0 + j * PERTURB], [-j * PERTURB])]
+
+
+def _adversary_reference(k, alpha):
+    return _line_reference([[0.0], [1.0]] + _reversed_points(k), k, alpha)
+
+
+def _aloha_reference(k):
+    forward = [p for i in range(k) for p in ([i * PERTURB], [1.0 - i * PERTURB])]
+    return _line_reference(forward + _reversed_points(k), k, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 33])
+def test_adversary_equals_point_by_point_construction(k, alpha):
+    want = _adversary_reference(k, alpha).to_dict()
+    assert gen_greedy_adversary(k, alpha=alpha).to_dict() == want
+
+
+@pytest.mark.parametrize("k", [2, 4, 32])
+def test_aloha_instance_equals_point_by_point_construction(k):
+    assert aloha_instance(k).to_dict() == _aloha_reference(k).to_dict()
 
 
 def test_adversary_k1():

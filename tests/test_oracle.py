@@ -28,7 +28,6 @@ from sinrsched import (
     spectral_admissible,
     spectral_radius,
     evaluate_sinrs,
-    value,
 )
 from sinrsched.model import FEAS_RTOL, Instance, Link, MetricSpace, thresholds_for
 
@@ -329,7 +328,7 @@ def _brute_flexible_reference(inst, powers):
     for size in range(1, len(ids) + 1):
         for combo in combinations(ids, size):
             sinrs = evaluate_sinrs(inst, combo, powers)
-            total = sum(value(inst.link(lid).utility, sinrs[lid]) for lid in combo)
+            total = sum(inst.link(lid).utility.value(sinrs[lid]) for lid in combo)
             if total > best_value or (total == best_value and list(combo) < list(best_ids)):
                 best_ids, best_value = combo, total
     return best_ids, best_value

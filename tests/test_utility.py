@@ -13,32 +13,30 @@ from sinrsched import (
     UnboundedObjective,
     UtilityContractError,
     inverse_threshold,
-    max_utility,
     utility_from_dict,
     utility_to_dict,
-    value,
 )
 
 STEP = StepUtility(((1.0, 0.5), (4.0, 2.0)))
 
 
 def test_max_utility_top_step():
-    assert max_utility(STEP, 10.0) == 2.0
+    assert STEP.max_value(10.0) == 2.0
 
 
 def test_max_utility_middle_read():
-    assert max_utility(STEP, 2.0) == 0.5
+    assert STEP.max_value(2.0) == 0.5
 
 
 def test_max_utility_shannon_closed_form():
-    assert max_utility(ShannonUtility(1.0, 1.0), 3.0) == pytest.approx(2.0)
+    assert ShannonUtility(1.0, 1.0).max_value(3.0) == pytest.approx(2.0)
 
 
 def test_max_utility_unbounded_error():
     with pytest.raises(UnboundedObjective, match="unbounded"):
-        max_utility(ShannonUtility(1.0, 1.0), math.inf)
+        ShannonUtility(1.0, 1.0).max_value(math.inf)
     # bounded families take an infinite cap in stride
-    assert max_utility(STEP, math.inf) == 2.0
+    assert STEP.max_value(math.inf) == 2.0
 
 
 def test_inverse_threshold_first_step_reaching_target():
@@ -74,13 +72,13 @@ def test_shannon_inverse_clamps_to_cutoff():
     u = ShannonUtility(1.0, cutoff=7.0)
     # any target below the cutoff value resolves to the cutoff itself
     assert inverse_threshold(u, 1.0) == 7.0
-    assert value(u, 6.9) == 0.0
-    assert value(u, 7.0) == pytest.approx(3.0)
+    assert u.value(6.9) == 0.0
+    assert u.value(7.0) == pytest.approx(3.0)
 
 
 def test_zero_below_one():
-    assert value(STEP, 0.999) == 0.0
-    assert value(ShannonUtility(2.0), 0.5) == 0.0
+    assert STEP.value(0.999) == 0.0
+    assert ShannonUtility(2.0).value(0.5) == 0.0
 
 
 def test_step_validation():
@@ -92,6 +90,23 @@ def test_step_validation():
         StepUtility(((1.0, 2.0), (3.0, 1.0)))
     with pytest.raises(ValueError, match="steps"):
         StepUtility(tuple((1.0 + k, float(k)) for k in range(10_001)))
+    for bad in (((math.nan, 1.0),), ((1.0, math.inf),), ((1.0, 0.5), (2.0, math.nan))):
+        with pytest.raises(ValueError, match="finite"):
+            StepUtility(bad)
+
+
+def test_shannon_validation():
+    for scale, cutoff in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ShannonUtility(scale, cutoff)
+
+
+def test_shannon_inverse_beyond_every_finite_sinr():
+    # 2^(target / scale) overflows from target / scale = 1024 on
+    u = ShannonUtility(1.0)
+    assert inverse_threshold(u, 1023.0) == 2.0**1023 - 1.0
+    assert inverse_threshold(u, 1024.0) is None
+    assert inverse_threshold(ShannonUtility(0.5), 2000.0) is None
 
 
 @st.composite
@@ -111,14 +126,14 @@ def step_utilities(draw):
 @given(u=step_utilities(), frac=st.floats(min_value=0.01, max_value=1.0))
 @settings(max_examples=300, deadline=None)
 def test_step_inverse_round_trip(u, frac):
-    top = max_utility(u, math.inf)
+    top = u.max_value(math.inf)
     target = frac * top
     gamma = inverse_threshold(u, target)
     assert gamma is not None and gamma >= 1.0
-    assert value(u, gamma) >= target
+    assert u.value(gamma) >= target
     # just below the returned gamma the target is not reached
     below = math.nextafter(gamma, 0.0)
-    assert value(u, below) < target
+    assert u.value(below) < target
 
 
 @given(
@@ -130,15 +145,15 @@ def test_shannon_inverse_round_trip(scale, target):
     u = ShannonUtility(scale, 1.0)
     gamma = inverse_threshold(u, target)
     assert gamma >= 1.0
-    assert value(u, gamma) >= target * (1 - 1e-9)
+    assert u.value(gamma) >= target * (1 - 1e-9)
     if gamma > 1.0:
-        assert value(u, gamma * (1 - 1e-6)) < target
+        assert u.value(gamma * (1 - 1e-6)) < target
 
 
 @given(u=step_utilities(), a=st.floats(0.01, 1.0), b=st.floats(0.01, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_inverse_monotone_in_target(u, a, b):
-    top = max_utility(u, math.inf)
+    top = u.max_value(math.inf)
     lo, hi = sorted((a * top, b * top))
     g_lo, g_hi = inverse_threshold(u, lo), inverse_threshold(u, hi)
     assert g_lo <= g_hi
@@ -146,9 +161,9 @@ def test_inverse_monotone_in_target(u, a, b):
 
 def test_capped_utility():
     capped = CappedUtility(STEP, 0.7)
-    assert value(capped, 10.0) == 0.7
-    assert value(capped, 2.0) == 0.5
-    assert max_utility(capped, math.inf) == 0.7
+    assert capped.value(10.0) == 0.7
+    assert capped.value(2.0) == 0.5
+    assert capped.max_value(math.inf) == 0.7
     assert inverse_threshold(capped, 0.5) == 1.0
     assert inverse_threshold(capped, 0.8) is None
 
