@@ -82,35 +82,41 @@ def _affectances(beta, margin, received):
 class _Candidates:
     """O(n) arrays over a candidate set and the O(n) rows the greedies add up.
 
-    Row methods give the value from candidate k onto every candidate, column
-    methods the value from every candidate onto k; entry k itself is zero.
+    ``pos`` are the candidates' rows of the instance arrays and ``beta``
+    their resolved thresholds. Endpoints are gathered once (see
+    ``MetricSpace.gather``), so a row measures from them without looking
+    any node up. Row methods give the value from candidate k onto every
+    candidate, column methods the value from every candidate onto k; entry k
+    itself is zero.
     """
 
-    def __init__(self, instance, ids, thresholds, powers=None):
-        self.metric = instance.metric
+    def __init__(self, instance, ids, pos, beta, powers=None):
+        metric = instance.metric
+        self.between = metric.between
         self.alpha = instance.alpha
         self.index = {lid: k for k, lid in enumerate(ids)}
-        pos = instance.positions(ids)
-        self.senders = instance.senders[pos]
-        self.receivers = instance.receivers[pos]
+        self.pos = pos
+        self.senders = metric.gather(instance.senders[pos])
+        self.receivers = metric.gather(instance.receivers[pos])
         self.d_alpha = instance.d_alpha[pos]
-        self.beta = thresholds_for(instance, ids, thresholds)
-        self.sens = self.beta * self.d_alpha
+        self.beta = beta
+        self.sens = beta * self.d_alpha
         if powers is not None:
             self.p = np.array([powers[lid] for lid in ids], dtype=np.float64)
-            self.margin = self.p / self.d_alpha - self.beta * instance.noise
+            self.margin = self.p / self.d_alpha - beta * instance.noise
 
-    def beta_of(self, ids):
-        """Thresholds of the given candidate ids."""
-        return self.beta[[self.index[lid] for lid in ids]]
+    def subset(self, ids):
+        """The candidates ``ids``, a subset, with their thresholds."""
+        sub = [self.index[lid] for lid in ids]
+        return self.pos[sub], self.beta[sub]
 
     def _out_alpha(self, k):
         """d(sender_k, receiver_b)^alpha for every candidate b."""
-        return self.metric.distances(self.receivers, self.senders[k]) ** self.alpha
+        return self.between(self.receivers, self.senders[..., k]) ** self.alpha
 
     def _in_alpha(self, k):
         """d(sender_a, receiver_k)^alpha for every candidate a."""
-        return self.metric.distances(self.receivers[k], self.senders) ** self.alpha
+        return self.between(self.receivers[..., k], self.senders) ** self.alpha
 
     def weight_row(self, k):
         row = _weights(self.sens[k], self.sens, self._out_alpha(k), self._in_alpha(k))
@@ -186,7 +192,7 @@ def _greedy_unlimited(instance, ids, thresholds):
     """
     beta = thresholds_for(instance, ids, thresholds)
     order = sensitivity_order(instance, ids, beta)
-    cands = _Candidates(instance, ids, beta)
+    cands = _Candidates(instance, ids, instance.positions(ids), beta)
     accepted, trace = _greedy(
         reversed(order), cands, np.zeros(len(ids)), weight_budget(instance.alpha), cands.weight_row
     )
@@ -200,17 +206,16 @@ def _power_recurrence(instance, accepted, cands):
     Returns the powers and the accepted links' geometry in sorted id order,
     which ``_finish`` reuses for the SINRs."""
     geo = geometry(instance, sorted(accepted))
-    beta = cands.beta_of(geo.ids)
+    _, beta = cands.subset(geo.ids)
     # interference[k]: summed p / cross-distance^alpha at link k from the
     # links assigned so far, in assignment order
     interference = np.zeros(geo.n)
     powers: dict[int, float] = {}
-    for lid in accepted:
-        k = geo.index[lid]
-        powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
-        with np.errstate(divide="ignore"):
-            gain = 1.0 / geo.cross_alpha[:, k]
-        interference += powers[lid] * gain
+    with np.errstate(divide="ignore"):
+        for lid in accepted:
+            k = geo.index[lid]
+            powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
+            interference += powers[lid] * (1.0 / geo.cross_alpha[:, k])
     return powers, geo
 
 
@@ -329,7 +334,7 @@ def solve_fixed(
             )
 
     order = sensitivity_order(instance, ids, beta)
-    cands = _Candidates(instance, ids, beta, powers)
+    cands = _Candidates(instance, ids, instance.positions(ids), beta, powers)
     # load[c]: affectance between c and the tentative links, both ways. A
     # link that misses the solo SINR gate (p / d^alpha must reach beta * N
     # up to tolerance) starts at an infinite load and is never accepted.
@@ -398,7 +403,7 @@ def _limited_first_branch(instance, r1, beta):
     links it accepted, most sensitive first, that keeps a link while its
     outgoing weight onto the kept links stays within the budget."""
     first_pass, trace1, all_cands = _greedy_unlimited(instance, r1, beta)
-    cands = _Candidates(instance, first_pass, all_cands.beta_of(first_pass))
+    cands = _Candidates(instance, first_pass, *all_cands.subset(first_pass))
     # the first pass accepted its links least sensitive first; a load is the
     # weight from c onto the kept links, all more sensitive than c
     kept, trace2 = _greedy(

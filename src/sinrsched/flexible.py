@@ -5,23 +5,31 @@ asks every utility for the smallest SINR reaching the target, uses those as
 individual thresholds, runs the requested threshold solver and scores the
 result by the utilities realized at the actual SINRs. The best level wins.
 
+The utilities are held as one ``UtilityTable`` (step tables, Shannon
+parameters, rounding and the caps as a vector), so a single array
+``inverse_threshold`` call gives every level's thresholds, and the top value
+is a vector maximum over each link's best value alone, which a run computes
+once per link.
+
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
-per slot) can hand in the previous run and every level whose input is
-unchanged reuses the stored solution instead of solving again.
+per slot) can hand in the previous run: every level whose input is
+unchanged reuses the stored solution instead of solving again, and the
+tables and best values of links whose uncapped utility is the same object
+are reused instead of rebuilt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
 from .model import INF, Instance, Solution, empty_solution, powers_for, utilities_for
-from .utility import UtilitySpec, inverse_threshold
+from .utility import UtilitySpec, UtilityTable, inverse_threshold, split_caps
 
 MODES = ("unlimited", "fixed", "limited")
 
@@ -54,6 +62,10 @@ class FlexibleRun:
     mode: str
     levels: tuple[FlexibleLevel, ...]
     best_index: Optional[int]
+    # what a later sweep on the same instance, mode and powers may reuse:
+    # the utility tables and each level's key (see ``_sweep``)
+    _tables: Optional["_Tables"] = field(default=None, repr=False, compare=False)
+    _keys: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def best(self) -> Optional[FlexibleLevel]:
@@ -94,6 +106,43 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     return p / (instance.noise * float(instance.d_alpha[instance._position(lid)]))
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """A sweep's uncapped utilities (their cores, see ``split_caps``) as one
+    table with a row per link in id order, and each core's best value alone
+    under the mode. Valid for one instance, mode and powers; a later sweep
+    over a subset of the links with the same core objects reuses it."""
+
+    instance: Instance
+    powers: Optional[Mapping[int, float]]
+    ids: list
+    row: dict  # link id -> row
+    cores: tuple
+    table: UtilityTable
+    solo_max: np.ndarray
+
+    @classmethod
+    def build(cls, instance, mode, powers, ids, cores) -> "_Tables":
+        ids, cores = zip(*sorted(zip(ids, cores), key=lambda pair: pair[0]))
+        solo_max = [
+            core.max_value(solo_sinr_cap(instance, lid, mode, powers))
+            for lid, core in zip(ids, cores)
+        ]
+        return cls(
+            instance, powers, list(ids), {lid: k for k, lid in enumerate(ids)}, cores,
+            UtilityTable(cores), np.array(solo_max, dtype=np.float64),
+        )
+
+    def rows(self, instance, powers, ids, cores) -> Optional[list]:
+        """Rows of ``ids`` when each holds the same core object, else None."""
+        if instance is not self.instance or powers is not self.powers:
+            return None
+        rows = [self.row.get(lid) for lid in ids]
+        if None in rows or any(self.cores[k] is not c for k, c in zip(rows, cores)):
+            return None
+        return rows
+
+
 def solve_flexible(
     instance: Instance,
     mode: str = "unlimited",
@@ -111,12 +160,13 @@ def solve_flexible(
     realized SINRs, so the reported objective is the honest achieved value.
 
     ``previous`` is an earlier run on the same instance, mode and powers (the
-    latency scheduler passes the previous slot's run). A threshold solve is a
-    function of its candidates and thresholds alone, so a level whose sorted
-    candidates and thresholds equal those of a level of ``previous`` takes
-    that level's solution instead of solving again; its objective is still
-    scored under the current utilities. Without ``previous`` every level is
-    solved.
+    latency scheduler passes the previous slot's run). When each link's
+    uncapped utility is the object it was there, the run reuses its utility
+    tables, and, since a threshold solve is a function of its candidates and
+    thresholds alone, a level whose sorted candidates and thresholds equal
+    those of a level of ``previous`` takes that level's solution instead of
+    solving again; its objective is still scored under the current
+    utilities. Otherwise, or without ``previous``, every level is solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -128,7 +178,18 @@ def solve_flexible(
     if not ids:
         raise ValueError("no links to schedule")
     utils = dict(zip(ids, utilities_for(instance, ids, utilities)))
-    top = max(utils[lid].max_value(solo_sinr_cap(instance, lid, mode, powers)) for lid in ids)
+    caps, cores = split_caps(utils.values())
+    tables = None if previous is None else previous._tables
+    rows = None if tables is None else tables.rows(instance, powers, utils, cores)
+    if rows is None:
+        tables = _Tables.build(instance, mode, powers, list(utils), cores)
+        rows = [tables.row[lid] for lid in utils]
+    # the table's rows are the tables' links; those not in this sweep get
+    # cap -inf, which leaves them out of every level
+    cap = np.full(len(tables.ids), -math.inf)
+    cap[rows] = caps
+    table = tables.table.capped(cap)
+    top = float(np.max(np.minimum(table.cap, tables.solo_max)))
     if not math.isfinite(top):
         raise ValueError("objective unbounded")
     if top <= 0.0:
@@ -137,47 +198,47 @@ def solve_flexible(
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
     known = {}
-    if previous is not None:
-        known = {_level_input(lvl.thresholds): lvl.solution for lvl in previous.levels}
-    levels = _sweep(instance, mode, utils, powers, top, n_levels, known)
+    if previous is not None and previous._tables is tables:
+        known = {key: level.solution for key, level in zip(previous._keys, previous.levels)}
+    levels, keys = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, known)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index)
+    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, keys)
 
 
-def _level_input(thresholds: Mapping[int, float]) -> tuple:
-    """A level's exact solver input: (id, threshold) of its candidates in id
-    order."""
-    return tuple(sorted(thresholds.items()))
-
-
-def _sweep(instance, mode, utils, powers, top, n_levels, known) -> list[FlexibleLevel]:
-    """Solve the levels top, top / 2, ...; a level whose input is a key of
-    ``known`` takes the stored solution."""
-    levels = []
-    for i in range(n_levels):
-        target = top * 2.0**-i
-        thresholds = {}
-        for lid, u in utils.items():
-            gamma = inverse_threshold(u, target)
-            if gamma is not None:  # else the link sits this level out
-                thresholds[lid] = gamma
-        key = _level_input(thresholds)
+def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, known):
+    """Solve the levels top, top / 2, ...; a level whose key is in ``known``
+    takes the stored solution. ``table`` has a row per entry of ``ids``, and
+    a level's key is the bytes of its thresholds over those rows, NaN where a
+    link sits the level out: its exact solver input. Returns the levels and
+    their keys."""
+    targets = [top * 2.0**-i for i in range(n_levels)]
+    gammas = inverse_threshold(table, np.array(targets)[:, None])
+    # the thresholds keep the links' order
+    ordered = list(utils) == sorted(utils)
+    levels, keys = [], []
+    for i, (target, row) in enumerate(zip(targets, gammas.tolist())):
+        key = gammas[i].tobytes()
+        # in id order; a NaN threshold sits the level out
+        by_id = {lid: gamma for lid, gamma in zip(ids, row) if gamma == gamma}
         sol = known.get(key)
         if sol is None:
-            sol = _solve_level(instance, mode, key, powers)
+            beta = np.array(list(by_id.values()), dtype=np.float64)
+            sol = _solve_level(instance, mode, list(by_id), beta, powers)
+        thresholds = by_id
+        if not ordered:
+            thresholds = {lid: by_id[lid] for lid in utils if lid in by_id}
         realized = sum(utils[lid].value(sol.sinr[lid]) for lid in sol.selected)
         levels.append(FlexibleLevel(i, target, thresholds, sol, float(realized)))
-    return levels
+        keys.append(key)
+    return levels, tuple(keys)
 
 
-def _solve_level(instance, mode, key, powers) -> Solution:
-    """Run the threshold solver on a level's input, handing it the threshold
-    array aligned with the candidates."""
-    if not key:
+def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:
+    """Run the threshold solver on a level's candidates, in id order, and
+    the threshold array aligned with them."""
+    if not candidates:
         return empty_solution(mode)
-    candidates = [lid for lid, _ in key]
-    thresholds = np.array([beta for _, beta in key], dtype=np.float64)
     if mode == "unlimited":
         return solve_unlimited(instance, candidates, thresholds=thresholds)
     if mode == "limited":

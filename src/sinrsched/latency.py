@@ -8,10 +8,15 @@ round caps the utilities at the remaining demands, runs the flexible-rate
 solver, schedules the winning set for one slot and subtracts the realized
 gains.
 
+Scheme 1's rounding is a ``RoundedUtility``: a closed form over the original
+utility's inverse, so no link stores its 2n steps and n is not limited by a
+step count.
+
 Each slot's flexible sweep gets the previous slot's run: a level whose
 candidates and thresholds did not change since then reuses that slot's
-solution (see ``flexible``), so only levels touched by the last slot's
-progress are solved again. Only the previous slot's run is kept.
+solution, and the utility tables built for the scheme's first slot serve
+every later one (see ``flexible``), so only levels touched by the last
+slot's progress are solved again. Only the previous slot's run is kept.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
 from .model import INF, Instance, Solution
-from .utility import CappedUtility, StepUtility, UtilitySpec, inverse_threshold, scaled
+from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
 SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
 RESIDUAL_TOL = 1e-9
@@ -91,28 +96,6 @@ class Schedule:
         }
 
 
-def _rounded_step_utility(u: UtilitySpec, demand: float, n: int) -> StepUtility:
-    """Scheme-1 utility: (1/2n) * floor(2n * u(gamma) / demand), materialized
-    as a step function via inverse queries so later lookups stay exact.
-
-    Values above 1 are cut off; unit demands never consume more.
-    """
-    steps = []
-    denom = 2 * n
-    for k in range(1, denom + 1):
-        gamma = inverse_threshold(u, k * demand / denom)
-        if gamma is None:
-            break
-        steps.append((gamma, k / denom))
-    if not steps:
-        # demand so large that one slot cannot contribute even 1/2n
-        return StepUtility(((1.0, 0.0),))
-    dedup: dict[float, float] = {}
-    for gamma, val in steps:
-        dedup[gamma] = max(val, dedup.get(gamma, 0.0))
-    return StepUtility(tuple(sorted(dedup.items())))
-
-
 def _run_scheme(
     instance: Instance,
     scheme: int,
@@ -125,6 +108,10 @@ def _run_scheme(
     powers: Optional[Mapping[int, float]],
 ) -> SchemeRun:
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
+    # the live links' utilities capped at their residuals; a slot changes the
+    # entries of the links it schedules only
+    capped = {lid: CappedUtility(scheme_utils[lid], r) for lid, r in residual.items() if r > 0.0}
+    live = sorted(capped)
     slots: list[Slot] = []
     stalled = False
     run: Optional[FlexibleRun] = None  # the previous slot's sweep, for level reuse
@@ -137,9 +124,7 @@ def _run_scheme(
             completes = completes or residual[lid] - gains[lid] <= RESIDUAL_TOL
         return gains, completes
 
-    while sum(residual.values()) > 0.0:
-        live = sorted(lid for lid in ids if residual[lid] > 0.0)
-        capped = {lid: CappedUtility(scheme_utils[lid], residual[lid]) for lid in live}
+    while live:
         run = solve_flexible(
             instance, mode=mode, links=live, utilities=capped, powers=powers, previous=run
         )
@@ -171,6 +156,11 @@ def _run_scheme(
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
                 completed.append(lid)
+                del capped[lid]
+            else:
+                capped[lid] = CappedUtility(scheme_utils[lid], residual[lid])
+        if completed:
+            live = [lid for lid in live if lid in capped]
         slots.append(
             Slot(
                 solution=sol,
@@ -232,7 +222,7 @@ def solve_latency(
 
     max_values = {lid: _max_value(instance, lid, mode, powers) for lid in ids}
     n = len(ids)
-    u1 = {lid: _rounded_step_utility(original_utils[lid], original_demands[lid], n) for lid in ids}
+    u1 = {lid: RoundedUtility(original_utils[lid], original_demands[lid], 2 * n) for lid in ids}
     d1 = {lid: 1.0 for lid in ids}
     u2 = {lid: scaled(original_utils[lid], 1.0 / max_values[lid]) for lid in ids}
     d2 = {lid: original_demands[lid] / max_values[lid] for lid in ids}

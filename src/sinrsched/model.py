@@ -33,18 +33,20 @@ class MetricSpace:
 
     Euclidean spaces store their points coordinate-major, as one contiguous
     array per coordinate (shape ``(dim, n)``), and compute L2 distances on
-    demand. ``distances`` adds up ``(x_d[i] - x_d[j])^2`` one coordinate at a
+    demand. ``between`` adds up ``(x_d[i] - x_d[j])^2`` one coordinate at a
     time, in coordinate order, and takes the square root; for dim <= 7 that is
     bit for bit the sum numpy's ``add.reduce`` gives over the last axis of a
     row-major ``(n, dim)`` difference, and within a few ulp above that, where
     ``add.reduce`` sums pairwise. It is the package's only distance
-    arithmetic: ``distance`` and every length and ``d^alpha`` go through it.
+    arithmetic: ``distance``, ``distances`` and every length and ``d^alpha``
+    go through it, on nodes that ``gather`` has looked up.
 
     Matrix spaces store the full symmetric matrix and validate metric axioms
     (incl. the triangle inequality, O(n^3) time and O(n^2) memory) at load
     time; only ``from_matrix(..., validate=False)`` skips the check.
     ``distances`` costs O(size of its result) in both kinds, so a row of
-    distances from one node is O(n).
+    distances from one node is O(n); ``between`` on gathered nodes saves the
+    lookup of each node's coordinates.
     """
 
     __slots__ = ("_coords", "_matrix", "dim")
@@ -100,16 +102,28 @@ class MetricSpace:
     def distances(self, i, j) -> np.ndarray:
         """Element-wise distances d(i[k], j[k]) for node index arrays (or
         scalars) ``i`` and ``j`` that broadcast together."""
-        i = np.asarray(i, dtype=np.intp)
-        j = np.asarray(j, dtype=np.intp)
+        return self.between(self.gather(i), self.gather(j))
+
+    def gather(self, nodes) -> np.ndarray:
+        """The given nodes (an index array or scalar) in the form ``between``
+        takes: their coordinates, coordinate-major (shape ``(dim,) +
+        nodes.shape``), in a Euclidean space, and the indices themselves in a
+        matrix space. Either way, entry ``[..., k]`` stands for ``nodes[k]``,
+        so a caller that measures from the same nodes many times gathers them
+        once."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        return nodes if self._matrix is not None else self._coords[:, nodes]
+
+    def between(self, a, b) -> np.ndarray:
+        """Element-wise distances between gathered nodes ``a`` and ``b`` (see
+        ``gather``) that broadcast together."""
         if self._matrix is not None:
-            return self._matrix[i, j]
-        # x[i] - x[j] is a fresh array, so squaring and adding in place is safe
-        first, *rest = self._coords
-        total = first[i] - first[j]
+            return self._matrix[a, b]
+        # a[d] - b[d] is a fresh array, so squaring and adding in place is safe
+        total = a[0] - b[0]
         total *= total
-        for x in rest:
-            diff = x[i] - x[j]
+        for d in range(1, self.dim):
+            diff = a[d] - b[d]
             diff *= diff
             total += diff
         return np.sqrt(total)

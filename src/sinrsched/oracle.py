@@ -101,12 +101,15 @@ def check_admissible(
 
     Solves (I - B) p = beta * d^alpha * N once. A positive solution exists
     exactly when rho(B) < 1 and is then the minimal power vector; the subset
-    is feasible when that vector is also within the cap (default p_max).
+    is feasible when that vector is also within the cap (default p_max). A
+    cap that is NaN or not positive raises ValueError.
     """
+    cap = instance.p_max if cap is None else cap
+    if not cap > 0:  # also NaN, which every comparison with a power passes
+        raise ValueError(f"cap must be positive (inf for none), got {cap}")
     ids = list(subset)
     if not ids:
         return AdmissibilityCertificate(True, {}, 0)
-    cap = instance.p_max if cap is None else cap
     p, over = _minimal_powers(*_coupling(instance, ids, thresholds), cap)
     if p is None:
         return AdmissibilityCertificate(False, None, 1, None if over is None else ids[over])

@@ -6,6 +6,7 @@ artifact holds up); the CLI turns a non-empty list into exit code 1.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional
 
 from .model import (
@@ -49,15 +50,21 @@ def verify_solution(
             problems.append(f"link {lid}: no power assigned")
             return problems
         p = solution.powers[lid]
-        if p < 0:
+        if not math.isfinite(p):
+            problems.append(f"link {lid}: power {p} is not finite")
+        elif p < 0:
             problems.append(f"link {lid}: negative power")
         if capped and p > instance.p_max * (1 + CAP_RTOL):
             problems.append(f"link {lid}: power {p} exceeds cap {instance.p_max}")
 
     actual = evaluate_sinrs(instance, solution.selected, solution.powers)
     for lid in solution.selected:
+        if not math.isfinite(actual[lid]):
+            # every comparison against a NaN is false, so no later check fails
+            problems.append(f"link {lid}: re-evaluated SINR {actual[lid]} is not finite")
+            continue
         claimed = solution.sinr.get(lid)
-        if claimed is not None and abs(actual[lid] - claimed) > SINR_MATCH_RTOL * max(
+        if claimed is not None and not abs(actual[lid] - claimed) <= SINR_MATCH_RTOL * max(
             1.0, abs(claimed)
         ):
             problems.append(

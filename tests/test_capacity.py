@@ -27,10 +27,15 @@ from sinrsched.capacity import _Candidates, check_power_preconditions
 from sinrsched.model import thresholds_for
 
 
+def _candidates(inst, ids, powers=None):
+    """The greedies' candidate arrays over ``ids`` at their own thresholds."""
+    return _Candidates(inst, ids, inst.positions(ids), thresholds_for(inst, ids), powers)
+
+
 def weight(inst, from_link, to_link):
     """Directed weight of ``from_link`` onto ``to_link``: an entry of the
     greedy's weight row."""
-    cands = _Candidates(inst, [from_link, to_link], None)
+    cands = _candidates(inst, [from_link, to_link])
     return float(cands.weight_row(0)[1])
 
 
@@ -39,7 +44,7 @@ def affectance(inst, from_link, to_link, powers):
     affectance row, zero for a link onto itself."""
     if from_link == to_link:
         return 0.0
-    cands = _Candidates(inst, [from_link, to_link], None, powers)
+    cands = _candidates(inst, [from_link, to_link], powers)
     return float(cands.affectance_row(0)[1])
 
 
@@ -51,7 +56,7 @@ def test_weight_budget_small_for_alpha_at_least_one():
 
 def test_weight_self_is_zero():
     inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
-    cands = _Candidates(inst, [0, 1], None)
+    cands = _candidates(inst, [0, 1])
     assert cands.weight_row(0)[0] == 0.0 and cands.weight_col(0)[0] == 0.0
 
 

@@ -385,3 +385,48 @@ def test_shannon_demand_beyond_every_finite_sinr_schedules(tmp_path, capsys):
     assert code == cli.EXIT_OK, capsys.readouterr().err
     assert len(json.loads(sched.read_text())["slots"]) >= math.ceil(2000 / math.log2(1 + 1e4))
     assert cli.main(["verify", "--instance", str(inst), "--artifact", str(sched)]) == cli.EXIT_OK
+
+
+def test_non_finite_powers_and_sinrs_are_violations(tmp_path, capsys):
+    # inf / inf re-evaluates to a NaN SINR, which passes every comparison
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    inst.write_text(json.dumps(_two_demand_links()))
+    sol.write_text(json.dumps({
+        "selected": [0, 1],
+        "powers": {"0": math.inf, "1": math.inf},
+        "sinr": {"0": math.nan, "1": math.nan},
+        "objective": 2.0,
+        "algorithm": "unlimited",
+    }))
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(sol)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_VERIFY_FAILED == 1, err
+    for lid in (0, 1):
+        assert f"VIOLATION: link {lid}: power inf is not finite" in err
+        assert f"VIOLATION: link {lid}: re-evaluated SINR nan is not finite" in err
+    # a stored NaN next to finite powers matches no re-evaluated SINR
+    sol.write_text(json.dumps({
+        "selected": [0], "powers": {"0": 10.0}, "sinr": {"0": math.nan},
+        "objective": 1.0, "algorithm": "unlimited",
+    }))
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(sol)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == cli.EXIT_VERIFY_FAILED, err
+    assert err == ["VIOLATION: link 0: stored SINR nan but re-evaluation gives 10"]
+
+
+@pytest.mark.parametrize("cap", ["nan", "-1", "0"])
+def test_oracle_cap_must_be_positive(tmp_path, capsys, cap):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "cert.json"
+    inst.write_text(json.dumps(_two_demand_links()))
+    # each link needs power beta * noise * d^alpha = 1 alone
+    code = cli.main(["oracle", "--instance", str(inst), "--cap", "1e-9", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["feasible"] is False
+    capsys.readouterr()
+    code = cli.main(["oracle", "--instance", str(inst), "--cap", cap])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: cap must be positive")

@@ -1,7 +1,9 @@
 """Latency scheduler: slot counts, residual bookkeeping, progress."""
 
 import math
+from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 from sinrsched import (
@@ -9,6 +11,7 @@ from sinrsched import (
     Instance,
     Link,
     MetricSpace,
+    ShannonUtility,
     StepUtility,
     UnschedulableDemand,
     check_admissible,
@@ -17,6 +20,7 @@ from sinrsched import (
 )
 from sinrsched import latency
 from sinrsched.latency import loose_length_bound, schedule_lower_bound
+from sinrsched.utility import RoundedUtility, UtilityTable, inverse_threshold
 
 U = StepUtility(((1.0, 1.0), (8.0, 2.0)))
 
@@ -190,3 +194,69 @@ def test_slot_cap_trips_runtime_error(monkeypatch):
     monkeypatch.setattr(latency, "SLOT_CAP", 0)
     with pytest.raises(RuntimeError, match="cap"):
         solve_latency(inst)
+
+
+def _materialized_rounding(u, demand, n):
+    """Scheme 1's rounding materialized: one step per k in 1..2n at
+    inverse_threshold(u, k * demand / 2n) of value k / 2n, duplicates
+    merged. The closed form must answer every query as this does."""
+    steps = []
+    denom = 2 * n
+    for k in range(1, denom + 1):
+        gamma = inverse_threshold(u, k * demand / denom)
+        if gamma is None:
+            break
+        steps.append((gamma, k / denom))
+    if not steps:
+        return StepUtility(((1.0, 0.0),))
+    dedup = {}
+    for gamma, val in steps:
+        dedup[gamma] = max(val, dedup.get(gamma, 0.0))
+    return StepUtility(tuple(sorted(dedup.items())))
+
+
+ROUNDING_BASES = [
+    (StepUtility(((1.0, 0.5), (4.0, 1.25), (20.0, 3.0))), 2.0),
+    (StepUtility(((2.0, 0.1),)), 5.0),  # no step ever reaches 1/2n of the demand
+    (ShannonUtility(1.0, 3.0), 6.0),  # 6,669 distinct steps at n = 5,001
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 5001])
+@pytest.mark.parametrize("base,demand", ROUNDING_BASES)
+def test_closed_form_rounding_matches_materialized(n, base, demand):
+    ref = _materialized_rounding(base, demand, n)
+    gammas = [g for g, _ in ref.steps]
+    values = [v for _, v in ref.steps]
+    u = RoundedUtility(base, demand, 2 * n)
+    table = UtilityTable([u])
+    # thresholds at every k / 2n, one float above it, between two of them
+    # and past the last; the bisections are StepUtility.min_gamma_for and
+    # .value on sorted steps
+    targets = [k / (2 * n) for k in range(1, 2 * n + 1)]
+    targets += [math.nextafter(t, math.inf) for t in targets]
+    targets += [(k + 0.5) / (2 * n) for k in range(2 * n)] + [1.5]
+    want = [gammas[j] if (j := bisect_left(values, t)) < len(values) else None for t in targets]
+    assert [u.min_gamma_for(t) for t in targets] == want
+    got = inverse_threshold(table, np.array(targets)[:, None])[:, 0].tolist()
+    assert [None if math.isnan(g) else g for g in got] == want
+    # values at, just below and between the step gammas
+    probes = [1.0, 1e6] + gammas + [math.nextafter(g, 0.0) for g in gammas]
+    probes += [(a + b) / 2 for a, b in zip(gammas, gammas[1:])]
+    want = [values[j - 1] if (j := bisect_right(gammas, g)) else 0.0 for g in probes]
+    assert [u.value(g) for g in probes] == want
+    assert u.max_value(math.inf) == ref.max_value(math.inf)
+    if n <= 64:  # the methods themselves, which scan the steps linearly
+        assert [ref.min_gamma_for(t) for t in targets] == [u.min_gamma_for(t) for t in targets]
+        assert [ref.value(g) for g in probes] == [u.value(g) for g in probes]
+
+
+def test_closed_form_rounding_has_no_step_limit():
+    # materialized, the rounding can need more than StepUtility's 10,000
+    # steps from n = 5,001 on
+    base = ShannonUtility(1.0, 1.0)
+    with pytest.raises(ValueError, match="limited to 10000 steps"):
+        _materialized_rounding(base, 6.0, 8000)
+    u = RoundedUtility(base, 6.0, 16000)
+    assert u.min_gamma_for(0.5) == inverse_threshold(base, 8000 * 6.0 / 16000)
+    assert u.value(u.min_gamma_for(0.5)) == 0.5

@@ -7,6 +7,8 @@ must match it exactly. The cached arrays on ``Instance`` must give the same
 floats as the per-link constructions they replaced.
 """
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -17,7 +19,7 @@ from sinrsched.capacity import _Candidates, solve_fixed, solve_limited, solve_un
 from sinrsched.flexible import solve_flexible
 from sinrsched.generate import GenConfig, gen_random
 from sinrsched.latency import RESIDUAL_TOL, SchemeRun, Slot, solve_latency
-from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order
+from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thresholds_for
 from sinrsched.utility import CappedUtility
 
 
@@ -147,6 +149,22 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
     assert 0 < len(solves) < sum(levels)
 
 
+def test_latency_benchmark_schedules_are_pinned():
+    # the benchmark's latency-medium batch: a faster sweep must schedule
+    # every slot exactly as this digest records
+    digest = hashlib.sha256()
+    for seed in range(5):
+        inst = gen_random(GenConfig(
+            n=64, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+            demand_range=(0.5, 3.0), utility=STEP,
+        ))
+        schedule = solve_latency(inst).to_dict(include_trace=True)
+        digest.update(json.dumps(schedule, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "7545623ce6b7c8d5c973a1da02a53487d490124cdb7ca8df4b9fbb6ab4289738"
+    )
+
+
 def test_previous_run_reuses_equal_levels_only():
     inst = _demand_instance(5, 12, STEP)
     first = solve_flexible(inst)
@@ -254,7 +272,9 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
     rng.shuffle(ids)
     thresholds = {lid: rng.uniform(1.0, 5.0) for lid in ids[::2]}
     powers = {lid: rng.uniform(0.0, 1e4) for lid in ids}
-    cands = _Candidates(inst, ids, thresholds, powers)
+    cands = _Candidates(
+        inst, ids, inst.positions(ids), thresholds_for(inst, ids, thresholds), powers
+    )
     for k, lid in enumerate(ids):
         link = inst.link(lid)
         s = np.array([link.sender], dtype=np.intp)
@@ -262,7 +282,9 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
         d_alpha = inst.metric.distances(r, s) ** alpha
         beta = np.array([thresholds.get(lid, link.threshold)])
         assert cands.index[lid] == k
-        assert (cands.senders[k], cands.receivers[k]) == (link.sender, link.receiver)
+        # the gathered endpoints are the nodes' coordinates
+        assert _bits(cands.senders[..., k]) == _bits(inst.metric.gather(link.sender))
+        assert _bits(cands.receivers[..., k]) == _bits(inst.metric.gather(link.receiver))
         assert _bits(cands.d_alpha[k:k + 1]) == _bits(d_alpha)
         assert _bits(cands.beta[k:k + 1]) == _bits(beta)
         assert _bits(cands.sens[k:k + 1]) == _bits(beta * d_alpha)

@@ -119,6 +119,15 @@ def test_cap_violation_names_first_link():
     assert cert.powers is None
 
 
+@pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
+def test_cap_must_be_positive(cap):
+    # a NaN cap passed every power comparison and read as no cap at all
+    inst = gen_line([(0, 1, 2)], alpha=2, noise=0.1)
+    for subset in ([0], []):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            check_admissible(inst, subset, cap=cap)
+
+
 def test_empty_subset_trivially_feasible():
     inst = gen_line([(0, 1, 2)], alpha=2, noise=0.1)
     cert = check_admissible(inst, [], cap=math.inf)

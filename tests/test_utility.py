@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from sinrsched import (
     utility_from_dict,
     utility_to_dict,
 )
+from sinrsched.utility import RoundedUtility, UtilityTable
 
 STEP = StepUtility(((1.0, 0.5), (4.0, 2.0)))
 
@@ -157,6 +159,84 @@ def test_inverse_monotone_in_target(u, a, b):
     lo, hi = sorted((a * top, b * top))
     g_lo, g_hi = inverse_threshold(u, lo), inverse_threshold(u, hi)
     assert g_lo <= g_hi
+
+
+shannon_utilities = st.builds(
+    ShannonUtility, scale=st.floats(1e-3, 10.0), cutoff=st.floats(1.0, 8.0)
+)
+bases = st.one_of(step_utilities(), shannon_utilities)
+cores = st.one_of(
+    bases,
+    st.builds(RoundedUtility, bases, demand=st.floats(0.05, 20.0), denom=st.integers(1, 200)),
+)
+utilities = st.one_of(
+    cores, st.builds(CappedUtility, cores, cap=st.floats(0.0, 6.0)),
+    st.builds(CappedUtility, st.builds(CappedUtility, cores, cap=st.floats(0.0, 6.0)),
+              cap=st.floats(0.0, 6.0)),
+)
+
+
+def _edge_targets(u):
+    """Targets where a query changes its answer: step values, caps, rounding
+    steps, and the Shannon overflow at target / scale = 1024."""
+    out = []
+    while isinstance(u, CappedUtility):
+        out.append(u.cap)
+        u = u.base
+    if isinstance(u, RoundedUtility):
+        steps = [k / u.denom for k in (1, u.denom // 2, u.denom)]
+        out += steps + [math.nextafter(t, d) for t in steps for d in (0.0, math.inf)]
+        out += [k * u.demand / u.denom for k in (1, u.denom)]
+        u = u.base
+    if isinstance(u, StepUtility):
+        out += [v for _, v in u.steps]
+    else:
+        edge = 1024 * u.scale
+        out += [edge, math.nextafter(edge, 0.0), 2 * edge]
+    return [t for t in out if t > 0]
+
+
+def _assert_rows_match(gamma, targets, us):
+    assert gamma.shape == (len(targets), len(us))
+    for t, row in zip(targets, gamma.tolist()):
+        for u, got in zip(us, row):
+            want = inverse_threshold(u, t)
+            assert (math.isnan(got) if want is None else got == want), (u, t, want, got)
+
+
+@given(
+    us=st.lists(utilities, max_size=7),
+    extra=st.lists(st.floats(1e-6, 1e4), max_size=3),
+    caps=st.lists(st.floats(0.0, 6.0), min_size=7, max_size=7),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_search_equals_scalar_inverse(us, extra, caps):
+    targets = extra + [t for u in us for t in _edge_targets(u)] + [1e300]
+    table = UtilityTable(us)
+    _assert_rows_match(inverse_threshold(table, np.array(targets)[:, None]), targets, us)
+    # further caps, among them caps equal to targets, give CappedUtility's answers
+    caps = np.array(caps[: len(us)])
+    capped = [CappedUtility(u, c) for u, c in zip(us, caps.tolist())]
+    targets = targets + caps[caps > 0].tolist()
+    got = inverse_threshold(table.capped(caps), np.array(targets)[:, None])
+    _assert_rows_match(got, targets, capped)
+    # a cap of -inf leaves every row out: an empty level
+    assert np.isnan(inverse_threshold(table.capped(np.full(len(us), -math.inf)), 1.0)).all()
+
+
+def test_table_search_edges():
+    shannon = ShannonUtility(0.5)
+    table = UtilityTable([STEP, shannon, CappedUtility(STEP, 0.5)])
+    targets = [0.5, 2.0, 512.0]
+    got = inverse_threshold(table, np.array(targets)[:, None])
+    assert got.tolist()[0] == [1.0, inverse_threshold(shannon, 0.5), 1.0]
+    assert got.tolist()[1][0] == 4.0 and math.isnan(got[1, 2])
+    assert math.isnan(got[2, 1])  # 512 / 0.5 = 1024: beyond every finite SINR
+    assert inverse_threshold(UtilityTable([]), np.ones((3, 1))).shape == (3, 0)
+    with pytest.raises(ValueError, match="> 0"):
+        inverse_threshold(table, np.array([1.0, 0.0])[:, None])
+    with pytest.raises(TypeError, match="no array form"):
+        UtilityTable([object()])
 
 
 def test_capped_utility():
