@@ -59,24 +59,30 @@ def weight_budget(alpha: float) -> float:
     return 1.0 / (6.0 * 3.0**alpha + 2.0)
 
 
+# Floating-point conditions the weight and affectance rows saturate or mask
+# by design (zero cross-distances, zero margins, infinite powers); a greedy
+# walk enters this state once around all of its rows.
+_ROW_ERRSTATE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
 def _weights(s_from, s_to, x_ft, x_tf):
     """Directed weight min(1, s_f s_t / (x_ft x_tf) + s_f / x_ft + s_f / x_tf).
 
     s is the sensitivity beta * d^alpha, x_ft = d(sender_from, receiver_to)^alpha
     and x_tf = d(sender_to, receiver_from)^alpha; operands broadcast. Zero
     cross-distances saturate individual terms, and the min clamps at 1.
+    Callers run it under ``_ROW_ERRSTATE``.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.minimum(1.0, (s_from * s_to) / (x_ft * x_tf) + s_from / x_ft + s_from / x_tf)
+    return np.minimum(1.0, (s_from * s_to) / (x_ft * x_tf) + s_from / x_ft + s_from / x_tf)
 
 
 def _affectances(beta, margin, received):
     """Affectance onto targets with thresholds ``beta`` and noise margins
     p / d^alpha - beta * N from senders received at strength ``received``;
     operands broadcast. Saturates at 1, and a target without a positive
-    margin takes 1 from every sender, silent or not."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(margin > 0, np.minimum(1.0, beta * received / margin), 1.0)
+    margin takes 1 from every sender, silent or not. Callers run it under
+    ``_ROW_ERRSTATE``."""
+    return np.where(margin > 0, np.minimum(1.0, beta * received / margin), 1.0)
 
 
 class _Candidates:
@@ -170,14 +176,15 @@ def _greedy(candidates, cands, load, budget, row):
     """
     accepted = []
     trace = []
-    for cand in candidates:
-        k = cands.index[cand]
-        lk = float(load[k])
-        ok = lk <= budget
-        trace.append((cand, ok, lk))
-        if ok:
-            accepted.append(cand)
-            load += row(k)
+    with np.errstate(**_ROW_ERRSTATE):
+        for cand in candidates:
+            k = cands.index[cand]
+            lk = float(load[k])
+            ok = lk <= budget
+            trace.append((cand, ok, lk))
+            if ok:
+                accepted.append(cand)
+                load += row(k)
     return accepted, tuple(trace)
 
 

@@ -13,16 +13,23 @@ once per link.
 
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
-per slot) can hand in the previous run: every level whose input is
-unchanged reuses the stored solution instead of solving again, and the
-tables and best values of links whose uncapped utility is the same object
-are reused instead of rebuilt.
+per slot) can hand in the previous run, and the tables and best values of
+links whose uncapped utility is the same object are reused instead of
+rebuilt. A level takes a previous level's solution instead of solving again
+when its input is unchanged, or when it differs only by candidates that the
+previous level's greedy rejected. A rejected candidate adds no row to any
+load, so without it every other load, accept decision and power is the same
+to the float, and the solution is the old one without its trace rows. This
+second rule needs a trace that records every candidate and every link that
+added a row, which holds in "unlimited" and "fixed" mode and in "limited"
+mode without a power cap (that solve is the unlimited one); a capped
+"limited" solve keeps only the trace of the branch it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,9 +70,10 @@ class FlexibleRun:
     levels: tuple[FlexibleLevel, ...]
     best_index: Optional[int]
     # what a later sweep on the same instance, mode and powers may reuse:
-    # the utility tables and each level's key (see ``_sweep``)
+    # the utility tables and each level's thresholds over the tables' rows,
+    # NaN where a link sits the level out (see ``_sweep``)
     _tables: Optional["_Tables"] = field(default=None, repr=False, compare=False)
-    _keys: tuple = field(default=(), repr=False, compare=False)
+    _gammas: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def best(self) -> Optional[FlexibleLevel]:
@@ -163,9 +171,11 @@ def solve_flexible(
     latency scheduler passes the previous slot's run). When each link's
     uncapped utility is the object it was there, the run reuses its utility
     tables, and, since a threshold solve is a function of its candidates and
-    thresholds alone, a level whose sorted candidates and thresholds equal
-    those of a level of ``previous`` takes that level's solution instead of
-    solving again; its objective is still scored under the current
+    thresholds alone, a level takes the solution of a level L of
+    ``previous`` instead of solving again when its candidates and thresholds
+    equal L's, or, outside capped "limited" mode, when they equal L's minus
+    candidates whose trace rows in L say rejected; those rows are then left
+    out of the trace. The objective is still scored under the current
     utilities. Otherwise, or without ``previous``, every level is solved.
     """
     if mode not in MODES:
@@ -197,31 +207,68 @@ def solve_flexible(
         return FlexibleRun(0.0, mode, (), None)
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
-    known = {}
+    reuse = None
     if previous is not None and previous._tables is tables:
-        known = {key: level.solution for key, level in zip(previous._keys, previous.levels)}
-    levels, keys = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, known)
+        reuse = _Reuse(previous, mode != "limited" or instance.p_max == INF)
+    levels, gammas = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, reuse)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, keys)
+    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, gammas)
 
 
-def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, known):
-    """Solve the levels top, top / 2, ...; a level whose key is in ``known``
-    takes the stored solution. ``table`` has a row per entry of ``ids``, and
-    a level's key is the bytes of its thresholds over those rows, NaN where a
-    link sits the level out: its exact solver input. Returns the levels and
-    their keys."""
+class _Reuse:
+    """The level solutions of a previous run, found by a level's thresholds
+    over the tables' rows (its exact solver input, NaN where a link sits the
+    level out).
+
+    The first probe looks for a level with the same bytes. With
+    ``removals``, the second looks for a level L whose thresholds equal the
+    given ones on every row that has one and whose extra rows were all
+    rejected in L's trace; one vectorized compare against the previous
+    run's thresholds and accepted flags, which are gathered on the first
+    such probe.
+    """
+
+    def __init__(self, previous: FlexibleRun, removals: bool):
+        self.previous = previous
+        self.exact = {g.tobytes(): lvl.solution for g, lvl in zip(previous._gammas, previous.levels)}
+        self.removals = removals
+        self.accepted = None
+
+    def find(self, gamma: np.ndarray, candidates) -> Optional[Solution]:
+        """A solution for ``candidates``, the links with a threshold in
+        ``gamma``, or None."""
+        sol = self.exact.get(gamma.tobytes())
+        if sol is not None or not self.removals:
+            return sol
+        gammas = self.previous._gammas
+        if self.accepted is None:
+            self.accepted = np.zeros(gammas.shape, dtype=bool)
+            row = self.previous._tables.row
+            for j, level in enumerate(self.previous.levels):
+                self.accepted[j, [row[lid] for lid, ok, _ in level.solution.trace if ok]] = True
+        # a NaN row matches a previous NaN or a rejected candidate
+        match = ((gammas == gamma) | (np.isnan(gamma) & ~self.accepted)).all(axis=1)
+        if not match.any():
+            return None
+        sol = self.previous.levels[int(match.argmax())].solution
+        return replace(sol, trace=tuple(r for r in sol.trace if r[0] in candidates))
+
+
+def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, reuse):
+    """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
+    previous run's solution where one holds. ``table`` has a row per entry of
+    ``ids``. Returns the levels and their thresholds over those rows, NaN
+    where a link sits the level out."""
     targets = [top * 2.0**-i for i in range(n_levels)]
     gammas = inverse_threshold(table, np.array(targets)[:, None])
     # the thresholds keep the links' order
     ordered = list(utils) == sorted(utils)
-    levels, keys = [], []
+    levels = []
     for i, (target, row) in enumerate(zip(targets, gammas.tolist())):
-        key = gammas[i].tobytes()
         # in id order; a NaN threshold sits the level out
         by_id = {lid: gamma for lid, gamma in zip(ids, row) if gamma == gamma}
-        sol = known.get(key)
+        sol = None if reuse is None else reuse.find(gammas[i], by_id)
         if sol is None:
             beta = np.array(list(by_id.values()), dtype=np.float64)
             sol = _solve_level(instance, mode, list(by_id), beta, powers)
@@ -230,8 +277,7 @@ def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, known):
             thresholds = {lid: by_id[lid] for lid in utils if lid in by_id}
         realized = sum(utils[lid].value(sol.sinr[lid]) for lid in sol.selected)
         levels.append(FlexibleLevel(i, target, thresholds, sol, float(realized)))
-        keys.append(key)
-    return levels, tuple(keys)
+    return levels, gammas
 
 
 def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:

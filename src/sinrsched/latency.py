@@ -14,9 +14,12 @@ step count.
 
 Each slot's flexible sweep gets the previous slot's run: a level whose
 candidates and thresholds did not change since then reuses that slot's
-solution, and the utility tables built for the scheme's first slot serve
-every later one (see ``flexible``), so only levels touched by the last
-slot's progress are solved again. Only the previous slot's run is kept.
+solution, and so, outside capped "limited" mode, does a level whose only
+change is that some candidates the previous level rejected sit it out
+(mostly links the last slot scheduled, whose residual cap fell below the
+high targets). The utility tables built for the scheme's first slot serve
+every later one (see ``flexible``), so only levels whose input changed
+otherwise are solved again. Only the previous slot's run is kept.
 """
 
 from __future__ import annotations

@@ -463,7 +463,8 @@ def thresholds_for(
 
     ``thresholds`` is a mapping id -> beta that wins over the links' own
     thresholds, or an array of thresholds aligned with ``ids``, which is
-    used as is.
+    used as is. Raises ValueError naming the first link whose threshold is
+    not finite and positive.
     """
     ids = list(ids)
     if isinstance(thresholds, np.ndarray):
@@ -479,25 +480,29 @@ def thresholds_for(
             missing[given] = False
         if missing.any():
             raise ValueError(f"link {ids[int(np.argmax(missing))]} has no threshold")
-    if np.any(out <= 0):
-        raise ValueError("thresholds must be positive")
+    # NaN fails both comparisons
+    if not ((out > 0).all() and (out < INF).all()):
+        k = int(np.argmin((out > 0) & (out < INF)))
+        raise ValueError(f"link {ids[k]}: threshold must be finite and positive, got {out[k]}")
     return out
 
 
 def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:
     """Per-sender received strength p / d^alpha; zero power emits nothing even
-    from a zero-distance sender."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = p / dist_alpha_row
-    return np.where(p == 0, 0.0, out)
+    from a zero-distance sender. A zero distance divides by zero and an
+    infinite power over an infinite distance is invalid: callers run it
+    under ``np.errstate(divide="ignore", invalid="ignore")``."""
+    return np.where(p == 0, 0.0, p / dist_alpha_row)
 
 
 def sinr_vector(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
     """SINR of every link of a candidate set, given its matrix
-    cross_alpha[i, j] = d(sender_j, receiver_i)^alpha and its power array."""
-    received = _received(p[None, :], cross_alpha)
-    signal = np.diagonal(received)
-    return signal / (received.sum(axis=1) - signal + noise)
+    cross_alpha[i, j] = d(sender_j, receiver_i)^alpha and its power array.
+    An infinite power gives an infinite or NaN SINR, without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        received = _received(p[None, :], cross_alpha)
+        signal = np.diagonal(received)
+        return signal / (received.sum(axis=1) - signal + noise)
 
 
 def evaluate_sinrs(

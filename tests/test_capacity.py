@@ -23,7 +23,7 @@ from sinrsched import (
     solve_unlimited,
     weight_budget,
 )
-from sinrsched.capacity import _Candidates, check_power_preconditions
+from sinrsched.capacity import _ROW_ERRSTATE, _Candidates, check_power_preconditions
 from sinrsched.model import thresholds_for
 
 
@@ -34,18 +34,21 @@ def _candidates(inst, ids, powers=None):
 
 def weight(inst, from_link, to_link):
     """Directed weight of ``from_link`` onto ``to_link``: an entry of the
-    greedy's weight row."""
+    greedy's weight row, under the floating-point state of a greedy walk."""
     cands = _candidates(inst, [from_link, to_link])
-    return float(cands.weight_row(0)[1])
+    with np.errstate(**_ROW_ERRSTATE):
+        return float(cands.weight_row(0)[1])
 
 
 def affectance(inst, from_link, to_link, powers):
     """Affectance of ``from_link`` on ``to_link``: an entry of the greedy's
-    affectance row, zero for a link onto itself."""
+    affectance row, zero for a link onto itself, under the floating-point
+    state of a greedy walk."""
     if from_link == to_link:
         return 0.0
     cands = _candidates(inst, [from_link, to_link], powers)
-    return float(cands.affectance_row(0)[1])
+    with np.errstate(**_ROW_ERRSTATE):
+        return float(cands.affectance_row(0)[1])
 
 
 def test_weight_budget_small_for_alpha_at_least_one():
@@ -376,3 +379,25 @@ def test_sub_unit_thresholds_run_when_flagged():
     assert sol.selected == (0, 1)
     for lid in sol.selected:
         assert sol.sinr[lid] >= 0.25 * (1 - FEAS_RTOL)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_threshold_overrides_must_be_finite_and_positive(bad):
+    inst = gen_random(GenConfig(
+        n=6, seed=0, area=100.0, d_range=(1.0, 10.0), beta_range=(1.0, 2.0), p_max=1e4
+    ))
+    ids = list(inst.link_ids)
+    powers = {lid: 1e3 for lid in ids}
+    solvers = {
+        "unlimited": lambda t: solve_unlimited(inst, ids, thresholds=t),
+        "limited": lambda t: solve_limited(inst, ids, thresholds=t),
+        "fixed": lambda t: solve_fixed(inst, ids, powers=powers, thresholds=t),
+        "oracle": lambda t: check_admissible(inst, ids, cap=inst.p_max, thresholds=t),
+    }
+    for name, solve in solvers.items():
+        mapping = {ids[2]: bad}
+        array = thresholds_for(inst, ids)
+        array[2] = bad
+        for thresholds in (mapping, array):
+            with pytest.raises(ValueError, match=f"link {ids[2]}: threshold must be finite"):
+                solve(thresholds)

@@ -1,14 +1,16 @@
 """Level reuse in the latency loop and the per-instance link arrays.
 
 The latency scheduler hands each slot's flexible sweep the previous slot's
-run, and levels with unchanged input reuse its solutions. The reference
-below is the scheme loop that solves every level of every slot; schedules
-must match it exactly. The cached arrays on ``Instance`` must give the same
-floats as the per-link constructions they replaced.
+run, and levels whose input is unchanged, or lacks only candidates the
+previous level rejected, reuse its solutions. The reference below is the
+scheme loop that solves every level of every slot; schedules must match it
+exactly. The cached arrays on ``Instance`` must give the same floats as the
+per-link constructions they replaced.
 """
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -20,7 +22,7 @@ from sinrsched.flexible import solve_flexible
 from sinrsched.generate import GenConfig, gen_random
 from sinrsched.latency import RESIDUAL_TOL, SchemeRun, Slot, solve_latency
 from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thresholds_for
-from sinrsched.utility import CappedUtility
+from sinrsched.utility import CappedUtility, StepUtility
 
 
 def _reference_run_scheme(
@@ -103,35 +105,140 @@ def _demand_instance(seed, n, utility, p_max=float("inf"), power=None):
     ))
 
 
+# every mode and cap the reuse rules treat apart; Shannon utilities need a
+# finite SINR cap, so they run only where the power is bounded
 CASES = [
     ("unlimited", STEP, float("inf"), None),
     ("limited", STEP, 5e4, None),
     ("fixed", STEP, 3e3, 3e3),
     ("limited", SHANNON, 5e4, None),
     ("fixed", SHANNON, 3e3, 3e3),
+    ("limited", STEP, float("inf"), None),
 ]
 
 
 @pytest.mark.parametrize("mode,utility,p_max,power", CASES)
 def test_reuse_matches_fresh_sweeps(monkeypatch, mode, utility, p_max, power):
-    for seed in range(3):
-        inst = _demand_instance(70 + seed, 14, utility, p_max, power)
+    seeds = [(70 + seed, 14) for seed in range(3)] + [(seed, 20) for seed in range(500, 540)]
+    for seed, n in seeds:
+        inst = _demand_instance(seed, n, utility, p_max, power)
         got = solve_latency(inst, mode=mode)
         with monkeypatch.context() as m:
             m.setattr(latency, "_run_scheme", _reference_run_scheme)
             want = solve_latency(inst, mode=mode)
-        assert got.to_dict(include_trace=True) == want.to_dict(include_trace=True)
+        assert got.to_dict(include_trace=True) == want.to_dict(include_trace=True), seed
         for scheme in (1, 2):
             assert len(got.runs[scheme].slots) == len(want.runs[scheme].slots)
         assert got.lengths == want.lengths
 
 
+def _spy_solves(monkeypatch, name):
+    """Record the candidates of every ``name`` solve the sweep makes."""
+    solved = []
+    original = getattr(flexible, name)
+
+    def spy(instance, links, *args, **kwargs):
+        solved.append(tuple(links))
+        return original(instance, links, *args, **kwargs)
+
+    monkeypatch.setattr(flexible, name, spy)
+    return solved
+
+
+def _dropped_sweep(inst, mode, first, accepted):
+    """A link whose drop keeps the sweep's top value, so every level keeps
+    its target: one the greedy accepted somewhere when ``accepted``, else
+    one it rejected wherever it was a candidate."""
+    for lid in inst.link_ids:
+        flags = [
+            ok for level in first.levels for row, ok, _ in level.solution.trace if row == lid
+        ]
+        if not flags or any(flags) != accepted:
+            continue
+        links = [l for l in inst.link_ids if l != lid]
+        fresh = solve_flexible(inst, mode=mode, links=links)
+        if fresh.top_value == first.top_value:
+            return lid, links, fresh
+    raise AssertionError("no such link")
+
+
+def test_dropping_rejected_links_reuses_every_level(monkeypatch):
+    inst = _demand_instance(3, 20, STEP)
+    first = solve_flexible(inst)
+    lid, links, fresh = _dropped_sweep(inst, "unlimited", first, accepted=False)
+    solved = _spy_solves(monkeypatch, "solve_unlimited")
+    reused = solve_flexible(inst, links=links, previous=first)
+    assert solved == []
+    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+
+
+def test_dropping_an_accepted_link_solves_its_levels_again(monkeypatch):
+    inst = _demand_instance(3, 20, STEP)
+    first = solve_flexible(inst)
+    lid, links, fresh = _dropped_sweep(inst, "unlimited", first, accepted=True)
+    solved = _spy_solves(monkeypatch, "solve_unlimited")
+    reused = solve_flexible(inst, links=links, previous=first)
+    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+    # exactly the levels whose greedy accepted the link are solved again
+    assert sorted(solved) == sorted(
+        tuple(lvl.thresholds) for old, lvl in zip(first.levels, fresh.levels)
+        if lid in old.solution.selected
+    )
+    assert solved
+
+
+def test_dropping_a_link_the_fixed_filter_removed_solves_again(monkeypatch):
+    # link 0 is accepted first; the three far, strong links 1-3 each stay
+    # within the tentative budget but together put affectance 1.2 on it, so
+    # the final filter drops it. It is not selected, yet it added rows to
+    # their loads, so a sweep without it must solve every level again.
+    points = [[0.0, 1.0], [0.0, 0.0]]
+    for k in range(3):
+        c, s = math.cos(2 * math.pi * k / 3), math.sin(2 * math.pi * k / 3)
+        points += [[10.0 * c, 10.0 * s], [12.0 * c, 12.0 * s]]
+    one = StepUtility(((1.0, 1.0),))
+    links = tuple(
+        Link(id=k, sender=2 * k, receiver=2 * k + 1, threshold=1.0, utility=one)
+        for k in range(4)
+    )
+    inst = Instance(MetricSpace.euclidean(points), 2.0, 1e-6, links)
+    powers = {0: 1.0, 1: 40.0, 2: 40.0, 3: 40.0}
+    first = solve_flexible(inst, mode="fixed", powers=powers)
+    for level in first.levels:
+        assert level.solution.selected == (1, 2, 3)
+        assert level.solution.trace[0][:2] == (0, True)
+    fresh = solve_flexible(inst, mode="fixed", links=[1, 2, 3], powers=powers)
+    solved = _spy_solves(monkeypatch, "solve_fixed")
+    reused = solve_flexible(inst, mode="fixed", links=[1, 2, 3], powers=powers, previous=first)
+    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+    assert solved == [(1, 2, 3)] * len(first.levels)
+
+
+def test_capped_limited_sweep_reuses_unchanged_levels_only(monkeypatch):
+    # a capped limited solve returns one branch's trace, which does not say
+    # what the other branch accepted, so a dropped candidate forces a solve
+    inst = _demand_instance(3, 20, STEP, p_max=5e4)
+    first = solve_flexible(inst, mode="limited")
+    lid, links, fresh = _dropped_sweep(inst, "limited", first, accepted=False)
+    solved = _spy_solves(monkeypatch, "solve_limited")
+    reused = solve_flexible(inst, mode="limited", links=links, previous=first)
+    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+    changed = [
+        old for old, lvl in zip(first.levels, fresh.levels)
+        if tuple(lvl.thresholds) != tuple(old.thresholds)
+    ]
+    assert changed and len(solved) == len(changed)
+
+
 def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
-    # the benchmark's latency instance recipe
-    inst = gen_random(GenConfig(
-        n=64, seed=0, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
-        demand_range=(0.5, 3.0), utility=STEP,
-    ))
+    # the benchmark's latency-medium batch
+    instances = [
+        gen_random(GenConfig(
+            n=64, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+            demand_range=(0.5, 3.0), utility=STEP,
+        ))
+        for seed in range(5)
+    ]
     solves, levels = [], []
 
     def counting_solver(*args, **kwargs):
@@ -145,8 +252,10 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
 
     monkeypatch.setattr(flexible, "solve_unlimited", counting_solver)
     monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
-    solve_latency(inst)
-    assert 0 < len(solves) < sum(levels)
+    for inst in instances:
+        solve_latency(inst)
+    # 3,743 solves when only unchanged levels were reused
+    assert (len(solves), sum(levels)) == (1868, 6447)
 
 
 def test_latency_benchmark_schedules_are_pinned():
