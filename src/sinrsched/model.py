@@ -498,11 +498,14 @@ def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:
 def sinr_vector(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
     """SINR of every link of a candidate set, given its matrix
     cross_alpha[i, j] = d(sender_j, receiver_i)^alpha and its power array.
-    An infinite power gives an infinite or NaN SINR, without a warning."""
+    Leading axes, if any, stack independent sets: (m, k, k) matrices with
+    (m, k) powers give (m, k) SINRs, each row the same floats as its own
+    call. An infinite power gives an infinite or NaN SINR, without a
+    warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        received = _received(p[None, :], cross_alpha)
-        signal = np.diagonal(received)
-        return signal / (received.sum(axis=1) - signal + noise)
+        received = _received(p[..., None, :], cross_alpha)
+        signal = np.diagonal(received, axis1=-2, axis2=-1)
+        return signal / (received.sum(axis=-1) - signal + noise)
 
 
 def evaluate_sinrs(

@@ -8,14 +8,17 @@ LU solve of that system; ``spectral_admissible`` answers the uncapped
 question independently through the eigenvalues of B. Either costs
 O(k^2) to build B and O(k^3) to factor it, for a subset of k links, with no
 iteration count that grows near the boundary rho(B) = 1. The brute-force
-searches enumerate all subsets over slices of arrays built once per call and
-are meant for desk-scale ratio experiments and tests.
+searches, meant for desk-scale ratio experiments and tests, build their
+arrays once per call and walk each subset size in lexicographic chunks of at
+most ``_CHUNK`` subsets. A chunk's submatrices are stacked and decided by one
+LAPACK call (one ``sinr_vector`` call under fixed powers), so memory is
+bounded by the chunk, not by the number of subsets of a size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,6 +36,8 @@ from .model import (
 from .utility import UtilitySpec
 
 BRUTE_FORCE_LIMIT = 20
+# subsets of one size decided per stacked call in a brute-force search
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,19 @@ class AdmissibilityCertificate:
         return out
 
 
+def _distinct(ids) -> list:
+    """``ids`` as a list; raises ValueError naming the first repeated link,
+    which would otherwise count as two interfering copies of itself."""
+    ids = list(ids)
+    if len(set(ids)) < len(ids):
+        repeated = next(lid for k, lid in enumerate(ids) if lid in ids[:k])
+        raise ValueError(f"link {repeated} appears more than once")
+    return ids
+
+
 def _coupling(instance, ids, thresholds):
     """Relative interference matrix B and base vector beta * d^alpha * N."""
-    geo = geometry(instance, ids)
+    geo = geometry(instance, _distinct(ids))
     sens = thresholds_for(instance, ids, thresholds) * geo.d_alpha
     with np.errstate(divide="ignore"):
         coupling = sens[:, None] * (1.0 / geo.cross_alpha)
@@ -74,20 +89,13 @@ def _coupling(instance, ids, thresholds):
     return coupling, sens * instance.noise
 
 
-def _minimal_powers(coupling, base, cap):
-    """Solve (I - B) p = base; return (p, None) when p is positive and within
-    the cap, (None, k) when entry k is the first over the cap, and (None,
-    None) when no positive solution exists."""
-    try:
-        p = np.linalg.solve(np.eye(len(base)) - coupling, base)
-    except np.linalg.LinAlgError:
-        return None, None
-    if not (np.isfinite(p).all() and (p > 0).all()):
-        return None, None
-    over = p > cap
-    if over.any():
-        return None, int(over.argmax())
-    return p, None
+def _minimal_powers(coupling, base):
+    """Solve (I - B) p = base, for one system or for a stack of them along
+    leading axes. Return p and, per system, whether it is finite and positive
+    in every entry, which holds exactly when rho(B) < 1 and p is then the
+    minimal power vector. Raises LinAlgError when any matrix is singular."""
+    p = np.linalg.solve(np.eye(base.shape[-1]) - coupling, base[..., None])[..., 0]
+    return p, (np.isfinite(p) & (p > 0)).all(axis=-1)
 
 
 def check_admissible(
@@ -110,9 +118,16 @@ def check_admissible(
     ids = list(subset)
     if not ids:
         return AdmissibilityCertificate(True, {}, 0)
-    p, over = _minimal_powers(*_coupling(instance, ids, thresholds), cap)
-    if p is None:
-        return AdmissibilityCertificate(False, None, 1, None if over is None else ids[over])
+    coupling, base = _coupling(instance, ids, thresholds)
+    try:
+        p, positive = _minimal_powers(coupling, base)
+    except np.linalg.LinAlgError:  # singular: rho(B) = 1
+        positive = False
+    if not positive:
+        return AdmissibilityCertificate(False, None, 1)
+    over = p > cap
+    if over.any():
+        return AdmissibilityCertificate(False, None, 1, ids[int(over.argmax())])
     return AdmissibilityCertificate(True, {lid: float(p[k]) for k, lid in enumerate(ids)}, 1)
 
 
@@ -149,10 +164,35 @@ def spectral_admissible(
 
 
 def _brute_ids(instance, links):
-    ids = sorted(instance.link_ids if links is None else links)
+    ids = sorted(instance.link_ids if links is None else _distinct(links))
     if len(ids) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} links, got {len(ids)}")
     return ids
+
+
+def _combination_chunks(n, size):
+    """combinations(range(n), size) in lexicographic order, as (m, size)
+    index arrays of at most _CHUNK rows."""
+    combos = combinations(range(n), size)
+    while chunk := list(islice(combos, _CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _stacked(mat, combos):
+    """The (m, size, size) stack of mat's submatrices on each row of combos."""
+    return mat[combos[:, :, None], combos[:, None, :]]
+
+
+def _decide(feasible, combos):
+    """feasible(combos) in one stacked call. A singular matrix fails the
+    whole stack, so then each subset is decided alone, and a singular one
+    is infeasible."""
+    try:
+        return feasible(combos)
+    except np.linalg.LinAlgError:
+        if len(combos) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_decide(feasible, row[None]) for row in combos])
 
 
 def brute_opt_threshold(
@@ -168,7 +208,8 @@ def brute_opt_threshold(
     p_max) or "fixed" (SINRs evaluated under the given powers). Ties break
     toward the lexicographically smallest sorted id tuple. Hard limit of
     20 links. The coupling (or, for "fixed", the cross-distance) matrix is
-    built once over all links; each subset is tested on a slice of it.
+    built once over all links; each chunk of subsets is tested on a stack of
+    its slices.
     """
     ids = _brute_ids(instance, links)
     if regime not in ("variable", "variable_capped", "fixed"):
@@ -178,20 +219,22 @@ def brute_opt_threshold(
         cross_alpha = geometry(instance, ids).cross_alpha
         floor = thresholds_for(instance, ids, thresholds) * (1 - FEAS_RTOL)
 
-        def feasible(idx):
-            gamma = sinr_vector(cross_alpha[idx[:, None], idx], p[idx], instance.noise)
-            return bool((gamma >= floor[idx]).all())
+        def feasible(combos):
+            gamma = sinr_vector(_stacked(cross_alpha, combos), p[combos], instance.noise)
+            return (gamma >= floor[combos]).all(axis=-1)
     else:
         coupling, base = _coupling(instance, ids, thresholds)
         cap = INF if regime == "variable" else instance.p_max
 
-        def feasible(idx):
-            return _minimal_powers(coupling[idx[:, None], idx], base[idx], cap)[0] is not None
+        def feasible(combos):
+            p, positive = _minimal_powers(_stacked(coupling, combos), base[combos])
+            return positive & ~(p > cap).any(axis=-1)
 
     for size in range(len(ids), 0, -1):
-        for combo in combinations(range(len(ids)), size):
-            if feasible(np.array(combo)):
-                return tuple(ids[k] for k in combo), size
+        for combos in _combination_chunks(len(ids), size):
+            hits = np.flatnonzero(_decide(feasible, combos))
+            if hits.size:
+                return tuple(ids[k] for k in combos[hits[0]]), size
     return (), 0
 
 
@@ -205,7 +248,8 @@ def brute_opt_flexible_fixed(
 
     Evaluates the summed realized utility of every subset; ties go to the
     lexicographically smallest sorted id tuple (the empty set scores 0).
-    SINRs come from slices of one cross-distance matrix over all links.
+    SINRs come from stacked slices of one cross-distance matrix over all
+    links, one ``sinr_vector`` call per chunk of subsets.
     """
     ids = _brute_ids(instance, links)
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
@@ -214,10 +258,10 @@ def brute_opt_flexible_fixed(
     best_combo: tuple[int, ...] = ()
     best_value = 0.0
     for size in range(1, len(ids) + 1):
-        for combo in combinations(range(len(ids)), size):
-            idx = np.array(combo)
-            gamma = sinr_vector(cross_alpha[idx[:, None], idx], p[idx], instance.noise)
-            total = sum(utils[k].value(g) for k, g in zip(combo, gamma.tolist()))
-            if total > best_value or (total == best_value and combo < best_combo):
-                best_combo, best_value = combo, total
+        for combos in _combination_chunks(len(ids), size):
+            gammas = sinr_vector(_stacked(cross_alpha, combos), p[combos], instance.noise)
+            for combo, gamma in zip(map(tuple, combos.tolist()), gammas.tolist()):
+                total = sum(utils[k].value(g) for k, g in zip(combo, gamma))
+                if total > best_value or (total == best_value and combo < best_combo):
+                    best_combo, best_value = combo, total
     return tuple(ids[k] for k in best_combo), best_value

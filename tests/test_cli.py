@@ -430,3 +430,18 @@ def test_oracle_cap_must_be_positive(tmp_path, capsys, cap):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith("error: cap must be positive")
+
+
+@pytest.mark.parametrize("brute", ["none", "variable", "fixed", "flexible_fixed"])
+def test_oracle_repeated_subset_link_is_bad_input(tmp_path, capsys, brute):
+    # link 0 alone is feasible; "0,0" used to be judged as two copies of it
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "6", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    out = tmp_path / "cert.json"
+    assert cli.main(["oracle", "--instance", str(inst), "--subset", "0", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["feasible"] is True
+    capsys.readouterr()
+    code = cli.main(["oracle", "--instance", str(inst), "--subset", "0,3,0", "--brute", brute])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err == "error: link 0 appears more than once\n"

@@ -3,12 +3,13 @@
 The reference below is the monotone fixed-point power iteration the linear
 solve replaced: p <- B p + beta * d^alpha * N from zero, run until it
 converges, exceeds the cap or stops contracting. The solve must reproduce its
-verdicts and, to a relative 1e-9, its powers. The brute-force searches test
-subsets on slices of matrices built once; a per-subset search is their
-reference.
+verdicts and, to a relative 1e-9, its powers. The brute-force searches decide
+chunks of subsets on stacks of slices of matrices built once; a per-subset
+search is their reference.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from sinrsched import (
     INF,
+    oracle,
     GenConfig,
     StepUtility,
     brute_opt_flexible_fixed,
@@ -29,7 +31,7 @@ from sinrsched import (
     spectral_radius,
     evaluate_sinrs,
 )
-from sinrsched.model import FEAS_RTOL, Instance, Link, MetricSpace, thresholds_for
+from sinrsched.model import FEAS_RTOL, Instance, Link, MetricSpace, geometry, sinr_vector, thresholds_for
 
 
 # -- fixed-point reference -----------------------------------------------------
@@ -373,3 +375,129 @@ def test_sliced_brute_flexible_matches_per_subset_search():
         assert got == _brute_flexible_reference(inst, powers), seed
         values.add(got[1])
     assert len(values) >= 4
+
+
+# -- chunked, stacked brute force ----------------------------------------------
+
+def _ratio_instance(n, seed):
+    # the ratio experiment's recipe: mostly infeasible subsets, small optima
+    return gen_random(GenConfig(
+        n=n, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
+        noise=1.0, p_max=20.0 * 30.0**2,
+    ))
+
+
+def _degenerate_instance():
+    # links 0 and 1: unit links with co-located receivers, so their I - B is
+    # exactly [[1, -1], [-1, 1]]; link 3's sender sits on link 2's receiver
+    return gen_line([(-1, 0, 1), (1, 0, 1), (50, 51, 1), (51, 60, 1)], alpha=2, noise=1.0, p_max=1e4)
+
+
+def _assert_threshold_matches_reference(inst, powers, thresholds):
+    for regime in ("variable", "variable_capped", "fixed"):
+        p = powers if regime == "fixed" else None
+        got = brute_opt_threshold(inst, regime=regime, powers=p, thresholds=thresholds)
+        assert got == _brute_threshold_reference(inst, regime, p, thresholds), regime
+
+
+@pytest.mark.parametrize("chunk", [3, oracle._CHUNK])
+def test_chunked_brute_threshold_matches_per_subset_search(monkeypatch, chunk):
+    # with 3 subsets per chunk, every size above 1 spans several chunks
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    sizes = set()
+    for n, seed in [(1, 0), (4, 1), (7, 2), (9, 3), (10, 4), (11, 5), (12, 6)]:
+        inst = _ratio_instance(n, 1_200 + seed)
+        uniform = {lid: inst.p_max for lid in inst.link_ids}
+        halved = {lid: inst.link(lid).threshold / 2 for lid in inst.link_ids[::2]}
+        for thresholds in (None, halved):
+            _assert_threshold_matches_reference(inst, uniform, thresholds)
+        sizes.add(brute_opt_threshold(inst, thresholds=halved)[1])
+    assert len(sizes) >= 4
+
+
+@pytest.mark.parametrize("chunk", [3, oracle._CHUNK])
+def test_singular_subset_falls_back_to_one_subset_at_a_time(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    inst = _degenerate_instance()
+    B = relative_interference_matrix(inst, [0, 1, 2, 3])
+    assert np.array_equal(np.eye(2) - B[:2, :2], [[1.0, -1.0], [-1.0, 1.0]])
+    assert B[2, 3] == INF
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(2) - B[:2, :2], np.ones(2))
+    # the singular pair (0, 1) opens the chunk that holds the optimum (0, 2)
+    assert brute_opt_threshold(inst, regime="variable") == ((0, 2), 2)
+    assert brute_opt_threshold(inst, regime="variable_capped") == ((0, 2), 2)
+    uniform = {lid: 1e3 for lid in inst.link_ids}
+    for powers in (uniform, {**uniform, 0: 0.0}, {**uniform, 3: 0.0}, dict.fromkeys(uniform, 0.0)):
+        for thresholds in (None, {1: 0.5}, {0: 0.25, 3: 0.1}):
+            _assert_threshold_matches_reference(inst, powers, thresholds)
+
+
+def test_chunked_brute_flexible_matches_per_subset_search(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    values = set()
+    for n, seed in [(1, 0), (3, 1), (5, 2), (8, 3), (10, 4)]:
+        inst = gen_random(GenConfig(
+            n=n, seed=1_300 + seed, area=300.0, d_range=(1.0, 60.0), power=4e3,
+            utility={"family": "step", "steps": 3, "value_max": 2.0},
+        ))
+        powers = {lid: inst.link(lid).fixed_power for lid in inst.link_ids}
+        for zeroed in ((), inst.link_ids[::3]):
+            powers.update(dict.fromkeys(zeroed, 0.0))
+            got = brute_opt_flexible_fixed(inst, powers=powers)
+            assert got == _brute_flexible_reference(inst, powers), (n, zeroed)
+            values.add(got[1])
+    assert len(values) >= 4
+
+
+def test_stacked_kernels_equal_per_slice_calls():
+    inst = _ratio_instance(12, 1_400)
+    rng = np.random.default_rng(0)
+    cross_alpha = geometry(inst).cross_alpha
+    coupling, base = oracle._coupling(inst, list(inst.link_ids), None)
+    for k in (1, 2, 5, 9):
+        combos = np.array([rng.choice(12, size=k, replace=False) for _ in range(40)])
+        powers = rng.uniform(0.0, 1e3, size=combos.shape)
+        powers[rng.random(combos.shape) < 0.2] = 0.0
+        stack = oracle._stacked(cross_alpha, combos)
+        assert stack.shape == (40, k, k)
+        gammas = sinr_vector(stack, powers, inst.noise)
+        for j in range(len(combos)):
+            assert gammas[j].tobytes() == sinr_vector(stack[j], powers[j], inst.noise).tobytes()
+        p, positive = oracle._minimal_powers(oracle._stacked(coupling, combos), base[combos])
+        assert positive.shape == (40,)
+        for j, row in enumerate(combos):
+            p_j, positive_j = oracle._minimal_powers(coupling[np.ix_(row, row)], base[row])
+            assert p[j].tobytes() == p_j.tobytes() and positive[j] == positive_j
+
+
+def test_brute_threshold_memory_is_bounded_by_the_chunk():
+    # OPT is 4 of 18 links, so every size from 18 down to 5 is enumerated in
+    # full; one stack per size would peak near 80 MB here
+    inst = gen_random(GenConfig(n=18, seed=5, area=30.0, d_range=(1.0, 10.0), beta_range=(1.0, 10.0)))
+    tracemalloc.start()
+    try:
+        _, size = brute_opt_threshold(inst, regime="variable")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 4
+    assert peak < 20 * 2**20, peak
+
+
+def test_repeated_link_is_rejected():
+    # a repeated id used to count as two interfering copies of one link
+    inst = gen_random(GenConfig(n=6, seed=1))
+    calls = [
+        lambda: check_admissible(inst, [0, 0]),
+        lambda: check_admissible(inst, [2, 1, 2], cap=INF),
+        lambda: relative_interference_matrix(inst, [3, 3]),
+        lambda: spectral_admissible(inst, [0, 0]),
+        lambda: brute_opt_threshold(inst, links=[1, 4, 1]),
+        lambda: brute_opt_threshold(inst, links=[4, 4], regime="fixed"),
+        lambda: brute_opt_flexible_fixed(inst, links=[5, 5]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"link \d appears more than once"):
+            call()
+    assert check_admissible(inst, [0]).feasible
