@@ -44,6 +44,7 @@ from .model import (
     _received,
     empty_solution,
     geometry,
+    index_of,
     powers_for,
     sensitivity_order,
     sinr_vector,
@@ -100,7 +101,7 @@ class _Candidates:
         metric = instance.metric
         self.between = metric.between
         self.alpha = instance.alpha
-        self.index = {lid: k for k, lid in enumerate(ids)}
+        self.index = index_of(ids)
         self.pos = pos
         self.senders = metric.gather(instance.senders[pos])
         self.receivers = metric.gather(instance.receivers[pos])
@@ -330,6 +331,7 @@ def solve_fixed(
         return empty_solution("fixed")
     powers = dict(zip(ids, powers_for(instance, ids, powers)))
     beta = thresholds_for(instance, ids, thresholds)
+    cands = _Candidates(instance, ids, instance.positions(ids), beta, powers)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, powers, beta)
         if issues:
@@ -341,7 +343,6 @@ def solve_fixed(
             )
 
     order = sensitivity_order(instance, ids, beta)
-    cands = _Candidates(instance, ids, instance.positions(ids), beta, powers)
     # load[c]: affectance between c and the tentative links, both ways. A
     # link that misses the solo SINR gate (p / d^alpha must reach beta * N
     # up to tolerance) starts at an infinite load and is never accepted.
@@ -382,6 +383,10 @@ def solve_limited(
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("limited")
+    if isinstance(thresholds, np.ndarray):
+        # two copies of a link may differ in threshold and land one in each
+        # branch; otherwise they share a branch, whose candidates reject them
+        index_of(ids)
     beta = thresholds_for(instance, ids, thresholds)
     sens = beta * instance.noise * instance.d_alpha[instance.positions(ids)]
     small = sens <= instance.p_max / 4.0

@@ -25,7 +25,7 @@ from .experiments import (
 from .flexible import MODES, solve_flexible
 from .generate import GenConfig, gen_random
 from .latency import solve_latency
-from .model import INF, Instance, Solution
+from .model import Instance, Solution
 from .oracle import brute_opt_flexible_fixed, brute_opt_threshold, check_admissible
 from .verify import verify_flexible_run, verify_schedule, verify_solution
 
@@ -49,10 +49,6 @@ def _emit(data: dict, out: Optional[str]) -> None:
         print(text)
 
 
-def _pmax(text: str) -> float:
-    return INF if text in ("inf", "Inf", "INF") else float(text)
-
-
 def _cmd_gen(args) -> int:
     config = GenConfig(
         n=args.n,
@@ -66,7 +62,7 @@ def _cmd_gen(args) -> int:
         else None,
         alpha=args.alpha,
         noise=args.noise,
-        p_max=_pmax(args.pmax),
+        p_max=float(args.pmax),
         power=args.power,
     )
     _emit(gen_random(config).to_dict(), args.out)
@@ -119,7 +115,7 @@ def _certificate(instance, subset, args) -> dict:
     cert = check_admissible(
         instance,
         subset if subset is not None else instance.link_ids,
-        cap=_pmax(args.cap) if args.cap else None,
+        cap=float(args.cap) if args.cap else None,
     )
     return cert.to_dict()
 

@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
-from .model import INF, Instance, Solution, empty_solution, powers_for, utilities_for
+from .model import INF, Instance, Solution, empty_solution, index_of, powers_for, utilities_for
 from .utility import UtilitySpec, UtilityTable, inverse_threshold, split_caps
 
 MODES = ("unlimited", "fixed", "limited")
@@ -123,7 +123,7 @@ class _Tables:
 
     instance: Instance
     powers: Optional[Mapping[int, float]]
-    ids: list
+    ids: np.ndarray
     row: dict  # link id -> row
     cores: tuple
     table: UtilityTable
@@ -137,7 +137,7 @@ class _Tables:
             for lid, core in zip(ids, cores)
         ]
         return cls(
-            instance, powers, list(ids), {lid: k for k, lid in enumerate(ids)}, cores,
+            instance, powers, np.array(ids), {lid: k for k, lid in enumerate(ids)}, cores,
             UtilityTable(cores), np.array(solo_max, dtype=np.float64),
         )
 
@@ -187,6 +187,7 @@ def solve_flexible(
     ids = list(links)
     if not ids:
         raise ValueError("no links to schedule")
+    index_of(ids)
     utils = dict(zip(ids, utilities_for(instance, ids, utilities)))
     caps, cores = split_caps(utils.values())
     tables = None if previous is None else previous._tables
@@ -265,13 +266,14 @@ def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, reuse):
     # the thresholds keep the links' order
     ordered = list(utils) == sorted(utils)
     levels = []
-    for i, (target, row) in enumerate(zip(targets, gammas.tolist())):
+    for i, (target, gamma) in enumerate(zip(targets, gammas)):
         # in id order; a NaN threshold sits the level out
-        by_id = {lid: gamma for lid, gamma in zip(ids, row) if gamma == gamma}
-        sol = None if reuse is None else reuse.find(gammas[i], by_id)
+        live = gamma == gamma
+        candidates, beta = ids[live].tolist(), gamma[live]
+        by_id = dict(zip(candidates, beta.tolist()))
+        sol = None if reuse is None else reuse.find(gamma, by_id)
         if sol is None:
-            beta = np.array(list(by_id.values()), dtype=np.float64)
-            sol = _solve_level(instance, mode, list(by_id), beta, powers)
+            sol = _solve_level(instance, mode, candidates, beta, powers)
         thresholds = by_id
         if not ordered:
             thresholds = {lid: by_id[lid] for lid in utils if lid in by_id}

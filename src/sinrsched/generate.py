@@ -159,14 +159,9 @@ def gen_line(
     alpha: float = 2.0,
     noise: float = 1.0,
     p_max: float = INF,
-    perturb: bool = False,
     allow_sub_unit: bool = False,
 ) -> Instance:
-    """1-D instance exactly as specified by (sender, receiver, beta) triples.
-
-    With ``perturb`` set, coordinates that collide with an earlier node are
-    nudged by multiples of 1e-9 so all cross-distances stay positive.
-    """
+    """1-D instance exactly as specified by (sender, receiver, beta) triples."""
     points: list[list[float]] = []
     links: list[Link] = []
 
@@ -174,10 +169,6 @@ def gen_line(
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("coordinates must be finite")
-        if perturb:
-            existing = {p[0] for p in points}
-            while x in existing:
-                x += 1e-9
         points.append([x])
         return len(points) - 1
 

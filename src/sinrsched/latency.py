@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
-from .model import INF, Instance, Solution
+from .model import INF, Instance, Solution, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
 SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
@@ -63,8 +63,7 @@ class SchemeRun:
 
     scheme: int
     slots: tuple[Slot, ...]
-    stalled: bool
-    fulfilled_scheme_units: bool
+    stalled: bool  # when not stalled, every scheme-unit demand is met
     fulfilled_original: bool
 
     @property
@@ -106,10 +105,10 @@ def _run_scheme(
     ids: Sequence[int],
     scheme_utils: Mapping[int, UtilitySpec],
     scheme_demands: Mapping[int, float],
-    original_utils: Mapping[int, UtilitySpec],
-    original_demands: Mapping[int, float],
     powers: Optional[Mapping[int, float]],
 ) -> SchemeRun:
+    """Slots until every residual is 0.0, or until no level realizes value;
+    original gains and demands are read off the links."""
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
     # the live links' utilities capped at their residuals; a slot changes the
     # entries of the links it schedules only
@@ -154,7 +153,7 @@ def _run_scheme(
         sol = level.solution
         original_gains, completed = {}, []
         for lid in sol.selected:
-            original_gains[lid] = original_utils[lid].value(sol.sinr[lid])
+            original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
             residual[lid] = max(0.0, residual[lid] - gains[lid])
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
@@ -168,7 +167,7 @@ def _run_scheme(
             Slot(
                 solution=sol,
                 level_index=level.index,
-                thresholds=dict(level.thresholds),
+                thresholds=level.thresholds,
                 gains=gains,
                 original_gains=original_gains,
                 residual_after=dict(residual),
@@ -181,15 +180,14 @@ def _run_scheme(
                 "residual demands are not making progress"
             )
 
-    fulfilled_scheme = not stalled and all(residual[lid] == 0.0 for lid in ids)
     delivered = {lid: 0.0 for lid in ids}
     for slot in slots:
         for lid, gain in slot.original_gains.items():
             delivered[lid] += gain
     fulfilled_original = not stalled and all(
-        delivered[lid] >= original_demands[lid] - RESIDUAL_TOL for lid in ids
+        delivered[lid] >= instance.link(lid).demand - RESIDUAL_TOL for lid in ids
     )
-    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_scheme, fulfilled_original)
+    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_original)
 
 
 def solve_latency(
@@ -208,30 +206,25 @@ def solve_latency(
     """
     if links is None:
         links = instance.link_ids
-    ids = []
-    original_utils: dict[int, UtilitySpec] = {}
-    original_demands: dict[int, float] = {}
-    for lid in links:
-        link = instance.link(lid)
+    # a repeated link would count twice in n, and so in scheme 1's rounding
+    links = [instance.link(lid) for lid in index_of(links)]
+    for link in links:
         if link.demand is None or link.utility is None:
-            raise ValueError(f"link {lid} needs both a demand and a utility")
-        if link.demand == 0.0:
-            continue
-        ids.append(lid)
-        original_utils[lid] = link.utility
-        original_demands[lid] = link.demand
-    if not ids:
+            raise ValueError(f"link {link.id} needs both a demand and a utility")
+    links = [link for link in links if link.demand > 0.0]
+    if not links:
         return Schedule(2, (), {1: 0.0, 2: 0.0}, True, True, {1: None, 2: None})
 
-    max_values = {lid: _max_value(instance, lid, mode, powers) for lid in ids}
+    ids = [link.id for link in links]
+    tops = [_max_value(instance, lid, mode, powers) for lid in ids]
     n = len(ids)
-    u1 = {lid: RoundedUtility(original_utils[lid], original_demands[lid], 2 * n) for lid in ids}
-    d1 = {lid: 1.0 for lid in ids}
-    u2 = {lid: scaled(original_utils[lid], 1.0 / max_values[lid]) for lid in ids}
-    d2 = {lid: original_demands[lid] / max_values[lid] for lid in ids}
+    u1 = {link.id: RoundedUtility(link.utility, link.demand, 2 * n) for link in links}
+    d1 = dict.fromkeys(ids, 1.0)
+    u2 = {link.id: scaled(link.utility, 1.0 / top) for link, top in zip(links, tops)}
+    d2 = {link.id: link.demand / top for link, top in zip(links, tops)}
 
-    run1 = _run_scheme(instance, 1, mode, ids, u1, d1, original_utils, original_demands, powers)
-    run2 = _run_scheme(instance, 2, mode, ids, u2, d2, original_utils, original_demands, powers)
+    run1 = _run_scheme(instance, 1, mode, ids, u1, d1, powers)
+    run2 = _run_scheme(instance, 2, mode, ids, u2, d2, powers)
     if run1.stalled and run2.stalled:
         raise RuntimeError("both schedule schemes stalled; demands cannot be met")
 
@@ -240,7 +233,7 @@ def solve_latency(
         scheme=chosen.scheme,
         slots=chosen.slots,
         lengths={1: run1.length, 2: run2.length},
-        fulfilled=chosen.fulfilled_scheme_units,
+        fulfilled=not chosen.stalled,
         fulfilled_original=chosen.fulfilled_original,
         runs={1: run1, 2: run2},
     )
@@ -248,8 +241,11 @@ def solve_latency(
 
 def _max_value(instance: Instance, lid: int, mode: str, powers=None) -> float:
     """Largest utility link ``lid`` can realize alone under ``mode``. Raises
-    UnschedulableDemand when that is 0; callers pass links with demand."""
+    UnschedulableDemand when that is 0, and ValueError when the link has no
+    utility; callers pass links with demand."""
     link = instance.link(lid)
+    if link.utility is None:
+        raise ValueError(f"link {lid} needs both a demand and a utility")
     top = link.utility.max_value(solo_sinr_cap(instance, lid, mode, powers))
     if top <= 0.0:
         raise UnschedulableDemand(f"link {lid} demands {link.demand} but its maximum utility is 0")
@@ -259,7 +255,7 @@ def _max_value(instance: Instance, lid: int, mode: str, powers=None) -> float:
 def _solo_slots(instance: Instance, links: Optional[Sequence[int]]) -> list[int]:
     """ceil(demand / max utility under the power cap) for every link with
     demand: the slots each needs on its own."""
-    ids = instance.link_ids if links is None else links
+    ids = index_of(instance.link_ids if links is None else links)
     return [
         math.ceil(instance.link(lid).demand / _max_value(instance, lid, "limited"))
         for lid in ids

@@ -209,9 +209,8 @@ class Instance:
     """A scheduling world: metric space, physical constants and links.
 
     Per-link data is computed once, at construction. ``link_ids`` is the
-    tuple of link ids, ``length`` returns the cached sender-receiver
-    distance, and ``positions`` maps link ids to rows of the cached arrays,
-    which follow the order of ``links``:
+    tuple of link ids, and ``positions`` maps link ids to rows of the cached
+    arrays, which follow the order of ``links``:
 
     senders, receivers  node indices
     d_alpha             length^alpha, lengths from ``MetricSpace.distances``;
@@ -240,11 +239,8 @@ class Instance:
         self.metric._check_nodes(senders, receivers)
         lengths = self.metric.distances(receivers, senders)
         d_alpha = lengths**self.alpha
-        positions = {}
+        positions = index_of([link.id for link in self.links])
         for k, link in enumerate(self.links):
-            if link.id in positions:
-                raise ValueError(f"duplicate link id {link.id}")
-            positions[link.id] = k
             if not d_alpha[k] > 0:  # also when a short length underflows
                 raise ValueError(
                     f"link {link.id}: sender-receiver distance^alpha must be > 0 "
@@ -261,7 +257,6 @@ class Instance:
                 )
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "link_ids", tuple(positions))
-        object.__setattr__(self, "_lengths", tuple(lengths.tolist()))
         arrays = {
             "senders": senders,
             "receivers": receivers,
@@ -292,8 +287,9 @@ class Instance:
             raise KeyError(f"no link with id {exc.args[0]}") from None
 
     def length(self, link_id: int) -> float:
-        """Sender-receiver distance, cached at construction."""
-        return self._lengths[self._position(link_id)]
+        """Sender-receiver distance, the one ``d_alpha`` was raised from."""
+        k = self._position(link_id)
+        return float(self.metric.distances(self.receivers[k], self.senders[k]))
 
     def to_dict(self) -> dict:
         links = []
@@ -443,15 +439,29 @@ class Geometry:
         return len(self.ids)
 
 
+def index_of(ids: Sequence[int]) -> dict[int, int]:
+    """Link id -> position in ``ids``; iterating it walks ``ids`` in order.
+    Raises ValueError naming the first link that appears more than once,
+    which would otherwise count as two interfering copies of itself."""
+    index = {lid: k for k, lid in enumerate(ids)}
+    if len(index) < len(ids):
+        seen = set()
+        for lid in ids:
+            if lid in seen:
+                raise ValueError(f"link {lid} appears more than once")
+            seen.add(lid)
+    return index
+
+
 def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometry:
+    """Geometry of ``ids`` (default: every link), which must be distinct."""
     if ids is None:
         ids = instance.link_ids
     ids = tuple(ids)
+    index = index_of(ids)
     pos = instance.positions(ids)
     cross = instance.metric.pair_distances(instance.receivers[pos], instance.senders[pos])
-    return Geometry(
-        ids, instance.d_alpha[pos], cross**instance.alpha, {lid: k for k, lid in enumerate(ids)}
-    )
+    return Geometry(ids, instance.d_alpha[pos], cross**instance.alpha, index)
 
 
 def thresholds_for(

@@ -69,19 +69,9 @@ class AdmissibilityCertificate:
         return out
 
 
-def _distinct(ids) -> list:
-    """``ids`` as a list; raises ValueError naming the first repeated link,
-    which would otherwise count as two interfering copies of itself."""
-    ids = list(ids)
-    if len(set(ids)) < len(ids):
-        repeated = next(lid for k, lid in enumerate(ids) if lid in ids[:k])
-        raise ValueError(f"link {repeated} appears more than once")
-    return ids
-
-
 def _coupling(instance, ids, thresholds):
     """Relative interference matrix B and base vector beta * d^alpha * N."""
-    geo = geometry(instance, _distinct(ids))
+    geo = geometry(instance, ids)
     sens = thresholds_for(instance, ids, thresholds) * geo.d_alpha
     with np.errstate(divide="ignore"):
         coupling = sens[:, None] * (1.0 / geo.cross_alpha)
@@ -164,7 +154,7 @@ def spectral_admissible(
 
 
 def _brute_ids(instance, links):
-    ids = sorted(instance.link_ids if links is None else _distinct(links))
+    ids = sorted(instance.link_ids if links is None else links)
     if len(ids) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} links, got {len(ids)}")
     return ids
@@ -215,8 +205,8 @@ def brute_opt_threshold(
     if regime not in ("variable", "variable_capped", "fixed"):
         raise ValueError(f"unknown regime {regime!r}")
     if regime == "fixed":
-        p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
         cross_alpha = geometry(instance, ids).cross_alpha
+        p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
         floor = thresholds_for(instance, ids, thresholds) * (1 - FEAS_RTOL)
 
         def feasible(combos):
@@ -252,9 +242,9 @@ def brute_opt_flexible_fixed(
     links, one ``sinr_vector`` call per chunk of subsets.
     """
     ids = _brute_ids(instance, links)
+    cross_alpha = geometry(instance, ids).cross_alpha
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     utils = utilities_for(instance, ids, utilities)
-    cross_alpha = geometry(instance, ids).cross_alpha
     best_combo: tuple[int, ...] = ()
     best_value = 0.0
     for size in range(1, len(ids) + 1):

@@ -95,14 +95,3 @@ def test_gen_line_singleton():
 def test_gen_line_rejects_loop():
     with pytest.raises(ValueError, match="coincide"):
         gen_line([(1, 1, 1)])
-
-
-def test_gen_line_perturbation_keeps_distances_positive():
-    inst = gen_line([(0, 1, 1), (1, 0, 1)], perturb=True)
-    n = inst.metric.n_points
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert inst.metric.distance(i, j) > 0
-    # construction is preserved: both links have essentially unit length
-    assert inst.length(0) == pytest.approx(1.0, abs=1e-6)
-    assert inst.length(1) == pytest.approx(1.0, abs=1e-6)

@@ -189,6 +189,18 @@ def test_length_within_loose_bound():
         assert len(sched.slots) >= schedule_lower_bound(inst)
 
 
+def test_demand_without_utility_is_bad_input():
+    inst = Instance(
+        metric=MetricSpace.euclidean([[0.0], [1.0]], dim=1),
+        alpha=2.0,
+        noise=1.0,
+        links=(Link(id=0, sender=0, receiver=1, threshold=1.0, demand=1.0),),
+    )
+    for call in (solve_latency, schedule_lower_bound, loose_length_bound):
+        with pytest.raises(ValueError, match="^link 0 needs both a demand and a utility$"):
+            call(inst)
+
+
 def test_slot_cap_trips_runtime_error(monkeypatch):
     inst = _single(2.0)
     monkeypatch.setattr(latency, "SLOT_CAP", 0)

@@ -25,10 +25,7 @@ from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thre
 from sinrsched.utility import CappedUtility, StepUtility
 
 
-def _reference_run_scheme(
-    instance, scheme, mode, ids, scheme_utils, scheme_demands,
-    original_utils, original_demands, powers,
-):
+def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_demands, powers):
     """The scheme loop without level reuse: a fresh sweep every slot."""
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
     slots = []
@@ -64,7 +61,7 @@ def _reference_run_scheme(
         sol = level.solution
         original_gains, completed = {}, []
         for lid in sol.selected:
-            original_gains[lid] = original_utils[lid].value(sol.sinr[lid])
+            original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
             residual[lid] = max(0.0, residual[lid] - gains[lid])
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
@@ -83,15 +80,15 @@ def _reference_run_scheme(
         if len(slots) > latency.SLOT_CAP:
             raise RuntimeError("slot cap")
 
-    fulfilled_scheme = not stalled and all(residual[lid] == 0.0 for lid in ids)
+    assert stalled or all(residual[lid] == 0.0 for lid in ids)
     delivered = {lid: 0.0 for lid in ids}
     for slot in slots:
         for lid, gain in slot.original_gains.items():
             delivered[lid] += gain
     fulfilled_original = not stalled and all(
-        delivered[lid] >= original_demands[lid] - RESIDUAL_TOL for lid in ids
+        delivered[lid] >= instance.link(lid).demand - RESIDUAL_TOL for lid in ids
     )
-    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_scheme, fulfilled_original)
+    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_original)
 
 
 STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}

@@ -238,3 +238,49 @@ def test_evaluate_sinrs_matches_pointwise():
 def test_every_exported_name_resolves():
     for name in sinrsched.__all__:
         assert hasattr(sinrsched, name), name
+
+
+def _repeated_id_instance():
+    step = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
+    return sinrsched.gen_random(sinrsched.GenConfig(
+        n=6, seed=1, utility=step, demand_range=(0.5, 3.0), p_max=1e6, power=1e5,
+    ))
+
+
+_WITNESS = {lid: 1.0 for lid in range(6)}
+
+# every entry point that takes a list of link ids, each given one link twice
+REPEATED_ID_CALLS = {
+    "Instance": lambda inst: Instance(
+        inst.metric, inst.alpha, inst.noise, inst.links + inst.links[3:4]
+    ),
+    "solve_unlimited": lambda inst: sinrsched.solve_unlimited(inst, [3, 3, 3]),
+    "solve_fixed": lambda inst: sinrsched.solve_fixed(inst, [3, 0, 3, 1]),
+    "solve_limited": lambda inst: sinrsched.solve_limited(inst, [2, 3, 3]),
+    # one copy of link 3 fits a quarter of the cap and the other does not,
+    # so each branch of the split would see it once
+    "solve_limited_split": lambda inst: sinrsched.solve_limited(
+        inst, [3, 3], thresholds=np.array([1.0, 1e9])
+    ),
+    "solve_flexible": lambda inst: sinrsched.solve_flexible(inst, links=[3, 3, 3, 3]),
+    "solve_latency": lambda inst: sinrsched.solve_latency(inst, links=[3, 3, 1]),
+    "loose_length_bound": lambda inst: sinrsched.latency.loose_length_bound(inst, [1, 3, 3]),
+    "schedule_lower_bound": lambda inst: sinrsched.latency.schedule_lower_bound(inst, [3, 3]),
+    "evaluate_sinrs": lambda inst: evaluate_sinrs(inst, [3, 3], _WITNESS),
+    "check_admissible": lambda inst: sinrsched.check_admissible(inst, [3, 0, 3]),
+    "brute_opt_threshold": lambda inst: sinrsched.brute_opt_threshold(inst, links=[3, 4, 3]),
+    "brute_opt_flexible_fixed": lambda inst: sinrsched.brute_opt_flexible_fixed(
+        inst, links=[3, 3]
+    ),
+    "strengthen": lambda inst: sinrsched.strengthen(inst, [3, 3], _WITNESS, 1.0),
+    "markov_survivors": lambda inst: sinrsched.markov_survivors(inst, [3, 3], _WITNESS),
+    "reverse_dual": lambda inst: sinrsched.reverse_dual(inst, [3, 3], _WITNESS),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_ID_CALLS)
+def test_repeated_link_id_is_rejected(name):
+    # a repeated id counts as two interfering copies of one link, or twice
+    # in a link count
+    with pytest.raises(ValueError, match="^link 3 appears more than once$"):
+        REPEATED_ID_CALLS[name](_repeated_id_instance())
