@@ -374,7 +374,8 @@ def solve_limited(
     unlimited-power greedy plus a second pass that re-checks each kept link's
     outgoing weight against the already kept, more sensitive links; that
     bound makes the power recurrence respect the cap. The remaining links run
-    the fixed-power solver at full power. The larger solution wins.
+    the fixed-power solver at full power. The larger solution wins, traced
+    by both branches' traces, so its trace names every candidate.
     """
     if instance.p_max == INF:
         # no cap to respect: the unlimited solver's solution stands as is
@@ -407,7 +408,7 @@ def solve_limited(
         else empty_solution("fixed")
     )
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
-    return replace(chosen, algorithm="limited")
+    return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
 
 
 def _limited_first_branch(instance, r1, beta):

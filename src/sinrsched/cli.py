@@ -50,6 +50,9 @@ def _emit(data: dict, out: Optional[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    demands = (args.demand_min, args.demand_max)
+    if demands.count(None) == 1:
+        raise ValueError("--demand-min and --demand-max go together")
     config = GenConfig(
         n=args.n,
         seed=args.seed,
@@ -57,9 +60,7 @@ def _cmd_gen(args) -> int:
         d_range=(args.dmin, args.dmax),
         beta_range=(args.beta_min, args.beta_max),
         utility=json.loads(args.utility) if args.utility else None,
-        demand_range=(args.demand_min, args.demand_max)
-        if args.demand_min is not None
-        else None,
+        demand_range=None if None in demands else demands,
         alpha=args.alpha,
         noise=args.noise,
         p_max=float(args.pmax),

@@ -19,11 +19,9 @@ rebuilt. A level takes a previous level's solution instead of solving again
 when its input is unchanged, or when it differs only by candidates that the
 previous level's greedy rejected. A rejected candidate adds no row to any
 load, so without it every other load, accept decision and power is the same
-to the float, and the solution is the old one without its trace rows. This
-second rule needs a trace that records every candidate and every link that
-added a row, which holds in "unlimited" and "fixed" mode and in "limited"
-mode without a power cap (that solve is the unlimited one); a capped
-"limited" solve keeps only the trace of the branch it returns.
+to the float, and the solution is the old one without its trace rows. Every
+solver's trace records each candidate and each link that added a row (a
+capped "limited" solve keeps both branches', and the same branch wins).
 """
 
 from __future__ import annotations
@@ -173,18 +171,16 @@ def solve_flexible(
     tables, and, since a threshold solve is a function of its candidates and
     thresholds alone, a level takes the solution of a level L of
     ``previous`` instead of solving again when its candidates and thresholds
-    equal L's, or, outside capped "limited" mode, when they equal L's minus
-    candidates whose trace rows in L say rejected; those rows are then left
-    out of the trace. The objective is still scored under the current
-    utilities. Otherwise, or without ``previous``, every level is solved.
+    equal L's, or equal L's minus candidates whose trace rows in L say
+    rejected; those rows are then left out of the trace. The objective is
+    still scored under the current utilities. Otherwise, or without
+    ``previous``, every level is solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if previous is not None and previous.mode != mode:
         raise ValueError(f"previous run has mode {previous.mode!r}, not {mode!r}")
-    if links is None:
-        links = instance.link_ids
-    ids = list(links)
+    ids = list(instance.link_ids if links is None else links)
     if not ids:
         raise ValueError("no links to schedule")
     index_of(ids)
@@ -208,9 +204,7 @@ def solve_flexible(
         return FlexibleRun(0.0, mode, (), None)
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
-    reuse = None
-    if previous is not None and previous._tables is tables:
-        reuse = _Reuse(previous, mode != "limited" or instance.p_max == INF)
+    reuse = _Reuse(previous) if previous is not None and previous._tables is tables else None
     levels, gammas = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, reuse)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
@@ -222,25 +216,23 @@ class _Reuse:
     over the tables' rows (its exact solver input, NaN where a link sits the
     level out).
 
-    The first probe looks for a level with the same bytes. With
-    ``removals``, the second looks for a level L whose thresholds equal the
-    given ones on every row that has one and whose extra rows were all
-    rejected in L's trace; one vectorized compare against the previous
-    run's thresholds and accepted flags, which are gathered on the first
-    such probe.
+    The first probe looks for a level with the same bytes. The second looks
+    for a level L whose thresholds equal the given ones on every row that
+    has one and whose extra rows were all rejected in L's trace; one
+    vectorized compare against the previous run's thresholds and accepted
+    flags, which are gathered on the first such probe.
     """
 
-    def __init__(self, previous: FlexibleRun, removals: bool):
+    def __init__(self, previous: FlexibleRun):
         self.previous = previous
         self.exact = {g.tobytes(): lvl.solution for g, lvl in zip(previous._gammas, previous.levels)}
-        self.removals = removals
         self.accepted = None
 
     def find(self, gamma: np.ndarray, candidates) -> Optional[Solution]:
         """A solution for ``candidates``, the links with a threshold in
         ``gamma``, or None."""
         sol = self.exact.get(gamma.tobytes())
-        if sol is not None or not self.removals:
+        if sol is not None:
             return sol
         gammas = self.previous._gammas
         if self.accepted is None:

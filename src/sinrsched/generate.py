@@ -58,12 +58,25 @@ def _stream(seed: int, link_index: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, link_index, tag]))
 
 
+def _field(params: Mapping, name: str, default, parse=float):
+    """``parse`` of utility parameter ``name``, or of ``default`` when it is
+    absent; a value it cannot parse is a ValueError naming the field."""
+    try:
+        return parse(params.get(name, default))
+    except (TypeError, ValueError):
+        raise ValueError(f"utility field {name!r}: bad value {params[name]!r}") from None
+
+
 def _random_utility(params: Mapping, rng: np.random.Generator) -> UtilitySpec:
+    if not isinstance(params, Mapping):
+        raise ValueError(f"utility must be an object of parameters, not {params!r}")
     family = params.get("family", "step")
     if family == "step":
-        n_steps = int(params.get("steps", 3))
-        gamma_max = float(params.get("gamma_max", 64.0))
-        value_max = float(params.get("value_max", 1.0))
+        n_steps = _field(params, "steps", 3, int)
+        if n_steps < 1:
+            raise ValueError(f"utility field 'steps' must be >= 1, not {n_steps}")
+        gamma_max = _field(params, "gamma_max", 64.0)
+        value_max = _field(params, "value_max", 1.0)
         gammas = np.sort(rng.uniform(1.0, gamma_max, size=n_steps))
         gammas[0] = max(1.0, gammas[0])
         values = np.sort(rng.uniform(0.0, value_max, size=n_steps))

@@ -14,12 +14,12 @@ step count.
 
 Each slot's flexible sweep gets the previous slot's run: a level whose
 candidates and thresholds did not change since then reuses that slot's
-solution, and so, outside capped "limited" mode, does a level whose only
-change is that some candidates the previous level rejected sit it out
-(mostly links the last slot scheduled, whose residual cap fell below the
-high targets). The utility tables built for the scheme's first slot serve
-every later one (see ``flexible``), so only levels whose input changed
-otherwise are solved again. Only the previous slot's run is kept.
+solution, and so does a level whose only change is that some candidates
+the previous level rejected sit it out (mostly links the last slot
+scheduled, whose residual cap fell below the high targets). The utility
+tables built for the scheme's first slot serve every later one (see
+``flexible``), so only levels whose input changed otherwise are solved
+again. Only the previous slot's run is kept.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ def _run_scheme(
     ids: Sequence[int],
     scheme_utils: Mapping[int, UtilitySpec],
     scheme_demands: Mapping[int, float],
-    powers: Optional[Mapping[int, float]],
 ) -> SchemeRun:
     """Slots until every residual is 0.0, or until no level realizes value;
     original gains and demands are read off the links."""
@@ -127,9 +126,7 @@ def _run_scheme(
         return gains, completes
 
     while live:
-        run = solve_flexible(
-            instance, mode=mode, links=live, utilities=capped, powers=powers, previous=run
-        )
+        run = solve_flexible(instance, mode=mode, links=live, utilities=capped, previous=run)
         if run.best_index is None or run.objective <= 0.0:
             stalled = True  # rounding can zero out every reachable value
             break
@@ -194,7 +191,6 @@ def solve_latency(
     instance: Instance,
     mode: str = "unlimited",
     links: Optional[Sequence[int]] = None,
-    powers: Optional[Mapping[int, float]] = None,
 ) -> Schedule:
     """Schedule every link until its demand is met, in few slots.
 
@@ -202,12 +198,10 @@ def solve_latency(
     but zero achievable utility is unschedulable. Both utility reshapings are
     computed in sequence and the shorter schedule is returned (scheme 2 wins
     ties; scheme 1 can stall when rounding erases all reachable value, scheme
-    2 never stalls).
+    2 never stalls). In "fixed" mode each link sends at its own fixed power.
     """
-    if links is None:
-        links = instance.link_ids
     # a repeated link would count twice in n, and so in scheme 1's rounding
-    links = [instance.link(lid) for lid in index_of(links)]
+    links = [instance.link(lid) for lid in index_of(instance.link_ids if links is None else links)]
     for link in links:
         if link.demand is None or link.utility is None:
             raise ValueError(f"link {link.id} needs both a demand and a utility")
@@ -216,15 +210,15 @@ def solve_latency(
         return Schedule(2, (), {1: 0.0, 2: 0.0}, True, True, {1: None, 2: None})
 
     ids = [link.id for link in links]
-    tops = [_max_value(instance, lid, mode, powers) for lid in ids]
+    tops = [_max_value(instance, lid, mode) for lid in ids]
     n = len(ids)
     u1 = {link.id: RoundedUtility(link.utility, link.demand, 2 * n) for link in links}
     d1 = dict.fromkeys(ids, 1.0)
     u2 = {link.id: scaled(link.utility, 1.0 / top) for link, top in zip(links, tops)}
     d2 = {link.id: link.demand / top for link, top in zip(links, tops)}
 
-    run1 = _run_scheme(instance, 1, mode, ids, u1, d1, powers)
-    run2 = _run_scheme(instance, 2, mode, ids, u2, d2, powers)
+    run1 = _run_scheme(instance, 1, mode, ids, u1, d1)
+    run2 = _run_scheme(instance, 2, mode, ids, u2, d2)
     if run1.stalled and run2.stalled:
         raise RuntimeError("both schedule schemes stalled; demands cannot be met")
 
@@ -239,14 +233,14 @@ def solve_latency(
     )
 
 
-def _max_value(instance: Instance, lid: int, mode: str, powers=None) -> float:
+def _max_value(instance: Instance, lid: int, mode: str) -> float:
     """Largest utility link ``lid`` can realize alone under ``mode``. Raises
     UnschedulableDemand when that is 0, and ValueError when the link has no
     utility; callers pass links with demand."""
     link = instance.link(lid)
     if link.utility is None:
         raise ValueError(f"link {lid} needs both a demand and a utility")
-    top = link.utility.max_value(solo_sinr_cap(instance, lid, mode, powers))
+    top = link.utility.max_value(solo_sinr_cap(instance, lid, mode))
     if top <= 0.0:
         raise UnschedulableDemand(f"link {lid} demands {link.demand} but its maximum utility is 0")
     return top

@@ -50,7 +50,7 @@ class Decomposition:
         return tuple(len(p) for p in self.parts)
 
 
-def _require_witness(instance, ids, powers, thresholds):
+def _require_witness(instance, ids, powers, thresholds=None):
     beta = thresholds_for(instance, ids, thresholds)
     sinrs = evaluate_sinrs(instance, ids, powers)
     for k, lid in enumerate(ids):
@@ -136,7 +136,6 @@ def markov_survivors(
     instance: Instance,
     admissible_set: Sequence[int],
     witness_powers: Mapping[int, float],
-    thresholds: Optional[Mapping[int, float]] = None,
 ) -> tuple[int, ...]:
     """Links whose dual interference is at most twice their dual signal.
 
@@ -144,7 +143,7 @@ def markov_survivors(
     an averaging argument guarantees at least half the set survives.
     """
     ids = sorted(admissible_set)
-    beta = _require_witness(instance, ids, witness_powers, thresholds)
+    beta = _require_witness(instance, ids, witness_powers)
     beta_of = {lid: float(beta[k]) for k, lid in enumerate(ids)}
     for lid in ids:
         if witness_powers[lid] <= 0:
@@ -171,7 +170,6 @@ def reverse_dual(
     instance: Instance,
     admissible_set: Sequence[int],
     witness_powers: Mapping[int, float],
-    thresholds: Optional[Mapping[int, float]] = None,
 ) -> tuple[tuple[int, ...], Instance]:
     """Select at least |L|/72 links whose reversed copies form an admissible
     set at the original thresholds; returns (subset, reversed fragment).
@@ -184,9 +182,9 @@ def reverse_dual(
     ids = sorted(admissible_set)
     if not ids:
         raise ValueError("empty input set")
-    beta = _require_witness(instance, ids, witness_powers, thresholds)
+    beta = _require_witness(instance, ids, witness_powers)
     beta_of = {lid: float(beta[k]) for k, lid in enumerate(ids)}
-    survivors = list(markov_survivors(instance, ids, witness_powers, thresholds))
+    survivors = list(markov_survivors(instance, ids, witness_powers))
 
     fragment = reversed_instance(instance, ids)
     third = {lid: beta_of[lid] / 3.0 for lid in ids}

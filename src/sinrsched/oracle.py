@@ -33,7 +33,6 @@ from .model import (
     thresholds_for,
     utilities_for,
 )
-from .utility import UtilitySpec
 
 BRUTE_FORCE_LIMIT = 20
 # subsets of one size decided per stacked call in a brute-force search
@@ -232,7 +231,6 @@ def brute_opt_flexible_fixed(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
     powers: Optional[Mapping[int, float]] = None,
-    utilities: Optional[Mapping[int, UtilitySpec]] = None,
 ) -> tuple[tuple[int, ...], float]:
     """Exact flexible-rate optimum under fixed powers, by enumeration.
 
@@ -244,7 +242,7 @@ def brute_opt_flexible_fixed(
     ids = _brute_ids(instance, links)
     cross_alpha = geometry(instance, ids).cross_alpha
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    utils = utilities_for(instance, ids, utilities)
+    utils = utilities_for(instance, ids)
     best_combo: tuple[int, ...] = ()
     best_value = 0.0
     for size in range(1, len(ids) + 1):

@@ -113,6 +113,8 @@ class CappedUtility:
     cap: float
 
     def __post_init__(self):
+        if math.isnan(self.cap):
+            raise ValueError("cap must not be NaN")
         if self.cap < 0:
             raise ValueError("cap must be >= 0")
 

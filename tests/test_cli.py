@@ -445,3 +445,24 @@ def test_oracle_repeated_subset_link_is_bad_input(tmp_path, capsys, brute):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err == "error: link 0 appears more than once\n"
+
+
+STEP_UTILITY = ["--utility", '{"family": "step"}']
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--demand-min", "1", *STEP_UTILITY], "--demand-min and --demand-max"),
+    (["--demand-max", "2", *STEP_UTILITY], "--demand-min and --demand-max"),
+    (["--utility", '"step"'], "utility must be an object"),
+    (["--utility", "[1]"], "utility must be an object"),
+    (["--utility", '{"family": "step", "steps": 0}'], "utility field 'steps'"),
+    (["--utility", '{"family": "step", "value_max": null}'], "utility field 'value_max'"),
+], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
+        "zero-steps", "null-value-max"])
+def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
+    out = tmp_path / "inst.json"
+    code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: ") and message in err.splitlines()[0]
+    assert not out.exists()

@@ -25,7 +25,7 @@ from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thre
 from sinrsched.utility import CappedUtility, StepUtility
 
 
-def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_demands, powers):
+def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_demands):
     """The scheme loop without level reuse: a fresh sweep every slot."""
     residual = {lid: float(scheme_demands[lid]) for lid in ids}
     slots = []
@@ -42,7 +42,7 @@ def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_dema
     while sum(residual.values()) > 0.0:
         live = sorted(lid for lid in ids if residual[lid] > 0.0)
         capped = {lid: CappedUtility(scheme_utils[lid], residual[lid]) for lid in live}
-        run = solve_flexible(instance, mode=mode, links=live, utilities=capped, powers=powers)
+        run = solve_flexible(instance, mode=mode, links=live, utilities=capped)
         if run.best_index is None or run.objective <= 0.0:
             stalled = True
             break
@@ -102,8 +102,9 @@ def _demand_instance(seed, n, utility, p_max=float("inf"), power=None):
     ))
 
 
-# every mode and cap the reuse rules treat apart; Shannon utilities need a
-# finite SINR cap, so they run only where the power is bounded
+# every mode, capped and uncapped limited apart (an uncapped limited solve is
+# the unlimited one); Shannon utilities need a finite SINR cap, so they run
+# only where the power is bounded
 CASES = [
     ("unlimited", STEP, float("inf"), None),
     ("limited", STEP, 5e4, None),
@@ -211,20 +212,63 @@ def test_dropping_a_link_the_fixed_filter_removed_solves_again(monkeypatch):
     assert solved == [(1, 2, 3)] * len(first.levels)
 
 
-def test_capped_limited_sweep_reuses_unchanged_levels_only(monkeypatch):
-    # a capped limited solve returns one branch's trace, which does not say
-    # what the other branch accepted, so a dropped candidate forces a solve
+def _returned_branch(inst, level, lid):
+    """Whether ``lid`` sat in the branch whose solution ``level`` returned:
+    a capped limited solve splits its candidates at sensitivity p_max / 4."""
+    def small(l):
+        return level.thresholds[l] * inst.noise * inst.d_alpha[inst.positions([l])[0]] <= inst.p_max / 4
+    return small(lid) == small(level.solution.selected[0])
+
+
+def test_dropping_rejected_links_reuses_every_capped_limited_level(monkeypatch):
+    # a capped limited solve traces both branches, and a candidate rejected
+    # in either changes neither branch nor which one wins, so a sweep
+    # without it solves nothing
     inst = _demand_instance(3, 20, STEP, p_max=5e4)
     first = solve_flexible(inst, mode="limited")
-    lid, links, fresh = _dropped_sweep(inst, "limited", first, accepted=False)
     solved = _spy_solves(monkeypatch, "solve_limited")
-    reused = solve_flexible(inst, mode="limited", links=links, previous=first)
-    assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
-    changed = [
-        old for old, lvl in zip(first.levels, fresh.levels)
-        if tuple(lvl.thresholds) != tuple(old.thresholds)
-    ]
-    assert changed and len(solved) == len(changed)
+    branches = set()
+    for lid in inst.link_ids:
+        if any(ok for level in first.levels for row, ok, _ in level.solution.trace if row == lid):
+            continue
+        links = [l for l in inst.link_ids if l != lid]
+        fresh = solve_flexible(inst, mode="limited", links=links)
+        if fresh.top_value != first.top_value:
+            continue
+        solved.clear()
+        reused = solve_flexible(inst, mode="limited", links=links, previous=first)
+        assert solved == [], lid
+        assert reused.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+        branches.update(
+            _returned_branch(inst, level, lid) for level in first.levels if lid in level.thresholds
+        )
+    # links were dropped from the returned branch and from the other one
+    assert branches == {True, False}
+
+
+def test_capped_limited_trace_names_every_candidate():
+    inst = _demand_instance(3, 20, STEP, p_max=4e3)
+    beta = np.array([inst.link(lid).threshold for lid in inst.link_ids])
+    small = beta * inst.noise * inst.d_alpha <= inst.p_max / 4
+    assert small.any() and not small.all()
+    sol = solve_limited(inst)
+    assert {row[0] for row in sol.trace} == set(inst.link_ids)
+
+
+def test_reuse_skips_most_capped_limited_solves(monkeypatch):
+    solves = _spy_solves(monkeypatch, "solve_limited")
+    levels = []
+
+    def counting_sweep(*args, **kwargs):
+        run = solve_flexible(*args, **kwargs)
+        levels.append(len(run.levels))
+        return run
+
+    monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
+    for seed in range(500, 510):
+        solve_latency(_demand_instance(seed, 20, STEP, p_max=5e4), mode="limited")
+    # 2,034 solves when only unchanged levels were reused
+    assert (len(solves), sum(levels)) == (1363, 3559)
 
 
 def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):

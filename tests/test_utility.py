@@ -248,6 +248,14 @@ def test_capped_utility():
     assert inverse_threshold(capped, 0.8) is None
 
 
+def test_capped_utility_rejects_nan_cap():
+    # a NaN cap made value() NaN while the inverse treated it as no cap
+    with pytest.raises(ValueError, match="NaN"):
+        CappedUtility(STEP, float("nan"))
+    with pytest.raises(ValueError, match=">= 0"):
+        CappedUtility(STEP, -0.5)
+
+
 def test_utility_json_round_trip():
     for u in (STEP, ShannonUtility(1.5, 2.0)):
         assert utility_from_dict(utility_to_dict(u)) == u
