@@ -9,7 +9,8 @@ The utilities are held as one ``UtilityTable`` (step tables, Shannon
 parameters, rounding and the caps as a vector), so a single array
 ``inverse_threshold`` call gives every level's thresholds, and the top value
 is a vector maximum over each link's best value alone, which a run computes
-once per link.
+once per link. Each level keeps its own row of that array, over the table's
+links in id order, and reads its ``thresholds`` mapping off that row.
 
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
@@ -41,13 +42,22 @@ MODES = ("unlimited", "fixed", "limited")
 
 @dataclass(frozen=True)
 class FlexibleLevel:
-    """One target level: value floor, per-link SINR thresholds, solution."""
+    """One target level: value floor, solution, and the per-link SINR
+    thresholds ``gamma`` over ``ids``, NaN where a link sits the level out."""
 
     index: int
     target: float
-    thresholds: dict
     solution: Solution
     objective: float
+    gamma: np.ndarray = field(repr=False, compare=False)
+    ids: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def thresholds(self) -> dict:
+        """id -> SINR threshold of each candidate, in id order; built anew
+        on each access."""
+        live = self.gamma == self.gamma
+        return dict(zip(self.ids[live].tolist(), self.gamma[live].tolist()))
 
     def to_dict(self, include_trace: bool = False) -> dict:
         return {
@@ -67,11 +77,9 @@ class FlexibleRun:
     mode: str
     levels: tuple[FlexibleLevel, ...]
     best_index: Optional[int]
-    # what a later sweep on the same instance, mode and powers may reuse:
-    # the utility tables and each level's thresholds over the tables' rows,
-    # NaN where a link sits the level out (see ``_sweep``)
+    # the utility tables, which a later sweep on the same instance, mode and
+    # powers may reuse; each level holds its thresholds over their rows
     _tables: Optional["_Tables"] = field(default=None, repr=False, compare=False)
-    _gammas: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def best(self) -> Optional[FlexibleLevel]:
@@ -167,14 +175,11 @@ def solve_flexible(
 
     ``previous`` is an earlier run on the same instance, mode and powers (the
     latency scheduler passes the previous slot's run). When each link's
-    uncapped utility is the object it was there, the run reuses its utility
-    tables, and, since a threshold solve is a function of its candidates and
-    thresholds alone, a level takes the solution of a level L of
-    ``previous`` instead of solving again when its candidates and thresholds
-    equal L's, or equal L's minus candidates whose trace rows in L say
-    rejected; those rows are then left out of the trace. The objective is
-    still scored under the current utilities. Otherwise, or without
-    ``previous``, every level is solved.
+    uncapped utility is the object it was there, the run reuses its tables,
+    and a level takes the solution of a level of ``previous`` whose
+    candidates and thresholds are its own, or its own plus candidates that
+    level rejected (their trace rows are left out); the objective is still
+    scored under the current utilities. Otherwise every level is solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -205,28 +210,24 @@ def solve_flexible(
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
     reuse = _Reuse(previous) if previous is not None and previous._tables is tables else None
-    levels, gammas = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, reuse)
+    levels = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, reuse)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, gammas)
+    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables)
 
 
 class _Reuse:
     """The level solutions of a previous run, found by a level's thresholds
-    over the tables' rows (its exact solver input, NaN where a link sits the
-    level out).
-
-    The first probe looks for a level with the same bytes. The second looks
-    for a level L whose thresholds equal the given ones on every row that
-    has one and whose extra rows were all rejected in L's trace; one
-    vectorized compare against the previous run's thresholds and accepted
-    flags, which are gathered on the first such probe.
-    """
+    over the tables' rows (its exact solver input). The first probe looks for
+    a level with the same bytes; the second for a level whose thresholds equal
+    these on every row that has one and whose extra rows its trace rejected,
+    one vectorized compare against the levels' stacked rows and accepted
+    flags, which the first such probe gathers."""
 
     def __init__(self, previous: FlexibleRun):
         self.previous = previous
-        self.exact = {g.tobytes(): lvl.solution for g, lvl in zip(previous._gammas, previous.levels)}
-        self.accepted = None
+        self.exact = {lvl.gamma.tobytes(): lvl.solution for lvl in previous.levels}
+        self.gammas = self.accepted = None
 
     def find(self, gamma: np.ndarray, candidates) -> Optional[Solution]:
         """A solution for ``candidates``, the links with a threshold in
@@ -234,44 +235,41 @@ class _Reuse:
         sol = self.exact.get(gamma.tobytes())
         if sol is not None:
             return sol
-        gammas = self.previous._gammas
+        levels = self.previous.levels
         if self.accepted is None:
-            self.accepted = np.zeros(gammas.shape, dtype=bool)
+            self.gammas = np.stack([level.gamma for level in levels])
+            self.accepted = np.zeros(self.gammas.shape, dtype=bool)
             row = self.previous._tables.row
-            for j, level in enumerate(self.previous.levels):
+            for j, level in enumerate(levels):
                 self.accepted[j, [row[lid] for lid, ok, _ in level.solution.trace if ok]] = True
         # a NaN row matches a previous NaN or a rejected candidate
-        match = ((gammas == gamma) | (np.isnan(gamma) & ~self.accepted)).all(axis=1)
+        match = ((self.gammas == gamma) | (np.isnan(gamma) & ~self.accepted)).all(axis=1)
         if not match.any():
             return None
-        sol = self.previous.levels[int(match.argmax())].solution
-        return replace(sol, trace=tuple(r for r in sol.trace if r[0] in candidates))
+        sol = levels[int(match.argmax())].solution
+        keep = set(candidates)
+        return replace(sol, trace=tuple(r for r in sol.trace if r[0] in keep))
 
 
 def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, reuse):
     """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
     previous run's solution where one holds. ``table`` has a row per entry of
-    ``ids``. Returns the levels and their thresholds over those rows, NaN
-    where a link sits the level out."""
+    ``ids``; each level keeps a copy of its row of thresholds over them, so
+    that a slot keeping one level does not keep the others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
     gammas = inverse_threshold(table, np.array(targets)[:, None])
-    # the thresholds keep the links' order
-    ordered = list(utils) == sorted(utils)
     levels = []
-    for i, (target, gamma) in enumerate(zip(targets, gammas)):
+    for i, (target, row) in enumerate(zip(targets, gammas)):
         # in id order; a NaN threshold sits the level out
+        gamma = row.copy()
         live = gamma == gamma
-        candidates, beta = ids[live].tolist(), gamma[live]
-        by_id = dict(zip(candidates, beta.tolist()))
-        sol = None if reuse is None else reuse.find(gamma, by_id)
+        candidates = ids[live].tolist()
+        sol = None if reuse is None else reuse.find(gamma, candidates)
         if sol is None:
-            sol = _solve_level(instance, mode, candidates, beta, powers)
-        thresholds = by_id
-        if not ordered:
-            thresholds = {lid: by_id[lid] for lid in utils if lid in by_id}
+            sol = _solve_level(instance, mode, candidates, gamma[live], powers)
         realized = sum(utils[lid].value(sol.sinr[lid]) for lid in sol.selected)
-        levels.append(FlexibleLevel(i, target, thresholds, sol, float(realized)))
-    return levels, gammas
+        levels.append(FlexibleLevel(i, target, sol, float(realized), gamma, ids))
+    return levels
 
 
 def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:

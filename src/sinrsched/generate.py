@@ -43,8 +43,13 @@ class GenConfig:
         if self.seed is None:
             raise ValueError("seed is mandatory")
         d_min, d_max = self.d_range
-        if d_min > d_max:
-            raise ValueError("impossible geometry: d_min > d_max")
+        if not 0.0 < d_min <= d_max < INF:
+            raise ValueError(
+                f"d_range: impossible geometry {self.d_range}, need 0 < d_min <= d_max < inf"
+            )
+        for name in ("alpha", "noise"):
+            if not 0.0 < getattr(self, name) < INF:
+                raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
         if d_max > self.area * math.sqrt(self.dim):
             raise ValueError("link length range exceeds the area diagonal")
         if self.beta_set is None and self.beta_range is None:

@@ -12,14 +12,12 @@ Scheme 1's rounding is a ``RoundedUtility``: a closed form over the original
 utility's inverse, so no link stores its 2n steps and n is not limited by a
 step count.
 
-Each slot's flexible sweep gets the previous slot's run: a level whose
-candidates and thresholds did not change since then reuses that slot's
-solution, and so does a level whose only change is that some candidates
-the previous level rejected sit it out (mostly links the last slot
-scheduled, whose residual cap fell below the high targets). The utility
-tables built for the scheme's first slot serve every later one (see
-``flexible``), so only levels whose input changed otherwise are solved
-again. Only the previous slot's run is kept.
+Each slot's flexible sweep gets the previous slot's run and reuses its
+utility tables and every level solution whose input did not change, or lost
+only candidates that level rejected (mostly links the last slot scheduled,
+whose residual cap fell below the high targets); see ``flexible``. Only the
+previous slot's run is kept. A slot keeps its level and the residuals of the
+links it scheduled; ``Schedule.to_dict`` rebuilds every slot's full map.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .flexible import FlexibleRun, solo_sinr_cap, solve_flexible
+from .flexible import FlexibleLevel, FlexibleRun, solo_sinr_cap, solve_flexible
 from .model import INF, Instance, Solution, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
@@ -42,15 +40,30 @@ class UnschedulableDemand(ValueError):
 
 @dataclass(frozen=True)
 class Slot:
-    """One schedule step: the transmitting set and what it accomplished."""
+    """One schedule step: the flexible level that transmits, what it
+    accomplished, and the scheme-unit residuals it left its links."""
 
-    solution: Solution
-    level_index: int
-    thresholds: dict
+    level: FlexibleLevel
     gains: dict           # scheme-unit utility credited per scheduled link
     original_gains: dict  # same slot valued by the original utilities
-    residual_after: dict
-    completed: tuple[int, ...]
+    residuals: dict
+
+    @property
+    def solution(self) -> Solution:
+        return self.level.solution
+
+    @property
+    def level_index(self) -> int:
+        return self.level.index
+
+    @property
+    def thresholds(self) -> dict:
+        return self.level.thresholds
+
+    @property
+    def completed(self) -> tuple[int, ...]:
+        """The scheduled links whose demand this slot met."""
+        return tuple(lid for lid, r in self.residuals.items() if r == 0.0)
 
     @property
     def utility(self) -> float:
@@ -59,9 +72,10 @@ class Slot:
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """Full run of one scheme: slots, final residuals and progress bookkeeping."""
+    """Full run of one scheme: scheme-unit demands, slots and progress."""
 
     scheme: int
+    demands: dict
     slots: tuple[Slot, ...]
     stalled: bool  # when not stalled, every scheme-unit demand is met
     fulfilled_original: bool
@@ -77,22 +91,30 @@ class Schedule:
 
     scheme: int
     slots: tuple[Slot, ...]
-    lengths: dict
-    fulfilled: bool
-    fulfilled_original: bool
     runs: dict
 
+    @property
+    def lengths(self) -> dict:
+        return {scheme: run.length for scheme, run in self.runs.items()}
+
+    @property
+    def fulfilled(self) -> bool:
+        return not self.runs[self.scheme].stalled
+
+    @property
+    def fulfilled_original(self) -> bool:
+        return self.runs[self.scheme].fulfilled_original
+
     def to_dict(self, include_trace: bool = False) -> dict:
+        residual, residuals = dict(self.runs[self.scheme].demands), []
+        for slot in self.slots:
+            residual.update(slot.residuals)
+            residuals.append({str(k): v for k, v in residual.items()})
         return {
             "scheme": self.scheme,
             "slots": [slot.solution.to_dict(include_trace) for slot in self.slots],
-            "residuals": [
-                {str(k): v for k, v in slot.residual_after.items()} for slot in self.slots
-            ],
-            "lengths": {
-                "scheme1": "inf" if self.lengths[1] == INF else self.lengths[1],
-                "scheme2": "inf" if self.lengths[2] == INF else self.lengths[2],
-            },
+            "residuals": residuals,
+            "lengths": {f"scheme{k}": "inf" if v == INF else v for k, v in self.lengths.items()},
             "fulfilled": self.fulfilled,
             "fulfilled_original": self.fulfilled_original,
         }
@@ -108,11 +130,12 @@ def _run_scheme(
 ) -> SchemeRun:
     """Slots until every residual is 0.0, or until no level realizes value;
     original gains and demands are read off the links."""
-    residual = {lid: float(scheme_demands[lid]) for lid in ids}
-    # the live links' utilities capped at their residuals; a slot changes the
-    # entries of the links it schedules only
-    capped = {lid: CappedUtility(scheme_utils[lid], r) for lid, r in residual.items() if r > 0.0}
+    demands = {lid: float(scheme_demands[lid]) for lid in ids}
+    # the live links' utilities capped at their residuals, which are the
+    # caps; a slot changes the entries of the links it schedules only
+    capped = {lid: CappedUtility(scheme_utils[lid], d) for lid, d in demands.items() if d > 0.0}
     live = sorted(capped)
+    delivered = dict.fromkeys(ids, 0.0)
     slots: list[Slot] = []
     stalled = False
     run: Optional[FlexibleRun] = None  # the previous slot's sweep, for level reuse
@@ -122,7 +145,7 @@ def _run_scheme(
         completes = False
         for lid in solution.selected:
             gains[lid] = capped[lid].value(solution.sinr[lid])
-            completes = completes or residual[lid] - gains[lid] <= RESIDUAL_TOL
+            completes = completes or capped[lid].cap - gains[lid] <= RESIDUAL_TOL
         return gains, completes
 
     while live:
@@ -148,43 +171,30 @@ def _run_scheme(
                 level, gains = best_alt
 
         sol = level.solution
-        original_gains, completed = {}, []
+        original_gains, residuals = {}, {}
         for lid in sol.selected:
             original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
-            residual[lid] = max(0.0, residual[lid] - gains[lid])
-            if residual[lid] <= RESIDUAL_TOL:
-                residual[lid] = 0.0
-                completed.append(lid)
+            delivered[lid] += original_gains[lid]
+            residual = max(0.0, capped[lid].cap - gains[lid])
+            if residual <= RESIDUAL_TOL:
+                residual = 0.0
                 del capped[lid]
             else:
-                capped[lid] = CappedUtility(scheme_utils[lid], residual[lid])
-        if completed:
+                capped[lid] = CappedUtility(scheme_utils[lid], residual)
+            residuals[lid] = residual
+        if len(capped) < len(live):
             live = [lid for lid in live if lid in capped]
-        slots.append(
-            Slot(
-                solution=sol,
-                level_index=level.index,
-                thresholds=level.thresholds,
-                gains=gains,
-                original_gains=original_gains,
-                residual_after=dict(residual),
-                completed=tuple(completed),
-            )
-        )
+        slots.append(Slot(level, gains, original_gains, residuals))
         if len(slots) > SLOT_CAP:
             raise RuntimeError(
                 f"schedule exceeded the safety cap of {SLOT_CAP} slots; "
                 "residual demands are not making progress"
             )
 
-    delivered = {lid: 0.0 for lid in ids}
-    for slot in slots:
-        for lid, gain in slot.original_gains.items():
-            delivered[lid] += gain
     fulfilled_original = not stalled and all(
         delivered[lid] >= instance.link(lid).demand - RESIDUAL_TOL for lid in ids
     )
-    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_original)
+    return SchemeRun(scheme, demands, tuple(slots), stalled, fulfilled_original)
 
 
 def solve_latency(
@@ -206,9 +216,6 @@ def solve_latency(
         if link.demand is None or link.utility is None:
             raise ValueError(f"link {link.id} needs both a demand and a utility")
     links = [link for link in links if link.demand > 0.0]
-    if not links:
-        return Schedule(2, (), {1: 0.0, 2: 0.0}, True, True, {1: None, 2: None})
-
     ids = [link.id for link in links]
     tops = [_max_value(instance, lid, mode) for lid in ids]
     n = len(ids)
@@ -223,14 +230,7 @@ def solve_latency(
         raise RuntimeError("both schedule schemes stalled; demands cannot be met")
 
     chosen = run2 if run2.length <= run1.length else run1
-    return Schedule(
-        scheme=chosen.scheme,
-        slots=chosen.slots,
-        lengths={1: run1.length, 2: run2.length},
-        fulfilled=not chosen.stalled,
-        fulfilled_original=chosen.fulfilled_original,
-        runs={1: run1, 2: run2},
-    )
+    return Schedule(chosen.scheme, chosen.slots, {1: run1, 2: run2})
 
 
 def _max_value(instance: Instance, lid: int, mode: str) -> float:

@@ -128,12 +128,6 @@ class MetricSpace:
             total += diff
         return np.sqrt(total)
 
-    def pair_distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Matrix D with D[i, j] = d(rows[i], cols[j])."""
-        ri = np.asarray(rows, dtype=np.intp)
-        ci = np.asarray(cols, dtype=np.intp)
-        return self.distances(ri[:, None], ci[None, :])
-
     def to_dict(self) -> dict:
         if self._coords is not None:
             return {"type": "euclidean", "dim": self.dim, "points": self._coords.T.tolist()}
@@ -460,7 +454,8 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     ids = tuple(ids)
     index = index_of(ids)
     pos = instance.positions(ids)
-    cross = instance.metric.pair_distances(instance.receivers[pos], instance.senders[pos])
+    receivers, senders = instance.receivers[pos], instance.senders[pos]
+    cross = instance.metric.distances(receivers[:, None], senders[None, :])
     return Geometry(ids, instance.d_alpha[pos], cross**instance.alpha, index)
 
 

@@ -448,6 +448,7 @@ def test_oracle_repeated_subset_link_is_bad_input(tmp_path, capsys, brute):
 
 
 STEP_UTILITY = ["--utility", '{"family": "step"}']
+GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax", "1e6"]
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -457,8 +458,11 @@ STEP_UTILITY = ["--utility", '{"family": "step"}']
     (["--utility", "[1]"], "utility must be an object"),
     (["--utility", '{"family": "step", "steps": 0}'], "utility field 'steps'"),
     (["--utility", '{"family": "step", "value_max": null}'], "utility field 'value_max'"),
+    ([*GEN_DEMANDS, "--dmin", "0", "--dmax", "0"], "d_range"),
+    ([*GEN_DEMANDS, "--noise", "0"], "noise"),
+    ([*GEN_DEMANDS, "--dmin", "-50", "--dmax", "-10", "--alpha", "2.5"], "d_range"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
-        "zero-steps", "null-value-max"])
+        "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])

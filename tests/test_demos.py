@@ -1,5 +1,7 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, and the demos that
+narrate flexible levels and latency slots print what they always printed."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,12 @@ import sinrsched
 # the child process imports the same package as the tests, installed or not
 SRC = str(Path(sinrsched.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# sha256 prefixes of the stdout of the demos that read level thresholds,
+# slot completions and gains, and the schedule's lengths and fulfilment
+PINNED = {
+    "02_flexible_rates.py": "d4c6ff1d8484c644",
+    "03_latency_scheduling.py": "2fd7d44c2409412f",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
@@ -26,3 +34,6 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+    if demo.name in PINNED:
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest[:16] == PINNED[demo.name], result.stdout

@@ -64,7 +64,7 @@ def test_distances_bit_equal_to_row_major_reference(dim):
         assert np.array_equal(got, want)
     rows, cols = [3, 0, 59, 17, 17], [5, 8, 1, 17, 40, 2]
     assert np.array_equal(
-        space.pair_distances(rows, cols),
+        space.distances(np.array(rows)[:, None], np.array(cols)[None, :]),
         _reference(pts, np.array(rows)[:, None], np.array(cols)[None, :]),
     )
 

@@ -6,11 +6,13 @@ import pytest
 
 from sinrsched import (
     FEAS_RTOL,
+    GenConfig,
     Instance,
     Link,
     MetricSpace,
     ShannonUtility,
     StepUtility,
+    gen_random,
     solve_flexible,
     solve_unlimited,
 )
@@ -167,3 +169,19 @@ def test_zero_value_world_returns_empty_run():
     assert run.best_index is None
     assert run.objective == 0.0
     assert run.solution.selected == ()
+
+
+def test_level_thresholds_are_in_id_order_whatever_the_link_order():
+    inst = gen_random(GenConfig(
+        n=12, seed=5, area=300.0, d_range=(1.0, 30.0), beta_range=(1.0, 2.0),
+        utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
+    ))
+    ids = sorted(inst.link_ids)
+    forward = solve_flexible(inst, links=ids)
+    backward = solve_flexible(inst, links=ids[::-1])
+    assert len(backward.levels) == len(forward.levels) > 1
+    for fwd, bwd in zip(forward.levels, backward.levels):
+        assert list(bwd.thresholds) == sorted(bwd.thresholds)
+        assert list(bwd.thresholds.items()) == list(fwd.thresholds.items())
+        assert bwd.thresholds
+    assert backward.to_dict(include_trace=True) == forward.to_dict(include_trace=True)

@@ -62,6 +62,22 @@ def test_impossible_geometry_rejected():
         GenConfig(n=1, seed=None)
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"d_range": (-5.0, -1.0), "alpha": 2.5, "power": "sqrt"}, "d_range"),
+    ({"d_range": (1.0, math.nan)}, "d_range"),
+    ({"d_range": (0.0, 0.0)}, "d_range"),
+    ({"d_range": (1.0, math.inf)}, "d_range"),
+    ({"noise": 0.0}, "noise"),
+    ({"noise": math.nan}, "noise"),
+    ({"alpha": -2.0}, "alpha"),
+    ({"alpha": math.inf}, "alpha"),
+], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
+        "nan-noise", "negative-alpha", "infinite-alpha"])
+def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
+    with pytest.raises(ValueError, match=name):
+        gen_random(GenConfig(n=2, seed=1, **fields))
+
+
 def test_beta_set_draws_from_set():
     inst = gen_random(GenConfig(n=20, seed=4, beta_range=None, beta_set=(1.0, 2.0, 4.0)))
     assert {l.threshold for l in inst.links} <= {1.0, 2.0, 4.0}

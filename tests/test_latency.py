@@ -75,6 +75,19 @@ def test_empty_demand_set():
     )
     sched = solve_latency(inst)
     assert sched.slots == () and sched.fulfilled
+    # both schemes run, on no links, and give empty runs
+    assert sched.lengths == {1: 0.0, 2: 0.0}
+    assert [(run.scheme, run.slots, run.stalled) for run in sched.runs.values()] == [
+        (1, (), False), (2, (), False)
+    ]
+    assert sched.to_dict() == {
+        "scheme": 2,
+        "slots": [],
+        "residuals": [],
+        "lengths": {"scheme1": 0.0, "scheme2": 0.0},
+        "fulfilled": True,
+        "fulfilled_original": True,
+    }
 
 
 def test_unschedulable_demand():
@@ -128,19 +141,30 @@ def test_residuals_monotone_and_scheme1_rounded():
         inst = _random_demand_instance(400 + seed)
         sched = solve_latency(inst)
         for run in sched.runs.values():
-            if run is None or run.stalled:
+            if run.stalled:
                 continue
             n = len([l for l in inst.links if (l.demand or 0) > 0])
-            prev = None
+            # every link's residual, from the demands and each slot's changes
+            residual = dict(run.demands)
             for slot in run.slots:
-                if prev is not None:
-                    for lid, r in slot.residual_after.items():
-                        assert r <= prev[lid] + 1e-12
-                prev = slot.residual_after
+                for lid, r in slot.residuals.items():
+                    assert r <= residual[lid] + 1e-12
+                residual.update(slot.residuals)
                 if run.scheme == 1:
-                    for r in prev.values():
+                    for r in residual.values():
                         scaled = r * 2 * n
                         assert abs(scaled - round(scaled)) < 1e-6
+
+
+def test_slots_store_only_the_residuals_they_change():
+    for seed in range(6):
+        inst = _random_demand_instance(400 + seed)
+        for run in solve_latency(inst).runs.values():
+            assert sum(len(s.residuals) for s in run.slots) == sum(
+                len(s.solution.selected) for s in run.slots
+            )
+            for slot in run.slots:
+                assert list(slot.residuals) == list(slot.solution.selected)
 
 
 def test_scheme2_progress_per_slot():

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,9 +26,15 @@ from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thre
 from sinrsched.utility import CappedUtility, StepUtility
 
 
-def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_demands):
-    """The scheme loop without level reuse: a fresh sweep every slot."""
-    residual = {lid: float(scheme_demands[lid]) for lid in ids}
+def _reference_run_scheme(
+    instance, scheme, mode, ids, scheme_utils, scheme_demands, full_residuals=None
+):
+    """The scheme loop without level reuse: a fresh sweep every slot. With
+    ``full_residuals``, it also records there, under the scheme, every
+    link's residual after each slot."""
+    demands = {lid: float(scheme_demands[lid]) for lid in ids}
+    residual = dict(demands)
+    full = [] if full_residuals is None else full_residuals.setdefault(scheme, [])
     slots = []
     stalled = False
 
@@ -59,22 +66,19 @@ def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_dema
                 level, gains = best_alt
 
         sol = level.solution
-        original_gains, completed = {}, []
+        original_gains = {}
         for lid in sol.selected:
             original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
             residual[lid] = max(0.0, residual[lid] - gains[lid])
             if residual[lid] <= RESIDUAL_TOL:
                 residual[lid] = 0.0
-                completed.append(lid)
+        full.append(dict(residual))
         slots.append(
             Slot(
-                solution=sol,
-                level_index=level.index,
-                thresholds=dict(level.thresholds),
+                level=level,
                 gains=gains,
                 original_gains=original_gains,
-                residual_after=dict(residual),
-                completed=tuple(completed),
+                residuals={lid: residual[lid] for lid in sol.selected},
             )
         )
         if len(slots) > latency.SLOT_CAP:
@@ -88,7 +92,7 @@ def _reference_run_scheme(instance, scheme, mode, ids, scheme_utils, scheme_dema
     fulfilled_original = not stalled and all(
         delivered[lid] >= instance.link(lid).demand - RESIDUAL_TOL for lid in ids
     )
-    return SchemeRun(scheme, tuple(slots), stalled, fulfilled_original)
+    return SchemeRun(scheme, demands, tuple(slots), stalled, fulfilled_original)
 
 
 STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
@@ -121,10 +125,15 @@ def test_reuse_matches_fresh_sweeps(monkeypatch, mode, utility, p_max, power):
     for seed, n in seeds:
         inst = _demand_instance(seed, n, utility, p_max, power)
         got = solve_latency(inst, mode=mode)
+        full = {}
         with monkeypatch.context() as m:
-            m.setattr(latency, "_run_scheme", _reference_run_scheme)
+            m.setattr(latency, "_run_scheme", partial(_reference_run_scheme, full_residuals=full))
             want = solve_latency(inst, mode=mode)
         assert got.to_dict(include_trace=True) == want.to_dict(include_trace=True), seed
+        # the rebuilt per-slot maps are every link's residual, in link order
+        assert [list(r.items()) for r in got.to_dict()["residuals"]] == [
+            [(str(lid), r) for lid, r in residual.items()] for residual in full[got.scheme]
+        ], seed
         for scheme in (1, 2):
             assert len(got.runs[scheme].slots) == len(want.runs[scheme].slots)
         assert got.lengths == want.lengths

@@ -271,7 +271,7 @@ def test_distances_match_dense_norm():
     space = MetricSpace.euclidean(pts)
     rows, cols = list(range(0, 40, 3)), list(range(1, 40, 2))
     dense = np.linalg.norm(pts[rows][:, None, :] - pts[cols][None, :, :], axis=2)
-    assert np.array_equal(space.pair_distances(rows, cols), dense)
+    assert np.array_equal(space.distances(np.array(rows)[:, None], np.array(cols)[None, :]), dense)
     assert np.array_equal(space.distances(rows[2], cols), dense[2])
     assert np.array_equal(space.distances(rows, cols[:len(rows)]), np.diag(dense[:, :len(rows)]))
 
@@ -292,8 +292,7 @@ def test_solvers_build_no_array_larger_than_accepted(monkeypatch):
 
     monkeypatch.setattr(capacity, "geometry", spy(model.geometry, lambda g: (g.n, g.n)))
     monkeypatch.setattr(model, "geometry", spy(model.geometry, lambda g: (g.n, g.n)))
-    for name in ("pair_distances", "distances"):
-        monkeypatch.setattr(MetricSpace, name, spy(getattr(MetricSpace, name), np.shape))
+    monkeypatch.setattr(MetricSpace, "distances", spy(MetricSpace.distances, np.shape))
 
     uniform = {lid: inst.p_max for lid in inst.link_ids}
     for solve in (solve_unlimited, solve_limited,
