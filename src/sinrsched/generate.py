@@ -1,13 +1,18 @@
 """Reproducible instance generation for tests and experiments.
 
-Random draws are keyed by (seed, link index, field tag) through numpy's
-SeedSequence, so adding a field never reshuffles earlier draws and identical
-configs always produce byte-identical instances.
+Random draws are keyed by (seed, link index, field tag): each (link, tag)
+pair draws from the stream of ``PCG64(SeedSequence([seed, i, tag]))``, so
+adding a field never reshuffles earlier draws and identical configs always
+produce byte-identical instances. The streams are not built one by one:
+SeedSequence's hashing runs in integer arrays over a block of links and every
+tag the config draws from, and one reused Generator is set to each stream's
+PCG64 state just before numpy draws from it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -18,6 +23,115 @@ from .utility import ShannonUtility, StepUtility, UtilitySpec
 
 # field tags for the per-draw substreams
 _SENDER, _RADIUS, _ANGLE, _BETA, _UTILITY, _DEMAND, _POWER = range(7)
+
+# numpy's SeedSequence (a pool of four uint32 words) and PCG64 seeding constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# 0-d arrays: numpy broadcasts them faster than Python or numpy scalars
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_BLOCK = 1024  # links seeded per array pass
+
+
+def _hash_pairs(init: int, mult: int, ks: Sequence[int]) -> tuple:
+    """The two constants of SeedSequence's k-th hash, init * mult**k and
+    init * mult**(k + 1), for each k of ``ks``: one row of a pool per k."""
+    lo = [init * pow(mult, k, 1 << 32) & _MASK32 for k in ks]
+    hi = [c * mult & _MASK32 for c in lo]
+    return tuple(np.array(c, dtype=np.uint32)[:, None, None] for c in (lo, hi))
+
+
+# Hashes 0-3 fill the pool. In mixing round ``src`` (hashes 4 + 3 * src on),
+# pool[src] is hashed into each other word in ascending order; its own row
+# takes a spare constant and is restored. generate_state(4, uint64) hashes
+# pool[j % 4] into word j of eight with a second sequence.
+_FILL = _hash_pairs(_INIT_A, _MULT_A, range(_POOL))
+_ROUNDS = [
+    _hash_pairs(_INIT_A, _MULT_A, [4 + 3 * src + dst - (dst > src) for dst in range(_POOL)])
+    for src in range(_POOL)
+]
+_STATE = tuple(c.reshape(2, _POOL, 1, 1) for c in _hash_pairs(_INIT_B, _MULT_B, range(2 * _POOL)))
+
+
+def _uint32_words(value: int) -> list:
+    """The little-endian 32-bit words SeedSequence splits an entropy int into."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, pairs: tuple) -> np.ndarray:
+    lo, hi = pairs
+    value = (value ^ lo) * hi
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_words(seed: int, links: range, tags: Sequence[int]) -> np.ndarray:
+    """``SeedSequence([seed, i, tag]).generate_state(4, np.uint64)`` for every
+    link ``i`` of ``links`` and every tag, shaped (len(links), len(tags), 4).
+
+    The pool is one (4, links, tags) array, so each step of the hashing runs
+    once for the whole block."""
+    seed_words = _uint32_words(int(seed))
+    n_words = len(seed_words) + 2
+    # rows past the entropy stay zero: SeedSequence hashes zeros into a short pool
+    entropy = np.zeros((max(n_words, _POOL), len(links), len(tags)), dtype=np.uint32)
+    entropy[: n_words - 2] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+    entropy[n_words - 2] = np.arange(links.start, links.stop, dtype=np.uint32)[:, None]
+    entropy[n_words - 1] = tags
+    pool = _hashmix(entropy[:_POOL], _FILL)
+    for src, pairs in enumerate(_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[src], pairs))
+        mixed[src] = pool[src]
+        pool = mixed
+    for extra, word in enumerate(entropy[_POOL:]):  # hashed into every pool word
+        first = _POOL * (_POOL + extra)  # after the pool's 4 + 12 hashes
+        pool = _mix(pool, _hashmix(word, _hash_pairs(_INIT_A, _MULT_A, range(first, first + _POOL))))
+    words = _hashmix(pool, _STATE).reshape(2 * _POOL, len(links), len(tags))
+    # as numpy reads them: pairs of little-endian uint32 words as little-endian uint64s
+    return np.ascontiguousarray(words.transpose(1, 2, 0), dtype="<u4").view("<u8")
+
+
+def _link_seeds(seed: int, n: int, tags: Sequence[int]):
+    """Each link's {tag: seed words} in link order, seeded _BLOCK links at a time."""
+    for start in range(0, n, _BLOCK):
+        for words in _seed_words(seed, range(start, min(start + _BLOCK, n)), tags):
+            yield dict(zip(tags, words.tolist()))
+
+
+class _ThreadGenerator(threading.local):
+    """Each thread's one Generator, built on first use: building one per call
+    would add about a tenth to a 1-link call. Every draw first sets a
+    stream's whole state, so no call sees what another drew."""
+
+    rng = None
+
+
+_THREAD = _ThreadGenerator()
+
+
+def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
+    """``rng`` set to the PCG64 stream numpy seeds from ``words``: PCG64's
+    128-bit ``srandom`` step, and no buffered 32-bit half."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -38,37 +152,47 @@ class GenConfig:
     allow_sub_unit: bool = False
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
         d_min, d_max = self.d_range
         if not 0.0 < d_min <= d_max < INF:
             raise ValueError(
                 f"d_range: impossible geometry {self.d_range}, need 0 < d_min <= d_max < inf"
             )
-        for name in ("alpha", "noise"):
+        for name in ("area", "alpha", "noise"):
             if not 0.0 < getattr(self, name) < INF:
                 raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
         if d_max > self.area * math.sqrt(self.dim):
             raise ValueError("link length range exceeds the area diagonal")
         if self.beta_set is None and self.beta_range is None:
             raise ValueError("one of beta_range / beta_set is required")
-        betas = self.beta_set if self.beta_set is not None else self.beta_range
+        betas_name = "beta_set" if self.beta_set is not None else "beta_range"
+        betas = getattr(self, betas_name)
+        for name in (betas_name, "demand_range"):
+            values = getattr(self, name)
+            if values is not None and not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, not {values}")
         if not self.allow_sub_unit and any(b < 1 for b in betas):
             raise ValueError("thresholds below 1 need allow_sub_unit")
 
 
-def _stream(seed: int, link_index: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, link_index, tag]))
+def _pair(value) -> tuple:
+    lo, hi = (float(v) for v in value)
+    return lo, hi
 
 
 def _field(params: Mapping, name: str, default, parse=float):
     """``parse`` of utility parameter ``name``, or of ``default`` when it is
-    absent; a value it cannot parse is a ValueError naming the field."""
+    absent; a value it cannot parse, or that is not finite, is a ValueError
+    naming the field."""
     try:
-        return parse(params.get(name, default))
-    except (TypeError, ValueError):
+        value = parse(params.get(name, default))
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError
+        return value
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"utility field {name!r}: bad value {params[name]!r}") from None
 
 
@@ -93,8 +217,8 @@ def _random_utility(params: Mapping, rng: np.random.Generator) -> UtilitySpec:
             last_g = g
         return StepUtility(tuple(steps))
     if family == "shannon":
-        lo, hi = params.get("scale_range", (0.5, 2.0))
-        clo, chi = params.get("cutoff_range", (1.0, 4.0))
+        lo, hi = _field(params, "scale_range", (0.5, 2.0), _pair)
+        clo, chi = _field(params, "cutoff_range", (1.0, 4.0), _pair)
         return ShannonUtility(
             scale=float(rng.uniform(lo, hi)), cutoff=float(rng.uniform(clo, chi))
         )
@@ -107,10 +231,18 @@ def gen_random(config: GenConfig) -> Instance:
     points: list[list[float]] = []
     links: list[Link] = []
     d_min, d_max = config.d_range
-    for i in range(config.n):
-        sender = _stream(config.seed, i, _SENDER).uniform(0.0, config.area, size=config.dim)
-        radius = float(_stream(config.seed, i, _RADIUS).uniform(d_min, d_max))
-        direction = _stream(config.seed, i, _ANGLE).normal(size=config.dim)
+    tags = [_SENDER, _RADIUS, _ANGLE, _BETA]
+    if config.utility is not None:
+        tags.append(_UTILITY)
+    if config.demand_range is not None:
+        tags.append(_DEMAND)
+    rng = _THREAD.rng
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+    for i, seeds in enumerate(_link_seeds(config.seed, config.n, tags)):
+        sender = _seeded(rng, seeds[_SENDER]).uniform(0.0, config.area, size=config.dim)
+        radius = float(_seeded(rng, seeds[_RADIUS]).uniform(d_min, d_max))
+        direction = _seeded(rng, seeds[_ANGLE]).normal(size=config.dim)
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
             direction = np.zeros(config.dim)
@@ -119,19 +251,19 @@ def gen_random(config: GenConfig) -> Instance:
         receiver = sender + radius * direction / norm
 
         if config.beta_set is not None:
-            beta = float(_stream(config.seed, i, _BETA).choice(np.asarray(config.beta_set)))
+            beta = float(_seeded(rng, seeds[_BETA]).choice(np.asarray(config.beta_set)))
         else:
-            beta = float(_stream(config.seed, i, _BETA).uniform(*config.beta_range))
+            beta = float(_seeded(rng, seeds[_BETA]).uniform(*config.beta_range))
 
         utility = None
         if config.utility is not None:
-            utility = _random_utility(config.utility, _stream(config.seed, i, _UTILITY))
+            utility = _random_utility(config.utility, _seeded(rng, seeds[_UTILITY]))
 
         demand = None
         if config.demand_range is not None:
             if utility is None:
                 raise ValueError("demands need utilities")
-            rel = float(_stream(config.seed, i, _DEMAND).uniform(*config.demand_range))
+            rel = float(_seeded(rng, seeds[_DEMAND]).uniform(*config.demand_range))
             # UnboundedObjective for a Shannon utility without a power cap
             demand = rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
 

@@ -461,8 +461,19 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
     ([*GEN_DEMANDS, "--dmin", "0", "--dmax", "0"], "d_range"),
     ([*GEN_DEMANDS, "--noise", "0"], "noise"),
     ([*GEN_DEMANDS, "--dmin", "-50", "--dmax", "-10", "--alpha", "2.5"], "d_range"),
+    (["--area", "nan"], "area"),
+    (["--area", "inf"], "area"),
+    (["--beta-max", "inf"], "beta_range"),
+    (["--beta-max", "nan"], "beta_range"),
+    ([*STEP_UTILITY, "--demand-min", "nan", "--demand-max", "1"], "demand_range"),
+    (["--seed", "-1"], "seed"),
+    (["--utility", '{"family": "step", "gamma_max": "inf"}'], "utility field 'gamma_max'"),
+    (["--utility", '{"family": "shannon", "scale_range": 5}'], "utility field 'scale_range'"),
+    (["--utility", '{"family": "shannon", "cutoff_range": [1, 2, 3]}'], "utility field 'cutoff_range'"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
-        "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths"])
+        "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths",
+        "nan-area", "infinite-area", "infinite-beta", "nan-beta", "nan-demand", "negative-seed",
+        "infinite-gamma-max", "scalar-scale-range", "long-cutoff-range"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])
