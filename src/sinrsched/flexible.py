@@ -12,6 +12,13 @@ is a vector maximum over each link's best value alone, which a run computes
 once per link. Each level keeps its own row of that array, over the table's
 links in id order, and reads its ``thresholds`` mapping off that row.
 
+A sweep reads its links in one pass: each link's utility (its entry in
+``utilities``, else its own), the smallest cap of its ``CappedUtility``
+layers, the core they wrap and the core's table row. The caps become one
+vector over the table's rows, -inf for a row not in the sweep, and the run
+keeps it, so that the next sweep finds the rows whose cap changed with one
+compare.
+
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
 per slot) can hand in the previous run, and the tables and best values of
@@ -23,6 +30,15 @@ load, so without it every other load, accept decision and power is the same
 to the float, and the solution is the old one without its trace rows. Every
 solver's trace records each candidate and each link that added a row (a
 capped "limited" solve keeps both branches', and the same branch wins).
+
+The probe looks a level's thresholds up by their bytes first. On a miss it
+compares them with the previous levels' stacked rows on the rows the level
+has, and walks the matching levels in level order: for each, only the rows
+it dropped (live there, NaN here) are looked up in that level's trace, and
+its trace is filtered by those ids. A reused level keeps the previous
+level's objective when none of its selected links changed cap, because
+each of their values is then the same float. Every other level is scored
+with each selected link's ``value`` at its SINR, summed in selection order.
 """
 
 from __future__ import annotations
@@ -34,8 +50,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
-from .model import INF, Instance, Solution, empty_solution, index_of, powers_for, utilities_for
-from .utility import UtilitySpec, UtilityTable, inverse_threshold, split_caps
+from .model import INF, Instance, Solution, empty_solution, index_of, powers_for
+from .utility import UtilitySpec, UtilityTable, inverse_threshold, split_cap
 
 MODES = ("unlimited", "fixed", "limited")
 
@@ -78,8 +94,10 @@ class FlexibleRun:
     levels: tuple[FlexibleLevel, ...]
     best_index: Optional[int]
     # the utility tables, which a later sweep on the same instance, mode and
-    # powers may reuse; each level holds its thresholds over their rows
+    # powers may reuse (each level holds its thresholds over their rows), and
+    # the caps over those rows, against which that sweep finds the changed ones
     _tables: Optional["_Tables"] = field(default=None, repr=False, compare=False)
+    _cap: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def best(self) -> Optional[FlexibleLevel]:
@@ -122,10 +140,10 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
 
 @dataclass(frozen=True)
 class _Tables:
-    """A sweep's uncapped utilities (their cores, see ``split_caps``) as one
-    table with a row per link in id order, and each core's best value alone
-    under the mode. Valid for one instance, mode and powers; a later sweep
-    over a subset of the links with the same core objects reuses it."""
+    """A sweep's uncapped utilities (their cores) as one table with a row per
+    link in id order, and each core's best value alone under the mode. Valid
+    for one instance, mode and powers; a later sweep over a subset of the
+    links with the same core objects reuses it."""
 
     instance: Instance
     powers: Optional[Mapping[int, float]]
@@ -147,14 +165,27 @@ class _Tables:
             UtilityTable(cores), np.array(solo_max, dtype=np.float64),
         )
 
-    def rows(self, instance, powers, ids, cores) -> Optional[list]:
-        """Rows of ``ids`` when each holds the same core object, else None."""
-        if instance is not self.instance or powers is not self.powers:
-            return None
-        rows = [self.row.get(lid) for lid in ids]
-        if None in rows or any(self.cores[k] is not c for k, c in zip(rows, cores)):
-            return None
-        return rows
+
+def _read_links(instance, ids, utilities, tables):
+    """(caps, cores, rows) of ``ids`` in one pass: each link's cap and core
+    (``split_cap``) and its row in ``tables``; ``rows`` is None when
+    ``tables`` is None, lacks a link or holds another core object for it."""
+    caps, cores, rows = [], [], []
+    row = None if tables is None else tables.row
+    for lid in ids:
+        u = _utility(instance, utilities, lid)
+        if u is None:
+            raise ValueError(f"link {lid} has no utility")
+        cap, u = split_cap(u)
+        caps.append(cap)
+        cores.append(u)
+        if row is not None:
+            k = row.get(lid)
+            if k is None or tables.cores[k] is not u:
+                row = None
+            else:
+                rows.append(k)
+    return caps, cores, None if row is None else rows
 
 
 def solve_flexible(
@@ -178,8 +209,9 @@ def solve_flexible(
     uncapped utility is the object it was there, the run reuses its tables,
     and a level takes the solution of a level of ``previous`` whose
     candidates and thresholds are its own, or its own plus candidates that
-    level rejected (their trace rows are left out); the objective is still
-    scored under the current utilities. Otherwise every level is solved.
+    level rejected (their trace rows are left out). It keeps that level's
+    objective when no selected link's cap changed, and is scored under the
+    current utilities otherwise. Without such a level it is solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -189,13 +221,13 @@ def solve_flexible(
     if not ids:
         raise ValueError("no links to schedule")
     index_of(ids)
-    utils = dict(zip(ids, utilities_for(instance, ids, utilities)))
-    caps, cores = split_caps(utils.values())
     tables = None if previous is None else previous._tables
-    rows = None if tables is None else tables.rows(instance, powers, utils, cores)
+    if tables is not None and (tables.instance is not instance or tables.powers is not powers):
+        tables = None
+    caps, cores, rows = _read_links(instance, ids, utilities, tables)
     if rows is None:
-        tables = _Tables.build(instance, mode, powers, list(utils), cores)
-        rows = [tables.row[lid] for lid in utils]
+        tables = _Tables.build(instance, mode, powers, ids, cores)
+        rows = [tables.row[lid] for lid in ids]
     # the table's rows are the tables' links; those not in this sweep get
     # cap -inf, which leaves them out of every level
     cap = np.full(len(tables.ids), -math.inf)
@@ -209,53 +241,68 @@ def solve_flexible(
         return FlexibleRun(0.0, mode, (), None)
 
     n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
-    reuse = _Reuse(previous) if previous is not None and previous._tables is tables else None
-    levels = _sweep(instance, mode, utils, tables.ids, table, powers, top, n_levels, reuse)
+    reuse = None
+    if previous is not None and previous._tables is tables:
+        reuse = _Reuse(previous, cap)
+    levels = _sweep(instance, mode, utilities, tables.ids, table, powers, top, n_levels, reuse)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables)
+    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, cap)
 
 
 class _Reuse:
-    """The level solutions of a previous run, found by a level's thresholds
-    over the tables' rows (its exact solver input). The first probe looks for
-    a level with the same bytes; the second for a level whose thresholds equal
-    these on every row that has one and whose extra rows its trace rejected,
-    one vectorized compare against the levels' stacked rows and accepted
-    flags, which the first such probe gathers."""
+    """The levels of a previous run over the same tables, found by a level's
+    thresholds over the tables' rows (its exact solver input): first a level
+    with the same bytes, then one whose thresholds equal these on every row
+    that has one and whose trace rejected the rows it has beyond them. The
+    previous levels' rows are stacked on the first probe that needs them."""
 
-    def __init__(self, previous: FlexibleRun):
-        self.previous = previous
-        self.exact = {lvl.gamma.tobytes(): lvl.solution for lvl in previous.levels}
-        self.gammas = self.accepted = None
+    def __init__(self, previous: FlexibleRun, cap: np.ndarray):
+        self.levels = previous.levels
+        self.ids = previous._tables.ids
+        # a later level with the same bytes takes the key
+        self.exact = {lvl.gamma.tobytes(): lvl for lvl in self.levels}
+        self.changed = set(self.ids[previous._cap != cap].tolist())
+        self.gammas = self.live = None
 
-    def find(self, gamma: np.ndarray, candidates) -> Optional[Solution]:
-        """A solution for ``candidates``, the links with a threshold in
-        ``gamma``, or None."""
-        sol = self.exact.get(gamma.tobytes())
-        if sol is not None:
-            return sol
-        levels = self.previous.levels
-        if self.accepted is None:
-            self.gammas = np.stack([level.gamma for level in levels])
-            self.accepted = np.zeros(self.gammas.shape, dtype=bool)
-            row = self.previous._tables.row
-            for j, level in enumerate(levels):
-                self.accepted[j, [row[lid] for lid, ok, _ in level.solution.trace if ok]] = True
-        # a NaN row matches a previous NaN or a rejected candidate
-        match = ((self.gammas == gamma) | (np.isnan(gamma) & ~self.accepted)).all(axis=1)
-        if not match.any():
-            return None
-        sol = levels[int(match.argmax())].solution
-        keep = set(candidates)
-        return replace(sol, trace=tuple(r for r in sol.trace if r[0] in keep))
+    def find(self, gamma: np.ndarray, live: np.ndarray) -> tuple:
+        """(solution, objective) of a previous level for the thresholds
+        ``gamma``, which are not NaN where ``live``; the solution is None
+        when no level fits, the objective when a selected link's cap
+        changed."""
+        level = self.exact.get(gamma.tobytes())
+        if level is not None:
+            return level.solution, self._objective(level)
+        if self.gammas is None:
+            self.gammas = np.stack([lvl.gamma for lvl in self.levels])
+            self.live = self.gammas == self.gammas
+        dead = ~live
+        for j, match in enumerate(((self.gammas == gamma) | dead).all(axis=1).tolist()):
+            if not match:
+                continue
+            level = self.levels[j]
+            # the candidates of that level that this one lacks
+            dropped = set(self.ids[self.live[j] & dead].tolist())
+            trace = []
+            for r in level.solution.trace:
+                if r[0] not in dropped:
+                    trace.append(r)
+                elif r[1]:
+                    break  # its greedy accepted one: every later load differs
+            else:
+                return replace(level.solution, trace=tuple(trace)), self._objective(level)
+        return None, None
+
+    def _objective(self, level: FlexibleLevel) -> Optional[float]:
+        return level.objective if self.changed.isdisjoint(level.solution.selected) else None
 
 
-def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, reuse):
+def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
     """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
-    previous run's solution where one holds. ``table`` has a row per entry of
-    ``ids``; each level keeps a copy of its row of thresholds over them, so
-    that a slot keeping one level does not keep the others'."""
+    previous run's solution, and objective, where one holds. ``table`` has a
+    row per entry of ``ids``; each level keeps a copy of its row of
+    thresholds over them, so that a slot keeping one level does not keep the
+    others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
     gammas = inverse_threshold(table, np.array(targets)[:, None])
     levels = []
@@ -263,13 +310,22 @@ def _sweep(instance, mode, utils, ids, table, powers, top, n_levels, reuse):
         # in id order; a NaN threshold sits the level out
         gamma = row.copy()
         live = gamma == gamma
-        candidates = ids[live].tolist()
-        sol = None if reuse is None else reuse.find(gamma, candidates)
+        sol, objective = (None, None) if reuse is None else reuse.find(gamma, live)
         if sol is None:
-            sol = _solve_level(instance, mode, candidates, gamma[live], powers)
-        realized = sum(utils[lid].value(sol.sinr[lid]) for lid in sol.selected)
-        levels.append(FlexibleLevel(i, target, sol, float(realized), gamma, ids))
+            sol = _solve_level(instance, mode, ids[live].tolist(), gamma[live], powers)
+        if objective is None:
+            objective = float(sum(
+                _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
+            ))
+        levels.append(FlexibleLevel(i, target, sol, objective, gamma, ids))
     return levels
+
+
+def _utility(instance, utilities, lid):
+    """The utility link ``lid`` is scored by: its entry in ``utilities``,
+    else its own."""
+    u = None if utilities is None else utilities.get(lid)
+    return instance.link(lid).utility if u is None else u
 
 
 def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .model import INF, Instance, Link, MetricSpace
-from .utility import ShannonUtility, StepUtility, UtilitySpec
+from .utility import MAX_STEPS, ShannonUtility, StepUtility, UnboundedObjective, UtilitySpec
 
 # field tags for the per-draw substreams
 _SENDER, _RADIUS, _ANGLE, _BETA, _UTILITY, _DEMAND, _POWER = range(7)
@@ -150,6 +150,8 @@ class GenConfig:
     dim: int = 2
     power: Union[float, str, None] = None
     allow_sub_unit: bool = False
+    # the utility parameters, parsed and checked once (see _utility_params)
+    _utility: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "seed"):
@@ -174,8 +176,33 @@ class GenConfig:
             values = getattr(self, name)
             if values is not None and not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be finite, not {values}")
+        if not betas:
+            raise ValueError("beta_set must not be empty")
+        if self.beta_set is None and not betas[0] <= betas[1]:
+            raise ValueError(f"beta_range must have lo <= hi, not {betas}")
+        demands = self.demand_range
+        if demands is not None and not 0.0 <= demands[0] <= demands[1]:
+            raise ValueError(f"demand_range must have 0 <= lo <= hi, not {demands}")
         if not self.allow_sub_unit and any(b < 1 for b in betas):
             raise ValueError("thresholds below 1 need allow_sub_unit")
+        utility = None if self.utility is None else _utility_params(self.utility)
+        object.__setattr__(self, "_utility", utility)
+        if self.demand_range is not None:
+            if utility is None:
+                raise ValueError("demand_range: demands need a utility")
+            if utility[0] == "shannon" and not self.p_max < INF:
+                raise UnboundedObjective(
+                    "p_max must be finite for demands on Shannon utilities (objective unbounded)"
+                )
+        power = self.power
+        if power not in (None, "linear", "sqrt") and (
+            isinstance(power, bool)
+            or not isinstance(power, (int, float, np.integer, np.floating))
+            or not 0 <= power < INF
+        ):
+            raise ValueError(
+                f"power must be a finite number >= 0, 'linear' or 'sqrt', not {power!r}"
+            )
 
 
 def _pair(value) -> tuple:
@@ -196,16 +223,39 @@ def _field(params: Mapping, name: str, default, parse=float):
         raise ValueError(f"utility field {name!r}: bad value {params[name]!r}") from None
 
 
-def _random_utility(params: Mapping, rng: np.random.Generator) -> UtilitySpec:
+def _utility_params(params) -> tuple:
+    """The utility parameters, parsed and checked: ("step", steps, gamma_max,
+    value_max) or ("shannon", scale_range, cutoff_range). A ValueError names
+    the field."""
     if not isinstance(params, Mapping):
         raise ValueError(f"utility must be an object of parameters, not {params!r}")
     family = params.get("family", "step")
     if family == "step":
         n_steps = _field(params, "steps", 3, int)
-        if n_steps < 1:
-            raise ValueError(f"utility field 'steps' must be >= 1, not {n_steps}")
+        if not 1 <= n_steps <= MAX_STEPS:
+            raise ValueError(f"utility field 'steps' must be in 1..{MAX_STEPS}, not {n_steps}")
         gamma_max = _field(params, "gamma_max", 64.0)
+        if not gamma_max >= 1.0:
+            raise ValueError(f"utility field 'gamma_max' must be >= 1, not {gamma_max}")
         value_max = _field(params, "value_max", 1.0)
+        if not value_max >= 0.0:
+            raise ValueError(f"utility field 'value_max' must be >= 0, not {value_max}")
+        return family, n_steps, gamma_max, value_max
+    if family == "shannon":
+        scale = _field(params, "scale_range", (0.5, 2.0), _pair)
+        if not 0.0 < scale[0] <= scale[1]:
+            raise ValueError(f"utility field 'scale_range' must have 0 < lo <= hi, not {scale}")
+        cutoff = _field(params, "cutoff_range", (1.0, 4.0), _pair)
+        if not 1.0 <= cutoff[0] <= cutoff[1]:
+            raise ValueError(f"utility field 'cutoff_range' must have 1 <= lo <= hi, not {cutoff}")
+        return family, scale, cutoff
+    raise ValueError(f"utility field 'family': unknown family {family!r}")
+
+
+def _random_utility(params: tuple, rng: np.random.Generator) -> UtilitySpec:
+    """One utility drawn from ``_utility_params``' parsed parameters."""
+    if params[0] == "step":
+        _, n_steps, gamma_max, value_max = params
         gammas = np.sort(rng.uniform(1.0, gamma_max, size=n_steps))
         gammas[0] = max(1.0, gammas[0])
         values = np.sort(rng.uniform(0.0, value_max, size=n_steps))
@@ -216,13 +266,8 @@ def _random_utility(params: Mapping, rng: np.random.Generator) -> UtilitySpec:
             steps.append((float(g), float(v)))
             last_g = g
         return StepUtility(tuple(steps))
-    if family == "shannon":
-        lo, hi = _field(params, "scale_range", (0.5, 2.0), _pair)
-        clo, chi = _field(params, "cutoff_range", (1.0, 4.0), _pair)
-        return ShannonUtility(
-            scale=float(rng.uniform(lo, hi)), cutoff=float(rng.uniform(clo, chi))
-        )
-    raise ValueError(f"unknown utility family {family!r}")
+    _, (lo, hi), (clo, chi) = params
+    return ShannonUtility(scale=float(rng.uniform(lo, hi)), cutoff=float(rng.uniform(clo, chi)))
 
 
 def gen_random(config: GenConfig) -> Instance:
@@ -257,14 +302,11 @@ def gen_random(config: GenConfig) -> Instance:
 
         utility = None
         if config.utility is not None:
-            utility = _random_utility(config.utility, _seeded(rng, seeds[_UTILITY]))
+            utility = _random_utility(config._utility, _seeded(rng, seeds[_UTILITY]))
 
         demand = None
         if config.demand_range is not None:
-            if utility is None:
-                raise ValueError("demands need utilities")
             rel = float(_seeded(rng, seeds[_DEMAND]).uniform(*config.demand_range))
-            # UnboundedObjective for a Shannon utility without a power cap
             demand = rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
 
         power = None
@@ -274,8 +316,6 @@ def gen_random(config: GenConfig) -> Instance:
                 power = sens
             elif config.power == "sqrt":
                 power = math.sqrt(sens)
-            elif isinstance(config.power, str):
-                raise ValueError(f"unknown power rule {config.power!r}")
             else:
                 power = float(config.power)
 

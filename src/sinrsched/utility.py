@@ -198,25 +198,21 @@ def _first_step(target, denom):
 UtilitySpec = Union[StepUtility, ShannonUtility, CappedUtility, RoundedUtility]
 
 
-def split_caps(utilities: Sequence[UtilitySpec]) -> tuple[list, list]:
-    """(caps, cores): per utility, the smallest cap of its CappedUtility
-    layers (inf without one) and the utility they wrap."""
-    caps, cores = [], []
-    for u in utilities:
-        cap = math.inf
-        while isinstance(u, CappedUtility):
-            cap = u.cap if u.cap < cap else cap
-            u = u.base
-        caps.append(cap)
-        cores.append(u)
-    return caps, cores
+def split_cap(u: UtilitySpec) -> tuple[float, UtilitySpec]:
+    """(cap, core): the smallest cap of the utility's CappedUtility layers
+    (inf without one) and the utility they wrap."""
+    cap = math.inf
+    while isinstance(u, CappedUtility):
+        cap = u.cap if u.cap < cap else cap
+        u = u.base
+    return cap, u
 
 
 class UtilityTable:
     """Array form of a list of utilities, one row each, for
     ``inverse_threshold``.
 
-    Each utility is split into its cap and its core (``split_caps``): a
+    Each utility is split into its cap and its core (``split_cap``): a
     StepUtility, a ShannonUtility or a RoundedUtility over one of them.
 
     Step rows are held column-major, one column of the arrays per row. A
@@ -230,7 +226,8 @@ class UtilityTable:
     """
 
     def __init__(self, utilities: Sequence[UtilitySpec]):
-        caps, cores = split_caps(utilities)
+        split = [split_cap(u) for u in utilities]
+        caps, cores = [cap for cap, _ in split], [core for _, core in split]
         rounded = [isinstance(core, RoundedUtility) for core in cores]
         bases = [core.base if r else core for core, r in zip(cores, rounded)]
         for base in bases:

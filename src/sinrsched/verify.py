@@ -15,6 +15,8 @@ from .model import (
     Instance,
     Solution,
     _id_numbers,
+    _integer,
+    _number,
     _require,
     evaluate_sinrs,
 )
@@ -93,17 +95,56 @@ def verify_solution(
 
 
 def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
-    """Check every level of a serialized flexible-rate run."""
+    """Check every level of a serialized flexible-rate run, then its
+    objectives, recomputed: a level's is the sum, in selection order, of its
+    links' utility values at the re-evaluated SINRs; ``best_index`` is the
+    level with the highest (ties go to the shallowest) and the run's
+    objective is that level's. Objectives are checked once every level
+    passes its own checks."""
     problems = []
     levels = run_data.get("levels", [])
     _require(levels, list, "a list", "levels")
+    realized = []
     for t, level in enumerate(levels):
         _require(level, Mapping, "an object", f"levels[{t}]")
         thresholds = _id_numbers(level.get("thresholds"), f"levels[{t}].thresholds")
         sol = Solution.from_dict(level.get("solution"), f"levels[{t}].solution")
-        for issue in verify_solution(instance, sol, thresholds=thresholds):
-            problems.append(f"level {level.get('i', t)}: {issue}")
+        claimed = _number(level.get("objective"), f"levels[{t}].objective")
+        name = f"level {level.get('i', t)}"
+        issues = verify_solution(instance, sol, thresholds=thresholds)
+        problems += [f"{name}: {issue}" for issue in issues]
+        value = None if issues else _realized(instance, sol)
+        if value is None and not issues:
+            problems.append(f"{name}: a selected link has no utility")
+        elif value is not None and claimed != value:
+            problems.append(
+                f"{name}: objective {claimed!r} but its links' utilities at the "
+                f"re-evaluated SINRs sum to {value!r}"
+            )
+        realized.append(value)
+    best_index = run_data.get("best_index")
+    if best_index is not None:
+        _integer(best_index, "best_index")
+    objective = _number(run_data.get("objective"), "objective")
+    if None in realized:
+        return problems
+    best = max(range(len(realized)), key=lambda i: (realized[i], -i), default=None)
+    if best_index != best:
+        problems.append(f"best_index {best_index} but the best level is {best}")
+    want = 0.0 if best is None else realized[best]
+    if objective != want:
+        problems.append(f"objective {objective!r} but the best level's is {want!r}")
     return problems
+
+
+def _realized(instance: Instance, sol: Solution) -> Optional[float]:
+    """Summed utility values of the selected links at their re-evaluated
+    SINRs, in selection order; None when one has no utility."""
+    utilities = [instance.link(lid).utility for lid in sol.selected]
+    if None in utilities:
+        return None
+    actual = evaluate_sinrs(instance, sol.selected, sol.powers)
+    return float(sum(u.value(actual[lid]) for lid, u in zip(sol.selected, utilities)))
 
 
 def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:

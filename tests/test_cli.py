@@ -253,6 +253,65 @@ def test_mistyped_artifact_field_is_bad_input(tmp_path, capsys, edit, field):
     assert err.startswith(f"error: {field}")
 
 
+def _flexible_run(tmp_path, mode):
+    """The instance file and the parsed ``solve --algorithm flexible`` run."""
+    inst = tmp_path / "inst.json"
+    run = tmp_path / "run.json"
+    assert cli.main([
+        "gen", "--n", "12", "--seed", "3", "--utility", '{"family": "step"}',
+        "--pmax", "1e6", "--power", "1e5", "--out", str(inst),
+    ]) == cli.EXIT_OK
+    assert cli.main([
+        "solve", "--instance", str(inst), "--algorithm", "flexible", "--mode", mode,
+        "--out", str(run),
+    ]) == cli.EXIT_OK
+    return inst, json.loads(run.read_text())
+
+
+@pytest.mark.parametrize("mode", ["unlimited", "limited", "fixed"])
+def test_honest_flexible_run_verifies(tmp_path, capsys, mode):
+    inst, data = _flexible_run(tmp_path, mode)
+    assert len(data["levels"]) > 1 and data["objective"] > 0
+    capsys.readouterr()
+    assert cli.main(
+        ["verify", "--instance", str(inst), "--artifact", str(tmp_path / "run.json")]
+    ) == cli.EXIT_OK
+
+
+def _claim_last_level(data, objective):
+    last = len(data["levels"]) - 1
+    if objective is not None:
+        data["levels"][last]["objective"] = objective
+    data["best_index"] = last
+    data["objective"] = data["levels"][last]["objective"]
+
+
+def _claim_tied_deeper_level(data):
+    # levels 1 and 2 realize the same value; the tie goes to level 1
+    assert data["levels"][1]["objective"] == data["levels"][2]["objective"]
+    data["best_index"] = 2
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda data: _claim_last_level(data, 99.0), "level 4: objective 99.0 but its links'"),
+    (lambda data: _claim_last_level(data, None), "best_index 4 but the best level is 1"),
+    (_claim_tied_deeper_level, "best_index 2 but the best level is 1"),
+    (lambda data: data.update(objective=99.0), "objective 99.0 but the best level's is"),
+    (lambda data: data["levels"][1].update(objective=0.0), "level 1: objective 0.0 but"),
+], ids=["inflated-last-level", "shallow-best-moved", "tie-to-deeper", "run-objective",
+        "deflated-level"])
+def test_tampered_flexible_objective_is_violation(tmp_path, capsys, edit, violation):
+    inst, data = _flexible_run(tmp_path, "limited")
+    edit(data)
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli.main(["verify", "--instance", str(inst), "--artifact", str(run)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VERIFY_FAILED == 1, err
+    assert any(line.startswith(f"VIOLATION: {violation}") for line in err.splitlines()), err
+
+
 def _drop_first_sinr(slot):
     del slot["sinr"][str(slot["selected"][0])]
 
@@ -470,10 +529,22 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
     (["--utility", '{"family": "step", "gamma_max": "inf"}'], "utility field 'gamma_max'"),
     (["--utility", '{"family": "shannon", "scale_range": 5}'], "utility field 'scale_range'"),
     (["--utility", '{"family": "shannon", "cutoff_range": [1, 2, 3]}'], "utility field 'cutoff_range'"),
+    (["--utility", '{"family": "step", "gamma_max": 0.5}'], "utility field 'gamma_max'"),
+    (["--utility", '{"family": "step", "value_max": -1}'], "utility field 'value_max'"),
+    (["--utility", '{"family": "step", "steps": 1000000000000}'], "utility field 'steps'"),
+    (["--utility", '{"family": "shannon", "scale_range": [2, 1]}'], "utility field 'scale_range'"),
+    (["--utility", '{"family": "shannon", "cutoff_range": [0.5, 2]}'], "utility field 'cutoff_range'"),
+    (["--utility", '{"family": "shannon"}', "--demand-min", "1", "--demand-max", "2"], "p_max"),
+    (["--n", "0", "--utility", '{"family": "bogus"}'], "utility field 'family'"),
+    (["--n", "0", "--demand-min", "1", "--demand-max", "2"], "demand_range"),
+    (["--n", "0", "--power", "-1"], "power"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
         "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths",
         "nan-area", "infinite-area", "infinite-beta", "nan-beta", "nan-demand", "negative-seed",
-        "infinite-gamma-max", "scalar-scale-range", "long-cutoff-range"])
+        "infinite-gamma-max", "scalar-scale-range", "long-cutoff-range", "gamma-max-below-one",
+        "negative-value-max", "huge-steps", "reversed-scale-range", "cutoff-below-one",
+        "uncapped-shannon-demands", "empty-unknown-family", "empty-demands-without-utility",
+        "empty-negative-power"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])

@@ -92,10 +92,36 @@ def test_impossible_geometry_rejected():
     ({"seed": 1.5}, "seed"),
     ({"seed": -1}, "seed"),
     ({"n": 2.5}, "n must"),
+    # a config is valid or invalid whatever its n, and names the bad field
+    ({"n": 0, "demand_range": (1.0, 2.0)}, "demand_range"),
+    ({"n": 0, "utility": {"family": "bogus"}}, "'family'"),
+    ({"n": 0, "utility": {"family": "step", "steps": 0}}, "'steps'"),
+    ({"n": 0, "power": "bogus"}, "power"),
+    ({"n": 0, "power": -1.0}, "power"),
+    ({"n": 0, "power": math.inf}, "power"),
+    ({"n": 0, "power": True}, "power"),
+    ({"utility": {"family": "step", "gamma_max": 0.5}}, "'gamma_max'"),
+    ({"utility": {"family": "step", "value_max": -1.0}}, "'value_max'"),
+    ({"utility": {"family": "step", "steps": 10**12}}, "'steps'"),
+    ({"utility": {"family": "step", "steps": 10_001}}, "'steps'"),
+    ({"utility": {"family": "shannon", "scale_range": (2.0, 1.0)}}, "'scale_range'"),
+    ({"utility": {"family": "shannon", "scale_range": (0.0, 1.0)}}, "'scale_range'"),
+    ({"utility": {"family": "shannon", "cutoff_range": (0.5, 2.0)}}, "'cutoff_range'"),
+    ({"utility": {"family": "shannon"}, "demand_range": (1.0, 2.0)}, "p_max"),
+    ({"n": 0, "utility": STEP, "demand_range": (-2.0, -1.0)}, "demand_range"),
+    ({"n": 0, "utility": STEP, "demand_range": (2.0, 1.0)}, "demand_range"),
+    ({"n": 0, "beta_range": (3.0, 2.0)}, "beta_range"),
+    ({"n": 0, "beta_range": None, "beta_set": ()}, "beta_set"),
 ], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
         "nan-noise", "negative-alpha", "infinite-alpha", "nan-area", "infinite-area",
         "infinite-beta", "nan-beta", "infinite-beta-set", "nan-beta-set", "nan-demand",
-        "infinite-demand", "float-seed", "negative-seed", "float-n"])
+        "infinite-demand", "float-seed", "negative-seed", "float-n",
+        "empty-demands-without-utility", "empty-unknown-family", "empty-zero-steps",
+        "empty-unknown-power", "empty-negative-power", "empty-infinite-power", "empty-bool-power",
+        "gamma-max-below-one", "negative-value-max", "huge-steps", "steps-over-max",
+        "reversed-scale-range", "zero-scale", "cutoff-below-one", "shannon-demands-uncapped",
+        "empty-negative-demands", "empty-reversed-demands", "empty-reversed-beta",
+        "empty-beta-set"])
 def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
     with pytest.raises(ValueError, match=name):
         gen_random(GenConfig(**{"n": 2, "seed": 1, **fields}))

@@ -139,6 +139,26 @@ def test_reuse_matches_fresh_sweeps(monkeypatch, mode, utility, p_max, power):
         assert got.lengths == want.lengths
 
 
+@pytest.mark.parametrize("mode,utility,p_max,power", CASES)
+def test_every_reused_sweep_equals_a_fresh_one(monkeypatch, mode, utility, p_max, power):
+    # every level of every sweep, not only the one a slot keeps: its
+    # thresholds, objective, solution and trace
+    compared = []
+
+    def checked_sweep(*args, previous=None, **kwargs):
+        run = solve_flexible(*args, previous=previous, **kwargs)
+        if previous is not None:
+            fresh = solve_flexible(*args, **kwargs)
+            assert run.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+            compared.append(len(run.levels))
+        return run
+
+    monkeypatch.setattr(latency, "solve_flexible", checked_sweep)
+    for seed in range(500, 503):
+        solve_latency(_demand_instance(seed, 20, utility, p_max, power), mode=mode)
+    assert compared
+
+
 def _spy_solves(monkeypatch, name):
     """Record the candidates of every ``name`` solve the sweep makes."""
     solved = []
@@ -304,8 +324,9 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
     monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
     for inst in instances:
         solve_latency(inst)
-    # 3,743 solves when only unchanged levels were reused
-    assert (len(solves), sum(levels)) == (1868, 6447)
+    # 3,743 solves when only unchanged levels were reused; every slot sweeps
+    # through the module attribute, which the benchmark's tracer rebinds
+    assert (len(solves), len(levels), sum(levels)) == (1868, 997, 6447)
 
 
 def test_latency_benchmark_schedules_are_pinned():
