@@ -8,6 +8,7 @@ echo their configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -40,6 +41,15 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _option(parse, value: str, flag: str, what: str):
+    """``parse(value)`` for the value of option ``flag``; a value it cannot
+    parse is a ValueError naming the option."""
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{flag}: {value!r} is not {what}") from None
+
+
 def _emit(data: dict, out: Optional[str]) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     if out:
@@ -59,11 +69,13 @@ def _cmd_gen(args) -> int:
         area=args.area,
         d_range=(args.dmin, args.dmax),
         beta_range=(args.beta_min, args.beta_max),
-        utility=json.loads(args.utility) if args.utility else None,
+        utility=(
+            None if args.utility is None else _option(json.loads, args.utility, "--utility", "JSON")
+        ),
         demand_range=None if None in demands else demands,
         alpha=args.alpha,
         noise=args.noise,
-        p_max=float(args.pmax),
+        p_max=_option(float, args.pmax, "--pmax", "a number"),
         power=args.power,
     )
     _emit(gen_random(config).to_dict(), args.out)
@@ -116,7 +128,7 @@ def _certificate(instance, subset, args) -> dict:
     cert = check_admissible(
         instance,
         subset if subset is not None else instance.link_ids,
-        cap=float(args.cap) if args.cap else None,
+        cap=None if args.cap is None else _option(float, args.cap, "--cap", "a number"),
     )
     return cert.to_dict()
 
@@ -142,7 +154,9 @@ ORACLE_REQUESTS = {
 
 def _cmd_oracle(args) -> int:
     instance = Instance.from_dict(_load_json(args.instance))
-    subset = [int(x) for x in args.subset.split(",")] if args.subset else None
+    subset = None
+    if args.subset is not None:
+        subset = [_option(int, x, "--subset", "a link id") for x in args.subset.split(",")]
     _emit(ORACLE_REQUESTS[args.brute](instance, subset, args), args.out)
     return EXIT_OK
 
@@ -189,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--demand-max", type=float)
     gen.add_argument("--power", type=float)
     gen.add_argument("--out")
-    gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="run a capacity-maximization algorithm")
     solve.add_argument("--instance", required=True)
@@ -197,18 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", default="unlimited", choices=MODES)
     solve.add_argument("--trace", action="store_true")
     solve.add_argument("--out")
-    solve.set_defaults(func=_cmd_solve)
 
     schedule = sub.add_parser("schedule", help="run the latency scheduler")
     schedule.add_argument("--instance", required=True)
     schedule.add_argument("--mode", default="unlimited", choices=MODES)
     schedule.add_argument("--out")
-    schedule.set_defaults(func=_cmd_schedule)
 
     verify = sub.add_parser("verify", help="re-check a solution, run or schedule")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--artifact", required=True, help="solution/run/schedule JSON")
-    verify.set_defaults(func=_cmd_verify)
 
     oracle = sub.add_parser("oracle", help="admissibility certificate or brute force")
     oracle.add_argument("--instance", required=True)
@@ -216,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cap", help="power cap (number or inf)")
     oracle.add_argument("--brute", default="none", choices=ORACLE_REQUESTS)
     oracle.add_argument("--out")
-    oracle.set_defaults(func=_cmd_oracle)
 
     experiment = sub.add_parser("experiment", help="run a named experiment")
     experiment.add_argument("--name", required=True, choices=EXPERIMENTS)
@@ -227,18 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--alpha", type=float, default=2.0)
     experiment.add_argument("--out")
     experiment.add_argument("--csv")
-    experiment.set_defaults(func=_cmd_experiment)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares: building it
+    costs more than most parses, and a parse leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler rebound on this module is the one that runs
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

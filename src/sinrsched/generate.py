@@ -205,12 +205,28 @@ class GenConfig:
             )
 
 
+# Parsers of utility parameters: each takes the JSON types of its field (or
+# their numpy counterparts) and raises TypeError on any other, bools included.
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError
+    return float(value)
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError
+    return int(value)
+
+
 def _pair(value) -> tuple:
-    lo, hi = (float(v) for v in value)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError
+    lo, hi = map(_number, value)
     return lo, hi
 
 
-def _field(params: Mapping, name: str, default, parse=float):
+def _field(params: Mapping, name: str, default, parse=_number):
     """``parse`` of utility parameter ``name``, or of ``default`` when it is
     absent; a value it cannot parse, or that is not finite, is a ValueError
     naming the field."""
@@ -231,7 +247,7 @@ def _utility_params(params) -> tuple:
         raise ValueError(f"utility must be an object of parameters, not {params!r}")
     family = params.get("family", "step")
     if family == "step":
-        n_steps = _field(params, "steps", 3, int)
+        n_steps = _field(params, "steps", 3, _count)
         if not 1 <= n_steps <= MAX_STEPS:
             raise ValueError(f"utility field 'steps' must be in 1..{MAX_STEPS}, not {n_steps}")
         gamma_max = _field(params, "gamma_max", 64.0)

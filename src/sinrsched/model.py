@@ -168,7 +168,7 @@ def _validate_metric(mat: np.ndarray) -> None:
             raise ValueError(f"triangle inequality violated at pair ({i}, {j})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Link:
     """Directed sender/receiver pair with optional per-problem attributes.
 
@@ -187,15 +187,27 @@ class Link:
     demand: Optional[float] = None
     fixed_power: Optional[float] = None
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise ValueError(f"link {self.id}: sender and receiver coincide")
-        if self.threshold is not None and not math.isfinite(self.threshold):
-            raise ValueError(f"link {self.id}: threshold must be finite")
-        if self.demand is not None and not (0 <= self.demand < INF):
-            raise ValueError(f"link {self.id}: demand must be finite and >= 0")
-        if self.fixed_power is not None and not (0 <= self.fixed_power < INF):
-            raise ValueError(f"link {self.id}: fixed power must be finite and >= 0")
+    # Written out, checking the arguments before it stores them, because an
+    # instance load builds one Link per entry: the generated __init__ plus a
+    # __post_init__ reading the fields back cost ~20 % more per link.
+    def __init__(self, id, sender, receiver, threshold=None, utility=None, demand=None,
+                 fixed_power=None):
+        if sender == receiver:
+            raise ValueError(f"link {id}: sender and receiver coincide")
+        if threshold is not None and not math.isfinite(threshold):
+            raise ValueError(f"link {id}: threshold must be finite")
+        if demand is not None and not (0 <= demand < INF):
+            raise ValueError(f"link {id}: demand must be finite and >= 0")
+        if fixed_power is not None and not (0 <= fixed_power < INF):
+            raise ValueError(f"link {id}: fixed power must be finite and >= 0")
+        store = object.__setattr__  # frozen: the class's own __setattr__ raises
+        store(self, "id", id)
+        store(self, "sender", sender)
+        store(self, "receiver", receiver)
+        store(self, "threshold", threshold)
+        store(self, "utility", utility)
+        store(self, "demand", demand)
+        store(self, "fixed_power", fixed_power)
 
 
 @dataclass(frozen=True)
@@ -234,31 +246,33 @@ class Instance:
         lengths = self.metric.distances(receivers, senders)
         d_alpha = lengths**self.alpha
         positions = index_of([link.id for link in self.links])
-        for k, link in enumerate(self.links):
-            if not d_alpha[k] > 0:  # also when a short length underflows
+        thresholds = np.array(
+            [math.nan if link.threshold is None else link.threshold for link in self.links],
+            dtype=np.float64,
+        )
+        # the first link with a bad length or threshold; a bad length wins
+        bad = ~(d_alpha > 0)  # also when a short length underflows
+        if not self.allow_sub_unit_threshold:
+            bad |= thresholds < 1
+        if bad.any():
+            k = int(np.argmax(bad))
+            link = self.links[k]
+            if not d_alpha[k] > 0:
                 raise ValueError(
                     f"link {link.id}: sender-receiver distance^alpha must be > 0 "
                     f"(distance {lengths[k]:g}, alpha {self.alpha:g})"
                 )
-            if (
-                link.threshold is not None
-                and link.threshold < 1
-                and not self.allow_sub_unit_threshold
-            ):
-                raise ValueError(
-                    f"link {link.id}: threshold {link.threshold} < 1 "
-                    "(set allow_sub_unit_threshold to permit)"
-                )
+            raise ValueError(
+                f"link {link.id}: threshold {link.threshold} < 1 "
+                "(set allow_sub_unit_threshold to permit)"
+            )
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "link_ids", tuple(positions))
         arrays = {
             "senders": senders,
             "receivers": receivers,
             "d_alpha": d_alpha,
-            "thresholds": np.array(
-                [math.nan if link.threshold is None else link.threshold for link in self.links],
-                dtype=np.float64,
-            ),
+            "thresholds": thresholds,
         }
         for name, array in arrays.items():
             array.flags.writeable = False
@@ -321,14 +335,21 @@ class Instance:
         _require(entries, list, "a list", "links")
         n_points = metric.n_points
         links = []
+        # Exact JSON types are checked inline; the helpers run only to convert
+        # an int-valued number or to raise, in the order of the fields below.
         for k, entry in enumerate(entries):
-            _require(entry, Mapping, "an object", None, k)
-            sender = _integer(entry.get("s"), "s", k)
-            receiver = _integer(entry.get("r"), "r", k)
+            if type(entry) is not dict:
+                _require(entry, Mapping, "an object", None, k)
+            get = entry.get
+            sender, receiver = get("s"), get("r")
+            if type(sender) is not int:
+                sender = _integer(sender, "s", k)
+            if type(receiver) is not int:
+                receiver = _integer(receiver, "r", k)
             if not (0 <= sender < n_points and 0 <= receiver < n_points):
                 key, node = ("s", sender) if not 0 <= sender < n_points else ("r", receiver)
                 raise ValueError(f"links[{k}].{key}: node {node} is not in the metric")
-            utility = entry.get("utility")
+            utility = get("utility")
             if utility is not None:
                 _require(utility, Mapping, "an object", "utility", k)
                 try:
@@ -337,17 +358,16 @@ class Instance:
                     raise ValueError(f"links[{k}].utility: missing field {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"links[{k}].utility: {exc}") from None
-            links.append(
-                Link(
-                    id=_integer(entry.get("id"), "id", k),
-                    sender=sender,
-                    receiver=receiver,
-                    threshold=_number(entry.get("beta"), "beta", k, optional=True),
-                    utility=utility,
-                    demand=_number(entry.get("demand"), "demand", k, optional=True),
-                    fixed_power=_number(entry.get("power"), "power", k, optional=True),
-                )
-            )
+            lid, beta, demand, power = get("id"), get("beta"), get("demand"), get("power")
+            if type(lid) is not int:
+                lid = _integer(lid, "id", k)
+            if type(beta) is not float and beta is not None:
+                beta = _number(beta, "beta", k)
+            if type(demand) is not float and demand is not None:
+                demand = _number(demand, "demand", k)
+            if type(power) is not float and power is not None:
+                power = _number(power, "power", k)
+            links.append(Link(lid, sender, receiver, beta, utility, demand, power))
         p_max = data.get("p_max", "inf")
         sub_unit = data.get("allow_sub_unit_threshold", False)
         _require(sub_unit, bool, "a boolean", "allow_sub_unit_threshold")
@@ -381,9 +401,7 @@ def _require(value, kind, what: str, key, link=None) -> None:
         raise _type_error(value, what, key, link)
 
 
-def _number(value, key: str, link=None, optional: bool = False) -> Optional[float]:
-    if value is None and optional:
-        return None
+def _number(value, key: str, link=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _type_error(value, "a number", key, link)
     return float(value)

@@ -538,13 +538,24 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
     (["--n", "0", "--utility", '{"family": "bogus"}'], "utility field 'family'"),
     (["--n", "0", "--demand-min", "1", "--demand-max", "2"], "demand_range"),
     (["--n", "0", "--power", "-1"], "power"),
+    (["--utility", '{"family": "step", "steps": 2.7}'], "utility field 'steps'"),
+    (["--utility", '{"family": "step", "steps": true}'], "utility field 'steps'"),
+    (["--utility", '{"family": "step", "steps": "3"}'], "utility field 'steps'"),
+    (["--utility", '{"family": "step", "gamma_max": "3"}'], "utility field 'gamma_max'"),
+    (["--utility", '{"family": "step", "value_max": false}'], "utility field 'value_max'"),
+    (["--utility", '{"family": "shannon", "scale_range": "12"}'], "utility field 'scale_range'"),
+    (["--utility", '{"family": "shannon", "scale_range": [1, "2"]}'],
+     "utility field 'scale_range'"),
+    (["--utility", '{"family": "shannon", "cutoff_range": [1, true]}'],
+     "utility field 'cutoff_range'"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
         "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths",
         "nan-area", "infinite-area", "infinite-beta", "nan-beta", "nan-demand", "negative-seed",
         "infinite-gamma-max", "scalar-scale-range", "long-cutoff-range", "gamma-max-below-one",
         "negative-value-max", "huge-steps", "reversed-scale-range", "cutoff-below-one",
         "uncapped-shannon-demands", "empty-unknown-family", "empty-demands-without-utility",
-        "empty-negative-power"])
+        "empty-negative-power", "float-steps", "bool-steps", "string-steps", "string-gamma-max",
+        "bool-value-max", "string-scale-range", "string-in-scale-range", "bool-in-cutoff-range"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])
@@ -552,3 +563,79 @@ def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith("error: ") and message in err.splitlines()[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["oracle", "--subset", "0,a"], "error: --subset: 'a' is not a link id"),
+    (["oracle", "--cap", "abc"], "error: --cap: 'abc' is not a number"),
+    (["gen", "--n", "3", "--seed", "1", "--pmax", "abc"], "error: --pmax: 'abc' is not a number"),
+    (["gen", "--n", "3", "--seed", "1", "--utility", "{step"],
+     "error: --utility: '{step' is not JSON"),
+    (["gen", "--n", "3", "--seed", "1", "--utility", ""], "error: --utility: '' is not JSON"),
+    (["oracle", "--subset", ""], "error: --subset: '' is not a link id"),
+    (["oracle", "--cap", ""], "error: --cap: '' is not a number"),
+    (["oracle", "--subset", "0,7"], "error: no link with id 7"),
+], ids=["subset", "cap", "pmax", "utility", "empty-utility", "empty-subset", "empty-cap",
+        "unknown-link"])
+def test_option_and_lookup_errors_name_their_subject(tmp_path, capsys, flags, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_two_demand_links()))
+    if flags[0] == "oracle":
+        flags = [*flags, "--instance", str(inst)]
+    code = cli.main(flags)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err == message + "\n"
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's cached parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys, fresh_parser):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "4", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    for _ in range(3):
+        assert cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"]) == 0
+    assert cli.main(["oracle", "--instance", str(inst), "--subset", "0"]) == cli.EXIT_OK
+    assert len(built) == 1
+
+
+def test_reused_parser_keeps_no_option_from_an_earlier_call(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    assert cli.main(["gen", "--n", "6", "--seed", "2", "--out", str(inst)]) == cli.EXIT_OK
+    solve = ["solve", "--instance", str(inst), "--algorithm", "unlimited", "--out", str(sol)]
+    assert cli.main([*solve, "--trace"]) == cli.EXIT_OK
+    assert "trace" in json.loads(sol.read_text())
+    assert cli.main(solve) == cli.EXIT_OK
+    assert "trace" not in json.loads(sol.read_text())
+
+
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "4", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["solve", "--instance", str(inst), "--algorithm", "bogus"])
+    assert caught.value.code == 2
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--instance", str(inst)])
+    capsys.readouterr()
+    assert cli.main(["solve", "--instance", str(inst), "--algorithm", "limited"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "limited"
+
+
+def test_handler_rebound_after_the_first_call_runs(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "4", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_gen", lambda args: seen.append(args.n) or 5)
+    assert cli.main(["gen", "--n", "9", "--seed", "1"]) == 5
+    assert seen == [9]

@@ -1,5 +1,6 @@
 """Core model: distances, SINR evaluation, sensitivity ordering, JSON."""
 
+import dataclasses
 import json
 import math
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 import sinrsched
 from sinrsched import (
     Instance,
+    GenConfig,
     Link,
     MetricSpace,
     evaluate_sinrs,
     gen_line,
+    gen_random,
     sensitivity_order,
 )
 
@@ -217,6 +220,105 @@ def test_instance_json_infinite_cap():
     data = inst.to_dict()
     assert data["p_max"] == "inf"
     assert Instance.from_dict(data).p_max == math.inf
+
+
+def _generated(case):
+    step = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
+    configs = {
+        "step": GenConfig(n=30, seed=4, utility=step, demand_range=(1.0, 5.0), power="sqrt"),
+        "shannon": GenConfig(n=30, seed=5, utility={"family": "shannon"},
+                             demand_range=(0.5, 2.0), p_max=1e5, power=7.5),
+        "matrix": GenConfig(n=12, seed=6, utility=step, power="linear"),
+        "sub-unit": GenConfig(n=30, seed=7, beta_range=(0.25, 4.0), allow_sub_unit=True,
+                              power=2.0, p_max=1e3),
+    }
+    inst = gen_random(configs[case])
+    if case == "matrix":
+        nodes = np.arange(inst.metric.n_points)
+        matrix = inst.metric.distances(nodes[:, None], nodes[None, :])
+        inst = dataclasses.replace(inst, metric=MetricSpace.from_matrix(matrix))
+    return inst
+
+
+@pytest.mark.parametrize("case", ["step", "shannon", "matrix", "sub-unit"])
+def test_generated_instance_json_round_trip_is_byte_identical(case):
+    inst = _generated(case)
+    text = json.dumps(inst.to_dict(), sort_keys=True)
+    back = Instance.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict(), sort_keys=True) == text
+    assert back.links == inst.links
+    assert np.array_equal(back.d_alpha, inst.d_alpha)
+
+
+def _three_links():
+    return {
+        "alpha": 2.0,
+        "noise": 1.0,
+        "metric": {"type": "euclidean", "dim": 1,
+                   "points": [[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]]},
+        "links": [
+            {"id": 0, "s": 0, "r": 1, "beta": 1.0, "power": 2.0},
+            {"id": 1, "s": 2, "r": 3, "beta": 2.0, "demand": 1.0,
+             "utility": {"type": "step", "steps": [[1.0, 1.0]]}},
+            {"id": 2, "s": 4, "r": 5},
+        ],
+    }
+
+
+def _edited(*edits):
+    data = _three_links()
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return data
+
+
+# Inputs with two or more faults: the message pins which fault is reported.
+SEVERAL_FAULTS = [
+    ([(["links", 0, "beta"], "x"), (["links", 1, "s"], None)],
+     "links[0].beta must be a number, got a string"),
+    ([(["links", 0, "id"], 1.5), (["links", 0, "s"], "0")],
+     "links[0].s must be an integer, got a string"),
+    ([(["links", 0, "id"], True), (["links", 0, "beta"], "x")],
+     "links[0].id must be an integer, got a boolean"),
+    ([(["links", 1, "demand"], [1]), (["links", 1, "power"], "p")],
+     "links[1].demand must be a number, got a list"),
+    ([(["links", 1, "utility"], 3), (["links", 1, "id"], None)],
+     "links[1].utility must be an object, got int"),
+    ([(["links", 0, "r"], 99), (["links", 0, "s"], None)],
+     "links[0].s must be an integer, got null"),
+    ([(["links", 0, "s"], 99), (["links", 0, "r"], -1)],
+     "links[0].s: node 99 is not in the metric"),
+    ([(["links", 0, "beta"], math.nan), (["links", 1, "id"], "1")],
+     "link 0: threshold must be finite"),
+    ([(["links", 0, "demand"], math.inf), (["links", 0, "power"], "x")],
+     "links[0].power must be a number, got a string"),
+    ([(["links", 0, "r"], 0), (["links", 0, "power"], -1.0)],
+     "link 0: sender and receiver coincide"),
+    ([(["links", 0, "beta"], 0.5), (["links", 2, "id"], "2")],
+     "links[2].id must be an integer, got a string"),
+    ([(["links", 0, "beta"], 0.5), (["metric", "points", 5], [20.0])],
+     "link 0: threshold 0.5 < 1 (set allow_sub_unit_threshold to permit)"),
+    ([(["links", 2, "beta"], 0.5), (["metric", "points", 5], [20.0])],
+     "link 2: sender-receiver distance^alpha must be > 0 (distance 0, alpha 2)"),
+    ([(["links", 1, "beta"], 0.5), (["links", 2, "id"], 0), (["metric", "points", 5], [20.0])],
+     "link 0 appears more than once"),
+    ([(["links", 0, "s"], "0"), (["alpha"], "2")],
+     "links[0].s must be an integer, got a string"),
+    ([(["allow_sub_unit_threshold"], "x"), (["alpha"], "2")],
+     "allow_sub_unit_threshold must be a boolean, got a string"),
+    ([(["links", 0, "utility"], {"type": "step"}), (["links", 0, "id"], 0.0)],
+     "links[0].utility: missing field 'steps'"),
+]
+
+
+@pytest.mark.parametrize("edits,message", SEVERAL_FAULTS)
+def test_first_of_several_faults_is_reported(edits, message):
+    with pytest.raises(ValueError) as caught:
+        Instance.from_dict(_edited(*edits))
+    assert str(caught.value) == message
 
 
 def test_evaluate_sinrs_matches_pointwise():
