@@ -18,19 +18,22 @@ the budget and, on each acceptance, adds the accepted link's O(n) weight or
 affectance row to the loads. No solver builds an n x n matrix over its n
 candidates. A solve takes O(n * |accepted|) time and O(n) memory, plus
 O(|accepted|^2) for the power recurrence and the SINR evaluation of the
-accepted links, which share one geometry. Endpoints, ``d^alpha`` and
+accepted links, which share one geometry; the limited solver's second pass
+over the k links its first pass accepted takes their weights in column
+blocks of 256 links, in O(k * 256) memory. Endpoints, ``d^alpha`` and
 thresholds are sliced from the per-link arrays cached on ``Instance``, so
 every sensitivity and row here reads the one ``Instance.d_alpha``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
-solver resolves it to an array once and hands slices of that array down.
+solve resolves its ids to rows and thresholds once and hands slices down.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import replace
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +45,7 @@ from .model import (
     Solution,
     Thresholds,
     _received,
+    _thresholds_at,
     empty_solution,
     geometry,
     index_of,
@@ -51,8 +55,10 @@ from .model import (
     thresholds_for,
 )
 
-# Second-pass weight budget of the limited-power solver.
+# Second-pass weight budget of the limited-power solver, and the links per
+# column block of the weights that pass evaluates.
 SECOND_PASS_BUDGET = 0.25
+_BLOCK = 256
 
 
 def weight_budget(alpha: float) -> float:
@@ -89,33 +95,27 @@ def _affectances(beta, margin, received):
 class _Candidates:
     """O(n) arrays over a candidate set and the O(n) rows the greedies add up.
 
-    ``pos`` are the candidates' rows of the instance arrays and ``beta``
-    their resolved thresholds. Endpoints are gathered once (see
-    ``MetricSpace.gather``), so a row measures from them without looking
-    any node up. Row methods give the value from candidate k onto every
-    candidate, column methods the value from every candidate onto k; entry k
-    itself is zero.
+    ``pos`` are the candidates' rows of the instance arrays, ``beta`` their
+    resolved thresholds and ``p`` their powers, if any. Endpoints are gathered
+    once (see ``MetricSpace.gather``), so a row measures from them without
+    looking any node up. Row methods give the value from candidate k onto
+    every candidate, column methods the value from every candidate onto k;
+    entry k itself is zero.
     """
 
-    def __init__(self, instance, ids, pos, beta, powers=None):
+    def __init__(self, instance, ids, pos, beta, p=None):
         metric = instance.metric
         self.between = metric.between
         self.alpha = instance.alpha
         self.index = index_of(ids)
-        self.pos = pos
         self.senders = metric.gather(instance.senders[pos])
         self.receivers = metric.gather(instance.receivers[pos])
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
         self.sens = beta * self.d_alpha
-        if powers is not None:
-            self.p = np.array([powers[lid] for lid in ids], dtype=np.float64)
-            self.margin = self.p / self.d_alpha - beta * instance.noise
-
-    def subset(self, ids):
-        """The candidates ``ids``, a subset, with their thresholds."""
-        sub = [self.index[lid] for lid in ids]
-        return self.pos[sub], self.beta[sub]
+        if p is not None:
+            self.p = p
+            self.margin = p / self.d_alpha - beta * instance.noise
 
     def _out_alpha(self, k):
         """d(sender_k, receiver_b)^alpha for every candidate b."""
@@ -129,11 +129,6 @@ class _Candidates:
         row = _weights(self.sens[k], self.sens, self._out_alpha(k), self._in_alpha(k))
         row[k] = 0.0
         return row
-
-    def weight_col(self, k):
-        col = _weights(self.sens, self.sens[k], self._in_alpha(k), self._out_alpha(k))
-        col[k] = 0.0
-        return col
 
     def affectance_row(self, k):
         row = _affectances(self.beta, self.margin, _received(self.p[k], self._out_alpha(k)))
@@ -162,15 +157,17 @@ def solve_unlimited(
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("unlimited")
-    selected, trace, cands = _greedy_unlimited(instance, ids, thresholds)
+    pos = instance.positions(ids)
+    beta = _thresholds_at(instance, ids, thresholds, pos)
+    selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta)
     powers, geo = _power_recurrence(instance, selected[::-1], cands)
     return _finish(instance, selected, powers, "unlimited", trace, geo)
 
 
-def _greedy(candidates, cands, load, budget, row):
-    """Walk ``candidates`` (ids of ``cands``) in the given order and accept
-    each whose entry of ``load`` is within ``budget``; accepting the
-    candidate at position k adds ``row(k)`` to ``load`` in place.
+def _greedy(candidates, index, load, budget, row):
+    """Walk ``candidates`` (ids, positions ``index[id]``) in the given order
+    and accept each whose entry of ``load`` is within ``budget``; accepting
+    the candidate at position k adds ``row(k)`` to ``load`` in place.
 
     Returns the accepted ids in acceptance order and one trace row
     (id, accepted, load) per candidate.
@@ -179,8 +176,8 @@ def _greedy(candidates, cands, load, budget, row):
     trace = []
     with np.errstate(**_ROW_ERRSTATE):
         for cand in candidates:
-            k = cands.index[cand]
-            lk = float(load[k])
+            k = index[cand]
+            lk = load.item(k)
             ok = lk <= budget
             trace.append((cand, ok, lk))
             if ok:
@@ -189,21 +186,20 @@ def _greedy(candidates, cands, load, budget, row):
     return accepted, tuple(trace)
 
 
-def _greedy_unlimited(instance, ids, thresholds):
-    """Weight-budget pass of the unlimited greedy over a nonempty ``ids``:
-    accepted links (least sensitive first), trace rows and the candidates.
+def _greedy_unlimited(instance, ids, pos, beta):
+    """Weight-budget pass of the unlimited greedy over nonempty ``ids`` (rows
+    ``pos``, thresholds ``beta``): accepted links (least sensitive first),
+    trace rows and the candidates.
 
     A load is the summed weight from the accepted links, added one row at a
     time in acceptance order. Accepted links are less sensitive than every
     later candidate, so no rank mask is needed. The first candidate starts at
     load 0, so at least one link is accepted.
     """
-    beta = thresholds_for(instance, ids, thresholds)
     order = sensitivity_order(instance, ids, beta)
-    cands = _Candidates(instance, ids, instance.positions(ids), beta)
-    accepted, trace = _greedy(
-        reversed(order), cands, np.zeros(len(ids)), weight_budget(instance.alpha), cands.weight_row
-    )
+    cands = _Candidates(instance, ids, pos, beta)
+    accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
+                              weight_budget(instance.alpha), cands.weight_row)
     return accepted, trace, cands
 
 
@@ -212,18 +208,20 @@ def _power_recurrence(instance, accepted, cands):
     over ``accepted`` ordered from the most sensitive link down.
 
     Returns the powers and the accepted links' geometry in sorted id order,
-    which ``_finish`` reuses for the SINRs."""
+    which ``_finish`` reuses for the SINRs. Scalar steps use Python floats."""
     geo = geometry(instance, sorted(accepted))
-    _, beta = cands.subset(geo.ids)
+    beta = cands.beta[list(map(cands.index.__getitem__, geo.ids))].tolist()
+    d_alpha = geo.d_alpha.tolist()
     # interference[k]: summed p / cross-distance^alpha at link k from the
     # links assigned so far, in assignment order
     interference = np.zeros(geo.n)
     powers: dict[int, float] = {}
     with np.errstate(divide="ignore"):
+        gain = 1.0 / geo.cross_alpha
         for lid in accepted:
             k = geo.index[lid]
-            powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference[k]))
-            interference += powers[lid] * (1.0 / geo.cross_alpha[:, k])
+            p = powers[lid] = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
+            interference += p * gain[:, k]
     return powers, geo
 
 
@@ -329,11 +327,12 @@ def solve_fixed(
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("fixed")
-    powers = dict(zip(ids, powers_for(instance, ids, powers)))
-    beta = thresholds_for(instance, ids, thresholds)
-    cands = _Candidates(instance, ids, instance.positions(ids), beta, powers)
+    given = powers_for(instance, ids, powers)
+    pos = instance.positions(ids)
+    beta = _thresholds_at(instance, ids, thresholds, pos)
+    cands = _Candidates(instance, ids, pos, beta, np.array(given, dtype=np.float64))
     if warn_preconditions:
-        issues = check_power_preconditions(instance, ids, powers, beta)
+        issues = check_power_preconditions(instance, ids, dict(zip(ids, given)), beta)
         if issues:
             warnings.warn(
                 "fixed power assignment is not monotone (sub-)linear in sensitivity: "
@@ -341,8 +340,13 @@ def solve_fixed(
                 RuntimeWarning,
                 stacklevel=2,
             )
+    final, trace = _fixed_pass(instance, ids, cands)
+    return _finish(instance, final, {lid: given[cands.index[lid]] for lid in final}, "fixed", trace)
 
-    order = sensitivity_order(instance, ids, beta)
+
+def _fixed_pass(instance, ids, cands):
+    """Tentative pass and filter of the fixed solver over nonempty ``ids``."""
+    order = sensitivity_order(instance, ids, cands.beta)
     # load[c]: affectance between c and the tentative links, both ways. A
     # link that misses the solo SINR gate (p / d^alpha must reach beta * N
     # up to tolerance) starts at an infinite load and is never accepted.
@@ -358,9 +362,9 @@ def solve_fixed(
         np.add(incoming, row, out=incoming)
         return row + cands.affectance_col(k)
 
-    tentative, trace = _greedy(reversed(order), cands, np.where(solo_ok, 0.0, INF), 0.5, both_ways)
-    final = [lid for lid in tentative if incoming[cands.index[lid]] < 1.0]
-    return _finish(instance, final, powers, "fixed", trace)
+    tentative, trace = _greedy(reversed(order), cands.index, np.where(solo_ok, 0.0, INF), 0.5,
+                               both_ways)
+    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace
 
 
 def solve_limited(
@@ -388,39 +392,45 @@ def solve_limited(
         # two copies of a link may differ in threshold and land one in each
         # branch; otherwise they share a branch, whose candidates reject them
         index_of(ids)
-    beta = thresholds_for(instance, ids, thresholds)
-    sens = beta * instance.noise * instance.d_alpha[instance.positions(ids)]
-    small = sens <= instance.p_max / 4.0
-    flags = small.tolist()
-    r1 = [lid for lid, ok in zip(ids, flags) if ok]
-    r2 = [lid for lid, ok in zip(ids, flags) if not ok]
-
-    sol1 = _limited_first_branch(instance, r1, beta[small]) if r1 else empty_solution("limited")
-    sol2 = (
-        solve_fixed(
-            instance,
-            r2,
-            powers={lid: instance.p_max for lid in r2},
-            thresholds=beta[~small],
-            warn_preconditions=False,
-        )
-        if r2
-        else empty_solution("fixed")
-    )
+    pos = instance.positions(ids)
+    beta = _thresholds_at(instance, ids, thresholds, pos)
+    small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
+    sol1, sol2 = empty_solution("limited"), empty_solution("fixed")
+    if small.any():
+        r1 = list(compress(ids, small.tolist()))
+        sol1 = _limited_first_branch(instance, r1, pos[small], beta[small])
+    if not small.all():
+        big = ~small
+        r2 = list(compress(ids, big.tolist()))
+        p = np.full(len(r2), instance.p_max, dtype=np.float64)
+        final, trace = _fixed_pass(instance, r2, _Candidates(instance, r2, pos[big], beta[big], p))
+        sol2 = _finish(instance, final, dict.fromkeys(final, instance.p_max), "fixed", trace)
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
     return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
 
 
-def _limited_first_branch(instance, r1, beta):
+def _limited_first_branch(instance, r1, pos, beta):
     """The unlimited greedy's weight-budget pass, then a second pass over the
     links it accepted, most sensitive first, that keeps a link while its
-    outgoing weight onto the kept links stays within the budget."""
-    first_pass, trace1, all_cands = _greedy_unlimited(instance, r1, beta)
-    cands = _Candidates(instance, first_pass, *all_cands.subset(first_pass))
-    # the first pass accepted its links least sensitive first; a load is the
-    # weight from c onto the kept links, all more sensitive than c
-    kept, trace2 = _greedy(
-        reversed(first_pass), cands, np.zeros(len(first_pass)), SECOND_PASS_BUDGET, cands.weight_col
-    )
+    outgoing weight onto the kept links, taken a block of ``_BLOCK`` columns
+    at a time, stays within the budget."""
+    first_pass, trace1, cands = _greedy_unlimited(instance, r1, pos, beta)
+    # the first pass accepted its links least sensitive first; walked back, a
+    # load is the weight from c onto the kept links, all more sensitive than c
+    walk = first_pass[::-1]
+    at = [cands.index[lid] for lid in walk]
+    sens, senders, receivers = cands.sens[at], cands.senders[..., at], cands.receivers[..., at]
+    load, kept, trace2 = np.zeros(len(walk)), [], ()
+    for start in range(0, len(walk), _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        # block[a, j]: weight from walked link start + a onto start + j
+        with np.errstate(**_ROW_ERRSTATE):
+            x_ft = cands.between(receivers[..., None, cols], senders[..., start:, None])
+            x_tf = cands.between(receivers[..., start:, None], senders[..., None, cols])
+            block = _weights(sens[start:, None], sens[cols], x_ft**cands.alpha, x_tf**cands.alpha)
+        got, trace = _greedy(walk[cols], index_of(walk[cols]), load[start:], SECOND_PASS_BUDGET,
+                             lambda j: block[:, j])
+        kept += got
+        trace2 += trace
     powers, geo = _power_recurrence(instance, kept, cands)
     return _finish(instance, kept, powers, "limited", trace1 + trace2, geo)

@@ -1,5 +1,7 @@
 """Threshold solvers: weights, affectance, greedy selection, power control."""
 
+import functools
+import hashlib
 import json
 import math
 import re
@@ -28,8 +30,10 @@ from sinrsched.model import thresholds_for
 
 
 def _candidates(inst, ids, powers=None):
-    """The greedies' candidate arrays over ``ids`` at their own thresholds."""
-    return _Candidates(inst, ids, inst.positions(ids), thresholds_for(inst, ids), powers)
+    """The greedies' candidate arrays over ``ids`` at their own thresholds
+    and, when given, the powers id -> p."""
+    p = None if powers is None else np.array([powers[lid] for lid in ids], dtype=np.float64)
+    return _Candidates(inst, ids, inst.positions(ids), thresholds_for(inst, ids), p)
 
 
 def weight(inst, from_link, to_link):
@@ -60,7 +64,7 @@ def test_weight_budget_small_for_alpha_at_least_one():
 def test_weight_self_is_zero():
     inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
     cands = _candidates(inst, [0, 1])
-    assert cands.weight_row(0)[0] == 0.0 and cands.weight_col(0)[0] == 0.0
+    assert cands.weight_row(0)[0] == 0.0 and cands.weight_row(1)[1] == 0.0
 
 
 def test_weight_worked_example():
@@ -401,3 +405,33 @@ def test_threshold_overrides_must_be_finite_and_positive(bad):
         for thresholds in (mapping, array):
             with pytest.raises(ValueError, match=f"link {ids[2]}: threshold must be finite"):
                 solve(thresholds)
+
+
+@functools.cache
+def _capacity_benchmark_instance(seed):
+    return gen_random(GenConfig(
+        n=2000, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
+        alpha=2.0, p_max=20.0 * 30.0**2,
+    ))
+
+
+@pytest.mark.parametrize("solver, want", [
+    ("unlimited", "5dc8de21f79ca7423edf23ce185cb0418671cca0be79b0a0884859f6592fb7f2"),
+    ("limited", "d3c5ad28e4a3e923cd4300c6fe9c1cc706985f84ebca91bbb5cb878c7ff47e05"),
+    ("fixed", "0968dfe137b1078bcf12c352407e4687fc3393be9ccc96e9ebd05739c3632250"),
+])
+def test_capacity_benchmark_solutions_are_pinned(solver, want):
+    # the benchmark's capacity-large instances (workload seed 1): a faster
+    # solver must select, power and trace every link exactly as recorded
+    digest = hashlib.sha256()
+    for seed in (1000, 1001, 1002):
+        inst = _capacity_benchmark_instance(seed)
+        if solver == "unlimited":
+            sol = solve_unlimited(inst)
+        elif solver == "limited":
+            sol = solve_limited(inst)
+        else:
+            uniform = {lid: inst.p_max for lid in inst.link_ids}
+            sol = solve_fixed(inst, powers=uniform, warn_preconditions=False)
+        digest.update(json.dumps(sol.to_dict(include_trace=True), sort_keys=True).encode())
+    assert digest.hexdigest() == want

@@ -452,9 +452,8 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
     rng.shuffle(ids)
     thresholds = {lid: rng.uniform(1.0, 5.0) for lid in ids[::2]}
     powers = {lid: rng.uniform(0.0, 1e4) for lid in ids}
-    cands = _Candidates(
-        inst, ids, inst.positions(ids), thresholds_for(inst, ids, thresholds), powers
-    )
+    p = np.array([powers[lid] for lid in ids])
+    cands = _Candidates(inst, ids, inst.positions(ids), thresholds_for(inst, ids, thresholds), p)
     for k, lid in enumerate(ids):
         link = inst.link(lid)
         s = np.array([link.sender], dtype=np.intp)

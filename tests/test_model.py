@@ -386,3 +386,53 @@ def test_repeated_link_id_is_rejected(name):
     # in a link count
     with pytest.raises(ValueError, match="^link 3 appears more than once$"):
         REPEATED_ID_CALLS[name](_repeated_id_instance())
+
+
+def _numpy_error(points):
+    """The message ``MetricSpace.from_dict`` gives when numpy's own
+    conversion of ``points`` fails."""
+    try:
+        np.asarray(points, dtype=np.float64)
+    except TypeError as exc:
+        return f"metric.points: {exc}"
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("numpy converts these points")
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[0, 0], [1, 2, 3]], None),  # ragged
+    ([[0, 0], [1, [2]]], None),  # ragged one level down
+    ([[0, 0], [1, "a"]], "could not convert string to float: 'a'"),
+    ([[0, 0], [1, {"x": 1}]],
+     "metric.points: float() argument must be a string or a real number, not 'dict'"),
+    ([[0, 0], [1, None]], "coordinates must be finite"),
+    ([[0, 0], [1, math.inf]], "coordinates must be finite"),
+    ([[0, 0], [math.nan, 1]], "coordinates must be finite"),
+    ([[0, 0, 0], [1, 2, 3]], "points have dimension 3, declared 2"),
+    ([[0], [1]], "points have dimension 1, declared 2"),
+])
+def test_bad_points_keep_their_messages(points, message):
+    with pytest.raises(ValueError) as exc:
+        MetricSpace.from_dict({"type": "euclidean", "dim": 2, "points": points})
+    assert str(exc.value) == (message or _numpy_error(points))
+
+
+@pytest.mark.parametrize("points", [
+    [[0.5, 1], [2, 3.25], [-4, 1e300]],
+    [(0, 1), [2, 3]],  # tuples and lists
+    [[True, 1], ["2.5", 3]],  # numpy converts bools and numeric strings
+    [[1, 2, 3]],
+    [1.0, 2.0],  # one point
+    ["12", "34"],  # one point of two coordinates
+    [[], []],
+    [],
+    np.arange(6.0).reshape(3, 2),
+])
+def test_points_convert_as_numpy_converts_them(points):
+    want = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    coords = MetricSpace.euclidean(points)._coords
+    if want.size == 0:
+        assert coords.size == 0
+    else:
+        assert coords.tolist() == want.T.tolist()

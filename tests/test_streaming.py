@@ -8,9 +8,13 @@ selected sets, powers, SINRs and trace rows, bit for bit.
 
 import json
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sinrsched import (
     INF,
@@ -75,7 +79,8 @@ def _affectance_matrix(geo, beta, p, noise):
 
 def _ref_finish(instance, selected, powers, algorithm, trace):
     if not selected:
-        return empty_solution(algorithm)
+        # the solvers keep the trace of a pass that selects nothing
+        return Solution((), {}, {}, 0.0, algorithm, trace)
     selected = tuple(sorted(selected))
     return Solution(selected, {lid: powers[lid] for lid in selected},
                     evaluate_sinrs(instance, selected, powers), float(len(selected)),
@@ -306,6 +311,48 @@ def test_solvers_build_no_array_larger_than_accepted(monkeypatch):
         assert max(max(s) for s in matrices) <= selected
 
 
+def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
+    # the n = 10^4 capacity recipe: the limited solver's first pass accepts
+    # k1 > 256 links, and the second pass over them must hold no array over
+    # those links larger than k1 x 256
+    n = 10_000
+    inst = gen_random(GenConfig(n=n, seed=0, area=1000.0 * (n / 300) ** 0.5, p_max=P_MAX))
+    original_between = MetricSpace.between
+    original_first_pass = capacity._greedy_unlimited
+    original_powers = capacity._power_recurrence
+    first_pass, shapes = [], []
+    in_second_pass = False
+
+    def between(self, a, b):
+        out = original_between(self, a, b)
+        if in_second_pass:
+            shapes.append(out.shape)
+        return out
+
+    def greedy_unlimited(*args):
+        nonlocal in_second_pass
+        out = original_first_pass(*args)
+        first_pass.append(len(out[0]))
+        in_second_pass = True
+        return out
+
+    def power_recurrence(*args):
+        nonlocal in_second_pass
+        in_second_pass = False
+        return original_powers(*args)
+
+    monkeypatch.setattr(MetricSpace, "between", between)
+    monkeypatch.setattr(capacity, "_greedy_unlimited", greedy_unlimited)
+    monkeypatch.setattr(capacity, "_power_recurrence", power_recurrence)
+    sol = solve_limited(inst)
+    (k1,) = first_pass
+    assert k1 > 256 and sol.selected
+    # two distance blocks per column block: onto its links, and back
+    blocks = [(k1 - start, min(256, k1 - start)) for start in range(0, k1, 256)]
+    assert shapes == [shape for shape in blocks for _ in range(2)]
+    assert max(rows * cols for rows, cols in shapes) == k1 * 256
+
+
 def test_validate_metric_at_400_points_in_quadratic_memory():
     pts = np.random.default_rng(2).uniform(0.0, 100.0, size=(400, 2))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -321,3 +368,91 @@ def test_validate_metric_at_400_points_in_quadratic_memory():
         tracemalloc.stop()
     # an n^3 temporary would be 512 MB; n^2 arrays are 1.28 MB each
     assert peak < 32 * 2**20
+
+
+# -- randomized differential check of the limited and fixed solvers ----------
+
+@st.composite
+def _threshold_instances(draw):
+    """Small instances with alpha from 1 to 4, a Euclidean or a matrix
+    metric, the links' own thresholds or a mapping or array of overrides,
+    and (mostly) a cap that splits the links between both branches of the
+    limited solver. Short links are spread over a wide grid, and some reuse
+    another link's node or coordinates, so that endpoints coincide."""
+    pts = []
+
+    def node():
+        # an existing node, a new node at an existing node's coordinates, or a
+        # new node on the grid
+        how = draw(st.sampled_from(["new"] * 4 + ["reuse", "copy"])) if pts else "new"
+        if how == "reuse":
+            return draw(st.integers(0, len(pts) - 1))
+        pts.append(pts[draw(st.integers(0, len(pts) - 1))] if how == "copy"
+                   else draw(st.tuples(st.integers(0, 60), st.integers(0, 60))))
+        return len(pts) - 1
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        s = node()
+        if draw(st.booleans()):
+            r = node()
+        else:
+            x, y = pts[s]
+            pts.append((x + draw(st.integers(-3, 3)), y + draw(st.integers(-3, 3))))
+            r = len(pts) - 1
+        if pts[s] != pts[r]:
+            pairs.append((s, r))
+    assume(pairs)
+    alpha = draw(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
+    links = tuple(Link(k, s, r, threshold=draw(st.floats(1.0, 8.0)))
+                  for k, (s, r) in enumerate(pairs))
+    metric = MetricSpace.euclidean([list(p) for p in pts])
+    if draw(st.booleans()):
+        d = metric.distances(np.arange(len(pts))[:, None], np.arange(len(pts))[None, :])
+        metric = MetricSpace.from_matrix(d, validate=False)
+    noise = draw(st.sampled_from([0.1, 1.0]))
+    inst = Instance(metric, alpha, noise, links)
+    ids = list(inst.link_ids)
+    kind = draw(st.sampled_from(["own", "mapping", "array"]))
+    beta = thresholds_for(inst, ids)
+    if kind != "own":
+        beta = np.array([draw(st.floats(1.0, 8.0)) for _ in ids])
+    mapping = None if kind == "own" else dict(zip(ids, beta.tolist()))
+    sens = np.sort(beta * noise * inst.d_alpha)
+    cap = draw(st.sampled_from(["split", "split", "split", "below", "above", "inf"]))
+    if cap == "split":
+        # a quarter of the cap falls between two sensitivities, well clear of
+        # both: the reference recomputes d^alpha with Python's pow, which may
+        # differ from the instance's numpy power in the last bit
+        assume(len(ids) > 1)
+        q = draw(st.integers(0, len(ids) - 2))
+        assume(sens[q + 1] > sens[q] * (1 + 1e-6))
+        p_max = 2.0 * float(sens[q] + sens[q + 1])
+    else:
+        p_max = {"below": float(sens[0]), "above": 8.0 * float(sens[-1]), "inf": INF}[cap]
+    inst = replace(inst, p_max=p_max)
+    thresholds = beta if kind == "array" else mapping
+    levels = [0.0, 0.5, 1.0, 4.0, 1e3]
+    powers = {lid: float(s) * draw(st.sampled_from(levels)) for lid, s in
+              zip(ids, beta * noise * inst.d_alpha)}
+    return inst, thresholds, mapping, powers, cap
+
+
+@given(_threshold_instances(), st.sampled_from([1, 2, 3, 256]))
+@settings(max_examples=300, deadline=None)
+def test_limited_and_fixed_match_dense_on_random_instances(case, block):
+    inst, thresholds, mapping, powers, cap = case
+    # the dense references slice thresholds by id, so they take the mapping
+    # form of an array of overrides; both forms give the same floats. Small
+    # blocks split the limited solver's second pass into several.
+    want = ref_limited(inst, mapping)
+    with mock.patch.object(capacity, "_BLOCK", block):
+        _assert_identical(solve_limited(inst, thresholds=thresholds), want)
+    if cap == "split":
+        ids = list(inst.link_ids)
+        small = thresholds_for(inst, ids, mapping) * inst.noise * inst.d_alpha <= inst.p_max / 4.0
+        assert small.any() and not small.all()
+    _assert_identical(
+        solve_fixed(inst, powers=powers, thresholds=thresholds, warn_preconditions=False),
+        ref_fixed(inst, list(inst.link_ids), powers, mapping),
+    )
