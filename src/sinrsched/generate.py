@@ -5,8 +5,16 @@ pair draws from the stream of ``PCG64(SeedSequence([seed, i, tag]))``, so
 adding a field never reshuffles earlier draws and identical configs always
 produce byte-identical instances. The streams are not built one by one:
 SeedSequence's hashing runs in integer arrays over a block of links and every
-tag the config draws from, and one reused Generator is set to each stream's
-PCG64 state just before numpy draws from it.
+tag the config draws from.
+
+Uniform draws (sender coordinates, radius, ``beta_range`` thresholds, step
+and Shannon utility parameters, demands) step the stream on Python ints:
+PCG64's 128-bit LCG step and XSL-RR output, then ``Generator.uniform``'s own
+arithmetic, ``low + (high - low) * ((x >> 11) * 2**-53)``, so they equal
+numpy's draws bit for bit, without a numpy call per draw. The angle's
+``normal`` draw (numpy's ziggurat tables) and ``beta_set``'s ``choice``
+(numpy's bounded integers) stay with numpy: one reused Generator is set to
+the stream's PCG64 state just before each of them.
 """
 
 from __future__ import annotations
@@ -31,8 +39,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 # 0-d arrays: numpy broadcasts them faster than Python or numpy scalars
 _MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_DOUBLE_UNIT = 1.0 / (1 << 53)  # numpy's next_double: the top 53 bits of a draw
 _BLOCK = 1024  # links seeded per array pass
+# the largest dim GenConfig takes: the plane and space are all any caller
+# uses, and each coordinate is one Python-level draw per link
+MAX_DIM = 3
 
 
 def _hash_pairs(init: int, mult: int, ks: Sequence[int]) -> tuple:
@@ -119,12 +131,18 @@ class _ThreadGenerator(threading.local):
 _THREAD = _ThreadGenerator()
 
 
-def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
-    """``rng`` set to the PCG64 stream numpy seeds from ``words``: PCG64's
-    128-bit ``srandom`` step, and no buffered 32-bit half."""
+def _pcg_state(words: list) -> tuple:
+    """(state, inc) of the PCG64 stream numpy seeds from ``words``: PCG64's
+    128-bit ``srandom`` step."""
     s_hi, s_lo, i_hi, i_lo = words
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
+    """``rng`` set to the PCG64 stream numpy seeds from ``words``, with no
+    buffered 32-bit half."""
+    state, inc = _pcg_state(words)
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
@@ -132,6 +150,31 @@ def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
         "uinteger": 0,
     }
     return rng
+
+
+def _span(low, high) -> tuple:
+    """(low, high - low) of a uniform draw, checked as ``Generator.uniform``
+    checks them."""
+    low, high = float(low), float(high)
+    width = high - low
+    if not math.isfinite(width):
+        raise OverflowError("high - low range exceeds valid bounds")
+    return low, width
+
+
+def _uniforms(words: list, spans: Sequence[tuple]) -> list:
+    """One draw per ``_span`` of ``spans``, in order, from the PCG64 stream
+    numpy seeds from ``words``: the floats ``Generator.uniform`` gives, one
+    call per run of equal spans (``size=k`` for k of them)."""
+    state, inc = _pcg_state(words)
+    draws = []
+    for low, width in spans:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + width * ((x >> 11) * _DOUBLE_UNIT))
+    return draws
 
 
 @dataclass(frozen=True)
@@ -166,7 +209,11 @@ class GenConfig:
         for name in ("area", "alpha", "noise"):
             if not 0.0 < getattr(self, name) < INF:
                 raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
-        if d_max > self.area * math.sqrt(self.dim):
+        dim = self.dim
+        integer = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
+        if not (integer and 1 <= dim <= MAX_DIM):
+            raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, not {dim!r}")
+        if d_max > self.area * math.sqrt(dim):
             raise ValueError("link length range exceeds the area diagonal")
         if self.beta_set is None and self.beta_range is None:
             raise ValueError("one of beta_range / beta_set is required")
@@ -180,6 +227,8 @@ class GenConfig:
             raise ValueError("beta_set must not be empty")
         if self.beta_set is None and not betas[0] <= betas[1]:
             raise ValueError(f"beta_range must have lo <= hi, not {betas}")
+        if not min(betas) > 0.0:
+            raise ValueError(f"{betas_name}: thresholds must be > 0, not {betas}")
         demands = self.demand_range
         if demands is not None and not 0.0 <= demands[0] <= demands[1]:
             raise ValueError(f"demand_range must have 0 <= lo <= hi, not {demands}")
@@ -268,22 +317,32 @@ def _utility_params(params) -> tuple:
     raise ValueError(f"utility field 'family': unknown family {family!r}")
 
 
-def _random_utility(params: tuple, rng: np.random.Generator) -> UtilitySpec:
-    """One utility drawn from ``_utility_params``' parsed parameters."""
+def _utility_spans(params: tuple) -> list:
+    """The spans of one utility's draws, from ``_utility_params``' parsed
+    parameters: a step utility's gammas, then its values; a Shannon
+    utility's scale, then its cutoff."""
     if params[0] == "step":
         _, n_steps, gamma_max, value_max = params
-        gammas = np.sort(rng.uniform(1.0, gamma_max, size=n_steps))
+        return [_span(1.0, gamma_max)] * n_steps + [_span(0.0, value_max)] * n_steps
+    _, scale, cutoff = params
+    return [_span(*scale), _span(*cutoff)]
+
+
+def _random_utility(params: tuple, draws: list) -> UtilitySpec:
+    """One utility from its ``_utility_spans`` draws."""
+    if params[0] == "step":
+        n_steps = params[1]
+        gammas, values = sorted(draws[:n_steps]), sorted(draws[n_steps:])
         gammas[0] = max(1.0, gammas[0])
-        values = np.sort(rng.uniform(0.0, value_max, size=n_steps))
         steps, last_g = [], None
         for g, v in zip(gammas, values):
             if last_g is not None and g <= last_g:
                 g = math.nextafter(last_g, math.inf)
-            steps.append((float(g), float(v)))
+            steps.append((g, v))
             last_g = g
         return StepUtility(tuple(steps))
-    _, (lo, hi), (clo, chi) = params
-    return ShannonUtility(scale=float(rng.uniform(lo, hi)), cutoff=float(rng.uniform(clo, chi)))
+    scale, cutoff = draws
+    return ShannonUtility(scale=scale, cutoff=cutoff)
 
 
 def gen_random(config: GenConfig) -> Instance:
@@ -291,38 +350,48 @@ def gen_random(config: GenConfig) -> Instance:
     thresholds, utilities, demands and powers drawn per the config."""
     points: list[list[float]] = []
     links: list[Link] = []
-    d_min, d_max = config.d_range
+    dim = config.dim
+    sender_spans = [_span(0.0, config.area)] * dim
+    radius_span = [_span(*config.d_range)]
     tags = [_SENDER, _RADIUS, _ANGLE, _BETA]
+    if config.beta_set is not None:
+        beta_choices = np.asarray(config.beta_set)
+    else:
+        beta_span = [_span(*config.beta_range)]
     if config.utility is not None:
         tags.append(_UTILITY)
+        utility_spans = _utility_spans(config._utility)
     if config.demand_range is not None:
         tags.append(_DEMAND)
+        demand_span = [_span(*config.demand_range)]
     rng = _THREAD.rng
     if rng is None:
         rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
     for i, seeds in enumerate(_link_seeds(config.seed, config.n, tags)):
-        sender = _seeded(rng, seeds[_SENDER]).uniform(0.0, config.area, size=config.dim)
-        radius = float(_seeded(rng, seeds[_RADIUS]).uniform(d_min, d_max))
-        direction = _seeded(rng, seeds[_ANGLE]).normal(size=config.dim)
-        norm = float(np.linalg.norm(direction))
+        sender = _uniforms(seeds[_SENDER], sender_spans)
+        (radius,) = _uniforms(seeds[_RADIUS], radius_span)
+        direction = _seeded(rng, seeds[_ANGLE]).normal(size=dim)
+        # np.linalg.norm of a 1-D float array, without its call overhead
+        norm = math.sqrt(direction.dot(direction))
         if norm == 0.0:
-            direction = np.zeros(config.dim)
-            direction[0] = 1.0
-            norm = 1.0
-        receiver = sender + radius * direction / norm
+            direction, norm = [1.0] + [0.0] * (dim - 1), 1.0
+        else:
+            direction = direction.tolist()
+        # numpy's elementwise sender + radius * direction / norm, on floats
+        receiver = [s + radius * d / norm for s, d in zip(sender, direction)]
 
         if config.beta_set is not None:
-            beta = float(_seeded(rng, seeds[_BETA]).choice(np.asarray(config.beta_set)))
+            beta = float(_seeded(rng, seeds[_BETA]).choice(beta_choices))
         else:
-            beta = float(_seeded(rng, seeds[_BETA]).uniform(*config.beta_range))
+            (beta,) = _uniforms(seeds[_BETA], beta_span)
 
         utility = None
         if config.utility is not None:
-            utility = _random_utility(config._utility, _seeded(rng, seeds[_UTILITY]))
+            utility = _random_utility(config._utility, _uniforms(seeds[_UTILITY], utility_spans))
 
         demand = None
         if config.demand_range is not None:
-            rel = float(_seeded(rng, seeds[_DEMAND]).uniform(*config.demand_range))
+            (rel,) = _uniforms(seeds[_DEMAND], demand_span)
             demand = rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
 
         power = None
@@ -336,8 +405,8 @@ def gen_random(config: GenConfig) -> Instance:
                 power = float(config.power)
 
         s_idx = len(points)
-        points.append([float(x) for x in sender])
-        points.append([float(x) for x in receiver])
+        points.append(sender)
+        points.append(receiver)
         links.append(
             Link(
                 id=i,
@@ -349,7 +418,7 @@ def gen_random(config: GenConfig) -> Instance:
                 fixed_power=power,
             )
         )
-    metric = MetricSpace.euclidean(points if points else np.zeros((0, config.dim)), dim=config.dim)
+    metric = MetricSpace.euclidean(points if points else np.zeros((0, dim)), dim=dim)
     return Instance(
         metric=metric,
         alpha=config.alpha,

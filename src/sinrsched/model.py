@@ -151,9 +151,12 @@ class MetricSpace:
             raise ValueError(f"unknown metric type: {kind!r}")
         key = "points" if kind == "euclidean" else "d"
         _require(data.get(key), list, "a list", f"metric.{key}")
+        if kind == "euclidean":
+            dim = _integer(data.get("dim"), "metric.dim")
+            if dim < 1:
+                raise ValueError(f"metric.dim must be >= 1, not {dim}")
+            return cls.euclidean(_json_points(data["points"], dim), dim=dim)
         try:
-            if kind == "euclidean":
-                return cls.euclidean(data["points"], dim=_integer(data.get("dim"), "metric.dim"))
             return cls.from_matrix(data["d"])
         except TypeError as exc:  # a non-numeric entry
             raise ValueError(f"metric.{key}: {exc}") from None
@@ -422,6 +425,30 @@ def _integer(value, key: str, link=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _type_error(value, "an integer", key, link)
     return value
+
+
+def _json_points(points: list, dim: int) -> np.ndarray:
+    """A JSON list of points, each a list of ``dim`` numbers, as an (n, dim)
+    array. Any other entry, or a number too large for a float, is a
+    ValueError naming it: unlike numpy, no string or bool is a coordinate."""
+    flat = None
+    if (set(map(type, points)) <= {list} and set(map(len, points)) <= {dim}
+            and set(map(type, chain.from_iterable(points))) <= {int, float}):
+        with suppress(OverflowError):  # an int beyond float range, named below
+            flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * dim)
+    if flat is None:
+        for k, point in enumerate(points):
+            key = f"metric.points[{k}]"
+            _require(point, list, "a list", key)
+            if len(point) != dim:
+                raise ValueError(f"points have dimension {len(point)}, declared {dim}")
+            for d, x in enumerate(point):
+                try:
+                    _number(x, f"{key}[{d}]")
+                except OverflowError:
+                    raise ValueError(f"{key}[{d}] is too large for a float") from None
+        flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * dim)
+    return flat.reshape(-1, dim)
 
 
 def _id_numbers(value, key: str) -> dict[int, float]:

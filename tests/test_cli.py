@@ -185,6 +185,9 @@ def _set(path, value):
         (_set(["metric", "dim"], "2"), "metric.dim"),
         (_set(["allow_sub_unit_threshold"], "false"), "allow_sub_unit_threshold"),
         (lambda data: [data], "instance"),
+        (_set(["metric", "points", 0], [[0], [1]]), "metric.points[0][0]"),  # nested deeper
+        (_set(["metric", "points", 1], [0, 10**400]), "metric.points[1][1]"),
+        (_set(["metric", "points", 0], ["2", 0]), "metric.points[0][0]"),
     ],
 )
 def test_mistyped_instance_field_is_bad_input(tmp_path, capsys, edit, field):

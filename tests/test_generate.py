@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrsched import GenConfig, Instance, gen_line, gen_random
-from sinrsched.generate import _BLOCK, _link_seeds, _seed_words, _seeded
+from sinrsched import generate
+from sinrsched.generate import (
+    _BLOCK, MAX_DIM, _link_seeds, _seed_words, _seeded, _span, _uniforms,
+)
 
 STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
 SHANNON = {"family": "shannon"}
@@ -112,6 +115,18 @@ def test_impossible_geometry_rejected():
     ({"n": 0, "utility": STEP, "demand_range": (2.0, 1.0)}, "demand_range"),
     ({"n": 0, "beta_range": (3.0, 2.0)}, "beta_range"),
     ({"n": 0, "beta_range": None, "beta_set": ()}, "beta_set"),
+    ({"n": 0, "dim": 0}, "dim"),
+    ({"n": 0, "dim": -1}, "dim"),
+    ({"n": 0, "dim": 1.5}, "dim"),
+    ({"n": 0, "dim": True}, "dim"),
+    ({"n": 0, "dim": MAX_DIM + 1}, "dim"),
+    ({"dim": 10**10}, "dim"),
+    ({"beta_range": (-1e308, 1e308), "allow_sub_unit": True}, "beta_range"),
+    ({"n": 0, "beta_range": (-2.0, -1.0), "allow_sub_unit": True}, "beta_range"),
+    ({"beta_range": (0.0, 1.0), "allow_sub_unit": True}, "beta_range"),
+    ({"beta_range": (-2.0, -1.0)}, "beta_range"),
+    ({"beta_range": None, "beta_set": (0.5, 0.0), "allow_sub_unit": True}, "beta_set"),
+    ({"beta_range": None, "beta_set": (2.0, -1.0), "allow_sub_unit": True}, "beta_set"),
 ], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
         "nan-noise", "negative-alpha", "infinite-alpha", "nan-area", "infinite-area",
         "infinite-beta", "nan-beta", "infinite-beta-set", "nan-beta-set", "nan-demand",
@@ -121,7 +136,10 @@ def test_impossible_geometry_rejected():
         "gamma-max-below-one", "negative-value-max", "huge-steps", "steps-over-max",
         "reversed-scale-range", "zero-scale", "cutoff-below-one", "shannon-demands-uncapped",
         "empty-negative-demands", "empty-reversed-demands", "empty-reversed-beta",
-        "empty-beta-set"])
+        "empty-beta-set", "empty-zero-dim", "empty-negative-dim", "empty-float-dim",
+        "empty-bool-dim", "empty-dim-over-max", "huge-dim", "beta-range-overflowing-span",
+        "empty-negative-beta-range", "zero-beta", "negative-beta-without-sub-unit",
+        "zero-beta-in-set", "negative-beta-in-set"])
 def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
     with pytest.raises(ValueError, match=name):
         gen_random(GenConfig(**{"n": 2, "seed": 1, **fields}))
@@ -201,6 +219,79 @@ def test_array_seeding_property(seed, i, tag):
     words = _seed_words(seed, range(i, i + 1), [tag])
     assert words.shape == (1, 1, 4)
     assert _array_state(words[0, 0].tolist()) == _numpy_state(seed, i, tag)
+
+
+def _numpy_uniforms(seed, i, tag, segments):
+    """numpy's draws for ``segments`` of (low, high, k): one ``uniform(low,
+    high, size=k)`` call each, in order, on the stream of (seed, i, tag)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i, tag])))
+    return [x for low, high, k in segments for x in rng.uniform(low, high, size=k).tolist()]
+
+
+def _spans(segments):
+    return [_span(low, high) for low, high, k in segments for _ in range(k)]
+
+
+_FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _segments(draw):
+    """Up to three runs of draws, each on its own span low <= high."""
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        low, high = sorted((draw(_FINITE), draw(_FINITE)))
+        runs.append((low, high, draw(st.integers(1, 5))))
+    return runs
+
+
+@given(seed=st.integers(0, 2**160), i=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1),
+       segments=_segments())
+@settings(max_examples=300, deadline=None)
+def test_uniform_draws_equal_numpy_uniform(seed, i, tag, segments):
+    words = _seed_words(seed, range(i, i + 1), [tag])[0, 0].tolist()
+    got = _uniforms(words, _spans(segments))
+    # float.hex tells -0.0 from 0.0: the draws must be the same bits
+    assert [x.hex() for x in got] == [x.hex() for x in _numpy_uniforms(seed, i, tag, segments)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 5])
+def test_uniform_draws_across_a_block_edge(seed):
+    segments = [(0.0, 1000.0, 2), (1.0, 100.0, 1), (0.5, 3.0, 1)]
+    for i, seeds in enumerate(_link_seeds(seed, _BLOCK + 2, TAGS)):
+        if i >= _BLOCK - 2:
+            for tag in TAGS:
+                got = _uniforms(seeds[tag], _spans(segments))
+                assert got == _numpy_uniforms(seed, i, tag, segments), (i, tag)
+
+
+def test_span_raises_as_numpy_uniform_raises():
+    rng = np.random.Generator(np.random.PCG64(0))
+    for low, high in [(-1e308, 1e308), (0.0, math.nan), (-math.inf, 1.0)]:
+        with pytest.raises(OverflowError) as want:
+            rng.uniform(low, high)
+        with pytest.raises(OverflowError, match="^" + str(want.value) + "$"):
+            _span(low, high)
+
+
+@pytest.mark.parametrize("fields, per_link", [
+    ({}, 1),  # the angle's normal draw
+    ({"beta_range": None, "beta_set": (1.0, 2.0, 4.0)}, 2),  # and the threshold's choice
+])
+def test_only_the_angle_and_beta_set_use_a_numpy_generator(monkeypatch, fields, per_link):
+    calls = []
+
+    def spy(rng, words):
+        calls.append(words)
+        return _seeded(rng, words)
+
+    monkeypatch.setattr(generate, "_seeded", spy)
+    for utility in (STEP, SHANNON):
+        calls.clear()
+        config = GenConfig(n=40, seed=5, utility=utility, demand_range=(0.5, 2.0), p_max=1e6,
+                           **fields)
+        gen_random(config)
+        assert len(calls) == per_link * 40
 
 
 def test_seeding_builds_no_generator_per_link(monkeypatch):

@@ -1,4 +1,4 @@
-"""Time one solver recipe at two revisions of the package, side by side.
+"""Time one recipe at two revisions of the package, side by side.
 
 Copies ``src/sinrsched`` at two git revisions into a temporary directory,
 imports both copies in this one process under distinct names, and times the
@@ -11,10 +11,12 @@ included).
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
 on the capacity-large benchmark's instance (``gen_random``, area 1000,
 lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
-power p_max); ``latency`` runs ``solve_latency`` on the latency-medium
-instance (n = 64, 3-step utilities).
+power p_max); ``gen`` runs that ``gen_random`` call itself, and its output
+is the instance's bytes; ``latency`` runs ``solve_latency`` on the
+latency-medium instance (n = 64, 3-step utilities).
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
+    python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
 
 A revision ``.`` stands for the working tree.
@@ -70,10 +72,13 @@ def _recipe(pkg, name: str, n: int, seed: int):
             utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
         ))
         return lambda: pkg.solve_latency(inst)
-    inst = pkg.gen_random(pkg.GenConfig(
+    config = pkg.GenConfig(
         n=n, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
         alpha=2.0, p_max=20.0 * 30.0**2,
-    ))
+    )
+    if name == "gen":
+        return lambda: pkg.gen_random(config)
+    inst = pkg.gen_random(config)
     if name == "unlimited":
         return lambda: pkg.solve_unlimited(inst)
     if name == "limited":
@@ -86,7 +91,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision of side A")
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
-    parser.add_argument("--recipe", choices=("unlimited", "limited", "fixed", "latency"),
+    parser.add_argument("--recipe", choices=("unlimited", "limited", "fixed", "gen", "latency"),
                         default="limited")
     parser.add_argument("--n", type=int, help="links (default: 2000, latency 64)")
     parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency 0)")
@@ -101,7 +106,10 @@ def main(argv=None) -> None:
         for side, rev in (("A", args.base), ("B", args.head)):
             pkg = _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
             calls[side] = _recipe(pkg, args.recipe, n, seed)
-            outputs[side] = json.dumps(calls[side]().to_dict(include_trace=True))  # warm-up
+            out = calls[side]()  # warm-up
+            # an instance has no trace
+            outputs[side] = json.dumps(
+                out.to_dict() if args.recipe == "gen" else out.to_dict(include_trace=True))
         times = {"A": [], "B": []}
         for r in range(args.rounds):
             for side in ("AB" if r % 2 == 0 else "BA"):
