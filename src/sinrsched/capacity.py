@@ -63,7 +63,8 @@ _BLOCK = 256
 
 def weight_budget(alpha: float) -> float:
     """Greedy acceptance budget tau = 1 / (6 * 3^alpha + 2)."""
-    return 1.0 / (6.0 * 3.0**alpha + 2.0)
+    # 6 * 3^646 overflows to inf, so tau is 0.0 from there on; 3.0**647 would raise
+    return 1.0 / (6.0 * 3.0 ** min(alpha, 646.0) + 2.0)
 
 
 # Floating-point conditions the weight and affectance rows saturate or mask

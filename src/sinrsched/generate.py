@@ -209,6 +209,11 @@ class GenConfig:
         for name in ("area", "alpha", "noise"):
             if not 0.0 < getattr(self, name) < INF:
                 raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
+        try:  # the metric squares a length, and an instance needs every d^alpha finite
+            float(d_max) ** max(2.0, float(self.alpha))
+        except OverflowError:
+            message = f"d_range: length {d_max} overflows squared or at alpha {self.alpha}"
+            raise ValueError(message) from None
         dim = self.dim
         integer = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
         if not (integer and 1 <= dim <= MAX_DIM):
@@ -348,7 +353,7 @@ def _random_utility(params: tuple, draws: list) -> UtilitySpec:
 def gen_random(config: GenConfig) -> Instance:
     """Uniform senders in a square, receivers on a ring around their sender;
     thresholds, utilities, demands and powers drawn per the config."""
-    points: list[list[float]] = []
+    coords: list[float] = []  # sender i's, then receiver i's, for each link i
     links: list[Link] = []
     dim = config.dim
     sender_spans = [_span(0.0, config.area)] * dim
@@ -404,21 +409,20 @@ def gen_random(config: GenConfig) -> Instance:
             else:
                 power = float(config.power)
 
-        s_idx = len(points)
-        points.append(sender)
-        points.append(receiver)
+        coords += sender
+        coords += receiver
         links.append(
             Link(
                 id=i,
-                sender=s_idx,
-                receiver=s_idx + 1,
+                sender=2 * i,
+                receiver=2 * i + 1,
                 threshold=beta,
                 utility=utility,
                 demand=demand,
                 fixed_power=power,
             )
         )
-    metric = MetricSpace.euclidean(points if points else np.zeros((0, dim)), dim=dim)
+    metric = MetricSpace.euclidean(np.array(coords, dtype=np.float64).reshape(-1, dim), dim=dim)
     return Instance(
         metric=metric,
         alpha=config.alpha,
@@ -437,22 +441,17 @@ def gen_line(
     allow_sub_unit: bool = False,
 ) -> Instance:
     """1-D instance exactly as specified by (sender, receiver, beta) triples."""
-    points: list[list[float]] = []
+    coords: list[float] = []
     links: list[Link] = []
-
-    def add_point(x: float) -> int:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("coordinates must be finite")
-        points.append([x])
-        return len(points) - 1
-
     for idx, (s, r, beta) in enumerate(entries):
         if s == r:
             raise ValueError(f"entry {idx}: sender and receiver coincide")
-        links.append(Link(id=idx, sender=add_point(s), receiver=add_point(r), threshold=float(beta)))
+        coords += (float(s), float(r))
+        if not all(map(math.isfinite, coords[-2:])):
+            raise ValueError("coordinates must be finite")
+        links.append(Link(id=idx, sender=2 * idx, receiver=2 * idx + 1, threshold=float(beta)))
     return Instance(
-        metric=MetricSpace.euclidean(points if points else [[0.0]], dim=1),
+        metric=MetricSpace.euclidean(np.array(coords or [0.0]).reshape(-1, 1), dim=1),
         alpha=alpha,
         noise=noise,
         p_max=p_max,

@@ -7,11 +7,16 @@
 * ``gen_greedy_adversary`` / ``simulate_aloha`` — line instances with
   sub-unit thresholds on which greedy selection and ALOHA-style protocols
   provably lose a 1/beta factor.
+
+Each procedure reads its set's thresholds, geometry and witness powers once
+and checks the witness once; every SINR it decides after that comes from
+submatrices of that one geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -21,8 +26,8 @@ from .model import (
     FEAS_RTOL,
     INF,
     Instance,
-    evaluate_sinrs,
     geometry,
+    powers_for,
     sinr_vector,
     thresholds_for,
 )
@@ -50,33 +55,37 @@ class Decomposition:
         return tuple(len(p) for p in self.parts)
 
 
-def _require_witness(instance, ids, powers, thresholds=None):
+def _witness(instance, ids, powers, thresholds=None):
+    """Thresholds, geometry and witness power array of the distinct ``ids``,
+    read in that order, once every link is checked to reach its threshold
+    at a positive witness power. A NaN power or SINR fails the check."""
     beta = thresholds_for(instance, ids, thresholds)
-    sinrs = evaluate_sinrs(instance, ids, powers)
-    for k, lid in enumerate(ids):
-        if sinrs[lid] < beta[k] * (1 - FEAS_RTOL):
-            raise ValueError(
-                f"input set is not admissible under the witness powers: "
-                f"link {lid} reaches SINR {sinrs[lid]:.6g} < {beta[k]:.6g}"
-            )
-    return beta
+    geo = geometry(instance, ids)
+    p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
+    sinrs = sinr_vector(geo.cross_alpha, p, instance.noise)
+    bad = ~((sinrs >= beta * (1 - FEAS_RTOL)) & (p > 0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"input set is not admissible under the witness powers: link {ids[k]} needs a "
+            f"positive power and SINR >= {beta[k]:.6g}, not {p[k]:.6g} and {sinrs[k]:.6g}"
+        )
+    return beta, geo, p
 
 
-def _first_fit(instance, members, scaled_powers, goals):
-    """Place links into the first bin where their SINR against the links
-    already in that bin stays above their goal."""
+def _first_fit(members, cross_alpha, p, floor, noise):
+    """Place the positions ``members`` into the first bin where their SINR
+    against the positions already in that bin, under powers ``p`` on
+    ``cross_alpha``'s submatrix, reaches their ``floor``."""
     bins: list[list[int]] = []
-    for lid in members:
-        placed = False
+    for k in members:
         for group in bins:
-            trial = group + [lid]
-            sinrs = evaluate_sinrs(instance, trial, scaled_powers)
-            if sinrs[lid] >= goals[lid] * (1 - FEAS_RTOL):
-                group.append(lid)
-                placed = True
+            trial = group + [k]
+            if sinr_vector(cross_alpha[np.ix_(trial, trial)], p[trial], noise)[-1] >= floor[k]:
+                group.append(k)
                 break
-        if not placed:
-            bins.append([lid])
+        else:
+            bins.append([k])
     return bins
 
 
@@ -92,31 +101,25 @@ def strengthen(
 
     Runs first-fit binning with powers scaled by 2c, demanding SINR at least
     2c * beta against the links already binned; a second pass re-bins each
-    part in reverse insertion order. Every part is certified through the
-    exact oracle at the scaled thresholds.
+    part in reverse insertion order. Every trial is decided on a submatrix of
+    the set's one geometry. Every part is certified through the exact oracle
+    at the scaled thresholds.
     """
     if c < 1:
         raise ValueError("scale c must be >= 1")
     ids = sorted(admissible_set)
     if not ids:
         return Decomposition((), c)
-    beta = _require_witness(instance, ids, witness_powers, thresholds)
-    beta_of = {lid: float(beta[k]) for k, lid in enumerate(ids)}
-    scaled_powers = {lid: 2.0 * c * witness_powers[lid] for lid in ids}
-    goals = {lid: 2.0 * c * beta_of[lid] for lid in ids}
-
-    stage_one = _first_fit(instance, ids, scaled_powers, goals)
-    parts: list[tuple[int, ...]] = []
-    for group in stage_one:
-        for sub in _first_fit(instance, list(reversed(group)), scaled_powers, goals):
-            parts.append(tuple(sorted(sub)))
-
-    scaled_thresholds = {lid: c * beta_of[lid] for lid in ids}
-    for part in parts:
-        cert = check_admissible(instance, part, cap=INF, thresholds=scaled_thresholds)
+    beta, geo, p = _witness(instance, ids, witness_powers, thresholds)
+    fit = partial(_first_fit, cross_alpha=geo.cross_alpha, p=2.0 * c * p,
+                  floor=2.0 * c * beta * (1 - FEAS_RTOL), noise=instance.noise)
+    parts = [sorted(sub) for group in fit(range(len(ids))) for sub in fit(reversed(group))]
+    decomposition = Decomposition(tuple(tuple(ids[k] for k in part) for part in parts), c)
+    for positions, part in zip(parts, decomposition.parts):
+        cert = check_admissible(instance, part, cap=INF, thresholds=c * beta[positions])
         if not cert.feasible:
             raise CertificationError(f"decomposition part {part} failed certification at scale {c}")
-    return Decomposition(tuple(parts), c)
+    return decomposition
 
 
 def reversed_instance(instance: Instance, ids: Optional[Sequence[int]] = None) -> Instance:
@@ -143,27 +146,18 @@ def markov_survivors(
     an averaging argument guarantees at least half the set survives.
     """
     ids = sorted(admissible_set)
-    beta = _require_witness(instance, ids, witness_powers)
-    beta_of = {lid: float(beta[k]) for k, lid in enumerate(ids)}
-    for lid in ids:
-        if witness_powers[lid] <= 0:
-            raise ValueError(f"witness power of link {lid} is zero; dual power undefined")
-
-    geo = geometry(instance, ids)
-    dual = {
-        lid: beta_of[lid] * geo.d_alpha[geo.index[lid]] / witness_powers[lid] for lid in ids
-    }
-
-    survivors = []
-    for lid in ids:
-        k = geo.index[lid]
-        with np.errstate(divide="ignore"):
-            gain = 1.0 / geo.cross_alpha[k]
-        interference = sum(dual[other] * gain[geo.index[other]] for other in ids if other != lid)
-        signal = dual[lid] / geo.d_alpha[k]
-        if beta_of[lid] * interference <= 2.0 * signal * (1 + 1e-12):
-            survivors.append(lid)
-    return tuple(survivors)
+    if not ids:
+        return ()
+    beta, geo, p = _witness(instance, ids, witness_powers)
+    dual = beta * geo.d_alpha / p
+    with np.errstate(divide="ignore"):
+        received = dual * (1.0 / geo.cross_alpha)  # [k, j]: from dual sender j at receiver k
+    np.fill_diagonal(received, 0.0)
+    # accumulate adds a row's terms one at a time, in id order, whatever the
+    # Python version; the own term added is +0.0, which changes no sum
+    interference = np.add.accumulate(received, axis=1)[:, -1]
+    keep = beta * interference <= 2.0 * (dual / geo.d_alpha) * (1 + 1e-12)
+    return tuple(lid for lid, ok in zip(ids, keep.tolist()) if ok)
 
 
 def reverse_dual(
@@ -182,12 +176,9 @@ def reverse_dual(
     ids = sorted(admissible_set)
     if not ids:
         raise ValueError("empty input set")
-    beta = _require_witness(instance, ids, witness_powers)
-    beta_of = {lid: float(beta[k]) for k, lid in enumerate(ids)}
     survivors = list(markov_survivors(instance, ids, witness_powers))
-
     fragment = reversed_instance(instance, ids)
-    third = {lid: beta_of[lid] / 3.0 for lid in ids}
+    third = dict(zip(ids, (thresholds_for(instance, ids) / 3.0).tolist()))
     cert = check_admissible(fragment, survivors, cap=INF, thresholds=third)
     if not cert.feasible:
         raise CertificationError("reversed survivor set failed the third-threshold certification")

@@ -60,16 +60,7 @@ class MetricSpace:
 
     @classmethod
     def euclidean(cls, points: Sequence[Sequence[float]], dim: Optional[int] = None) -> "MetricSpace":
-        pts = None
-        if type(points) is list and set(map(type, points)) <= {list, tuple}:
-            # lists or tuples of one width, read in one flat pass at half the cost
-            # of numpy's shape discovery; if that fails, np.asarray raises the error
-            with suppress(TypeError, ValueError, OverflowError):
-                (width,) = set(map(len, points))
-                flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * width)
-                pts = flat.reshape(-1, width)
-        if pts is None:
-            pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.size == 0:
             pts = pts.reshape(0, dim or 1)
         if dim is not None and pts.shape[1] != dim:
@@ -235,7 +226,7 @@ class Instance:
     senders, receivers  node indices
     d_alpha             length^alpha, lengths from ``MetricSpace.distances``;
                         every sensitivity, weight, affectance, power and SINR
-                        in the package reads it, so it must be positive
+                        in the package reads it, so it must be finite and positive
     thresholds          link thresholds, NaN where a link has none
     """
 
@@ -257,23 +248,25 @@ class Instance:
         senders = np.array([link.sender for link in self.links], dtype=np.intp)
         receivers = np.array([link.receiver for link in self.links], dtype=np.intp)
         self.metric._check_nodes(senders, receivers)
-        lengths = self.metric.distances(receivers, senders)
-        d_alpha = lengths**self.alpha
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            lengths = self.metric.distances(receivers, senders)
+            d_alpha = lengths**self.alpha
         positions = index_of([link.id for link in self.links])
         thresholds = np.array(
             [math.nan if link.threshold is None else link.threshold for link in self.links],
             dtype=np.float64,
         )
         # the first link with a bad length or threshold; a bad length wins
-        bad = ~(d_alpha > 0)  # also when a short length underflows
+        bad = ~((d_alpha > 0) & (d_alpha < INF))  # also when a length under- or overflows
         if not self.allow_sub_unit_threshold:
             bad |= thresholds < 1
         if bad.any():
             k = int(np.argmax(bad))
             link = self.links[k]
-            if not d_alpha[k] > 0:
+            if not 0 < d_alpha[k] < INF:
                 raise ValueError(
-                    f"link {link.id}: sender-receiver distance^alpha must be > 0 "
+                    f"link {link.id}: sender-receiver distance^alpha must be "
+                    f"{'finite' if d_alpha[k] > 0 else '> 0'} "
                     f"(distance {lengths[k]:g}, alpha {self.alpha:g})"
                 )
             raise ValueError(
@@ -511,8 +504,9 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     index = index_of(ids)
     pos = instance.positions(ids)
     receivers, senders = instance.receivers[pos], instance.senders[pos]
-    cross = instance.metric.distances(receivers[:, None], senders[None, :])
-    return Geometry(ids, instance.d_alpha[pos], cross**instance.alpha, index)
+    with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
+        cross = instance.metric.distances(receivers[:, None], senders[None, :])
+        return Geometry(ids, instance.d_alpha[pos], cross**instance.alpha, index)
 
 
 def thresholds_for(
@@ -604,23 +598,6 @@ def powers_for(
     for lid, p in zip(ids, out):
         if p is None:
             raise ValueError(missing.format(lid))
-    return out
-
-
-def utilities_for(
-    instance: Instance,
-    ids: Sequence[int],
-    utilities: Optional[Mapping[int, UtilitySpec]] = None,
-) -> list[UtilitySpec]:
-    """Utility of each link in ``ids``, in order: its entry in
-    ``utilities``, else its own. Raises ValueError naming the first link
-    without one."""
-    out = []
-    for lid in ids:
-        u = None if utilities is None else utilities.get(lid)
-        out.append(instance.link(lid).utility if u is None else u)
-        if out[-1] is None:
-            raise ValueError(f"link {lid} has no utility")
     return out
 
 

@@ -27,11 +27,11 @@ from .model import (
     FEAS_RTOL,
     INF,
     Instance,
+    Thresholds,
     geometry,
     powers_for,
     sinr_vector,
     thresholds_for,
-    utilities_for,
 )
 
 BRUTE_FORCE_LIMIT = 20
@@ -91,7 +91,7 @@ def check_admissible(
     instance: Instance,
     subset: Sequence[int],
     cap: Optional[float] = None,
-    thresholds: Optional[Mapping[int, float]] = None,
+    thresholds: Optional[Thresholds] = None,
 ) -> AdmissibilityCertificate:
     """Decide whether some power assignment within the cap meets every
     threshold of ``subset``.
@@ -242,7 +242,9 @@ def brute_opt_flexible_fixed(
     ids = _brute_ids(instance, links)
     cross_alpha = geometry(instance, ids).cross_alpha
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    utils = utilities_for(instance, ids)
+    utils = [instance.link(lid).utility for lid in ids]
+    if None in utils:
+        raise ValueError(f"link {ids[utils.index(None)]} has no utility")
     best_combo: tuple[int, ...] = ()
     best_value = 0.0
     for size in range(1, len(ids) + 1):

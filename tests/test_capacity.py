@@ -61,6 +61,13 @@ def test_weight_budget_small_for_alpha_at_least_one():
         assert 0 < tau <= 1 / 8
 
 
+def test_weight_budget_is_defined_for_every_alpha():
+    # 6 * 3^alpha overflows from alpha ~644.6 on, 3^alpha itself from ~646.1
+    budgets = [weight_budget(alpha) for alpha in (600.0, 644.0, 645.0, 647.0, 1000.0, 1e308)]
+    assert budgets[0] > budgets[1] > 0.0
+    assert budgets[2:] == [0.0] * 4
+
+
 def test_weight_self_is_zero():
     inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
     cands = _candidates(inst, [0, 1])

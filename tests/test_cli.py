@@ -383,6 +383,38 @@ def test_link_whose_d_alpha_underflows_is_bad_input(tmp_path, capsys):
     assert err.startswith("error: link 5: sender-receiver distance^alpha must be > 0")
 
 
+@pytest.mark.parametrize("algorithm", ["unlimited", "limited"])
+@pytest.mark.parametrize("alpha", [400, 700, 1000])
+def test_link_whose_d_alpha_overflows_is_bad_input(tmp_path, capsys, alpha, algorithm):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    inst.write_text(json.dumps(dict(json.loads(inst.read_text()), alpha=alpha)))
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", algorithm])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: link 0: sender-receiver distance^alpha must be finite")
+
+
+@pytest.mark.parametrize("algorithm", ["unlimited", "limited", "fixed"])
+@pytest.mark.parametrize("points, alpha", [
+    ([[0.0], [1.0], [100.0], [101.0]], 400),  # d(s_j, r_i)^alpha overflows
+    ([[0.0], [0.5], [10.0], [10.5]], 1000),  # so does 3^alpha in the weight budget
+], ids=["cross-distance", "weight-budget"])
+def test_overflowing_cross_distance_is_zero_gain(tmp_path, capsys, points, alpha, algorithm):
+    # any numpy warning inside the package fails the suite, so exit 0 also
+    # means that none was raised
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    links = [{"id": k, "s": 2 * k, "r": 2 * k + 1, "beta": 1.0, "power": 1.0} for k in (0, 1)]
+    inst.write_text(json.dumps({
+        "alpha": alpha, "noise": 0.1, "p_max": 1e6,
+        "metric": {"type": "euclidean", "dim": 1, "points": points}, "links": links,
+    }))
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", algorithm, "--out", str(sol)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    assert json.loads(sol.read_text())["selected"] == [0, 1]
+    assert cli.main(["verify", "--instance", str(inst), "--artifact", str(sol)]) == cli.EXIT_OK
+
+
 def _two_demand_links():
     step = {"type": "step", "steps": [[1.0, 1.0], [4.0, 2.0]]}
     return {
@@ -551,6 +583,8 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
      "utility field 'scale_range'"),
     (["--utility", '{"family": "shannon", "cutoff_range": [1, true]}'],
      "utility field 'cutoff_range'"),
+    (["--alpha", "400"], "d_range"),
+    (["--n", "0", "--area", "1e300", "--dmax", "1e200", "--alpha", "1"], "d_range"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
         "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths",
         "nan-area", "infinite-area", "infinite-beta", "nan-beta", "nan-demand", "negative-seed",
@@ -558,7 +592,8 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
         "negative-value-max", "huge-steps", "reversed-scale-range", "cutoff-below-one",
         "uncapped-shannon-demands", "empty-unknown-family", "empty-demands-without-utility",
         "empty-negative-power", "float-steps", "bool-steps", "string-steps", "string-gamma-max",
-        "bool-value-max", "string-scale-range", "string-in-scale-range", "bool-in-cutoff-range"])
+        "bool-value-max", "string-scale-range", "string-in-scale-range", "bool-in-cutoff-range",
+        "overflowing-d-alpha", "empty-overflowing-squares"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])

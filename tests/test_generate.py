@@ -127,6 +127,10 @@ def test_impossible_geometry_rejected():
     ({"beta_range": (-2.0, -1.0)}, "beta_range"),
     ({"beta_range": None, "beta_set": (0.5, 0.0), "allow_sub_unit": True}, "beta_set"),
     ({"beta_range": None, "beta_set": (2.0, -1.0), "allow_sub_unit": True}, "beta_set"),
+    # the longest link's d^alpha, and its square, must be floats
+    ({"alpha": 400.0}, "d_range"),
+    ({"area": 1e308, "d_range": (1.0, 1e308)}, "d_range"),
+    ({"n": 0, "area": 1e300, "d_range": (1.0, 1e200), "alpha": 1.0}, "d_range"),
 ], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
         "nan-noise", "negative-alpha", "infinite-alpha", "nan-area", "infinite-area",
         "infinite-beta", "nan-beta", "infinite-beta-set", "nan-beta-set", "nan-demand",
@@ -139,7 +143,8 @@ def test_impossible_geometry_rejected():
         "empty-beta-set", "empty-zero-dim", "empty-negative-dim", "empty-float-dim",
         "empty-bool-dim", "empty-dim-over-max", "huge-dim", "beta-range-overflowing-span",
         "empty-negative-beta-range", "zero-beta", "negative-beta-without-sub-unit",
-        "zero-beta-in-set", "negative-beta-in-set"])
+        "zero-beta-in-set", "negative-beta-in-set", "overflowing-d-alpha", "overflowing-lengths",
+        "empty-overflowing-squares"])
 def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
     with pytest.raises(ValueError, match=name):
         gen_random(GenConfig(**{"n": 2, "seed": 1, **fields}))

@@ -1,5 +1,7 @@
 """Constructive lemma procedures and the adversarial constructions."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -22,7 +24,8 @@ from sinrsched import (
     solve_unlimited,
     strengthen,
 )
-from sinrsched import lemmas
+from sinrsched import lemmas, model
+from sinrsched.experiments import experiment_reverse, experiment_strengthen
 from sinrsched.lemmas import PERTURB
 
 
@@ -98,6 +101,59 @@ def test_reverse_zero_witness_power_rejected():
     inst = gen_line([(0, 1, 1), (30, 31, 1)], alpha=2, noise=0.1)
     with pytest.raises(ValueError):
         reverse_dual(inst, [0, 1], {0: 0.0, 1: 1.0})
+
+
+@pytest.mark.parametrize("procedure", [
+    lambda inst, w: strengthen(inst, [0, 1], w, c=2.0),
+    lambda inst, w: markov_survivors(inst, [0, 1], w),
+    lambda inst, w: reverse_dual(inst, [0, 1], w),
+], ids=["strengthen", "markov_survivors", "reverse_dual"])
+def test_nan_witness_power_is_rejected(procedure):
+    # NaN compares false both ways, so a `sinr < beta` check lets it through
+    inst = gen_line([(0, 1, 1), (30, 31, 1)], alpha=2, noise=0.1)
+    with pytest.raises(ValueError, match="not admissible under the witness powers: link 0 "):
+        procedure(inst, {0: math.nan, 1: 1.0})
+
+
+def test_strengthen_builds_one_geometry(monkeypatch):
+    inst = gen_random(GenConfig(n=10, seed=935, beta_range=(1.0, 3.0)))
+    sol = solve_unlimited(inst)
+    calls = {"geometry": 0, "evaluate_sinrs": 0}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    # the oracle's own geometry, built to certify each part, is not counted
+    geometry = spy("geometry", model.geometry)
+    monkeypatch.setattr(model, "geometry", geometry)
+    monkeypatch.setattr(lemmas, "geometry", geometry)
+    evaluate = spy("evaluate_sinrs", model.evaluate_sinrs)
+    monkeypatch.setattr(model, "evaluate_sinrs", evaluate)
+    monkeypatch.setattr(lemmas, "evaluate_sinrs", evaluate, raising=False)
+    deco = strengthen(inst, sol.selected, sol.powers, c=2.0)
+    assert deco.parts == ((0, 4, 5, 7), (1,), (8,))  # first fit tried bins
+    assert calls == {"geometry": 1, "evaluate_sinrs": 0}
+
+
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# sha256 of each experiment's JSON report, recorded when every first-fit trial
+# built its own geometry and the witness was checked link by link
+@pytest.mark.parametrize("experiment, sets, seed, digest", [
+    (experiment_strengthen, 60, 3, "1acbfb48bdbbecf3"),
+    (experiment_strengthen, 100, 0, "a73ede5476832445"),
+    (experiment_reverse, 60, 3, "d5983a29d23678c5"),
+    (experiment_reverse, 100, 0, "76a9bb86a752812a"),
+])
+def test_lemma_experiment_rows_are_pinned(experiment, sets, seed, digest):
+    report = experiment(sets, seed=seed)
+    assert report["summary"]["violations"] == 0
+    assert _report_digest(report) == digest
 
 
 def test_reverse_on_harvested_sets():

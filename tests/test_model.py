@@ -161,6 +161,18 @@ def test_instance_rejects_a_link_whose_d_alpha_is_zero(length):
         Instance(metric=metric, alpha=3.0, noise=1.0, links=links)
 
 
+@pytest.mark.parametrize("length, alpha, shown", [(100.0, 400.0, "100"), (1e200, 1.0, "inf")])
+def test_instance_rejects_a_link_whose_d_alpha_overflows(length, alpha, shown):
+    # 100 ** 400 overflows, and so does the square of a 1e200 length
+    metric = MetricSpace.euclidean([[1.0], [2.0], [0.0], [length]])
+    links = (Link(id=0, sender=0, receiver=1), Link(id=7, sender=2, receiver=3))
+    with pytest.raises(ValueError) as caught:
+        Instance(metric=metric, alpha=alpha, noise=1.0, links=links)
+    assert str(caught.value) == (
+        f"link 7: sender-receiver distance^alpha must be finite (distance {shown}, alpha {alpha:g})"
+    )
+
+
 def _three_link_instance():
     return gen_line([(0, 1, 1), (4, 5, 1), (9, 8, 1)], alpha=2, noise=0.1)
 

@@ -234,6 +234,12 @@ def test_brute_flexible_all_zero_utilities():
     assert best == () and util == 0.0
 
 
+def test_brute_flexible_names_a_link_without_utility():
+    inst = gen_line([(0, 1, 1), (10, 11, 1)], alpha=2, noise=0.1)
+    with pytest.raises(ValueError, match="^link 0 has no utility$"):
+        brute_opt_flexible_fixed(inst, powers={0: 1.0, 1: 1.0})
+
+
 def test_spectral_radius_handles_two_cycle():
     # [[0, 4], [1, 0]] has eigenvalues +-2; plain power iteration would oscillate
     assert spectral_radius(np.array([[0.0, 4.0], [1.0, 0.0]])) == pytest.approx(2.0, rel=1e-9)
