@@ -15,14 +15,15 @@ Three solvers share the sensitivity ordering from the model:
 Every greedy pass is one loop, ``_greedy``: it walks the candidates in
 sensitivity order, accepts a candidate while its running load stays within
 the budget and, on each acceptance, adds the accepted link's O(n) weight or
-affectance row to the loads. No solver builds an n x n matrix over its n
-candidates. A solve takes O(n * |accepted|) time and O(n) memory, plus
-O(|accepted|^2) for the power recurrence and the SINR evaluation of the
+affectance row to the loads; rows, columns and blocks all come from one
+kernel per value (see ``_Candidates``). No solver builds an n x n matrix
+over its n candidates. A solve takes O(n * |accepted|) time and O(n) memory,
+plus O(|accepted|^2) for the power recurrence and the SINR evaluation of the
 accepted links, which share one geometry; the limited solver's second pass
 over the k links its first pass accepted takes their weights in column
 blocks of 256 links, in O(k * 256) memory. Endpoints, ``d^alpha`` and
 thresholds are sliced from the per-link arrays cached on ``Instance``, so
-every sensitivity and row here reads the one ``Instance.d_alpha``.
+every sensitivity and kernel here reads the one ``Instance.d_alpha``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -45,6 +46,7 @@ from .model import (
     Solution,
     Thresholds,
     _received,
+    _sensitivities,
     _thresholds_at,
     empty_solution,
     geometry,
@@ -67,41 +69,22 @@ def weight_budget(alpha: float) -> float:
     return 1.0 / (6.0 * 3.0 ** min(alpha, 646.0) + 2.0)
 
 
-# Floating-point conditions the weight and affectance rows saturate or mask
-# by design (zero cross-distances, zero margins, infinite powers); a greedy
-# walk enters this state once around all of its rows.
+# Floating-point conditions the kernels saturate or mask by design (zero
+# cross-distances, zero margins, infinite powers; an overflowing sensitivity
+# is rejected), entered once around a pass's candidates, order and walk.
 _ROW_ERRSTATE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
-
-
-def _weights(s_from, s_to, x_ft, x_tf):
-    """Directed weight min(1, s_f s_t / (x_ft x_tf) + s_f / x_ft + s_f / x_tf).
-
-    s is the sensitivity beta * d^alpha, x_ft = d(sender_from, receiver_to)^alpha
-    and x_tf = d(sender_to, receiver_from)^alpha; operands broadcast. Zero
-    cross-distances saturate individual terms, and the min clamps at 1.
-    Callers run it under ``_ROW_ERRSTATE``.
-    """
-    return np.minimum(1.0, (s_from * s_to) / (x_ft * x_tf) + s_from / x_ft + s_from / x_tf)
-
-
-def _affectances(beta, margin, received):
-    """Affectance onto targets with thresholds ``beta`` and noise margins
-    p / d^alpha - beta * N from senders received at strength ``received``;
-    operands broadcast. Saturates at 1, and a target without a positive
-    margin takes 1 from every sender, silent or not. Callers run it under
-    ``_ROW_ERRSTATE``."""
-    return np.where(margin > 0, np.minimum(1.0, beta * received / margin), 1.0)
+ALL = slice(None)  # the kernels' position of every candidate
 
 
 class _Candidates:
-    """O(n) arrays over a candidate set and the O(n) rows the greedies add up.
+    """O(n) arrays over a candidate set and the pair kernels the greedies add up.
 
     ``pos`` are the candidates' rows of the instance arrays, ``beta`` their
     resolved thresholds and ``p`` their powers, if any. Endpoints are gathered
-    once (see ``MetricSpace.gather``), so a row measures from them without
-    looking any node up. Row methods give the value from candidate k onto
-    every candidate, column methods the value from every candidate onto k;
-    entry k itself is zero.
+    once (see ``MetricSpace.gather``). A kernel gives the value from each
+    candidate a onto each b, for positions that broadcast: ``(k, ALL)`` is a
+    row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None, :])`` a block.
+    A value onto itself is left as computed. Use it under ``_ROW_ERRSTATE``.
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
@@ -113,33 +96,30 @@ class _Candidates:
         self.receivers = metric.gather(instance.receivers[pos])
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
-        self.sens = beta * self.d_alpha
+        self.sens = _sensitivities(ids, beta, self.d_alpha)
         if p is not None:
             self.p = p
             self.margin = p / self.d_alpha - beta * instance.noise
 
-    def _out_alpha(self, k):
-        """d(sender_k, receiver_b)^alpha for every candidate b."""
-        return self.between(self.receivers, self.senders[..., k]) ** self.alpha
+    def _alpha(self, a, b):
+        """d(sender_a, receiver_b)^alpha."""
+        return self.between(self.receivers[..., b], self.senders[..., a]) ** self.alpha
 
-    def _in_alpha(self, k):
-        """d(sender_a, receiver_k)^alpha for every candidate a."""
-        return self.between(self.receivers[..., k], self.senders) ** self.alpha
+    def weights(self, a, b):
+        """Directed weight min(1, s_a s_b / (x_ab x_ba) + s_a / x_ab + s_a / x_ba),
+        with sensitivities s and x_ab = ``_alpha(a, b)``. Zero cross-distances
+        saturate individual terms, and the min clamps at 1."""
+        s_a = self.sens[a]
+        x_ab, x_ba = self._alpha(a, b), self._alpha(b, a)
+        return np.minimum(1.0, (s_a * self.sens[b]) / (x_ab * x_ba) + s_a / x_ab + s_a / x_ba)
 
-    def weight_row(self, k):
-        row = _weights(self.sens[k], self.sens, self._out_alpha(k), self._in_alpha(k))
-        row[k] = 0.0
-        return row
-
-    def affectance_row(self, k):
-        row = _affectances(self.beta, self.margin, _received(self.p[k], self._out_alpha(k)))
-        row[k] = 0.0
-        return row
-
-    def affectance_col(self, k):
-        col = _affectances(self.beta[k], self.margin[k], _received(self.p, self._in_alpha(k)))
-        col[k] = 0.0
-        return col
+    def affectances(self, a, b):
+        """Affectance of senders a onto targets b, beta_b * received / margin_b
+        with margins p / d^alpha - beta * N. Saturates at 1, and a target
+        without a positive margin takes 1 from every sender, silent or not."""
+        margin = self.margin[b]
+        received = _received(self.p[a], self._alpha(a, b))
+        return np.where(margin > 0, np.minimum(1.0, self.beta[b] * received / margin), 1.0)
 
 
 def solve_unlimited(
@@ -168,22 +148,22 @@ def solve_unlimited(
 def _greedy(candidates, index, load, budget, row):
     """Walk ``candidates`` (ids, positions ``index[id]``) in the given order
     and accept each whose entry of ``load`` is within ``budget``; accepting
-    the candidate at position k adds ``row(k)`` to ``load`` in place.
+    the candidate at position k adds ``row(k)`` to ``load`` in place. Entry k
+    of that row is never read, since each candidate is walked once.
 
     Returns the accepted ids in acceptance order and one trace row
     (id, accepted, load) per candidate.
     """
     accepted = []
     trace = []
-    with np.errstate(**_ROW_ERRSTATE):
-        for cand in candidates:
-            k = index[cand]
-            lk = load.item(k)
-            ok = lk <= budget
-            trace.append((cand, ok, lk))
-            if ok:
-                accepted.append(cand)
-                load += row(k)
+    for cand in candidates:
+        k = index[cand]
+        lk = load.item(k)
+        ok = lk <= budget
+        trace.append((cand, ok, lk))
+        if ok:
+            accepted.append(cand)
+            load += row(k)
     return accepted, tuple(trace)
 
 
@@ -197,10 +177,11 @@ def _greedy_unlimited(instance, ids, pos, beta):
     later candidate, so no rank mask is needed. The first candidate starts at
     load 0, so at least one link is accepted.
     """
-    order = sensitivity_order(instance, ids, beta)
-    cands = _Candidates(instance, ids, pos, beta)
-    accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
-                              weight_budget(instance.alpha), cands.weight_row)
+    with np.errstate(**_ROW_ERRSTATE):
+        cands = _Candidates(instance, ids, pos, beta)
+        order = sensitivity_order(instance, ids, beta)
+        accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
+                                  weight_budget(instance.alpha), lambda k: cands.weights(k, ALL))
     return accepted, trace, cands
 
 
@@ -331,7 +312,7 @@ def solve_fixed(
     given = powers_for(instance, ids, powers)
     pos = instance.positions(ids)
     beta = _thresholds_at(instance, ids, thresholds, pos)
-    cands = _Candidates(instance, ids, pos, beta, np.array(given, dtype=np.float64))
+    final, trace, cands = _fixed_pass(instance, ids, pos, beta, np.array(given, dtype=np.float64))
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, dict(zip(ids, given)), beta)
         if issues:
@@ -341,31 +322,35 @@ def solve_fixed(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    final, trace = _fixed_pass(instance, ids, cands)
     return _finish(instance, final, {lid: given[cands.index[lid]] for lid in final}, "fixed", trace)
 
 
-def _fixed_pass(instance, ids, cands):
-    """Tentative pass and filter of the fixed solver over nonempty ``ids``."""
-    order = sensitivity_order(instance, ids, cands.beta)
-    # load[c]: affectance between c and the tentative links, both ways. A
-    # link that misses the solo SINR gate (p / d^alpha must reach beta * N
-    # up to tolerance) starts at an infinite load and is never accepted.
-    solo_ok = cands.p / cands.d_alpha >= cands.beta * instance.noise * (1 - FEAS_RTOL)
-    # such a link's power reaches only its own load, through affectance_col;
-    # silenced, it adds 0 or 1 there, so a NaN or -inf power keeps it infinite
-    cands.p = np.where(solo_ok, cands.p, 0.0)
-    # incoming[c]: affectance from the tentative links onto c
-    incoming = np.zeros(len(ids))
+def _fixed_pass(instance, ids, pos, beta, p):
+    """Tentative pass and filter of the fixed solver over nonempty ``ids``
+    (rows ``pos``, thresholds ``beta``, powers ``p``), and the candidates."""
+    with np.errstate(**_ROW_ERRSTATE):
+        cands = _Candidates(instance, ids, pos, beta, p)
+        order = sensitivity_order(instance, ids, beta)
+        # load[c]: affectance between c and the tentative links, both ways. A
+        # link that misses the solo SINR gate (p / d^alpha must reach beta * N
+        # up to tolerance) starts at an infinite load and is never accepted.
+        # Its power reaches only that load, through the accepted links'
+        # columns; silenced, it adds 0 or 1 there, so the load stays infinite.
+        solo_ok = p / cands.d_alpha >= beta * instance.noise * (1 - FEAS_RTOL)
+        cands.p = np.where(solo_ok, p, 0.0)
+        # incoming[c]: affectance from the tentative links onto c; the filter
+        # reads a tentative link's own entry, so its row's is zeroed
+        incoming = np.zeros(len(ids))
 
-    def both_ways(k):
-        row = cands.affectance_row(k)
-        np.add(incoming, row, out=incoming)
-        return row + cands.affectance_col(k)
+        def both_ways(k):
+            row = cands.affectances(k, ALL)
+            row[k] = 0.0
+            np.add(incoming, row, out=incoming)
+            return row + cands.affectances(ALL, k)
 
-    tentative, trace = _greedy(reversed(order), cands.index, np.where(solo_ok, 0.0, INF), 0.5,
-                               both_ways)
-    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace
+        tentative, trace = _greedy(reversed(order), cands.index, np.where(solo_ok, 0.0, INF),
+                                   0.5, both_ways)
+    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace, cands
 
 
 def solve_limited(
@@ -395,7 +380,8 @@ def solve_limited(
         index_of(ids)
     pos = instance.positions(ids)
     beta = _thresholds_at(instance, ids, thresholds, pos)
-    small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
+    with np.errstate(over="ignore"):  # its branch rejects a sensitivity that overflows
+        small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
     sol1, sol2 = empty_solution("limited"), empty_solution("fixed")
     if small.any():
         r1 = list(compress(ids, small.tolist()))
@@ -404,7 +390,7 @@ def solve_limited(
         big = ~small
         r2 = list(compress(ids, big.tolist()))
         p = np.full(len(r2), instance.p_max, dtype=np.float64)
-        final, trace = _fixed_pass(instance, r2, _Candidates(instance, r2, pos[big], beta[big], p))
+        final, trace, _ = _fixed_pass(instance, r2, pos[big], beta[big], p)
         sol2 = _finish(instance, final, dict.fromkeys(final, instance.p_max), "fixed", trace)
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
     return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
@@ -419,19 +405,16 @@ def _limited_first_branch(instance, r1, pos, beta):
     # the first pass accepted its links least sensitive first; walked back, a
     # load is the weight from c onto the kept links, all more sensitive than c
     walk = first_pass[::-1]
-    at = [cands.index[lid] for lid in walk]
-    sens, senders, receivers = cands.sens[at], cands.senders[..., at], cands.receivers[..., at]
+    at = np.array([cands.index[lid] for lid in walk], dtype=np.intp)
     load, kept, trace2 = np.zeros(len(walk)), [], ()
-    for start in range(0, len(walk), _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        # block[a, j]: weight from walked link start + a onto start + j
-        with np.errstate(**_ROW_ERRSTATE):
-            x_ft = cands.between(receivers[..., None, cols], senders[..., start:, None])
-            x_tf = cands.between(receivers[..., start:, None], senders[..., None, cols])
-            block = _weights(sens[start:, None], sens[cols], x_ft**cands.alpha, x_tf**cands.alpha)
-        got, trace = _greedy(walk[cols], index_of(walk[cols]), load[start:], SECOND_PASS_BUDGET,
-                             lambda j: block[:, j])
-        kept += got
-        trace2 += trace
+    with np.errstate(**_ROW_ERRSTATE):
+        for start in range(0, len(walk), _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            # block[a, j]: weight from walked link start + a onto start + j
+            block = cands.weights(at[start:, None], at[None, cols])
+            got, trace = _greedy(walk[cols], index_of(walk[cols]), load[start:],
+                                 SECOND_PASS_BUDGET, lambda j: block[:, j])
+            kept += got
+            trace2 += trace
     powers, geo = _power_recurrence(instance, kept, cands)
     return _finish(instance, kept, powers, "limited", trace1 + trace2, geo)

@@ -214,6 +214,10 @@ class GenConfig:
         except OverflowError:
             message = f"d_range: length {d_max} overflows squared or at alpha {self.alpha}"
             raise ValueError(message) from None
+        # a coordinate near the area's size carries 52 bits; keep 22 for a length
+        if d_min < self.area * 2.0**-30:
+            raise ValueError(f"d_range: length {d_min} is below area * 2^-30 = "
+                             f"{self.area * 2.0**-30:g}, the coordinates' resolution")
         dim = self.dim
         integer = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
         if not (integer and 1 <= dim <= MAX_DIM):

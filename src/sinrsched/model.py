@@ -227,7 +227,8 @@ class Instance:
     d_alpha             length^alpha, lengths from ``MetricSpace.distances``;
                         every sensitivity, weight, affectance, power and SINR
                         in the package reads it, so it must be finite and positive
-    thresholds          link thresholds, NaN where a link has none
+    thresholds          link thresholds, NaN where a link has none; a link's
+                        sensitivity threshold * d_alpha must be finite too
     """
 
     metric: MetricSpace
@@ -248,16 +249,18 @@ class Instance:
         senders = np.array([link.sender for link in self.links], dtype=np.intp)
         receivers = np.array([link.receiver for link in self.links], dtype=np.intp)
         self.metric._check_nodes(senders, receivers)
-        with np.errstate(over="ignore"):  # an overflow is rejected below
-            lengths = self.metric.distances(receivers, senders)
-            d_alpha = lengths**self.alpha
         positions = index_of([link.id for link in self.links])
         thresholds = np.array(
             [math.nan if link.threshold is None else link.threshold for link in self.links],
             dtype=np.float64,
         )
-        # the first link with a bad length or threshold; a bad length wins
-        bad = ~((d_alpha > 0) & (d_alpha < INF))  # also when a length under- or overflows
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            lengths = self.metric.distances(receivers, senders)
+            d_alpha = lengths**self.alpha
+            sens = thresholds * d_alpha
+        # the first link with a bad length, sensitivity or threshold; a bad
+        # length wins. A length may under- or overflow.
+        bad = ~((d_alpha > 0) & (d_alpha < INF)) | (sens == INF)
         if not self.allow_sub_unit_threshold:
             bad |= thresholds < 1
         if bad.any():
@@ -269,6 +272,8 @@ class Instance:
                     f"{'finite' if d_alpha[k] > 0 else '> 0'} "
                     f"(distance {lengths[k]:g}, alpha {self.alpha:g})"
                 )
+            if sens[k] == INF:
+                raise ValueError(_overflow_message(link.id, thresholds[k], d_alpha[k]))
             raise ValueError(
                 f"link {link.id}: threshold {link.threshold} < 1 "
                 "(set allow_sub_unit_threshold to permit)"
@@ -363,7 +368,7 @@ class Instance:
                     utility = utility_from_dict(utility)
                 except KeyError as exc:
                     raise ValueError(f"links[{k}].utility: missing field {exc}") from None
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"links[{k}].utility: {exc}") from None
             lid, beta, demand, power = get("id"), get("beta"), get("demand"), get("power")
             if type(lid) is not int:
@@ -544,6 +549,23 @@ def _thresholds_at(instance, ids, thresholds, pos=None):
         k = int(np.argmin((out > 0) & (out < INF)))
         raise ValueError(f"link {ids[k]}: threshold must be finite and positive, got {out[k]}")
     return out
+
+
+def _sensitivities(ids, beta: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
+    """Sensitivities beta * d^alpha of ``ids``, from finite positive
+    thresholds. Raises ValueError naming the first link whose product
+    overflows; callers run it under ``np.errstate(over="ignore")``, so no
+    solver or oracle warns or runs on an infinite sensitivity."""
+    sens = beta * d_alpha
+    if not (sens < INF).all():
+        k = int(np.argmin(sens < INF))
+        raise ValueError(_overflow_message(ids[k], beta[k], d_alpha[k]))
+    return sens
+
+
+def _overflow_message(lid, beta, d_alpha) -> str:
+    return (f"link {lid}: sensitivity threshold * distance^alpha must be finite "
+            f"(threshold {beta:g}, distance^alpha {d_alpha:g})")
 
 
 def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:

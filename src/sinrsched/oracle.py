@@ -28,6 +28,7 @@ from .model import (
     INF,
     Instance,
     Thresholds,
+    _sensitivities,
     geometry,
     powers_for,
     sinr_vector,
@@ -71,9 +72,11 @@ class AdmissibilityCertificate:
 def _coupling(instance, ids, thresholds):
     """Relative interference matrix B and base vector beta * d^alpha * N."""
     geo = geometry(instance, ids)
-    sens = thresholds_for(instance, ids, thresholds) * geo.d_alpha
-    with np.errstate(divide="ignore"):
-        coupling = sens[:, None] * (1.0 / geo.cross_alpha)
+    beta = thresholds_for(instance, ids, thresholds)
+    with np.errstate(divide="ignore", over="ignore"):
+        sens = _sensitivities(ids, beta, geo.d_alpha)
+        gain = 1.0 / geo.cross_alpha
+    coupling = sens[:, None] * gain
     np.fill_diagonal(coupling, 0.0)
     return coupling, sens * instance.noise
 

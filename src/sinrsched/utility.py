@@ -347,9 +347,28 @@ def utility_to_dict(u: UtilitySpec) -> dict:
 
 
 def utility_from_dict(data: Mapping) -> UtilitySpec:
+    """Utility from its JSON form. A field of another JSON type raises
+    ValueError naming it: ``steps`` is a list of [gamma, value] pairs of
+    numbers, and ``scale`` and ``cutoff`` are numbers, which no bool or
+    string is. A missing field raises KeyError."""
     kind = data.get("type")
     if kind == "step":
-        return StepUtility(tuple((float(g), float(v)) for g, v in data["steps"]))
+        steps = data["steps"]
+        if not isinstance(steps, list):
+            raise ValueError(f"steps must be a list, got {steps!r}")
+        for k, step in enumerate(steps):
+            if not (isinstance(step, list) and len(step) == 2 and all(map(_is_number, step))):
+                raise ValueError(f"steps[{k}] must be a [gamma, value] pair of numbers, "
+                                 f"got {step!r}")
+        return StepUtility(tuple((float(g), float(v)) for g, v in steps))
     if kind == "shannon":
-        return ShannonUtility(scale=float(data["scale"]), cutoff=float(data.get("cutoff", 1.0)))
+        scale, cutoff = data["scale"], data.get("cutoff", 1.0)
+        for name, value in (("scale", scale), ("cutoff", cutoff)):
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        return ShannonUtility(scale=float(scale), cutoff=float(cutoff))
     raise ValueError(f"unknown utility type: {kind!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from sinrsched import (
     FEAS_RTOL,
     GenConfig,
+    Instance,
+    Link,
+    MetricSpace,
     check_admissible,
     evaluate_sinrs,
     gen_line,
@@ -25,7 +28,13 @@ from sinrsched import (
     solve_unlimited,
     weight_budget,
 )
-from sinrsched.capacity import _ROW_ERRSTATE, _Candidates, check_power_preconditions
+from sinrsched.capacity import (
+    _ROW_ERRSTATE,
+    ALL,
+    _Candidates,
+    _greedy,
+    check_power_preconditions,
+)
 from sinrsched.model import thresholds_for
 
 
@@ -37,22 +46,20 @@ def _candidates(inst, ids, powers=None):
 
 
 def weight(inst, from_link, to_link):
-    """Directed weight of ``from_link`` onto ``to_link``: an entry of the
-    greedy's weight row, under the floating-point state of a greedy walk."""
-    cands = _candidates(inst, [from_link, to_link])
+    """Directed weight of ``from_link`` onto ``to_link``: the greedies' weight
+    kernel, under the floating-point state of a greedy walk."""
     with np.errstate(**_ROW_ERRSTATE):
-        return float(cands.weight_row(0)[1])
+        return float(_candidates(inst, [from_link, to_link]).weights(0, 1))
 
 
 def affectance(inst, from_link, to_link, powers):
-    """Affectance of ``from_link`` on ``to_link``: an entry of the greedy's
-    affectance row, zero for a link onto itself, under the floating-point
-    state of a greedy walk."""
+    """Affectance of ``from_link`` on ``to_link``: the greedies' affectance
+    kernel, zero for a link onto itself, under the floating-point state of a
+    greedy walk."""
     if from_link == to_link:
         return 0.0
-    cands = _candidates(inst, [from_link, to_link], powers)
     with np.errstate(**_ROW_ERRSTATE):
-        return float(cands.affectance_row(0)[1])
+        return float(_candidates(inst, [from_link, to_link], powers).affectances(0, 1))
 
 
 def test_weight_budget_small_for_alpha_at_least_one():
@@ -68,10 +75,69 @@ def test_weight_budget_is_defined_for_every_alpha():
     assert budgets[2:] == [0.0] * 4
 
 
-def test_weight_self_is_zero():
-    inst = gen_line([(0, 1, 2), (10, 11, 2)], alpha=2, noise=0.1)
-    cands = _candidates(inst, [0, 1])
-    assert cands.weight_row(0)[0] == 0.0 and cands.weight_row(1)[1] == 0.0
+@pytest.mark.parametrize("kernel", ["weights", "affectances"])
+def test_greedy_never_reads_a_walked_candidates_own_entry(kernel):
+    # the kernels leave a candidate's value onto itself as the formula gives
+    # it; a walk must not depend on it
+    inst = gen_random(GenConfig(n=80, seed=4, area=300.0, d_range=(1.0, 30.0)))
+    ids = list(inst.link_ids)
+    order = sensitivity_order(inst)
+    with np.errstate(**_ROW_ERRSTATE):
+        cands = _candidates(inst, ids, dict.fromkeys(ids, 1e4))
+        values = getattr(cands, kernel)
+        walks = []
+        for own in (0.0, math.nan):
+            def row(k, own=own):
+                out = values(k, ALL) + values(ALL, k)
+                out[k] = own
+                return out
+
+            walks.append(_greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5, row))
+    assert walks[0] == walks[1]
+    assert 1 < len(walks[0][0]) < len(ids)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _kernel_instance(name):
+    """A candidate set in dims 1-3, or with endpoints that coincide in a
+    Euclidean or a matrix metric, and the ample power level for it."""
+    if name.startswith("dim-"):
+        dim = int(name[4:])
+        return gen_random(GenConfig(n=40, seed=dim, dim=dim, area=60.0, d_range=(1.0, 20.0))), 1e3
+    pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 5.0], [6.0, 5.0], [0.0, 0.0],
+           [9.0, 1.0]]
+    metric = MetricSpace.euclidean(pts)
+    if name == "matrix":
+        nodes = np.arange(len(pts))
+        metric = MetricSpace.from_matrix(metric.distances(nodes[:, None], nodes[None, :]),
+                                         validate=False)
+    links = (Link(0, 0, 1, threshold=1.0), Link(1, 2, 3, threshold=1.0),
+             Link(2, 4, 5, threshold=2.0), Link(3, 6, 3, threshold=1.5),
+             Link(4, 7, 4, threshold=3.0), Link(5, 1, 7, threshold=1.0))
+    return Instance(metric, 2.5, 0.1, links), 5.0
+
+
+@pytest.mark.parametrize("name", ["dim-1", "dim-2", "dim-3", "euclidean", "matrix"])
+def test_kernel_blocks_equal_rows_and_columns_bit_for_bit(name):
+    inst, level = _kernel_instance(name)
+    ids = list(inst.link_ids)
+    n = len(ids)
+    # zero powers, powers below and at the solo gate, and ample powers
+    sens = thresholds_for(inst, ids) * inst.d_alpha * inst.noise
+    scale = np.array([0.0, 0.5, 1.0, level])[np.arange(n) % 4]
+    powers = dict(zip(ids, (sens * scale).tolist()))
+    perm = np.random.default_rng(n).permutation(n)
+    with np.errstate(**_ROW_ERRSTATE):
+        cands = _candidates(inst, ids, powers)
+        for kernel in (cands.weights, cands.affectances):
+            block = kernel(perm[:, None], perm[None, :])
+            assert block.shape == (n, n)
+            for i, k in enumerate(perm.tolist()):
+                assert np.array_equal(_bits(block[i]), _bits(kernel(k, ALL)[perm]))
+                assert np.array_equal(_bits(block[:, i]), _bits(kernel(ALL, k)[perm]))
 
 
 def test_weight_worked_example():
@@ -106,6 +172,25 @@ def test_affectance_saturates_on_degenerate_target():
     assert affectance(inst, 1, 0, {0: 0.1, 1: 1.0}) == 1.0
     # a silent sender saturates it too
     assert affectance(inst, 1, 0, {0: 0.1, 1: 0.0}) == 1.0
+
+
+@pytest.mark.parametrize("thresholds", [{0: 1e300}, np.array([1e300, 2.0])],
+                         ids=["mapping", "array"])
+@pytest.mark.parametrize("algorithm", ["unlimited", "limited", "fixed"])
+def test_threshold_override_whose_sensitivity_overflows_is_rejected(algorithm, thresholds):
+    # d^alpha = 1e20 and 1e300 * 1e20 overflows. At p_max 1e30 the limited
+    # solver puts link 0 in its fixed-power branch and link 1 in the other;
+    # the suite turns a numpy warning inside the package into an error.
+    inst = gen_line([(0, 1e10, 2.0), (10, 1e10 + 10, 2.0)], alpha=2, noise=1.0, p_max=1e30)
+    solve = {
+        "unlimited": solve_unlimited,
+        "limited": solve_limited,
+        "fixed": functools.partial(solve_fixed, powers={0: 1e30, 1: 1e30}),
+    }[algorithm]
+    message = (r"^link 0: sensitivity threshold \* distance\^alpha must be finite "
+               r"\(threshold 1e\+300, distance\^alpha 1e\+20\)$")
+    with pytest.raises(ValueError, match=message):
+        solve(inst, thresholds=thresholds)
 
 
 def test_solve_unlimited_single_link():

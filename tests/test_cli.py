@@ -395,6 +395,23 @@ def test_link_whose_d_alpha_overflows_is_bad_input(tmp_path, capsys, alpha, algo
     assert err.startswith("error: link 0: sender-receiver distance^alpha must be finite")
 
 
+@pytest.mark.parametrize("algorithm", ["unlimited", "limited"])
+def test_link_whose_sensitivity_overflows_is_bad_input(tmp_path, capsys, algorithm):
+    # gen_line([(0, 1e10, 1e300), (10, 1e10 + 10, 1e300)], alpha=2): finite
+    # thresholds and d^alpha, but threshold * d^alpha = 1e320
+    inst = tmp_path / "inst.json"
+    links = [{"id": k, "s": 2 * k, "r": 2 * k + 1, "beta": 1e300} for k in (0, 1)]
+    inst.write_text(json.dumps({
+        "alpha": 2.0, "noise": 1.0,
+        "metric": {"type": "euclidean", "dim": 1,
+                   "points": [[0.0], [1e10], [10.0], [1e10 + 10]]}, "links": links,
+    }))
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", algorithm])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith("error: link 0: sensitivity threshold * distance^alpha must be finite")
+
+
 @pytest.mark.parametrize("algorithm", ["unlimited", "limited", "fixed"])
 @pytest.mark.parametrize("points, alpha", [
     ([[0.0], [1.0], [100.0], [101.0]], 400),  # d(s_j, r_i)^alpha overflows
@@ -463,6 +480,30 @@ def test_non_finite_field_is_bad_input(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set(["links", 0, "utility", "steps"], ["12"]),
+     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got '12'"),
+    (_set(["links", 0, "utility", "steps"], [[1.0, False]]),
+     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got [1.0, False]"),
+    (_set(["links", 1, "utility"], {"type": "shannon", "scale": "2", "cutoff": True}),
+     "links[1].utility: scale must be a number, got '2'"),
+    (_set(["links", 1, "utility"], {"type": "shannon", "scale": 2, "cutoff": True}),
+     "links[1].utility: cutoff must be a number, got True"),
+], ids=["step-string", "step-bool", "shannon-string-scale", "shannon-bool-cutoff"])
+@pytest.mark.parametrize("command", [
+    ["schedule", "--mode", "limited"], ["solve", "--algorithm", "flexible", "--mode", "limited"],
+], ids=["schedule", "flexible"])
+def test_mistyped_utility_field_is_bad_input(tmp_path, capsys, edit, message, command):
+    # with a cap, each of these instances solved and scheduled when the
+    # fields were read with float()
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(dict(edit(_two_demand_links()), p_max=1e6)))
+    code = cli.main([*command, "--instance", str(inst)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err == f"error: {message}\n"
 
 
 def test_shannon_demand_beyond_every_finite_sinr_schedules(tmp_path, capsys):
@@ -585,6 +626,8 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
      "utility field 'cutoff_range'"),
     (["--alpha", "400"], "d_range"),
     (["--n", "0", "--area", "1e300", "--dmax", "1e200", "--alpha", "1"], "d_range"),
+    (["--n", "0", "--dmin", "1e-20", "--dmax", "1e-20"], "d_range"),
+    (["--dmin", "1e-20", "--dmax", "1e-20"], "d_range"),
 ], ids=["demand-min-alone", "demand-max-alone", "utility-string", "utility-list",
         "zero-steps", "null-value-max", "zero-lengths", "zero-noise", "negative-lengths",
         "nan-area", "infinite-area", "infinite-beta", "nan-beta", "nan-demand", "negative-seed",
@@ -593,7 +636,8 @@ GEN_DEMANDS = ["--demand-min", "1", "--demand-max", "2", *STEP_UTILITY, "--pmax"
         "uncapped-shannon-demands", "empty-unknown-family", "empty-demands-without-utility",
         "empty-negative-power", "float-steps", "bool-steps", "string-steps", "string-gamma-max",
         "bool-value-max", "string-scale-range", "string-in-scale-range", "bool-in-cutoff-range",
-        "overflowing-d-alpha", "empty-overflowing-squares"])
+        "overflowing-d-alpha", "empty-overflowing-squares", "empty-unresolved-lengths",
+        "unresolved-lengths"])
 def test_gen_malformed_option_is_bad_input(tmp_path, capsys, flags, message):
     out = tmp_path / "inst.json"
     code = cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(out), *flags])

@@ -68,6 +68,15 @@ def test_link_lengths_respect_ring():
         assert 5.0 - 1e-9 <= inst.length(link.id) <= 6.0 + 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shortest_accepted_lengths_stay_in_range(dim):
+    # area * 2^-30, the shortest length GenConfig accepts, comes out within
+    # 2^-20 of itself: a coordinate keeps 22 of its 52 bits for the length
+    d = 1000.0 * 2.0**-30
+    inst = gen_random(GenConfig(n=200, seed=1, area=1000.0, d_range=(d, d), dim=dim))
+    assert max(abs(inst.length(lid) / d - 1.0) for lid in inst.link_ids) < 2.0**-20
+
+
 def test_impossible_geometry_rejected():
     with pytest.raises(ValueError, match="impossible geometry"):
         GenConfig(n=1, seed=0, d_range=(5.0, 1.0))
@@ -131,6 +140,11 @@ def test_impossible_geometry_rejected():
     ({"alpha": 400.0}, "d_range"),
     ({"area": 1e308, "d_range": (1.0, 1e308)}, "d_range"),
     ({"n": 0, "area": 1e300, "d_range": (1.0, 1e200), "alpha": 1.0}, "d_range"),
+    # a length below the coordinates' resolution rounds away, whatever n is
+    ({"d_range": (1e-20, 1e-20)}, "d_range"),
+    ({"n": 0, "d_range": (1e-20, 1e-20)}, "d_range"),
+    ({"d_range": (1e-13, 1e-13)}, "d_range"),
+    ({"area": 1e9, "d_range": (0.5, 2.0)}, "d_range"),
 ], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
         "nan-noise", "negative-alpha", "infinite-alpha", "nan-area", "infinite-area",
         "infinite-beta", "nan-beta", "infinite-beta-set", "nan-beta-set", "nan-demand",
@@ -144,7 +158,8 @@ def test_impossible_geometry_rejected():
         "empty-bool-dim", "empty-dim-over-max", "huge-dim", "beta-range-overflowing-span",
         "empty-negative-beta-range", "zero-beta", "negative-beta-without-sub-unit",
         "zero-beta-in-set", "negative-beta-in-set", "overflowing-d-alpha", "overflowing-lengths",
-        "empty-overflowing-squares"])
+        "empty-overflowing-squares", "unresolved-lengths", "empty-unresolved-lengths",
+        "rounded-lengths", "short-for-the-area"])
 def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
     with pytest.raises(ValueError, match=name):
         gen_random(GenConfig(**{"n": 2, "seed": 1, **fields}))

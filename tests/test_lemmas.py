@@ -24,7 +24,7 @@ from sinrsched import (
     solve_unlimited,
     strengthen,
 )
-from sinrsched import lemmas, model
+from sinrsched import experiments, lemmas, model
 from sinrsched.experiments import experiment_reverse, experiment_strengthen
 from sinrsched.lemmas import PERTURB
 
@@ -154,6 +154,33 @@ def test_lemma_experiment_rows_are_pinned(experiment, sets, seed, digest):
     report = experiment(sets, seed=seed)
     assert report["summary"]["violations"] == 0
     assert _report_digest(report) == digest
+
+
+def test_strengthen_experiment_certifies_each_part_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return check_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(lemmas, "check_admissible", counted)
+    monkeypatch.setattr(experiments, "check_admissible", counted)
+    report = experiment_strengthen(60, seed=3)
+    assert len(calls) == sum(row["parts"] for row in report["rows"]) == 194
+
+
+def test_strengthen_experiment_counts_a_failed_certification(monkeypatch):
+    def strengthen_failing_at_3(instance, selected, powers, c):
+        if c == 3:
+            raise CertificationError("decomposition part failed certification")
+        return strengthen(instance, selected, powers, c)
+
+    monkeypatch.setattr(experiments, "strengthen", strengthen_failing_at_3)
+    report = experiment_strengthen(5, seed=3)
+    failed = [row for row in report["rows"] if not row["certified"]]
+    assert [row["c"] for row in failed] == [3] * 5
+    assert all(row["parts"] == 0 for row in failed)
+    assert report["summary"]["violations"] == 5
 
 
 def test_reverse_on_harvested_sets():

@@ -173,6 +173,16 @@ def test_instance_rejects_a_link_whose_d_alpha_overflows(length, alpha, shown):
     )
 
 
+def test_instance_rejects_a_link_whose_sensitivity_overflows():
+    # finite thresholds and d^alpha = 1e20, but 1e300 * 1e20 overflows
+    with pytest.raises(ValueError) as caught:
+        gen_line([(0, 1e10, 1e300), (10, 1e10 + 10, 1e300)], alpha=2, noise=1.0)
+    assert str(caught.value) == (
+        "link 0: sensitivity threshold * distance^alpha must be finite "
+        "(threshold 1e+300, distance^alpha 1e+20)"
+    )
+
+
 def _three_link_instance():
     return gen_line([(0, 1, 1), (4, 5, 1), (9, 8, 1)], alpha=2, noise=0.1)
 
@@ -323,6 +333,22 @@ SEVERAL_FAULTS = [
      "allow_sub_unit_threshold must be a boolean, got a string"),
     ([(["links", 0, "utility"], {"type": "step"}), (["links", 0, "id"], 0.0)],
      "links[0].utility: missing field 'steps'"),
+    ([(["links", 0, "utility"], {"type": "step", "steps": ["12"]}), (["links", 0, "id"], 0.0)],
+     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got '12'"),
+    ([(["links", 0, "utility"], {"type": "step", "steps": [[1, 2], [3, True]]})],
+     "links[0].utility: steps[1] must be a [gamma, value] pair of numbers, got [3, True]"),
+    ([(["links", 0, "utility"], {"type": "step", "steps": [[1, 2, 3]]})],
+     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got [1, 2, 3]"),
+    ([(["links", 0, "utility"], {"type": "step", "steps": "12"})],
+     "links[0].utility: steps must be a list, got '12'"),
+    ([(["links", 1, "utility"], {"type": "shannon", "scale": "2", "cutoff": True})],
+     "links[1].utility: scale must be a number, got '2'"),
+    ([(["links", 1, "utility"], {"type": "shannon", "scale": 2, "cutoff": True})],
+     "links[1].utility: cutoff must be a number, got True"),
+    ([(["links", 1, "utility"], {"type": "shannon", "scale": None})],
+     "links[1].utility: scale must be a number, got None"),
+    ([(["links", 0, "utility"], {"type": "step", "steps": [[10**400, 1]]})],
+     "links[0].utility: int too large to convert to float"),
 ]
 
 

@@ -121,6 +121,18 @@ def test_cap_violation_names_first_link():
     assert cert.powers is None
 
 
+@pytest.mark.parametrize("thresholds", [{1: 1e300}, np.array([2.0, 1e300])],
+                         ids=["mapping", "array"])
+def test_threshold_override_whose_sensitivity_overflows_is_rejected(thresholds):
+    # finite thresholds and d^alpha = 1e20, but 1e300 * 1e20 overflows; the
+    # suite turns a numpy warning inside the package into an error
+    inst = gen_line([(0, 1e10, 2.0), (10, 1e10 + 10, 2.0)], alpha=2, noise=1.0)
+    message = (r"^link 1: sensitivity threshold \* distance\^alpha must be finite "
+               r"\(threshold 1e\+300, distance\^alpha 1e\+20\)$")
+    with pytest.raises(ValueError, match=message):
+        check_admissible(inst, [0, 1], cap=math.inf, thresholds=thresholds)
+
+
 @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
 def test_cap_must_be_positive(cap):
     # a NaN cap passed every power comparison and read as no cap at all

@@ -4,18 +4,22 @@ Copies ``src/sinrsched`` at two git revisions into a temporary directory,
 imports both copies in this one process under distinct names, and times the
 recipe on each side in alternating rounds (the side that goes first
 alternates too), so that drift in the machine's speed hits both sides alike.
-Prints the min and the median seconds per call of each side, their ratio,
-and whether both sides return the same output (``to_dict`` JSON, traces
-included).
+Prints one line per recipe: the min and the median time per call of each
+side, the ratio of the mins, and whether both sides return the same output
+(``to_dict`` JSON, traces included).
 
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
 on the capacity-large benchmark's instance (``gen_random``, area 1000,
 lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
 power p_max); ``gen`` runs that ``gen_random`` call itself, and its output
 is the instance's bytes; ``latency`` runs ``solve_latency`` on the
-latency-medium instance (n = 64, 3-step utilities).
+latency-medium instance (n = 64, 3-step utilities). ``all`` runs
+``unlimited``, ``limited``, ``fixed`` and ``latency`` in turn, each for
+``--rounds`` rounds, which checks a solver change for identity and speed in
+one command.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
+    python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
 
@@ -39,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
+RECIPES = ("unlimited", "limited", "fixed", "latency")  # the solver recipes, which ``all`` runs
 
 
 def _copy_package(rev: str, dest: Path) -> Path:
@@ -87,43 +92,48 @@ def _recipe(pkg, name: str, n: int, seed: int):
     return lambda: pkg.solve_fixed(inst, powers=uniform, warn_preconditions=False)
 
 
+def _compare(pkgs, recipe: str, n: int, seed: int, rounds: int):
+    """Seconds per call of each side over ``rounds`` alternating rounds, and
+    whether both sides return the same output."""
+    calls, outputs = {}, {}
+    for side, pkg in pkgs.items():
+        calls[side] = _recipe(pkg, recipe, n, seed)
+        out = calls[side]()  # warm-up
+        # an instance has no trace
+        outputs[side] = json.dumps(
+            out.to_dict() if recipe == "gen" else out.to_dict(include_trace=True))
+    times = {"A": [], "B": []}
+    for r in range(rounds):
+        for side in ("AB" if r % 2 == 0 else "BA"):
+            t0 = time.perf_counter()
+            calls[side]()
+            times[side].append(time.perf_counter() - t0)
+    return times, outputs["A"] == outputs["B"]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision of side A")
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
-    parser.add_argument("--recipe", choices=("unlimited", "limited", "fixed", "gen", "latency"),
-                        default="limited")
+    parser.add_argument("--recipe", choices=(*RECIPES, "gen", "all"), default="limited")
     parser.add_argument("--n", type=int, help="links (default: 2000, latency 64)")
     parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency 0)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
-    latency = args.recipe == "latency"
-    n = args.n or (64 if latency else 2000)
-    seed = args.seed if args.seed is not None else (0 if latency else 1000)
 
+    print(f"A = {args.base}, B = {args.head}, {args.rounds} alternating rounds; ms per call")
     with tempfile.TemporaryDirectory() as tmp:
-        calls, outputs = {}, {}
-        for side, rev in (("A", args.base), ("B", args.head)):
-            pkg = _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
-            calls[side] = _recipe(pkg, args.recipe, n, seed)
-            out = calls[side]()  # warm-up
-            # an instance has no trace
-            outputs[side] = json.dumps(
-                out.to_dict() if args.recipe == "gen" else out.to_dict(include_trace=True))
-        times = {"A": [], "B": []}
-        for r in range(args.rounds):
-            for side in ("AB" if r % 2 == 0 else "BA"):
-                t0 = time.perf_counter()
-                calls[side]()
-                times[side].append(time.perf_counter() - t0)
-
-    print(f"{args.recipe} n={n} seed={seed}, {args.rounds} alternating rounds")
-    for side, rev in (("A", args.base), ("B", args.head)):
-        ts = times[side]
-        print(f"  {side} {rev:>12}: min {min(ts) * 1e3:9.3f} ms   "
-              f"median {statistics.median(ts) * 1e3:9.3f} ms")
-    ratio = min(times["B"]) / min(times["A"])
-    print(f"  B/A min ratio {ratio:.3f}; outputs identical: {outputs['A'] == outputs['B']}")
+        pkgs = {side: _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
+                for side, rev in (("A", args.base), ("B", args.head))}
+        for recipe in RECIPES if args.recipe == "all" else (args.recipe,):
+            latency = recipe == "latency"
+            n = args.n or (64 if latency else 2000)
+            seed = args.seed if args.seed is not None else (0 if latency else 1000)
+            times, same = _compare(pkgs, recipe, n, seed, args.rounds)
+            a, b = ([t * 1e3 for t in times[side]] for side in "AB")
+            print(f"  {recipe:>9} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
+                  f"median {statistics.median(a):.3f} / {statistics.median(b):.3f}, "
+                  f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}")
 
 
 if __name__ == "__main__":
