@@ -19,11 +19,14 @@ affectance row to the loads; rows, columns and blocks all come from one
 kernel per value (see ``_Candidates``). No solver builds an n x n matrix
 over its n candidates. A solve takes O(n * |accepted|) time and O(n) memory,
 plus O(|accepted|^2) for the power recurrence and the SINR evaluation of the
-accepted links, which share one geometry; the limited solver's second pass
-over the k links its first pass accepted takes their weights in column
-blocks of 256 links, in O(k * 256) memory. Endpoints, ``d^alpha`` and
-thresholds are sliced from the per-link arrays cached on ``Instance``, so
-every sensitivity and kernel here reads the one ``Instance.d_alpha``.
+accepted links, which share one geometry. The fixed pass's rows and columns
+cover only the n_gate links that pass the solo SINR gate, O(n_gate *
+|accepted|); a link that misses it appears only as a trace row. The limited
+solver's second pass over the k links its first pass accepted takes their
+weights in column blocks of 256 links, in O(k * 256) memory. Endpoints,
+``d^alpha`` and thresholds are sliced from the per-link arrays cached on
+``Instance``, so every sensitivity and kernel here reads the one
+``Instance.d_alpha``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -35,7 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import replace
 from itertools import compress
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,6 +88,13 @@ class _Candidates:
     candidate a onto each b, for positions that broadcast: ``(k, ALL)`` is a
     row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None, :])`` a block.
     A value onto itself is left as computed. Use it under ``_ROW_ERRSTATE``.
+
+    The fixed pass builds the set over only the links that pass the solo
+    gate, so its rows and columns take O(n_gate) each; the links that miss
+    it appear only as trace rows. Over such a set a zero power or a target
+    without a positive margin occurs only through an underflowing beta * N
+    or the gate's tolerance band, so the affectance kernel applies those
+    masks only when the set has one (``silent``, ``saturated``).
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
@@ -100,6 +110,8 @@ class _Candidates:
         if p is not None:
             self.p = p
             self.margin = p / self.d_alpha - beta * instance.noise
+            self.silent = not p.all()
+            self.saturated = not (self.margin > 0).all()
 
     def _alpha(self, a, b):
         """d(sender_a, receiver_b)^alpha."""
@@ -117,9 +129,10 @@ class _Candidates:
         """Affectance of senders a onto targets b, beta_b * received / margin_b
         with margins p / d^alpha - beta * N. Saturates at 1, and a target
         without a positive margin takes 1 from every sender, silent or not."""
-        margin = self.margin[b]
-        received = _received(self.p[a], self._alpha(a, b))
-        return np.where(margin > 0, np.minimum(1.0, self.beta[b] * received / margin), 1.0)
+        x = self._alpha(a, b)
+        received = _received(self.p[a], x) if self.silent else self.p[a] / x
+        value = np.minimum(1.0, self.beta[b] * received / self.margin[b])
+        return np.where(self.margin[b] > 0, value, 1.0) if self.saturated else value
 
 
 def solve_unlimited(
@@ -149,7 +162,8 @@ def _greedy(candidates, index, load, budget, row):
     """Walk ``candidates`` (ids, positions ``index[id]``) in the given order
     and accept each whose entry of ``load`` is within ``budget``; accepting
     the candidate at position k adds ``row(k)`` to ``load`` in place. Entry k
-    of that row is never read, since each candidate is walked once.
+    of that row is never read, since each candidate is walked once. A
+    candidate missing from ``index`` is rejected at an infinite load.
 
     Returns the accepted ids in acceptance order and one trace row
     (id, accepted, load) per candidate.
@@ -157,7 +171,10 @@ def _greedy(candidates, index, load, budget, row):
     accepted = []
     trace = []
     for cand in candidates:
-        k = index[cand]
+        k = index.get(cand)
+        if k is None:
+            trace.append((cand, False, INF))
+            continue
         lk = load.item(k)
         ok = lk <= budget
         trace.append((cand, ok, lk))
@@ -228,7 +245,7 @@ def _finish(instance, selected, powers, algorithm, trace, geo=None):
 def check_power_preconditions(
     instance: Instance,
     ids: Sequence[int],
-    powers: Mapping[int, float],
+    powers: Union[Mapping[int, float], np.ndarray],
     thresholds: Optional[Thresholds] = None,
 ) -> list[str]:
     """Monotone / inverse-normalized power conditions for the fixed solver.
@@ -241,9 +258,18 @@ def check_power_preconditions(
     it names one violating pair a, b and counts the links b that have a
     violating partner. Violations are reported, not enforced; adversarial
     inputs still run.
+
+    ``powers`` is a mapping id -> power, or an array aligned with ``ids``
+    (as ``solve_fixed`` holds them); ``thresholds`` is as in
+    ``thresholds_for``.
     """
+    if isinstance(powers, np.ndarray):
+        if powers.shape != (len(ids),):
+            raise ValueError("power array does not match the links")
+        p = powers.astype(np.float64, copy=False)
+    else:
+        p = np.array([powers[lid] for lid in ids], dtype=np.float64)
     s = thresholds_for(instance, ids, thresholds) * instance.d_alpha[instance.positions(ids)]
-    p = np.array([powers[lid] for lid in ids], dtype=np.float64)
     q = p / s
     rtol = 1e-12
     issues = []
@@ -309,12 +335,12 @@ def solve_fixed(
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("fixed")
-    given = powers_for(instance, ids, powers)
+    p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     pos = instance.positions(ids)
     beta = _thresholds_at(instance, ids, thresholds, pos)
-    final, trace, cands = _fixed_pass(instance, ids, pos, beta, np.array(given, dtype=np.float64))
+    final, trace = _fixed_pass(instance, ids, pos, beta, p)
     if warn_preconditions:
-        issues = check_power_preconditions(instance, ids, dict(zip(ids, given)), beta)
+        issues = check_power_preconditions(instance, ids, p, beta)
         if issues:
             warnings.warn(
                 "fixed power assignment is not monotone (sub-)linear in sensitivity: "
@@ -322,23 +348,35 @@ def solve_fixed(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _finish(instance, final, {lid: given[cands.index[lid]] for lid in final}, "fixed", trace)
+    return _finish(instance, final, dict(zip(final, powers_for(instance, final, powers))), "fixed",
+                   trace)
 
 
 def _fixed_pass(instance, ids, pos, beta, p):
     """Tentative pass and filter of the fixed solver over nonempty ``ids``
-    (rows ``pos``, thresholds ``beta``, powers ``p``), and the candidates."""
+    (rows ``pos``, thresholds ``beta``, powers ``p``): the kept links and
+    one trace row per link.
+
+    A link that misses the solo SINR gate (p / d^alpha must reach beta * N up
+    to tolerance) is never accepted and its affectance enters no other
+    link's load, so it is walked only as a trace row (id, False, inf). The
+    candidates, and with them every row and column, cover the links that
+    pass the gate: O(n_gate * |accepted|).
+    """
     with np.errstate(**_ROW_ERRSTATE):
-        cands = _Candidates(instance, ids, pos, beta, p)
         order = sensitivity_order(instance, ids, beta)
-        # load[c]: affectance between c and the tentative links, both ways. A
-        # link that misses the solo SINR gate (p / d^alpha must reach beta * N
-        # up to tolerance) starts at an infinite load and is never accepted.
-        # Its power reaches only that load, through the accepted links'
-        # columns; silenced, it adds 0 or 1 there, so the load stays infinite.
-        solo_ok = p / cands.d_alpha >= beta * instance.noise * (1 - FEAS_RTOL)
-        cands.p = np.where(solo_ok, p, 0.0)
-        # incoming[c]: affectance from the tentative links onto c; the filter
+        d_alpha = instance.d_alpha[pos]
+        gate = p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL)
+        if not gate.all():
+            # the candidates check repeated ids and overflowing sensitivities
+            # only among the links that pass the gate
+            index_of(ids)
+            _sensitivities(ids, beta, d_alpha)
+            ids = list(compress(ids, gate.tolist()))
+            pos, beta, p = pos[gate], beta[gate], p[gate]
+        cands = _Candidates(instance, ids, pos, beta, p)
+        # load[c]: affectance between c and the tentative links, both ways;
+        # incoming[c]: affectance from the tentative links onto c. The filter
         # reads a tentative link's own entry, so its row's is zeroed
         incoming = np.zeros(len(ids))
 
@@ -348,9 +386,9 @@ def _fixed_pass(instance, ids, pos, beta, p):
             np.add(incoming, row, out=incoming)
             return row + cands.affectances(ALL, k)
 
-        tentative, trace = _greedy(reversed(order), cands.index, np.where(solo_ok, 0.0, INF),
-                                   0.5, both_ways)
-    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace, cands
+        tentative, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5,
+                                   both_ways)
+    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace
 
 
 def solve_limited(
@@ -390,7 +428,7 @@ def solve_limited(
         big = ~small
         r2 = list(compress(ids, big.tolist()))
         p = np.full(len(r2), instance.p_max, dtype=np.float64)
-        final, trace, _ = _fixed_pass(instance, r2, pos[big], beta[big], p)
+        final, trace = _fixed_pass(instance, r2, pos[big], beta[big], p)
         sol2 = _finish(instance, final, dict.fromkeys(final, instance.p_max), "fixed", trace)
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
     return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)

@@ -306,6 +306,8 @@ def test_solve_fixed_precondition_warning():
     assert check_power_preconditions(inst, [0, 1], bad)
     with pytest.warns(RuntimeWarning, match="monotone"):
         solve_fixed(inst, powers=bad)
+    with pytest.raises(ValueError, match="power array does not match the links"):
+        check_power_preconditions(inst, [0, 1], np.array([5.0]))
 
 
 def pairwise_preconditions(instance, ids, powers, thresholds=None):
@@ -337,7 +339,9 @@ COUNT = re.compile(r"\((\d+) of (\d+) links with a violating partner\)$")
 def precondition_cases(draw):
     """Links of length 1 or 2 with thresholds 1 or 4, so that sensitivities
     tie across links; powers near the 1e-12 tolerance of a tie in power or
-    in power / sensitivity, zero, negative and NaN powers included."""
+    in power / sensitivity, zero, negative and NaN powers included. The
+    check is given the powers as a mapping or as an array aligned with the
+    links."""
     n = draw(st.integers(min_value=1, max_value=8))
     lengths = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
     inst = gen_line([(10.0 * k, 10.0 * k + d, 1.0) for k, d in enumerate(lengths)])
@@ -353,15 +357,16 @@ def precondition_cases(draw):
         thresholds = np.array(betas)
     else:
         thresholds = dict(zip(ids, betas))
-    return inst, ids, powers, thresholds
+    given = np.array([powers[lid] for lid in ids]) if draw(st.booleans()) else powers
+    return inst, ids, powers, given, thresholds
 
 
 @given(case=precondition_cases())
 @settings(max_examples=500, deadline=None)
 def test_preconditions_match_pairwise_reference(case):
-    inst, ids, powers, thresholds = case
+    inst, ids, powers, given, thresholds = case
     expected = pairwise_preconditions(inst, ids, powers, thresholds)
-    issues = check_power_preconditions(inst, ids, powers, thresholds)
+    issues = check_power_preconditions(inst, ids, given, thresholds)
     for condition in CONDITIONS:
         pairs = {
             tuple(map(int, PAIR.search(m).groups())) for m in expected if m.startswith(condition)

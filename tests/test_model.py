@@ -396,6 +396,11 @@ REPEATED_ID_CALLS = {
     ),
     "solve_unlimited": lambda inst: sinrsched.solve_unlimited(inst, [3, 3, 3]),
     "solve_fixed": lambda inst: sinrsched.solve_fixed(inst, [3, 0, 3, 1]),
+    # silent, both copies miss the solo gate, which leaves them out of the
+    # fixed pass's candidate arrays
+    "solve_fixed_below_gate": lambda inst: sinrsched.solve_fixed(
+        inst, [3, 0, 3, 1], powers={0: 1e5, 1: 1e5, 3: 0.0}
+    ),
     "solve_limited": lambda inst: sinrsched.solve_limited(inst, [2, 3, 3]),
     # one copy of link 3 fits a quarter of the cap and the other does not,
     # so each branch of the split would see it once

@@ -257,6 +257,20 @@ def test_streaming_matches_dense_powers_failing_the_gate():
     _check_all(inst, powers={lid: given[k % 4] for k, lid in enumerate(inst.link_ids)})
 
 
+def test_streaming_matches_dense_zero_power_that_passes_the_gate():
+    # noise 5e-324 times threshold 0.1 underflows to 0, so link 1's zero
+    # power passes the solo gate. Its sender sits on link 0's receiver: it
+    # must emit nothing there (0 / 0 would read NaN), while its own margin
+    # of 0 takes 1 from each of links 2 and 0, walked before it
+    inst = gen_line([(0, 1, 0.1), (1, 11, 0.1), (100, 101, 0.1)],
+                    noise=5e-324, allow_sub_unit=True)
+    powers = {0: 1.0, 1: 0.0, 2: 1.0}
+    sol = solve_fixed(inst, powers=powers, warn_preconditions=False)
+    _assert_identical(sol, ref_fixed(inst, list(inst.link_ids), powers))
+    assert sol.trace[-1] == (1, False, 2.0)
+    assert sol.selected == (0, 2)
+
+
 def test_streaming_matches_dense_shared_endpoints():
     # sender of one link sits on the receiver of another: zero cross distance
     inst = gen_line(
@@ -309,6 +323,46 @@ def test_solvers_build_no_array_larger_than_accepted(monkeypatch):
         matrices = [s for s in shapes if len(s) >= 2]
         assert matrices, "the solver evaluated no SINRs"
         assert max(max(s) for s in matrices) <= selected
+
+
+def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):
+    # capacity-large's recipe: solve_fixed and solve_limited's full-power
+    # branch walk every candidate, but no distance array they measure spans
+    # more links per axis than pass the solo gate
+    inst = gen_random(GenConfig(n=2000, seed=100_000, area=1000.0, d_range=(1.0, 100.0),
+                                beta_range=(1.0, 10.0), p_max=P_MAX))
+    original_between = MetricSpace.between
+    original_pass = capacity._fixed_pass
+    passes = []  # per fixed pass: links walked, links passing the gate
+    shapes = []  # per fixed pass: the shapes of the distance arrays it measured
+    in_pass = False
+
+    def between(self, a, b):
+        out = original_between(self, a, b)
+        if in_pass:
+            shapes[-1].append(np.shape(out))
+        return out
+
+    def fixed_pass(instance, ids, pos, beta, p):
+        nonlocal in_pass
+        gate = p / instance.d_alpha[pos] >= beta * instance.noise * (1 - FEAS_RTOL)
+        passes.append((len(ids), int(gate.sum())))
+        shapes.append([])
+        in_pass = True
+        try:
+            return original_pass(instance, ids, pos, beta, p)
+        finally:
+            in_pass = False
+
+    monkeypatch.setattr(MetricSpace, "between", between)
+    monkeypatch.setattr(capacity, "_fixed_pass", fixed_pass)
+    uniform = {lid: inst.p_max for lid in inst.link_ids}
+    assert solve_fixed(inst, powers=uniform, warn_preconditions=False).selected
+    solve_limited(inst)
+    assert len(passes) == 2
+    for (walked, passing), measured in zip(passes, shapes):
+        assert 0 < passing < walked and measured
+        assert max(max(shape) for shape in measured) <= passing
 
 
 def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):

@@ -11,8 +11,10 @@ side, the ratio of the mins, and whether both sides return the same output
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
 on the capacity-large benchmark's instance (``gen_random``, area 1000,
 lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
-power p_max); ``gen`` runs that ``gen_random`` call itself, and its output
-is the instance's bytes; ``latency`` runs ``solve_latency`` on the
+power p_max without the precondition check, ``fixed-checked`` the same call
+with the check and its warning, as ``sinrsched solve --algorithm fixed``
+runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
+the instance's bytes; ``latency`` runs ``solve_latency`` on the
 latency-medium instance (n = 64, 3-step utilities). ``all`` runs
 ``unlimited``, ``limited``, ``fixed`` and ``latency`` in turn, each for
 ``--rounds`` rounds, which checks a solver change for identity and speed in
@@ -22,6 +24,7 @@ one command.
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
+    python tools/abtime.py HEAD . --recipe fixed-checked --n 300 --rounds 200
 
 A revision ``.`` stands for the working tree.
 """
@@ -89,6 +92,8 @@ def _recipe(pkg, name: str, n: int, seed: int):
     if name == "limited":
         return lambda: pkg.solve_limited(inst)
     uniform = {lid: inst.p_max for lid in inst.link_ids}
+    if name == "fixed-checked":
+        return lambda: pkg.solve_fixed(inst, powers=uniform)
     return lambda: pkg.solve_fixed(inst, powers=uniform, warn_preconditions=False)
 
 
@@ -115,7 +120,8 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision of side A")
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
-    parser.add_argument("--recipe", choices=(*RECIPES, "gen", "all"), default="limited")
+    parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "gen", "all"),
+                        default="limited")
     parser.add_argument("--n", type=int, help="links (default: 2000, latency 64)")
     parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency 0)")
     parser.add_argument("--rounds", type=int, default=40)
@@ -131,7 +137,7 @@ def main(argv=None) -> None:
             seed = args.seed if args.seed is not None else (0 if latency else 1000)
             times, same = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
-            print(f"  {recipe:>9} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
+            print(f"  {recipe:>13} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
                   f"median {statistics.median(a):.3f} / {statistics.median(b):.3f}, "
                   f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}")
 
