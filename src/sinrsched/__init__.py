@@ -38,6 +38,8 @@ from .model import (
     Solution,
     evaluate_sinrs,
     sensitivity_order,
+    utility_from_dict,
+    utility_to_dict,
 )
 from .oracle import (
     AdmissibilityCertificate,
@@ -55,8 +57,6 @@ from .utility import (
     UnboundedObjective,
     UtilityContractError,
     inverse_threshold,
-    utility_from_dict,
-    utility_to_dict,
 )
 
 __version__ = "0.1.0"

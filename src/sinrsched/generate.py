@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import INF, Instance, Link, MetricSpace
+from .model import INF, Instance, Link, MetricSpace, _integer, _number, _require
 from .utility import MAX_STEPS, ShannonUtility, StepUtility, UnboundedObjective, UtilitySpec
 
 # field tags for the per-draw substreams
@@ -263,63 +263,51 @@ class GenConfig:
             )
 
 
-# Parsers of utility parameters: each takes the JSON types of its field (or
-# their numpy counterparts) and raises TypeError on any other, bools included.
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise TypeError
-    return float(value)
-
-
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError
-    return int(value)
-
-
-def _pair(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise TypeError
-    lo, hi = map(_number, value)
-    return lo, hi
-
-
-def _field(params: Mapping, name: str, default, parse=_number):
-    """``parse`` of utility parameter ``name``, or of ``default`` when it is
-    absent; a value it cannot parse, or that is not finite, is a ValueError
-    naming the field."""
+def _finite(value, key: str, read=_number):
+    """Utility parameter ``value`` read by model's ``read``, a numpy scalar
+    first taken as the Python value it holds (so numpy integers and floats
+    pass, as for ``n`` and ``seed``); a float must be finite."""
+    if isinstance(value, np.generic):
+        value = float(value) if isinstance(value, np.floating) else value.item()
     try:
-        value = parse(params.get(name, default))
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise ValueError
-        return value
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"utility field {name!r}: bad value {params[name]!r}") from None
+        value = read(value, key)
+    except OverflowError:
+        raise ValueError(f"{key} is too large for a float") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, not {value}")
+    return value
+
+
+def _pair(value, key: str) -> tuple:
+    """A [lo, hi] utility parameter: a list or tuple of two finite numbers."""
+    _require(value, (list, tuple), "a [lo, hi] pair", key)
+    if len(value) != 2:
+        raise ValueError(f"{key} must be a [lo, hi] pair, got {len(value)} entries")
+    return _finite(value[0], key + "[0]"), _finite(value[1], key + "[1]")
 
 
 def _utility_params(params) -> tuple:
     """The utility parameters, parsed and checked: ("step", steps, gamma_max,
     value_max) or ("shannon", scale_range, cutoff_range). A ValueError names
     the field."""
-    if not isinstance(params, Mapping):
-        raise ValueError(f"utility must be an object of parameters, not {params!r}")
+    _require(params, Mapping, "an object of parameters", "utility")
     family = params.get("family", "step")
     if family == "step":
-        n_steps = _field(params, "steps", 3, _count)
+        n_steps = _finite(params.get("steps", 3), "utility field 'steps'", _integer)
         if not 1 <= n_steps <= MAX_STEPS:
             raise ValueError(f"utility field 'steps' must be in 1..{MAX_STEPS}, not {n_steps}")
-        gamma_max = _field(params, "gamma_max", 64.0)
+        gamma_max = _finite(params.get("gamma_max", 64.0), "utility field 'gamma_max'")
         if not gamma_max >= 1.0:
             raise ValueError(f"utility field 'gamma_max' must be >= 1, not {gamma_max}")
-        value_max = _field(params, "value_max", 1.0)
+        value_max = _finite(params.get("value_max", 1.0), "utility field 'value_max'")
         if not value_max >= 0.0:
             raise ValueError(f"utility field 'value_max' must be >= 0, not {value_max}")
         return family, n_steps, gamma_max, value_max
     if family == "shannon":
-        scale = _field(params, "scale_range", (0.5, 2.0), _pair)
+        scale = _pair(params.get("scale_range", (0.5, 2.0)), "utility field 'scale_range'")
         if not 0.0 < scale[0] <= scale[1]:
             raise ValueError(f"utility field 'scale_range' must have 0 < lo <= hi, not {scale}")
-        cutoff = _field(params, "cutoff_range", (1.0, 4.0), _pair)
+        cutoff = _pair(params.get("cutoff_range", (1.0, 4.0)), "utility field 'cutoff_range'")
         if not 1.0 <= cutoff[0] <= cutoff[1]:
             raise ValueError(f"utility field 'cutoff_range' must have 1 <= lo <= hi, not {cutoff}")
         return family, scale, cutoff

@@ -1,5 +1,10 @@
 """Core data model: metric spaces, links, instances, SINR evaluation.
 
+This module reads and writes the whole instance file: ``Instance.from_dict``
+and ``to_dict``, with each link's utility through ``utility_from_dict`` and
+``utility_to_dict``. Its JSON field checkers (``_require``, ``_number``,
+``_integer``) are the ones every reader in the package uses.
+
 Everything here is immutable after construction and safe to share between
 concurrent workers; all operations are pure functions of their inputs.
 """
@@ -14,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .utility import UtilitySpec, utility_from_dict, utility_to_dict
+from .utility import ShannonUtility, StepUtility, UtilitySpec
 
 INF = math.inf
 
@@ -391,6 +396,37 @@ class Instance:
             links=tuple(links),
             allow_sub_unit_threshold=sub_unit,
         )
+
+
+def utility_to_dict(u: UtilitySpec) -> dict:
+    if isinstance(u, StepUtility):
+        return {"type": "step", "steps": [[g, v] for g, v in u.steps]}
+    if isinstance(u, ShannonUtility):
+        return {"type": "shannon", "scale": u.scale, "cutoff": u.cutoff}
+    raise TypeError(f"cannot serialize utility of type {type(u).__name__}")
+
+
+def utility_from_dict(data: Mapping) -> UtilitySpec:
+    """Utility from its JSON form: ``steps`` is a list of [gamma, value]
+    pairs of numbers, and ``scale`` and ``cutoff`` are numbers. A field of
+    another JSON type raises ValueError naming it (``steps[0][1]``), one step
+    at a time; a missing field raises KeyError."""
+    kind = data.get("type")
+    if kind == "step":
+        steps = data["steps"]
+        _require(steps, list, "a list", "steps")
+        pairs = []
+        for k, step in enumerate(steps):
+            key = f"steps[{k}]"
+            _require(step, list, "a [gamma, value] pair", key)
+            if len(step) != 2:
+                raise ValueError(f"{key} must be a [gamma, value] pair, got {len(step)} entries")
+            pairs.append((_number(step[0], key + "[0]"), _number(step[1], key + "[1]")))
+        return StepUtility(tuple(pairs))
+    if kind == "shannon":
+        scale = _number(data["scale"], "scale")
+        return ShannonUtility(scale=scale, cutoff=_number(data.get("cutoff", 1.0), "cutoff"))
+    raise ValueError(f"unknown utility type: {kind!r}")
 
 
 # Checks of decoded JSON fields. A field is named by its key, or by the index

@@ -10,6 +10,9 @@ and one cap vector. The flexible-rate sweep reads a utility's shape only
 through it, and ``inverse_threshold`` on a table answers every row and
 every target in one vectorized search, with the same floats as the scalar
 query on each utility.
+
+This module holds only the utility math; a utility's JSON form is read and
+written in ``model`` (``utility_from_dict``, ``utility_to_dict``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -336,39 +339,3 @@ def scaled(u: UtilitySpec, factor: float) -> UtilitySpec:
     if isinstance(u, ShannonUtility):
         return ShannonUtility(scale=u.scale * factor, cutoff=u.cutoff)
     raise TypeError(f"cannot scale utility of type {type(u).__name__}")
-
-
-def utility_to_dict(u: UtilitySpec) -> dict:
-    if isinstance(u, StepUtility):
-        return {"type": "step", "steps": [[g, v] for g, v in u.steps]}
-    if isinstance(u, ShannonUtility):
-        return {"type": "shannon", "scale": u.scale, "cutoff": u.cutoff}
-    raise TypeError(f"cannot serialize utility of type {type(u).__name__}")
-
-
-def utility_from_dict(data: Mapping) -> UtilitySpec:
-    """Utility from its JSON form. A field of another JSON type raises
-    ValueError naming it: ``steps`` is a list of [gamma, value] pairs of
-    numbers, and ``scale`` and ``cutoff`` are numbers, which no bool or
-    string is. A missing field raises KeyError."""
-    kind = data.get("type")
-    if kind == "step":
-        steps = data["steps"]
-        if not isinstance(steps, list):
-            raise ValueError(f"steps must be a list, got {steps!r}")
-        for k, step in enumerate(steps):
-            if not (isinstance(step, list) and len(step) == 2 and all(map(_is_number, step))):
-                raise ValueError(f"steps[{k}] must be a [gamma, value] pair of numbers, "
-                                 f"got {step!r}")
-        return StepUtility(tuple((float(g), float(v)) for g, v in steps))
-    if kind == "shannon":
-        scale, cutoff = data["scale"], data.get("cutoff", 1.0)
-        for name, value in (("scale", scale), ("cutoff", cutoff)):
-            if not _is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        return ShannonUtility(scale=float(scale), cutoff=float(cutoff))
-    raise ValueError(f"unknown utility type: {kind!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

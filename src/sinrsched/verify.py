@@ -113,8 +113,9 @@ def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
         name = f"level {level.get('i', t)}"
         issues = verify_solution(instance, sol, thresholds=thresholds)
         problems += [f"{name}: {issue}" for issue in issues]
-        value = None if issues else _realized(instance, sol)
-        if value is None and not issues:
+        values = None if issues else _values(instance, sol)
+        value = None if values is None or None in values else float(sum(values))
+        if values is not None and value is None:
             problems.append(f"{name}: a selected link has no utility")
         elif value is not None and claimed != value:
             problems.append(
@@ -137,34 +138,30 @@ def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
     return problems
 
 
-def _realized(instance: Instance, sol: Solution) -> Optional[float]:
-    """Summed utility values of the selected links at their re-evaluated
-    SINRs, in selection order; None when one has no utility."""
-    utilities = [instance.link(lid).utility for lid in sol.selected]
-    if None in utilities:
-        return None
+def _values(instance: Instance, sol: Solution) -> list[Optional[float]]:
+    """Each selected link's utility value at its re-evaluated SINR, in
+    selection order; None for a link with no utility."""
     actual = evaluate_sinrs(instance, sol.selected, sol.powers)
-    return float(sum(u.value(actual[lid]) for lid, u in zip(sol.selected, utilities)))
+    utilities = [instance.link(lid).utility for lid in sol.selected]
+    return [None if u is None else u.value(actual[lid]) for lid, u in zip(sol.selected, utilities)]
 
 
 def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
     """Check per-slot feasibility of a serialized schedule and that demands
-    come out fulfilled."""
+    come out fulfilled. A slot delivers its links' utility values at the
+    re-evaluated SINRs, never at the stored ones; a slot that fails its own
+    check delivers nothing."""
     problems = []
-    known = set(instance.link_ids)
     delivered: dict[int, float] = {}
     slots = schedule_data.get("slots", [])
     _require(slots, list, "a list", "slots")
     for t, slot in enumerate(slots):
         sol = Solution.from_dict(slot, f"slots[{t}]")
-        for issue in verify_solution(instance, sol, check_thresholds=False):
-            problems.append(f"slot {t}: {issue}")
-        for lid in sol.selected:
-            if lid not in known or lid not in sol.sinr:
-                continue  # verify_solution has reported it above
-            link = instance.link(lid)
-            if link.utility is not None:
-                delivered[lid] = delivered.get(lid, 0.0) + link.utility.value(sol.sinr[lid])
+        issues = verify_solution(instance, sol, check_thresholds=False)
+        problems += [f"slot {t}: {issue}" for issue in issues]
+        for lid, value in zip(sol.selected, [] if issues else _values(instance, sol)):
+            if value is not None:
+                delivered[lid] = delivered.get(lid, 0.0) + value
     if schedule_data.get("scheme") == 2 and schedule_data.get("fulfilled"):
         for link in instance.links:
             if link.demand and delivered.get(link.id, 0.0) < link.demand - 1e-9:

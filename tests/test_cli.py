@@ -484,13 +484,13 @@ def test_non_finite_field_is_bad_input(tmp_path, capsys, edit, message):
 
 @pytest.mark.parametrize("edit,message", [
     (_set(["links", 0, "utility", "steps"], ["12"]),
-     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got '12'"),
+     "links[0].utility: steps[0] must be a [gamma, value] pair, got a string"),
     (_set(["links", 0, "utility", "steps"], [[1.0, False]]),
-     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got [1.0, False]"),
+     "links[0].utility: steps[0][1] must be a number, got a boolean"),
     (_set(["links", 1, "utility"], {"type": "shannon", "scale": "2", "cutoff": True}),
-     "links[1].utility: scale must be a number, got '2'"),
+     "links[1].utility: scale must be a number, got a string"),
     (_set(["links", 1, "utility"], {"type": "shannon", "scale": 2, "cutoff": True}),
-     "links[1].utility: cutoff must be a number, got True"),
+     "links[1].utility: cutoff must be a number, got a boolean"),
 ], ids=["step-string", "step-bool", "shannon-string-scale", "shannon-bool-cutoff"])
 @pytest.mark.parametrize("command", [
     ["schedule", "--mode", "limited"], ["solve", "--algorithm", "flexible", "--mode", "limited"],

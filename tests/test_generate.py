@@ -215,6 +215,27 @@ def test_generated_bytes_are_pinned(name):
     assert _digest(GenConfig(**fields)) == digest
 
 
+NUMPY_UTILITIES = [
+    (STEP, {"family": "step", "steps": np.int64(3), "gamma_max": np.float32(32.0),
+            "value_max": np.int8(2)}),
+    ({"family": "shannon", "scale_range": (0.5, 2.0), "cutoff_range": [1, 4.0]},
+     {"family": "shannon", "scale_range": (np.float16(0.5), np.float64(2.0)),
+      "cutoff_range": [np.uint8(1), np.longdouble(4.0)]}),
+]
+
+
+def test_numpy_utility_parameters_build_the_same_instance():
+    config = dict(n=10, seed=5, demand_range=(0.5, 2.0), p_max=1e6)
+    for params, numpy_params in NUMPY_UTILITIES:
+        want = gen_random(GenConfig(utility=params, **config))
+        got = gen_random(GenConfig(utility=numpy_params, **config))
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        # the instance file reads back to equal utility objects
+        assert Instance.from_dict(got.to_dict()).links == got.links
+    with pytest.raises(ValueError, match="utility field 'value_max' must be a number"):
+        GenConfig(n=1, seed=1, utility={"value_max": np.bool_(True)})
+
+
 def _numpy_state(seed, i, tag):
     return np.random.PCG64(np.random.SeedSequence([seed, i, tag])).state
 

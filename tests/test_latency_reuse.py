@@ -361,6 +361,27 @@ def test_previous_run_reuses_equal_levels_only():
         solve_flexible(inst, mode="limited", previous=first)
 
 
+@pytest.mark.parametrize("change", ["equal-instance", "new-powers", "new-utilities"])
+def test_previous_run_on_other_inputs_rebuilds_tables(change):
+    # tables hold for one instance object, one powers mapping and one core
+    # object per link; equal content in new objects is not reused (the new
+    # instance holds the same link and utility objects)
+    inst = _demand_instance(5, 12, STEP, p_max=3e3, power=3e3)
+    powers = {lid: 2e3 for lid in inst.link_ids}
+    first = solve_flexible(inst, mode="fixed", powers=powers)
+    kwargs = {"mode": "fixed", "powers": powers}
+    if change == "equal-instance":
+        inst = Instance(inst.metric, inst.alpha, inst.noise, inst.links, inst.p_max)
+    elif change == "new-powers":
+        kwargs["powers"] = dict(powers)
+    else:
+        kwargs["utilities"] = {l.id: StepUtility(l.utility.steps) for l in inst.links}
+    run = solve_flexible(inst, previous=first, **kwargs)
+    assert run._tables is not first._tables
+    fresh = solve_flexible(inst, **kwargs)
+    assert run.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+
+
 def test_threshold_array_equals_mapping():
     inst = _demand_instance(9, 30, STEP, p_max=2e4, power=2e3)
     rng = random.Random(3)

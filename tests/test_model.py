@@ -334,19 +334,19 @@ SEVERAL_FAULTS = [
     ([(["links", 0, "utility"], {"type": "step"}), (["links", 0, "id"], 0.0)],
      "links[0].utility: missing field 'steps'"),
     ([(["links", 0, "utility"], {"type": "step", "steps": ["12"]}), (["links", 0, "id"], 0.0)],
-     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got '12'"),
+     "links[0].utility: steps[0] must be a [gamma, value] pair, got a string"),
     ([(["links", 0, "utility"], {"type": "step", "steps": [[1, 2], [3, True]]})],
-     "links[0].utility: steps[1] must be a [gamma, value] pair of numbers, got [3, True]"),
+     "links[0].utility: steps[1][1] must be a number, got a boolean"),
     ([(["links", 0, "utility"], {"type": "step", "steps": [[1, 2, 3]]})],
-     "links[0].utility: steps[0] must be a [gamma, value] pair of numbers, got [1, 2, 3]"),
+     "links[0].utility: steps[0] must be a [gamma, value] pair, got 3 entries"),
     ([(["links", 0, "utility"], {"type": "step", "steps": "12"})],
-     "links[0].utility: steps must be a list, got '12'"),
+     "links[0].utility: steps must be a list, got a string"),
     ([(["links", 1, "utility"], {"type": "shannon", "scale": "2", "cutoff": True})],
-     "links[1].utility: scale must be a number, got '2'"),
+     "links[1].utility: scale must be a number, got a string"),
     ([(["links", 1, "utility"], {"type": "shannon", "scale": 2, "cutoff": True})],
-     "links[1].utility: cutoff must be a number, got True"),
+     "links[1].utility: cutoff must be a number, got a boolean"),
     ([(["links", 1, "utility"], {"type": "shannon", "scale": None})],
-     "links[1].utility: scale must be a number, got None"),
+     "links[1].utility: scale must be a number, got null"),
     ([(["links", 0, "utility"], {"type": "step", "steps": [[10**400, 1]]})],
      "links[0].utility: int too large to convert to float"),
 ]
