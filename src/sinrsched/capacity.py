@@ -19,14 +19,15 @@ affectance row to the loads; rows, columns and blocks all come from one
 kernel per value (see ``_Candidates``). No solver builds an n x n matrix
 over its n candidates. A solve takes O(n * |accepted|) time and O(n) memory,
 plus O(|accepted|^2) for the power recurrence and the SINR evaluation of the
-accepted links, which share one geometry. The fixed pass's rows and columns
-cover only the n_gate links that pass the solo SINR gate, O(n_gate *
-|accepted|); a link that misses it appears only as a trace row. The limited
-solver's second pass over the k links its first pass accepted takes their
-weights in column blocks of 256 links, in O(k * 256) memory. Endpoints,
-``d^alpha`` and thresholds are sliced from the per-link arrays cached on
-``Instance``, so every sensitivity and kernel here reads the one
-``Instance.d_alpha``.
+accepted links, which share one cross matrix taken from the same kernel: the
+solvers measure only through their candidates, never through ``geometry``.
+The fixed pass's rows and columns cover only the n_gate links that pass the
+solo SINR gate, O(n_gate * |accepted|); a link that misses it appears only as
+a trace row. The limited solver's second pass over the k links its first
+pass accepted takes their weights in column blocks of 256 links, in O(k *
+256) memory. Endpoints, ``d^alpha`` and thresholds are sliced from the
+per-link arrays cached on ``Instance``, so every sensitivity and kernel here
+reads the one ``Instance.d_alpha``.
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -52,7 +53,6 @@ from .model import (
     _sensitivities,
     _thresholds_at,
     empty_solution,
-    geometry,
     index_of,
     powers_for,
     sensitivity_order,
@@ -154,8 +154,7 @@ def solve_unlimited(
     pos = instance.positions(ids)
     beta = _thresholds_at(instance, ids, thresholds, pos)
     selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta)
-    powers, geo = _power_recurrence(instance, selected[::-1], cands)
-    return _finish(instance, selected, powers, "unlimited", trace, geo)
+    return _finish(instance, cands, selected[::-1], "unlimited", trace)
 
 
 def _greedy(candidates, index, load, budget, row):
@@ -202,40 +201,38 @@ def _greedy_unlimited(instance, ids, pos, beta):
     return accepted, trace, cands
 
 
-def _power_recurrence(instance, accepted, cands):
-    """p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha,
-    over ``accepted`` ordered from the most sensitive link down.
+def _finish(instance, cands, accepted, algorithm, trace, p=None):
+    """Solution over ``accepted``, some of the candidates ``cands``. ``p``,
+    if given, holds the candidates' powers; otherwise the power recurrence
+    assigns them, walking ``accepted`` in order, most sensitive link first:
+    p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha.
 
-    Returns the powers and the accepted links' geometry in sorted id order,
-    which ``_finish`` reuses for the SINRs. Scalar steps use Python floats."""
-    geo = geometry(instance, sorted(accepted))
-    beta = cands.beta[list(map(cands.index.__getitem__, geo.ids))].tolist()
-    d_alpha = geo.d_alpha.tolist()
-    # interference[k]: summed p / cross-distance^alpha at link k from the
-    # links assigned so far, in assignment order
-    interference = np.zeros(geo.n)
-    powers: dict[int, float] = {}
-    with np.errstate(divide="ignore"):
-        gain = 1.0 / geo.cross_alpha
-        for lid in accepted:
-            k = geo.index[lid]
-            p = powers[lid] = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
-            interference += p * gain[:, k]
-    return powers, geo
-
-
-def _finish(instance, selected, powers, algorithm, trace, geo=None):
-    """Solution over ``selected``; ``geo``, when given, is their geometry in
-    sorted id order. SINRs are ``evaluate_sinrs``' arithmetic. The trace is
-    kept even when nothing is selected."""
-    selected = tuple(sorted(selected))
-    if geo is None:
-        geo = geometry(instance, selected)
-    p = np.array([powers[lid] for lid in selected], dtype=np.float64)
+    The recurrence and the SINRs read one k x k matrix over the accepted
+    links in sorted id order, cross[i, j] = d(sender_j, receiver_i)^alpha
+    from the candidates' kernel: the floats of ``geometry().cross_alpha``,
+    so the SINRs are ``evaluate_sinrs``' arithmetic. Scalar steps use Python
+    floats. The trace is kept even when nothing is selected."""
+    selected = sorted(accepted)
+    at = np.array(list(map(cands.index.__getitem__, selected)), dtype=np.intp)
+    with np.errstate(**_ROW_ERRSTATE):
+        cross = cands._alpha(at[None, :], at[:, None])
+        if p is None:
+            beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
+            gain = 1.0 / cross
+            # interference[k]: summed p / cross-distance^alpha at link k from
+            # the links assigned so far, in assignment order
+            interference = np.zeros(len(at))
+            powers = np.empty(len(at))
+            for k in np.searchsorted(selected, accepted).tolist():
+                pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
+                powers[k] = pk
+                interference += pk * gain[:, k]
+        else:
+            powers = p[at]
     return Solution(
-        selected=selected,
-        powers={lid: powers[lid] for lid in selected},
-        sinr=dict(zip(selected, sinr_vector(geo.cross_alpha, p, instance.noise).tolist())),
+        selected=tuple(selected),
+        powers=dict(zip(selected, powers.tolist())),
+        sinr=dict(zip(selected, sinr_vector(cross, powers, instance.noise).tolist())),
         objective=float(len(selected)),
         algorithm=algorithm,
         trace=trace,
@@ -268,7 +265,7 @@ def check_power_preconditions(
             raise ValueError("power array does not match the links")
         p = powers.astype(np.float64, copy=False)
     else:
-        p = np.array([powers[lid] for lid in ids], dtype=np.float64)
+        p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     s = thresholds_for(instance, ids, thresholds) * instance.d_alpha[instance.positions(ids)]
     q = p / s
     rtol = 1e-12
@@ -338,7 +335,7 @@ def solve_fixed(
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     pos = instance.positions(ids)
     beta = _thresholds_at(instance, ids, thresholds, pos)
-    final, trace = _fixed_pass(instance, ids, pos, beta, p)
+    final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, p, beta)
         if issues:
@@ -348,14 +345,13 @@ def solve_fixed(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _finish(instance, final, dict(zip(final, powers_for(instance, final, powers))), "fixed",
-                   trace)
+    return _finish(instance, cands, final, "fixed", trace, cands.p)
 
 
 def _fixed_pass(instance, ids, pos, beta, p):
     """Tentative pass and filter of the fixed solver over nonempty ``ids``
-    (rows ``pos``, thresholds ``beta``, powers ``p``): the kept links and
-    one trace row per link.
+    (rows ``pos``, thresholds ``beta``, powers ``p``): the kept links, one
+    trace row per link and the candidates.
 
     A link that misses the solo SINR gate (p / d^alpha must reach beta * N up
     to tolerance) is never accepted and its affectance enters no other
@@ -388,7 +384,7 @@ def _fixed_pass(instance, ids, pos, beta, p):
 
         tentative, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5,
                                    both_ways)
-    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace
+    return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace, cands
 
 
 def solve_limited(
@@ -428,8 +424,8 @@ def solve_limited(
         big = ~small
         r2 = list(compress(ids, big.tolist()))
         p = np.full(len(r2), instance.p_max, dtype=np.float64)
-        final, trace = _fixed_pass(instance, r2, pos[big], beta[big], p)
-        sol2 = _finish(instance, final, dict.fromkeys(final, instance.p_max), "fixed", trace)
+        final, trace, cands = _fixed_pass(instance, r2, pos[big], beta[big], p)
+        sol2 = _finish(instance, cands, final, "fixed", trace, cands.p)
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
     return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
 
@@ -454,5 +450,4 @@ def _limited_first_branch(instance, r1, pos, beta):
                                  SECOND_PASS_BUDGET, lambda j: block[:, j])
             kept += got
             trace2 += trace
-    powers, geo = _power_recurrence(instance, kept, cands)
-    return _finish(instance, kept, powers, "limited", trace1 + trace2, geo)
+    return _finish(instance, cands, kept, "limited", trace1 + trace2)

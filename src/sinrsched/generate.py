@@ -197,20 +197,20 @@ class GenConfig:
     _utility: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the fields are checked, not converted: each keeps the value given
         for name in ("n", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
-        d_min, d_max = self.d_range
-        if not 0.0 < d_min <= d_max < INF:
+            if _finite(getattr(self, name), name, _integer) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)!r}")
+        d_min, d_max = _pair(self.d_range, "d_range")
+        if not 0.0 < d_min <= d_max:
             raise ValueError(
                 f"d_range: impossible geometry {self.d_range}, need 0 < d_min <= d_max < inf"
             )
         for name in ("area", "alpha", "noise"):
-            if not 0.0 < getattr(self, name) < INF:
-                raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
+            if not _finite(getattr(self, name), name) > 0.0:
+                raise ValueError(f"{name} must be > 0, not {getattr(self, name)}")
         try:  # the metric squares a length, and an instance needs every d^alpha finite
-            float(d_max) ** max(2.0, float(self.alpha))
+            d_max ** max(2.0, float(self.alpha))
         except OverflowError:
             message = f"d_range: length {d_max} overflows squared or at alpha {self.alpha}"
             raise ValueError(message) from None
@@ -218,29 +218,29 @@ class GenConfig:
         if d_min < self.area * 2.0**-30:
             raise ValueError(f"d_range: length {d_min} is below area * 2^-30 = "
                              f"{self.area * 2.0**-30:g}, the coordinates' resolution")
-        dim = self.dim
-        integer = isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)
-        if not (integer and 1 <= dim <= MAX_DIM):
-            raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, not {dim!r}")
+        dim = _finite(self.dim, "dim", _integer)
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dim must be in 1..{MAX_DIM}, not {dim}")
         if d_max > self.area * math.sqrt(dim):
             raise ValueError("link length range exceeds the area diagonal")
-        if self.beta_set is None and self.beta_range is None:
+        if self.beta_set is not None:
+            name = "beta_set"
+            _require(self.beta_set, (list, tuple), "a list of thresholds", name)
+            betas = [_finite(b, f"{name}[{k}]") for k, b in enumerate(self.beta_set)]
+            if not betas:
+                raise ValueError("beta_set must not be empty")
+        elif self.beta_range is not None:
+            name, betas = "beta_range", _pair(self.beta_range, "beta_range")
+            if not betas[0] <= betas[1]:
+                raise ValueError(f"beta_range must have lo <= hi, not {self.beta_range}")
+        else:
             raise ValueError("one of beta_range / beta_set is required")
-        betas_name = "beta_set" if self.beta_set is not None else "beta_range"
-        betas = getattr(self, betas_name)
-        for name in (betas_name, "demand_range"):
-            values = getattr(self, name)
-            if values is not None and not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite, not {values}")
-        if not betas:
-            raise ValueError("beta_set must not be empty")
-        if self.beta_set is None and not betas[0] <= betas[1]:
-            raise ValueError(f"beta_range must have lo <= hi, not {betas}")
         if not min(betas) > 0.0:
-            raise ValueError(f"{betas_name}: thresholds must be > 0, not {betas}")
-        demands = self.demand_range
-        if demands is not None and not 0.0 <= demands[0] <= demands[1]:
-            raise ValueError(f"demand_range must have 0 <= lo <= hi, not {demands}")
+            raise ValueError(f"{name}: thresholds must be > 0, not {getattr(self, name)}")
+        if self.demand_range is not None:
+            demands = _pair(self.demand_range, "demand_range")
+            if not 0.0 <= demands[0] <= demands[1]:
+                raise ValueError(f"demand_range must have 0 <= lo <= hi, not {self.demand_range}")
         if not self.allow_sub_unit and any(b < 1 for b in betas):
             raise ValueError("thresholds below 1 need allow_sub_unit")
         utility = None if self.utility is None else _utility_params(self.utility)
@@ -253,26 +253,20 @@ class GenConfig:
                     "p_max must be finite for demands on Shannon utilities (objective unbounded)"
                 )
         power = self.power
-        if power not in (None, "linear", "sqrt") and (
-            isinstance(power, bool)
-            or not isinstance(power, (int, float, np.integer, np.floating))
-            or not 0 <= power < INF
-        ):
-            raise ValueError(
-                f"power must be a finite number >= 0, 'linear' or 'sqrt', not {power!r}"
-            )
+        if isinstance(power, str):
+            if power not in ("linear", "sqrt"):
+                raise ValueError(f"power must be a number, 'linear' or 'sqrt', not {power!r}")
+        elif power is not None and not _finite(power, "power") >= 0.0:
+            raise ValueError(f"power must be >= 0, not {power}")
 
 
 def _finite(value, key: str, read=_number):
-    """Utility parameter ``value`` read by model's ``read``, a numpy scalar
-    first taken as the Python value it holds (so numpy integers and floats
-    pass, as for ``n`` and ``seed``); a float must be finite."""
+    """Config field or utility parameter ``value`` read by model's ``read``, a
+    numpy scalar first taken as the Python value it holds (so numpy integers
+    and floats pass); a float must be finite."""
     if isinstance(value, np.generic):
         value = float(value) if isinstance(value, np.floating) else value.item()
-    try:
-        value = read(value, key)
-    except OverflowError:
-        raise ValueError(f"{key} is too large for a float") from None
+    value = read(value, key)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, not {value}")
     return value

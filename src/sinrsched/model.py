@@ -373,7 +373,7 @@ class Instance:
                     utility = utility_from_dict(utility)
                 except KeyError as exc:
                     raise ValueError(f"links[{k}].utility: missing field {exc}") from None
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"links[{k}].utility: {exc}") from None
             lid, beta, demand, power = get("id"), get("beta"), get("demand"), get("power")
             if type(lid) is not int:
@@ -437,10 +437,13 @@ _JSON_TYPES = {
 }
 
 
+def _name(key, link) -> str:
+    return key if link is None else f"links[{link}]" + ("" if key is None else f".{key}")
+
+
 def _type_error(value, what: str, key, link) -> ValueError:
-    name = key if link is None else f"links[{link}]" + ("" if key is None else f".{key}")
     got = _JSON_TYPES.get(type(value), type(value).__name__)
-    return ValueError(f"{name} must be {what}, got {got}")
+    return ValueError(f"{_name(key, link)} must be {what}, got {got}")
 
 
 def _require(value, kind, what: str, key, link=None) -> None:
@@ -452,7 +455,10 @@ def _require(value, kind, what: str, key, link=None) -> None:
 def _number(value, key: str, link=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _type_error(value, "a number", key, link)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{_name(key, link)} is too large for a float") from None
 
 
 def _integer(value, key: str, link=None) -> int:
@@ -477,10 +483,7 @@ def _json_points(points: list, dim: int) -> np.ndarray:
             if len(point) != dim:
                 raise ValueError(f"points have dimension {len(point)}, declared {dim}")
             for d, x in enumerate(point):
-                try:
-                    _number(x, f"{key}[{d}]")
-                except OverflowError:
-                    raise ValueError(f"{key}[{d}] is too large for a float") from None
+                _number(x, f"{key}[{d}]")
         flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * dim)
     return flat.reshape(-1, dim)
 

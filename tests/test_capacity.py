@@ -308,6 +308,23 @@ def test_solve_fixed_precondition_warning():
         solve_fixed(inst, powers=bad)
     with pytest.raises(ValueError, match="power array does not match the links"):
         check_power_preconditions(inst, [0, 1], np.array([5.0]))
+    # a mapping without a link reads as the solver reads it
+    for call in (lambda: check_power_preconditions(inst, [0, 1], {0: 5.0}),
+                 lambda: solve_fixed(inst, powers={0: 5.0})):
+        with pytest.raises(ValueError, match="^missing power for link 1$"):
+            call()
+
+
+def test_fixed_powers_are_the_floats_the_pass_used():
+    # solve_fixed and solve_limited's full-power branch return their pass's
+    # float64 powers, even for int powers given in the mapping or as the cap
+    inst = gen_line([(0, 1, 1), (100, 101, 1)], alpha=2, noise=1.0, p_max=2)
+    for sol in (solve_fixed(inst, powers={0: 5, 1: 5}), solve_limited(inst)):
+        assert sol.selected == (0, 1)
+        assert all(type(p) is float for p in sol.powers.values())
+    assert json.dumps(solve_fixed(inst, powers={0: 5, 1: 5}).to_dict()["powers"]) == (
+        '{"0": 5.0, "1": 5.0}')
+    assert solve_limited(inst).powers == {0: 2.0, 1: 2.0}
 
 
 def pairwise_preconditions(instance, ids, powers, thresholds=None):

@@ -188,6 +188,7 @@ def _set(path, value):
         (_set(["metric", "points", 0], [[0], [1]]), "metric.points[0][0]"),  # nested deeper
         (_set(["metric", "points", 1], [0, 10**400]), "metric.points[1][1]"),
         (_set(["metric", "points", 0], ["2", 0]), "metric.points[0][0]"),
+        (_set(["links", 0, "beta"], 10**400), "links[0].beta is too large for a float"),
     ],
 )
 def test_mistyped_instance_field_is_bad_input(tmp_path, capsys, edit, field):
@@ -226,6 +227,7 @@ def _in_level(edit, thresholds=None):
         (_set(["powers"], {"3": None}), 'powers["3"]'),
         (_set(["powers"], {"x": 1.0}), 'powers["x"]'),
         (_set(["powers"], [1.0]), "powers"),
+        (_set(["powers"], {"3": 10**400}), 'powers["3"] is too large for a float'),
         (_set(["sinr"], {"3": "2"}), 'sinr["3"]'),
         (lambda data: {k: v for k, v in data.items() if k != "objective"}, "objective"),
         (_set(["objective"], "1"), "objective"),

@@ -145,6 +145,14 @@ def test_impossible_geometry_rejected():
     ({"n": 0, "d_range": (1e-20, 1e-20)}, "d_range"),
     ({"d_range": (1e-13, 1e-13)}, "d_range"),
     ({"area": 1e9, "d_range": (0.5, 2.0)}, "d_range"),
+    # a field of the wrong type, or an int beyond float range, is named too
+    ({"area": "10"}, "area"),
+    ({"d_range": ("a", 2.0)}, "d_range"),
+    ({"noise": 10**400}, "noise"),
+    ({"alpha": [2.0]}, "alpha"),
+    ({"beta_range": None, "beta_set": (1.0, "2")}, "beta_set"),
+    ({"utility": STEP, "demand_range": (1.0, None)}, "demand_range"),
+    ({"n": 0, "power": 10**400}, "power"),
 ], ids=["negative-lengths", "nan-length", "zero-lengths", "infinite-length", "zero-noise",
         "nan-noise", "negative-alpha", "infinite-alpha", "nan-area", "infinite-area",
         "infinite-beta", "nan-beta", "infinite-beta-set", "nan-beta-set", "nan-demand",
@@ -159,7 +167,8 @@ def test_impossible_geometry_rejected():
         "empty-negative-beta-range", "zero-beta", "negative-beta-without-sub-unit",
         "zero-beta-in-set", "negative-beta-in-set", "overflowing-d-alpha", "overflowing-lengths",
         "empty-overflowing-squares", "unresolved-lengths", "empty-unresolved-lengths",
-        "rounded-lengths", "short-for-the-area"])
+        "rounded-lengths", "short-for-the-area", "string-area", "string-length", "huge-noise",
+        "list-alpha", "string-in-beta-set", "null-demand", "empty-huge-power"])
 def test_bad_lengths_noise_and_alpha_are_value_errors(fields, name):
     with pytest.raises(ValueError, match=name):
         gen_random(GenConfig(**{"n": 2, "seed": 1, **fields}))

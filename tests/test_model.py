@@ -348,7 +348,7 @@ SEVERAL_FAULTS = [
     ([(["links", 1, "utility"], {"type": "shannon", "scale": None})],
      "links[1].utility: scale must be a number, got null"),
     ([(["links", 0, "utility"], {"type": "step", "steps": [[10**400, 1]]})],
-     "links[0].utility: int too large to convert to float"),
+     "links[0].utility: steps[0][0] is too large for a float"),
 ]
 
 

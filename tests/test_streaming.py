@@ -28,7 +28,7 @@ from sinrsched import (
     solve_limited,
     solve_unlimited,
 )
-from sinrsched import capacity, model
+from sinrsched import capacity
 from sinrsched.capacity import SECOND_PASS_BUDGET, weight_budget
 from sinrsched.model import (
     FEAS_RTOL,
@@ -309,9 +309,7 @@ def test_solvers_build_no_array_larger_than_accepted(monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(capacity, "geometry", spy(model.geometry, lambda g: (g.n, g.n)))
-    monkeypatch.setattr(model, "geometry", spy(model.geometry, lambda g: (g.n, g.n)))
-    monkeypatch.setattr(MetricSpace, "distances", spy(MetricSpace.distances, np.shape))
+    monkeypatch.setattr(MetricSpace, "between", spy(MetricSpace.between, np.shape))
 
     uniform = {lid: inst.p_max for lid in inst.link_ids}
     for solve in (solve_unlimited, solve_limited,
@@ -373,7 +371,7 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
     inst = gen_random(GenConfig(n=n, seed=0, area=1000.0 * (n / 300) ** 0.5, p_max=P_MAX))
     original_between = MetricSpace.between
     original_first_pass = capacity._greedy_unlimited
-    original_powers = capacity._power_recurrence
+    original_finish = capacity._finish
     first_pass, shapes = [], []
     in_second_pass = False
 
@@ -390,14 +388,14 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
         in_second_pass = True
         return out
 
-    def power_recurrence(*args):
+    def finish(*args):
         nonlocal in_second_pass
         in_second_pass = False
-        return original_powers(*args)
+        return original_finish(*args)
 
     monkeypatch.setattr(MetricSpace, "between", between)
     monkeypatch.setattr(capacity, "_greedy_unlimited", greedy_unlimited)
-    monkeypatch.setattr(capacity, "_power_recurrence", power_recurrence)
+    monkeypatch.setattr(capacity, "_finish", finish)
     sol = solve_limited(inst)
     (k1,) = first_pass
     assert k1 > 256 and sol.selected
