@@ -16,10 +16,13 @@ Every greedy pass is one loop, ``_greedy``: it walks the candidates in
 sensitivity order, accepts a candidate while its running load stays within
 the budget and, on each acceptance, adds the accepted link's O(n) weight or
 affectance row to the loads; rows, columns and blocks all come from one
-kernel per value (see ``_Candidates``). No solver builds an n x n matrix
-over its n candidates. A solve takes O(n * |accepted|) time and O(n) memory,
-plus O(|accepted|^2) for the power recurrence and the SINR evaluation of the
-accepted links, which share one cross matrix taken from the same kernel: the
+kernel per value (see ``_Candidates``). Above ``_DENSE`` = 128 candidates no
+solver builds an n x n matrix over its n candidates: a solve takes O(n *
+|accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
+recurrence and the SINR evaluation of the accepted links, which share one
+cross matrix taken from the same kernel. A set of at most 128 candidates,
+such as a latency or flexible level, measures every pair once into one m x m
+matrix (at most 128 KB) that every kernel reads, with the same floats. The
 solvers measure only through their candidates, never through ``geometry``.
 The fixed pass's rows and columns cover only the n_gate links that pass the
 solo SINR gate, O(n_gate * |accepted|); a link that misses it appears only as
@@ -64,6 +67,12 @@ from .model import (
 # column block of the weights that pass evaluates.
 SECOND_PASS_BUDGET = 0.25
 _BLOCK = 256
+# Candidate sets of at most this many links measure every pair once into one
+# matrix (see ``_Candidates``): a level solve over a few dozen candidates then
+# computes one matrix, not 2k + 1 distance rows. Timed against streaming, the
+# unlimited greedy is faster or even up to 128 links and ~1.9x slower at 192,
+# where the rows of its few accepted links cost less than every pair.
+_DENSE = 128
 
 
 def weight_budget(alpha: float) -> float:
@@ -89,6 +98,15 @@ class _Candidates:
     row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None, :])`` a block.
     A value onto itself is left as computed. Use it under ``_ROW_ERRSTATE``.
 
+    A set of at most ``_DENSE`` candidates measures every pair once, at
+    construction, into ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m
+    floats, at most 128 KB), with the arithmetic of a streamed row, so both
+    paths give the same bits. Paired against streaming on the capacity recipe
+    (area 1000 * sqrt(n / 2000)), the unlimited solver's time ratio dense /
+    streaming was 0.93 at 16 and 64 links, ~1.0 at 96 and 128, 1.85 at 192
+    and 2.30 at 256; the fixed solver's was 0.80-0.85 at every size. Larger
+    sets stream: ``cross`` is None.
+
     The fixed pass builds the set over only the links that pass the solo
     gate, so its rows and columns take O(n_gate) each; the links that miss
     it appear only as trace rows. Over such a set a zero power or a target
@@ -104,6 +122,12 @@ class _Candidates:
         self.index = index_of(ids)
         self.senders = metric.gather(instance.senders[pos])
         self.receivers = metric.gather(instance.receivers[pos])
+        self.cross = None
+        if len(ids) <= _DENSE:
+            # cross[i, j] = d(sender_j, receiver_i)^alpha, every pair measured
+            # once with the streaming kernel's arithmetic
+            self.cross = (self.between(self.receivers[..., :, None], self.senders[..., None, :])
+                          ** self.alpha)
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
         self.sens = _sensitivities(ids, beta, self.d_alpha)
@@ -114,7 +138,10 @@ class _Candidates:
             self.saturated = not (self.margin > 0).all()
 
     def _alpha(self, a, b):
-        """d(sender_a, receiver_b)^alpha."""
+        """d(sender_a, receiver_b)^alpha, read from ``cross`` when the set
+        has one."""
+        if self.cross is not None:
+            return self.cross[b, a]
         return self.between(self.receivers[..., b], self.senders[..., a]) ** self.alpha
 
     def weights(self, a, b):
@@ -223,7 +250,8 @@ def _finish(instance, cands, accepted, algorithm, trace, p=None):
             # the links assigned so far, in assignment order
             interference = np.zeros(len(at))
             powers = np.empty(len(at))
-            for k in np.searchsorted(selected, accepted).tolist():
+            rank = {lid: k for k, lid in enumerate(selected)}
+            for k in map(rank.__getitem__, accepted):
                 pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
                 powers[k] = pk
                 interference += pk * gain[:, k]

@@ -50,7 +50,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
-from .model import INF, Instance, Solution, empty_solution, index_of, powers_for
+from .model import INF, Instance, Solution, empty_solution, float_sum, index_of, powers_for
 from .utility import UtilitySpec, UtilityTable, inverse_threshold, split_cap
 
 MODES = ("unlimited", "fixed", "limited")
@@ -314,9 +314,9 @@ def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
         if sol is None:
             sol = _solve_level(instance, mode, ids[live].tolist(), gamma[live], powers)
         if objective is None:
-            objective = float(sum(
+            objective = float_sum(
                 _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
-            ))
+            )
         levels.append(FlexibleLevel(i, target, sol, objective, gamma, ids))
     return levels
 

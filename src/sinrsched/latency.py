@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .flexible import FlexibleLevel, FlexibleRun, solo_sinr_cap, solve_flexible
-from .model import INF, Instance, Solution, index_of
+from .model import INF, Instance, Solution, float_sum, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
 SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
@@ -67,7 +67,7 @@ class Slot:
 
     @property
     def utility(self) -> float:
-        return float(sum(self.gains.values()))
+        return float_sum(self.gains.values())
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def _run_scheme(
             break
         level = run.best
         gains, completes = slot_gains(level.solution)
-        if scheme == 2 and not completes and sum(gains.values()) < 1.0 - RESIDUAL_TOL:
+        if scheme == 2 and not completes and float_sum(gains.values()) < 1.0 - RESIDUAL_TOL:
             # the schedule-length accounting needs every round to finish some
             # link or deliver value 1; when all residuals sit below 1, the
             # shallowest level always finishes its members, so fall back to

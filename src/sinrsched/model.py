@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +35,12 @@ CAP_RTOL = 1e-12
 # Threshold overrides: a mapping id -> beta, or an array aligned with the
 # link ids it comes with (see ``thresholds_for``).
 Thresholds = Union[Mapping[int, float], np.ndarray]
+
+
+def float_sum(values) -> float:
+    """Sum of floats, added left to right from 0.0: the bytes Python 3.11's
+    ``sum`` gives, on every Python (3.12 compensates its float ``sum``)."""
+    return float(reduce(add, values, 0.0))
 
 
 class MetricSpace:
@@ -678,8 +686,8 @@ def sensitivity_order(
     if links is None:
         links = instance.link_ids
     ids = list(links)
-    beta = thresholds_for(instance, ids, thresholds)
-    sens = beta * instance.d_alpha[instance.positions(ids)]
+    pos = instance.positions(ids)
+    sens = _thresholds_at(instance, ids, thresholds, pos) * instance.d_alpha[pos]
     return list(map(ids.__getitem__, np.lexsort((np.array(ids), -sens)).tolist()))
 
 

@@ -29,6 +29,7 @@ from .model import (
     Instance,
     Thresholds,
     _sensitivities,
+    float_sum,
     geometry,
     powers_for,
     sinr_vector,
@@ -254,7 +255,7 @@ def brute_opt_flexible_fixed(
         for combos in _combination_chunks(len(ids), size):
             gammas = sinr_vector(_stacked(cross_alpha, combos), p[combos], instance.noise)
             for combo, gamma in zip(map(tuple, combos.tolist()), gammas.tolist()):
-                total = sum(utils[k].value(g) for k, g in zip(combo, gamma))
+                total = float_sum(utils[k].value(g) for k, g in zip(combo, gamma))
                 if total > best_value or (total == best_value and combo < best_combo):
                     best_combo, best_value = combo, total
     return tuple(ids[k] for k in best_combo), best_value

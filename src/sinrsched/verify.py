@@ -19,6 +19,7 @@ from .model import (
     _number,
     _require,
     evaluate_sinrs,
+    float_sum,
 )
 
 SINR_MATCH_RTOL = 1e-6
@@ -114,7 +115,7 @@ def verify_flexible_run(instance: Instance, run_data: Mapping) -> list[str]:
         issues = verify_solution(instance, sol, thresholds=thresholds)
         problems += [f"{name}: {issue}" for issue in issues]
         values = None if issues else _values(instance, sol)
-        value = None if values is None or None in values else float(sum(values))
+        value = None if values is None or None in values else float_sum(values)
         if values is not None and value is None:
             problems.append(f"{name}: a selected link has no utility")
         elif value is not None and claimed != value:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sinrsched import (
     solve_unlimited,
     weight_budget,
 )
+from sinrsched import capacity
 from sinrsched.capacity import (
     _ROW_ERRSTATE,
     ALL,
@@ -138,6 +140,42 @@ def test_kernel_blocks_equal_rows_and_columns_bit_for_bit(name):
             for i, k in enumerate(perm.tolist()):
                 assert np.array_equal(_bits(block[i]), _bits(kernel(k, ALL)[perm]))
                 assert np.array_equal(_bits(block[:, i]), _bits(kernel(ALL, k)[perm]))
+
+
+def _solution_bits(sol):
+    """A solution's selection, trace and the bits of every float in it."""
+    powers = [sol.powers[lid] for lid in sol.selected]
+    sinrs = [sol.sinr[lid] for lid in sol.selected]
+    loads = [row[2] for row in sol.trace]
+    return (sol.selected, [row[:2] for row in sol.trace], _bits(powers).tolist(),
+            _bits(sinrs).tolist(), _bits(loads).tolist())
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("name", ["dim-1", "dim-2", "dim-3", "euclidean", "matrix"])
+def test_dense_and_streaming_candidates_solve_alike(monkeypatch, name, alpha):
+    # a set of at most _DENSE candidates measures every pair into one matrix;
+    # with the limit at 0 every set streams. Both must give the same bits
+    inst, level = _kernel_instance(name)
+    inst = replace(inst, alpha=alpha)
+    ids = list(inst.link_ids)
+    assert len(ids) <= capacity._DENSE
+    sens = thresholds_for(inst, ids) * inst.d_alpha * inst.noise
+    # a cap that splits the limited solver's branches, and fixed powers that
+    # are zero, below and at the solo gate, and ample
+    inst = replace(inst, p_max=4.0 * float(np.median(sens)))
+    scale = np.array([0.0, 0.5, 1.0, level])[np.arange(len(ids)) % 4]
+    powers = dict(zip(ids, (sens * scale).tolist()))
+
+    def solve_all():
+        return [_solution_bits(sol) for sol in (
+            solve_unlimited(inst), solve_limited(inst),
+            solve_fixed(inst, powers=powers, warn_preconditions=False))]
+
+    dense = solve_all()
+    monkeypatch.setattr(capacity, "_DENSE", 0)
+    assert solve_all() == dense
+    assert all(selected for selected, *_ in dense)
 
 
 def test_weight_worked_example():

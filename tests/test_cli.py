@@ -190,6 +190,31 @@ def _set(path, value):
         (_set(["metric", "points", 0], ["2", 0]), "metric.points[0][0]"),
         (_set(["links", 0, "beta"], 10**400), "links[0].beta is too large for a float"),
     ],
+    # explicit ids, frozen at the names pytest derived from the fields
+    ids=[
+        "edit-alpha",
+        "edit-noise",
+        "edit-p_max",
+        "edit-links",
+        "edit-links[0]",
+        "edit-links[0].s",
+        "edit-links[1].r",
+        "edit-links[0].id",
+        "edit-links[0].beta",
+        "edit-links[0].demand",
+        "edit-links[0].utility0",
+        "edit-links[0].utility1",
+        "edit-metric",
+        "edit-metric.points0",
+        "edit-metric.points1",
+        "edit-metric.dim",
+        "edit-allow_sub_unit_threshold",
+        "<lambda>-instance",
+        "edit-metric.points[0][0]0",
+        "edit-metric.points[1][1]",
+        "edit-metric.points[0][0]1",
+        "edit-links[0].beta is too large for a float",
+    ],
 )
 def test_mistyped_instance_field_is_bad_input(tmp_path, capsys, edit, field):
     inst = tmp_path / "inst.json"
@@ -241,6 +266,29 @@ def _in_level(edit, thresholds=None):
         (_in_level(lambda data: data, {"0": None}), 'levels[0].thresholds["0"]'),
         (lambda data: {"levels": [7]}, "levels[0]"),
         (lambda data: {"levels": 5}, "levels"),
+    ],
+    # explicit ids, frozen at the names pytest derived from the fields
+    ids=[
+        "edit-selected[0]0",
+        "edit-selected[0]1",
+        "edit-selected",
+        'edit-powers["3"]',
+        'edit-powers["x"]',
+        "edit-powers",
+        'edit-powers["3"] is too large for a float',
+        'edit-sinr["3"]',
+        "<lambda>-objective",
+        "edit-objective",
+        "edit-algorithm",
+        "edit-trace[0]",
+        "<lambda>-solution",
+        "<lambda>-slots[0].selected[0]",
+        "<lambda>-slots[0]",
+        "<lambda>-slots",
+        'wrap-levels[0].solution.powers["3"]',
+        'wrap-levels[0].thresholds["0"]',
+        "<lambda>-levels[0]",
+        "<lambda>-levels",
     ],
 )
 def test_mistyped_artifact_field_is_bad_input(tmp_path, capsys, edit, field):

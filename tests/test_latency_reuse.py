@@ -8,6 +8,7 @@ exactly. The cached arrays on ``Instance`` must give the same floats as the
 per-link constructions they replaced.
 """
 
+import builtins
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sinrsched import capacity, flexible, latency
+from sinrsched import capacity, flexible, latency, oracle, verify
 from sinrsched.capacity import _Candidates, solve_fixed, solve_limited, solve_unlimited
 from sinrsched.flexible import solve_flexible
 from sinrsched.generate import GenConfig, gen_random
@@ -343,6 +344,37 @@ def test_latency_benchmark_schedules_are_pinned():
     assert digest.hexdigest() == (
         "7545623ce6b7c8d5c973a1da02a53487d490124cdb7ca8df4b9fbb6ab4289738"
     )
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's ``sum``: exact over ints, Neumaier-compensated over floats."""
+    items = list(values)
+    if all(type(x) is int for x in items):
+        return builtins.sum(items, start)
+    total, comp = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_compensated_sum_moves_no_schedule(monkeypatch):
+    # with the builtin float sum in the level objective, a compensated sum
+    # (Python 3.12's) made these seeds' limited Shannon schedules select other
+    # links; the package's left-to-right fold gives one answer on every Python
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    instances = [_demand_instance(seed, 20, SHANNON, 5e4) for seed in (509, 516, 536)]
+
+    def schedules():
+        return [solve_latency(inst, mode="limited").to_dict(include_trace=True)
+                for inst in instances]
+
+    want = schedules()
+    for module in (latency, flexible, verify, oracle):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert schedules() == want
 
 
 def test_previous_run_reuses_equal_levels_only():

@@ -352,7 +352,38 @@ SEVERAL_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("edits,message", SEVERAL_FAULTS)
+# Explicit ids, frozen at the names these cases had when pytest derived them
+# from the expected messages: editing a message no longer renames its case.
+SEVERAL_FAULT_IDS = [
+    "edits0-links[0].beta must be a number, got a string",
+    "edits1-links[0].s must be an integer, got a string",
+    "edits2-links[0].id must be an integer, got a boolean",
+    "edits3-links[1].demand must be a number, got a list",
+    "edits4-links[1].utility must be an object, got int",
+    "edits5-links[0].s must be an integer, got null",
+    "edits6-links[0].s: node 99 is not in the metric",
+    "edits7-link 0: threshold must be finite",
+    "edits8-links[0].power must be a number, got a string",
+    "edits9-link 0: sender and receiver coincide",
+    "edits10-links[2].id must be an integer, got a string",
+    "edits11-link 0: threshold 0.5 < 1 (set allow_sub_unit_threshold to permit)",
+    "edits12-link 2: sender-receiver distance^alpha must be > 0 (distance 0, alpha 2)",
+    "edits13-link 0 appears more than once",
+    "edits14-links[0].s must be an integer, got a string",
+    "edits15-allow_sub_unit_threshold must be a boolean, got a string",
+    "edits16-links[0].utility: missing field 'steps'",
+    "edits17-links[0].utility: steps[0] must be a [gamma, value] pair, got a string",
+    "edits18-links[0].utility: steps[1][1] must be a number, got a boolean",
+    "edits19-links[0].utility: steps[0] must be a [gamma, value] pair, got 3 entries",
+    "edits20-links[0].utility: steps must be a list, got a string",
+    "edits21-links[1].utility: scale must be a number, got a string",
+    "edits22-links[1].utility: cutoff must be a number, got a boolean",
+    "edits23-links[1].utility: scale must be a number, got null",
+    "edits24-links[0].utility: steps[0][0] is too large for a float",
+]
+
+
+@pytest.mark.parametrize("edits,message", SEVERAL_FAULTS, ids=SEVERAL_FAULT_IDS)
 def test_first_of_several_faults_is_reported(edits, message):
     with pytest.raises(ValueError) as caught:
         Instance.from_dict(_edited(*edits))

@@ -323,6 +323,31 @@ def test_solvers_build_no_array_larger_than_accepted(monkeypatch):
         assert max(max(s) for s in matrices) <= selected
 
 
+def test_only_sets_within_the_dense_limit_measure_every_pair(monkeypatch):
+    m = capacity._DENSE
+    inst = gen_random(GenConfig(n=m + 1, seed=3, area=400.0 * ((m + 1) / 50) ** 0.5,
+                                d_range=(1.0, 60.0)))
+    ids = list(inst.link_ids)
+    shapes = []
+    original_between = MetricSpace.between
+
+    def between(self, a, b):
+        out = original_between(self, a, b)
+        shapes.append(np.shape(out))
+        return out
+
+    monkeypatch.setattr(MetricSpace, "between", between)
+    # m links: one m x m matrix, from which every kernel and the SINRs read
+    solve_unlimited(inst, ids[:m])
+    assert shapes == [(m, m)]
+    # m + 1 links stream: rows, and the k x k matrix over the k accepted
+    shapes.clear()
+    selected = len(solve_unlimited(inst, ids).selected)
+    matrices = [s for s in shapes if len(s) >= 2]
+    assert matrices and 0 < selected < m
+    assert max(max(s) for s in matrices) <= selected
+
+
 def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):
     # capacity-large's recipe: solve_fixed and solve_limited's full-power
     # branch walk every candidate, but no distance array they measure spans

@@ -15,14 +15,18 @@ power p_max without the precondition check, ``fixed-checked`` the same call
 with the check and its warning, as ``sinrsched solve --algorithm fixed``
 runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
 the instance's bytes; ``latency`` runs ``solve_latency`` on the
-latency-medium instance (n = 64, 3-step utilities). ``all`` runs
-``unlimited``, ``limited``, ``fixed`` and ``latency`` in turn, each for
-``--rounds`` rounds, which checks a solver change for identity and speed in
-one command.
+latency-medium instance (n = 64, 3-step utilities); ``ratio`` runs the
+ratio-small benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
+for 100 seeds s from ``--seed`` on (default 0), and compares their report
+rows without ``runtime_ms``. ``all`` runs ``unlimited``, ``limited``,
+``fixed``, ``latency`` and ``ratio`` in turn, each for ``--rounds`` rounds,
+which checks a solver change for identity and speed in one command, on
+candidate sets above and below the capacity solvers' dense-matrix limit.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe gen --rounds 20
+    python tools/abtime.py HEAD . --recipe ratio --rounds 10
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
     python tools/abtime.py HEAD . --recipe fixed-checked --n 300 --rounds 200
 
@@ -46,7 +50,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "latency")  # the solver recipes, which ``all`` runs
+RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio")  # the solver recipes ``all`` runs
+RATIO_SEEDS = 100
 
 
 def _copy_package(rev: str, dest: Path) -> Path:
@@ -73,6 +78,9 @@ def _load(name: str, package_dir: Path):
 
 def _recipe(pkg, name: str, n: int, seed: int):
     """A zero-argument call of the recipe on package ``pkg``."""
+    if name == "ratio":
+        ratio = importlib.import_module(f"{pkg.__name__}.experiments").experiment_ratio
+        return lambda: [ratio(n=n, trials=1, seed=s) for s in range(seed, seed + RATIO_SEEDS)]
     if name == "latency":
         inst = pkg.gen_random(pkg.GenConfig(
             n=n, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
@@ -97,16 +105,23 @@ def _recipe(pkg, name: str, n: int, seed: int):
     return lambda: pkg.solve_fixed(inst, powers=uniform, warn_preconditions=False)
 
 
+def _output(recipe: str, out) -> str:
+    """The recipe's output as JSON text: traces included, no timings."""
+    if recipe == "gen":
+        return json.dumps(out.to_dict())  # an instance has no trace
+    if recipe == "ratio":
+        return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
+                           for report in out for row in report["rows"]])
+    return json.dumps(out.to_dict(include_trace=True))
+
+
 def _compare(pkgs, recipe: str, n: int, seed: int, rounds: int):
     """Seconds per call of each side over ``rounds`` alternating rounds, and
     whether both sides return the same output."""
     calls, outputs = {}, {}
     for side, pkg in pkgs.items():
         calls[side] = _recipe(pkg, recipe, n, seed)
-        out = calls[side]()  # warm-up
-        # an instance has no trace
-        outputs[side] = json.dumps(
-            out.to_dict() if recipe == "gen" else out.to_dict(include_trace=True))
+        outputs[side] = _output(recipe, calls[side]())  # also the warm-up
     times = {"A": [], "B": []}
     for r in range(rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
@@ -122,8 +137,9 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "gen", "all"),
                         default="limited")
-    parser.add_argument("--n", type=int, help="links (default: 2000, latency 64)")
-    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency 0)")
+    parser.add_argument("--n", type=int, help="links (default: 2000, latency 64, ratio 10)")
+    parser.add_argument("--seed", type=int,
+                        help="instance seed (default: 1000, latency and ratio 0)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
 
@@ -132,9 +148,9 @@ def main(argv=None) -> None:
         pkgs = {side: _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
                 for side, rev in (("A", args.base), ("B", args.head))}
         for recipe in RECIPES if args.recipe == "all" else (args.recipe,):
-            latency = recipe == "latency"
-            n = args.n or (64 if latency else 2000)
-            seed = args.seed if args.seed is not None else (0 if latency else 1000)
+            n = args.n or {"latency": 64, "ratio": 10}.get(recipe, 2000)
+            seed = args.seed if args.seed is not None else (
+                0 if recipe in ("latency", "ratio") else 1000)
             times, same = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             print(f"  {recipe:>13} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
