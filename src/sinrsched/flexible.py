@@ -331,8 +331,6 @@ def _utility(instance, utilities, lid):
 def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:
     """Run the threshold solver on a level's candidates, in id order, and
     the threshold array aligned with them."""
-    if not candidates:
-        return empty_solution(mode)
     if mode == "unlimited":
         return solve_unlimited(instance, candidates, thresholds=thresholds)
     if mode == "limited":

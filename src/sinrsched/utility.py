@@ -6,7 +6,8 @@ reaching a target value). Every family returns 0 below SINR 1.
 
 ``UtilityTable`` is the array form of a list of utilities: padded step
 tables, Shannon scale and cutoff vectors, the rounding of ``RoundedUtility``
-and one cap vector. The flexible-rate sweep reads a utility's shape only
+and one cap vector, the only place a cap is held, so re-capping a table
+copies no step table. The flexible-rate sweep reads a utility's shape only
 through it, and ``inverse_threshold`` on a table answers every row and
 every target in one vectorized search, with the same floats as the scalar
 query on each utility.
@@ -21,6 +22,7 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -62,8 +64,7 @@ class StepUtility:
         object.__setattr__(self, "steps", steps)
 
     def value(self, gamma: float) -> float:
-        gammas = [g for g, _ in self.steps]
-        k = bisect_right(gammas, gamma)
+        k = bisect_right(self.steps, gamma, key=itemgetter(0))
         return 0.0 if k == 0 else self.steps[k - 1][1]
 
     def max_value(self, gamma_cap: float) -> float:
@@ -216,16 +217,18 @@ class UtilityTable:
     ``inverse_threshold``.
 
     Each utility is split into its cap and its core (``split_cap``): a
-    StepUtility, a ShannonUtility or a RoundedUtility over one of them.
+    StepUtility, a ShannonUtility or a RoundedUtility over one of them. The
+    caps are held only in the vector ``cap``: a target above a row's cap is
+    out of reach, and the search replaces it by inf, which no core reaches.
 
     Step rows are held column-major, one column of the arrays per row. A
     RoundedUtility over steps is itself a step function on its base's gammas,
     of value ``value(gamma)`` at each, so it is held as a step row too. Value
-    columns are padded with inf and already capped, so a target above the
-    cap or every value counts all of them; gamma columns are padded with NaN
-    one entry further, which is where such a target lands. Shannon rows hold
-    scale, cutoff and cap vectors, plus demand and denom for the rounded
-    ones.
+    columns hold the cores' own values padded with inf, so a target above
+    every value counts all of the row's values; gamma columns are padded
+    with NaN one entry further, which is where such a target lands. Shannon
+    rows hold scale and cutoff vectors, plus demand and denom for the
+    rounded ones. ``capped`` tables share all of these arrays.
     """
 
     def __init__(self, utilities: Sequence[UtilitySpec]):
@@ -257,29 +260,25 @@ class UtilityTable:
         self._shannon = np.flatnonzero(np.logical_not(step))
         self._rounded = np.flatnonzero(rounded)
         self._columns = np.arange(len(steps))
-        self.cap = np.full(len(cores), math.inf)
-        self._cap(np.array(caps, dtype=np.float64))
-
-    def _cap(self, cap: np.ndarray) -> None:
-        self.cap = np.minimum(self.cap, cap)
-        self.step_value = np.minimum(self.step_value, self.cap[self._step])
-        self.shannon_cap = self.cap[self._shannon]
+        self.cap = np.array(caps, dtype=np.float64)
 
     def capped(self, cap: np.ndarray) -> "UtilityTable":
         """The same rows, each also capped at its entry of ``cap``; a cap of
         -inf leaves a row out of every target."""
         out = copy.copy(self)
-        out._cap(cap)
+        out.cap = np.minimum(self.cap, cap)
         return out
 
     def _search(self, target: np.ndarray) -> np.ndarray:
         """Smallest SINR per row reaching ``target`` (last axis over the rows),
         NaN where out of reach: the scalar queries of every family, in arrays."""
+        # a target above the row's cap is out of reach, and inf is out of
+        # every family's reach
+        target = np.where(target > self.cap, math.inf, target)
         if not self.scale.size:
             return self._step_search(target)
         if not self.step_value.size:
             return self._shannon_search(target)
-        target = np.broadcast_to(target, np.broadcast_shapes(target.shape, self.cap.shape))
         gamma = np.empty(target.shape)
         gamma[..., self._step] = self._step_search(target[..., self._step])
         gamma[..., self._shannon] = self._shannon_search(target[..., self._shannon])
@@ -293,8 +292,6 @@ class UtilityTable:
         return self.step_gamma[first, self._columns]
 
     def _shannon_search(self, t):
-        # a target no Shannon curve reaches stands in for "out of reach"
-        t = np.where(t > self.shannon_cap, math.inf, t)
         if self.denom.size:
             r = self._rounded
             k = _first_step(t[..., r], self.denom)

@@ -37,7 +37,7 @@ from sinrsched.capacity import (
     _greedy,
     check_power_preconditions,
 )
-from sinrsched.model import thresholds_for
+from sinrsched.model import empty_solution, thresholds_for
 
 
 def _candidates(inst, ids, powers=None):
@@ -245,6 +245,13 @@ def test_solve_unlimited_empty_input():
     inst = gen_line([(0, 1, 2)], alpha=2, noise=0.1)
     sol = solve_unlimited(inst, links=[])
     assert sol.selected == () and sol.objective == 0.0
+
+
+def test_capped_solvers_take_empty_input():
+    # a flexible level with no candidates relies on these
+    inst = gen_line([(0, 1, 2)], alpha=2, noise=0.1, p_max=10.0)
+    assert solve_limited(inst, links=[]) == empty_solution("limited")
+    assert solve_fixed(inst, links=[]) == empty_solution("fixed")
 
 
 def test_solve_unlimited_far_pair_both_selected():

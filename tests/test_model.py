@@ -349,6 +349,8 @@ SEVERAL_FAULTS = [
      "links[1].utility: scale must be a number, got null"),
     ([(["links", 0, "utility"], {"type": "step", "steps": [[10**400, 1]]})],
      "links[0].utility: steps[0][0] is too large for a float"),
+    ([(["links", 0, "r"], 1.0), (["links", 0, "beta"], "x")],
+     "links[0].r must be an integer, got float"),
 ]
 
 
@@ -380,6 +382,7 @@ SEVERAL_FAULT_IDS = [
     "edits22-links[1].utility: cutoff must be a number, got a boolean",
     "edits23-links[1].utility: scale must be a number, got null",
     "edits24-links[0].utility: steps[0][0] is too large for a float",
+    "edits25-links[0].r must be an integer, got float",
 ]
 
 
@@ -491,6 +494,14 @@ def test_bad_points_keep_their_messages(points, message):
     with pytest.raises(ValueError) as exc:
         MetricSpace.from_dict({"type": "euclidean", "dim": 2, "points": points})
     assert str(exc.value) == message
+
+
+def test_numpy_coordinates_read_as_the_floats_they_hold():
+    # numpy scalars are no JSON type, so they take the checked path
+    data = _three_links()
+    plain = json.dumps(Instance.from_dict(data).to_dict())
+    data["metric"]["points"] = [[np.float64(x) for x in p] for p in data["metric"]["points"]]
+    assert json.dumps(Instance.from_dict(data).to_dict()) == plain
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinrsched import (
@@ -208,20 +208,40 @@ def _assert_rows_match(gamma, targets, us):
     us=st.lists(utilities, max_size=7),
     extra=st.lists(st.floats(1e-6, 1e4), max_size=3),
     caps=st.lists(st.floats(0.0, 6.0), min_size=7, max_size=7),
+    at_edge=st.lists(st.none() | st.integers(0, 99), min_size=7, max_size=7),
+    out=st.lists(st.booleans(), min_size=7, max_size=7),
+)
+@example(
+    us=[STEP, ShannonUtility(0.5), RoundedUtility(STEP, 1.0, 4),
+        RoundedUtility(ShannonUtility(1.0), 2.0, 6), CappedUtility(STEP, 0.7)],
+    extra=[], caps=[0.0] * 7, at_edge=[0, None, 0, 1, 3, None, None],
+    out=[True, False, False, True, False, True, False],
 )
 @settings(max_examples=300, deadline=None)
-def test_table_search_equals_scalar_inverse(us, extra, caps):
+def test_table_search_equals_scalar_inverse(us, extra, caps, at_edge, out):
     targets = extra + [t for u in us for t in _edge_targets(u)] + [1e300]
     table = UtilityTable(us)
     _assert_rows_match(inverse_threshold(table, np.array(targets)[:, None]), targets, us)
-    # further caps, among them caps equal to targets, give CappedUtility's answers
-    caps = np.array(caps[: len(us)])
-    capped = [CappedUtility(u, c) for u, c in zip(us, caps.tolist())]
-    targets = targets + caps[caps > 0].tolist()
-    got = inverse_threshold(table.capped(caps), np.array(targets)[:, None])
-    _assert_rows_match(got, targets, capped)
+    # further caps, among them caps equal to targets and to a row's step
+    # values, give CappedUtility's answers; a cap of -inf leaves its row out
+    # of every target, as one of 0 does
+    edges = [_edge_targets(u) for u in us]
+    caps = [c if k is None or not e else e[k % len(e)] for c, k, e in zip(caps, at_edge, edges)]
+    capped = [CappedUtility(u, 0.0 if o else c) for u, c, o in zip(us, caps, out)]
+    targets = targets + [c for c in caps if c > 0]
+    cap = np.array([-math.inf if o else c for c, o in zip(caps, out)])
+    _assert_rows_match(inverse_threshold(table.capped(cap), np.array(targets)[:, None]),
+                       targets, capped)
     # a cap of -inf leaves every row out: an empty level
     assert np.isnan(inverse_threshold(table.capped(np.full(len(us), -math.inf)), 1.0)).all()
+
+
+def test_capped_table_shares_the_step_tables():
+    # a row's cap is held only in the cap vector, so capping copies no table
+    table = UtilityTable([STEP, ShannonUtility(0.5), CappedUtility(STEP, 0.7)])
+    capped = table.capped(np.array([0.5, -math.inf, 2.0]))
+    assert capped.step_value is table.step_value and capped.step_gamma is table.step_gamma
+    assert capped.cap.tolist() == [0.5, -math.inf, 0.7]
 
 
 def test_table_search_edges():
