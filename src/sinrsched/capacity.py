@@ -30,7 +30,9 @@ a trace row. The limited solver's second pass over the k links its first
 pass accepted takes their weights in column blocks of 256 links, in O(k *
 256) memory. Endpoints, ``d^alpha`` and thresholds are sliced from the
 per-link arrays cached on ``Instance``, so every sensitivity and kernel here
-reads the one ``Instance.d_alpha``.
+reads the one ``Instance.d_alpha``. Every cross ``d^alpha`` is one
+``MetricSpace.between`` call, which raises the squared distance to alpha / 2
+with no square root (the sum itself at alpha = 2).
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -98,10 +100,11 @@ class _Candidates:
     row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None, :])`` a block.
     A value onto itself is left as computed. Use it under ``_ROW_ERRSTATE``.
 
-    A set of at most ``_DENSE`` candidates measures every pair once, at
-    construction, into ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m
-    floats, at most 128 KB), with the arithmetic of a streamed row, so both
-    paths give the same bits. Paired against streaming on the capacity recipe
+    ``_alpha`` is ``MetricSpace.between`` at the instance's alpha. A set of
+    at most ``_DENSE`` candidates measures every pair once, at construction,
+    into ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m floats, at
+    most 128 KB), with the same call as a streamed row, so both paths give
+    the same bits. Paired against streaming on the capacity recipe
     (area 1000 * sqrt(n / 2000)), the unlimited solver's time ratio dense /
     streaming was 0.93 at 16 and 64 links, ~1.0 at 96 and 128, 1.85 at 192
     and 2.30 at 256; the fixed solver's was 0.80-0.85 at every size. Larger
@@ -125,9 +128,9 @@ class _Candidates:
         self.cross = None
         if len(ids) <= _DENSE:
             # cross[i, j] = d(sender_j, receiver_i)^alpha, every pair measured
-            # once with the streaming kernel's arithmetic
-            self.cross = (self.between(self.receivers[..., :, None], self.senders[..., None, :])
-                          ** self.alpha)
+            # once with the streaming kernel's call
+            self.cross = self.between(self.receivers[..., :, None], self.senders[..., None, :],
+                                      self.alpha)
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
         self.sens = _sensitivities(ids, beta, self.d_alpha)
@@ -142,7 +145,7 @@ class _Candidates:
         has one."""
         if self.cross is not None:
             return self.cross[b, a]
-        return self.between(self.receivers[..., b], self.senders[..., a]) ** self.alpha
+        return self.between(self.receivers[..., b], self.senders[..., a], self.alpha)
 
     def weights(self, a, b):
         """Directed weight min(1, s_a s_b / (x_ab x_ba) + s_a / x_ab + s_a / x_ba),
@@ -393,8 +396,9 @@ def _fixed_pass(instance, ids, pos, beta, p):
         gate = p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL)
         if not gate.all():
             # the candidates check repeated ids and overflowing sensitivities
-            # only among the links that pass the gate
-            index_of(ids)
+            # only among the links that pass the gate; index_of names a repeat
+            if len(set(ids)) < len(ids):
+                index_of(ids)
             _sensitivities(ids, beta, d_alpha)
             ids = list(compress(ids, gate.tolist()))
             pos, beta, p = pos[gate], beta[gate], p[gate]

@@ -49,16 +49,19 @@ class MetricSpace:
     Euclidean spaces store their points coordinate-major, as one contiguous
     array per coordinate (shape ``(dim, n)``), and compute L2 distances on
     demand. ``between`` adds up ``(x_d[i] - x_d[j])^2`` one coordinate at a
-    time, in coordinate order, and takes the square root; for dim <= 7 that is
-    bit for bit the sum numpy's ``add.reduce`` gives over the last axis of a
-    row-major ``(n, dim)`` difference, and within a few ulp above that, where
-    ``add.reduce`` sums pairwise. It is the package's only distance
-    arithmetic: ``distance``, ``distances`` and every length and ``d^alpha``
-    go through it, on nodes that ``gather`` has looked up.
+    time, in coordinate order; for dim <= 7 that is bit for bit the sum
+    numpy's ``add.reduce`` gives over the last axis of a row-major ``(n,
+    dim)`` difference, and within a few ulp above that, where ``add.reduce``
+    sums pairwise. It raises that squared distance to ``alpha / 2``: the
+    distance is ``np.sqrt`` of it, ``d^2`` the sum itself, and no ``d^alpha``
+    pays a square root. It is the package's only distance arithmetic:
+    ``distance``, ``distances`` and every length and ``d^alpha`` go through
+    it, on nodes that ``gather`` has looked up.
 
-    Matrix spaces store the full symmetric matrix and validate metric axioms
-    (incl. the triangle inequality, O(n^3) time and O(n^2) memory) at load
-    time; only ``from_matrix(..., validate=False)`` skips the check.
+    Matrix spaces store the full symmetric matrix, whose entries ``between``
+    raises to ``alpha``, and validate metric axioms (incl. the triangle
+    inequality, O(n^3) time and O(n^2) memory) at load time; only
+    ``from_matrix(..., validate=False)`` skips the check.
     ``distances`` costs O(size of its result) in both kinds, so a row of
     distances from one node is O(n); ``between`` on gathered nodes saves the
     lookup of each node's coordinates.
@@ -129,11 +132,11 @@ class MetricSpace:
         nodes = np.asarray(nodes, dtype=np.intp)
         return nodes if self._matrix is not None else self._coords[:, nodes]
 
-    def between(self, a, b) -> np.ndarray:
+    def between(self, a, b, alpha=1.0) -> np.ndarray:
         """Element-wise distances between gathered nodes ``a`` and ``b`` (see
-        ``gather``) that broadcast together."""
+        ``gather``) that broadcast together, raised to ``alpha``."""
         if self._matrix is not None:
-            return self._matrix[a, b]
+            return self._matrix[a, b] ** alpha
         # a[d] - b[d] is a fresh array, so squaring and adding in place is safe
         total = a[0] - b[0]
         total *= total
@@ -141,7 +144,11 @@ class MetricSpace:
             diff = a[d] - b[d]
             diff *= diff
             total += diff
-        return np.sqrt(total)
+        # d^alpha is the squared distance raised to alpha / 2. np.sqrt, also
+        # on a scalar, whose ** 0.5 may round otherwise
+        if alpha == 1:
+            return np.sqrt(total)
+        return total if alpha == 2 else total ** (alpha / 2)
 
     def to_dict(self) -> dict:
         if self._coords is not None:
@@ -237,9 +244,9 @@ class Instance:
     arrays, which follow the order of ``links``:
 
     senders, receivers  node indices
-    d_alpha             length^alpha, lengths from ``MetricSpace.distances``;
-                        every sensitivity, weight, affectance, power and SINR
-                        in the package reads it, so it must be finite and positive
+    d_alpha             length^alpha from ``MetricSpace.between``; every
+                        sensitivity, weight, affectance, power and SINR in
+                        the package reads it, so it must be finite and positive
     thresholds          link thresholds, NaN where a link has none; a link's
                         sensitivity threshold * d_alpha must be finite too
     """
@@ -267,9 +274,9 @@ class Instance:
             [math.nan if link.threshold is None else link.threshold for link in self.links],
             dtype=np.float64,
         )
+        metric = self.metric
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            lengths = self.metric.distances(receivers, senders)
-            d_alpha = lengths**self.alpha
+            d_alpha = metric.between(metric.gather(receivers), metric.gather(senders), self.alpha)
             sens = thresholds * d_alpha
         # the first link with a bad length, sensitivity or threshold; a bad
         # length wins. A length may under- or overflow.
@@ -280,10 +287,12 @@ class Instance:
             k = int(np.argmax(bad))
             link = self.links[k]
             if not 0 < d_alpha[k] < INF:
+                with np.errstate(over="ignore"):  # its square may overflow
+                    length = metric.distance(receivers[k], senders[k])
                 raise ValueError(
                     f"link {link.id}: sender-receiver distance^alpha must be "
                     f"{'finite' if d_alpha[k] > 0 else '> 0'} "
-                    f"(distance {lengths[k]:g}, alpha {self.alpha:g})"
+                    f"(distance {length:g}, alpha {self.alpha:g})"
                 )
             if sens[k] == INF:
                 raise ValueError(_overflow_message(link.id, thresholds[k], d_alpha[k]))
@@ -320,7 +329,9 @@ class Instance:
             raise KeyError(f"no link with id {exc.args[0]}") from None
 
     def length(self, link_id: int) -> float:
-        """Sender-receiver distance, the one ``d_alpha`` was raised from."""
+        """Sender-receiver distance. ``d_alpha`` is not this float raised to
+        alpha: in a Euclidean space both come from one squared distance, which
+        ``d_alpha`` raises to alpha / 2."""
         k = self._position(link_id)
         return float(self.metric.distances(self.receivers[k], self.senders[k]))
 
@@ -556,9 +567,11 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     index = index_of(ids)
     pos = instance.positions(ids)
     receivers, senders = instance.receivers[pos], instance.senders[pos]
+    metric = instance.metric
     with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
-        cross = instance.metric.distances(receivers[:, None], senders[None, :])
-        return Geometry(ids, instance.d_alpha[pos], cross**instance.alpha, index)
+        cross = metric.between(metric.gather(receivers[:, None]), metric.gather(senders[None, :]),
+                               instance.alpha)
+    return Geometry(ids, instance.d_alpha[pos], cross, index)
 
 
 def thresholds_for(

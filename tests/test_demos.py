@@ -17,7 +17,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 prefixes of every demo's stdout, so that a change to a solver or an
 # oracle cannot silently change what a demo shows
 PINNED = {
-    "01_threshold_capacity.py": "005fb0cef003143a",
+    "01_threshold_capacity.py": "d96cb34c96f35a04",
     "02_flexible_rates.py": "d4c6ff1d8484c644",
     "03_latency_scheduling.py": "2fd7d44c2409412f",
     "04_oracles_and_ratios.py": "921fbd7c4e31a053",

@@ -6,6 +6,8 @@ is the row-major arithmetic it replaced: gather ``(n, dim)`` rows, subtract,
 square and ``np.add.reduce`` over the last axis. numpy adds fewer than 8
 terms in order, so for dim 1-7 both give the same bits. From 8 terms on,
 ``add.reduce`` sums pairwise, and the two agree within a few ulp only.
+``d^alpha`` is the squared distance raised to alpha / 2, not the distance
+raised to alpha, so its references raise the squared sum.
 """
 
 import json
@@ -19,10 +21,26 @@ from sinrsched.model import geometry
 ALPHA = 2.7
 
 
+def _squared(points, i, j):
+    """Row-major squared distances: the kernel's sum before the
+    coordinate-major layout."""
+    diff = points[np.asarray(i, dtype=np.intp)] - points[np.asarray(j, dtype=np.intp)]
+    return np.add.reduce(diff * diff, axis=-1)
+
+
 def _reference(points, i, j):
     """Row-major distances: the kernel before the coordinate-major layout."""
-    diff = points[np.asarray(i, dtype=np.intp)] - points[np.asarray(j, dtype=np.intp)]
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return np.sqrt(_squared(points, i, j))
+
+
+def _squared_in_order(points, i, j):
+    """Row-major squared distances added one coordinate at a time, in
+    coordinate order: the kernel's sum, bit for bit, at every dimension."""
+    diff = points[i] - points[j]
+    total = diff[..., 0] * diff[..., 0]
+    for d in range(1, diff.shape[-1]):
+        total = total + diff[..., d] * diff[..., d]
+    return total
 
 
 def _points(dim, n=60, seed=0):
@@ -75,9 +93,10 @@ def test_instance_and_geometry_bit_equal_to_row_major_reference(dim):
     inst = _shared_endpoint_instance(pts)
     senders = np.array([link.sender for link in inst.links])
     receivers = np.array([link.receiver for link in inst.links])
-    assert np.array_equal(inst.d_alpha, _reference(pts, receivers, senders) ** ALPHA)
+    # d^alpha is the squared distance raised to alpha / 2
+    assert np.array_equal(inst.d_alpha, _squared(pts, receivers, senders) ** (ALPHA / 2))
     cross_alpha = geometry(inst).cross_alpha
-    want = _reference(pts, receivers[:, None], senders[None, :]) ** ALPHA
+    want = _squared(pts, receivers[:, None], senders[None, :]) ** (ALPHA / 2)
     assert np.array_equal(cross_alpha, want)
     assert np.count_nonzero(cross_alpha == 0) > 0
 
@@ -108,23 +127,46 @@ def test_distance_list_stays_the_norm_and_to_dict_the_points(dim):
     assert json.dumps(MetricSpace.from_dict(json.loads(text)).to_dict()) == text
 
 
-def _assert_lengths_are_kernel_bits(inst):
+def _assert_lengths_are_kernel_bits(inst, d_alpha):
     lengths = inst.metric.distances(inst.receivers, inst.senders)
     assert [inst.length(lid) for lid in inst.link_ids] == lengths.tolist()
-    assert np.array_equal(inst.d_alpha, lengths**inst.alpha)
+    assert np.array_equal(inst.d_alpha, d_alpha)
     for link in inst.links:
         assert inst.metric.distance(link.sender, link.receiver) == inst.length(link.id)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_length_and_d_alpha_are_the_kernel_bits(dim):
-    _assert_lengths_are_kernel_bits(_shared_endpoint_instance(_points(dim, n=30)))
+    pts = _points(dim, n=30)
+    inst = _shared_endpoint_instance(pts)
+    squared = _squared_in_order(pts, inst.receivers, inst.senders)
+    _assert_lengths_are_kernel_bits(inst, squared ** (ALPHA / 2))
 
 
 def test_length_and_d_alpha_are_the_matrix_entries():
     pts = _points(3, n=20)
     matrix = _reference(pts, np.arange(20)[:, None], np.arange(20)[None, :])
     inst = Instance(MetricSpace.from_matrix(matrix), ALPHA, 1.0, _shared_endpoint_instance(pts).links)
-    _assert_lengths_are_kernel_bits(inst)
+    # a matrix space raises its entries, the lengths, to alpha
+    _assert_lengths_are_kernel_bits(inst, matrix[inst.receivers, inst.senders] ** ALPHA)
     for link in inst.links:
         assert inst.length(link.id) == matrix[link.receiver, link.sender]
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_between_raises_the_squared_distance(dim):
+    # alpha = 1 is np.sqrt of the squared sum, on arrays and on scalars alike
+    # (a numpy scalar's ** 0.5 rounds otherwise now and then), alpha = 2 the
+    # sum itself and alpha = 4 its square
+    pts = _points(dim)
+    space = MetricSpace.euclidean(pts)
+    for i, j in _index_shapes(len(pts)):
+        a, b = space.gather(i), space.gather(j)
+        squared = _squared_in_order(pts, i, j)
+        for alpha, want in ((1.0, np.sqrt(squared)), (2.0, squared)):
+            got = space.between(a, b, alpha)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert np.array_equal(space.between(a, b), np.sqrt(squared))
+        if np.ndim(squared):  # a scalar's ** 2.0 is C's pow, not a product
+            assert np.array_equal(space.between(a, b, 4.0), squared * squared)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -330,19 +331,37 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
     assert (len(solves), len(levels), sum(levels)) == (1868, 997, 6447)
 
 
-def test_latency_benchmark_schedules_are_pinned():
-    # the benchmark's latency-medium batch: a faster sweep must schedule
-    # every slot exactly as this digest records
-    digest = hashlib.sha256()
+def _latency_benchmark_schedules():
+    """The benchmark's latency-medium batch, scheduled."""
     for seed in range(5):
         inst = gen_random(GenConfig(
             n=64, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
             demand_range=(0.5, 3.0), utility=STEP,
         ))
-        schedule = solve_latency(inst).to_dict(include_trace=True)
-        digest.update(json.dumps(schedule, sort_keys=True).encode())
+        yield solve_latency(inst)
+
+
+def test_latency_benchmark_schedules_are_pinned():
+    # a faster sweep must schedule every slot exactly as this digest records
+    digest = hashlib.sha256()
+    for schedule in _latency_benchmark_schedules():
+        digest.update(json.dumps(schedule.to_dict(include_trace=True), sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "7545623ce6b7c8d5c973a1da02a53487d490124cdb7ca8df4b9fbb6ab4289738"
+        "1e64252db4cde00f1fd8a3cba1000f5931fbc80b5045b6937179236053519f2a"
+    )
+
+
+def test_latency_benchmark_decisions_are_pinned():
+    # the same schedules without a float: the chosen scheme, both schemes'
+    # lengths (slot counts) and each slot's selected ids. Arithmetic that
+    # moves powers and SINRs in the last bits must leave this digest as it is
+    digest = hashlib.sha256()
+    for schedule in _latency_benchmark_schedules():
+        slots = [list(slot.solution.selected) for slot in schedule.slots]
+        lengths = sorted(schedule.lengths.items())
+        digest.update(json.dumps([schedule.scheme, lengths, slots]).encode())
+    assert digest.hexdigest() == (
+        "8124336fe875221760ec37f5e9b310daff52feac4b4e2f6ade394d96435f3517"
     )
 
 
@@ -497,6 +516,16 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _row_major_d_alpha(inst, receivers, senders):
+    """d^alpha from the instance's points in row-major form: the squared
+    distance summed over the last axis, raised to alpha / 2 (the sum itself
+    at alpha = 2)."""
+    points = np.array(inst.metric.to_dict()["points"])
+    diff = points[receivers] - points[senders]
+    squared = np.add.reduce(diff * diff, axis=-1)
+    return squared if inst.alpha == 2 else squared ** (inst.alpha / 2)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.0, 4.0])
 def test_candidate_arrays_equal_per_link_construction(alpha):
     inst = gen_random(GenConfig(n=60, seed=int(alpha * 10), d_range=(0.5, 80.0), alpha=alpha))
@@ -511,7 +540,7 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
         link = inst.link(lid)
         s = np.array([link.sender], dtype=np.intp)
         r = np.array([link.receiver], dtype=np.intp)
-        d_alpha = inst.metric.distances(r, s) ** alpha
+        d_alpha = _row_major_d_alpha(inst, r, s)
         beta = np.array([thresholds.get(lid, link.threshold)])
         assert cands.index[lid] == k
         # the gathered endpoints are the nodes' coordinates
@@ -529,7 +558,7 @@ def test_instance_arrays_follow_link_order():
     for k, link in enumerate(inst.links):
         assert inst.positions([link.id]).tolist() == [k]
         assert inst.senders[k] == link.sender and inst.receivers[k] == link.receiver
-        d_alpha = inst.metric.distances([link.receiver], [link.sender]) ** 2.5
+        d_alpha = _row_major_d_alpha(inst, [link.receiver], [link.sender])
         assert _bits(inst.d_alpha[k:k + 1]) == _bits(d_alpha)
         assert inst.thresholds[k] == link.threshold
     with pytest.raises(KeyError, match="no link with id 999"):
@@ -554,3 +583,34 @@ def test_solvers_still_call_public_layers(monkeypatch):
     assert calls["sensitivity_order"] == 1
     # the solvers measure through their candidates, not through a Geometry
     assert not hasattr(capacity, "geometry")
+
+
+_between = MetricSpace.between
+
+
+def _sqrt_then_power(self, a, b, alpha=1.0):
+    """d^alpha as every caller computed it before ``between`` took alpha:
+    the length, raised to alpha."""
+    return _between(self, a, b) ** alpha
+
+
+@pytest.mark.parametrize("mode,utility,p_max,power", CASES[:3])
+def test_squared_distance_kernel_moves_no_slot(monkeypatch, mode, utility, p_max, power):
+    # every slot of both schemes selects and accepts the same links as under
+    # the old kernel; powers and SINRs move by at most 1e-12 relative
+    for seed in range(500, 505):
+        inst = _demand_instance(seed, 20, utility, p_max, power)
+        with monkeypatch.context() as patch:
+            patch.setattr(MetricSpace, "between", _sqrt_then_power)
+            want = solve_latency(replace(inst), mode=mode)
+        got = solve_latency(inst, mode=mode)
+        assert (got.scheme, got.lengths) == (want.scheme, want.lengths)
+        for scheme, run in want.runs.items():
+            assert len(got.runs[scheme].slots) == len(run.slots)
+            for new, old in zip(got.runs[scheme].slots, run.slots):
+                new, old = new.solution, old.solution
+                assert new.selected == old.selected
+                assert [row[:2] for row in new.trace] == [row[:2] for row in old.trace]
+                for lid in old.selected:
+                    assert math.isclose(new.powers[lid], old.powers[lid], rel_tol=1e-12)
+                    assert math.isclose(new.sinr[lid], old.sinr[lid], rel_tol=1e-12)

@@ -7,6 +7,7 @@ selected sets, powers, SINRs and trace rows, bit for bit.
 """
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -331,8 +332,8 @@ def test_only_sets_within_the_dense_limit_measure_every_pair(monkeypatch):
     shapes = []
     original_between = MetricSpace.between
 
-    def between(self, a, b):
-        out = original_between(self, a, b)
+    def between(self, a, b, alpha=1.0):
+        out = original_between(self, a, b, alpha)
         shapes.append(np.shape(out))
         return out
 
@@ -360,8 +361,8 @@ def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):
     shapes = []  # per fixed pass: the shapes of the distance arrays it measured
     in_pass = False
 
-    def between(self, a, b):
-        out = original_between(self, a, b)
+    def between(self, a, b, alpha=1.0):
+        out = original_between(self, a, b, alpha)
         if in_pass:
             shapes[-1].append(np.shape(out))
         return out
@@ -400,8 +401,8 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
     first_pass, shapes = [], []
     in_second_pass = False
 
-    def between(self, a, b):
-        out = original_between(self, a, b)
+    def between(self, a, b, alpha=1.0):
+        out = original_between(self, a, b, alpha)
         if in_second_pass:
             shapes.append(out.shape)
         return out
@@ -533,3 +534,39 @@ def test_limited_and_fixed_match_dense_on_random_instances(case, block):
         solve_fixed(inst, powers=powers, thresholds=thresholds, warn_preconditions=False),
         ref_fixed(inst, list(inst.link_ids), powers, mapping),
     )
+
+
+# -- the squared-distance kernel against the length raised to alpha ---------
+
+_between = MetricSpace.between
+
+
+def _sqrt_then_power(self, a, b, alpha=1.0):
+    """d^alpha as every caller computed it before ``between`` took alpha:
+    the length, raised to alpha."""
+    return _between(self, a, b) ** alpha
+
+
+def _assert_same_decisions(got, want):
+    """Same selection and accepted flags; powers and SINRs within 1e-12."""
+    assert got.selected == want.selected
+    assert [row[:2] for row in got.trace] == [row[:2] for row in want.trace]
+    for lid in want.selected:
+        assert math.isclose(got.powers[lid], want.powers[lid], rel_tol=1e-12)
+        assert math.isclose(got.sinr[lid], want.sinr[lid], rel_tol=1e-12)
+
+
+@given(_threshold_instances())
+@settings(max_examples=300, deadline=None)
+def test_squared_distance_kernel_moves_no_decision(case):
+    inst, thresholds, _, powers, _ = case
+    solves = (
+        lambda i: solve_unlimited(i, thresholds=thresholds),
+        lambda i: solve_limited(i, thresholds=thresholds),
+        lambda i: solve_fixed(i, powers=powers, thresholds=thresholds, warn_preconditions=False),
+    )
+    with mock.patch.object(MetricSpace, "between", _sqrt_then_power):
+        old = replace(inst)  # d_alpha measured again, with the old kernel
+        want = [solve(old) for solve in solves]
+    for solve, sol in zip(solves, want):
+        _assert_same_decisions(solve(inst), sol)

@@ -5,8 +5,14 @@ imports both copies in this one process under distinct names, and times the
 recipe on each side in alternating rounds (the side that goes first
 alternates too), so that drift in the machine's speed hits both sides alike.
 Prints one line per recipe: the min and the median time per call of each
-side, the ratio of the mins, and whether both sides return the same output
-(``to_dict`` JSON, traces included).
+side, the ratio of the mins, whether both sides return the same output
+(``to_dict`` JSON, traces included), whether they make the same decisions,
+and the largest relative difference of any power or SINR between them. The
+decisions are every solution's selected ids and trace rows' (id, accepted)
+(for ``latency``, every slot's of both scheme runs, plus the chosen scheme
+and both lengths), and for ``ratio`` and ``gen`` the output itself; so a
+change to the arithmetic alone shows as outputs that differ, decisions
+that do not, and how far the floats moved.
 
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
 on the capacity-large benchmark's instance (``gen_random``, area 1000,
@@ -39,6 +45,7 @@ import argparse
 import importlib.util
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -115,20 +122,54 @@ def _output(recipe: str, out) -> str:
     return json.dumps(out.to_dict(include_trace=True))
 
 
+def _solutions(recipe: str, out) -> list:
+    """The solutions in a recipe's output: a capacity solve's one, every slot's
+    of both latency scheme runs, none for ``ratio`` and ``gen``."""
+    if recipe in ("ratio", "gen"):
+        return []
+    if recipe == "latency":
+        return [slot.solution for _, run in sorted(out.runs.items()) for slot in run.slots]
+    return [out]
+
+
+def _decisions(recipe: str, out) -> str:
+    """The output's decisions as JSON text, without a power or an SINR."""
+    if recipe in ("ratio", "gen"):
+        return _output(recipe, out)
+    decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
+               for sol in _solutions(recipe, out)]
+    if recipe == "latency":
+        decided.append([out.scheme, sorted(out.lengths.items())])
+    return json.dumps(decided)
+
+
+def _largest_change(recipe: str, a, b) -> float:
+    """Largest relative difference of a power or an SINR that both sides give
+    a link in corresponding solutions; inf when one side's is not finite."""
+    worst = 0.0
+    for sol_a, sol_b in zip(_solutions(recipe, a), _solutions(recipe, b)):
+        for x, y in ((sol_a.powers, sol_b.powers), (sol_a.sinr, sol_b.sinr)):
+            for lid in x.keys() & y.keys():
+                if x[lid] != y[lid]:
+                    change = abs(x[lid] - y[lid]) / max(abs(x[lid]), abs(y[lid]))
+                    worst = max(worst, math.inf if math.isnan(change) else change)
+    return worst
+
+
 def _compare(pkgs, recipe: str, n: int, seed: int, rounds: int):
     """Seconds per call of each side over ``rounds`` alternating rounds, and
-    whether both sides return the same output."""
+    each side's output."""
     calls, outputs = {}, {}
     for side, pkg in pkgs.items():
         calls[side] = _recipe(pkg, recipe, n, seed)
-        outputs[side] = _output(recipe, calls[side]())  # also the warm-up
+        outputs[side] = calls[side]()  # also the warm-up
     times = {"A": [], "B": []}
     for r in range(rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
             t0 = time.perf_counter()
             calls[side]()
             times[side].append(time.perf_counter() - t0)
-    return times, outputs["A"] == outputs["B"]
+    return times, outputs["A"], outputs["B"]
 
 
 def main(argv=None) -> None:
@@ -151,11 +192,15 @@ def main(argv=None) -> None:
             n = args.n or {"latency": 64, "ratio": 10}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
                 0 if recipe in ("latency", "ratio") else 1000)
-            times, same = _compare(pkgs, recipe, n, seed, args.rounds)
+            times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
+            same = _output(recipe, out_a) == _output(recipe, out_b)
+            decided = _decisions(recipe, out_a) == _decisions(recipe, out_b)
             print(f"  {recipe:>13} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
                   f"median {statistics.median(a):.3f} / {statistics.median(b):.3f}, "
-                  f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}")
+                  f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}, "
+                  f"decisions identical: {decided}, largest power/SINR change: "
+                  f"{_largest_change(recipe, out_a, out_b):.2g}")
 
 
 if __name__ == "__main__":
