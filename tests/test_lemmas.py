@@ -149,7 +149,7 @@ def _report_digest(report):
     (experiment_strengthen, 100, 0, "a73ede5476832445"),
     (experiment_reverse, 60, 3, "d5983a29d23678c5"),
     (experiment_reverse, 100, 0, "76a9bb86a752812a"),
-])
+], ids=["strengthen-60-3", "strengthen-100-0", "reverse-60-3", "reverse-100-0"])
 def test_lemma_experiment_rows_are_pinned(experiment, sets, seed, digest):
     report = experiment(sets, seed=seed)
     assert report["summary"]["violations"] == 0

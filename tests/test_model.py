@@ -15,10 +15,14 @@ from sinrsched import (
     GenConfig,
     Link,
     MetricSpace,
+    Solution,
     evaluate_sinrs,
     gen_line,
     gen_random,
     sensitivity_order,
+    solve_fixed,
+    solve_limited,
+    solve_unlimited,
 )
 
 
@@ -270,6 +274,47 @@ def test_generated_instance_json_round_trip_is_byte_identical(case):
     assert json.dumps(back.to_dict(), sort_keys=True) == text
     assert back.links == inst.links
     assert np.array_equal(back.d_alpha, inst.d_alpha)
+
+
+def _exact(value):
+    """value with its types and, for a float, its bits spelled out, so that
+    == compares bit for bit (NaN included) and in dict and list order."""
+    if isinstance(value, float):
+        return "float", value.hex()
+    if isinstance(value, dict):
+        return "dict", [(_exact(k), _exact(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_exact(v) for v in value]
+    return type(value).__name__, value
+
+
+@st.composite
+def solved(draw):
+    """A capacity solver's output on a small random instance, dense areas
+    (traces with inf loads) and uncapped, capped, zero and mixed fixed powers
+    included."""
+    inst = gen_random(GenConfig(
+        n=draw(st.integers(min_value=0, max_value=12)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        area=draw(st.sampled_from([100.0, 300.0, 1000.0])),
+        p_max=draw(st.sampled_from([math.inf, 1e2, 1.8e4])),
+    ))
+    solver = draw(st.sampled_from(["unlimited", "limited", "fixed"]))
+    if solver == "unlimited":
+        return solve_unlimited(inst)
+    if solver == "limited":
+        return solve_limited(inst)
+    level = st.sampled_from([0.0, 1.0, 1e2, 1.8e4, 1e6])
+    powers = {lid: draw(level) for lid in inst.link_ids}
+    return solve_fixed(inst, powers=powers, warn_preconditions=False)
+
+
+@given(sol=solved())
+@settings(max_examples=200, deadline=None)
+def test_solution_json_round_trip_is_bit_identical(sol):
+    back = Solution.from_dict(json.loads(json.dumps(sol.to_dict(include_trace=True))))
+    for field in dataclasses.fields(Solution):
+        assert _exact(getattr(back, field.name)) == _exact(getattr(sol, field.name)), field.name
 
 
 def _three_links():

@@ -10,9 +10,9 @@ side, the ratio of the mins, whether both sides return the same output
 and the largest relative difference of any power or SINR between them. The
 decisions are every solution's selected ids and trace rows' (id, accepted)
 (for ``latency``, every slot's of both scheme runs, plus the chosen scheme
-and both lengths), and for ``ratio`` and ``gen`` the output itself; so a
-change to the arithmetic alone shows as outputs that differ, decisions
-that do not, and how far the floats moved.
+and both lengths), and for ``ratio``, ``brute`` and ``gen`` the output
+itself; so a change to the arithmetic alone shows as outputs that differ,
+decisions that do not, and how far the floats moved.
 
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
 on the capacity-large benchmark's instance (``gen_random``, area 1000,
@@ -24,15 +24,20 @@ the instance's bytes; ``latency`` runs ``solve_latency`` on the
 latency-medium instance (n = 64, 3-step utilities); ``ratio`` runs the
 ratio-small benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
 for 100 seeds s from ``--seed`` on (default 0), and compares their report
-rows without ``runtime_ms``. ``all`` runs ``unlimited``, ``limited``,
-``fixed``, ``latency`` and ``ratio`` in turn, each for ``--rounds`` rounds,
-which checks a solver change for identity and speed in one command, on
+rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
+three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
+of that recipe (seeds ``--seed`` and the next one, default 5000, each with
+lengths 50-100 and 1-100), and its output is the returned (ids, size)
+pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``latency``,
+``ratio`` and ``brute`` in turn, each for ``--rounds`` rounds, which checks
+a solver or oracle change for identity and speed in one command, on
 candidate sets above and below the capacity solvers' dense-matrix limit.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
+    python tools/abtime.py HEAD . --recipe brute --rounds 5
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
     python tools/abtime.py HEAD . --recipe fixed-checked --n 300 --rounds 200
 
@@ -57,7 +62,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio")  # the solver recipes ``all`` runs
+RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio", "brute")  # the recipes ``all`` runs
 RATIO_SEEDS = 100
 
 
@@ -88,6 +93,15 @@ def _recipe(pkg, name: str, n: int, seed: int):
     if name == "ratio":
         ratio = importlib.import_module(f"{pkg.__name__}.experiments").experiment_ratio
         return lambda: [ratio(n=n, trials=1, seed=s) for s in range(seed, seed + RATIO_SEEDS)]
+    if name == "brute":
+        insts = [pkg.gen_random(pkg.GenConfig(
+            n=n, seed=s, area=1000.0, d_range=lengths, beta_range=(1.0, 10.0), noise=1.0,
+            p_max=20.0 * 30.0**2,
+        )) for s in (seed, seed + 1) for lengths in ((50.0, 100.0), (1.0, 100.0))]
+        cases = [(inst, dict.fromkeys(inst.link_ids, inst.p_max)) for inst in insts]
+        return lambda: [
+            pkg.brute_opt_threshold(inst, regime=regime, powers=uniform if regime == "fixed" else None)
+            for inst, uniform in cases for regime in ("variable", "variable_capped", "fixed")]
     if name == "latency":
         inst = pkg.gen_random(pkg.GenConfig(
             n=n, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
@@ -116,6 +130,8 @@ def _output(recipe: str, out) -> str:
     """The recipe's output as JSON text: traces included, no timings."""
     if recipe == "gen":
         return json.dumps(out.to_dict())  # an instance has no trace
+    if recipe == "brute":
+        return json.dumps(out)
     if recipe == "ratio":
         return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
                            for report in out for row in report["rows"]])
@@ -124,8 +140,8 @@ def _output(recipe: str, out) -> str:
 
 def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one, every slot's
-    of both latency scheme runs, none for ``ratio`` and ``gen``."""
-    if recipe in ("ratio", "gen"):
+    of both latency scheme runs, none for ``ratio``, ``brute`` and ``gen``."""
+    if recipe in ("ratio", "brute", "gen"):
         return []
     if recipe == "latency":
         return [slot.solution for _, run in sorted(out.runs.items()) for slot in run.slots]
@@ -134,7 +150,7 @@ def _solutions(recipe: str, out) -> list:
 
 def _decisions(recipe: str, out) -> str:
     """The output's decisions as JSON text, without a power or an SINR."""
-    if recipe in ("ratio", "gen"):
+    if recipe in ("ratio", "brute", "gen"):
         return _output(recipe, out)
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
@@ -178,9 +194,10 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "gen", "all"),
                         default="limited")
-    parser.add_argument("--n", type=int, help="links (default: 2000, latency 64, ratio 10)")
+    parser.add_argument("--n", type=int,
+                        help="links (default: 2000, latency 64, ratio 10, brute 16)")
     parser.add_argument("--seed", type=int,
-                        help="instance seed (default: 1000, latency and ratio 0)")
+                        help="instance seed (default: 1000, latency and ratio 0, brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
 
@@ -189,9 +206,9 @@ def main(argv=None) -> None:
         pkgs = {side: _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
                 for side, rev in (("A", args.base), ("B", args.head))}
         for recipe in RECIPES if args.recipe == "all" else (args.recipe,):
-            n = args.n or {"latency": 64, "ratio": 10}.get(recipe, 2000)
+            n = args.n or {"latency": 64, "ratio": 10, "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                0 if recipe in ("latency", "ratio") else 1000)
+                {"latency": 0, "ratio": 0, "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
