@@ -54,9 +54,7 @@ from .model import (
     Instance,
     Solution,
     Thresholds,
-    _received,
     _sensitivities,
-    _thresholds_at,
     empty_solution,
     index_of,
     powers_for,
@@ -83,9 +81,10 @@ def weight_budget(alpha: float) -> float:
     return 1.0 / (6.0 * 3.0 ** min(alpha, 646.0) + 2.0)
 
 
-# Floating-point conditions the kernels saturate or mask by design (zero
-# cross-distances, zero margins, infinite powers; an overflowing sensitivity
-# is rejected), entered once around a pass's candidates, order and walk.
+# Floating-point conditions the kernels saturate by design (zero
+# cross-distances, zero margins, overflowing products; an overflowing
+# sensitivity is rejected), entered once by each public solver around its
+# candidates, order, walks and finish.
 _ROW_ERRSTATE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 ALL = slice(None)  # the kernels' position of every candidate
 
@@ -112,10 +111,10 @@ class _Candidates:
 
     The fixed pass builds the set over only the links that pass the solo
     gate, so its rows and columns take O(n_gate) each; the links that miss
-    it appear only as trace rows. Over such a set a zero power or a target
-    without a positive margin occurs only through an underflowing beta * N
-    or the gate's tolerance band, so the affectance kernel applies those
-    masks only when the set has one (``silent``, ``saturated``).
+    it appear only as trace rows. The gate holds 0 < p < inf and p / d^alpha
+    >= beta * N up to tolerance, so every power is finite and positive, and
+    ``margin`` = p / d^alpha - beta * N is clamped at 0: only a link in the
+    gate's tolerance band, or one whose beta * N underflows, has margin 0.
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
@@ -136,9 +135,7 @@ class _Candidates:
         self.sens = _sensitivities(ids, beta, self.d_alpha)
         if p is not None:
             self.p = p
-            self.margin = p / self.d_alpha - beta * instance.noise
-            self.silent = not p.all()
-            self.saturated = not (self.margin > 0).all()
+            self.margin = np.maximum(p / self.d_alpha - beta * instance.noise, 0.0)
 
     def _alpha(self, a, b):
         """d(sender_a, receiver_b)^alpha, read from ``cross`` when the set
@@ -156,13 +153,12 @@ class _Candidates:
         return np.minimum(1.0, (s_a * self.sens[b]) / (x_ab * x_ba) + s_a / x_ab + s_a / x_ba)
 
     def affectances(self, a, b):
-        """Affectance of senders a onto targets b, beta_b * received / margin_b
-        with margins p / d^alpha - beta * N. Saturates at 1, and a target
-        without a positive margin takes 1 from every sender, silent or not."""
-        x = self._alpha(a, b)
-        received = _received(self.p[a], x) if self.silent else self.p[a] / x
-        value = np.minimum(1.0, self.beta[b] * received / self.margin[b])
-        return np.where(self.margin[b] > 0, value, 1.0) if self.saturated else value
+        """Affectance of senders a onto targets b, beta_b * (p_a / x_ab) /
+        margin_b, saturated at 1, so every value lies in [0, 1]. With finite
+        positive powers, a target of margin 0 reads inf, or NaN (0 / 0) from
+        a sender so far that p_a / x_ab is 0, and ``fmin`` reads both as 1:
+        it takes 1 from every sender."""
+        return np.fmin(1.0, self.beta[b] * (self.p[a] / self._alpha(a, b)) / self.margin[b])
 
 
 def solve_unlimited(
@@ -182,9 +178,10 @@ def solve_unlimited(
     if not ids:
         return empty_solution("unlimited")
     pos = instance.positions(ids)
-    beta = _thresholds_at(instance, ids, thresholds, pos)
-    selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta)
-    return _finish(instance, cands, selected[::-1], "unlimited", trace)
+    beta = thresholds_for(instance, ids, thresholds, pos)
+    with np.errstate(**_ROW_ERRSTATE):
+        selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta)
+        return _finish(instance, cands, selected[::-1], "unlimited", trace)
 
 
 def _greedy(candidates, index, load, budget, row):
@@ -223,11 +220,10 @@ def _greedy_unlimited(instance, ids, pos, beta):
     later candidate, so no rank mask is needed. The first candidate starts at
     load 0, so at least one link is accepted.
     """
-    with np.errstate(**_ROW_ERRSTATE):
-        cands = _Candidates(instance, ids, pos, beta)
-        order = sensitivity_order(instance, ids, beta)
-        accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
-                                  weight_budget(instance.alpha), lambda k: cands.weights(k, ALL))
+    cands = _Candidates(instance, ids, pos, beta)
+    order = sensitivity_order(instance, ids, beta)
+    accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
+                              weight_budget(instance.alpha), lambda k: cands.weights(k, ALL))
     return accepted, trace, cands
 
 
@@ -244,22 +240,21 @@ def _finish(instance, cands, accepted, algorithm, trace, p=None):
     floats. The trace is kept even when nothing is selected."""
     selected = sorted(accepted)
     at = np.array(list(map(cands.index.__getitem__, selected)), dtype=np.intp)
-    with np.errstate(**_ROW_ERRSTATE):
-        cross = cands._alpha(at[None, :], at[:, None])
-        if p is None:
-            beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
-            gain = 1.0 / cross
-            # interference[k]: summed p / cross-distance^alpha at link k from
-            # the links assigned so far, in assignment order
-            interference = np.zeros(len(at))
-            powers = np.empty(len(at))
-            rank = {lid: k for k, lid in enumerate(selected)}
-            for k in map(rank.__getitem__, accepted):
-                pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
-                powers[k] = pk
-                interference += pk * gain[:, k]
-        else:
-            powers = p[at]
+    cross = cands._alpha(at[None, :], at[:, None])
+    if p is None:
+        beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
+        gain = 1.0 / cross
+        # interference[k]: summed p / cross-distance^alpha at link k from the
+        # links assigned so far, in assignment order
+        interference = np.zeros(len(at))
+        powers = np.empty(len(at))
+        rank = {lid: k for k, lid in enumerate(selected)}
+        for k in map(rank.__getitem__, accepted):
+            pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
+            powers[k] = pk
+            interference += pk * gain[:, k]
+    else:
+        powers = p[at]
     return Solution(
         selected=tuple(selected),
         powers=dict(zip(selected, powers.tolist())),
@@ -354,19 +349,21 @@ def solve_fixed(
 ) -> Solution:
     """Greedy capacity maximization under a given power assignment.
 
-    Candidates that cannot meet their threshold even alone are dropped up
-    front. The tentative pass accepts a link when incoming plus outgoing
-    affectance against the accepted set stays within 1/2; the final filter
-    keeps links whose total incoming affectance is below 1, so every returned
-    link meets its threshold.
+    Candidates that cannot meet their threshold even alone, or whose power
+    is zero or not finite, are dropped up front. The tentative pass accepts
+    a link when incoming plus outgoing affectance against the accepted set
+    stays within 1/2; the final filter keeps links whose total incoming
+    affectance is below 1, so every returned link meets its threshold.
     """
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         return empty_solution("fixed")
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     pos = instance.positions(ids)
-    beta = _thresholds_at(instance, ids, thresholds, pos)
-    final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
+    beta = thresholds_for(instance, ids, thresholds, pos)
+    with np.errstate(**_ROW_ERRSTATE):
+        final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
+        solution = _finish(instance, cands, final, "fixed", trace, cands.p)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, p, beta)
         if issues:
@@ -376,7 +373,7 @@ def solve_fixed(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _finish(instance, cands, final, "fixed", trace, cands.p)
+    return solution
 
 
 def _fixed_pass(instance, ids, pos, beta, p):
@@ -384,38 +381,36 @@ def _fixed_pass(instance, ids, pos, beta, p):
     (rows ``pos``, thresholds ``beta``, powers ``p``): the kept links, one
     trace row per link and the candidates.
 
-    A link that misses the solo SINR gate (p / d^alpha must reach beta * N up
-    to tolerance) is never accepted and its affectance enters no other
-    link's load, so it is walked only as a trace row (id, False, inf). The
-    candidates, and with them every row and column, cover the links that
-    pass the gate: O(n_gate * |accepted|).
+    A link that misses the solo SINR gate (0 < p < inf, and p / d^alpha must
+    reach beta * N up to tolerance) is never accepted and its affectance
+    enters no other link's load, so it is walked only as a trace row (id,
+    False, inf). The candidates, and with them every row and column, cover
+    the links that pass the gate: O(n_gate * |accepted|).
     """
-    with np.errstate(**_ROW_ERRSTATE):
-        order = sensitivity_order(instance, ids, beta)
-        d_alpha = instance.d_alpha[pos]
-        gate = p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL)
-        if not gate.all():
-            # the candidates check repeated ids and overflowing sensitivities
-            # only among the links that pass the gate; index_of names a repeat
-            if len(set(ids)) < len(ids):
-                index_of(ids)
-            _sensitivities(ids, beta, d_alpha)
-            ids = list(compress(ids, gate.tolist()))
-            pos, beta, p = pos[gate], beta[gate], p[gate]
-        cands = _Candidates(instance, ids, pos, beta, p)
-        # load[c]: affectance between c and the tentative links, both ways;
-        # incoming[c]: affectance from the tentative links onto c. The filter
-        # reads a tentative link's own entry, so its row's is zeroed
-        incoming = np.zeros(len(ids))
+    order = sensitivity_order(instance, ids, beta)
+    d_alpha = instance.d_alpha[pos]
+    gate = (0 < p) & (p < INF) & (p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL))
+    if not gate.all():
+        # the candidates check repeated ids and overflowing sensitivities only
+        # among the links that pass the gate; index_of names a repeat
+        if len(set(ids)) < len(ids):
+            index_of(ids)
+        _sensitivities(ids, beta, d_alpha)
+        ids = list(compress(ids, gate.tolist()))
+        pos, beta, p = pos[gate], beta[gate], p[gate]
+    cands = _Candidates(instance, ids, pos, beta, p)
+    # load[c]: affectance between c and the tentative links, both ways;
+    # incoming[c]: affectance from the tentative links onto c. The filter
+    # reads a tentative link's own entry, so its row's is zeroed
+    incoming = np.zeros(len(ids))
 
-        def both_ways(k):
-            row = cands.affectances(k, ALL)
-            row[k] = 0.0
-            np.add(incoming, row, out=incoming)
-            return row + cands.affectances(ALL, k)
+    def both_ways(k):
+        row = cands.affectances(k, ALL)
+        row[k] = 0.0
+        np.add(incoming, row, out=incoming)
+        return row + cands.affectances(ALL, k)
 
-        tentative, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5,
-                                   both_ways)
+    tentative, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5, both_ways)
     return [lid for lid in tentative if incoming[cands.index[lid]] < 1.0], trace, cands
 
 
@@ -445,19 +440,20 @@ def solve_limited(
         # branch; otherwise they share a branch, whose candidates reject them
         index_of(ids)
     pos = instance.positions(ids)
-    beta = _thresholds_at(instance, ids, thresholds, pos)
-    with np.errstate(over="ignore"):  # its branch rejects a sensitivity that overflows
-        small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
+    beta = thresholds_for(instance, ids, thresholds, pos)
     sol1, sol2 = empty_solution("limited"), empty_solution("fixed")
-    if small.any():
-        r1 = list(compress(ids, small.tolist()))
-        sol1 = _limited_first_branch(instance, r1, pos[small], beta[small])
-    if not small.all():
-        big = ~small
-        r2 = list(compress(ids, big.tolist()))
-        p = np.full(len(r2), instance.p_max, dtype=np.float64)
-        final, trace, cands = _fixed_pass(instance, r2, pos[big], beta[big], p)
-        sol2 = _finish(instance, cands, final, "fixed", trace, cands.p)
+    with np.errstate(**_ROW_ERRSTATE):
+        # its branch rejects a sensitivity that overflows
+        small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
+        if small.any():
+            r1 = list(compress(ids, small.tolist()))
+            sol1 = _limited_first_branch(instance, r1, pos[small], beta[small])
+        if not small.all():
+            big = ~small
+            r2 = list(compress(ids, big.tolist()))
+            p = np.full(len(r2), instance.p_max, dtype=np.float64)
+            final, trace, cands = _fixed_pass(instance, r2, pos[big], beta[big], p)
+            sol2 = _finish(instance, cands, final, "fixed", trace, cands.p)
     chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
     return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
 
@@ -473,13 +469,12 @@ def _limited_first_branch(instance, r1, pos, beta):
     walk = first_pass[::-1]
     at = np.array([cands.index[lid] for lid in walk], dtype=np.intp)
     load, kept, trace2 = np.zeros(len(walk)), [], ()
-    with np.errstate(**_ROW_ERRSTATE):
-        for start in range(0, len(walk), _BLOCK):
-            cols = slice(start, start + _BLOCK)
-            # block[a, j]: weight from walked link start + a onto start + j
-            block = cands.weights(at[start:, None], at[None, cols])
-            got, trace = _greedy(walk[cols], index_of(walk[cols]), load[start:],
-                                 SECOND_PASS_BUDGET, lambda j: block[:, j])
-            kept += got
-            trace2 += trace
+    for start in range(0, len(walk), _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        # block[a, j]: weight from walked link start + a onto start + j
+        block = cands.weights(at[start:, None], at[None, cols])
+        got, trace = _greedy(walk[cols], index_of(walk[cols]), load[start:],
+                             SECOND_PASS_BUDGET, lambda j: block[:, j])
+        kept += got
+        trace2 += trace
     return _finish(instance, cands, kept, "limited", trace1 + trace2)

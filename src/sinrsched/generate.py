@@ -13,14 +13,14 @@ PCG64's 128-bit LCG step and XSL-RR output, then ``Generator.uniform``'s own
 arithmetic, ``low + (high - low) * ((x >> 11) * 2**-53)``, so they equal
 numpy's draws bit for bit, without a numpy call per draw. The angle's
 ``normal`` draw (numpy's ziggurat tables) and ``beta_set``'s ``choice``
-(numpy's bounded integers) stay with numpy: one reused Generator is set to
-the stream's PCG64 state just before each of them.
+(numpy's bounded integers) stay with numpy: the call's one Generator is set
+to the stream's PCG64 state just before each of them, so no state outlives
+a call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -118,17 +118,6 @@ def _link_seeds(seed: int, n: int, tags: Sequence[int]):
     for start in range(0, n, _BLOCK):
         for words in _seed_words(seed, range(start, min(start + _BLOCK, n)), tags):
             yield dict(zip(tags, words.tolist()))
-
-
-class _ThreadGenerator(threading.local):
-    """Each thread's one Generator, built on first use: building one per call
-    would add about a tenth to a 1-link call. Every draw first sets a
-    stream's whole state, so no call sees what another drew."""
-
-    rng = None
-
-
-_THREAD = _ThreadGenerator()
 
 
 def _pcg_state(words: list) -> tuple:
@@ -355,9 +344,7 @@ def gen_random(config: GenConfig) -> Instance:
     if config.demand_range is not None:
         tags.append(_DEMAND)
         demand_span = [_span(*config.demand_range)]
-    rng = _THREAD.rng
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.Generator(np.random.PCG64(0))
     for i, seeds in enumerate(_link_seeds(config.seed, config.n, tags)):
         sender = _uniforms(seeds[_SENDER], sender_spans)
         (radius,) = _uniforms(seeds[_RADIUS], radius_span)

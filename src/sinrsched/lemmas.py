@@ -105,7 +105,7 @@ def strengthen(
     the set's one geometry. Every part is certified through the exact oracle
     at the scaled thresholds.
     """
-    if c < 1:
+    if not c >= 1:  # also NaN
         raise ValueError("scale c must be >= 1")
     ids = sorted(admissible_set)
     if not ids:

@@ -538,7 +538,6 @@ class Geometry:
     ids: tuple[int, ...]
     d_alpha: np.ndarray
     cross_alpha: np.ndarray
-    index: dict
 
     @property
     def n(self) -> int:
@@ -564,33 +563,31 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     if ids is None:
         ids = instance.link_ids
     ids = tuple(ids)
-    index = index_of(ids)
+    index_of(ids)
     pos = instance.positions(ids)
     receivers, senders = instance.receivers[pos], instance.senders[pos]
     metric = instance.metric
     with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
         cross = metric.between(metric.gather(receivers[:, None]), metric.gather(senders[None, :]),
                                instance.alpha)
-    return Geometry(ids, instance.d_alpha[pos], cross, index)
+    return Geometry(ids, instance.d_alpha[pos], cross)
 
 
 def thresholds_for(
     instance: Instance,
     ids: Sequence[int],
     thresholds: Optional[Thresholds] = None,
+    pos: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-link threshold array for ``ids``.
+    """Per-link threshold array for ``ids``, whose rows of the instance
+    arrays are ``pos`` if given.
 
     ``thresholds`` is a mapping id -> beta that wins over the links' own
     thresholds, or an array of thresholds aligned with ``ids``, which is
     used as is. Raises ValueError naming the first link whose threshold is
     not finite and positive.
     """
-    return _thresholds_at(instance, list(ids), thresholds)
-
-
-def _thresholds_at(instance, ids, thresholds, pos=None):
-    """``thresholds_for`` over the list ``ids``, whose rows are ``pos`` if given."""
+    ids = list(ids)
     if isinstance(thresholds, np.ndarray):
         if thresholds.shape != (len(ids),):
             raise ValueError("threshold array does not match the links")
@@ -700,7 +697,7 @@ def sensitivity_order(
         links = instance.link_ids
     ids = list(links)
     pos = instance.positions(ids)
-    sens = _thresholds_at(instance, ids, thresholds, pos) * instance.d_alpha[pos]
+    sens = thresholds_for(instance, ids, thresholds, pos) * instance.d_alpha[pos]
     return list(map(ids.__getitem__, np.lexsort((np.array(ids), -sens)).tolist()))
 
 

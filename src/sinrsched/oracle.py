@@ -163,11 +163,9 @@ def spectral_admissible(
     subset: Sequence[int],
     thresholds: Optional[Mapping[int, float]] = None,
 ) -> bool:
-    """Uncapped admissibility via the spectral-radius criterion rho(B) < 1."""
-    ids = list(subset)
-    if len(ids) <= 1:
-        return True
-    return spectral_radius(relative_interference_matrix(instance, ids, thresholds)) < 1.0
+    """Uncapped admissibility via the spectral-radius criterion rho(B) < 1.
+    The empty set and a single link have a zero B of radius 0."""
+    return spectral_radius(relative_interference_matrix(instance, subset, thresholds)) < 1.0
 
 
 def _brute_ids(instance, links):

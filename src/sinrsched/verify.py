@@ -85,9 +85,7 @@ def verify_solution(
                     f"link {lid}: SINR {actual[lid]:.9g} below threshold {beta:.9g}"
                 )
 
-    if solution.algorithm in ("unlimited", "fixed", "limited") and solution.objective != float(
-        len(solution.selected)
-    ):
+    if solution.objective != float(len(solution.selected)):
         problems.append(
             f"objective {solution.objective} does not equal the selected count "
             f"{len(solution.selected)}"

@@ -7,6 +7,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from sinrsched.capacity import (
     check_power_preconditions,
 )
 from sinrsched.model import empty_solution, thresholds_for
+from sinrsched.verify import verify_solution
 
 
 def _candidates(inst, ids, powers=None):
@@ -314,6 +316,79 @@ def test_solve_fixed_keeps_the_trace_when_nothing_is_selected():
     assert sol.selected == ()
     assert sol.trace == ((1, False, math.inf), (0, False, math.inf))
     assert sol.to_dict(include_trace=True)["trace"] == [[1, False, math.inf], [0, False, math.inf]]
+
+
+def test_solve_fixed_drops_zero_powers_when_beta_noise_underflows():
+    # beta * N = 1e-330 underflows to 0, so p / d^alpha >= beta * N holds at
+    # p = 0; a zero power still cannot meet a positive threshold
+    inst = gen_line([(0, 1, 1e-30), (5, 6, 1e-30)], noise=1e-300, allow_sub_unit=True)
+    sol = solve_fixed(inst, powers={0: 0.0, 1: 0.0}, warn_preconditions=False)
+    assert sol.selected == ()
+    assert sol.trace == ((1, False, math.inf), (0, False, math.inf))
+    assert verify_solution(inst, sol) == []
+
+
+def test_solve_fixed_drops_an_infinite_power():
+    # an infinite power on the least sensitive link, walked first, would be
+    # accepted at load 0 and then saturate every other link
+    inst = gen_line([(0, 1, 1), (10, 12, 1), (20, 23, 1), (40, 44, 1), (60, 65, 1)])
+    powers = dict.fromkeys(inst.link_ids, 1e3)
+    powers[0] = math.inf
+    sol = solve_fixed(inst, powers=powers, warn_preconditions=False)
+    assert sol.selected == (1, 2, 3, 4)
+    assert sol.trace[0] == (0, False, math.inf)
+    assert verify_solution(inst, sol) == []
+
+
+@st.composite
+def gated_fixed_cases(draw):
+    """A fixed-power instance whose links share endpoints on a small grid, at
+    extreme length, noise and threshold magnitudes, with powers at, inside
+    and past the solo gate's tolerance band, below it, zero and infinite."""
+    n = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from([1e-60, 1e-3, 1.0, 1e3, 1e60]))
+    grid = [[scale * x, scale * y] for x, y in ((0, 0), (1, 0), (0, 1), (2, 1), (3, 3))]
+    noise = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e200]))
+    links = []
+    for lid in range(n):
+        sender, receiver = draw(st.lists(st.integers(0, len(grid) - 1), min_size=2, max_size=2,
+                                         unique=True))
+        beta = draw(st.sampled_from([1e-30, 1.0, 10.0, 1e30]))
+        links.append(Link(lid, sender, receiver, threshold=beta))
+    inst = Instance(MetricSpace.euclidean(grid), draw(st.sampled_from([1.5, 2.0, 3.0])), noise,
+                    tuple(links), allow_sub_unit_threshold=True)
+    powers = {}
+    for link, d_alpha in zip(inst.links, inst.d_alpha.tolist()):
+        level = link.threshold * noise * d_alpha
+        powers[link.id] = draw(st.sampled_from([
+            level, level * (1 - FEAS_RTOL / 2), level * (1 + 1e-15), level * 1e150, level / 2,
+            0.0, math.inf]))
+    return inst, powers
+
+
+@given(case=gated_fixed_cases())
+@settings(max_examples=300, deadline=None)
+def test_affectances_past_the_gate_lie_in_unit_interval(case):
+    inst, powers = case
+    made = []
+
+    class Recorded(_Candidates):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(capacity, "_Candidates", Recorded):
+        sol = solve_fixed(inst, powers=powers, warn_preconditions=False)
+    (cands,) = made
+    assert ((0 < cands.p) & (cands.p < math.inf)).all()
+    assert (cands.margin >= 0).all()
+    m = len(cands.p)
+    at = np.arange(m)
+    with np.errstate(**_ROW_ERRSTATE):
+        block = cands.affectances(at[:, None], at[None, :])
+    assert block.shape == (m, m)
+    assert ((0 <= block) & (block <= 1)).all(), block
+    assert all(0 < powers[lid] < math.inf for lid in sol.selected)
 
 
 def test_solve_fixed_exact_noise_boundary_kept():

@@ -54,6 +54,19 @@ def test_verify_flags_tampered_power(tmp_path):
     assert f"link {victim}" in r.stderr
 
 
+def test_verify_checks_the_objective_whatever_the_label(tmp_path):
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    run_cli("gen", "--n", "8", "--seed", "7", "--out", str(inst))
+    run_cli("solve", "--instance", str(inst), "--algorithm", "limited", "--out", str(sol))
+    data = json.loads(sol.read_text())
+    data.update(algorithm="bogus", objective=99)
+    sol.write_text(json.dumps(data))
+    r = run_cli("verify", "--instance", str(inst), "--artifact", str(sol))
+    assert r.returncode == 1
+    assert "objective 99.0 does not equal the selected count" in r.stderr
+
+
 def test_malformed_input_exit_code(tmp_path):
     r = run_cli("solve", "--instance", "/nonexistent.json", "--algorithm", "unlimited")
     assert r.returncode == 2

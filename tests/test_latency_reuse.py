@@ -550,7 +550,8 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
         assert _bits(cands.beta[k:k + 1]) == _bits(beta)
         assert _bits(cands.sens[k:k + 1]) == _bits(beta * d_alpha)
         p = np.array([powers[lid]])
-        assert _bits(cands.margin[k:k + 1]) == _bits(p / d_alpha - beta * inst.noise)
+        margin = np.maximum(p / d_alpha - beta * inst.noise, 0.0)
+        assert _bits(cands.margin[k:k + 1]) == _bits(margin)
 
 
 def test_instance_arrays_follow_link_order():

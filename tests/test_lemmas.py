@@ -82,6 +82,13 @@ def test_strengthen_rejects_non_admissible_witness():
         strengthen(inst, [0, 1], {0: 1e-9, 1: 1e-9}, c=2.0)
 
 
+@pytest.mark.parametrize("c", [0.5, math.nan])
+def test_strengthen_rejects_a_scale_below_one(c):
+    inst, powers = _certified_pair()
+    with pytest.raises(ValueError, match="scale c must be >= 1"):
+        strengthen(inst, [0, 1], powers, c=c)
+
+
 def test_reverse_singleton():
     inst = gen_line([(0, 1, 2)], alpha=2, noise=0.1)
     cert = check_admissible(inst, [0], cap=math.inf)

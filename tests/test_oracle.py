@@ -263,6 +263,19 @@ def test_spectral_radius_handles_two_cycle():
     assert spectral_radius(np.array([[0.0, INF], [1.0, 0.0]])) == INF
 
 
+def test_spectral_admissible_checks_small_subsets_like_any_other():
+    # the empty set and one link have a zero coupling matrix of radius 0; an
+    # unknown id or a bad threshold is an error at every size
+    inst = gen_line([(0, 1, 1), (3, 2, 1)], alpha=2, noise=0.1)
+    assert spectral_admissible(inst, [])
+    assert spectral_admissible(inst, [0])
+    with pytest.raises(KeyError, match="no link with id 999"):
+        spectral_admissible(inst, [999])
+    for bad in ([0], [0, 1]):
+        with pytest.raises(ValueError, match="link 0: threshold must be finite and positive"):
+            spectral_admissible(inst, bad, thresholds={0: -1.0})
+
+
 # -- linear solve against the fixed-point reference ----------------------------
 
 def test_linear_solve_matches_fixed_point_uncapped():

@@ -88,18 +88,24 @@ def _ref_finish(instance, selected, powers, algorithm, trace):
                     algorithm, trace)
 
 
+def _rows(geo):
+    """Link id -> row of the geometry's arrays."""
+    return {lid: k for k, lid in enumerate(geo.ids)}
+
+
 def _ref_power_recurrence(instance, geo, beta, order, accepted):
     member = set(accepted)
+    row = _rows(geo)
     powers, assigned = {}, []
     for lid in order:
         if lid not in member:
             continue
-        k = geo.index[lid]
+        k = row[lid]
         with np.errstate(divide="ignore"):
             gain = 1.0 / geo.cross_alpha[k]
         interference = 0.0
         for prev in assigned:
-            interference += powers[prev] * gain[geo.index[prev]]
+            interference += powers[prev] * gain[row[prev]]
         powers[lid] = float(2.0 * beta[k] * geo.d_alpha[k] * (instance.noise + interference))
         assigned.append(lid)
     return powers
@@ -110,10 +116,11 @@ def _ref_greedy_unlimited(instance, ids, thresholds):
     geo = geometry(instance, ids)
     beta = thresholds_for(instance, ids, thresholds)
     w = _weight_matrix(geo, beta, {lid: pos for pos, lid in enumerate(order)})
+    row = _rows(geo)
     accepted, trace = [], []
     for cand in reversed(order):
-        c = geo.index[cand]
-        incoming = float(sum(w[geo.index[a], c] for a in accepted))
+        c = row[cand]
+        incoming = float(sum(w[row[a], c] for a in accepted))
         ok = incoming <= weight_budget(instance.alpha)
         trace.append((cand, ok, incoming))
         if ok:
@@ -134,19 +141,20 @@ def ref_fixed(instance, ids, powers, thresholds=None):
     beta = thresholds_for(instance, ids, thresholds)
     p = np.array([powers[lid] for lid in geo.ids], dtype=np.float64)
     a = _affectance_matrix(geo, beta, p, instance.noise)
+    row = _rows(geo)
     tentative, trace = [], []
     for cand in reversed(order):
-        c = geo.index[cand]
-        if not p[c] / geo.d_alpha[c] >= beta[c] * instance.noise * (1 - FEAS_RTOL):
+        c = row[cand]
+        if not (0 < p[c] < INF
+                and p[c] / geo.d_alpha[c] >= beta[c] * instance.noise * (1 - FEAS_RTOL)):
             trace.append((cand, False, INF))
             continue
-        load = float(sum(a[geo.index[t], c] + a[c, geo.index[t]] for t in tentative))
+        load = float(sum(a[row[t], c] + a[c, row[t]] for t in tentative))
         ok = load <= 0.5
         trace.append((cand, ok, load))
         if ok:
             tentative.append(cand)
-    final = [lid for lid in tentative
-             if sum(a[geo.index[t], geo.index[lid]] for t in tentative) < 1.0]
+    final = [lid for lid in tentative if sum(a[row[t], row[lid]] for t in tentative) < 1.0]
     return _ref_finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", tuple(trace))
 
 
@@ -163,12 +171,13 @@ def ref_limited(instance, thresholds=None):
     sol1 = empty_solution("limited")
     if r1:
         first, trace1, order, geo, beta1, w = _ref_greedy_unlimited(instance, r1, thresholds)
+        row = _rows(geo)
         kept, trace2 = [], []
         for cand in order:
             if cand not in first:
                 continue
-            c = geo.index[cand]
-            outgoing = float(sum(w[c, geo.index[k]] for k in kept))
+            c = row[cand]
+            outgoing = float(sum(w[c, row[k]] for k in kept))
             ok = outgoing <= SECOND_PASS_BUDGET
             trace2.append((cand, ok, outgoing))
             if ok:
@@ -260,15 +269,15 @@ def test_streaming_matches_dense_powers_failing_the_gate():
 
 def test_streaming_matches_dense_zero_power_that_passes_the_gate():
     # noise 5e-324 times threshold 0.1 underflows to 0, so link 1's zero
-    # power passes the solo gate. Its sender sits on link 0's receiver: it
-    # must emit nothing there (0 / 0 would read NaN), while its own margin
-    # of 0 takes 1 from each of links 2 and 0, walked before it
+    # power reaches beta * N, but the gate also asks for a positive power:
+    # link 1 is only a trace row, and its sender on link 0's receiver adds
+    # nothing to any load
     inst = gen_line([(0, 1, 0.1), (1, 11, 0.1), (100, 101, 0.1)],
                     noise=5e-324, allow_sub_unit=True)
     powers = {0: 1.0, 1: 0.0, 2: 1.0}
     sol = solve_fixed(inst, powers=powers, warn_preconditions=False)
     _assert_identical(sol, ref_fixed(inst, list(inst.link_ids), powers))
-    assert sol.trace[-1] == (1, False, 2.0)
+    assert sol.trace[-1] == (1, False, INF)
     assert sol.selected == (0, 2)
 
 
