@@ -173,6 +173,8 @@ def solve_unlimited(
     the budget. Powers are then assigned from the most sensitive link down;
     each power covers noise plus the interference of the more sensitive links
     twice over, which guarantees every accepted link meets its threshold.
+    A link whose beta * d^alpha * N underflows to 0, and which would get
+    power 0, is dropped up front.
     """
     ids = list(instance.link_ids if links is None else links)
     if not ids:
@@ -210,6 +212,20 @@ def _greedy(candidates, index, load, budget, row):
     return accepted, tuple(trace)
 
 
+def _admit(ids, pos, beta, d_alpha, gate, *aligned):
+    """``ids``, their rows ``pos``, thresholds ``beta`` and each array of
+    ``aligned`` cut to the links where the mask ``gate`` holds. Repeated ids
+    and overflowing sensitivities (``d_alpha`` are the links') are checked
+    over all the links first, as candidates over all of them would check
+    them; index_of names a repeat."""
+    if gate.all():
+        return ids, pos, beta, *aligned
+    if len(set(ids)) < len(ids):
+        index_of(ids)
+    _sensitivities(ids, beta, d_alpha)
+    return list(compress(ids, gate.tolist())), pos[gate], beta[gate], *(a[gate] for a in aligned)
+
+
 def _greedy_unlimited(instance, ids, pos, beta):
     """Weight-budget pass of the unlimited greedy over nonempty ``ids`` (rows
     ``pos``, thresholds ``beta``): accepted links (least sensitive first),
@@ -217,11 +233,15 @@ def _greedy_unlimited(instance, ids, pos, beta):
 
     A load is the summed weight from the accepted links, added one row at a
     time in acceptance order. Accepted links are less sensitive than every
-    later candidate, so no rank mask is needed. The first candidate starts at
-    load 0, so at least one link is accepted.
+    later candidate, so no rank mask is needed. A link whose beta * d^alpha *
+    N underflows to 0 would get power 0 from the recurrence, so it is never
+    accepted and is walked only as a trace row (id, False, inf). The first
+    admitted candidate starts at load 0, so it is accepted.
     """
-    cands = _Candidates(instance, ids, pos, beta)
     order = sensitivity_order(instance, ids, beta)
+    d_alpha = instance.d_alpha[pos]
+    ids, pos, beta = _admit(ids, pos, beta, d_alpha, beta * d_alpha * instance.noise > 0)
+    cands = _Candidates(instance, ids, pos, beta)
     accepted, trace = _greedy(reversed(order), cands.index, np.zeros(len(ids)),
                               weight_budget(instance.alpha), lambda k: cands.weights(k, ALL))
     return accepted, trace, cands
@@ -390,14 +410,7 @@ def _fixed_pass(instance, ids, pos, beta, p):
     order = sensitivity_order(instance, ids, beta)
     d_alpha = instance.d_alpha[pos]
     gate = (0 < p) & (p < INF) & (p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL))
-    if not gate.all():
-        # the candidates check repeated ids and overflowing sensitivities only
-        # among the links that pass the gate; index_of names a repeat
-        if len(set(ids)) < len(ids):
-            index_of(ids)
-        _sensitivities(ids, beta, d_alpha)
-        ids = list(compress(ids, gate.tolist()))
-        pos, beta, p = pos[gate], beta[gate], p[gate]
+    ids, pos, beta, p = _admit(ids, pos, beta, d_alpha, gate, p)
     cands = _Candidates(instance, ids, pos, beta, p)
     # load[c]: affectance between c and the tentative links, both ways;
     # incoming[c]: affectance from the tentative links onto c. The filter

@@ -35,10 +35,14 @@ The probe looks a level's thresholds up by their bytes first. On a miss it
 compares them with the previous levels' stacked rows on the rows the level
 has, and walks the matching levels in level order: for each, only the rows
 it dropped (live there, NaN here) are looked up in that level's trace, and
-its trace is filtered by those ids. A reused level keeps the previous
-level's objective when none of its selected links changed cap, because
-each of their values is then the same float. Every other level is scored
-with each selected link's ``value`` at its SINR, summed in selection order.
+its trace is filtered by those ids.
+
+Each level keeps the utility value of each selected link at its SINR, in
+selection order, and its objective is their sum. A reused level keeps the
+previous level's values when none of its selected links changed cap, because
+each is then the same float; every other level calls each selected link's
+``value`` at its SINR. The latency scheduler reads a slot's gains off its
+level's values.
 """
 
 from __future__ import annotations
@@ -58,15 +62,21 @@ MODES = ("unlimited", "fixed", "limited")
 
 @dataclass(frozen=True)
 class FlexibleLevel:
-    """One target level: value floor, solution, and the per-link SINR
-    thresholds ``gamma`` over ``ids``, NaN where a link sits the level out."""
+    """One target level: value floor, solution, the utility value ``values``
+    of each selected link at its SINR, in selection order, and the per-link
+    SINR thresholds ``gamma`` over ``ids``, NaN where a link sits the level
+    out. ``objective`` is the sum of ``values``, taken at construction."""
 
     index: int
     target: float
     solution: Solution
-    objective: float
+    values: tuple[float, ...]
     gamma: np.ndarray = field(repr=False, compare=False)
     ids: np.ndarray = field(repr=False, compare=False)
+    objective: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "objective", float_sum(self.values))
 
     @property
     def thresholds(self) -> dict:
@@ -188,6 +198,11 @@ def _read_links(instance, ids, utilities, tables):
     return caps, cores, None if row is None else rows
 
 
+def level_count(n: int) -> int:
+    """ceil(log2 n) + 1: the value targets a sweep over n >= 1 links tries."""
+    return math.ceil(math.log2(n)) + 1
+
+
 def solve_flexible(
     instance: Instance,
     mode: str = "unlimited",
@@ -210,7 +225,7 @@ def solve_flexible(
     and a level takes the solution of a level of ``previous`` whose
     candidates and thresholds are its own, or its own plus candidates that
     level rejected (their trace rows are left out). It keeps that level's
-    objective when no selected link's cap changed, and is scored under the
+    values when no selected link's cap changed, and is scored under the
     current utilities otherwise. Without such a level it is solved.
     """
     if mode not in MODES:
@@ -240,7 +255,7 @@ def solve_flexible(
         # nothing can realize positive value; empty run, objective 0
         return FlexibleRun(0.0, mode, (), None)
 
-    n_levels = max(0, math.ceil(math.log2(len(ids)))) + 1
+    n_levels = level_count(len(ids))
     reuse = None
     if previous is not None and previous._tables is tables:
         reuse = _Reuse(previous, cap)
@@ -266,13 +281,13 @@ class _Reuse:
         self.gammas = self.live = None
 
     def find(self, gamma: np.ndarray, live: np.ndarray) -> tuple:
-        """(solution, objective) of a previous level for the thresholds
+        """(solution, values) of a previous level for the thresholds
         ``gamma``, which are not NaN where ``live``; the solution is None
-        when no level fits, the objective when a selected link's cap
+        when no level fits, the values when a selected link's cap
         changed."""
         level = self.exact.get(gamma.tobytes())
         if level is not None:
-            return level.solution, self._objective(level)
+            return level.solution, self._values(level)
         if self.gammas is None:
             self.gammas = np.stack([lvl.gamma for lvl in self.levels])
             self.live = self.gammas == self.gammas
@@ -290,16 +305,16 @@ class _Reuse:
                 elif r[1]:
                     break  # its greedy accepted one: every later load differs
             else:
-                return replace(level.solution, trace=tuple(trace)), self._objective(level)
+                return replace(level.solution, trace=tuple(trace)), self._values(level)
         return None, None
 
-    def _objective(self, level: FlexibleLevel) -> Optional[float]:
-        return level.objective if self.changed.isdisjoint(level.solution.selected) else None
+    def _values(self, level: FlexibleLevel) -> Optional[tuple]:
+        return level.values if self.changed.isdisjoint(level.solution.selected) else None
 
 
 def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
     """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
-    previous run's solution, and objective, where one holds. ``table`` has a
+    previous run's solution, and values, where one holds. ``table`` has a
     row per entry of ``ids``; each level keeps a copy of its row of
     thresholds over them, so that a slot keeping one level does not keep the
     others'."""
@@ -310,14 +325,14 @@ def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
         # in id order; a NaN threshold sits the level out
         gamma = row.copy()
         live = gamma == gamma
-        sol, objective = (None, None) if reuse is None else reuse.find(gamma, live)
+        sol, values = (None, None) if reuse is None else reuse.find(gamma, live)
         if sol is None:
             sol = _solve_level(instance, mode, ids[live].tolist(), gamma[live], powers)
-        if objective is None:
-            objective = float_sum(
+        if values is None:
+            values = tuple(
                 _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
             )
-        levels.append(FlexibleLevel(i, target, sol, objective, gamma, ids))
+        levels.append(FlexibleLevel(i, target, sol, values, gamma, ids))
     return levels
 
 

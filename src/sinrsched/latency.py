@@ -16,8 +16,10 @@ Each slot's flexible sweep gets the previous slot's run and reuses its
 utility tables and every level solution whose input did not change, or lost
 only candidates that level rejected (mostly links the last slot scheduled,
 whose residual cap fell below the high targets); see ``flexible``. Only the
-previous slot's run is kept. A slot keeps its level and the residuals of the
-links it scheduled; ``Schedule.to_dict`` rebuilds every slot's full map.
+previous slot's run is kept. A slot keeps its level, whose ``values`` are
+the scheme-unit gains of the links it scheduled, and their residuals;
+``Schedule.to_dict`` rebuilds every slot's full map. The live links are the
+keys of one map, from each to its utility capped at its residual.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .flexible import FlexibleLevel, FlexibleRun, solo_sinr_cap, solve_flexible
-from .model import INF, Instance, Solution, float_sum, index_of
+from .flexible import FlexibleLevel, FlexibleRun, level_count, solo_sinr_cap, solve_flexible
+from .model import INF, Instance, Solution, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
 SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
@@ -40,12 +42,13 @@ class UnschedulableDemand(ValueError):
 
 @dataclass(frozen=True)
 class Slot:
-    """One schedule step: the flexible level that transmits, what it
-    accomplished, and the scheme-unit residuals it left its links."""
+    """One schedule step: the flexible level that transmits (its ``values``
+    are the scheme-unit utility credited to each scheduled link), what it
+    delivered under the original utilities, and the scheme-unit residuals it
+    left its links."""
 
     level: FlexibleLevel
-    gains: dict           # scheme-unit utility credited per scheduled link
-    original_gains: dict  # same slot valued by the original utilities
+    original_gains: dict
     residuals: dict
 
     @property
@@ -67,7 +70,7 @@ class Slot:
 
     @property
     def utility(self) -> float:
-        return float_sum(self.gains.values())
+        return self.level.objective
 
 
 @dataclass(frozen=True)
@@ -134,57 +137,46 @@ def _run_scheme(
     # the live links' utilities capped at their residuals, which are the
     # caps; a slot changes the entries of the links it schedules only
     capped = {lid: CappedUtility(scheme_utils[lid], d) for lid, d in demands.items() if d > 0.0}
-    live = sorted(capped)
     delivered = dict.fromkeys(ids, 0.0)
     slots: list[Slot] = []
     stalled = False
     run: Optional[FlexibleRun] = None  # the previous slot's sweep, for level reuse
 
-    def slot_gains(solution):
-        gains = {}
-        completes = False
-        for lid in solution.selected:
-            gains[lid] = capped[lid].value(solution.sinr[lid])
-            completes = completes or capped[lid].cap - gains[lid] <= RESIDUAL_TOL
-        return gains, completes
+    def completes(level):
+        return any(capped[lid].cap - value <= RESIDUAL_TOL
+                   for lid, value in zip(level.solution.selected, level.values))
 
-    while live:
-        run = solve_flexible(instance, mode=mode, links=live, utilities=capped, previous=run)
+    while capped:
+        run = solve_flexible(instance, mode=mode, links=list(capped), utilities=capped,
+                             previous=run)
         if run.best_index is None or run.objective <= 0.0:
             stalled = True  # rounding can zero out every reachable value
             break
         level = run.best
-        gains, completes = slot_gains(level.solution)
-        if scheme == 2 and not completes and float_sum(gains.values()) < 1.0 - RESIDUAL_TOL:
+        if scheme == 2 and level.objective < 1.0 - RESIDUAL_TOL and not completes(level):
             # the schedule-length accounting needs every round to finish some
             # link or deliver value 1; when all residuals sit below 1, the
             # shallowest level always finishes its members, so fall back to
             # the most valuable level that finishes one (at most n such
             # rounds can ever happen, which keeps the length bound intact)
-            best_alt = None
-            for alt in sorted(run.levels, key=lambda l: -l.objective):
-                alt_gains, alt_completes = slot_gains(alt.solution)
-                if alt_completes:
-                    best_alt = (alt, alt_gains)
-                    break
-            if best_alt is not None:
-                level, gains = best_alt
+            level = next(
+                (alt for alt in sorted(run.levels, key=lambda l: -l.objective) if completes(alt)),
+                level,
+            )
 
         sol = level.solution
         original_gains, residuals = {}, {}
-        for lid in sol.selected:
+        for lid, value in zip(sol.selected, level.values):
             original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
             delivered[lid] += original_gains[lid]
-            residual = max(0.0, capped[lid].cap - gains[lid])
+            residual = max(0.0, capped[lid].cap - value)
             if residual <= RESIDUAL_TOL:
                 residual = 0.0
                 del capped[lid]
             else:
                 capped[lid] = CappedUtility(scheme_utils[lid], residual)
             residuals[lid] = residual
-        if len(capped) < len(live):
-            live = [lid for lid in live if lid in capped]
-        slots.append(Slot(level, gains, original_gains, residuals))
+        slots.append(Slot(level, original_gains, residuals))
         if len(slots) > SLOT_CAP:
             raise RuntimeError(
                 f"schedule exceeded the safety cap of {SLOT_CAP} slots; "
@@ -262,8 +254,7 @@ def loose_length_bound(instance: Instance, links: Optional[Sequence[int]] = None
     slots = _solo_slots(instance, links)
     if not slots:
         return 0.0
-    levels = max(0, math.ceil(math.log2(len(slots)))) + 1
-    return 4.0 * sum(slots) * levels**2
+    return 4.0 * sum(slots) * level_count(len(slots)) ** 2
 
 
 def schedule_lower_bound(instance: Instance, links: Optional[Sequence[int]] = None) -> int:

@@ -20,6 +20,7 @@ from sinrsched import (
     Instance,
     Link,
     MetricSpace,
+    brute_opt_threshold,
     check_admissible,
     evaluate_sinrs,
     gen_line,
@@ -326,6 +327,21 @@ def test_solve_fixed_drops_zero_powers_when_beta_noise_underflows():
     assert sol.selected == ()
     assert sol.trace == ((1, False, math.inf), (0, False, math.inf))
     assert verify_solution(inst, sol) == []
+
+
+@pytest.mark.parametrize("p_max", [math.inf, 1e3])
+def test_power_recurrence_drops_links_whose_beta_d_noise_underflows(p_max):
+    # beta * d^alpha * N = 1e-330 underflows to 0, so the recurrence would
+    # give each link power 0 and SINR 0; neither link is feasible even alone
+    inst = gen_line([(0, 1, 1e-30), (5, 6, 1e-30)], noise=1e-300, p_max=p_max,
+                    allow_sub_unit=True)
+    regime = "variable" if p_max == math.inf else "variable_capped"
+    assert brute_opt_threshold(inst, regime=regime) == ((), 0)
+    for solve in (solve_unlimited, solve_limited):
+        sol = solve(inst)
+        assert sol.selected == ()
+        assert sol.trace == ((1, False, math.inf), (0, False, math.inf))
+        assert verify_solution(inst, sol) == []
 
 
 def test_solve_fixed_drops_an_infinite_power():

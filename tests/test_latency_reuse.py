@@ -78,7 +78,6 @@ def _reference_run_scheme(
         slots.append(
             Slot(
                 level=level,
-                gains=gains,
                 original_gains=original_gains,
                 residuals={lid: residual[lid] for lid in sol.selected},
             )

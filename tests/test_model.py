@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,15 @@ from sinrsched import (
     gen_random,
     sensitivity_order,
     solve_fixed,
+    solve_flexible,
+    solve_latency,
     solve_limited,
     solve_unlimited,
 )
+from sinrsched import latency
+from sinrsched.model import float_sum
+from sinrsched.utility import CappedUtility
+from sinrsched.verify import verify_flexible_run, verify_schedule
 
 
 def sinr(inst, active, powers, target):
@@ -315,6 +322,63 @@ def test_solution_json_round_trip_is_bit_identical(sol):
     back = Solution.from_dict(json.loads(json.dumps(sol.to_dict(include_trace=True))))
     for field in dataclasses.fields(Solution):
         assert _exact(getattr(back, field.name)) == _exact(getattr(sol, field.name)), field.name
+
+
+# (mode, utility, p_max, fixed power): every mode, and limited both capped
+# and uncapped; Shannon utilities need a finite SINR cap, so they run only
+# where the power is bounded
+_STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
+_SHANNON = {"family": "shannon", "scale_range": (0.5, 2.0), "cutoff_range": (1.0, 4.0)}
+_DEMAND_CASES = [
+    ("unlimited", _STEP, math.inf, None),
+    ("limited", _STEP, math.inf, None),
+    ("limited", _STEP, 5e4, None),
+    ("fixed", _STEP, 3e3, 3e3),
+    ("limited", _SHANNON, 5e4, None),
+    ("fixed", _SHANNON, 3e3, 3e3),
+]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    case=st.sampled_from(_DEMAND_CASES),
+)
+@settings(max_examples=100, deadline=None)
+def test_flexible_run_and_schedule_json_round_trips_are_bit_identical(n, seed, case):
+    mode, utility, p_max, power = case
+    inst = gen_random(GenConfig(
+        n=n, seed=seed, area=400.0, d_range=(1.0, 40.0), beta_range=(1.0, 2.0),
+        utility=utility, demand_range=(0.5, 3.0), p_max=p_max, power=power,
+    ))
+    run = solve_flexible(inst, mode=mode)
+    with mock.patch.object(latency, "_run_scheme", wraps=latency._run_scheme) as spy:
+        schedule = solve_latency(inst, mode=mode)
+    for x, check in ((run, verify_flexible_run), (schedule, verify_schedule)):
+        data = x.to_dict(include_trace=True)
+        back = json.loads(json.dumps(data))
+        assert _exact(back) == _exact(data)
+        assert check(inst, back) == []
+
+    for level in run.levels:
+        sol = level.solution
+        values = tuple(inst.link(lid).utility.value(sol.sinr[lid]) for lid in sol.selected)
+        assert _exact(level.values) == _exact(values)
+        assert _exact(level.objective) == _exact(float_sum(values))
+    # each slot's values are its links' scheme utilities, capped at the
+    # residuals the slot started from, at the slot's SINRs
+    scheme_utils = {call.args[1]: call.args[4] for call in spy.call_args_list}
+    for scheme, scheme_run in schedule.runs.items():
+        residual = dict(scheme_run.demands)
+        for slot in scheme_run.slots:
+            sol = slot.solution
+            values = tuple(
+                CappedUtility(scheme_utils[scheme][lid], residual[lid]).value(sol.sinr[lid])
+                for lid in sol.selected
+            )
+            assert _exact(slot.level.values) == _exact(values)
+            assert _exact(slot.utility) == _exact(slot.level.objective)
+            residual.update(slot.residuals)
 
 
 def _three_links():
