@@ -377,7 +377,7 @@ def test_flexible_run_and_schedule_json_round_trips_are_bit_identical(n, seed, c
                 for lid in sol.selected
             )
             assert _exact(slot.level.values) == _exact(values)
-            assert _exact(slot.utility) == _exact(slot.level.objective)
+            assert _exact(slot.utility) == _exact(float_sum(values))
             residual.update(slot.residuals)
 
 
