@@ -31,11 +31,14 @@ to the float, and the solution is the old one without its trace rows. Every
 solver's trace records each candidate and each link that added a row (a
 capped "limited" solve keeps both branches', and the same branch wins).
 
-The probe looks a level's thresholds up by their bytes first. On a miss it
-compares them with the previous levels' stacked rows on the rows the level
-has, and walks the matching levels in level order: for each, only the rows
-it dropped (live there, NaN here) are looked up in that level's trace, and
-its trace is filtered by those ids.
+A sweep compares all its levels' thresholds with the previous run's level
+rows in one broadcast: previous level j matches level i when it has level
+i's threshold on every row level i has. Level i walks its matches in level
+order and takes the first whose trace rejected every row j has beyond it
+(live there, NaN here): j's solution with those rows left out of its trace,
+or j's solution object itself when j has no such rows. Every match that
+fits gives the same selection, powers and SINRs, so which one is taken
+changes nothing.
 
 Each level keeps the utility value of each selected link at its SINR, in
 selection order, and its objective is their sum. A reused level keeps the
@@ -266,38 +269,37 @@ def solve_flexible(
 
 
 class _Reuse:
-    """The levels of a previous run over the same tables, found by a level's
-    thresholds over the tables' rows (its exact solver input): first a level
-    with the same bytes, then one whose thresholds equal these on every row
-    that has one and whose trace rejected the rows it has beyond them. The
-    previous levels' rows are stacked on the first probe that needs them."""
+    """A previous run's levels over the same tables, and the links whose cap
+    changed since it; ``match`` finds each level of a sweep a previous level
+    whose solution it may take."""
 
     def __init__(self, previous: FlexibleRun, cap: np.ndarray):
         self.levels = previous.levels
         self.ids = previous._tables.ids
-        # a later level with the same bytes takes the key
-        self.exact = {lvl.gamma.tobytes(): lvl for lvl in self.levels}
         self.changed = set(self.ids[previous._cap != cap].tolist())
-        self.gammas = self.live = None
 
-    def find(self, gamma: np.ndarray, live: np.ndarray) -> tuple:
-        """(solution, values) of a previous level for the thresholds
-        ``gamma``, which are not NaN where ``live``; the solution is None
+    def match(self, gammas: np.ndarray, live: np.ndarray) -> list:
+        """(solution, values) per row of ``gammas``, a sweep's thresholds
+        over the tables' rows, not NaN where ``live``: from the first
+        previous level that has those thresholds on every live row and whose
+        trace rejected every row it has beyond them; the solution is None
         when no level fits, the values when a selected link's cap
         changed."""
-        level = self.exact.get(gamma.tobytes())
-        if level is not None:
-            return level.solution, self._values(level)
-        if self.gammas is None:
-            self.gammas = np.stack([lvl.gamma for lvl in self.levels])
-            self.live = self.gammas == self.gammas
-        dead = ~live
-        for j, match in enumerate(((self.gammas == gamma) | dead).all(axis=1).tolist()):
-            if not match:
+        old = np.array([lvl.gamma for lvl in self.levels])
+        dead = ~live[:, None]
+        matches = ((old == gammas[:, None]) | dead).all(axis=2).tolist()
+        extra = (old == old) & dead  # rows previous level j has beyond level i
+        more = extra.any(axis=2).tolist()
+        return [self._first(*args) for args in zip(matches, more, extra)]
+
+    def _first(self, matches: list, more: list, extra: np.ndarray) -> tuple:
+        """``match``'s answer for one level, from its row of each array."""
+        for j, level in enumerate(self.levels):
+            if not matches[j]:
                 continue
-            level = self.levels[j]
-            # the candidates of that level that this one lacks
-            dropped = set(self.ids[self.live[j] & dead].tolist())
+            if not more[j]:
+                return level.solution, self._values(level)
+            dropped = set(self.ids[extra[j]].tolist())
             trace = []
             for r in level.solution.trace:
                 if r[0] not in dropped:
@@ -320,19 +322,17 @@ def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
     others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
     gammas = inverse_threshold(table, np.array(targets)[:, None])
+    live = gammas == gammas  # a NaN threshold sits the level out
+    found = [(None, None)] * n_levels if reuse is None else reuse.match(gammas, live)
     levels = []
-    for i, (target, row) in enumerate(zip(targets, gammas)):
-        # in id order; a NaN threshold sits the level out
-        gamma = row.copy()
-        live = gamma == gamma
-        sol, values = (None, None) if reuse is None else reuse.find(gamma, live)
+    for i, (target, gamma, on, (sol, values)) in enumerate(zip(targets, gammas, live, found)):
         if sol is None:
-            sol = _solve_level(instance, mode, ids[live].tolist(), gamma[live], powers)
+            sol = _solve_level(instance, mode, ids[on].tolist(), gamma[on], powers)
         if values is None:
             values = tuple(
                 _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
             )
-        levels.append(FlexibleLevel(i, target, sol, values, gamma, ids))
+        levels.append(FlexibleLevel(i, target, sol, values, gamma.copy(), ids))
     return levels
 
 

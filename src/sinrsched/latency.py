@@ -29,15 +29,15 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .flexible import FlexibleLevel, FlexibleRun, level_count, solo_sinr_cap, solve_flexible
-from .model import INF, Instance, Solution, index_of
+from .model import INF, RESIDUAL_TOL, Instance, Solution, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
 SLOT_CAP = 1_000_000  # a scheme run with more slots is making no progress
-RESIDUAL_TOL = 1e-9
 
 
 class UnschedulableDemand(ValueError):
-    """A link demands positive utility but can never realize any."""
+    """A link demands positive utility but can never realize any, or more
+    than ``SLOT_CAP`` slots can deliver."""
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,12 @@ def solve_latency(
     """Schedule every link until its demand is met, in few slots.
 
     Links with zero demand are dropped up front; a link with positive demand
-    but zero achievable utility is unschedulable. Both utility reshapings are
-    computed in sequence and the shorter schedule is returned (scheme 2 wins
-    ties; scheme 1 can stall when rounding erases all reachable value, scheme
-    2 never stalls). In "fixed" mode each link sends at its own fixed power.
+    but zero achievable utility is unschedulable, and so is one that needs
+    more than ``SLOT_CAP`` slots even at its solo maximum in each. Both
+    utility reshapings are computed in sequence and the shorter schedule is
+    returned (scheme 2 wins ties; scheme 1 can stall when rounding erases all
+    reachable value, scheme 2 never stalls). In "fixed" mode each link sends
+    at its own fixed power.
     """
     # a repeated link would count twice in n, and so in scheme 1's rounding
     links = [instance.link(lid) for lid in index_of(instance.link_ids if links is None else links)]
@@ -210,6 +212,13 @@ def solve_latency(
     links = [link for link in links if link.demand > 0.0]
     ids = [link.id for link in links]
     tops = [_max_value(instance, lid, mode) for lid in ids]
+    for link, top in zip(links, tops):
+        # a slot gives a link at most its solo maximum
+        if (need := link.demand / top) > SLOT_CAP:
+            raise UnschedulableDemand(
+                f"link {link.id} demands {link.demand} but realizes at most {top} per "
+                f"slot, so it needs {need:.6g} slots, over the cap of {SLOT_CAP}"
+            )
     n = len(ids)
     u1 = {link.id: RoundedUtility(link.utility, link.demand, 2 * n) for link in links}
     d1 = dict.fromkeys(ids, 1.0)

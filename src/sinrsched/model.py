@@ -32,6 +32,10 @@ FEAS_RTOL = 1e-9
 # Relative tolerance for power-cap comparisons.
 CAP_RTOL = 1e-12
 
+# Absolute tolerance below which a latency residual counts as met, and by
+# which delivered utility may fall short of a demand.
+RESIDUAL_TOL = 1e-9
+
 # Threshold overrides: a mapping id -> beta, or an array aligned with the
 # link ids it comes with (see ``thresholds_for``).
 Thresholds = Union[Mapping[int, float], np.ndarray]

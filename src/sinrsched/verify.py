@@ -12,6 +12,7 @@ from typing import Mapping, Optional
 from .model import (
     CAP_RTOL,
     FEAS_RTOL,
+    RESIDUAL_TOL,
     Instance,
     Solution,
     _id_numbers,
@@ -163,7 +164,7 @@ def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
                 delivered[lid] = delivered.get(lid, 0.0) + value
     if schedule_data.get("scheme") == 2 and schedule_data.get("fulfilled"):
         for link in instance.links:
-            if link.demand and delivered.get(link.id, 0.0) < link.demand - 1e-9:
+            if link.demand and delivered.get(link.id, 0.0) < link.demand - RESIDUAL_TOL:
                 problems.append(
                     f"link {link.id}: delivered {delivered.get(link.id, 0.0):.9g} "
                     f"of demand {link.demand:.9g}"

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinrsched import (
@@ -608,14 +608,37 @@ def test_solve_limited_cap_and_feasibility_random():
             assert gammas[lid] >= inst.link(lid).threshold * (1 - FEAS_RTOL)
 
 
-def test_solutions_certified_by_oracle():
-    for seed in (0, 1, 2):
-        inst = gen_random(GenConfig(n=8, seed=seed, beta_range=(1.0, 4.0), p_max=5e4))
-        for sol, cap in (
-            (solve_unlimited(inst), math.inf),
-            (solve_limited(inst), inst.p_max),
-        ):
-            assert check_admissible(inst, sol.selected, cap=cap).feasible
+@st.composite
+def line_cases_at_the_split(draw):
+    """A ``gen_line`` instance of 1-7 links on the integer grid 0..6, so that
+    endpoints of different links coincide, with p_max at, just past, just
+    short of and well off 4 * beta_k * N * d_k^alpha of a drawn link k."""
+    n = draw(st.integers(1, 7))
+    entries = []
+    for _ in range(n):
+        sender, receiver = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+        entries.append((sender, receiver, draw(st.sampled_from([1.0, 2.0, 10.0, 1e3]))))
+    inst = gen_line(entries, alpha=draw(st.sampled_from([1.5, 2.0, 3.0, 4.0])),
+                    noise=draw(st.sampled_from([1e-6, 1.0, 100.0])))
+    k = draw(st.integers(0, n - 1))
+    factor = draw(st.sampled_from([1.0, 1 + 2**-52, 1 - 2**-53, 1 + 1e-9, 0.5, 3.0]))
+    return replace(inst, p_max=4 * entries[k][2] * inst.noise * float(inst.d_alpha[k]) * factor)
+
+
+@given(inst=line_cases_at_the_split())
+@settings(max_examples=300, deadline=None)
+@example(inst=gen_random(GenConfig(n=8, seed=0, beta_range=(1.0, 4.0), p_max=5e4)))
+@example(inst=gen_random(GenConfig(n=8, seed=1, beta_range=(1.0, 4.0), p_max=5e4)))
+@example(inst=gen_random(GenConfig(n=8, seed=2, beta_range=(1.0, 4.0), p_max=5e4)))
+def test_solutions_certified_by_oracle(inst):
+    uniform = dict.fromkeys(inst.link_ids, inst.p_max)
+    for sol, cap in (
+        (solve_unlimited(inst), math.inf),
+        (solve_limited(inst), inst.p_max),
+        (solve_fixed(inst, powers=uniform, warn_preconditions=False), inst.p_max),
+    ):
+        assert check_admissible(inst, sol.selected, cap=cap).feasible
+        assert verify_solution(inst, sol) == []
 
 
 def test_determinism_byte_for_byte():

@@ -585,6 +585,26 @@ def test_shannon_demand_beyond_every_finite_sinr_schedules(tmp_path, capsys):
     assert cli.main(["verify", "--instance", str(inst), "--artifact", str(sched)]) == cli.EXIT_OK
 
 
+def test_demand_beyond_the_slot_cap_is_bad_input(tmp_path, capsys):
+    # a slot gives a link at most 2.0, so a demand of 1e300 needs 5e299
+    # slots, far over the scheduler's cap
+    inst = tmp_path / "inst.json"
+    assert cli.main([
+        "gen", "--n", "4", "--seed", "1", "--out", str(inst),
+        "--utility", json.dumps({"family": "step", "steps": 3, "value_max": 2.0}),
+        "--demand-min", "0.5", "--demand-max", "2.0",
+    ]) == cli.EXIT_OK
+    data = json.loads(inst.read_text())
+    data["links"][2]["demand"] = 1e300
+    inst.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = cli.main(["schedule", "--instance", str(inst)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: link {data['links'][2]['id']} demands 1e+300")
+    assert "over the cap of 1000000" in err
+
+
 def test_non_finite_powers_and_sinrs_are_violations(tmp_path, capsys):
     # inf / inf re-evaluates to a NaN SINR, which passes every comparison
     inst = tmp_path / "inst.json"

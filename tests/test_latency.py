@@ -1,7 +1,9 @@
 """Latency scheduler: slot counts, residual bookkeeping, progress."""
 
 import math
+import time
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,10 +228,43 @@ def test_demand_without_utility_is_bad_input():
 
 
 def test_slot_cap_trips_runtime_error(monkeypatch):
-    inst = _single(2.0)
-    monkeypatch.setattr(latency, "SLOT_CAP", 0)
+    # each link needs one slot alone, so each passes the up-front demand
+    # check at a cap of 1; each sender sits 0.5 from the other's receiver, so
+    # no slot holds both, and the second slot trips the loop's safety net
+    inst = Instance(
+        metric=MetricSpace.euclidean([[0.0], [10.0], [10.5], [0.5]], dim=1),
+        alpha=2.0,
+        noise=1.0,
+        links=(
+            Link(id=0, sender=0, receiver=1, utility=U, demand=2.0),
+            Link(id=1, sender=2, receiver=3, utility=U, demand=2.0),
+        ),
+    )
+    monkeypatch.setattr(latency, "SLOT_CAP", 1)
     with pytest.raises(RuntimeError, match="cap"):
         solve_latency(inst)
+
+
+def test_demand_beyond_the_slot_cap_is_rejected_up_front():
+    inst = gen_random(GenConfig(
+        n=4, seed=1, utility={"family": "step", "steps": 3, "value_max": 2.0},
+        demand_range=(0.5, 2.0),
+    ))
+    inst = replace(inst, links=(replace(inst.links[0], demand=1e300), *inst.links[1:]))
+    start = time.perf_counter()
+    with pytest.raises(UnschedulableDemand, match=f"link {inst.links[0].id} .* slots"):
+        solve_latency(inst)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_slot_cap_bounds_a_lone_links_demand(monkeypatch):
+    # U's top value 2.0 is a power of two, so demand / top is exact
+    monkeypatch.setattr(latency, "SLOT_CAP", 4)
+    sched = solve_latency(_single(4 * 2.0))
+    assert len(sched.slots) == 4 and sched.fulfilled
+    for demand in (math.nextafter(4 * 2.0, math.inf), 5 * 2.0):
+        with pytest.raises(UnschedulableDemand, match="over the cap of 4"):
+            solve_latency(_single(demand))
 
 
 def _materialized_rounding(u, demand, n):
