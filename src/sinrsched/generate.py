@@ -8,20 +8,27 @@ SeedSequence's hashing runs in integer arrays over a block of links and every
 tag the config draws from.
 
 Uniform draws (sender coordinates, radius, ``beta_range`` thresholds, step
-and Shannon utility parameters, demands) step the stream on Python ints:
-PCG64's 128-bit LCG step and XSL-RR output, then ``Generator.uniform``'s own
-arithmetic, ``low + (high - low) * ((x >> 11) * 2**-53)``, so they equal
-numpy's draws bit for bit, without a numpy call per draw. The angle's
-``normal`` draw (numpy's ziggurat tables) and ``beta_set``'s ``choice``
-(numpy's bounded integers) stay with numpy: the call's one Generator is set
-to the stream's PCG64 state just before each of them, so no state outlives
-a call.
+and Shannon utility parameters, demands) are taken a block of links at a
+time: each link's 128-bit PCG64 state is one 256-bit lane of a Python int, so
+one multiply-add takes the LCG step of a field's streams for the whole
+block, and PCG64's XSL-RR output and ``Generator.uniform``'s own arithmetic,
+``low + (high - low) * ((x >> 11) * 2**-53)``, run once per block on the
+uint64 and float64 arrays read back from the steps' bytes. A block of fewer
+than ``_FEW_DRAWS`` draws (a config of a few links) steps each stream on
+Python ints instead, since the packed pass's numpy calls cost more there.
+Either way the draws equal numpy's bit for bit. Receivers are computed as
+arrays too. The angle's ``normal`` draw (numpy's ziggurat tables, out of
+Python's reach) and ``beta_set``'s ``choice`` (numpy's bounded integers)
+stay per link with numpy: the call's one Generator is set to the stream's
+PCG64 state just before each of them, so no state outlives a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -38,12 +45,20 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 # 0-d arrays: numpy broadcasts them faster than Python or numpy scalars
 _MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_U11, _U58, _U63 = (np.array(c, dtype=np.uint64) for c in (11, 58, 63))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# the low 128 bits, and the lowest bit, of each stream's 256-bit lane
+_LANE_MASK, _LANE_ONE = b"\xff" * 16 + bytes(16), b"\x01" + bytes(31)
 _DOUBLE_UNIT = 1.0 / (1 << 53)  # numpy's next_double: the top 53 bits of a draw
 _BLOCK = 1024  # links seeded per array pass
-# the largest dim GenConfig takes: the plane and space are all any caller
-# uses, and each coordinate is one Python-level draw per link
+# uniform draws per pass at most: a pass holds 32 bytes per draw, so links
+# with many draws (a step utility of many steps) take smaller blocks
+_PASS_DRAWS = 1 << 16
+# below this many draws a block's streams step one by one on Python ints,
+# which then costs less than the packed pass's fixed numpy calls
+_FEW_DRAWS = 24
+# the largest dim GenConfig takes: the plane and space are all any caller uses
 MAX_DIM = 3
 
 
@@ -113,13 +128,6 @@ def _seed_words(seed: int, links: range, tags: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(words.transpose(1, 2, 0), dtype="<u4").view("<u8")
 
 
-def _link_seeds(seed: int, n: int, tags: Sequence[int]):
-    """Each link's {tag: seed words} in link order, seeded _BLOCK links at a time."""
-    for start in range(0, n, _BLOCK):
-        for words in _seed_words(seed, range(start, min(start + _BLOCK, n)), tags):
-            yield dict(zip(tags, words.tolist()))
-
-
 def _pcg_state(words: list) -> tuple:
     """(state, inc) of the PCG64 stream numpy seeds from ``words``: PCG64's
     128-bit ``srandom`` step."""
@@ -139,6 +147,14 @@ def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
         "uinteger": 0,
     }
     return rng
+
+
+@cache
+def _any_seed() -> np.random.SeedSequence:
+    """The seed of the one Generator each call builds and then sets to each
+    stream's state: built once, at the first call rather than at import,
+    since building it costs half of what the Generator costs."""
+    return np.random.SeedSequence(0)
 
 
 def _span(low, high) -> tuple:
@@ -164,6 +180,47 @@ def _uniforms(words: list, spans: Sequence[tuple]) -> list:
         x = (x >> rot | x << (64 - rot)) & _MASK64
         draws.append(low + width * ((x >> 11) * _DOUBLE_UNIT))
     return draws
+
+
+def _uniform_draws(words: np.ndarray, spans: Sequence[Sequence[tuple]]) -> list:
+    """The draws of ``spans[t]`` (``_span`` pairs, in order) from the PCG64
+    stream numpy seeds from ``words[i, t]``, for every link ``i`` of a
+    block: one (len(spans[t]), links) float array per ``t``, the floats
+    ``Generator.uniform`` gives, one call per run of equal spans.
+
+    Each link's stream of a field is one 256-bit lane of a Python int, so
+    ``(state * _PCG_MULT + inc) & mask`` steps the field's streams of every
+    link at once: a lane's product and sum stay below 2**256 and carry
+    nothing into the next lane. The output and the draw run once, on the
+    bytes of every step. Below ``_FEW_DRAWS`` draws, ``_uniforms`` steps the
+    streams one by one."""
+    links = words.shape[0]
+    if links * sum(map(len, spans)) < _FEW_DRAWS:
+        seeds = words.tolist()
+        # a row per draw of each field, a column per link, as below
+        draws = np.array([row for t, s in enumerate(spans)
+                          for row in zip(*[_uniforms(w[t], s) for w in seeds])])
+    else:
+        mask = int.from_bytes(_LANE_MASK * links, "little")
+        ones = int.from_bytes(_LANE_ONE * links, "little")
+        chunks = []
+        for t, field_spans in enumerate(spans):
+            # a lane holds initseq in its low 128 bits and initstate above
+            seeds = int.from_bytes(words[:, t, ::-1].tobytes(), "little")
+            # PCG64's srandom: inc = initseq << 1 | 1, state = (initstate + inc) * mult + inc
+            inc = (seeds << 1 | ones) & mask
+            state = (((seeds >> 128 & mask) + inc) * _PCG_MULT + inc) & mask
+            for _ in field_spans:
+                state = (state * _PCG_MULT + inc) & mask
+                chunks.append(state.to_bytes(32 * links, "little"))
+        lanes = np.frombuffer(b"".join(chunks), dtype="<u8").reshape(-1, links, 4)
+        lo, hi = lanes[..., 0], lanes[..., 1]
+        x, rot = lo ^ hi, hi >> _U58  # XSL-RR; a rotation by 0 leaves x as it is
+        x = x >> rot | x << (-rot & _U63)
+        low, width = np.array([span for s in spans for span in s]).T[..., None]
+        draws = low + width * ((x >> _U11) * _DOUBLE_UNIT)
+    ends = accumulate(map(len, spans))
+    return [draws[end - len(s) : end] for s, end in zip(spans, ends)]
 
 
 @dataclass(frozen=True)
@@ -328,74 +385,67 @@ def _random_utility(params: tuple, draws: list) -> UtilitySpec:
 def gen_random(config: GenConfig) -> Instance:
     """Uniform senders in a square, receivers on a ring around their sender;
     thresholds, utilities, demands and powers drawn per the config."""
-    coords: list[float] = []  # sender i's, then receiver i's, for each link i
-    links: list[Link] = []
-    dim = config.dim
-    sender_spans = [_span(0.0, config.area)] * dim
-    radius_span = [_span(*config.d_range)]
-    tags = [_SENDER, _RADIUS, _ANGLE, _BETA]
+    dim, n = config.dim, config.n
+    spans = {_SENDER: [_span(0.0, config.area)] * dim, _RADIUS: [_span(*config.d_range)]}
     if config.beta_set is not None:
         beta_choices = np.asarray(config.beta_set)
     else:
-        beta_span = [_span(*config.beta_range)]
+        spans[_BETA] = [_span(*config.beta_range)]
     if config.utility is not None:
-        tags.append(_UTILITY)
-        utility_spans = _utility_spans(config._utility)
+        spans[_UTILITY] = _utility_spans(config._utility)
     if config.demand_range is not None:
-        tags.append(_DEMAND)
-        demand_span = [_span(*config.demand_range)]
-    rng = np.random.Generator(np.random.PCG64(0))
-    for i, seeds in enumerate(_link_seeds(config.seed, config.n, tags)):
-        sender = _uniforms(seeds[_SENDER], sender_spans)
-        (radius,) = _uniforms(seeds[_RADIUS], radius_span)
-        direction = _seeded(rng, seeds[_ANGLE]).normal(size=dim)
-        # np.linalg.norm of a 1-D float array, without its call overhead
-        norm = math.sqrt(direction.dot(direction))
-        if norm == 0.0:
-            direction, norm = [1.0] + [0.0] * (dim - 1), 1.0
-        else:
-            direction = direction.tolist()
-        # numpy's elementwise sender + radius * direction / norm, on floats
-        receiver = [s + radius * d / norm for s, d in zip(sender, direction)]
+        spans[_DEMAND] = [_span(*config.demand_range)]
+    # the streams numpy draws from per link follow the uniform ones
+    tags = [*spans, _ANGLE] + ([_BETA] if config.beta_set is not None else [])
+    block = max(1, min(_BLOCK, _PASS_DRAWS // sum(map(len, spans.values()))))
+    coords = np.empty((n, 2, dim))  # sender i's, then receiver i's, for each link i
+    links: list[Link] = []
+    rng = np.random.Generator(np.random.PCG64(_any_seed()))
+    for start in range(0, n, block):
+        ids = range(start, min(start + block, n))
+        words = _seed_words(config.seed, ids, tags)
+        draws = dict(zip(spans, _uniform_draws(words[:, : len(spans)], list(spans.values()))))
+        seeds = words[:, len(spans):].tolist()
+        directions = [_seeded(rng, w[0]).normal(size=dim) for w in seeds]
+        # np.linalg.norm's sqrt(dot(d, d)) of each, without its call overhead
+        norms = [math.sqrt(d.dot(d)) for d in directions]
+        if 0.0 in norms:  # a zero direction points along the first axis
+            directions = [d if norm else np.eye(dim)[0] for d, norm in zip(directions, norms)]
+            norms = [norm or 1.0 for norm in norms]
+        senders, radii = draws[_SENDER].T, draws[_RADIUS][0]
+        coords[start : ids.stop, 0] = senders
+        # numpy's elementwise sender + radius * direction / norm
+        coords[start : ids.stop, 1] = (
+            senders + radii[:, None] * np.array(directions) / np.array(norms)[:, None]
+        )
+        radii = radii.tolist()
 
         if config.beta_set is not None:
-            beta = float(_seeded(rng, seeds[_BETA]).choice(beta_choices))
+            betas = [float(_seeded(rng, w[1]).choice(beta_choices)) for w in seeds]
         else:
-            (beta,) = _uniforms(seeds[_BETA], beta_span)
-
-        utility = None
+            betas = draws[_BETA][0].tolist()
+        utilities = demands = [None] * len(ids)
         if config.utility is not None:
-            utility = _random_utility(config._utility, _uniforms(seeds[_UTILITY], utility_spans))
-
-        demand = None
+            utilities = [_random_utility(config._utility, u) for u in draws[_UTILITY].T.tolist()]
         if config.demand_range is not None:
-            (rel,) = _uniforms(seeds[_DEMAND], demand_span)
-            demand = rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
+            demands = [
+                rel * utility.max_value(config.p_max / (config.noise * radius**config.alpha))
+                for rel, utility, radius in zip(draws[_DEMAND][0].tolist(), utilities, radii)
+            ]
 
-        power = None
-        if config.power is not None:
-            sens = beta * radius**config.alpha
-            if config.power == "linear":
-                power = sens
-            elif config.power == "sqrt":
-                power = math.sqrt(sens)
-            else:
-                power = float(config.power)
-
-        coords += sender
-        coords += receiver
-        links.append(
-            Link(
-                id=i,
-                sender=2 * i,
-                receiver=2 * i + 1,
-                threshold=beta,
-                utility=utility,
-                demand=demand,
-                fixed_power=power,
-            )
-        )
-    metric = MetricSpace.euclidean(np.array(coords, dtype=np.float64).reshape(-1, dim), dim=dim)
+        for i, radius, beta, utility, demand in zip(ids, radii, betas, utilities, demands):
+            power = None
+            if config.power is not None:
+                sens = beta * radius**config.alpha
+                if config.power == "linear":
+                    power = sens
+                elif config.power == "sqrt":
+                    power = math.sqrt(sens)
+                else:
+                    power = float(config.power)
+            # positional: keywords add a fifth to what a Link costs
+            links.append(Link(i, 2 * i, 2 * i + 1, beta, utility, demand, power))
+    metric = MetricSpace.euclidean(coords.reshape(-1, dim), dim=dim)
     return Instance(
         metric=metric,
         alpha=config.alpha,

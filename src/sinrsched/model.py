@@ -218,7 +218,9 @@ class Link:
 
     # Written out, checking the arguments before it stores them, because an
     # instance load builds one Link per entry: the generated __init__ plus a
-    # __post_init__ reading the fields back cost ~20 % more per link.
+    # __post_init__ reading the fields back cost ~20 % more per link. One
+    # self.__dict__.update(...) would store the fields ~0.45 us faster, but
+    # it gives each Link a dict of its own: ~190 B more per link, +80 %.
     def __init__(self, id, sender, receiver, threshold=None, utility=None, demand=None,
                  fixed_power=None):
         if sender == receiver:

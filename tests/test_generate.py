@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from sinrsched import GenConfig, Instance, gen_line, gen_random
 from sinrsched import generate
-from sinrsched.generate import (
-    _BLOCK, MAX_DIM, _link_seeds, _seed_words, _seeded, _span, _uniforms,
-)
+from sinrsched.generate import _BLOCK, MAX_DIM, _seed_words, _seeded, _span, _uniform_draws
 
 STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
 SHANNON = {"family": "shannon"}
@@ -181,7 +179,7 @@ def test_numpy_integer_seed_and_n_are_the_same_integers():
 
 # sha256 of json.dumps(gen_random(config).to_dict(), sort_keys=True), recorded
 # with one numpy SeedSequence generator per (link, tag); one case per draw
-# path, and n=1100 spans two seeding blocks
+# path, and the n-1100 cases span two seeding blocks
 PINNED = {
     "beta-range": (dict(n=12, seed=3),
                    "03c92d89b9b9ac596a3f9639d3533039dd3d45b849351bd4cf4da44b2c0a0801"),
@@ -211,6 +209,26 @@ PINNED = {
             "50a1d97a5e786c6dbdef0d52e241a14a0a7fa4d2fc3aade5639fe4691bb9679e"),
     "n-1100": (dict(n=1100, seed=14, area=2000.0),
                "7af9d8f6f47f52532c5f3581d239afcddd3df424a3718c6d2ebf151a638a4af4"),
+    # each further draw path across a block edge
+    "n-1100-step-demands": (
+        dict(n=1100, seed=15, area=2000.0, utility=STEP, demand_range=(0.5, 3.0)),
+        "f38f24c849fab553311b644b4e239723f9cbf42dd8c6b5f55ef111e961c0c0ea"),
+    "n-1100-shannon-demands": (
+        dict(n=1100, seed=16, area=2000.0, utility=SHANNON, demand_range=(0.5, 2.0), p_max=1e6),
+        "97dcf4bec7c9dc2954e727cad746d3719626c4570e26013221910384e3e550b5"),
+    "n-1100-power-linear": (
+        dict(n=1100, seed=17, area=2000.0, power="linear"),
+        "e0de810feba5932169031b18931866678ba0ee0d61648b02b34ec678a841ede5"),
+    "n-1100-beta-set": (
+        dict(n=1100, seed=18, area=2000.0, beta_range=None, beta_set=(1.0, 2.0, 4.0, 8.0)),
+        "86cd186006684813064c60cd028af61a6a27e2b47cf4b202aea930685a784860"),
+    "n-1100-dim-3": (
+        dict(n=1100, seed=19, area=2000.0, dim=3, d_range=(2.0, 40.0)),
+        "66931c777db898126ddd51736761613c0eca6dbe12dbde9349d4e3392923fb3e"),
+    # 405 draws a link: the block shrinks to 161 links, and n=200 crosses its edge
+    "many-steps": (
+        dict(n=200, seed=20, utility={**STEP, "steps": 200}, demand_range=(0.5, 3.0)),
+        "f0bc19e55e97e5ceb7c9ed9098f1942e921e6d1169da2eca88cbd3643d2f27d8"),
 }
 
 
@@ -253,14 +271,22 @@ def _array_state(words):
     return _seeded(np.random.Generator(np.random.PCG64(0)), words).bit_generator.state
 
 
+def _blocks(seed, n, tags):
+    """Each block's first link and seed words, seeded as gen_random seeds
+    them, _BLOCK links at a time."""
+    return [(start, _seed_words(seed, range(start, min(start + _BLOCK, n)), tags))
+            for start in range(0, n, _BLOCK)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 5 * 1_000_003 * 1000, 2**64 + 5,
                                   2**100 + 3])
 def test_array_seeding_equals_numpy_seed_sequence(seed):
     # seeds of 1 to 5 entropy words, and the links on both sides of a block edge
-    for i, seeds in enumerate(_link_seeds(seed, _BLOCK + 3, TAGS)):
-        if i < 3 or i >= _BLOCK - 3:
-            for tag in TAGS:
-                assert _array_state(seeds[tag]) == _numpy_state(seed, i, tag), (i, tag)
+    for start, words in _blocks(seed, _BLOCK + 3, TAGS):
+        for i in range(start, start + len(words)):
+            if i < 3 or i >= _BLOCK - 3:
+                for tag in TAGS:
+                    assert _array_state(words[i - start, tag].tolist()) == _numpy_state(seed, i, tag)
 
 
 @given(seed=st.integers(0, 2**160), i=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1))
@@ -282,6 +308,18 @@ def _spans(segments):
     return [_span(low, high) for low, high, k in segments for _ in range(k)]
 
 
+def _hex_draws(words, segments_per_tag, few_draws):
+    """``_uniform_draws`` of a block as float.hex strings, [link][tag] -> draws,
+    with the block taking the packed pass or the one-stream-at-a-time path
+    as ``few_draws`` sets."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_FEW_DRAWS", few_draws)
+        draws = _uniform_draws(words, [_spans(segments) for segments in segments_per_tag])
+    assert [d.shape for d in draws] == [(len(_spans(s)), len(words)) for s in segments_per_tag]
+    # float.hex tells -0.0 from 0.0: the draws must be the same bits
+    return [[[x.hex() for x in d[:, k].tolist()] for d in draws] for k in range(len(words))]
+
+
 _FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 
@@ -291,28 +329,36 @@ def _segments(draw):
     runs = []
     for _ in range(draw(st.integers(1, 3))):
         low, high = sorted((draw(_FINITE), draw(_FINITE)))
+        if math.copysign(1.0, high - low) < 0:  # 0.0, -0.0: numpy rejects a width of -0.0
+            low, high = high, low
         runs.append((low, high, draw(st.integers(1, 5))))
     return runs
 
 
-@given(seed=st.integers(0, 2**160), i=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1),
-       segments=_segments())
+@given(seed=st.integers(0, 2**160), i=st.integers(0, 2**32 - 4), links=st.integers(1, 3),
+       tags=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+       segments=st.lists(_segments(), min_size=3, max_size=3), few_draws=st.sampled_from([0, 10**9]))
 @settings(max_examples=300, deadline=None)
-def test_uniform_draws_equal_numpy_uniform(seed, i, tag, segments):
-    words = _seed_words(seed, range(i, i + 1), [tag])[0, 0].tolist()
-    got = _uniforms(words, _spans(segments))
-    # float.hex tells -0.0 from 0.0: the draws must be the same bits
-    assert [x.hex() for x in got] == [x.hex() for x in _numpy_uniforms(seed, i, tag, segments)]
+def test_uniform_draws_equal_numpy_uniform(seed, i, links, tags, segments, few_draws):
+    # streams of unequal draw counts, several links a pass, on both paths
+    words = _seed_words(seed, range(i, i + links), tags)
+    got = _hex_draws(words, segments[: len(tags)], few_draws)
+    for k in range(links):
+        for t, tag in enumerate(tags):
+            want = _numpy_uniforms(seed, i + k, tag, segments[t])
+            assert got[k][t] == [x.hex() for x in want], (k, tag)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 5])
 def test_uniform_draws_across_a_block_edge(seed):
     segments = [(0.0, 1000.0, 2), (1.0, 100.0, 1), (0.5, 3.0, 1)]
-    for i, seeds in enumerate(_link_seeds(seed, _BLOCK + 2, TAGS)):
-        if i >= _BLOCK - 2:
-            for tag in TAGS:
-                got = _uniforms(seeds[tag], _spans(segments))
-                assert got == _numpy_uniforms(seed, i, tag, segments), (i, tag)
+    for start, words in _blocks(seed, _BLOCK + 2, TAGS):
+        got = _hex_draws(words, [segments] * len(TAGS), generate._FEW_DRAWS)
+        for i in range(start, start + len(words)):
+            if i >= _BLOCK - 2:
+                for tag in TAGS:
+                    want = _numpy_uniforms(seed, i, tag, segments)
+                    assert got[i - start][tag] == [x.hex() for x in want], (i, tag)
 
 
 def test_span_raises_as_numpy_uniform_raises():
@@ -342,6 +388,26 @@ def test_only_the_angle_and_beta_set_use_a_numpy_generator(monkeypatch, fields, 
                            **fields)
         gen_random(config)
         assert len(calls) == per_link * 40
+
+
+def test_a_zero_direction_points_along_the_first_axis(monkeypatch):
+    drawn = []
+
+    class Fixed:  # every other link's direction is zero
+        def normal(self, size):
+            drawn.append(size)
+            return np.zeros(size) if len(drawn) % 2 else np.array([3.0, 4.0])
+
+    monkeypatch.setattr(generate, "_seeded", lambda rng, words: Fixed())
+    inst = gen_random(GenConfig(n=40, seed=3, d_range=(5.0, 9.0)))
+    points = inst.metric.to_dict()["points"]
+    for link in inst.links:
+        (s0, s1), (r0, r1) = points[link.sender], points[link.receiver]
+        assert 5.0 - 1e-9 <= math.hypot(r0 - s0, r1 - s1) <= 9.0 + 1e-9
+        if link.id % 2 == 0:
+            assert r1 == s1 and r0 > s0
+        else:
+            assert (r1 - s1) == pytest.approx(4.0 / 3.0 * (r0 - s0))
 
 
 def test_seeding_builds_no_generator_per_link(monkeypatch):

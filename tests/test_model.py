@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from sinrsched import (
 )
 from sinrsched import latency
 from sinrsched.model import float_sum
-from sinrsched.utility import CappedUtility
+from sinrsched.utility import CappedUtility, StepUtility
 from sinrsched.verify import verify_flexible_run, verify_schedule
 
 
@@ -140,6 +141,28 @@ def test_instance_validation():
     )
     with pytest.raises(ValueError, match="coincide"):
         Link(id=0, sender=1, receiver=1)
+
+
+def test_link_fields_are_frozen_compared_hashed_and_pickled():
+    utility = StepUtility(((2.0, 1.0), (8.0, 3.0)))
+    link = Link(id=3, sender=6, receiver=7, threshold=2.0, utility=utility, demand=1.5,
+                fixed_power=4.0)
+    assert (link.id, link.sender, link.receiver, link.threshold, link.utility, link.demand,
+            link.fixed_power) == (3, 6, 7, 2.0, utility, 1.5, 4.0)
+    assert Link(3, 6, 7, 2.0, utility, 1.5, 4.0) == link
+    for name in ("id", "threshold", "fixed_power"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(link, name, 9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        link.other = 1
+    assert getattr(link, "other", None) is None
+    same, other = Link(3, 6, 7, 2.0, utility, 1.5, 4.0), Link(3, 6, 7, 2.0, utility, 1.5, 5.0)
+    assert same == link and hash(same) == hash(link) and other != link
+    assert hash(link) == hash((3, 6, 7, 2.0, utility, 1.5, 4.0))
+    assert Link(1, 0, 1) == Link(id=1, sender=0, receiver=1, threshold=None)
+    copy = pickle.loads(pickle.dumps(link))
+    assert copy == link and hash(copy) == hash(link) and copy.utility == utility
+    assert vars(copy) == vars(link)
 
 
 def test_length_is_the_metric_distance():

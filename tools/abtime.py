@@ -20,7 +20,9 @@ lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
 power p_max without the precondition check, ``fixed-checked`` the same call
 with the check and its warning, as ``sinrsched solve --algorithm fixed``
 runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
-the instance's bytes; ``latency`` runs ``solve_latency`` on the
+the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
+small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
+ends of a generator change show in one command; ``latency`` runs ``solve_latency`` on the
 latency-medium instance (n = 64, 3-step utilities); ``ratio`` runs the
 ratio-small benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
 for 100 seeds s from ``--seed`` on (default 0), and compares their report
@@ -29,9 +31,10 @@ three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
 of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
 pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``latency``,
-``ratio`` and ``brute`` in turn, each for ``--rounds`` rounds, which checks
-a solver or oracle change for identity and speed in one command, on
-candidate sets above and below the capacity solvers' dense-matrix limit.
+``ratio``, ``brute`` and ``gen`` in turn, each for ``--rounds`` rounds,
+which checks a solver, oracle or generator change for identity and speed in
+one command, on candidate sets above and below the capacity solvers'
+dense-matrix limit.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
@@ -62,7 +65,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio", "brute")  # the recipes ``all`` runs
+RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio", "brute", "gen")  # what ``all`` runs
+LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 
 
@@ -93,6 +97,12 @@ def _recipe(pkg, name: str, n: int, seed: int):
     if name == "ratio":
         ratio = importlib.import_module(f"{pkg.__name__}.experiments").experiment_ratio
         return lambda: [ratio(n=n, trials=1, seed=s) for s in range(seed, seed + RATIO_SEEDS)]
+    if name == "gen-ratio":  # the instance experiment_ratio(n, trials=1, seed=s) draws
+        configs = [pkg.GenConfig(
+            n=s % n + 1, seed=s * 1_000_003, area=1000.0, d_range=(1.0, 100.0),
+            beta_range=(1.0, 10.0), alpha=2.0, noise=1.0, p_max=20.0 * 30.0**2,
+        ) for s in range(seed, seed + RATIO_SEEDS)]
+        return lambda: [pkg.gen_random(config) for config in configs]
     if name == "brute":
         insts = [pkg.gen_random(pkg.GenConfig(
             n=n, seed=s, area=1000.0, d_range=lengths, beta_range=(1.0, 10.0), noise=1.0,
@@ -130,6 +140,8 @@ def _output(recipe: str, out) -> str:
     """The recipe's output as JSON text: traces included, no timings."""
     if recipe == "gen":
         return json.dumps(out.to_dict())  # an instance has no trace
+    if recipe == "gen-ratio":
+        return json.dumps([inst.to_dict() for inst in out])
     if recipe == "brute":
         return json.dumps(out)
     if recipe == "ratio":
@@ -140,8 +152,9 @@ def _output(recipe: str, out) -> str:
 
 def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one, every slot's
-    of both latency scheme runs, none for ``ratio``, ``brute`` and ``gen``."""
-    if recipe in ("ratio", "brute", "gen"):
+    of both latency scheme runs, none for ``ratio``, ``brute`` and the ``gen``
+    lines."""
+    if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return []
     if recipe == "latency":
         return [slot.solution for _, run in sorted(out.runs.items()) for slot in run.slots]
@@ -150,7 +163,7 @@ def _solutions(recipe: str, out) -> list:
 
 def _decisions(recipe: str, out) -> str:
     """The output's decisions as JSON text, without a power or an SINR."""
-    if recipe in ("ratio", "brute", "gen"):
+    if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return _output(recipe, out)
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
@@ -192,12 +205,11 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision of side A")
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
-    parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "gen", "all"),
-                        default="limited")
+    parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "all"), default="limited")
     parser.add_argument("--n", type=int,
-                        help="links (default: 2000, latency 64, ratio 10, brute 16)")
-    parser.add_argument("--seed", type=int,
-                        help="instance seed (default: 1000, latency and ratio 0, brute 5000)")
+                        help="links (default: 2000, latency 64, ratio and gen-ratio 10, brute 16)")
+    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency, "
+                                                 "ratio and gen-ratio 0, brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
 
@@ -205,10 +217,11 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         pkgs = {side: _load(f"sinrsched_{side}", _copy_package(rev, Path(tmp) / side))
                 for side, rev in (("A", args.base), ("B", args.head))}
-        for recipe in RECIPES if args.recipe == "all" else (args.recipe,):
-            n = args.n or {"latency": 64, "ratio": 10, "brute": 16}.get(recipe, 2000)
+        recipes = RECIPES if args.recipe == "all" else (args.recipe,)
+        for recipe in [line for r in recipes for line in LINES.get(r, (r,))]:
+            n = args.n or {"latency": 64, "ratio": 10, "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                {"latency": 0, "ratio": 0, "brute": 5000}.get(recipe, 1000))
+                {"latency": 0, "ratio": 0, "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
