@@ -13,21 +13,18 @@ time: each link's 128-bit PCG64 state is one 256-bit lane of a Python int, so
 one multiply-add takes the LCG step of a field's streams for the whole
 block, and PCG64's XSL-RR output and ``Generator.uniform``'s own arithmetic,
 ``low + (high - low) * ((x >> 11) * 2**-53)``, run once per block on the
-uint64 and float64 arrays read back from the steps' bytes. A block of fewer
-than ``_FEW_DRAWS`` draws (a config of a few links) steps each stream on
-Python ints instead, since the packed pass's numpy calls cost more there.
-Either way the draws equal numpy's bit for bit. Receivers are computed as
-arrays too. The angle's ``normal`` draw (numpy's ziggurat tables, out of
-Python's reach) and ``beta_set``'s ``choice`` (numpy's bounded integers)
-stay per link with numpy: the call's one Generator is set to the stream's
-PCG64 state just before each of them, so no state outlives a call.
+uint64 and float64 arrays read back from the steps' bytes. The draws equal
+numpy's bit for bit. Receivers are computed as arrays too. The angle's
+``normal`` draw (numpy's ziggurat tables, out of Python's reach) and
+``beta_set``'s ``choice`` (numpy's bounded integers) stay per link with
+numpy: the call's one Generator is set to the stream's PCG64 state just
+before each of them, so no state outlives a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
 from typing import Mapping, Optional, Sequence, Union
 
@@ -47,7 +44,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 _U11, _U58, _U63 = (np.array(c, dtype=np.uint64) for c in (11, 58, 63))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # the low 128 bits, and the lowest bit, of each stream's 256-bit lane
 _LANE_MASK, _LANE_ONE = b"\xff" * 16 + bytes(16), b"\x01" + bytes(31)
 _DOUBLE_UNIT = 1.0 / (1 << 53)  # numpy's next_double: the top 53 bits of a draw
@@ -55,9 +52,6 @@ _BLOCK = 1024  # links seeded per array pass
 # uniform draws per pass at most: a pass holds 32 bytes per draw, so links
 # with many draws (a step utility of many steps) take smaller blocks
 _PASS_DRAWS = 1 << 16
-# below this many draws a block's streams step one by one on Python ints,
-# which then costs less than the packed pass's fixed numpy calls
-_FEW_DRAWS = 24
 # the largest dim GenConfig takes: the plane and space are all any caller uses
 MAX_DIM = 3
 
@@ -149,14 +143,6 @@ def _seeded(rng: np.random.Generator, words: list) -> np.random.Generator:
     return rng
 
 
-@cache
-def _any_seed() -> np.random.SeedSequence:
-    """The seed of the one Generator each call builds and then sets to each
-    stream's state: built once, at the first call rather than at import,
-    since building it costs half of what the Generator costs."""
-    return np.random.SeedSequence(0)
-
-
 def _span(low, high) -> tuple:
     """(low, high - low) of a uniform draw, checked as ``Generator.uniform``
     checks them."""
@@ -164,22 +150,9 @@ def _span(low, high) -> tuple:
     width = high - low
     if not math.isfinite(width):
         raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, width) < 0.0:  # a width of -0.0 too, from 0.0 to -0.0
+        raise ValueError("high - low < 0")
     return low, width
-
-
-def _uniforms(words: list, spans: Sequence[tuple]) -> list:
-    """One draw per ``_span`` of ``spans``, in order, from the PCG64 stream
-    numpy seeds from ``words``: the floats ``Generator.uniform`` gives, one
-    call per run of equal spans (``size=k`` for k of them)."""
-    state, inc = _pcg_state(words)
-    draws = []
-    for low, width in spans:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        draws.append(low + width * ((x >> 11) * _DOUBLE_UNIT))
-    return draws
 
 
 def _uniform_draws(words: np.ndarray, spans: Sequence[Sequence[tuple]]) -> list:
@@ -192,33 +165,26 @@ def _uniform_draws(words: np.ndarray, spans: Sequence[Sequence[tuple]]) -> list:
     ``(state * _PCG_MULT + inc) & mask`` steps the field's streams of every
     link at once: a lane's product and sum stay below 2**256 and carry
     nothing into the next lane. The output and the draw run once, on the
-    bytes of every step. Below ``_FEW_DRAWS`` draws, ``_uniforms`` steps the
-    streams one by one."""
+    bytes of every step."""
     links = words.shape[0]
-    if links * sum(map(len, spans)) < _FEW_DRAWS:
-        seeds = words.tolist()
-        # a row per draw of each field, a column per link, as below
-        draws = np.array([row for t, s in enumerate(spans)
-                          for row in zip(*[_uniforms(w[t], s) for w in seeds])])
-    else:
-        mask = int.from_bytes(_LANE_MASK * links, "little")
-        ones = int.from_bytes(_LANE_ONE * links, "little")
-        chunks = []
-        for t, field_spans in enumerate(spans):
-            # a lane holds initseq in its low 128 bits and initstate above
-            seeds = int.from_bytes(words[:, t, ::-1].tobytes(), "little")
-            # PCG64's srandom: inc = initseq << 1 | 1, state = (initstate + inc) * mult + inc
-            inc = (seeds << 1 | ones) & mask
-            state = (((seeds >> 128 & mask) + inc) * _PCG_MULT + inc) & mask
-            for _ in field_spans:
-                state = (state * _PCG_MULT + inc) & mask
-                chunks.append(state.to_bytes(32 * links, "little"))
-        lanes = np.frombuffer(b"".join(chunks), dtype="<u8").reshape(-1, links, 4)
-        lo, hi = lanes[..., 0], lanes[..., 1]
-        x, rot = lo ^ hi, hi >> _U58  # XSL-RR; a rotation by 0 leaves x as it is
-        x = x >> rot | x << (-rot & _U63)
-        low, width = np.array([span for s in spans for span in s]).T[..., None]
-        draws = low + width * ((x >> _U11) * _DOUBLE_UNIT)
+    mask = int.from_bytes(_LANE_MASK * links, "little")
+    ones = int.from_bytes(_LANE_ONE * links, "little")
+    chunks = []
+    for t, field_spans in enumerate(spans):
+        # a lane holds initseq in its low 128 bits and initstate above
+        seeds = int.from_bytes(words[:, t, ::-1].tobytes(), "little")
+        # PCG64's srandom: inc = initseq << 1 | 1, state = (initstate + inc) * mult + inc
+        inc = (seeds << 1 | ones) & mask
+        state = (((seeds >> 128 & mask) + inc) * _PCG_MULT + inc) & mask
+        for _ in field_spans:
+            state = (state * _PCG_MULT + inc) & mask
+            chunks.append(state.to_bytes(32 * links, "little"))
+    lanes = np.frombuffer(b"".join(chunks), dtype="<u8").reshape(-1, links, 4)
+    lo, hi = lanes[..., 0], lanes[..., 1]
+    x, rot = lo ^ hi, hi >> _U58  # XSL-RR; a rotation by 0 leaves x as it is
+    x = x >> rot | x << (-rot & _U63)
+    low, width = np.array([span for s in spans for span in s]).T[..., None]
+    draws = low + width * ((x >> _U11) * _DOUBLE_UNIT)
     ends = accumulate(map(len, spans))
     return [draws[end - len(s) : end] for s, end in zip(spans, ends)]
 
@@ -285,7 +251,9 @@ class GenConfig:
             raise ValueError(f"{name}: thresholds must be > 0, not {getattr(self, name)}")
         if self.demand_range is not None:
             demands = _pair(self.demand_range, "demand_range")
-            if not 0.0 <= demands[0] <= demands[1]:
+            # (0.0, -0.0) too: its width is -0.0, which Generator.uniform rejects
+            sign = math.copysign(1.0, demands[1] - demands[0])
+            if not 0.0 <= demands[0] <= demands[1] or sign < 0.0:
                 raise ValueError(f"demand_range must have 0 <= lo <= hi, not {self.demand_range}")
         if not self.allow_sub_unit and any(b < 1 for b in betas):
             raise ValueError("thresholds below 1 need allow_sub_unit")
@@ -340,7 +308,7 @@ def _utility_params(params) -> tuple:
         if not gamma_max >= 1.0:
             raise ValueError(f"utility field 'gamma_max' must be >= 1, not {gamma_max}")
         value_max = _finite(params.get("value_max", 1.0), "utility field 'value_max'")
-        if not value_max >= 0.0:
+        if math.copysign(1.0, value_max) < 0.0:  # -0.0 too: its values span 0.0 to -0.0
             raise ValueError(f"utility field 'value_max' must be >= 0, not {value_max}")
         return family, n_steps, gamma_max, value_max
     if family == "shannon":
@@ -400,7 +368,7 @@ def gen_random(config: GenConfig) -> Instance:
     block = max(1, min(_BLOCK, _PASS_DRAWS // sum(map(len, spans.values()))))
     coords = np.empty((n, 2, dim))  # sender i's, then receiver i's, for each link i
     links: list[Link] = []
-    rng = np.random.Generator(np.random.PCG64(_any_seed()))
+    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, n, block):
         ids = range(start, min(start + block, n))
         words = _seed_words(config.seed, ids, tags)

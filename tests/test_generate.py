@@ -112,6 +112,9 @@ def test_impossible_geometry_rejected():
     ({"n": 0, "power": True}, "power"),
     ({"utility": {"family": "step", "gamma_max": 0.5}}, "'gamma_max'"),
     ({"utility": {"family": "step", "value_max": -1.0}}, "'value_max'"),
+    # spans of width -0.0 (0.0 to -0.0), which Generator.uniform rejects
+    ({"n": 0, "utility": {"family": "step", "value_max": -0.0}}, "'value_max'"),
+    ({"n": 0, "utility": STEP, "demand_range": (0.0, -0.0)}, "demand_range"),
     ({"utility": {"family": "step", "steps": 10**12}}, "'steps'"),
     ({"utility": {"family": "step", "steps": 10_001}}, "'steps'"),
     ({"utility": {"family": "shannon", "scale_range": (2.0, 1.0)}}, "'scale_range'"),
@@ -157,7 +160,8 @@ def test_impossible_geometry_rejected():
         "infinite-demand", "float-seed", "negative-seed", "float-n",
         "empty-demands-without-utility", "empty-unknown-family", "empty-zero-steps",
         "empty-unknown-power", "empty-negative-power", "empty-infinite-power", "empty-bool-power",
-        "gamma-max-below-one", "negative-value-max", "huge-steps", "steps-over-max",
+        "gamma-max-below-one", "negative-value-max", "empty-minus-zero-value-max",
+        "empty-minus-zero-demand-width", "huge-steps", "steps-over-max",
         "reversed-scale-range", "zero-scale", "cutoff-below-one", "shannon-demands-uncapped",
         "empty-negative-demands", "empty-reversed-demands", "empty-reversed-beta",
         "empty-beta-set", "empty-zero-dim", "empty-negative-dim", "empty-float-dim",
@@ -308,13 +312,9 @@ def _spans(segments):
     return [_span(low, high) for low, high, k in segments for _ in range(k)]
 
 
-def _hex_draws(words, segments_per_tag, few_draws):
-    """``_uniform_draws`` of a block as float.hex strings, [link][tag] -> draws,
-    with the block taking the packed pass or the one-stream-at-a-time path
-    as ``few_draws`` sets."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(generate, "_FEW_DRAWS", few_draws)
-        draws = _uniform_draws(words, [_spans(segments) for segments in segments_per_tag])
+def _hex_draws(words, segments_per_tag):
+    """``_uniform_draws`` of a block as float.hex strings, [link][tag] -> draws."""
+    draws = _uniform_draws(words, [_spans(segments) for segments in segments_per_tag])
     assert [d.shape for d in draws] == [(len(_spans(s)), len(words)) for s in segments_per_tag]
     # float.hex tells -0.0 from 0.0: the draws must be the same bits
     return [[[x.hex() for x in d[:, k].tolist()] for d in draws] for k in range(len(words))]
@@ -329,7 +329,7 @@ def _segments(draw):
     runs = []
     for _ in range(draw(st.integers(1, 3))):
         low, high = sorted((draw(_FINITE), draw(_FINITE)))
-        if math.copysign(1.0, high - low) < 0:  # 0.0, -0.0: numpy rejects a width of -0.0
+        if math.copysign(1.0, high - low) < 0:  # 0.0, -0.0: _span and numpy reject it
             low, high = high, low
         runs.append((low, high, draw(st.integers(1, 5))))
     return runs
@@ -337,12 +337,12 @@ def _segments(draw):
 
 @given(seed=st.integers(0, 2**160), i=st.integers(0, 2**32 - 4), links=st.integers(1, 3),
        tags=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
-       segments=st.lists(_segments(), min_size=3, max_size=3), few_draws=st.sampled_from([0, 10**9]))
+       segments=st.lists(_segments(), min_size=3, max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_uniform_draws_equal_numpy_uniform(seed, i, links, tags, segments, few_draws):
-    # streams of unequal draw counts, several links a pass, on both paths
+def test_uniform_draws_equal_numpy_uniform(seed, i, links, tags, segments):
+    # streams of unequal draw counts, several links a pass
     words = _seed_words(seed, range(i, i + links), tags)
-    got = _hex_draws(words, segments[: len(tags)], few_draws)
+    got = _hex_draws(words, segments[: len(tags)])
     for k in range(links):
         for t, tag in enumerate(tags):
             want = _numpy_uniforms(seed, i + k, tag, segments[t])
@@ -353,7 +353,7 @@ def test_uniform_draws_equal_numpy_uniform(seed, i, links, tags, segments, few_d
 def test_uniform_draws_across_a_block_edge(seed):
     segments = [(0.0, 1000.0, 2), (1.0, 100.0, 1), (0.5, 3.0, 1)]
     for start, words in _blocks(seed, _BLOCK + 2, TAGS):
-        got = _hex_draws(words, [segments] * len(TAGS), generate._FEW_DRAWS)
+        got = _hex_draws(words, [segments] * len(TAGS))
         for i in range(start, start + len(words)):
             if i >= _BLOCK - 2:
                 for tag in TAGS:
@@ -363,11 +363,18 @@ def test_uniform_draws_across_a_block_edge(seed):
 
 def test_span_raises_as_numpy_uniform_raises():
     rng = np.random.Generator(np.random.PCG64(0))
-    for low, high in [(-1e308, 1e308), (0.0, math.nan), (-math.inf, 1.0)]:
-        with pytest.raises(OverflowError) as want:
-            rng.uniform(low, high)
-        with pytest.raises(OverflowError, match="^" + str(want.value) + "$"):
-            _span(low, high)
+    for error, cases in [(OverflowError, [(-1e308, 1e308), (0.0, math.nan), (-math.inf, 1.0)]),
+                         (ValueError, [(0.0, -0.0), (5.0, 1.0), (-1e-300, -2e-300)])]:
+        for low, high in cases:
+            with pytest.raises(error) as want:
+                rng.uniform(low, high)
+            with pytest.raises(error, match="^" + str(want.value) + "$"):
+                _span(low, high)
+    # numpy draws from a span of width +0.0, whatever the zeros' signs
+    for low, high in [(-0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (2.5, 2.5)]:
+        assert _span(low, high) == (low, 0.0) and math.copysign(1.0, _span(low, high)[1]) > 0
+        assert rng.uniform(low, high) == low
+
 
 
 @pytest.mark.parametrize("fields, per_link", [

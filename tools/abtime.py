@@ -22,8 +22,9 @@ with the check and its warning, as ``sinrsched solve --algorithm fixed``
 runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
 the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
 small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
-ends of a generator change show in one command; ``latency`` runs ``solve_latency`` on the
-latency-medium instance (n = 64, 3-step utilities); ``ratio`` runs the
+ends of a generator change show in one command; ``latency`` runs
+``solve_latency`` on the latency-medium instance (n = 64, 3-step
+utilities); ``ratio`` runs the
 ratio-small benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
 for 100 seeds s from ``--seed`` on (default 0), and compares their report
 rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
