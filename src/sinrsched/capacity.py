@@ -21,18 +21,22 @@ solver builds an n x n matrix over its n candidates: a solve takes O(n *
 |accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
 recurrence and the SINR evaluation of the accepted links, which share one
 cross matrix taken from the same kernel. A set of at most 128 candidates,
-such as a latency or flexible level, measures every pair once into one m x m
-matrix (at most 128 KB) that every kernel reads, with the same floats. The
-solvers measure only through their candidates, never through ``geometry``.
-The fixed pass's rows and columns cover only the n_gate links that pass the
-solo SINR gate, O(n_gate * |accepted|); a link that misses it appears only as
-a trace row. The limited solver's second pass over the k links its first
-pass accepted takes their weights in column blocks of 256 links, in O(k *
-256) memory. Endpoints, ``d^alpha`` and thresholds are sliced from the
-per-link arrays cached on ``Instance``, so every sensitivity and kernel here
-reads the one ``Instance.d_alpha``. Every cross ``d^alpha`` is one
-``MetricSpace.between`` call, which raises the squared distance to alpha / 2
-with no square root (the sum itself at alpha = 2).
+such as a latency or flexible level, has one m x m matrix (at most 128 KB)
+that every kernel reads, with the same floats. On an instance of at most 128
+links that matrix is sliced out of the instance's own pair matrix, measured
+on the first solve and kept (``Instance._cross_alpha``), so the many level
+solves of a latency schedule measure no distance; on a larger instance the
+set measures its own. The solvers measure only through their candidates,
+never through ``geometry``. The fixed pass's rows and columns cover only the
+n_gate links that pass the solo SINR gate, O(n_gate * |accepted|); a link
+that misses it appears only as a trace row. The limited solver's second pass
+over the k links its first pass accepted takes their weights in column
+blocks of 256 links, in O(k * 256) memory. Endpoints, ``d^alpha`` and
+thresholds are sliced from the per-link arrays cached on ``Instance``, so
+every sensitivity and kernel here reads the one ``Instance.d_alpha``. Every
+cross ``d^alpha`` is one ``MetricSpace.between`` call, which raises the
+squared distance to alpha / 2 with no square root (the sum itself at alpha =
+2).
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -55,11 +59,11 @@ from .model import (
     Solution,
     Thresholds,
     _sensitivities,
+    _sinr,
     empty_solution,
     index_of,
     powers_for,
     sensitivity_order,
-    sinr_vector,
     thresholds_for,
 )
 
@@ -67,9 +71,10 @@ from .model import (
 # column block of the weights that pass evaluates.
 SECOND_PASS_BUDGET = 0.25
 _BLOCK = 256
-# Candidate sets of at most this many links measure every pair once into one
-# matrix (see ``_Candidates``): a level solve over a few dozen candidates then
-# computes one matrix, not 2k + 1 distance rows. Timed against streaming, the
+# Candidate sets of at most this many links read every pair from one matrix
+# (see ``_Candidates``): a level solve over a few dozen candidates then reads
+# one matrix, not 2k + 1 distance rows. An instance of at most this many
+# links measures that matrix once over all its links. Timed against streaming, the
 # unlimited greedy is faster or even up to 128 links and ~1.9x slower at 192,
 # where the rows of its few accepted links cost less than every pair.
 _DENSE = 128
@@ -93,21 +98,28 @@ class _Candidates:
     """O(n) arrays over a candidate set and the pair kernels the greedies add up.
 
     ``pos`` are the candidates' rows of the instance arrays, ``beta`` their
-    resolved thresholds and ``p`` their powers, if any. Endpoints are gathered
-    once (see ``MetricSpace.gather``). A kernel gives the value from each
-    candidate a onto each b, for positions that broadcast: ``(k, ALL)`` is a
-    row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None, :])`` a block.
-    A value onto itself is left as computed. Use it under ``_ROW_ERRSTATE``.
+    resolved thresholds and ``p`` their powers, if any. A kernel gives the
+    value from each candidate a onto each b, for positions that broadcast:
+    ``(k, ALL)`` is a row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None,
+    :])`` a block. A value onto itself is left as computed. Use it under
+    ``_ROW_ERRSTATE``.
 
-    ``_alpha`` is ``MetricSpace.between`` at the instance's alpha. A set of
-    at most ``_DENSE`` candidates measures every pair once, at construction,
-    into ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m floats, at
-    most 128 KB), with the same call as a streamed row, so both paths give
-    the same bits. Paired against streaming on the capacity recipe
-    (area 1000 * sqrt(n / 2000)), the unlimited solver's time ratio dense /
-    streaming was 0.93 at 16 and 64 links, ~1.0 at 96 and 128, 1.85 at 192
-    and 2.30 at 256; the fixed solver's was 0.80-0.85 at every size. Larger
-    sets stream: ``cross`` is None.
+    ``_alpha`` reads ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m
+    floats, at most 128 KB) when the set has it, and otherwise measures with
+    ``MetricSpace.between`` at the instance's alpha, on endpoints gathered
+    once (see ``MetricSpace.gather``). Where ``cross`` comes from:
+
+    * an instance of at most ``_DENSE`` links: sliced at ``pos`` out of the
+      instance's pair matrix, which the first solve on it measures;
+    * a larger instance, and a set of at most ``_DENSE`` candidates: every
+      pair measured once, at construction;
+    * a larger set: none (``cross`` is None), every row and column streams.
+
+    All three measure with the same call as a streamed row, so they give the
+    same bits. Paired against streaming on the capacity recipe (area 1000 *
+    sqrt(n / 2000)), the unlimited solver's time ratio dense / streaming was
+    0.93 at 16 and 64 links, ~1.0 at 96 and 128, 1.85 at 192 and 2.30 at
+    256; the fixed solver's was 0.80-0.85 at every size.
 
     The fixed pass builds the set over only the links that pass the solo
     gate, so its rows and columns take O(n_gate) each; the links that miss
@@ -118,18 +130,22 @@ class _Candidates:
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
-        metric = instance.metric
-        self.between = metric.between
-        self.alpha = instance.alpha
         self.index = index_of(ids)
-        self.senders = metric.gather(instance.senders[pos])
-        self.receivers = metric.gather(instance.receivers[pos])
         self.cross = None
-        if len(ids) <= _DENSE:
-            # cross[i, j] = d(sender_j, receiver_i)^alpha, every pair measured
-            # once with the streaming kernel's call
-            self.cross = self.between(self.receivers[..., :, None], self.senders[..., None, :],
-                                      self.alpha)
+        if len(instance.links) <= _DENSE:
+            # the instance's pair matrix, measured once per instance
+            self.cross = instance._cross_alpha[pos[:, None], pos[None, :]]
+        else:
+            metric = instance.metric
+            self.between = metric.between
+            self.alpha = instance.alpha
+            self.senders = metric.gather(instance.senders[pos])
+            self.receivers = metric.gather(instance.receivers[pos])
+            if len(ids) <= _DENSE:
+                # cross[i, j] = d(sender_j, receiver_i)^alpha, every pair
+                # measured once with the streaming kernel's call
+                self.cross = self.between(self.receivers[..., :, None],
+                                          self.senders[..., None, :], self.alpha)
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
         self.sens = _sensitivities(ids, beta, self.d_alpha)
@@ -259,7 +275,7 @@ def _finish(instance, cands, accepted, algorithm, trace, p=None):
     so the SINRs are ``evaluate_sinrs``' arithmetic. Scalar steps use Python
     floats. The trace is kept even when nothing is selected."""
     selected = sorted(accepted)
-    at = np.array(list(map(cands.index.__getitem__, selected)), dtype=np.intp)
+    at = np.fromiter(map(cands.index.__getitem__, selected), np.intp, len(selected))
     cross = cands._alpha(at[None, :], at[:, None])
     if p is None:
         beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
@@ -278,7 +294,7 @@ def _finish(instance, cands, accepted, algorithm, trace, p=None):
     return Solution(
         selected=tuple(selected),
         powers=dict(zip(selected, powers.tolist())),
-        sinr=dict(zip(selected, sinr_vector(cross, powers, instance.noise).tolist())),
+        sinr=dict(zip(selected, _sinr(cross, powers, instance.noise).tolist())),
         objective=float(len(selected)),
         algorithm=algorithm,
         trace=trace,

@@ -51,7 +51,7 @@ level's values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -307,7 +307,9 @@ class _Reuse:
                 elif r[1]:
                     break  # its greedy accepted one: every later load differs
             else:
-                return replace(level.solution, trace=tuple(trace)), self._values(level)
+                sol = level.solution
+                return (Solution(sol.selected, sol.powers, sol.sinr, sol.objective, sol.algorithm,
+                                 tuple(trace)), self._values(level))
         return None, None
 
     def _values(self, level: FlexibleLevel) -> Optional[tuple]:

@@ -6,7 +6,9 @@ and ``to_dict``, with each link's utility through ``utility_from_dict`` and
 ``_integer``) are the ones every reader in the package uses.
 
 Everything here is immutable after construction and safe to share between
-concurrent workers; all operations are pure functions of their inputs.
+concurrent workers; all operations are pure functions of their inputs. (An
+instance's solver-only pair matrix is computed on first use; every worker
+that computes it gets the same bits.)
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
@@ -255,6 +257,15 @@ class Instance:
                         the package reads it, so it must be finite and positive
     thresholds          link thresholds, NaN where a link has none; a link's
                         sensitivity threshold * d_alpha must be finite too
+
+    ``_cross_alpha`` is the pair matrix ``cross[i, j] = d(sender_j,
+    receiver_i)^alpha`` over all links, measured with ``geometry``'s call on
+    first access and kept read-only. It serves the capacity solvers only,
+    which read it on instances of at most ``capacity._DENSE`` = 128 links
+    (at most 128 KB) and slice every candidate set's matrix out of it;
+    ``geometry``, ``evaluate_sinrs`` and the oracles measure on their own. It
+    is not a field: ``==``, ``hash`` and ``dataclasses.replace`` ignore it,
+    and a pickled copy leaves it out.
     """
 
     metric: MetricSpace
@@ -317,6 +328,21 @@ class Instance:
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+
+    def __getstate__(self) -> dict:
+        # a copy measures its own pair matrix when it needs one
+        state = dict(vars(self))
+        state.pop("_cross_alpha", None)
+        return state
+
+    @cached_property
+    def _cross_alpha(self) -> np.ndarray:
+        metric = self.metric
+        with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
+            cross = metric.between(metric.gather(self.receivers[:, None]),
+                                   metric.gather(self.senders[None, :]), self.alpha)
+        cross.flags.writeable = False
+        return cross
 
     def _position(self, link_id: int) -> int:
         try:
@@ -607,8 +633,8 @@ def thresholds_for(
             missing[given] = False
         if missing.any():
             raise ValueError(f"link {ids[int(np.argmax(missing))]} has no threshold")
-    # NaN fails both comparisons
-    if not ((out > 0).all() and (out < INF).all()):
+    # the reductions carry a NaN, which fails both comparisons
+    if len(out) and not (np.minimum.reduce(out) > 0 and np.maximum.reduce(out) < INF):
         k = int(np.argmin((out > 0) & (out < INF)))
         raise ValueError(f"link {ids[k]}: threshold must be finite and positive, got {out[k]}")
     return out
@@ -631,12 +657,18 @@ def _overflow_message(lid, beta, d_alpha) -> str:
             f"(threshold {beta:g}, distance^alpha {d_alpha:g})")
 
 
-def _received(p: np.ndarray, dist_alpha_row: np.ndarray) -> np.ndarray:
-    """Per-sender received strength p / d^alpha; zero power emits nothing even
-    from a zero-distance sender. A zero distance divides by zero and an
-    infinite power over an infinite distance is invalid: callers run it
-    under ``np.errstate(divide="ignore", invalid="ignore")``."""
-    return np.where(p == 0, 0.0, p / dist_alpha_row)
+def _sinr(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
+    """``sinr_vector``'s arithmetic, for callers already under
+    ``np.errstate(divide="ignore", invalid="ignore")``: a zero cross-distance
+    divides by zero, and an infinite power over an infinite one is invalid.
+    Received strength is p / d^alpha per sender, and zero power emits nothing
+    even from a zero-distance sender; that guard runs only when some power is
+    0, since without a zero it gives the same floats."""
+    received = p[..., None, :] / cross_alpha
+    if np.count_nonzero(p) < p.size:
+        received = np.where(p[..., None, :] == 0, 0.0, received)
+    signal = np.diagonal(received, axis1=-2, axis2=-1)
+    return signal / (received.sum(axis=-1) - signal + noise)
 
 
 def sinr_vector(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
@@ -647,9 +679,7 @@ def sinr_vector(cross_alpha: np.ndarray, p: np.ndarray, noise: float) -> np.ndar
     call. An infinite power gives an infinite or NaN SINR, without a
     warning."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        received = _received(p[..., None, :], cross_alpha)
-        signal = np.diagonal(received, axis1=-2, axis2=-1)
-        return signal / (received.sum(axis=-1) - signal + noise)
+        return _sinr(cross_alpha, p, noise)
 
 
 def evaluate_sinrs(

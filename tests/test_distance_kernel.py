@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from sinrsched import Instance, Link, MetricSpace
+from sinrsched import Instance, Link, MetricSpace, solve_unlimited
 from sinrsched.model import geometry
 
 ALPHA = 2.7
@@ -151,6 +151,40 @@ def test_length_and_d_alpha_are_the_matrix_entries():
     _assert_lengths_are_kernel_bits(inst, matrix[inst.receivers, inst.senders] ** ALPHA)
     for link in inst.links:
         assert inst.length(link.id) == matrix[link.receiver, link.sender]
+
+
+def _cached_pair_matrix(inst):
+    """The instance's pair matrix as a solve builds it: every link at
+    threshold 1, so that links without a threshold take part."""
+    assert "_cross_alpha" not in vars(inst)
+    solve_unlimited(inst, thresholds=dict.fromkeys(inst.link_ids, 1.0))
+    cross = vars(inst)["_cross_alpha"]
+    assert not cross.flags.writeable
+    with pytest.raises(ValueError):
+        cross[0, 0] = 1.0
+    return cross
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cached_pair_matrix_bit_equal_to_row_major_reference(dim, alpha):
+    pts = _points(dim, n=12)
+    inst = _shared_endpoint_instance(pts)
+    inst = Instance(inst.metric, alpha, inst.noise, inst.links)
+    want = _squared(pts, inst.receivers[:, None], inst.senders[None, :]) ** (alpha / 2)
+    cross = _cached_pair_matrix(inst)
+    assert cross.shape == (len(inst.links),) * 2
+    assert cross.tobytes() == want.tobytes()
+    assert np.count_nonzero(cross == 0) > 0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_cached_pair_matrix_raises_the_matrix_entries(alpha):
+    pts = _points(2, n=20)
+    matrix = _reference(pts, np.arange(20)[:, None], np.arange(20)[None, :])
+    inst = Instance(MetricSpace.from_matrix(matrix), alpha, 1.0, _shared_endpoint_instance(pts).links)
+    want = matrix[inst.receivers[:, None], inst.senders[None, :]] ** alpha
+    assert _cached_pair_matrix(inst).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

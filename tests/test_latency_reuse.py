@@ -535,6 +535,8 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
     powers = {lid: rng.uniform(0.0, 1e4) for lid in ids}
     p = np.array([powers[lid] for lid in ids])
     cands = _Candidates(inst, ids, inst.positions(ids), thresholds_for(inst, ids, thresholds), p)
+    senders = [inst.link(lid).sender for lid in ids]
+    receivers = [inst.link(lid).receiver for lid in ids]
     for k, lid in enumerate(ids):
         link = inst.link(lid)
         s = np.array([link.sender], dtype=np.intp)
@@ -542,9 +544,12 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
         d_alpha = _row_major_d_alpha(inst, r, s)
         beta = np.array([thresholds.get(lid, link.threshold)])
         assert cands.index[lid] == k
-        # the gathered endpoints are the nodes' coordinates
-        assert _bits(cands.senders[..., k]) == _bits(inst.metric.gather(link.sender))
-        assert _bits(cands.receivers[..., k]) == _bits(inst.metric.gather(link.receiver))
+        # row k holds every candidate's sender at k's receiver, column k k's
+        # sender at every candidate's receiver
+        assert _bits(cands.cross[k]) == _bits(_row_major_d_alpha(inst, [link.receiver] * len(ids),
+                                                                 senders))
+        assert _bits(cands.cross[:, k]) == _bits(_row_major_d_alpha(inst, receivers,
+                                                                    [link.sender] * len(ids)))
         assert _bits(cands.d_alpha[k:k + 1]) == _bits(d_alpha)
         assert _bits(cands.beta[k:k + 1]) == _bits(beta)
         assert _bits(cands.sens[k:k + 1]) == _bits(beta * d_alpha)

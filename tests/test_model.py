@@ -29,7 +29,7 @@ from sinrsched import (
     solve_unlimited,
 )
 from sinrsched import latency
-from sinrsched.model import float_sum
+from sinrsched.model import float_sum, sinr_vector, thresholds_for
 from sinrsched.utility import CappedUtility, StepUtility
 from sinrsched.verify import verify_flexible_run, verify_schedule
 
@@ -93,6 +93,47 @@ def test_sinr_errors():
     inst = gen_line([(0, 1, 1), (4, 5, 1)], alpha=2, noise=0.1)
     with pytest.raises(ValueError, match="missing power for link 1"):
         evaluate_sinrs(inst, [0, 1], {0: 1.0})
+
+
+def _where_sinr(cross_alpha, p, noise):
+    """SINRs with the zero-power guard applied to every entry."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        received = np.where(p[..., None, :] == 0, 0.0, p[..., None, :] / cross_alpha)
+        signal = np.diagonal(received, axis1=-2, axis2=-1)
+        return signal / (received.sum(axis=-1) - signal + noise)
+
+
+def test_sinr_vector_equals_the_guarded_reference_row_by_row():
+    # row 0 has a silent sender at zero distance from another receiver,
+    # where p / d^alpha alone would read 0 / 0; row 1 has no zero power
+    k = 11
+    rng = np.random.default_rng(4)
+    stack = rng.uniform(0.5, 50.0, size=(2, k, k)) ** 2.5
+    powers = rng.uniform(1.0, 1e4, size=(2, k))
+    stack[0, 3, 7] = 0.0
+    powers[0, 7] = 0.0
+    for cross, p in ((stack, powers), (stack[1:], powers[1:])):
+        got = sinr_vector(cross, p, 0.3)
+        assert got.tobytes() == _where_sinr(cross, p, 0.3).tobytes()
+        for row in range(len(p)):
+            assert sinr_vector(cross[row], p[row], 0.3).tobytes() == got[row].tobytes()
+    # the silent sender adds nothing at receiver 3 and has SINR 0 itself
+    guarded = sinr_vector(stack, powers, 0.3)[0]
+    assert np.isfinite(guarded[3]) and guarded[7] == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.0, -1.0, math.inf])
+def test_thresholds_for_names_the_first_bad_link(bad):
+    inst = gen_line([(0, 1, 1), (4, 5, 2), (9, 10, 1), (14, 15, 3)], alpha=2, noise=0.1)
+    ids = [3, 1, 0, 2]
+    message = f"link 1: threshold must be finite and positive, got {bad}"
+    with pytest.raises(ValueError, match=message):
+        thresholds_for(inst, ids, np.array([2.0, bad, 3.0, bad]))
+    with pytest.raises(ValueError, match=message):
+        thresholds_for(inst, ids, {1: bad, 2: bad})
+    assert thresholds_for(inst, ids, {1: 5.0}).tolist() == [3.0, 5.0, 1.0, 1.0]
+    assert thresholds_for(inst, [], np.empty(0)).shape == (0,)
+    assert thresholds_for(inst, []).shape == (0,)
 
 
 def test_sensitivity_order_strict():
@@ -163,6 +204,27 @@ def test_link_fields_are_frozen_compared_hashed_and_pickled():
     copy = pickle.loads(pickle.dumps(link))
     assert copy == link and hash(copy) == hash(link) and copy.utility == utility
     assert vars(copy) == vars(link)
+
+
+def test_cached_pair_matrix_leaves_equality_hash_replace_and_pickle_alone():
+    inst = gen_random(GenConfig(n=20, seed=6))
+    twin = dataclasses.replace(inst)
+
+    def observed():
+        return inst == twin, twin == inst, hash(inst), pickle.dumps(inst)
+
+    before = observed()
+    solution = solve_unlimited(inst)
+    assert "_cross_alpha" in vars(inst)
+    assert observed() == before
+    copy = dataclasses.replace(inst)
+    loaded = pickle.loads(pickle.dumps(inst))
+    for other in (copy, loaded):
+        assert "_cross_alpha" not in vars(other)
+        assert other.to_dict() == inst.to_dict()
+        assert solve_unlimited(other) == solution
+        assert vars(other)["_cross_alpha"].tobytes() == vars(inst)["_cross_alpha"].tobytes()
+    assert copy == inst and hash(copy) == hash(inst)
 
 
 def test_length_is_the_metric_distance():

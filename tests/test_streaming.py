@@ -26,6 +26,7 @@ from sinrsched import (
     gen_line,
     gen_random,
     solve_fixed,
+    solve_latency,
     solve_limited,
     solve_unlimited,
 )
@@ -356,6 +357,54 @@ def test_only_sets_within_the_dense_limit_measure_every_pair(monkeypatch):
     matrices = [s for s in shapes if len(s) >= 2]
     assert matrices and 0 < selected < m
     assert max(max(s) for s in matrices) <= selected
+
+
+def _measured_shapes(monkeypatch):
+    """The shapes of every array ``MetricSpace.between`` returns from now on."""
+    shapes = []
+    original_between = MetricSpace.between
+
+    def between(self, a, b, alpha=1.0):
+        out = original_between(self, a, b, alpha)
+        shapes.append(np.shape(out))
+        return out
+
+    monkeypatch.setattr(MetricSpace, "between", between)
+    return shapes
+
+
+def test_a_small_instance_measures_its_pairs_once(monkeypatch):
+    # latency-medium's recipe: every level solve of every slot slices one
+    # 64 x 64 matrix, measured on first use and kept by the instance
+    n = 64
+    inst = gen_random(GenConfig(
+        n=n, seed=2, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+        demand_range=(0.5, 3.0),
+        utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
+    ))
+    assert n <= capacity._DENSE
+    shapes = _measured_shapes(monkeypatch)
+    first = solve_latency(inst)
+    assert shapes == [(n, n)]
+    shapes.clear()
+    assert solve_latency(inst).to_dict(include_trace=True) == first.to_dict(include_trace=True)
+    assert shapes == []
+    # the checker's geometry measures on its own
+    geometry(inst, inst.link_ids[:5])
+    assert shapes == [(5, 5)]
+
+
+def test_an_instance_above_the_dense_limit_caches_no_matrix():
+    m = capacity._DENSE
+    inst = gen_random(GenConfig(n=m + 1, seed=3, area=400.0 * ((m + 1) / 50) ** 0.5,
+                                d_range=(1.0, 60.0), p_max=P_MAX))
+    ids = list(inst.link_ids)
+    uniform = dict.fromkeys(ids, inst.p_max)
+    for links in (ids, ids[:m], ids[:10]):
+        assert solve_unlimited(inst, links).selected
+        assert solve_limited(inst, links).selected
+        assert solve_fixed(inst, links, powers=uniform, warn_preconditions=False).selected
+    assert "_cross_alpha" not in vars(inst)
 
 
 def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):

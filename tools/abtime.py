@@ -23,9 +23,11 @@ runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
 the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
 small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
 ends of a generator change show in one command; ``latency`` runs
-``solve_latency`` on the latency-medium instance (n = 64, 3-step
-utilities); ``ratio`` runs the
-ratio-small benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
+``solve_latency`` on each of the latency-medium benchmark's five instances
+(n = 64, 3-step utilities, seeds ``--seed`` to ``--seed`` + 4, default 0
+to 4), the workload's op mix, so that a change which helps some instances
+more than others shows in its time; ``ratio`` runs the ratio-small
+benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
 for 100 seeds s from ``--seed`` on (default 0), and compares their report
 rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
 three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
@@ -69,6 +71,7 @@ PACKAGE = "src/sinrsched"
 RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio", "brute", "gen")  # what ``all`` runs
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
+LATENCY_SEEDS = 5
 
 
 def _copy_package(rev: str, dest: Path) -> Path:
@@ -114,12 +117,12 @@ def _recipe(pkg, name: str, n: int, seed: int):
             pkg.brute_opt_threshold(inst, regime=regime, powers=uniform if regime == "fixed" else None)
             for inst, uniform in cases for regime in ("variable", "variable_capped", "fixed")]
     if name == "latency":
-        inst = pkg.gen_random(pkg.GenConfig(
-            n=n, seed=seed, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+        insts = [pkg.gen_random(pkg.GenConfig(
+            n=n, seed=s, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
             demand_range=(0.5, 3.0),
             utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
-        ))
-        return lambda: pkg.solve_latency(inst)
+        )) for s in range(seed, seed + LATENCY_SEEDS)]
+        return lambda: [pkg.solve_latency(inst) for inst in insts]
     config = pkg.GenConfig(
         n=n, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
         alpha=2.0, p_max=20.0 * 30.0**2,
@@ -145,6 +148,8 @@ def _output(recipe: str, out) -> str:
         return json.dumps([inst.to_dict() for inst in out])
     if recipe == "brute":
         return json.dumps(out)
+    if recipe == "latency":
+        return json.dumps([schedule.to_dict(include_trace=True) for schedule in out])
     if recipe == "ratio":
         return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
                            for report in out for row in report["rows"]])
@@ -153,12 +158,13 @@ def _output(recipe: str, out) -> str:
 
 def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one, every slot's
-    of both latency scheme runs, none for ``ratio``, ``brute`` and the ``gen``
-    lines."""
+    of both scheme runs of each latency schedule, none for ``ratio``,
+    ``brute`` and the ``gen`` lines."""
     if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return []
     if recipe == "latency":
-        return [slot.solution for _, run in sorted(out.runs.items()) for slot in run.slots]
+        return [slot.solution for schedule in out for _, run in sorted(schedule.runs.items())
+                for slot in run.slots]
     return [out]
 
 
@@ -169,7 +175,7 @@ def _decisions(recipe: str, out) -> str:
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
     if recipe == "latency":
-        decided.append([out.scheme, sorted(out.lengths.items())])
+        decided += [[schedule.scheme, sorted(schedule.lengths.items())] for schedule in out]
     return json.dumps(decided)
 
 
