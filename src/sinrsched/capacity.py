@@ -74,9 +74,10 @@ _BLOCK = 256
 # Candidate sets of at most this many links read every pair from one matrix
 # (see ``_Candidates``): a level solve over a few dozen candidates then reads
 # one matrix, not 2k + 1 distance rows. An instance of at most this many
-# links measures that matrix once over all its links. Timed against streaming, the
-# unlimited greedy is faster or even up to 128 links and ~1.9x slower at 192,
-# where the rows of its few accepted links cost less than every pair.
+# links measures that matrix once over all its links. Timed against
+# streaming, the unlimited greedy is faster or even up to 128 links and ~1.9x
+# slower at 192, where the rows of its few accepted links cost less than every
+# pair.
 _DENSE = 128
 
 
@@ -133,8 +134,9 @@ class _Candidates:
         self.index = index_of(ids)
         self.cross = None
         if len(instance.links) <= _DENSE:
-            # the instance's pair matrix, measured once per instance
-            self.cross = instance._cross_alpha[pos[:, None], pos[None, :]]
+            # rows pos, then columns pos, of the instance's pair matrix,
+            # which is measured once per instance
+            self.cross = instance._cross_alpha.take(pos, 0).take(pos, 1)
         else:
             metric = instance.metric
             self.between = metric.between

@@ -646,7 +646,7 @@ def _sensitivities(ids, beta: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
     overflows; callers run it under ``np.errstate(over="ignore")``, so no
     solver or oracle warns or runs on an infinite sensitivity."""
     sens = beta * d_alpha
-    if not (sens < INF).all():
+    if len(sens) and np.maximum.reduce(sens) == INF:
         k = int(np.argmin(sens < INF))
         raise ValueError(_overflow_message(ids[k], beta[k], d_alpha[k]))
     return sens

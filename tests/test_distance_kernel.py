@@ -182,7 +182,8 @@ def test_cached_pair_matrix_bit_equal_to_row_major_reference(dim, alpha):
 def test_cached_pair_matrix_raises_the_matrix_entries(alpha):
     pts = _points(2, n=20)
     matrix = _reference(pts, np.arange(20)[:, None], np.arange(20)[None, :])
-    inst = Instance(MetricSpace.from_matrix(matrix), alpha, 1.0, _shared_endpoint_instance(pts).links)
+    links = _shared_endpoint_instance(pts).links
+    inst = Instance(MetricSpace.from_matrix(matrix), alpha, 1.0, links)
     want = matrix[inst.receivers[:, None], inst.senders[None, :]] ** alpha
     assert _cached_pair_matrix(inst).tobytes() == want.tobytes()
 
