@@ -8,9 +8,10 @@ Three solvers share the sensitivity ordering from the model:
 * ``solve_fixed``     — greedy under a bidirectional affectance budget for a
   given power assignment, followed by a clean-up filter.
 * ``solve_limited``   — splits links by whether a quarter of the power cap
-  covers their sensitivity, runs a capped variant of the unlimited solver on
-  one part and the fixed solver at full power on the other, and returns the
-  larger solution. Powers never exceed the cap.
+  covers their sensitivity, runs a capped variant of the unlimited solver's
+  passes on one part and the fixed solver's pass at full power on the other,
+  and finishes only the branch that keeps more links (powers, SINRs), which
+  it returns. Powers never exceed the cap.
 
 Every greedy pass is one loop, ``_greedy``: it walks the candidates in
 sensitivity order, accepts a candidate while its running load stays within
@@ -99,7 +100,8 @@ class _Candidates:
     """O(n) arrays over a candidate set and the pair kernels the greedies add up.
 
     ``pos`` are the candidates' rows of the instance arrays, ``beta`` their
-    resolved thresholds and ``p`` their powers, if any. A kernel gives the
+    resolved thresholds and ``p`` their powers, None when the power
+    recurrence is to assign them. A kernel gives the
     value from each candidate a onto each b, for positions that broadcast:
     ``(k, ALL)`` is a row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None,
     :])`` a block. A value onto itself is left as computed. Use it under
@@ -151,8 +153,8 @@ class _Candidates:
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
         self.sens = _sensitivities(ids, beta, self.d_alpha)
+        self.p = p
         if p is not None:
-            self.p = p
             self.margin = np.maximum(p / self.d_alpha - beta * instance.noise, 0.0)
 
     def _alpha(self, a, b):
@@ -265,9 +267,9 @@ def _greedy_unlimited(instance, ids, pos, beta):
     return accepted, trace, cands
 
 
-def _finish(instance, cands, accepted, algorithm, trace, p=None):
-    """Solution over ``accepted``, some of the candidates ``cands``. ``p``,
-    if given, holds the candidates' powers; otherwise the power recurrence
+def _finish(instance, cands, accepted, algorithm, trace):
+    """Solution over ``accepted``, some of the candidates ``cands``, at the
+    candidates' powers if they have any; otherwise the power recurrence
     assigns them, walking ``accepted`` in order, most sensitive link first:
     p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha.
 
@@ -279,20 +281,21 @@ def _finish(instance, cands, accepted, algorithm, trace, p=None):
     selected = sorted(accepted)
     at = np.fromiter(map(cands.index.__getitem__, selected), np.intp, len(selected))
     cross = cands._alpha(at[None, :], at[:, None])
-    if p is None:
+    if cands.p is None:
         beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
         gain = 1.0 / cross
         # interference[k]: summed p / cross-distance^alpha at link k from the
-        # links assigned so far, in assignment order
-        interference = np.zeros(len(at))
-        powers = np.empty(len(at))
+        # links assigned so far, in assignment order; no link reads the last
+        # assigned link's column
+        interference, powers = np.zeros(len(at)), np.empty(len(at))
         rank = {lid: k for k, lid in enumerate(selected)}
+        last = rank[accepted[-1]] if accepted else None
         for k in map(rank.__getitem__, accepted):
-            pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
-            powers[k] = pk
-            interference += pk * gain[:, k]
+            powers[k] = pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
+            if k != last:
+                interference += pk * gain[:, k]
     else:
-        powers = p[at]
+        powers = cands.p[at]
     return Solution(
         selected=tuple(selected),
         powers=dict(zip(selected, powers.tolist())),
@@ -401,7 +404,7 @@ def solve_fixed(
     beta = thresholds_for(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
         final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
-        solution = _finish(instance, cands, final, "fixed", trace, cands.p)
+        solution = _finish(instance, cands, final, "fixed", trace)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, p, beta)
         if issues:
@@ -456,8 +459,10 @@ def solve_limited(
     unlimited-power greedy plus a second pass that re-checks each kept link's
     outgoing weight against the already kept, more sensitive links; that
     bound makes the power recurrence respect the cap. The remaining links run
-    the fixed-power solver at full power. The larger solution wins, traced
-    by both branches' traces, so its trace names every candidate.
+    the fixed-power solver at full power. The branch that keeps more links
+    wins, the small-sensitivity one on a tie, and only it is finished: its
+    powers, SINRs and ``Solution`` are built once, for the links returned.
+    Its trace is both branches' traces, so it names every candidate.
     """
     if instance.p_max == INF:
         # no cap to respect: the unlimited solver's solution stands as is
@@ -472,28 +477,34 @@ def solve_limited(
         index_of(ids)
     pos = instance.positions(ids)
     beta = thresholds_for(instance, ids, thresholds, pos)
-    sol1, sol2 = empty_solution("limited"), empty_solution("fixed")
+    # the branch to finish, by its kept links and candidates; the trace names
+    # both branches' candidates
+    kept, trace, cands = [], (), None
     with np.errstate(**_ROW_ERRSTATE):
         # its branch rejects a sensitivity that overflows
         small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
         if small.any():
-            r1 = list(compress(ids, small.tolist()))
-            sol1 = _limited_first_branch(instance, r1, pos[small], beta[small])
+            kept, trace, cands = _limited_first_branch(
+                instance, list(compress(ids, small.tolist())), pos[small], beta[small])
         if not small.all():
             big = ~small
             r2 = list(compress(ids, big.tolist()))
-            p = np.full(len(r2), instance.p_max, dtype=np.float64)
-            final, trace, cands = _fixed_pass(instance, r2, pos[big], beta[big], p)
-            sol2 = _finish(instance, cands, final, "fixed", trace, cands.p)
-    chosen = sol1 if len(sol1.selected) >= len(sol2.selected) else sol2
-    return replace(chosen, algorithm="limited", trace=sol1.trace + sol2.trace)
+            full = np.full(len(r2), instance.p_max, dtype=np.float64)
+            final, trace2, cands2 = _fixed_pass(instance, r2, pos[big], beta[big], full)
+            # the small-sensitivity branch, if any, wins a tie
+            if cands is None or len(final) > len(kept):
+                kept, cands = final, cands2
+            trace += trace2
+        return _finish(instance, cands, kept, "limited", trace)
 
 
 def _limited_first_branch(instance, r1, pos, beta):
     """The unlimited greedy's weight-budget pass, then a second pass over the
     links it accepted, most sensitive first, that keeps a link while its
     outgoing weight onto the kept links, taken a block of ``_BLOCK`` columns
-    at a time, stays within the budget."""
+    at a time, stays within the budget. Returns the kept links, most
+    sensitive first, the first pass's trace rows followed by the second's,
+    and the candidates."""
     first_pass, trace1, cands = _greedy_unlimited(instance, r1, pos, beta)
     # the first pass accepted its links least sensitive first; walked back, a
     # load is the weight from c onto the kept links, all more sensitive than c
@@ -508,4 +519,4 @@ def _limited_first_branch(instance, r1, pos, beta):
                              SECOND_PASS_BUDGET, lambda j: block[:, j])
         kept += got
         trace2 += trace
-    return _finish(instance, cands, kept, "limited", trace1 + trace2)
+    return kept, trace1 + trace2, cands

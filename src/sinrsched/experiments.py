@@ -23,7 +23,7 @@ from .lemmas import (
     strengthen,
 )
 from .model import INF, Instance
-from .oracle import brute_opt_threshold, check_admissible
+from .oracle import BRUTE_FORCE_LIMIT, brute_opt_threshold, check_admissible
 from .verify import verify_solution
 
 # the strengthening scales c that experiment_strengthen decomposes at
@@ -56,11 +56,12 @@ def experiment_ratio(
     certification of every algorithm output."""
     if n < 1:
         raise ValueError("ratio experiment needs n >= 1")
-    if n > 20:
-        raise ValueError("ratio experiment needs n <= 20 for the brute-force oracle")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"ratio experiment needs n <= {BRUTE_FORCE_LIMIT} for the brute-force oracle")
 
     def one(t: int) -> dict:
-        rng_n = max(1, (seed + t) % n + 1)
+        rng_n = (seed + t) % n + 1
         base = GenConfig(
             n=rng_n,
             seed=seed * 1_000_003 + t,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add
@@ -71,14 +71,33 @@ class MetricSpace:
     ``distances`` costs O(size of its result) in both kinds, so a row of
     distances from one node is O(n); ``between`` on gathered nodes saves the
     lookup of each node's coordinates.
+
+    The stored array is read-only, also in a copy, which pickle, ``copy``
+    and ``deepcopy`` build through the constructor. Two spaces are equal
+    when they are of the same kind and dimension and store the same bytes.
     """
 
     __slots__ = ("_coords", "_matrix", "dim")
 
     def __init__(self, coords: Optional[np.ndarray], matrix: Optional[np.ndarray], dim: int):
+        # a space stores one of the two, read-only
+        (coords if matrix is None else matrix).flags.writeable = False
         self._coords = coords
         self._matrix = matrix
         self.dim = dim
+
+    def __reduce__(self):
+        return type(self), (self._coords, self._matrix, self.dim)
+
+    def _key(self) -> tuple:
+        # dim is 0 in a matrix space only; the bytes' length gives the size
+        return self.dim, (self._coords if self._matrix is None else self._matrix).tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MetricSpace) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def euclidean(cls, points: Sequence[Sequence[float]], dim: Optional[int] = None) -> "MetricSpace":
@@ -89,9 +108,7 @@ class MetricSpace:
             raise ValueError(f"points have dimension {pts.shape[1]}, declared {dim}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
-        coords = np.ascontiguousarray(pts.T)
-        coords.flags.writeable = False
-        return cls(coords, None, pts.shape[1])
+        return cls(np.ascontiguousarray(pts.T), None, pts.shape[1])
 
     @classmethod
     def from_matrix(cls, d: Sequence[Sequence[float]], validate: bool = True) -> "MetricSpace":
@@ -100,9 +117,7 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if validate:
             _validate_metric(mat)
-        mat = mat.copy()
-        mat.flags.writeable = False
-        return cls(None, mat, 0)
+        return cls(None, mat.copy(), 0)
 
     @property
     def n_points(self) -> int:
@@ -264,8 +279,10 @@ class Instance:
     which read it on instances of at most ``capacity._DENSE`` = 128 links
     (at most 128 KB) and slice every candidate set's matrix out of it;
     ``geometry``, ``evaluate_sinrs`` and the oracles measure on their own. It
-    is not a field: ``==``, ``hash`` and ``dataclasses.replace`` ignore it,
-    and a pickled copy leaves it out.
+    is not a field: ``==``, ``hash`` and ``dataclasses.replace`` ignore it.
+    Pickle, ``copy`` and ``deepcopy`` build a copy through the constructor,
+    so its cached arrays are read-only too and it leaves the pair matrix
+    out, measuring its own when it needs one.
     """
 
     metric: MetricSpace
@@ -329,11 +346,8 @@ class Instance:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
-    def __getstate__(self) -> dict:
-        # a copy measures its own pair matrix when it needs one
-        state = dict(vars(self))
-        state.pop("_cross_alpha", None)
-        return state
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
     @cached_property
     def _cross_alpha(self) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 import sinrsched
 from sinrsched import CertificationError, UtilityContractError, cli
+from sinrsched.oracle import BRUTE_FORCE_LIMIT
 
 # the child process imports the same package as the tests, installed or not
 SRC = str(Path(sinrsched.__file__).resolve().parents[1])
@@ -143,6 +144,14 @@ def test_experiment_ratio_rejects_empty_instances(capsys, n):
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith("error: ratio experiment needs n >= 1")
 
+
+
+def test_experiment_ratio_rejects_more_links_than_the_brute_force_oracle_takes(capsys):
+    n = str(BRUTE_FORCE_LIMIT + 1)
+    code = cli.main(["experiment", "--name", "ratio", "--n", n, "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: ratio experiment needs n <= {BRUTE_FORCE_LIMIT} ")
 
 def test_experiment_adversary():
     r = run_cli("experiment", "--name", "adversary", "--k", "8")

@@ -1,5 +1,6 @@
 """Core model: distances, SINR evaluation, sensitivity ordering, JSON."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -226,6 +227,29 @@ def test_cached_pair_matrix_leaves_equality_hash_replace_and_pickle_alone():
         assert vars(other)["_cross_alpha"].tobytes() == vars(inst)["_cross_alpha"].tobytes()
     assert copy == inst and hash(copy) == hash(inst)
 
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "matrix"])
+def test_copies_of_an_instance_stay_read_only(kind):
+    inst = gen_random(GenConfig(n=20, seed=1))
+    if kind == "matrix":
+        n = inst.metric.n_points
+        d = inst.metric.distances(np.arange(n)[:, None], np.arange(n)[None, :])
+        inst = dataclasses.replace(inst, metric=MetricSpace.from_matrix(d, validate=False))
+    solution = solve_unlimited(inst)
+    limited = solve_limited(inst)
+    assert "_cross_alpha" in vars(inst)
+    for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+        metric = other.metric
+        arrays = [other.senders, other.receivers, other.d_alpha, other.thresholds,
+                  metric._coords if kind == "euclidean" else metric._matrix]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert "_cross_alpha" not in vars(other)
+        assert other == inst and hash(other) == hash(inst) and metric == inst.metric
+        assert solve_unlimited(other) == solution and solve_limited(other) == limited
 
 def test_length_is_the_metric_distance():
     metric = MetricSpace.euclidean([[0.1, 0.7], [3.3, -1.9], [2.0, 2.0]])

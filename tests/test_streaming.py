@@ -455,7 +455,6 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
     inst = gen_random(GenConfig(n=n, seed=0, area=1000.0 * (n / 300) ** 0.5, p_max=P_MAX))
     original_between = MetricSpace.between
     original_first_pass = capacity._greedy_unlimited
-    original_finish = capacity._finish
     first_pass, shapes = [], []
     in_second_pass = False
 
@@ -472,14 +471,19 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
         in_second_pass = True
         return out
 
-    def finish(*args):
-        nonlocal in_second_pass
-        in_second_pass = False
-        return original_finish(*args)
+    def ends_second_pass(original):
+        def call(*args):
+            nonlocal in_second_pass
+            in_second_pass = False
+            return original(*args)
+        return call
 
     monkeypatch.setattr(MetricSpace, "between", between)
     monkeypatch.setattr(capacity, "_greedy_unlimited", greedy_unlimited)
-    monkeypatch.setattr(capacity, "_finish", finish)
+    # the full-power branch's pass, if any, then the one finish follow the
+    # second pass
+    for name in ("_fixed_pass", "_finish"):
+        monkeypatch.setattr(capacity, name, ends_second_pass(getattr(capacity, name)))
     sol = solve_limited(inst)
     (k1,) = first_pass
     assert k1 > 256 and sol.selected
@@ -488,6 +492,32 @@ def test_second_pass_weights_come_in_blocks_of_256_columns(monkeypatch):
     assert shapes == [shape for shape in blocks for _ in range(2)]
     assert max(rows * cols for rows, cols in shapes) == k1 * 256
 
+
+
+@pytest.mark.parametrize("split", ["both sides", "small only", "big only"])
+def test_limited_solver_finishes_one_branch(monkeypatch, split):
+    # a cap whose quarter falls between two sensitivities, above all of them
+    # or below all of them: _finish runs once per solve, on the returned branch
+    inst = gen_random(GenConfig(n=60, seed=11, area=300.0, d_range=(1.0, 60.0),
+                                beta_range=(1.0, 10.0)))
+    sens = np.sort(thresholds_for(inst, list(inst.link_ids)) * inst.noise * inst.d_alpha)
+    p_max = {"both sides": 2.0 * float(sens[29] + sens[30]),
+             "small only": 8.0 * float(sens[-1]), "big only": float(sens[0])}[split]
+    inst = replace(inst, p_max=p_max)
+    small = sens <= p_max / 4.0
+    assert [small.any(), small.all()] == {"both sides": [True, False], "small only": [True, True],
+                                          "big only": [False, False]}[split]
+    original_finish = capacity._finish
+    finished = []
+
+    def finish(*args):
+        finished.append(args[2])
+        return original_finish(*args)
+
+    monkeypatch.setattr(capacity, "_finish", finish)
+    sol = solve_limited(inst)
+    assert [sorted(kept) for kept in finished] == [list(sol.selected)] and sol.selected
+    _assert_identical(sol, ref_limited(inst))
 
 def test_validate_metric_at_400_points_in_quadratic_memory():
     pts = np.random.default_rng(2).uniform(0.0, 100.0, size=(400, 2))
@@ -625,6 +655,28 @@ def test_squared_distance_kernel_moves_no_decision(case):
     )
     with mock.patch.object(MetricSpace, "between", _sqrt_then_power):
         old = replace(inst)  # d_alpha measured again, with the old kernel
+    # two sensitivities that the squared kernel ties exactly may round apart
+    # under the old one, and then the greedies walk them in another order
+    # (see the known answer below)
+    assume(sensitivity_order(inst, thresholds=thresholds)
+           == sensitivity_order(old, thresholds=thresholds))
+    with mock.patch.object(MetricSpace, "between", _sqrt_then_power):
         want = [solve(old) for solve in solves]
     for solve, sol in zip(solves, want):
         _assert_same_decisions(solve(inst), sol)
+
+
+def test_squared_distance_kernel_ties_sensitivities_the_old_kernel_rounds_apart():
+    # at alpha = 4, link 1's squared length 2 squares to exactly 4.0, and the
+    # old kernel's sqrt(2) ** 4 to 4.000000000000001; link 0's sensitivity is
+    # 4 * 1.0. The tie breaks by ascending id, the rounded pair by size
+    metric = MetricSpace.euclidean([[0, 0], [1, 0], [50, 50], [51, 51]])
+    inst = Instance(metric, 4.0, 1.0, (Link(0, 0, 1, threshold=4.0), Link(1, 2, 3, threshold=1.0)))
+    with mock.patch.object(MetricSpace, "between", _sqrt_then_power):
+        old = replace(inst)
+    assert inst.d_alpha.tolist() == [1.0, 4.0]
+    assert old.d_alpha.tolist() == [1.0, 4.000000000000001]
+    assert sensitivity_order(inst) == [0, 1]
+    assert sensitivity_order(old) == [1, 0]
+    # the greedy walks from the least sensitive link
+    assert [row[:2] for row in solve_unlimited(inst).trace] == [(1, True), (0, True)]

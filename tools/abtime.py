@@ -19,8 +19,14 @@ on the capacity-large benchmark's instance (``gen_random``, area 1000,
 lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
 power p_max without the precondition check, ``fixed-checked`` the same call
 with the check and its warning, as ``sinrsched solve --algorithm fixed``
-runs it); ``gen`` runs that ``gen_random`` call itself, and its output is
-the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
+runs it); ``cli`` makes the cli-roundtrip benchmark's solves, ``solve_fixed``
+with its default precondition check and ``solve_limited``, on each of its
+seven instances (n = 300, seeds ``--seed`` to ``--seed`` + 6, default 0 to
+6, p_max and every link's power 18,000: what ``sinrsched gen --n 300 --seed
+j --pmax 18000 --power 18000`` builds), the one recipe whose instances run
+a set of at most 128 candidates on more than 128 links, which measures its
+own pair matrix; ``gen`` runs that ``gen_random`` call itself, and its
+output is the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
 small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
 ends of a generator change show in one command; ``latency`` runs
 ``solve_latency`` on each of the latency-medium benchmark's five instances
@@ -33,14 +39,15 @@ rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
 three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
 of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
-pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``latency``,
-``ratio``, ``brute`` and ``gen`` in turn, each for ``--rounds`` rounds,
-which checks a solver, oracle or generator change for identity and speed in
+pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``cli``,
+``latency``, ``ratio``, ``brute`` and ``gen`` in turn, each for
+``--rounds`` rounds, which checks a solver, oracle or generator change for identity and speed in
 one command, on candidate sets above and below the capacity solvers'
-dense-matrix limit.
+dense-matrix limit and on instances above and below it.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
+    python tools/abtime.py HEAD . --recipe cli --rounds 20
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
     python tools/abtime.py HEAD . --recipe brute --rounds 5
@@ -68,10 +75,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "latency", "ratio", "brute", "gen")  # what ``all`` runs
+RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "ratio", "brute", "gen")  # ``all``
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 LATENCY_SEEDS = 5
+CLI_SEEDS = 7
 
 
 def _copy_package(rev: str, dest: Path) -> Path:
@@ -123,6 +131,13 @@ def _recipe(pkg, name: str, n: int, seed: int):
             utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
         )) for s in range(seed, seed + LATENCY_SEEDS)]
         return lambda: [pkg.solve_latency(inst) for inst in insts]
+    if name == "cli":  # the instance sinrsched gen --n n --seed s --pmax 18000 --power 18000 builds
+        insts = [pkg.gen_random(pkg.GenConfig(
+            n=n, seed=s, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0), alpha=2.0,
+            p_max=20.0 * 30.0**2, power=20.0 * 30.0**2,
+        )) for s in range(seed, seed + CLI_SEEDS)]
+        return lambda: [sol for inst in insts
+                        for sol in (pkg.solve_fixed(inst), pkg.solve_limited(inst))]
     config = pkg.GenConfig(
         n=n, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
         alpha=2.0, p_max=20.0 * 30.0**2,
@@ -150,6 +165,8 @@ def _output(recipe: str, out) -> str:
         return json.dumps(out)
     if recipe == "latency":
         return json.dumps([schedule.to_dict(include_trace=True) for schedule in out])
+    if recipe == "cli":
+        return json.dumps([sol.to_dict(include_trace=True) for sol in out])
     if recipe == "ratio":
         return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
                            for report in out for row in report["rows"]])
@@ -157,11 +174,13 @@ def _output(recipe: str, out) -> str:
 
 
 def _solutions(recipe: str, out) -> list:
-    """The solutions in a recipe's output: a capacity solve's one, every slot's
-    of both scheme runs of each latency schedule, none for ``ratio``,
-    ``brute`` and the ``gen`` lines."""
+    """The solutions in a recipe's output: a capacity solve's one, ``cli``'s
+    fourteen, every slot's of both scheme runs of each latency schedule, none
+    for ``ratio``, ``brute`` and the ``gen`` lines."""
     if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return []
+    if recipe == "cli":
+        return out
     if recipe == "latency":
         return [slot.solution for schedule in out for _, run in sorted(schedule.runs.items())
                 for slot in run.slots]
@@ -214,8 +233,9 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "all"), default="limited")
     parser.add_argument("--n", type=int,
-                        help="links (default: 2000, latency 64, ratio and gen-ratio 10, brute 16)")
-    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, latency, "
+                        help="links (default: 2000, cli 300, latency 64, ratio and gen-ratio 10, "
+                             "brute 16)")
+    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, cli, latency, "
                                                  "ratio and gen-ratio 0, brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
@@ -226,9 +246,10 @@ def main(argv=None) -> None:
                 for side, rev in (("A", args.base), ("B", args.head))}
         recipes = RECIPES if args.recipe == "all" else (args.recipe,)
         for recipe in [line for r in recipes for line in LINES.get(r, (r,))]:
-            n = args.n or {"latency": 64, "ratio": 10, "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
+            n = args.n or {"cli": 300, "latency": 64, "ratio": 10, "gen-ratio": 10,
+                           "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                {"latency": 0, "ratio": 0, "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
+                {"cli": 0, "latency": 0, "ratio": 0, "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
