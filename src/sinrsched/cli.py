@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 import traceback
-from typing import Optional
+from typing import Mapping, Optional
 
 from .capacity import solve_fixed, solve_limited, solve_unlimited
 from .experiments import (
@@ -26,7 +26,7 @@ from .experiments import (
 from .flexible import MODES, solve_flexible
 from .generate import GenConfig, gen_random
 from .latency import solve_latency
-from .model import Instance, Solution
+from .model import Instance, Solution, _require
 from .oracle import brute_opt_flexible_fixed, brute_opt_threshold, check_admissible
 from .verify import verify_flexible_run, verify_schedule, verify_solution
 
@@ -110,6 +110,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_verify(args) -> int:
     instance = Instance.from_dict(_load_json(args.instance))
     data = _load_json(args.artifact)
+    _require(data, Mapping, "an object", "artifact")
     if "slots" in data:
         problems = verify_schedule(instance, data)
     elif "levels" in data:

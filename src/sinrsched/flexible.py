@@ -5,19 +5,20 @@ asks every utility for the smallest SINR reaching the target, uses those as
 individual thresholds, runs the requested threshold solver and scores the
 result by the utilities realized at the actual SINRs. The best level wins.
 
-The utilities are held as one ``UtilityTable`` (step tables, Shannon
-parameters, rounding and the caps as a vector), so a single array
-``inverse_threshold`` call gives every level's thresholds, and the top value
-is a vector maximum over each link's best value alone, which a run computes
-once per link. Each level keeps its own row of that array, over the table's
-links in id order, and reads its ``thresholds`` mapping off that row.
-
 A sweep reads its links in one pass: each link's utility (its entry in
 ``utilities``, else its own), the smallest cap of its ``CappedUtility``
-layers, the core they wrap and the core's table row. The caps become one
-vector over the table's rows, -inf for a row not in the sweep, and the run
+layers, the core they wrap and the core's table row. The uncapped cores are
+held as one ``UtilityTable`` (step tables, Shannon parameters and rounding),
+and the caps as one vector over the table's rows, -inf for a row not in the
+sweep. That vector is the one holder of the sweep's caps: the top value is
+a vector maximum of it against each core's best value alone, which a run
+computes once per link; it masks the levels' targets (a target above a
+row's cap becomes inf, out of every core's reach) before the single array
+``inverse_threshold`` call that gives every level's thresholds; and the run
 keeps it, so that the next sweep finds the rows whose cap changed with one
-compare.
+compare. Each level keeps its own row of the threshold array, over the
+table's links in id order, and reads its ``thresholds`` mapping off that
+row.
 
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
@@ -141,8 +142,10 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
 
     The power is unbounded for "unlimited", the instance cap for "limited"
     and, for "fixed", the link's entry in ``powers`` when that is given, else
-    its fixed power (see ``powers_for``).
+    its fixed power (see ``powers_for``). Any other mode is a ValueError.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if mode == "unlimited":
         return INF
     p = instance.p_max if mode == "limited" else powers_for(instance, [lid], powers)[0]
@@ -250,8 +253,7 @@ def solve_flexible(
     # cap -inf, which leaves them out of every level
     cap = np.full(len(tables.ids), -math.inf)
     cap[rows] = caps
-    table = tables.table.capped(cap)
-    top = float(np.max(np.minimum(table.cap, tables.solo_max)))
+    top = float(np.max(np.minimum(cap, tables.solo_max)))
     if not math.isfinite(top):
         raise ValueError("objective unbounded")
     if top <= 0.0:
@@ -262,7 +264,7 @@ def solve_flexible(
     reuse = None
     if previous is not None and previous._tables is tables:
         reuse = _Reuse(previous, cap)
-    levels = _sweep(instance, mode, utilities, tables.ids, table, powers, top, n_levels, reuse)
+    levels = _sweep(instance, mode, utilities, tables, cap, powers, top, n_levels, reuse)
     # ties go to the shallowest level, whose members each carry the top value
     best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
     return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, cap)
@@ -316,25 +318,33 @@ class _Reuse:
         return level.values if self.changed.isdisjoint(level.solution.selected) else None
 
 
-def _sweep(instance, mode, utilities, ids, table, powers, top, n_levels, reuse):
+def _level_gammas(table: UtilityTable, cap: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each target's SINR threshold per row of ``table``, capped at ``cap``:
+    a target above a row's cap becomes inf, which no core reaches, so the
+    row's threshold is NaN (a cap of -inf leaves the row out of every
+    target)."""
+    return inverse_threshold(table, np.where(targets > cap, math.inf, targets))
+
+
+def _sweep(instance, mode, utilities, tables, cap, powers, top, n_levels, reuse):
     """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
-    previous run's solution, and values, where one holds. ``table`` has a
-    row per entry of ``ids``; each level keeps a copy of its row of
-    thresholds over them, so that a slot keeping one level does not keep the
-    others'."""
+    previous run's solution, and values, where one holds. ``cap`` has an
+    entry per row of ``tables``; each level keeps a copy of its row of
+    thresholds over the rows' links, so that a slot keeping one level does
+    not keep the others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
-    gammas = inverse_threshold(table, np.array(targets)[:, None])
+    gammas = _level_gammas(tables.table, cap, np.array(targets)[:, None])
     live = gammas == gammas  # a NaN threshold sits the level out
     found = [(None, None)] * n_levels if reuse is None else reuse.match(gammas, live)
     levels = []
     for i, (target, gamma, on, (sol, values)) in enumerate(zip(targets, gammas, live, found)):
         if sol is None:
-            sol = _solve_level(instance, mode, ids[on].tolist(), gamma[on], powers)
+            sol = _solve_level(instance, mode, tables.ids[on].tolist(), gamma[on], powers)
         if values is None:
             values = tuple(
                 _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
             )
-        levels.append(FlexibleLevel(i, target, sol, values, gamma.copy(), ids))
+        levels.append(FlexibleLevel(i, target, sol, values, gamma.copy(), tables.ids))
     return levels
 
 

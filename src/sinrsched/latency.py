@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .flexible import FlexibleLevel, FlexibleRun, level_count, solo_sinr_cap, solve_flexible
+from .flexible import MODES, FlexibleLevel, FlexibleRun, level_count, solo_sinr_cap, solve_flexible
 from .model import INF, RESIDUAL_TOL, Instance, Solution, index_of
 from .utility import CappedUtility, RoundedUtility, UtilitySpec, scaled
 
@@ -202,8 +202,10 @@ def solve_latency(
     utility reshapings are computed in sequence and the shorter schedule is
     returned (scheme 2 wins ties; scheme 1 can stall when rounding erases all
     reachable value, scheme 2 never stalls). In "fixed" mode each link sends
-    at its own fixed power.
+    at its own fixed power. A ``mode`` outside ``MODES`` is a ValueError.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     # a repeated link would count twice in n, and so in scheme 1's rounding
     links = [instance.link(lid) for lid in index_of(instance.link_ids if links is None else links)]
     for link in links:

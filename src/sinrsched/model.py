@@ -572,8 +572,9 @@ class Geometry:
     """Dense per-candidate-set arrays used by oracles and SINR evaluation.
 
     Building one for k links costs O(k^2) time and memory. The capacity
-    solvers never build one over all candidates, only over the links they
-    accepted.
+    solvers build none (they read distances through the instance's kernel);
+    ``evaluate_sinrs``, the oracles and the lemma checks build one over the
+    links they are given.
 
     ids         candidate link ids, fixed order
     d_alpha     own sender-receiver distance^alpha per link

@@ -4,11 +4,12 @@ A utility answers three queries: ``value`` at an SINR, ``max_value`` (the
 method: value at a given SINR cap) and ``inverse_threshold`` (smallest SINR
 reaching a target value). Every family returns 0 below SINR 1.
 
-``UtilityTable`` is the array form of a list of utilities: padded step
-tables, Shannon scale and cutoff vectors, the rounding of ``RoundedUtility``
-and one cap vector, the only place a cap is held, so re-capping a table
-copies no step table. The flexible-rate sweep reads a utility's shape only
-through it, and ``inverse_threshold`` on a table answers every row and
+``UtilityTable`` is the array form of a list of uncapped utilities (cores:
+step, Shannon or rounded over one of them): padded step tables, Shannon
+scale and cutoff vectors and the rounding of ``RoundedUtility``. It holds no
+cap; a caller that caps its rows (the flexible-rate sweep, whose cap vector
+is the one holder of its caps) replaces each target above a row's cap by
+inf before searching. ``inverse_threshold`` on a table answers every row and
 every target in one vectorized search, with the same floats as the scalar
 query on each utility.
 
@@ -18,7 +19,6 @@ written in ``model`` (``utility_from_dict``, ``utility_to_dict``).
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -213,27 +213,23 @@ def split_cap(u: UtilitySpec) -> tuple[float, UtilitySpec]:
 
 
 class UtilityTable:
-    """Array form of a list of utilities, one row each, for
+    """Array form of a list of uncapped utilities, one row each, for
     ``inverse_threshold``.
 
-    Each utility is split into its cap and its core (``split_cap``): a
-    StepUtility, a ShannonUtility or a RoundedUtility over one of them. The
-    caps are held only in the vector ``cap``: a target above a row's cap is
-    out of reach, and the search replaces it by inf, which no core reaches.
-
-    Step rows are held column-major, one column of the arrays per row. A
-    RoundedUtility over steps is itself a step function on its base's gammas,
-    of value ``value(gamma)`` at each, so it is held as a step row too. Value
-    columns hold the cores' own values padded with inf, so a target above
-    every value counts all of the row's values; gamma columns are padded
-    with NaN one entry further, which is where such a target lands. Shannon
-    rows hold scale and cutoff vectors, plus demand and denom for the
-    rounded ones. ``capped`` tables share all of these arrays.
+    Each utility is a core: a StepUtility, a ShannonUtility or a
+    RoundedUtility over one of them; a CappedUtility has no array form
+    (``split_cap`` separates its cap from its core). Step rows are held
+    column-major, one column of the arrays per row. A RoundedUtility over
+    steps is itself a step function on its base's gammas, of value
+    ``value(gamma)`` at each, so it is held as a step row too. Value columns
+    hold the cores' own values padded with inf, so a target above every
+    value (inf among them) counts all of the row's values; gamma columns are
+    padded with NaN one entry further, which is where such a target lands.
+    Shannon rows hold scale and cutoff vectors, plus demand and denom for
+    the rounded ones.
     """
 
-    def __init__(self, utilities: Sequence[UtilitySpec]):
-        split = [split_cap(u) for u in utilities]
-        caps, cores = [cap for cap, _ in split], [core for _, core in split]
+    def __init__(self, cores: Sequence[UtilitySpec]):
         rounded = [isinstance(core, RoundedUtility) for core in cores]
         bases = [core.base if r else core for core, r in zip(cores, rounded)]
         for base in bases:
@@ -260,23 +256,15 @@ class UtilityTable:
         self._shannon = np.flatnonzero(np.logical_not(step))
         self._rounded = np.flatnonzero(rounded)
         self._columns = np.arange(len(steps))
-        self.cap = np.array(caps, dtype=np.float64)
-
-    def capped(self, cap: np.ndarray) -> "UtilityTable":
-        """The same rows, each also capped at its entry of ``cap``; a cap of
-        -inf leaves a row out of every target."""
-        out = copy.copy(self)
-        out.cap = np.minimum(self.cap, cap)
-        return out
 
     def _search(self, target: np.ndarray) -> np.ndarray:
         """Smallest SINR per row reaching ``target`` (last axis over the rows),
         NaN where out of reach: the scalar queries of every family, in arrays."""
-        # a target above the row's cap is out of reach, and inf is out of
-        # every family's reach
-        target = np.where(target > self.cap, math.inf, target)
         if not self.scale.size:
             return self._step_search(target)
+        # a target per row, in a fresh array: the Shannon search writes into it
+        rows = len(self._step) + len(self._shannon)
+        target = np.broadcast_to(target, target.shape[:-1] + (rows,)).copy()
         if not self.step_value.size:
             return self._shannon_search(target)
         gamma = np.empty(target.shape)

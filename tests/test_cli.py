@@ -280,7 +280,13 @@ def _in_level(edit, thresholds=None):
         (_set(["objective"], "1"), "objective"),
         (_set(["algorithm"], 5), "algorithm"),
         (_set(["trace"], [None]), "trace[0]"),
-        (lambda data: [data], "solution"),
+        # an artifact that is not an object; "slots" in 5 raised TypeError and
+        # "levels".get AttributeError, exit 3
+        (lambda data: [data], "artifact must be an object"),
+        (lambda data: 5, "artifact must be an object"),
+        (lambda data: None, "artifact must be an object"),
+        (lambda data: "slots", "artifact must be an object"),
+        (lambda data: "levels", "artifact must be an object"),
         (_in_slot(_set(["selected"], [None])), "slots[0].selected[0]"),
         (lambda data: {"slots": [None]}, "slots[0]"),
         (lambda data: {"slots": 5}, "slots"),
@@ -304,6 +310,10 @@ def _in_level(edit, thresholds=None):
         "edit-algorithm",
         "edit-trace[0]",
         "<lambda>-solution",
+        "number-artifact",
+        "null-artifact",
+        "slots-string-artifact",
+        "levels-string-artifact",
         "<lambda>-slots[0].selected[0]",
         "<lambda>-slots[0]",
         "<lambda>-slots",

@@ -21,6 +21,7 @@ from sinrsched import (
     solve_latency,
 )
 from sinrsched import latency
+from sinrsched.flexible import solo_sinr_cap
 from sinrsched.latency import loose_length_bound, schedule_lower_bound
 from sinrsched.utility import RoundedUtility, UtilityTable, inverse_threshold
 
@@ -331,3 +332,18 @@ def test_closed_form_rounding_has_no_step_limit():
     u = RoundedUtility(base, 6.0, 16000)
     assert u.min_gamma_for(0.5) == inverse_threshold(base, 8000 * 6.0 / 16000)
     assert u.value(u.min_gamma_for(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("powers", [
+    {"power": 100.0, "p_max": 1e4},  # read as "fixed", a link's maximum was 0
+    {},  # read as "fixed", a link had no fixed power
+])
+def test_unknown_mode_is_rejected_up_front(powers):
+    inst = gen_random(GenConfig(
+        n=6, seed=1, demand_range=(0.5, 1.0), utility={"family": "step"}, **powers
+    ))
+    message = r"^mode must be one of \('unlimited', 'fixed', 'limited'\)$"
+    with pytest.raises(ValueError, match=message):
+        solve_latency(inst, mode="foo")
+    with pytest.raises(ValueError, match=message):
+        solo_sinr_cap(inst, 0, "foo")

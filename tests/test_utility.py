@@ -17,7 +17,11 @@ from sinrsched import (
     utility_from_dict,
     utility_to_dict,
 )
-from sinrsched.utility import RoundedUtility, UtilityTable
+from sinrsched import flexible
+from sinrsched.flexible import _level_gammas
+from sinrsched.generate import GenConfig, gen_random
+from sinrsched.latency import solve_latency
+from sinrsched.utility import RoundedUtility, UtilityTable, split_cap
 
 STEP = StepUtility(((1.0, 0.5), (4.0, 2.0)))
 
@@ -219,9 +223,14 @@ def _assert_rows_match(gamma, targets, us):
 )
 @settings(max_examples=300, deadline=None)
 def test_table_search_equals_scalar_inverse(us, extra, caps, at_edge, out):
+    # the table holds the cores; the sweep's masked search applies the caps
+    # (the smallest of a row's nested ones) and gives the scalar answers of
+    # the capped utilities themselves
     targets = extra + [t for u in us for t in _edge_targets(u)] + [1e300]
-    table = UtilityTable(us)
-    _assert_rows_match(inverse_threshold(table, np.array(targets)[:, None]), targets, us)
+    split = [split_cap(u) for u in us]
+    table = UtilityTable([core for _, core in split])
+    cap = np.array([c for c, _ in split])
+    _assert_rows_match(_level_gammas(table, cap, np.array(targets)[:, None]), targets, us)
     # further caps, among them caps equal to targets and to a row's step
     # values, give CappedUtility's answers; a cap of -inf leaves its row out
     # of every target, as one of 0 does
@@ -229,34 +238,51 @@ def test_table_search_equals_scalar_inverse(us, extra, caps, at_edge, out):
     caps = [c if k is None or not e else e[k % len(e)] for c, k, e in zip(caps, at_edge, edges)]
     capped = [CappedUtility(u, 0.0 if o else c) for u, c, o in zip(us, caps, out)]
     targets = targets + [c for c in caps if c > 0]
-    cap = np.array([-math.inf if o else c for c, o in zip(caps, out)])
-    _assert_rows_match(inverse_threshold(table.capped(cap), np.array(targets)[:, None]),
-                       targets, capped)
+    cap = np.minimum(cap, [-math.inf if o else c for c, o in zip(caps, out)])
+    _assert_rows_match(_level_gammas(table, cap, np.array(targets)[:, None]), targets, capped)
     # a cap of -inf leaves every row out: an empty level
-    assert np.isnan(inverse_threshold(table.capped(np.full(len(us), -math.inf)), 1.0)).all()
+    assert np.isnan(_level_gammas(table, np.full(len(us), -math.inf), np.ones((1, 1)))).all()
 
 
-def test_capped_table_shares_the_step_tables():
-    # a row's cap is held only in the cap vector, so capping copies no table
-    table = UtilityTable([STEP, ShannonUtility(0.5), CappedUtility(STEP, 0.7)])
-    capped = table.capped(np.array([0.5, -math.inf, 2.0]))
-    assert capped.step_value is table.step_value and capped.step_gamma is table.step_gamma
-    assert capped.cap.tolist() == [0.5, -math.inf, 0.7]
+def test_latency_sweeps_search_two_table_objects(monkeypatch):
+    # the sweep's cap vector is the one holder of its caps, so every sweep of
+    # a scheme searches the scheme's one table of uncapped cores; the spy
+    # holds the tables themselves, so no id is reused by a collected copy
+    inst = gen_random(GenConfig(
+        n=64, seed=0, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
+        demand_range=(0.5, 3.0),
+        utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
+    ))
+    searched = []
+
+    def spy(u, target):
+        searched.append(u)
+        return inverse_threshold(u, target)
+
+    monkeypatch.setattr(flexible, "inverse_threshold", spy)
+    schedule = solve_latency(inst)
+    sweeps = sum(len(run.slots) + run.stalled for run in schedule.runs.values())
+    assert len(searched) == sweeps > 2
+    assert all(isinstance(table, UtilityTable) for table in searched)
+    assert len({id(table) for table in searched}) == 2
 
 
 def test_table_search_edges():
     shannon = ShannonUtility(0.5)
-    table = UtilityTable([STEP, shannon, CappedUtility(STEP, 0.5)])
+    table = UtilityTable([STEP, shannon])
     targets = [0.5, 2.0, 512.0]
     got = inverse_threshold(table, np.array(targets)[:, None])
-    assert got.tolist()[0] == [1.0, inverse_threshold(shannon, 0.5), 1.0]
-    assert got.tolist()[1][0] == 4.0 and math.isnan(got[1, 2])
+    assert got.tolist()[0] == [1.0, inverse_threshold(shannon, 0.5)]
+    assert got.tolist()[1][0] == 4.0
     assert math.isnan(got[2, 1])  # 512 / 0.5 = 1024: beyond every finite SINR
     assert inverse_threshold(UtilityTable([]), np.ones((3, 1))).shape == (3, 0)
     with pytest.raises(ValueError, match="> 0"):
         inverse_threshold(table, np.array([1.0, 0.0])[:, None])
     with pytest.raises(TypeError, match="no array form"):
         UtilityTable([object()])
+    # a cap is the sweep's to hold: a table takes uncapped utilities only
+    with pytest.raises(TypeError, match="no array form"):
+        UtilityTable([CappedUtility(STEP, 0.5)])
 
 
 def test_capped_utility():

@@ -9,8 +9,9 @@ side, the ratio of the mins, whether both sides return the same output
 (``to_dict`` JSON, traces included), whether they make the same decisions,
 and the largest relative difference of any power or SINR between them. The
 decisions are every solution's selected ids and trace rows' (id, accepted)
-(for ``latency``, every slot's of both scheme runs, plus the chosen scheme
-and both lengths), and for ``ratio``, ``brute`` and ``gen`` the output
+(for ``latency`` and ``shannon``, every slot's of both scheme runs, plus
+the chosen scheme and both lengths, and for ``shannon`` also every level's
+of each flexible run and its best level), and for ``ratio``, ``brute`` and ``gen`` the output
 itself; so a change to the arithmetic alone shows as outputs that differ,
 decisions that do not, and how far the floats moved.
 
@@ -32,7 +33,14 @@ ends of a generator change show in one command; ``latency`` runs
 ``solve_latency`` on each of the latency-medium benchmark's five instances
 (n = 64, 3-step utilities, seeds ``--seed`` to ``--seed`` + 4, default 0
 to 4), the workload's op mix, so that a change which helps some instances
-more than others shows in its time; ``ratio`` runs the ratio-small
+more than others shows in its time; ``shannon`` runs
+``solve_latency(inst, mode="limited")`` and ``solve_flexible(inst,
+mode="limited")`` on eight n = 20 instances with Shannon utilities
+(``GenConfig(n=20, seed=s, utility={"family": "shannon"}, demand_range=(0.5,
+3.0), p_max=5e4)``, seeds ``--seed`` to ``--seed`` + 7, default 500 to
+507), the one recipe that searches Shannon and rounded-Shannon table rows
+(every benchmark workload has step utilities), and compares their output
+with traces; ``ratio`` runs the ratio-small
 benchmark's calls, ``experiment_ratio(n=10, trials=1, seed=s)``
 for 100 seeds s from ``--seed`` on (default 0), and compares their report
 rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
@@ -40,7 +48,7 @@ three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
 of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
 pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``cli``,
-``latency``, ``ratio``, ``brute`` and ``gen`` in turn, each for
+``latency``, ``shannon``, ``ratio``, ``brute`` and ``gen`` in turn, each for
 ``--rounds`` rounds, which checks a solver, oracle or generator change for identity and speed in
 one command, on candidate sets above and below the capacity solvers'
 dense-matrix limit and on instances above and below it.
@@ -48,6 +56,7 @@ dense-matrix limit and on instances above and below it.
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe cli --rounds 20
+    python tools/abtime.py HEAD . --recipe shannon --rounds 20
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
     python tools/abtime.py HEAD . --recipe brute --rounds 5
@@ -75,10 +84,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "ratio", "brute", "gen")  # ``all``
+RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "shannon", "ratio", "brute",
+           "gen")  # ``all``
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 LATENCY_SEEDS = 5
+SHANNON_SEEDS = 8
 CLI_SEEDS = 7
 
 
@@ -130,7 +141,13 @@ def _recipe(pkg, name: str, n: int, seed: int):
             demand_range=(0.5, 3.0),
             utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
         )) for s in range(seed, seed + LATENCY_SEEDS)]
-        return lambda: [pkg.solve_latency(inst) for inst in insts]
+        return lambda: ([pkg.solve_latency(inst) for inst in insts], [])  # no flexible runs
+    if name == "shannon":  # (schedules, flexible runs), as for latency
+        insts = [pkg.gen_random(pkg.GenConfig(
+            n=n, seed=s, utility={"family": "shannon"}, demand_range=(0.5, 3.0), p_max=5e4,
+        )) for s in range(seed, seed + SHANNON_SEEDS)]
+        return lambda: ([pkg.solve_latency(inst, mode="limited") for inst in insts],
+                        [pkg.solve_flexible(inst, mode="limited") for inst in insts])
     if name == "cli":  # the instance sinrsched gen --n n --seed s --pmax 18000 --power 18000 builds
         insts = [pkg.gen_random(pkg.GenConfig(
             n=n, seed=s, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0), alpha=2.0,
@@ -163,8 +180,8 @@ def _output(recipe: str, out) -> str:
         return json.dumps([inst.to_dict() for inst in out])
     if recipe == "brute":
         return json.dumps(out)
-    if recipe == "latency":
-        return json.dumps([schedule.to_dict(include_trace=True) for schedule in out])
+    if recipe in ("latency", "shannon"):
+        return json.dumps([x.to_dict(include_trace=True) for part in out for x in part])
     if recipe == "cli":
         return json.dumps([sol.to_dict(include_trace=True) for sol in out])
     if recipe == "ratio":
@@ -175,15 +192,18 @@ def _output(recipe: str, out) -> str:
 
 def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one, ``cli``'s
-    fourteen, every slot's of both scheme runs of each latency schedule, none
-    for ``ratio``, ``brute`` and the ``gen`` lines."""
+    fourteen, every slot's of both scheme runs of each latency schedule (and
+    then every level's of each ``shannon`` flexible run), none for ``ratio``,
+    ``brute`` and the ``gen`` lines."""
     if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return []
     if recipe == "cli":
         return out
-    if recipe == "latency":
-        return [slot.solution for schedule in out for _, run in sorted(schedule.runs.items())
-                for slot in run.slots]
+    if recipe in ("latency", "shannon"):
+        schedules, runs = out
+        return ([slot.solution for schedule in schedules
+                 for _, run in sorted(schedule.runs.items()) for slot in run.slots]
+                + [level.solution for run in runs for level in run.levels])
     return [out]
 
 
@@ -193,8 +213,10 @@ def _decisions(recipe: str, out) -> str:
         return _output(recipe, out)
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
-    if recipe == "latency":
-        decided += [[schedule.scheme, sorted(schedule.lengths.items())] for schedule in out]
+    if recipe in ("latency", "shannon"):
+        schedules, runs = out
+        decided += [[schedule.scheme, sorted(schedule.lengths.items())] for schedule in schedules]
+        decided += [run.best_index for run in runs]
     return json.dumps(decided)
 
 
@@ -233,10 +255,11 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "all"), default="limited")
     parser.add_argument("--n", type=int,
-                        help="links (default: 2000, cli 300, latency 64, ratio and gen-ratio 10, "
-                             "brute 16)")
+                        help="links (default: 2000, cli 300, latency 64, shannon 20, ratio and "
+                             "gen-ratio 10, brute 16)")
     parser.add_argument("--seed", type=int, help="instance seed (default: 1000, cli, latency, "
-                                                 "ratio and gen-ratio 0, brute 5000)")
+                                                 "ratio and gen-ratio 0, shannon 500, "
+                                                 "brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
 
@@ -246,10 +269,11 @@ def main(argv=None) -> None:
                 for side, rev in (("A", args.base), ("B", args.head))}
         recipes = RECIPES if args.recipe == "all" else (args.recipe,)
         for recipe in [line for r in recipes for line in LINES.get(r, (r,))]:
-            n = args.n or {"cli": 300, "latency": 64, "ratio": 10, "gen-ratio": 10,
-                           "brute": 16}.get(recipe, 2000)
+            n = args.n or {"cli": 300, "latency": 64, "shannon": 20, "ratio": 10,
+                           "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                {"cli": 0, "latency": 0, "ratio": 0, "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
+                {"cli": 0, "latency": 0, "shannon": 500, "ratio": 0, "gen-ratio": 0,
+                 "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
