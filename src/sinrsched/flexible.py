@@ -14,45 +14,65 @@ sweep. That vector is the one holder of the sweep's caps: the top value is
 a vector maximum of it against each core's best value alone, which a run
 computes once per link; it masks the levels' targets (a target above a
 row's cap becomes inf, out of every core's reach) before the single array
-``inverse_threshold`` call that gives every level's thresholds; and the run
-keeps it, so that the next sweep finds the rows whose cap changed with one
-compare. Each level keeps its own row of the threshold array, over the
-table's links in id order, and reads its ``thresholds`` mapping off that
-row.
+``inverse_threshold`` call that gives every level's thresholds; and a
+level's ``values`` are ``min(cap, core value at the SINR)`` of its selected
+links, the floats ``CappedUtility.value`` gives. Each level keeps its own
+row of the threshold array, over the table's links in id order, and reads
+its ``thresholds`` mapping off that row.
 
 A level's solution depends only on its candidates and their thresholds, so a
 caller that sweeps again on the same instance (the latency scheduler, once
 per slot) can hand in the previous run, and the tables and best values of
 links whose uncapped utility is the same object are reused instead of
-rebuilt. A level takes a previous level's solution instead of solving again
-when its input is unchanged, or when it differs only by candidates that the
-previous level's greedy rejected. A rejected candidate adds no row to any
-load, so without it every other load, accept decision and power is the same
-to the float, and the solution is the old one without its trace rows. Every
+rebuilt. The run keeps its cap vector and each link's entry in
+``utilities`` as it read it (the identity read; the scheduler edits its map
+in place, so the run keeps its own). The next sweep patches a copy of the
+vector: a link whose entry is the same object keeps its cap, since
+utilities are frozen, only the others are split again, and links that left
+get -inf; so it knows the rows whose cap changed without a compare. A level
+takes a previous level's solution instead of solving again when its input
+is unchanged, or when it differs only by candidates that the previous
+level's greedy rejected. A rejected candidate adds no row to any load, so
+without it every other load, accept decision and power is the same to the
+float, and the solution is the old one without its trace rows. Every
 solver's trace records each candidate and each link that added a row (a
 capped "limited" solve keeps both branches', and the same branch wins).
 
-A sweep compares all its levels' thresholds with the previous run's level
-rows in one broadcast: previous level j matches level i when it has level
-i's threshold on every row level i has. Level i walks its matches in level
+When the previous run has this sweep's top value and level count, its
+targets are this sweep's, and when besides no cap rose (a link that returns
+to the sweep rises from -inf), a level's thresholds are the previous
+level's of the same index with NaN on each changed row whose cap is now
+below the target: the update path, which makes no ``inverse_threshold``
+search. Each level then starts from the previous level of its index: it is
+that ``FlexibleLevel`` object when no row turned NaN and no selected link's
+cap changed, and otherwise that level's solution, without the trace rows
+of the lost candidates when its greedy rejected them all. Any other level,
+and every level of any other sweep, is matched as follows.
+
+A sweep compares its levels' thresholds with the previous run's in one
+broadcast: previous level j matches level i when it has level i's
+threshold on every row level i has. Level i walks its matches in level
 order and takes the first whose trace rejected every row j has beyond it
 (live there, NaN here): j's solution with those rows left out of its trace,
 or j's solution object itself when j has no such rows. Every match that
 fits gives the same selection, powers and SINRs, so which one is taken
-changes nothing.
+changes nothing; a level of the update path that its own index does not fit
+is matched too, so it is solved only when no previous level fits.
 
-Each level keeps the utility value of each selected link at its SINR, in
-selection order, and its objective is their sum. A reused level keeps the
-previous level's values when none of its selected links changed cap, because
-each is then the same float; every other level calls each selected link's
-``value`` at its SINR. The latency scheduler reads a slot's gains off its
-level's values.
+The run also keeps the core values under each level's ``values``. A level
+that takes a previous level's solution keeps that level's values when none
+of its selected links changed cap, because each is then the same float,
+and otherwise takes ``min(cap, core value)`` from that level's core values;
+only a solved level calls ``value``. The latency scheduler reads a slot's
+gains off its level's values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -108,10 +128,17 @@ class FlexibleRun:
     levels: tuple[FlexibleLevel, ...]
     best_index: Optional[int]
     # the utility tables, which a later sweep on the same instance, mode and
-    # powers may reuse (each level holds its thresholds over their rows), and
-    # the caps over those rows, against which that sweep finds the changed ones
+    # powers may reuse (each level holds its thresholds over their rows), the
+    # caps over those rows, each swept link's entry in ``utilities`` (None
+    # where it had none), whose cap a later sweep keeps while the entry is
+    # the same object, the levels' thresholds, a row per level, and each
+    # level's core values under its ``values``, which a later level with its
+    # solution caps without calling ``value``; a slot keeps none of these
     _tables: Optional["_Tables"] = field(default=None, repr=False, compare=False)
     _cap: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _read: Optional[dict] = field(default=None, repr=False, compare=False)
+    _gammas: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _core_values: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def best(self) -> Optional[FlexibleLevel]:
@@ -182,26 +209,44 @@ class _Tables:
         )
 
 
-def _read_links(instance, ids, utilities, tables):
-    """(caps, cores, rows) of ``ids`` in one pass: each link's cap and core
-    (``split_cap``) and its row in ``tables``; ``rows`` is None when
-    ``tables`` is None, lacks a link or holds another core object for it."""
-    caps, cores, rows = [], [], []
-    row = None if tables is None else tables.row
-    for lid in ids:
-        u = _utility(instance, utilities, lid)
-        if u is None:
-            raise ValueError(f"link {lid} has no utility")
-        cap, u = split_cap(u)
-        caps.append(cap)
-        cores.append(u)
-        if row is not None:
-            k = row.get(lid)
-            if k is None or tables.cores[k] is not u:
-                row = None
-            else:
-                rows.append(k)
-    return caps, cores, None if row is None else rows
+_UNREAD = object()  # a link the previous run did not read
+
+
+def _split(instance, lid, entry):
+    """(cap, core) of link ``lid`` (``split_cap``), whose entry in
+    ``utilities`` is ``entry``: that entry, else the link's own utility."""
+    u = instance.link(lid).utility if entry is None else entry
+    if u is None:
+        raise ValueError(f"link {lid} has no utility")
+    return split_cap(u)
+
+
+def _patched_cap(instance, ids, entries, previous) -> Optional[tuple]:
+    """(cap, moved): ``previous``'s cap vector brought up to this sweep, and
+    row -> (link id, previous cap, cap) of each row whose cap changed. A link
+    whose entry is the object ``previous`` read keeps its cap, the others
+    are split again, and rows of links that left get -inf. None when a link
+    split again has no row in ``previous``'s tables or another core object
+    there."""
+    tables, read = previous._tables, previous._read
+    cap = previous._cap.copy()
+    moved = {}
+    # the links whose entry is not the object ``previous`` read for them
+    stale = compress(zip(ids, entries), map(is_not, entries, map(read.get, ids, repeat(_UNREAD))))
+    for lid, entry in stale:
+        c, core = _split(instance, lid, entry)
+        k = tables.row.get(lid)
+        if k is None or tables.cores[k] is not core:
+            return None
+        was = cap.item(k)
+        if c != was:
+            moved[k] = (lid, was, c)
+        cap[k] = c
+    for lid in read.keys() - ids:
+        k = tables.row[lid]
+        moved[k] = (lid, cap.item(k), -math.inf)
+        cap[k] = -math.inf
+    return cap, moved
 
 
 def level_count(n: int) -> int:
@@ -227,12 +272,16 @@ def solve_flexible(
 
     ``previous`` is an earlier run on the same instance, mode and powers (the
     latency scheduler passes the previous slot's run). When each link's
-    uncapped utility is the object it was there, the run reuses its tables,
-    and a level takes the solution of a level of ``previous`` whose
-    candidates and thresholds are its own, or its own plus candidates that
-    level rejected (their trace rows are left out). It keeps that level's
-    values when no selected link's cap changed, and is scored under the
-    current utilities otherwise. Without such a level it is solved.
+    uncapped utility is the object it was there, the run reuses its tables;
+    a link whose entry in ``utilities`` is the object ``previous`` read keeps
+    its cap there, and only the others are read again. A level takes the
+    solution of a level of ``previous`` whose candidates and thresholds are
+    its own, or its own plus candidates that level rejected (their trace
+    rows are left out). It keeps that level's values when no selected link's
+    cap changed, and is scored under the current caps otherwise. Without
+    such a level it is solved. When ``previous`` has this sweep's top value
+    and level count and no cap rose, the thresholds are ``previous``'s with
+    the fallen caps masked, and no table search is made.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -241,19 +290,24 @@ def solve_flexible(
     ids = list(instance.link_ids if links is None else links)
     if not ids:
         raise ValueError("no links to schedule")
-    index_of(ids)
+    entries = [None] * len(ids) if utilities is None else list(map(utilities.get, ids))
+    read = dict(zip(ids, entries))
+    if len(read) < len(ids):
+        index_of(ids)  # raises, naming the repeated link
     tables = None if previous is None else previous._tables
     if tables is not None and (tables.instance is not instance or tables.powers is not powers):
         tables = None
-    caps, cores, rows = _read_links(instance, ids, utilities, tables)
-    if rows is None:
+    patched = None if tables is None else _patched_cap(instance, ids, entries, previous)
+    if patched is not None:
+        cap, moved = patched
+    else:
+        caps, cores = zip(*(_split(instance, lid, entry) for lid, entry in zip(ids, entries)))
         tables = _Tables.build(instance, mode, powers, ids, cores)
-        rows = [tables.row[lid] for lid in ids]
-    # the table's rows are the tables' links; those not in this sweep get
-    # cap -inf, which leaves them out of every level
-    cap = np.full(len(tables.ids), -math.inf)
-    cap[rows] = caps
-    top = float(np.max(np.minimum(cap, tables.solo_max)))
+        # the table's rows are the tables' links; those not in this sweep get
+        # cap -inf, which leaves them out of every level
+        cap = np.full(len(tables.ids), -math.inf)
+        cap[[tables.row[lid] for lid in ids]] = caps
+    top = float(np.minimum(cap, tables.solo_max).max())
     if not math.isfinite(top):
         raise ValueError("objective unbounded")
     if top <= 0.0:
@@ -261,61 +315,96 @@ def solve_flexible(
         return FlexibleRun(0.0, mode, (), None)
 
     n_levels = level_count(len(ids))
-    reuse = None
-    if previous is not None and previous._tables is tables:
-        reuse = _Reuse(previous, cap)
-    levels = _sweep(instance, mode, utilities, tables, cap, powers, top, n_levels, reuse)
+    reuse = None if patched is None else _Reuse(previous, moved)
+    levels, gammas, core_values = _sweep(
+        instance, mode, tables, cap, powers, top, n_levels, reuse
+    )
     # ties go to the shallowest level, whose members each carry the top value
-    best_index = max(range(n_levels), key=lambda i: (levels[i].objective, -i))
-    return FlexibleRun(float(top), mode, tuple(levels), best_index, tables, cap)
+    objectives = [level.objective for level in levels]
+    best_index = objectives.index(max(objectives))
+    return FlexibleRun(top, mode, tuple(levels), best_index, tables, cap, read, gammas,
+                       core_values)
 
 
 class _Reuse:
-    """A previous run's levels over the same tables, and the links whose cap
-    changed since it; ``match`` finds each level of a sweep a previous level
-    whose solution it may take."""
+    """A previous run over the same tables and the rows whose cap changed
+    since it; ``update`` gives a sweep with the previous targets its
+    thresholds, and ``match`` finds each level a previous level whose
+    solution it may take."""
 
-    def __init__(self, previous: FlexibleRun, cap: np.ndarray):
+    def __init__(self, previous: FlexibleRun, moved: dict):
+        self.top = previous.top_value
         self.levels = previous.levels
+        self.core_values = previous._core_values
         self.ids = previous._tables.ids
-        self.changed = set(self.ids[previous._cap != cap].tolist())
+        self.gammas = previous._gammas
+        self.moved = moved  # row -> (link id, previous cap, cap)
+        self.changed = {lid for lid, _, _ in moved.values()}
+
+    def updates(self, top: float, n_levels: int) -> bool:
+        """Whether a sweep to ``top`` over ``n_levels`` can update the
+        previous thresholds: the same targets, and no cap rose."""
+        return (self.top == top and len(self.levels) == n_levels
+                and not any(c > was for _, was, c in self.moved.values()))
+
+    def update(self, targets: list) -> tuple:
+        """(thresholds, lost): the previous levels' thresholds with NaN on
+        each changed row whose cap is now below the level's target, and per
+        level the ids of the rows that turned NaN. Targets descend, so a row
+        is lost from a prefix of the levels, where it was not NaN."""
+        lost = [set() for _ in targets]
+        at = []
+        for k, (lid, _, c) in self.moved.items():
+            if c < targets[0]:
+                for i, gamma in enumerate(self.gammas[:, k].tolist()):
+                    if not targets[i] > c:
+                        break
+                    if gamma == gamma:
+                        lost[i].add(lid)
+                        at.append((i, k))
+        if not at:
+            return self.gammas, lost
+        gammas = self.gammas.copy()
+        gammas[tuple(zip(*at))] = math.nan
+        return gammas, lost
 
     def match(self, gammas: np.ndarray, live: np.ndarray) -> list:
-        """(solution, values) per row of ``gammas``, a sweep's thresholds
-        over the tables' rows, not NaN where ``live``: from the first
-        previous level that has those thresholds on every live row and whose
-        trace rejected every row it has beyond them; the solution is None
-        when no level fits, the values when a selected link's cap
-        changed."""
-        old = np.array([lvl.gamma for lvl in self.levels])
+        """(solution, index of its previous level) per row of ``gammas``, a
+        sweep's thresholds over the tables' rows, not NaN where ``live``:
+        from the first previous level that has those thresholds on every
+        live row and whose trace rejected every row it has beyond them, or
+        (None, None) when no level fits."""
         dead = ~live[:, None]
-        matches = ((old == gammas[:, None]) | dead).all(axis=2).tolist()
-        extra = (old == old) & dead  # rows previous level j has beyond level i
+        matches = ((self.gammas == gammas[:, None]) | dead).all(axis=2).tolist()
+        extra = (self.gammas == self.gammas) & dead  # rows previous level j has beyond level i
         more = extra.any(axis=2).tolist()
         return [self._first(*args) for args in zip(matches, more, extra)]
 
     def _first(self, matches: list, more: list, extra: np.ndarray) -> tuple:
         """``match``'s answer for one level, from its row of each array."""
         for j, level in enumerate(self.levels):
-            if not matches[j]:
-                continue
-            if not more[j]:
-                return level.solution, self._values(level)
-            dropped = set(self.ids[extra[j]].tolist())
-            trace = []
-            for r in level.solution.trace:
-                if r[0] not in dropped:
-                    trace.append(r)
-                elif r[1]:
-                    break  # its greedy accepted one: every later load differs
-            else:
-                sol = level.solution
-                return (Solution(sol.selected, sol.powers, sol.sinr, sol.objective, sol.algorithm,
-                                 tuple(trace)), self._values(level))
+            if matches[j]:
+                sol = self.take(level, set(self.ids[extra[j]].tolist()) if more[j] else ())
+                if sol is not None:
+                    return sol, j
         return None, None
 
-    def _values(self, level: FlexibleLevel) -> Optional[tuple]:
-        return level.values if self.changed.isdisjoint(level.solution.selected) else None
+    @staticmethod
+    def take(level: FlexibleLevel, dropped) -> Optional[Solution]:
+        """``level``'s solution without the candidates ``dropped`` (ids), or
+        None when its greedy accepted one of them; the level's own object
+        when none is dropped."""
+        sol = level.solution
+        if not dropped:
+            return sol
+        trace = []
+        for r in sol.trace:
+            if r[0] not in dropped:
+                trace.append(r)
+            elif r[1]:
+                return None  # its greedy accepted one: every later load differs
+        return Solution(sol.selected, sol.powers, sol.sinr, sol.objective, sol.algorithm,
+                        tuple(trace))
 
 
 def _level_gammas(table: UtilityTable, cap: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -326,33 +415,54 @@ def _level_gammas(table: UtilityTable, cap: np.ndarray, targets: np.ndarray) -> 
     return inverse_threshold(table, np.where(targets > cap, math.inf, targets))
 
 
-def _sweep(instance, mode, utilities, tables, cap, powers, top, n_levels, reuse):
-    """Solve the levels top, top / 2, ...; ``reuse``, when given, supplies a
-    previous run's solution, and values, where one holds. ``cap`` has an
-    entry per row of ``tables``; each level keeps a copy of its row of
-    thresholds over the rows' links, so that a slot keeping one level does
-    not keep the others'."""
+def _sweep(instance, mode, tables, cap, powers, top, n_levels, reuse):
+    """(levels, thresholds, core values): solve the levels top, top / 2,
+    ...; ``reuse``, when given, supplies a previous run's levels and
+    solutions where they hold. ``cap`` has an entry per row of ``tables``;
+    each new level keeps a copy of its row of thresholds over the rows'
+    links, so that a slot keeping one level does not keep the others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
-    gammas = _level_gammas(tables.table, cap, np.array(targets)[:, None])
-    live = gammas == gammas  # a NaN threshold sits the level out
-    found = [(None, None)] * n_levels if reuse is None else reuse.match(gammas, live)
-    levels = []
-    for i, (target, gamma, on, (sol, values)) in enumerate(zip(targets, gammas, live, found)):
-        if sol is None:
-            sol = _solve_level(instance, mode, tables.ids[on].tolist(), gamma[on], powers)
-        if values is None:
-            values = tuple(
-                _utility(instance, utilities, lid).value(sol.sinr[lid]) for lid in sol.selected
-            )
-        levels.append(FlexibleLevel(i, target, sol, values, gamma.copy(), tables.ids))
-    return levels
+    if reuse is not None and reuse.updates(top, n_levels):
+        gammas, lost = reuse.update(targets)
+    else:
+        gammas, lost = _level_gammas(tables.table, cap, np.array(targets)[:, None]), None
+    caps, row, cores = cap.tolist(), tables.row, tables.cores
+    core_values = [None] * n_levels
 
+    def level(i, sol, j):
+        # previous level j has this solution's selection and SINRs: its
+        # values hold when no selected link's cap changed, its core values
+        # always
+        if j is None:
+            core_values[i] = tuple(cores[row[lid]].value(sol.sinr[lid]) for lid in sol.selected)
+        else:
+            core_values[i] = reuse.core_values[j]
+            if reuse.changed.isdisjoint(sol.selected):
+                return FlexibleLevel(i, targets[i], sol, reuse.levels[j].values,
+                                     gammas[i].copy(), tables.ids)
+        values = tuple(map(min, map(caps.__getitem__, map(row.__getitem__, sol.selected)),
+                           core_values[i]))
+        return FlexibleLevel(i, targets[i], sol, values, gammas[i].copy(), tables.ids)
 
-def _utility(instance, utilities, lid):
-    """The utility link ``lid`` is scored by: its entry in ``utilities``,
-    else its own."""
-    u = None if utilities is None else utilities.get(lid)
-    return instance.link(lid).utility if u is None else u
+    levels = [None] * n_levels
+    if lost is not None:  # the update path: start from the previous level of each index
+        for i, (old, dropped) in enumerate(zip(reuse.levels, lost)):
+            if not dropped and reuse.changed.isdisjoint(old.solution.selected):
+                levels[i], core_values[i] = old, reuse.core_values[i]
+                continue
+            sol = reuse.take(old, dropped)
+            if sol is not None:
+                levels[i] = level(i, sol, i)
+    todo = [i for i, lvl in enumerate(levels) if lvl is None]
+    if todo:
+        rest = gammas[todo]
+        live = rest == rest  # a NaN threshold sits the level out
+        found = [(None, None)] * len(todo) if reuse is None else reuse.match(rest, live)
+        for i, on, (sol, j) in zip(todo, live, found):
+            if sol is None:
+                sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers)
+            levels[i] = level(i, sol, j)
+    return levels, gammas, tuple(core_values)
 
 
 def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:

@@ -250,18 +250,21 @@ def _max_value(instance: Instance, lid: int, mode: str) -> float:
 
 
 def _solo_slots(instance: Instance, links: Optional[Sequence[int]]) -> list[int]:
-    """ceil(demand / max utility under the power cap) for every link with
-    demand: the slots each needs on its own."""
+    """ceil(demand / max utility) for every link with demand: the slots each
+    needs on its own in mode "unlimited", the mode ``solve_latency``
+    schedules in by default (no power cap, so a Shannon utility's maximum is
+    unbounded and raises, as there)."""
     ids = index_of(instance.link_ids if links is None else links)
     return [
-        math.ceil(instance.link(lid).demand / _max_value(instance, lid, "limited"))
+        math.ceil(instance.link(lid).demand / _max_value(instance, lid, "unlimited"))
         for lid in ids
         if instance.link(lid).demand
     ]
 
 
 def loose_length_bound(instance: Instance, links: Optional[Sequence[int]] = None) -> float:
-    """4 * sum(ceil(demand / max utility)) * (ceil(log2 n) + 1)^2."""
+    """4 * sum(ceil(demand / max utility)) * (ceil(log2 n) + 1)^2, for a
+    ``solve_latency`` schedule in mode "unlimited"."""
     slots = _solo_slots(instance, links)
     if not slots:
         return 0.0
@@ -269,5 +272,6 @@ def loose_length_bound(instance: Instance, links: Optional[Sequence[int]] = None
 
 
 def schedule_lower_bound(instance: Instance, links: Optional[Sequence[int]] = None) -> int:
-    """max over links of ceil(demand / max utility): slots any schedule needs."""
+    """max over links of ceil(demand / max utility): slots any schedule in
+    mode "unlimited" needs."""
     return max(_solo_slots(instance, links), default=0)

@@ -117,11 +117,30 @@ def test_link_out_of_reach_under_cap_is_unschedulable():
             Link(id=1, sender=2, receiver=3, utility=U, demand=1.0),
         ),
     )
-    for bound in (loose_length_bound, schedule_lower_bound):
-        with pytest.raises(UnschedulableDemand, match="link 1 demands 1.0"):
-            bound(inst)
     with pytest.raises(UnschedulableDemand, match="link 1 demands 1.0"):
         solve_latency(inst, mode="limited")
+    # the bounds are for the default mode, "unlimited", where the link
+    # reaches U's top value 2 alone: one slot
+    assert solve_latency(inst).lengths[2] == 1.0
+    assert (schedule_lower_bound(inst), loose_length_bound(inst)) == (1, 4.0)
+
+
+@pytest.mark.parametrize("p_max", [10.0, 0.5])
+def test_bounds_take_the_unlimited_maximum(p_max):
+    # alone at p_max, the link reaches SINR p_max / (1 * 1^2): 10 gives value
+    # 1 (8 slots for demand 8), 0.5 gives nothing; without a power cap it
+    # reaches value 4, and the default-mode schedule takes 2 slots either way
+    inst = Instance(
+        metric=MetricSpace.euclidean([[0.0], [1.0]], dim=1),
+        alpha=2.0,
+        noise=1.0,
+        p_max=p_max,
+        links=(Link(id=0, sender=0, receiver=1,
+                    utility=StepUtility(((1.0, 1.0), (100.0, 4.0))), demand=8.0),),
+    )
+    assert len(solve_latency(inst).slots) == 2
+    assert schedule_lower_bound(inst) == 2
+    assert loose_length_bound(inst) == 4.0 * 2 * 1**2
 
 
 def _random_demand_instance(seed, n=6):

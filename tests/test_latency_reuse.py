@@ -21,11 +21,11 @@ import pytest
 
 from sinrsched import capacity, flexible, latency, oracle, verify
 from sinrsched.capacity import _Candidates, solve_fixed, solve_limited, solve_unlimited
-from sinrsched.flexible import solve_flexible
+from sinrsched.flexible import MODES, solve_flexible
 from sinrsched.generate import GenConfig, gen_random
 from sinrsched.latency import RESIDUAL_TOL, SchemeRun, Slot, solve_latency
 from sinrsched.model import Instance, Link, MetricSpace, sensitivity_order, thresholds_for
-from sinrsched.utility import CappedUtility, StepUtility
+from sinrsched.utility import CappedUtility, RoundedUtility, ShannonUtility, StepUtility
 
 
 def _reference_run_scheme(
@@ -328,6 +328,121 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
     # 3,743 solves when only unchanged levels were reused; every slot sweeps
     # through the module attribute, which the benchmark's tracer rebinds
     assert (len(solves), len(levels), sum(levels)) == (1868, 997, 6447)
+
+
+def test_most_latency_sweeps_update_instead_of_searching(monkeypatch):
+    # the benchmark's latency-medium batch: a sweep with the previous
+    # sweep's top value and level count, and no risen cap, updates the
+    # previous thresholds instead of searching the table (see
+    # test_reuse_skips_most_solves_at_latency_scale for its solve counts)
+    searches, sweeps = [], []
+    search, sweep = flexible.inverse_threshold, latency.solve_flexible
+
+    def counting_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    def counting_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(flexible, "inverse_threshold", counting_search)
+    monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
+    for _ in _latency_benchmark_schedules():
+        pass
+    assert (len(searches), len(sweeps)) == (392, 997)
+
+
+def _cores(inst, mode, rng):
+    """A core per link, drawn from the link's own step utility, a Shannon
+    curve and a rounding of either; a bare Shannon curve only where the SINR
+    is capped, since its maximum is unbounded in mode "unlimited"."""
+    cores = {}
+    for link in inst.links:
+        shannon = ShannonUtility(rng.uniform(0.2, 0.6), rng.uniform(1.0, 3.0))
+        families = [link.utility, RoundedUtility(link.utility, rng.uniform(0.5, 2.0), 8),
+                    RoundedUtility(shannon, rng.uniform(1.0, 4.0), 6)]
+        if mode != "unlimited":
+            families.append(shannon)
+        cores[link.id] = rng.choice(families)
+    return cores
+
+
+def _capped(core, cap, rng):
+    """``core`` capped at ``cap`` by one or two ``CappedUtility`` layers, or
+    bare when ``cap`` is inf."""
+    if cap == math.inf:
+        return core
+    looser = cap + rng.uniform(0.0, 1.0)
+    return rng.choice([
+        CappedUtility(core, cap),
+        CappedUtility(CappedUtility(core, looser), cap),
+        CappedUtility(CappedUtility(core, cap), looser),
+    ])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(3))
+def test_update_path_equals_fresh_sweeps(monkeypatch, mode, seed):
+    # a random walk of sweeps, each handed the previous run: caps fall (the
+    # update path) and rise, links leave the sweep and return, some links are
+    # missing from the utilities map, and a link is rewrapped in new layers
+    # with its old cap; every sweep equals a fresh one, traces included
+    rng = random.Random(seed)
+    p_max = math.inf if mode == "unlimited" else 5e4
+    inst = _demand_instance(900 + seed, 24, STEP, p_max, 3e3 if mode == "fixed" else None)
+    cores = _cores(inst, mode, rng)
+    caps = {lid: rng.choice([math.inf, rng.uniform(0.1, 2.5)]) for lid in inst.link_ids}
+    given = {lid: _capped(cores[lid], caps[lid], rng) for lid in inst.link_ids}
+    own = set(rng.sample(inst.link_ids, 4))  # these links sweep under their own utility
+    out = set()
+    searches = []
+    search = flexible.inverse_threshold
+
+    def counting_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    run, updated, full = None, 0, 0
+    for step in range(40):
+        live = [lid for lid in inst.link_ids if lid not in out]
+        capped = [lid for lid in live if lid not in own]
+        action = rng.random()
+        if action < 0.45:  # some caps fall
+            for lid in rng.sample(capped, rng.randint(1, 3)):
+                caps[lid] = rng.uniform(0.0, min(caps[lid], 2.5))
+                given[lid] = _capped(cores[lid], caps[lid], rng)
+        elif action < 0.55 and run is not None and run.levels:
+            # the shallowest level's links carry the top value: halve their caps
+            for lid in set(run.levels[0].solution.selected) - own:
+                caps[lid] = min(caps[lid], 2.5) / 2
+                given[lid] = _capped(cores[lid], caps[lid], rng)
+        elif action < 0.65:  # a cap rises
+            lid = rng.choice(capped)
+            caps[lid] = rng.choice([math.inf, min(caps[lid], 2.5) + rng.uniform(0.1, 1.0)])
+            given[lid] = _capped(cores[lid], caps[lid], rng)
+        elif action < 0.78 and len(live) > 12:  # a link leaves
+            out.add(rng.choice(live))
+        elif action < 0.9 and out:  # a link returns
+            out.discard(rng.choice(sorted(out)))
+        else:  # new layers, the same cap
+            lid = rng.choice(capped)
+            given[lid] = _capped(cores[lid], caps[lid], rng)
+        links = [lid for lid in inst.link_ids if lid not in out]
+        rng.shuffle(links)
+        utilities = {lid: given[lid] for lid in inst.link_ids if lid not in own}
+        with monkeypatch.context() as patch:
+            patch.setattr(flexible, "inverse_threshold", counting_search)
+            searches.clear()
+            got = solve_flexible(inst, mode, links, utilities, previous=run)
+        fresh = solve_flexible(inst, mode, links, utilities)
+        assert got.to_dict(include_trace=True) == fresh.to_dict(include_trace=True), step
+        if run is not None and got._tables is run._tables and got.levels:
+            updated += not searches
+            full += len(searches)
+        run = got
+    # both paths ran
+    assert updated and full
 
 
 def _latency_benchmark_schedules():

@@ -262,7 +262,9 @@ def test_latency_sweeps_search_two_table_objects(monkeypatch):
     monkeypatch.setattr(flexible, "inverse_threshold", spy)
     schedule = solve_latency(inst)
     sweeps = sum(len(run.slots) + run.stalled for run in schedule.runs.values())
-    assert len(searched) == sweeps > 2
+    # a sweep with the previous sweep's targets and no risen cap updates its
+    # thresholds instead of searching
+    assert (len(searched), sweeps) == (81, 194)
     assert all(isinstance(table, UtilityTable) for table in searched)
     assert len({id(table) for table in searched}) == 2
 

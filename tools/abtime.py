@@ -33,7 +33,10 @@ ends of a generator change show in one command; ``latency`` runs
 ``solve_latency`` on each of the latency-medium benchmark's five instances
 (n = 64, 3-step utilities, seeds ``--seed`` to ``--seed`` + 4, default 0
 to 4), the workload's op mix, so that a change which helps some instances
-more than others shows in its time; ``shannon`` runs
+more than others shows in its time; its area is 1000·√(n/64), 1000 at the
+default n, so that ``--n 1000`` keeps that density and runs sets above the
+capacity solvers' 128-link dense limit, where level solves measure their
+own pairs; ``shannon`` runs
 ``solve_latency(inst, mode="limited")`` and ``solve_flexible(inst,
 mode="limited")`` on eight n = 20 instances with Shannon utilities
 (``GenConfig(n=20, seed=s, utility={"family": "shannon"}, demand_range=(0.5,
@@ -56,6 +59,7 @@ dense-matrix limit and on instances above and below it.
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe cli --rounds 20
+    python tools/abtime.py HEAD . --recipe latency --n 1000 --rounds 1
     python tools/abtime.py HEAD . --recipe shannon --rounds 20
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
@@ -135,10 +139,10 @@ def _recipe(pkg, name: str, n: int, seed: int):
         return lambda: [
             pkg.brute_opt_threshold(inst, regime=regime, powers=uniform if regime == "fixed" else None)
             for inst, uniform in cases for regime in ("variable", "variable_capped", "fixed")]
-    if name == "latency":
+    if name == "latency":  # the area grows with n, so that density stays latency-medium's
         insts = [pkg.gen_random(pkg.GenConfig(
-            n=n, seed=s, area=1000.0, d_range=(1.0, 60.0), beta_range=(1.0, 2.0),
-            demand_range=(0.5, 3.0),
+            n=n, seed=s, area=1000.0 * math.sqrt(n / 64), d_range=(1.0, 60.0),
+            beta_range=(1.0, 2.0), demand_range=(0.5, 3.0),
             utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
         )) for s in range(seed, seed + LATENCY_SEEDS)]
         return lambda: ([pkg.solve_latency(inst) for inst in insts], [])  # no flexible runs
