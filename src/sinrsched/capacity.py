@@ -28,16 +28,16 @@ links that matrix is sliced out of the instance's own pair matrix, measured
 on the first solve and kept (``Instance._cross_alpha``), so the many level
 solves of a latency schedule measure no distance; on a larger instance the
 set measures its own. The solvers measure only through their candidates,
-never through ``geometry``. The fixed pass's rows and columns cover only the
-n_gate links that pass the solo SINR gate, O(n_gate * |accepted|); a link
-that misses it appears only as a trace row. The limited solver's second pass
-over the k links its first pass accepted takes their weights in column
-blocks of 256 links, in O(k * 256) memory. Endpoints, ``d^alpha`` and
-thresholds are sliced from the per-link arrays cached on ``Instance``, so
-every sensitivity and kernel here reads the one ``Instance.d_alpha``. Every
-cross ``d^alpha`` is one ``MetricSpace.between`` call, which raises the
-squared distance to alpha / 2 with no square root (the sum itself at alpha =
-2).
+never through ``geometry``, whose matrix is the checkers' own. The fixed
+pass's rows and columns cover only the n_gate links that pass the solo SINR
+gate, O(n_gate * |accepted|); a link that misses it appears only as a trace
+row. The limited solver's second pass over the k links its first pass
+accepted takes their weights in column blocks of 256 links, in O(k * 256)
+memory. Endpoints, ``d^alpha`` and thresholds are sliced from the per-link
+arrays cached on ``Instance``, so every sensitivity and kernel here reads
+the one ``Instance.d_alpha``. Every cross ``d^alpha`` is one
+``MetricSpace.between`` call, which raises the squared distance to alpha / 2
+with no square root (the sum itself at alpha = 2).
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
@@ -59,6 +59,7 @@ from .model import (
     Instance,
     Solution,
     Thresholds,
+    _DENSE,
     _sensitivities,
     _sinr,
     empty_solution,
@@ -72,14 +73,6 @@ from .model import (
 # column block of the weights that pass evaluates.
 SECOND_PASS_BUDGET = 0.25
 _BLOCK = 256
-# Candidate sets of at most this many links read every pair from one matrix
-# (see ``_Candidates``): a level solve over a few dozen candidates then reads
-# one matrix, not 2k + 1 distance rows. An instance of at most this many
-# links measures that matrix once over all its links. Timed against
-# streaming, the unlimited greedy is faster or even up to 128 links and ~1.9x
-# slower at 192, where the rows of its few accepted links cost less than every
-# pair.
-_DENSE = 128
 
 
 def weight_budget(alpha: float) -> float:

@@ -46,6 +46,11 @@ def _summary_stats(values: Sequence[float]) -> dict:
     }
 
 
+def _at_least_one(count: int, name: str) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def experiment_ratio(
     n: int = 10,
     trials: int = 200,
@@ -59,6 +64,12 @@ def experiment_ratio(
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"ratio experiment needs n <= {BRUTE_FORCE_LIMIT} for the brute-force oracle")
+    _at_least_one(trials, "trials")
+    try:
+        p_max = 20.0 * 30.0**alpha
+    except OverflowError:
+        raise ValueError(f"ratio experiment needs a finite power cap 20 * 30^alpha, "
+                         f"got alpha {alpha:g}") from None
 
     def one(t: int) -> dict:
         rng_n = (seed + t) % n + 1
@@ -70,7 +81,7 @@ def experiment_ratio(
             beta_range=(1.0, 10.0),
             alpha=alpha,
             noise=1.0,
-            p_max=20.0 * 30.0**alpha,
+            p_max=p_max,
         )
         instance = gen_random(base)
         started = time.perf_counter()
@@ -199,6 +210,7 @@ def experiment_strengthen(sets: int = 100, seed: int = 0) -> dict:
     """Signal-strengthening decompositions over harvested admissible sets, at
     each scale c in C_VALUES. ``strengthen`` certifies every part; a
     decomposition that fails it is a row with no parts, not certified."""
+    _at_least_one(sets, "sets")
     harvest = harvest_admissible_sets(sets, seed=seed)
     rows = []
     violations = 0
@@ -231,6 +243,7 @@ def experiment_strengthen(sets: int = 100, seed: int = 0) -> dict:
 
 def experiment_reverse(sets: int = 100, seed: int = 0) -> dict:
     """Link-reversal subsets over harvested admissible sets."""
+    _at_least_one(sets, "sets")
     harvest = harvest_admissible_sets(sets, seed=seed)
     rows = []
     violations = 0

@@ -7,8 +7,9 @@ and ``to_dict``, with each link's utility through ``utility_from_dict`` and
 
 Everything here is immutable after construction and safe to share between
 concurrent workers; all operations are pure functions of their inputs. (An
-instance's solver-only pair matrix is computed on first use; every worker
-that computes it gets the same bits.)
+instance of at most ``_DENSE`` links keeps two pair matrices, the solvers'
+and the checkers', each computed on its first use; every worker that
+computes one gets the same bits, so it does not matter whose is kept.)
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ CAP_RTOL = 1e-12
 # Absolute tolerance below which a latency residual counts as met, and by
 # which delivered utility may fall short of a demand.
 RESIDUAL_TOL = 1e-9
+
+# An instance of at most this many links measures every pair of its links
+# once and keeps the matrix (at most 128 KB), one for the capacity solvers'
+# candidate sets (``Instance._cross_alpha``) and one for ``geometry``
+# (``Instance._geometry_alpha``). A capacity candidate set of at most this
+# many links reads every pair from one matrix (see ``capacity._Candidates``):
+# a level solve over a few dozen candidates then reads one matrix, not 2k + 1
+# distance rows. Timed against streaming, the unlimited greedy is faster or
+# even up to 128 links and ~1.9x slower at 192, where the rows of its few
+# accepted links cost less than every pair.
+_DENSE = 128
 
 # Threshold overrides: a mapping id -> beta, or an array aligned with the
 # link ids it comes with (see ``thresholds_for``).
@@ -273,16 +285,19 @@ class Instance:
     thresholds          link thresholds, NaN where a link has none; a link's
                         sensitivity threshold * d_alpha must be finite too
 
-    ``_cross_alpha`` is the pair matrix ``cross[i, j] = d(sender_j,
-    receiver_i)^alpha`` over all links, measured with ``geometry``'s call on
-    first access and kept read-only. It serves the capacity solvers only,
-    which read it on instances of at most ``capacity._DENSE`` = 128 links
-    (at most 128 KB) and slice every candidate set's matrix out of it;
-    ``geometry``, ``evaluate_sinrs`` and the oracles measure on their own. It
-    is not a field: ``==``, ``hash`` and ``dataclasses.replace`` ignore it.
-    Pickle, ``copy`` and ``deepcopy`` build a copy through the constructor,
-    so its cached arrays are read-only too and it leaves the pair matrix
-    out, measuring its own when it needs one.
+    An instance of at most ``_DENSE`` = 128 links keeps two copies of the
+    pair matrix ``cross[i, j] = d(sender_j, receiver_i)^alpha`` over all its
+    links (at most 128 KB each), each measured with its own
+    ``MetricSpace.between`` call on first access and kept read-only.
+    ``_cross_alpha`` serves the capacity solvers, which slice every candidate
+    set's matrix out of it. ``_geometry_alpha`` serves ``geometry``, and so
+    ``evaluate_sinrs``, the oracles and the lemma checks, which certify the
+    solvers' outputs: with a copy of their own, a fault in the solvers'
+    matrix shows as a rejected solution instead of being checked against the
+    same floats. Neither is a field: ``==``, ``hash`` and
+    ``dataclasses.replace`` ignore them. Pickle, ``copy`` and ``deepcopy``
+    build a copy through the constructor, so its cached arrays are read-only
+    too and it leaves both matrices out, measuring its own when it needs one.
     """
 
     metric: MetricSpace
@@ -355,6 +370,12 @@ class Instance:
         with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
             cross = metric.between(metric.gather(self.receivers[:, None]),
                                    metric.gather(self.senders[None, :]), self.alpha)
+        cross.flags.writeable = False
+        return cross
+
+    @cached_property
+    def _geometry_alpha(self) -> np.ndarray:
+        cross = _measure_pairs(self, slice(None))
         cross.flags.writeable = False
         return cross
 
@@ -574,7 +595,9 @@ class Geometry:
     Building one for k links costs O(k^2) time and memory. The capacity
     solvers build none (they read distances through the instance's kernel);
     ``evaluate_sinrs``, the oracles and the lemma checks build one over the
-    links they are given.
+    links they are given. On an instance of at most ``_DENSE`` links its
+    cross matrix is sliced out of ``Instance._geometry_alpha``, which the
+    first call measures, and otherwise measured per call.
 
     ids         candidate link ids, fixed order
     d_alpha     own sender-receiver distance^alpha per link
@@ -612,12 +635,21 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     ids = tuple(ids)
     index_of(ids)
     pos = instance.positions(ids)
-    receivers, senders = instance.receivers[pos], instance.senders[pos]
+    if len(instance.links) <= _DENSE:
+        # rows pos, then columns pos, of the checkers' own matrix
+        cross = instance._geometry_alpha.take(pos, 0).take(pos, 1)
+    else:
+        cross = _measure_pairs(instance, pos)
+    return Geometry(ids, instance.d_alpha[pos], cross)
+
+
+def _measure_pairs(instance: Instance, pos) -> np.ndarray:
+    """``geometry``'s cross matrix over the links at rows ``pos`` (an index
+    array, or a slice) of the instance arrays, measured."""
     metric = instance.metric
     with np.errstate(over="ignore"):  # an infinite cross distance is zero gain
-        cross = metric.between(metric.gather(receivers[:, None]), metric.gather(senders[None, :]),
-                               instance.alpha)
-    return Geometry(ids, instance.d_alpha[pos], cross)
+        return metric.between(metric.gather(instance.receivers[pos][:, None]),
+                              metric.gather(instance.senders[pos][None, :]), instance.alpha)
 
 
 def thresholds_for(

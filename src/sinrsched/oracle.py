@@ -12,11 +12,17 @@ searches, meant for desk-scale ratio experiments and tests, build their
 arrays once per call and walk each subset size in lexicographic chunks of at
 most ``_CHUNK`` subsets. A chunk's submatrices are stacked and decided by one
 LAPACK call (one ``sinr_vector`` call under fixed powers), so memory is
-bounded by the chunk, not by the number of subsets of a size.
+bounded by the chunk, not by the number of subsets of a size. Every pair
+matrix here comes from ``geometry``: on an instance of at most 128 links a
+slice of the checkers' own (``Instance._geometry_alpha``), never of the one
+the capacity solvers read, so a fault in theirs cannot certify itself.
 
 ``brute_opt_threshold`` decides only subsets that can be feasible: every
 single link first, then every pair of the links feasible alone, then, past
-size 2, only subsets of those links that hold no infeasible pair.
+size 2, only subsets of those links that hold no infeasible pair. Under
+variable powers a single link's system (1 - 0) p = beta * d^alpha * N
+returns its base, so the singles are read off the base vector without a
+LAPACK call; under fixed powers they are one stacked SINR evaluation.
 Feasibility is hereditary, so every subset it skips is infeasible and the
 answer is the full walk's: a principal submatrix of B has no larger spectral
 radius, minimal powers only grow as links are added, and fixed-power SINRs
@@ -216,8 +222,10 @@ def brute_opt_threshold(
     built once over all links; each chunk of subsets is tested on a stack of
     its slices.
 
-    Every single link is decided first, and the links that pass (``keep``)
-    have every pair decided next. Past size 2, each size is walked over the
+    Every single link is decided first (under variable powers from its
+    base: feasible when finite, positive and, capped, not above p_max, the
+    floats a 1 x 1 solve returns), and the links that pass (``keep``) have
+    every pair decided next. Past size 2, each size is walked over the
     lexicographic combinations of ``keep``, and a combination holding a pair
     decided infeasible is dropped before its chunk's stacked decision; a
     size with nothing left makes no decision. Feasibility is hereditary: a
@@ -239,6 +247,8 @@ def brute_opt_threshold(
         def feasible(combos):
             gamma = sinr_vector(_stacked(cross_alpha, combos), p[combos], instance.noise)
             return (gamma >= floor[combos]).all(axis=-1)
+
+        keep = np.flatnonzero(_decide(feasible, np.arange(len(ids))[:, None]))
     else:
         coupling, base = _coupling(instance, ids, thresholds)
         cap = INF if regime == "variable" else instance.p_max
@@ -247,7 +257,9 @@ def brute_opt_threshold(
             p, positive = _minimal_powers(_stacked(coupling, combos), base[combos])
             return positive & ~(p > cap).any(axis=-1)
 
-    keep = np.flatnonzero(_decide(feasible, np.arange(len(ids))[:, None]))
+        # a single link's system (1 - 0) p = base returns its base, the
+        # floats a 1 x 1 solve gives, so no LAPACK call decides it
+        keep = np.flatnonzero(np.isfinite(base) & (base > 0) & ~(base > cap))
     # bit j of clash[i]: the pair (keep[i], keep[j]) is infeasible
     clash = np.zeros(len(keep), dtype=np.int64)
     for pairs in _combination_chunks(len(keep), 2):

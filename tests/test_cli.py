@@ -153,6 +153,26 @@ def test_experiment_ratio_rejects_more_links_than_the_brute_force_oracle_takes(c
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith(f"error: ratio experiment needs n <= {BRUTE_FORCE_LIMIT} ")
 
+
+def test_experiment_ratio_rejects_an_alpha_whose_cap_overflows(capsys):
+    # 20 * 30^300 is beyond float range; it raised OverflowError (exit 3)
+    code = cli.main(["experiment", "--name", "ratio", "--alpha", "300", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err == "error: ratio experiment needs a finite power cap 20 * 30^alpha, got alpha 300\n"
+
+
+@pytest.mark.parametrize("name, field", [
+    ("ratio", "trials"), ("strengthen", "sets"), ("reverse", "sets"), ("aloha", "trials"),
+])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiment_rejects_fewer_than_one_trial(capsys, name, field, trials):
+    code = cli.main(["experiment", "--name", name, "--trials", trials])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err.startswith(f"error: {field} must be >= 1") and out == ""
+
+
 def test_experiment_adversary():
     r = run_cli("experiment", "--name", "adversary", "--k", "8")
     assert r.returncode == 0

@@ -153,16 +153,23 @@ def test_length_and_d_alpha_are_the_matrix_entries():
         assert inst.length(link.id) == matrix[link.receiver, link.sender]
 
 
-def _cached_pair_matrix(inst):
-    """The instance's pair matrix as a solve builds it: every link at
-    threshold 1, so that links without a threshold take part."""
-    assert "_cross_alpha" not in vars(inst)
+def _cached_pair_matrices(inst):
+    """The instance's two pair matrices: the solvers', as a solve builds it
+    (every link at threshold 1, so that links without a threshold take
+    part), and the checkers', as ``geometry`` builds it. Each is read-only
+    and ``geometry`` over every link returns the checkers' bytes."""
+    assert "_cross_alpha" not in vars(inst) and "_geometry_alpha" not in vars(inst)
     solve_unlimited(inst, thresholds=dict.fromkeys(inst.link_ids, 1.0))
-    cross = vars(inst)["_cross_alpha"]
-    assert not cross.flags.writeable
-    with pytest.raises(ValueError):
-        cross[0, 0] = 1.0
-    return cross
+    assert "_geometry_alpha" not in vars(inst)
+    sliced = geometry(inst).cross_alpha
+    matrices = vars(inst)["_cross_alpha"], vars(inst)["_geometry_alpha"]
+    assert matrices[0] is not matrices[1]
+    assert sliced.tobytes() == matrices[1].tobytes()
+    for cross in matrices:
+        assert not cross.flags.writeable
+        with pytest.raises(ValueError):
+            cross[0, 0] = 1.0
+    return matrices
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
@@ -172,10 +179,10 @@ def test_cached_pair_matrix_bit_equal_to_row_major_reference(dim, alpha):
     inst = _shared_endpoint_instance(pts)
     inst = Instance(inst.metric, alpha, inst.noise, inst.links)
     want = _squared(pts, inst.receivers[:, None], inst.senders[None, :]) ** (alpha / 2)
-    cross = _cached_pair_matrix(inst)
-    assert cross.shape == (len(inst.links),) * 2
-    assert cross.tobytes() == want.tobytes()
-    assert np.count_nonzero(cross == 0) > 0
+    for cross in _cached_pair_matrices(inst):
+        assert cross.shape == (len(inst.links),) * 2
+        assert cross.tobytes() == want.tobytes()
+        assert np.count_nonzero(cross == 0) > 0
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
@@ -185,7 +192,8 @@ def test_cached_pair_matrix_raises_the_matrix_entries(alpha):
     links = _shared_endpoint_instance(pts).links
     inst = Instance(MetricSpace.from_matrix(matrix), alpha, 1.0, links)
     want = matrix[inst.receivers[:, None], inst.senders[None, :]] ** alpha
-    assert _cached_pair_matrix(inst).tobytes() == want.tobytes()
+    for cross in _cached_pair_matrices(inst):
+        assert cross.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 13))

@@ -30,9 +30,9 @@ from sinrsched import (
     solve_unlimited,
 )
 from sinrsched import latency
-from sinrsched.model import float_sum, sinr_vector, thresholds_for
+from sinrsched.model import float_sum, geometry, sinr_vector, thresholds_for
 from sinrsched.utility import CappedUtility, StepUtility
-from sinrsched.verify import verify_flexible_run, verify_schedule
+from sinrsched.verify import verify_flexible_run, verify_schedule, verify_solution
 
 
 def sinr(inst, active, powers, target):
@@ -216,15 +216,18 @@ def test_cached_pair_matrix_leaves_equality_hash_replace_and_pickle_alone():
 
     before = observed()
     solution = solve_unlimited(inst)
-    assert "_cross_alpha" in vars(inst)
+    assert verify_solution(inst, solution) == []
+    assert "_cross_alpha" in vars(inst) and "_geometry_alpha" in vars(inst)
     assert observed() == before
     copy = dataclasses.replace(inst)
     loaded = pickle.loads(pickle.dumps(inst))
     for other in (copy, loaded):
-        assert "_cross_alpha" not in vars(other)
+        assert "_cross_alpha" not in vars(other) and "_geometry_alpha" not in vars(other)
         assert other.to_dict() == inst.to_dict()
         assert solve_unlimited(other) == solution
-        assert vars(other)["_cross_alpha"].tobytes() == vars(inst)["_cross_alpha"].tobytes()
+        assert verify_solution(other, solution) == []
+        for name in ("_cross_alpha", "_geometry_alpha"):
+            assert vars(other)[name].tobytes() == vars(inst)[name].tobytes()
     assert copy == inst and hash(copy) == hash(inst)
 
 
@@ -238,18 +241,21 @@ def test_copies_of_an_instance_stay_read_only(kind):
         inst = dataclasses.replace(inst, metric=MetricSpace.from_matrix(d, validate=False))
     solution = solve_unlimited(inst)
     limited = solve_limited(inst)
-    assert "_cross_alpha" in vars(inst)
+    checked = geometry(inst)
+    assert "_cross_alpha" in vars(inst) and "_geometry_alpha" in vars(inst)
     for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
         metric = other.metric
         arrays = [other.senders, other.receivers, other.d_alpha, other.thresholds,
                   metric._coords if kind == "euclidean" else metric._matrix]
+        assert "_cross_alpha" not in vars(other) and "_geometry_alpha" not in vars(other)
+        assert other == inst and hash(other) == hash(inst) and metric == inst.metric
+        assert solve_unlimited(other) == solution and solve_limited(other) == limited
+        assert geometry(other).cross_alpha.tobytes() == checked.cross_alpha.tobytes()
+        arrays += [vars(other)["_cross_alpha"], vars(other)["_geometry_alpha"]]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        assert "_cross_alpha" not in vars(other)
-        assert other == inst and hash(other) == hash(inst) and metric == inst.metric
-        assert solve_unlimited(other) == solution and solve_limited(other) == limited
 
 def test_length_is_the_metric_distance():
     metric = MetricSpace.euclidean([[0.1, 0.7], [3.3, -1.9], [2.0, 2.0]])

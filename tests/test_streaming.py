@@ -389,9 +389,15 @@ def test_a_small_instance_measures_its_pairs_once(monkeypatch):
     shapes.clear()
     assert solve_latency(inst).to_dict(include_trace=True) == first.to_dict(include_trace=True)
     assert shapes == []
-    # the checker's geometry measures on its own
+    # the checkers' geometry measures one matrix of its own on first use,
+    # not the solvers' object, and slices it from then on
     geometry(inst, inst.link_ids[:5])
-    assert shapes == [(5, 5)]
+    assert shapes == [(n, n)]
+    assert vars(inst)["_geometry_alpha"] is not vars(inst)["_cross_alpha"]
+    shapes.clear()
+    assert geometry(inst).cross_alpha.shape == (n, n)
+    geometry(inst, inst.link_ids[7:2:-1])
+    assert shapes == []
 
 
 def test_an_instance_above_the_dense_limit_caches_no_matrix():
@@ -404,7 +410,8 @@ def test_an_instance_above_the_dense_limit_caches_no_matrix():
         assert solve_unlimited(inst, links).selected
         assert solve_limited(inst, links).selected
         assert solve_fixed(inst, links, powers=uniform, warn_preconditions=False).selected
-    assert "_cross_alpha" not in vars(inst)
+        assert geometry(inst, links).cross_alpha.shape == (len(links),) * 2
+    assert "_cross_alpha" not in vars(inst) and "_geometry_alpha" not in vars(inst)
 
 
 def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):

@@ -13,6 +13,7 @@ from sinrsched import (
     solve_flexible,
     solve_limited,
 )
+from sinrsched import model
 from sinrsched.verify import verify_flexible_run, verify_schedule, verify_solution
 
 STEP = {"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0}
@@ -85,6 +86,20 @@ def test_tampered_artifact_is_rejected(solve, tamper):
     assert check(inst, data) == []
     inst, problem = tamper(inst, data)
     assert problem in check(inst, data)
+
+
+def test_a_fault_in_the_solvers_pair_matrix_is_reported(monkeypatch):
+    # the checkers measure their own pairs: with the solvers' cached matrix
+    # transposed, every pair of selected links reads the wrong distances,
+    # and the stored SINRs disagree with the re-evaluated ones
+    inst = _instance()
+    assert len(inst.links) <= model._DENSE
+    measured = Instance._cross_alpha.func
+    monkeypatch.setattr(Instance, "_cross_alpha", property(lambda self: measured(self).T))
+    solution = solve_limited(inst)
+    assert len(solution.selected) >= 2
+    problems = verify_solution(inst, solution)
+    assert any("but re-evaluation gives" in problem for problem in problems), problems
 
 
 def _one_step_link(power, stored_sinr):

@@ -11,7 +11,8 @@ and the largest relative difference of any power or SINR between them. The
 decisions are every solution's selected ids and trace rows' (id, accepted)
 (for ``latency`` and ``shannon``, every slot's of both scheme runs, plus
 the chosen scheme and both lengths, and for ``shannon`` also every level's
-of each flexible run and its best level), and for ``ratio``, ``brute`` and ``gen`` the output
+of each flexible run and its best level), for ``verify`` the problem lists
+and each slot's verdict, and for ``ratio``, ``brute`` and ``gen`` the output
 itself; so a change to the arithmetic alone shows as outputs that differ,
 decisions that do not, and how far the floats moved.
 
@@ -36,7 +37,12 @@ to 4), the workload's op mix, so that a change which helps some instances
 more than others shows in its time; its area is 1000·√(n/64), 1000 at the
 default n, so that ``--n 1000`` keeps that density and runs sets above the
 capacity solvers' 128-link dense limit, where level solves measure their
-own pairs; ``shannon`` runs
+own pairs; ``verify`` solves those five schedules once and times
+latency-medium's check of them, ``verify_schedule`` on each schedule's JSON
+form plus ``check_admissible`` (uncapped, at the slot's thresholds) on each
+slot: the checkers on instances of at most 128 links, which slice their own
+pair matrix; its output is the problem lists and the certificates;
+``shannon`` runs
 ``solve_latency(inst, mode="limited")`` and ``solve_flexible(inst,
 mode="limited")`` on eight n = 20 instances with Shannon utilities
 (``GenConfig(n=20, seed=s, utility={"family": "shannon"}, demand_range=(0.5,
@@ -51,15 +57,17 @@ three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
 of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
 pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``cli``,
-``latency``, ``shannon``, ``ratio``, ``brute`` and ``gen`` in turn, each for
-``--rounds`` rounds, which checks a solver, oracle or generator change for identity and speed in
-one command, on candidate sets above and below the capacity solvers'
-dense-matrix limit and on instances above and below it.
+``latency``, ``verify``, ``shannon``, ``ratio``, ``brute`` and ``gen`` in
+turn, each for ``--rounds`` rounds, which checks a solver, checker, oracle
+or generator change for identity and speed in one command, on candidate
+sets above and below the capacity solvers' dense-matrix limit and on
+instances above and below it.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
     python tools/abtime.py HEAD . --recipe cli --rounds 20
     python tools/abtime.py HEAD . --recipe latency --n 1000 --rounds 1
+    python tools/abtime.py HEAD . --recipe verify --rounds 20
     python tools/abtime.py HEAD . --recipe shannon --rounds 20
     python tools/abtime.py HEAD . --recipe gen --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
@@ -88,8 +96,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "shannon", "ratio", "brute",
-           "gen")  # ``all``
+RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "verify", "shannon", "ratio",
+           "brute", "gen")  # ``all``
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 LATENCY_SEEDS = 5
@@ -119,6 +127,16 @@ def _load(name: str, package_dir: Path):
     return module
 
 
+def _latency_instances(pkg, n: int, seed: int) -> list:
+    """latency-medium's instances; the area grows with n, so that the
+    density stays the benchmark's."""
+    return [pkg.gen_random(pkg.GenConfig(
+        n=n, seed=s, area=1000.0 * math.sqrt(n / 64), d_range=(1.0, 60.0),
+        beta_range=(1.0, 2.0), demand_range=(0.5, 3.0),
+        utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
+    )) for s in range(seed, seed + LATENCY_SEEDS)]
+
+
 def _recipe(pkg, name: str, n: int, seed: int):
     """A zero-argument call of the recipe on package ``pkg``."""
     if name == "ratio":
@@ -139,13 +157,23 @@ def _recipe(pkg, name: str, n: int, seed: int):
         return lambda: [
             pkg.brute_opt_threshold(inst, regime=regime, powers=uniform if regime == "fixed" else None)
             for inst, uniform in cases for regime in ("variable", "variable_capped", "fixed")]
-    if name == "latency":  # the area grows with n, so that density stays latency-medium's
-        insts = [pkg.gen_random(pkg.GenConfig(
-            n=n, seed=s, area=1000.0 * math.sqrt(n / 64), d_range=(1.0, 60.0),
-            beta_range=(1.0, 2.0), demand_range=(0.5, 3.0),
-            utility={"family": "step", "steps": 3, "gamma_max": 32.0, "value_max": 2.0},
-        )) for s in range(seed, seed + LATENCY_SEEDS)]
+    if name == "latency":
+        insts = _latency_instances(pkg, n, seed)
         return lambda: ([pkg.solve_latency(inst) for inst in insts], [])  # no flexible runs
+    if name == "verify":  # latency-medium's check of each schedule, solved once here
+        verify = importlib.import_module(f"{pkg.__name__}.verify")
+        cases = []
+        for inst in _latency_instances(pkg, n, seed):
+            schedule = pkg.solve_latency(inst)
+            slots = [(slot.solution.selected,
+                      {lid: slot.thresholds[lid] for lid in slot.solution.selected})
+                     for slot in schedule.slots]
+            cases.append((inst, schedule.to_dict(), slots))
+        return lambda: [
+            (verify.verify_schedule(inst, data),
+             [pkg.check_admissible(inst, selected, cap=math.inf, thresholds=thresholds).to_dict()
+              for selected, thresholds in slots])
+            for inst, data, slots in cases]
     if name == "shannon":  # (schedules, flexible runs), as for latency
         insts = [pkg.gen_random(pkg.GenConfig(
             n=n, seed=s, utility={"family": "shannon"}, demand_range=(0.5, 3.0), p_max=5e4,
@@ -182,7 +210,7 @@ def _output(recipe: str, out) -> str:
         return json.dumps(out.to_dict())  # an instance has no trace
     if recipe == "gen-ratio":
         return json.dumps([inst.to_dict() for inst in out])
-    if recipe == "brute":
+    if recipe in ("brute", "verify"):
         return json.dumps(out)
     if recipe in ("latency", "shannon"):
         return json.dumps([x.to_dict(include_trace=True) for part in out for x in part])
@@ -198,8 +226,8 @@ def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one, ``cli``'s
     fourteen, every slot's of both scheme runs of each latency schedule (and
     then every level's of each ``shannon`` flexible run), none for ``ratio``,
-    ``brute`` and the ``gen`` lines."""
-    if recipe in ("ratio", "brute", "gen", "gen-ratio"):
+    ``brute``, ``verify`` and the ``gen`` lines."""
+    if recipe in ("ratio", "brute", "verify", "gen", "gen-ratio"):
         return []
     if recipe == "cli":
         return out
@@ -213,6 +241,9 @@ def _solutions(recipe: str, out) -> list:
 
 def _decisions(recipe: str, out) -> str:
     """The output's decisions as JSON text, without a power or an SINR."""
+    if recipe == "verify":  # the problem lists and each slot's verdict
+        return json.dumps([[problems, [cert["feasible"] for cert in certs]]
+                           for problems, certs in out])
     if recipe in ("ratio", "brute", "gen", "gen-ratio"):
         return _output(recipe, out)
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
@@ -259,10 +290,10 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "all"), default="limited")
     parser.add_argument("--n", type=int,
-                        help="links (default: 2000, cli 300, latency 64, shannon 20, ratio and "
-                             "gen-ratio 10, brute 16)")
+                        help="links (default: 2000, cli 300, latency and verify 64, shannon "
+                             "20, ratio and gen-ratio 10, brute 16)")
     parser.add_argument("--seed", type=int, help="instance seed (default: 1000, cli, latency, "
-                                                 "ratio and gen-ratio 0, shannon 500, "
+                                                 "verify, ratio and gen-ratio 0, shannon 500, "
                                                  "brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
@@ -273,11 +304,11 @@ def main(argv=None) -> None:
                 for side, rev in (("A", args.base), ("B", args.head))}
         recipes = RECIPES if args.recipe == "all" else (args.recipe,)
         for recipe in [line for r in recipes for line in LINES.get(r, (r,))]:
-            n = args.n or {"cli": 300, "latency": 64, "shannon": 20, "ratio": 10,
+            n = args.n or {"cli": 300, "latency": 64, "verify": 64, "shannon": 20, "ratio": 10,
                            "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                {"cli": 0, "latency": 0, "shannon": 500, "ratio": 0, "gen-ratio": 0,
-                 "brute": 5000}.get(recipe, 1000))
+                {"cli": 0, "latency": 0, "verify": 0, "shannon": 500, "ratio": 0,
+                 "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
