@@ -42,6 +42,14 @@ with no square root (the sum itself at alpha = 2).
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
 solve resolves its ids to rows and thresholds once and hands slices down.
+A pass under the links' own thresholds (every solve whose caller gave none)
+asks ``sensitivity_order`` for them (``thresholds`` None), which reads the
+order the instance sorts once and keeps: capacity-large's unlimited,
+limited (both branches) and fixed solves of one instance sort its
+sensitivities once between them, where overrides, such as every latency or
+flexible level's, sort their own. An all-link solve (``links`` None) takes
+rows 0..n-1 and, when every link is admitted, indexes its candidates through
+the instance's own id -> row map instead of building one per solve.
 """
 
 from __future__ import annotations
@@ -126,7 +134,9 @@ class _Candidates:
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
-        self.index = index_of(ids)
+        # ids that are the instance's own link_ids (an all-link solve that
+        # admitted every link, at rows 0..n-1) index through its id -> row map
+        self.index = instance._positions if ids is instance.link_ids else index_of(ids)
         self.cross = None
         if len(instance.links) <= _DENSE:
             # rows pos, then columns pos, of the instance's pair matrix,
@@ -189,14 +199,32 @@ def solve_unlimited(
     A link whose beta * d^alpha * N underflows to 0, and which would get
     power 0, is dropped up front.
     """
-    ids = list(instance.link_ids if links is None else links)
+    ids, pos = _rows(instance, links)
     if not ids:
         return empty_solution("unlimited")
-    pos = instance.positions(ids)
     beta = thresholds_for(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
-        selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta)
+        selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta, thresholds is None)
         return _finish(instance, cands, selected[::-1], "unlimited", trace)
+
+
+def _rows(instance, links):
+    """(ids, rows) of a solve's links: the instance's own ``link_ids`` at
+    rows 0..n-1 when ``links`` is None, else a list of ``links`` and their
+    rows."""
+    if links is None:
+        return instance.link_ids, np.arange(len(instance.links))
+    ids = list(links)
+    return ids, instance.positions(ids)
+
+
+def _order(instance, ids, beta, own):
+    """``sensitivity_order`` of ``ids`` under the thresholds ``beta``, which
+    are asked for as None when they are the links' own (``own``): that reads
+    the order the instance keeps. The instance's own ``link_ids`` ask for
+    every link, whose order needs no row lookup."""
+    return sensitivity_order(instance, None if ids is instance.link_ids else ids,
+                             None if own else beta)
 
 
 def _greedy(candidates, index, load, budget, row):
@@ -239,10 +267,10 @@ def _admit(ids, pos, beta, d_alpha, gate, *aligned):
     return list(compress(ids, gate.tolist())), pos[gate], beta[gate], *(a[gate] for a in aligned)
 
 
-def _greedy_unlimited(instance, ids, pos, beta):
+def _greedy_unlimited(instance, ids, pos, beta, own):
     """Weight-budget pass of the unlimited greedy over nonempty ``ids`` (rows
-    ``pos``, thresholds ``beta``): accepted links (least sensitive first),
-    trace rows and the candidates.
+    ``pos``, thresholds ``beta``, the links' own when ``own``): accepted
+    links (least sensitive first), trace rows and the candidates.
 
     A load is the summed weight from the accepted links, added one row at a
     time in acceptance order. Accepted links are less sensitive than every
@@ -251,7 +279,7 @@ def _greedy_unlimited(instance, ids, pos, beta):
     accepted and is walked only as a trace row (id, False, inf). The first
     admitted candidate starts at load 0, so it is accepted.
     """
-    order = sensitivity_order(instance, ids, beta)
+    order = _order(instance, ids, beta, own)
     d_alpha = instance.d_alpha[pos]
     ids, pos, beta = _admit(ids, pos, beta, d_alpha, beta * d_alpha * instance.noise > 0)
     cands = _Candidates(instance, ids, pos, beta)
@@ -389,11 +417,10 @@ def solve_fixed(
     stays within 1/2; the final filter keeps links whose total incoming
     affectance is below 1, so every returned link meets its threshold.
     """
-    ids = list(instance.link_ids if links is None else links)
+    ids, pos = _rows(instance, links)
     if not ids:
         return empty_solution("fixed")
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    pos = instance.positions(ids)
     beta = thresholds_for(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
         final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
@@ -420,8 +447,14 @@ def _fixed_pass(instance, ids, pos, beta, p):
     enters no other link's load, so it is walked only as a trace row (id,
     False, inf). The candidates, and with them every row and column, cover
     the links that pass the gate: O(n_gate * |accepted|).
+
+    It tells the links' own thresholds by value rather than by a flag,
+    keeping the five-argument form that ``tests/test_streaming.py`` wraps;
+    the first link tells most overrides apart.
     """
-    order = sensitivity_order(instance, ids, beta)
+    held = instance.thresholds
+    own = beta.item(0) == held.item(pos.item(0)) and (beta == held[pos]).all()
+    order = _order(instance, ids, beta, own)
     d_alpha = instance.d_alpha[pos]
     gate = (0 < p) & (p < INF) & (p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL))
     ids, pos, beta, p = _admit(ids, pos, beta, d_alpha, gate, p)
@@ -461,14 +494,13 @@ def solve_limited(
         # no cap to respect: the unlimited solver's solution stands as is
         return replace(solve_unlimited(instance, links, thresholds), algorithm="limited")
 
-    ids = list(instance.link_ids if links is None else links)
+    ids, pos = _rows(instance, links)
     if not ids:
         return empty_solution("limited")
     if isinstance(thresholds, np.ndarray):
         # two copies of a link may differ in threshold and land one in each
         # branch; otherwise they share a branch, whose candidates reject them
         index_of(ids)
-    pos = instance.positions(ids)
     beta = thresholds_for(instance, ids, thresholds, pos)
     # the branch to finish, by its kept links and candidates; the trace names
     # both branches' candidates
@@ -478,7 +510,8 @@ def solve_limited(
         small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
         if small.any():
             kept, trace, cands = _limited_first_branch(
-                instance, list(compress(ids, small.tolist())), pos[small], beta[small])
+                instance, list(compress(ids, small.tolist())), pos[small], beta[small],
+                thresholds is None)
         if not small.all():
             big = ~small
             r2 = list(compress(ids, big.tolist()))
@@ -491,14 +524,14 @@ def solve_limited(
         return _finish(instance, cands, kept, "limited", trace)
 
 
-def _limited_first_branch(instance, r1, pos, beta):
+def _limited_first_branch(instance, r1, pos, beta, own):
     """The unlimited greedy's weight-budget pass, then a second pass over the
     links it accepted, most sensitive first, that keeps a link while its
     outgoing weight onto the kept links, taken a block of ``_BLOCK`` columns
     at a time, stays within the budget. Returns the kept links, most
     sensitive first, the first pass's trace rows followed by the second's,
-    and the candidates."""
-    first_pass, trace1, cands = _greedy_unlimited(instance, r1, pos, beta)
+    and the candidates. ``own`` is as in ``_greedy_unlimited``."""
+    first_pass, trace1, cands = _greedy_unlimited(instance, r1, pos, beta, own)
     # the first pass accepted its links least sensitive first; walked back, a
     # load is the weight from c onto the kept links, all more sensitive than c
     walk = first_pass[::-1]

@@ -46,8 +46,9 @@ below the target: the update path, which makes no ``inverse_threshold``
 search. Each level then starts from the previous level of its index: it is
 that ``FlexibleLevel`` object when no row turned NaN and no selected link's
 cap changed, and otherwise that level's solution, without the trace rows
-of the lost candidates when its greedy rejected them all. Any other level,
-and every level of any other sweep, is matched as follows.
+of the lost candidates when its greedy rejected them all. A level that its
+own index does not fit is solved. Every level of any other sweep is
+matched as follows.
 
 A sweep compares its levels' thresholds with the previous run's in one
 broadcast: previous level j matches level i when it has level i's
@@ -56,8 +57,7 @@ order and takes the first whose trace rejected every row j has beyond it
 (live there, NaN here): j's solution with those rows left out of its trace,
 or j's solution object itself when j has no such rows. Every match that
 fits gives the same selection, powers and SINRs, so which one is taken
-changes nothing; a level of the update path that its own index does not fit
-is matched too, so it is solved only when no previous level fits.
+changes nothing.
 
 The run also keeps the core values under each level's ``values``. A level
 that takes a previous level's solution keeps that level's values when none
@@ -281,7 +281,8 @@ def solve_flexible(
     cap changed, and is scored under the current caps otherwise. Without
     such a level it is solved. When ``previous`` has this sweep's top value
     and level count and no cap rose, the thresholds are ``previous``'s with
-    the fallen caps masked, and no table search is made.
+    the fallen caps masked, no table search is made, and a level looks only
+    at ``previous``'s level of its index.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -457,7 +458,11 @@ def _sweep(instance, mode, tables, cap, powers, top, n_levels, reuse):
     if todo:
         rest = gammas[todo]
         live = rest == rest  # a NaN threshold sits the level out
-        found = [(None, None)] * len(todo) if reuse is None else reuse.match(rest, live)
+        # on the update path a level that its own index does not fit is
+        # solved: another previous level almost never fits it, and matching
+        # against them all cost more than the solves it saved
+        found = ([(None, None)] * len(todo) if reuse is None or lost is not None
+                 else reuse.match(rest, live))
         for i, on, (sol, j) in zip(todo, live, found):
             if sol is None:
                 sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers)

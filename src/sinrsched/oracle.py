@@ -7,7 +7,9 @@ Foschini & Miljanic 1993). ``check_admissible`` decides a subset with one
 LU solve of that system; ``spectral_admissible`` answers the uncapped
 question independently through the eigenvalues of B. Either costs
 O(k^2) to build B and O(k^3) to factor it, for a subset of k links, with no
-iteration count that grows near the boundary rho(B) = 1. The brute-force
+iteration count that grows near the boundary rho(B) = 1; both refuse a
+subset of more than ``ADMISSIBLE_LIMIT`` links before building any array
+over it (``sinrsched oracle`` then exits 2). The brute-force
 searches, meant for desk-scale ratio experiments and tests, build their
 arrays once per call and walk each subset size in lexicographic chunks of at
 most ``_CHUNK`` subsets. A chunk's submatrices are stacked and decided by one
@@ -57,6 +59,10 @@ from .model import (
 )
 
 BRUTE_FORCE_LIMIT = 20
+# largest subset the admissibility oracles decide: they hold several dense
+# k x k float arrays at once (128 MB each at this bound), and the largest
+# set the tests, demos and benchmark checks hand them has 121 links
+ADMISSIBLE_LIMIT = 4096
 # subsets of one size decided per stacked call in a brute-force search
 _CHUNK = 2048
 
@@ -91,7 +97,12 @@ class AdmissibilityCertificate:
 
 
 def _coupling(instance, ids, thresholds):
-    """Relative interference matrix B and base vector beta * d^alpha * N."""
+    """Relative interference matrix B and base vector beta * d^alpha * N.
+    Raises ValueError before building anything for more than
+    ``ADMISSIBLE_LIMIT`` links."""
+    if len(ids) > ADMISSIBLE_LIMIT:
+        raise ValueError(f"admissibility oracle limited to {ADMISSIBLE_LIMIT} links, "
+                         f"got {len(ids)}")
     geo = geometry(instance, ids)
     beta = thresholds_for(instance, ids, thresholds)
     with np.errstate(divide="ignore", over="ignore"):
@@ -123,7 +134,8 @@ def check_admissible(
     Solves (I - B) p = beta * d^alpha * N once. A positive solution exists
     exactly when rho(B) < 1 and is then the minimal power vector; the subset
     is feasible when that vector is also within the cap (default p_max). A
-    cap that is NaN or not positive raises ValueError.
+    cap that is NaN or not positive, or a subset of more than
+    ``ADMISSIBLE_LIMIT`` links, raises ValueError.
     """
     cap = instance.p_max if cap is None else cap
     if not cap > 0:  # also NaN, which every comparison with a power passes
@@ -170,7 +182,8 @@ def spectral_admissible(
     thresholds: Optional[Mapping[int, float]] = None,
 ) -> bool:
     """Uncapped admissibility via the spectral-radius criterion rho(B) < 1.
-    The empty set and a single link have a zero B of radius 0."""
+    The empty set and a single link have a zero B of radius 0. A subset of
+    more than ``ADMISSIBLE_LIMIT`` links raises ValueError."""
     return spectral_radius(relative_interference_matrix(instance, subset, thresholds)) < 1.0
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sinrsched
-from sinrsched import CertificationError, UtilityContractError, cli
+from sinrsched import CertificationError, UtilityContractError, cli, oracle
 from sinrsched.oracle import BRUTE_FORCE_LIMIT
 
 # the child process imports the same package as the tests, installed or not
@@ -687,6 +687,21 @@ def test_oracle_cap_must_be_positive(tmp_path, capsys, cap):
     err = capsys.readouterr().err
     assert code == cli.EXIT_BAD_INPUT == 2, err
     assert err.startswith("error: cap must be positive")
+
+
+def test_oracle_over_the_admissibility_bound_is_bad_input(tmp_path, capsys, monkeypatch):
+    # a 10^5-link file with no --subset asked for 80 GB per dense array
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "6", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    monkeypatch.setattr(oracle, "ADMISSIBLE_LIMIT", 5)
+    capsys.readouterr()
+    code = cli.main(["oracle", "--instance", str(inst)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BAD_INPUT == 2, err
+    assert err == "error: admissibility oracle limited to 5 links, got 6\n"
+    out = tmp_path / "cert.json"
+    code = cli.main(["oracle", "--instance", str(inst), "--subset", "0,1,2,3,4", "--out", str(out)])
+    assert code == cli.EXIT_OK and "feasible" in json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("brute", ["none", "variable", "fixed", "flexible_fixed"])

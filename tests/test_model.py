@@ -159,6 +159,163 @@ def test_sensitivity_order_product_comparison():
     assert sensitivity_order(inst) == [0, 1]
 
 
+# -- the sensitivity order an instance caches --------------------------------
+
+@st.composite
+def _order_cases(draw):
+    """An instance whose links share endpoints, repeat lengths and draw their
+    thresholds from a few values, so that sensitivities tie, with ids out of
+    order; and a list of its ids to sort: a subset, permuted, with repeats."""
+    alpha = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]))
+    n = draw(st.integers(1, 24))
+    points = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=4,
+                           max_size=10, unique=True))
+    ids = draw(st.permutations(range(0, 3 * n, 3)))
+    links = []
+    for lid in ids:
+        s = draw(st.integers(0, len(points) - 1))
+        r = draw(st.integers(0, len(points) - 1).filter(lambda r: r != s))
+        links.append(Link(lid, s, r, threshold=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0]))))
+    inst = Instance(MetricSpace.euclidean([list(map(float, pt)) for pt in points]), alpha, 1.0,
+                    tuple(links))
+    chosen = draw(st.lists(st.sampled_from(ids), max_size=2 * n))
+    return inst, chosen
+
+
+def _explicit(inst, ids):
+    """sensitivity_order under an explicit array of the links' own
+    thresholds, which sorts its own keys."""
+    return sensitivity_order(inst, ids, thresholds_for(inst, ids))
+
+
+@given(_order_cases())
+@settings(max_examples=300, deadline=None)
+def test_cached_sensitivity_order_equals_the_sorted_keys(case):
+    inst, chosen = case
+    every = list(inst.link_ids)
+    assert sensitivity_order(inst) == _explicit(inst, every)
+    assert sensitivity_order(inst, every[::-1]) == _explicit(inst, every)
+    assert sensitivity_order(inst, chosen) == _explicit(inst, chosen)
+    assert sensitivity_order(inst, chosen[::-1]) == _explicit(inst, chosen)
+
+
+def test_cached_sensitivity_order_keeps_the_known_ties():
+    # mirrored link vectors (x, y) and (y, x) tie, and so does the squared
+    # kernel's exact 4.0 at alpha = 4 with a threshold-4 link of length 1
+    pts = [[0.0, 0.0]]
+    mirrored = []
+    for x, y in [(3.5, 1.25), (0.75, 7.0), (2.0, 9.5)]:
+        pts += [[x, y], [y, x]]
+        mirrored += [Link(len(mirrored), 0, len(pts) - 2, threshold=1.0),
+                     Link(len(mirrored) + 1, 0, len(pts) - 1, threshold=1.0)]
+    squared = Instance(MetricSpace.euclidean([[0, 0], [1, 0], [50, 50], [51, 51]]), 4.0, 1.0,
+                       (Link(0, 0, 1, threshold=4.0), Link(1, 2, 3, threshold=1.0)))
+    cases = [(Instance(MetricSpace.euclidean(pts), 2.5, 1.0, tuple(mirrored)), [4, 5, 2, 3, 0, 1]),
+             (squared, [0, 1])]
+    for inst, want in cases:
+        assert sensitivity_order(inst) == want == _explicit(inst, list(inst.link_ids))
+        assert sensitivity_order(inst, want[::-1]) == want
+        assert sensitivity_order(inst, want[::-1] + want[:1]) == want[:1] + want
+
+
+def test_cached_sensitivity_order_still_names_a_link_without_a_threshold():
+    metric = MetricSpace.euclidean([[0.0], [1.0], [5.0], [7.0]], dim=1)
+    inst = Instance(metric, 2.0, 1.0, (Link(4, 0, 1, threshold=2.0), Link(2, 2, 3),
+                                       Link(9, 3, 0, threshold=1.0)))
+    for links in (None, [9, 2], [2, 4, 2]):
+        with pytest.raises(ValueError, match="^link 2 has no threshold$"):
+            sensitivity_order(inst, links)
+    assert sensitivity_order(inst, [4, 9]) == [9, 4] == _explicit(inst, [9, 4])
+    assert sensitivity_order(inst, [2], {2: 1.0}) == [2]
+    zero = Instance(metric, 2.0, 1.0, (Link(0, 0, 1, threshold=0.0), Link(1, 2, 3, threshold=0.5)),
+                    allow_sub_unit_threshold=True)
+    for links in (None, [1, 0]):
+        with pytest.raises(ValueError, match="^link 0: threshold must be finite and positive"):
+            sensitivity_order(zero, links)
+    assert sensitivity_order(zero, [1]) == [1]
+
+
+def test_cached_sensitivity_order_is_read_only_and_left_out_of_copies():
+    inst = gen_random(GenConfig(n=200, seed=6))
+    twin = dataclasses.replace(inst)
+
+    def observed():
+        return inst == twin, twin == inst, hash(inst), pickle.dumps(inst)
+
+    before = observed()
+    ids = list(inst.link_ids)[::3]
+    order, part = sensitivity_order(inst), sensitivity_order(inst, ids)
+    def cached(instance):
+        order, rank, valid = vars(instance)["_by_sensitivity"]
+        assert valid is True  # every link has a threshold
+        return order, rank
+
+    arrays = cached(inst)
+    assert observed() == before
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    for other in (dataclasses.replace(inst), pickle.loads(pickle.dumps(inst)),
+                  copy.copy(inst), copy.deepcopy(inst)):
+        assert "_by_sensitivity" not in vars(other)
+        assert other == inst and hash(other) == hash(inst)
+        assert sensitivity_order(other) == order and sensitivity_order(other, ids) == part
+        for array, kept in zip(cached(other), arrays):
+            assert array.tobytes() == kept.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+def test_capacity_op_mix_sorts_sensitivities_once_per_instance():
+    # capacity-large's ops on one instance: unlimited, limited (both
+    # branches) and fixed at uniform power each walk an order under the
+    # links' own thresholds; only the instance's first order sorts floats
+    inst = gen_random(GenConfig(n=2000, seed=1000, area=1000.0, d_range=(1.0, 100.0),
+                                beta_range=(1.0, 10.0), p_max=20.0 * 30.0**2))
+    uniform = dict.fromkeys(inst.link_ids, inst.p_max)
+    small = inst.thresholds * inst.noise * inst.d_alpha <= inst.p_max / 4.0
+    assert small.any() and not small.all()  # limited runs both branches
+    sorts = []
+
+    def spy(original):
+        def sort(keys, *args, **kwargs):
+            arrays = keys if isinstance(keys, tuple) else (keys,)
+            sorts.append(any(np.asarray(a).dtype.kind == "f" for a in arrays))
+            return original(keys, *args, **kwargs)
+        return sort
+
+    with mock.patch.object(np, "lexsort", spy(np.lexsort)), \
+            mock.patch.object(np, "argsort", spy(np.argsort)), \
+            mock.patch.object(np, "sort", spy(np.sort)):
+        solutions = [solve_unlimited(inst), solve_limited(inst),
+                     solve_fixed(inst, powers=uniform, warn_preconditions=False)]
+    # the order, then one integer argsort per limited branch
+    assert sorts == [True, False, False]
+    fresh = copy.copy(inst)
+    own = thresholds_for(fresh, list(fresh.link_ids))
+    assert solutions == [solve_unlimited(fresh, thresholds=own),
+                         solve_limited(fresh, thresholds=own),
+                         solve_fixed(fresh, powers=uniform, thresholds=own,
+                                     warn_preconditions=False)]
+
+
+def test_fixed_pass_sorts_an_override_that_only_starts_like_the_links_own():
+    # the fixed pass tells the links' own thresholds by value; an array that
+    # matches them on its first link only is an override, sorted as given
+    inst = gen_random(GenConfig(n=30, seed=4, beta_range=(1.0, 3.0)))
+    ids = list(inst.link_ids)
+    uniform = dict.fromkeys(ids, 1e6)
+    own = thresholds_for(inst, ids)
+    changed = own.copy()
+    changed[-1] *= 1e3  # now the most sensitive link
+    for beta in (own, changed):
+        order = sensitivity_order(inst, ids, beta)
+        for sol in (solve_fixed(inst, powers=uniform, thresholds=beta, warn_preconditions=False),
+                    solve_fixed(inst, ids, uniform, beta, warn_preconditions=False)):
+            assert [row[0] for row in sol.trace] == order[::-1]
+    assert sensitivity_order(inst, ids, changed)[0] == ids[-1] != sensitivity_order(inst)[0]
+
+
 def test_instance_validation():
     metric = MetricSpace.euclidean([[0.0], [1.0]], dim=1)
     link = Link(id=0, sender=0, receiver=1, threshold=1.0)

@@ -203,6 +203,28 @@ def test_brute_threshold_limit():
         brute_opt_threshold(inst)
 
 
+def test_admissibility_oracles_refuse_large_subsets_before_measuring(monkeypatch):
+    # the bound is checked against the subset's size before geometry builds
+    # any k x k array; here the bound is lowered, so nothing large is built
+    inst = gen_random(GenConfig(n=6, seed=0, beta_range=(1.0, 2.0)))
+    measured = []
+
+    def spy(*args):
+        measured.append(args)
+        return geometry(*args)
+
+    monkeypatch.setattr(oracle, "ADMISSIBLE_LIMIT", 4)
+    monkeypatch.setattr(oracle, "geometry", spy)
+    ids = list(inst.link_ids)
+    for decide in (check_admissible, spectral_admissible, relative_interference_matrix):
+        with pytest.raises(ValueError, match="^admissibility oracle limited to 4 links, got 5$"):
+            decide(inst, ids[:5])
+    assert measured == []
+    check_admissible(inst, ids[:4])
+    spectral_admissible(inst, ids[:4])
+    assert len(measured) == 2
+
+
 def _flexible_instance(step_pairs, coords):
     points, links = [], []
     for idx, (s, r) in enumerate(coords):

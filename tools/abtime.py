@@ -21,11 +21,16 @@ on the capacity-large benchmark's instance (``gen_random``, area 1000,
 lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
 power p_max without the precondition check, ``fixed-checked`` the same call
 with the check and its warning, as ``sinrsched solve --algorithm fixed``
-runs it); ``cli`` makes the cli-roundtrip benchmark's solves, ``solve_fixed``
-with its default precondition check and ``solve_limited``, on each of its
-seven instances (n = 300, seeds ``--seed`` to ``--seed`` + 6, default 0 to
-6, p_max and every link's power 18,000: what ``sinrsched gen --n 300 --seed
-j --pmax 18000 --power 18000`` builds), the one recipe whose instances run
+runs it); ``capacity-cold`` runs ``unlimited``, ``limited`` and ``fixed`` in
+turn, each on a fresh ``copy.copy`` of that instance, which goes through the
+constructor and so holds none of the arrays an instance caches on first use
+(its sensitivity order, for one): the cost a one-shot ``sinrsched solve``
+pays, where the other capacity recipes reuse one warm instance; ``cli``
+makes the cli-roundtrip benchmark's solves, ``solve_fixed`` with its default
+precondition check and ``solve_limited``, on each of its seven instances (n
+= 300, seeds ``--seed`` to ``--seed`` + 6, default 0 to 6, p_max and every
+link's power 18,000: what ``sinrsched gen --n 300 --seed j --pmax 18000
+--power 18000`` builds), the one recipe whose instances run
 a set of at most 128 candidates on more than 128 links, which measures its
 own pair matrix; ``gen`` runs that ``gen_random`` call itself, and its
 output is the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
@@ -56,15 +61,16 @@ rows without ``runtime_ms``; ``brute`` runs ``brute_opt_threshold`` in its
 three regimes (``fixed`` at uniform power p_max) on four n = 16 instances
 of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
-pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``, ``cli``,
-``latency``, ``verify``, ``shannon``, ``ratio``, ``brute`` and ``gen`` in
-turn, each for ``--rounds`` rounds, which checks a solver, checker, oracle
-or generator change for identity and speed in one command, on candidate
-sets above and below the capacity solvers' dense-matrix limit and on
-instances above and below it.
+pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``,
+``capacity-cold``, ``cli``, ``latency``, ``verify``, ``shannon``, ``ratio``,
+``brute`` and ``gen`` in turn, each for ``--rounds`` rounds, which checks a
+solver, checker, oracle or generator change for identity and speed in one
+command, on candidate sets above and below the capacity solvers'
+dense-matrix limit and on instances above and below it.
 
     python tools/abtime.py HEAD~1 HEAD --recipe limited --rounds 40
     python tools/abtime.py HEAD . --recipe all --rounds 30
+    python tools/abtime.py HEAD . --recipe capacity-cold --rounds 30
     python tools/abtime.py HEAD . --recipe cli --rounds 20
     python tools/abtime.py HEAD . --recipe latency --n 1000 --rounds 1
     python tools/abtime.py HEAD . --recipe verify --rounds 20
@@ -81,6 +87,7 @@ A revision ``.`` stands for the working tree.
 from __future__ import annotations
 
 import argparse
+import copy
 import importlib.util
 import io
 import json
@@ -96,8 +103,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
-RECIPES = ("unlimited", "limited", "fixed", "cli", "latency", "verify", "shannon", "ratio",
-           "brute", "gen")  # ``all``
+RECIPES = ("unlimited", "limited", "fixed", "capacity-cold", "cli", "latency", "verify",
+           "shannon", "ratio", "brute", "gen")  # ``all``
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 LATENCY_SEEDS = 5
@@ -199,6 +206,10 @@ def _recipe(pkg, name: str, n: int, seed: int):
     if name == "limited":
         return lambda: pkg.solve_limited(inst)
     uniform = {lid: inst.p_max for lid in inst.link_ids}
+    if name == "capacity-cold":  # a copy per solve, with no cached array
+        return lambda: [
+            pkg.solve_unlimited(copy.copy(inst)), pkg.solve_limited(copy.copy(inst)),
+            pkg.solve_fixed(copy.copy(inst), powers=uniform, warn_preconditions=False)]
     if name == "fixed-checked":
         return lambda: pkg.solve_fixed(inst, powers=uniform)
     return lambda: pkg.solve_fixed(inst, powers=uniform, warn_preconditions=False)
@@ -214,7 +225,7 @@ def _output(recipe: str, out) -> str:
         return json.dumps(out)
     if recipe in ("latency", "shannon"):
         return json.dumps([x.to_dict(include_trace=True) for part in out for x in part])
-    if recipe == "cli":
+    if recipe in ("cli", "capacity-cold"):
         return json.dumps([sol.to_dict(include_trace=True) for sol in out])
     if recipe == "ratio":
         return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
@@ -223,13 +234,14 @@ def _output(recipe: str, out) -> str:
 
 
 def _solutions(recipe: str, out) -> list:
-    """The solutions in a recipe's output: a capacity solve's one, ``cli``'s
-    fourteen, every slot's of both scheme runs of each latency schedule (and
-    then every level's of each ``shannon`` flexible run), none for ``ratio``,
-    ``brute``, ``verify`` and the ``gen`` lines."""
+    """The solutions in a recipe's output: a capacity solve's one,
+    ``capacity-cold``'s three, ``cli``'s fourteen, every slot's of both
+    scheme runs of each latency schedule (and then every level's of each
+    ``shannon`` flexible run), none for ``ratio``, ``brute``, ``verify`` and
+    the ``gen`` lines."""
     if recipe in ("ratio", "brute", "verify", "gen", "gen-ratio"):
         return []
-    if recipe == "cli":
+    if recipe in ("cli", "capacity-cold"):
         return out
     if recipe in ("latency", "shannon"):
         schedules, runs = out
