@@ -423,7 +423,7 @@ def solve_fixed(
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
     beta = thresholds_for(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
-        final, trace, cands = _fixed_pass(instance, ids, pos, beta, p)
+        final, trace, cands = _fixed_pass(instance, ids, pos, beta, p, thresholds is None)
         solution = _finish(instance, cands, final, "fixed", trace)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, p, beta)
@@ -437,23 +437,17 @@ def solve_fixed(
     return solution
 
 
-def _fixed_pass(instance, ids, pos, beta, p):
+def _fixed_pass(instance, ids, pos, beta, p, own):
     """Tentative pass and filter of the fixed solver over nonempty ``ids``
-    (rows ``pos``, thresholds ``beta``, powers ``p``): the kept links, one
-    trace row per link and the candidates.
+    (rows ``pos``, thresholds ``beta``, the links' own when ``own``, powers
+    ``p``): the kept links, one trace row per link and the candidates.
 
     A link that misses the solo SINR gate (0 < p < inf, and p / d^alpha must
     reach beta * N up to tolerance) is never accepted and its affectance
     enters no other link's load, so it is walked only as a trace row (id,
     False, inf). The candidates, and with them every row and column, cover
     the links that pass the gate: O(n_gate * |accepted|).
-
-    It tells the links' own thresholds by value rather than by a flag,
-    keeping the five-argument form that ``tests/test_streaming.py`` wraps;
-    the first link tells most overrides apart.
     """
-    held = instance.thresholds
-    own = beta.item(0) == held.item(pos.item(0)) and (beta == held[pos]).all()
     order = _order(instance, ids, beta, own)
     d_alpha = instance.d_alpha[pos]
     gate = (0 < p) & (p < INF) & (p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL))
@@ -516,7 +510,8 @@ def solve_limited(
             big = ~small
             r2 = list(compress(ids, big.tolist()))
             full = np.full(len(r2), instance.p_max, dtype=np.float64)
-            final, trace2, cands2 = _fixed_pass(instance, r2, pos[big], beta[big], full)
+            final, trace2, cands2 = _fixed_pass(instance, r2, pos[big], beta[big], full,
+                                                thresholds is None)
             # the small-sensitivity branch, if any, wins a tie
             if cands is None or len(final) > len(kept):
                 kept, cands = final, cands2

@@ -29,35 +29,28 @@ rebuilt. The run keeps its cap vector and each link's entry in
 in place, so the run keeps its own). The next sweep patches a copy of the
 vector: a link whose entry is the same object keeps its cap, since
 utilities are frozen, only the others are split again, and links that left
-get -inf; so it knows the rows whose cap changed without a compare. A level
-takes a previous level's solution instead of solving again when its input
-is unchanged, or when it differs only by candidates that the previous
-level's greedy rejected. A rejected candidate adds no row to any load, so
-without it every other load, accept decision and power is the same to the
-float, and the solution is the old one without its trace rows. Every
-solver's trace records each candidate and each link that added a row (a
-capped "limited" solve keeps both branches', and the same branch wins).
+get -inf; so it knows the rows whose cap changed without a compare.
 
 When the previous run has this sweep's top value and level count, its
 targets are this sweep's, and when besides no cap rose (a link that returns
-to the sweep rises from -inf), a level's thresholds are the previous
-level's of the same index with NaN on each changed row whose cap is now
-below the target: the update path, which makes no ``inverse_threshold``
-search. Each level then starts from the previous level of its index: it is
-that ``FlexibleLevel`` object when no row turned NaN and no selected link's
-cap changed, and otherwise that level's solution, without the trace rows
-of the lost candidates when its greedy rejected them all. A level that its
-own index does not fit is solved. Every level of any other sweep is
-matched as follows.
+to the sweep rises from -inf), the thresholds are the previous run's with
+NaN on each changed row whose cap is now below a level's target: the update
+path, which makes no ``inverse_threshold`` search. Any other sweep searches.
 
-A sweep compares its levels' thresholds with the previous run's in one
-broadcast: previous level j matches level i when it has level i's
-threshold on every row level i has. Level i walks its matches in level
-order and takes the first whose trace rejected every row j has beyond it
-(live there, NaN here): j's solution with those rows left out of its trace,
-or j's solution object itself when j has no such rows. Every match that
-fits gives the same selection, powers and SINRs, so which one is taken
-changes nothing.
+Either way, each level looks only at the previous level of its index, in
+one array compare over all levels: that level fits when it has this
+level's threshold on every row this level has, and its extra rows are those
+live there and NaN here. A fitting level with no extra rows, the same
+target and no selected link whose cap changed is taken as the same
+``FlexibleLevel`` object. Otherwise a fitting level whose greedy rejected
+every extra row gives its solution, without their trace rows. A rejected
+candidate adds no row to any load, so without it every other load, accept
+decision and power is the same to the float. Every solver's trace records
+each candidate and each link that added a row (a capped "limited" solve
+keeps both branches', and the same branch wins). Any other level is
+solved. A level that only another previous index fits is rare (98 of the
+2,258 levels of latency-medium's searching sweeps), and comparing every
+pair of levels cost about what their solves cost.
 
 The run also keeps the core values under each level's ``values``. A level
 that takes a previous level's solution keeps that level's values when none
@@ -274,15 +267,14 @@ def solve_flexible(
     latency scheduler passes the previous slot's run). When each link's
     uncapped utility is the object it was there, the run reuses its tables;
     a link whose entry in ``utilities`` is the object ``previous`` read keeps
-    its cap there, and only the others are read again. A level takes the
-    solution of a level of ``previous`` whose candidates and thresholds are
-    its own, or its own plus candidates that level rejected (their trace
-    rows are left out). It keeps that level's values when no selected link's
-    cap changed, and is scored under the current caps otherwise. Without
-    such a level it is solved. When ``previous`` has this sweep's top value
-    and level count and no cap rose, the thresholds are ``previous``'s with
-    the fallen caps masked, no table search is made, and a level looks only
-    at ``previous``'s level of its index.
+    its cap there, and only the others are read again. When ``previous`` has
+    this sweep's top value and level count and no cap rose, the thresholds
+    are ``previous``'s with the fallen caps masked, and no table search is
+    made. A level takes the solution of ``previous``'s level of its index
+    when that level's candidates and thresholds are its own, or its own plus
+    candidates that level rejected (their trace rows are left out). It keeps
+    that level's values when no selected link's cap changed, and is scored
+    under the current caps otherwise. Any other level is solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -330,8 +322,8 @@ def solve_flexible(
 class _Reuse:
     """A previous run over the same tables and the rows whose cap changed
     since it; ``update`` gives a sweep with the previous targets its
-    thresholds, and ``match`` finds each level a previous level whose
-    solution it may take."""
+    thresholds, and ``fits`` finds each level's solution in the previous
+    level of its index."""
 
     def __init__(self, previous: FlexibleRun, moved: dict):
         self.top = previous.top_value
@@ -348,47 +340,28 @@ class _Reuse:
         return (self.top == top and len(self.levels) == n_levels
                 and not any(c > was for _, was, c in self.moved.values()))
 
-    def update(self, targets: list) -> tuple:
-        """(thresholds, lost): the previous levels' thresholds with NaN on
-        each changed row whose cap is now below the level's target, and per
-        level the ids of the rows that turned NaN. Targets descend, so a row
-        is lost from a prefix of the levels, where it was not NaN."""
-        lost = [set() for _ in targets]
-        at = []
-        for k, (lid, _, c) in self.moved.items():
-            if c < targets[0]:
-                for i, gamma in enumerate(self.gammas[:, k].tolist()):
-                    if not targets[i] > c:
-                        break
-                    if gamma == gamma:
-                        lost[i].add(lid)
-                        at.append((i, k))
-        if not at:
-            return self.gammas, lost
+    def update(self, targets: np.ndarray) -> np.ndarray:
+        """The previous levels' thresholds with NaN on each changed row
+        whose cap is now below the level's target."""
         gammas = self.gammas.copy()
-        gammas[tuple(zip(*at))] = math.nan
-        return gammas, lost
+        for k, (_, _, c) in self.moved.items():
+            gammas[targets > c, k] = math.nan
+        return gammas
 
-    def match(self, gammas: np.ndarray, live: np.ndarray) -> list:
-        """(solution, index of its previous level) per row of ``gammas``, a
-        sweep's thresholds over the tables' rows, not NaN where ``live``:
-        from the first previous level that has those thresholds on every
-        live row and whose trace rejected every row it has beyond them, or
-        (None, None) when no level fits."""
-        dead = ~live[:, None]
-        matches = ((self.gammas == gammas[:, None]) | dead).all(axis=2).tolist()
-        extra = (self.gammas == self.gammas) & dead  # rows previous level j has beyond level i
-        more = extra.any(axis=2).tolist()
-        return [self._first(*args) for args in zip(matches, more, extra)]
-
-    def _first(self, matches: list, more: list, extra: np.ndarray) -> tuple:
-        """``match``'s answer for one level, from its row of each array."""
-        for j, level in enumerate(self.levels):
-            if matches[j]:
-                sol = self.take(level, set(self.ids[extra[j]].tolist()) if more[j] else ())
-                if sol is not None:
-                    return sol, j
-        return None, None
+    def fits(self, gammas: np.ndarray, live: np.ndarray) -> list:
+        """Per row of ``gammas``, a sweep's thresholds over the tables' rows,
+        not NaN where ``live``: the solution of the previous level of its
+        index when that level has those thresholds on every live row and its
+        trace rejected every row it has beyond them (live there, NaN here),
+        else None."""
+        k = min(len(gammas), len(self.levels))
+        dead, old = ~live[:k], self.gammas[:k]
+        fit = ((old == gammas[:k]) | dead).all(axis=1).tolist()
+        extra = (old == old) & dead
+        more = extra.any(axis=1).tolist()
+        found = [self.take(level, set(self.ids[rows].tolist()) if m else ()) if f else None
+                 for level, f, m, rows in zip(self.levels, fit, more, extra)]
+        return found + [None] * (len(gammas) - k)
 
     @staticmethod
     def take(level: FlexibleLevel, dropped) -> Optional[Solution]:
@@ -418,55 +391,36 @@ def _level_gammas(table: UtilityTable, cap: np.ndarray, targets: np.ndarray) -> 
 
 def _sweep(instance, mode, tables, cap, powers, top, n_levels, reuse):
     """(levels, thresholds, core values): solve the levels top, top / 2,
-    ...; ``reuse``, when given, supplies a previous run's levels and
-    solutions where they hold. ``cap`` has an entry per row of ``tables``;
-    each new level keeps a copy of its row of thresholds over the rows'
-    links, so that a slot keeping one level does not keep the others'."""
+    ...; ``reuse``, when given, supplies the previous run's level of each
+    index where it holds. ``cap`` has an entry per row of ``tables``; each
+    new level keeps a copy of its row of thresholds over the rows' links,
+    so that a slot keeping one level does not keep the others'."""
     targets = [top * 2.0**-i for i in range(n_levels)]
     if reuse is not None and reuse.updates(top, n_levels):
-        gammas, lost = reuse.update(targets)
+        gammas = reuse.update(np.array(targets))
     else:
-        gammas, lost = _level_gammas(tables.table, cap, np.array(targets)[:, None]), None
+        gammas = _level_gammas(tables.table, cap, np.array(targets)[:, None])
+    live = gammas == gammas  # a NaN threshold sits the level out
+    found = [None] * n_levels if reuse is None else reuse.fits(gammas, live)
     caps, row, cores = cap.tolist(), tables.row, tables.cores
-    core_values = [None] * n_levels
-
-    def level(i, sol, j):
-        # previous level j has this solution's selection and SINRs: its
-        # values hold when no selected link's cap changed, its core values
-        # always
-        if j is None:
-            core_values[i] = tuple(cores[row[lid]].value(sol.sinr[lid]) for lid in sol.selected)
+    levels, core_values = [], []
+    for i, (on, sol) in enumerate(zip(live, found)):
+        if sol is None:
+            sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers)
+            core, kept = tuple(cores[row[lid]].value(sol.sinr[lid]) for lid in sol.selected), False
         else:
-            core_values[i] = reuse.core_values[j]
-            if reuse.changed.isdisjoint(sol.selected):
-                return FlexibleLevel(i, targets[i], sol, reuse.levels[j].values,
-                                     gammas[i].copy(), tables.ids)
-        values = tuple(map(min, map(caps.__getitem__, map(row.__getitem__, sol.selected)),
-                           core_values[i]))
-        return FlexibleLevel(i, targets[i], sol, values, gammas[i].copy(), tables.ids)
-
-    levels = [None] * n_levels
-    if lost is not None:  # the update path: start from the previous level of each index
-        for i, (old, dropped) in enumerate(zip(reuse.levels, lost)):
-            if not dropped and reuse.changed.isdisjoint(old.solution.selected):
-                levels[i], core_values[i] = old, reuse.core_values[i]
+            # the previous level's selection and SINRs: its core values
+            # hold, and its values while no selected link's cap changed
+            old, core = reuse.levels[i], reuse.core_values[i]
+            kept = reuse.changed.isdisjoint(sol.selected)
+            if kept and sol is old.solution and old.target == targets[i]:
+                levels.append(old)  # no extra rows: its input is this level's
+                core_values.append(core)
                 continue
-            sol = reuse.take(old, dropped)
-            if sol is not None:
-                levels[i] = level(i, sol, i)
-    todo = [i for i, lvl in enumerate(levels) if lvl is None]
-    if todo:
-        rest = gammas[todo]
-        live = rest == rest  # a NaN threshold sits the level out
-        # on the update path a level that its own index does not fit is
-        # solved: another previous level almost never fits it, and matching
-        # against them all cost more than the solves it saved
-        found = ([(None, None)] * len(todo) if reuse is None or lost is not None
-                 else reuse.match(rest, live))
-        for i, on, (sol, j) in zip(todo, live, found):
-            if sol is None:
-                sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers)
-            levels[i] = level(i, sol, j)
+        values = old.values if kept else tuple(
+            map(min, map(caps.__getitem__, map(row.__getitem__, sol.selected)), core))
+        levels.append(FlexibleLevel(i, targets[i], sol, values, gammas[i].copy(), tables.ids))
+        core_values.append(core)
     return levels, gammas, tuple(core_values)
 
 

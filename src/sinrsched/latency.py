@@ -13,13 +13,15 @@ utility's inverse, so no link stores its 2n steps and n is not limited by a
 step count.
 
 Each slot's flexible sweep gets the previous slot's run and reuses its
-utility tables and every level solution whose input did not change, or lost
-only candidates that level rejected (mostly links the last slot scheduled,
-whose residual cap fell below the high targets); see ``flexible``. Only the
-previous slot's run is kept. A slot keeps its level, whose ``values`` are
-the scheme-unit gains of the links it scheduled, and their residuals;
-``Schedule.to_dict`` rebuilds every slot's full map. The live links are the
-keys of one map, from each to its utility capped at its residual.
+utility tables; each level takes the solution of the previous slot's level
+of its index when its input did not change, or lost only candidates that
+level rejected (mostly links the last slot scheduled, whose residual cap
+fell below the high targets), and is solved otherwise; see ``flexible``.
+Only the previous slot's run is kept. A slot keeps its level, whose
+``values`` are the scheme-unit gains of the links it scheduled, and their
+residuals; ``Schedule.to_dict`` rebuilds every slot's full map. The live
+links are the keys of one map, from each to its utility capped at its
+residual.
 """
 
 from __future__ import annotations

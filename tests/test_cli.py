@@ -196,6 +196,22 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error):
     assert err.startswith("internal error:") and "forced failure" in err
 
 
+def test_matrix_over_the_validation_limit_exits_2(tmp_path, monkeypatch, capsys):
+    # a matrix metric above model.METRIC_VALIDATE_LIMIT is bad input, refused
+    # before its O(n^3) check
+    inst = tmp_path / "inst.json"
+    pts = [[0.0], [1.0], [3.0], [6.0]]
+    data = sinrsched.gen_line([(0, 1, 1), (2, 3, 1)], alpha=2, noise=0.1).to_dict()
+    data["metric"] = {"type": "matrix", "d": [[abs(a[0] - b[0]) for b in pts] for a in pts]}
+    inst.write_text(json.dumps(data))
+    assert cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"]) == cli.EXIT_OK
+    monkeypatch.setattr(sinrsched.model, "METRIC_VALIDATE_LIMIT", 3)
+    capsys.readouterr()
+    code = cli.main(["solve", "--instance", str(inst), "--algorithm", "unlimited"])
+    assert code == cli.EXIT_BAD_INPUT == 2
+    assert "has 4 points" in capsys.readouterr().err
+
+
 def _set(path, value):
     def edit(data):
         target = data

@@ -297,8 +297,9 @@ def test_reuse_skips_most_capped_limited_solves(monkeypatch):
     monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
     for seed in range(500, 510):
         solve_latency(_demand_instance(seed, 20, STEP, p_max=5e4), mode="limited")
-    # 2,034 solves when only unchanged levels were reused
-    assert (len(solves), sum(levels)) == (1364, 3559)
+    # 2,034 solves when only unchanged levels were reused; 1,364 when a level
+    # that only another previous index fitted took that level's solution
+    assert (len(solves), sum(levels)) == (1448, 3559)
 
 
 def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
@@ -325,9 +326,11 @@ def test_reuse_skips_most_solves_at_latency_scale(monkeypatch):
     monkeypatch.setattr(latency, "solve_flexible", counting_sweep)
     for inst in instances:
         solve_latency(inst)
-    # 3,743 solves when only unchanged levels were reused; every slot sweeps
-    # through the module attribute, which the benchmark's tracer rebinds
-    assert (len(solves), len(levels), sum(levels)) == (1869, 997, 6447)
+    # 3,743 solves when only unchanged levels were reused, and 1,869 when a
+    # level that only another previous index fitted took that level's
+    # solution; every slot sweeps through the module attribute, which the
+    # benchmark's tracer rebinds
+    assert (len(solves), len(levels), sum(levels)) == (1968, 997, 6447)
 
 
 def test_most_latency_sweeps_update_instead_of_searching(monkeypatch):
@@ -351,6 +354,59 @@ def test_most_latency_sweeps_update_instead_of_searching(monkeypatch):
     for _ in _latency_benchmark_schedules():
         pass
     assert (len(searches), len(sweeps)) == (392, 997)
+
+
+def _fits(old, level):
+    """Whether ``old``, a previous level, holds ``level``'s solution: it has
+    ``level``'s threshold for each of ``level``'s candidates, and its greedy
+    rejected every candidate it has beyond them."""
+    had, wanted = old.thresholds, level.thresholds
+    extra = had.keys() - wanted.keys()
+    return (all(had.get(lid) == gamma for lid, gamma in wanted.items())
+            and not any(ok for lid, ok, _ in old.solution.trace if lid in extra))
+
+
+def test_searching_sweep_looks_only_at_the_previous_level_of_its_index(monkeypatch):
+    # the first sweep of this schedule whose top value moved (so it searches
+    # its thresholds) while some level is fitted by the previous level of its
+    # index and another only by a previous level of another index: the first
+    # kind take their solutions, the second are solved, and the sweep equals
+    # a fresh one
+    solved, checked = [], []
+    solve_level = flexible._solve_level
+
+    def spy(instance, mode, candidates, thresholds, powers):
+        solved.append((tuple(candidates), tuple(thresholds.tolist())))
+        return solve_level(instance, mode, candidates, thresholds, powers)
+
+    def sweep(*args, previous=None, **kwargs):
+        solved.clear()
+        run = solve_flexible(*args, previous=previous, **kwargs)
+        if checked or previous is None or run.top_value == previous.top_value:
+            return run
+        own = [i < len(previous.levels) and _fits(previous.levels[i], level)
+               for i, level in enumerate(run.levels)]
+        other = [not fit and any(_fits(old, level) for old in previous.levels)
+                 for fit, level in zip(own, run.levels)]
+        if any(own) and any(other):
+            inputs = [(tuple(level.thresholds), tuple(level.thresholds.values()))
+                      for level in run.levels]
+            assert sorted(solved) == sorted(x for x, fit in zip(inputs, own) if not fit)
+            for i, level in enumerate(run.levels):
+                if own[i]:
+                    assert level.solution.selected == previous.levels[i].solution.selected
+            fresh = solve_flexible(*args, **kwargs)
+            assert run.to_dict(include_trace=True) == fresh.to_dict(include_trace=True)
+            checked.append(([i for i, fit in enumerate(own) if fit],
+                            [i for i, fit in enumerate(other) if fit]))
+        return run
+
+    monkeypatch.setattr(flexible, "_solve_level", spy)
+    monkeypatch.setattr(latency, "solve_flexible", sweep)
+    solve_latency(_demand_instance(500, 20, STEP))
+    # levels 2 and 3 take their solutions; level 0, which only some other
+    # previous level fits, is solved
+    assert checked == [([2, 3], [0])]
 
 
 def _cores(inst, mode, rng):

@@ -69,6 +69,21 @@ def test_matrix_validation_rejects_triangle_violation():
     MetricSpace.from_matrix(bad, validate=False)
 
 
+def test_matrix_validation_refuses_a_matrix_over_the_limit(monkeypatch):
+    # the triangle check is O(n^3): above the limit from_matrix refuses the
+    # matrix, naming the limit, before it checks anything, a violated
+    # triangle included; validate=False still loads it
+    pts = np.arange(4.0)[:, None]
+    d = np.abs(pts - pts.T)
+    bad = [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]]
+    monkeypatch.setattr(sinrsched.model, "METRIC_VALIDATE_LIMIT", 3)
+    MetricSpace.from_matrix(d[:3, :3])
+    for matrix in (d, np.pad(bad, ((0, 1), (0, 1)))):
+        with pytest.raises(ValueError, match="has 4 points; .* at most 3"):
+            MetricSpace.from_matrix(matrix)
+    assert MetricSpace.from_matrix(d, validate=False).n_points == 4
+
+
 def test_matrix_validation_rejects_asymmetry():
     with pytest.raises(ValueError, match="symmetric"):
         MetricSpace.from_matrix([[0.0, 1.0], [2.0, 0.0]])
@@ -300,8 +315,9 @@ def test_capacity_op_mix_sorts_sensitivities_once_per_instance():
 
 
 def test_fixed_pass_sorts_an_override_that_only_starts_like_the_links_own():
-    # the fixed pass tells the links' own thresholds by value; an array that
-    # matches them on its first link only is an override, sorted as given
+    # a threshold array is an override, sorted as given, even when it holds
+    # the links' own thresholds (whose order then equals the instance's own)
+    # or matches them on its first link only
     inst = gen_random(GenConfig(n=30, seed=4, beta_range=(1.0, 3.0)))
     ids = list(inst.link_ids)
     uniform = dict.fromkeys(ids, 1e6)

@@ -432,14 +432,14 @@ def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):
             shapes[-1].append(np.shape(out))
         return out
 
-    def fixed_pass(instance, ids, pos, beta, p):
+    def fixed_pass(instance, ids, pos, beta, p, own):
         nonlocal in_pass
         gate = p / instance.d_alpha[pos] >= beta * instance.noise * (1 - FEAS_RTOL)
         passes.append((len(ids), int(gate.sum())))
         shapes.append([])
         in_pass = True
         try:
-            return original_pass(instance, ids, pos, beta, p)
+            return original_pass(instance, ids, pos, beta, p, own)
         finally:
             in_pass = False
 

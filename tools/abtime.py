@@ -7,7 +7,10 @@ alternates too), so that drift in the machine's speed hits both sides alike.
 Prints one line per recipe: the min and the median time per call of each
 side, the ratio of the mins, whether both sides return the same output
 (``to_dict`` JSON, traces included), whether they make the same decisions,
-and the largest relative difference of any power or SINR between them. The
+and the largest relative difference of any power or SINR between them
+(``latency`` and ``shannon`` also print each side's level solves,
+``flexible._solve_level`` calls, counted in one untimed call, so that a
+change to level reuse shows its solves next to its time). The
 decisions are every solution's selected ids and trace rows' (id, accepted)
 (for ``latency`` and ``shannon``, every slot's of both scheme runs, plus
 the chosen scheme and both lengths, and for ``shannon`` also every level's
@@ -280,20 +283,43 @@ def _largest_change(recipe: str, a, b) -> float:
     return worst
 
 
+def _level_solves(pkg, call) -> int:
+    """The level solves (``flexible._solve_level`` calls) of one untimed
+    ``call`` on package ``pkg``."""
+    flexible = importlib.import_module(f"{pkg.__name__}.flexible")
+    solve = flexible._solve_level
+    count = 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return solve(*args, **kwargs)
+
+    flexible._solve_level = counted
+    try:
+        call()
+    finally:
+        flexible._solve_level = solve
+    return count
+
+
 def _compare(pkgs, recipe: str, n: int, seed: int, rounds: int):
-    """Seconds per call of each side over ``rounds`` alternating rounds, and
-    each side's output."""
-    calls, outputs = {}, {}
+    """Seconds per call of each side over ``rounds`` alternating rounds, each
+    side's output and, for ``latency`` and ``shannon``, each side's level
+    solves per call (else None)."""
+    calls, outputs, solves = {}, {}, None
     for side, pkg in pkgs.items():
         calls[side] = _recipe(pkg, recipe, n, seed)
         outputs[side] = calls[side]()  # also the warm-up
+    if recipe in ("latency", "shannon"):
+        solves = [_level_solves(pkg, calls[side]) for side, pkg in pkgs.items()]
     times = {"A": [], "B": []}
     for r in range(rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
             t0 = time.perf_counter()
             calls[side]()
             times[side].append(time.perf_counter() - t0)
-    return times, outputs["A"], outputs["B"]
+    return times, outputs["A"], outputs["B"], solves
 
 
 def main(argv=None) -> None:
@@ -321,7 +347,7 @@ def main(argv=None) -> None:
             seed = args.seed if args.seed is not None else (
                 {"cli": 0, "latency": 0, "verify": 0, "shannon": 500, "ratio": 0,
                  "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
-            times, out_a, out_b = _compare(pkgs, recipe, n, seed, args.rounds)
+            times, out_a, out_b, solves = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
             decided = _decisions(recipe, out_a) == _decisions(recipe, out_b)
@@ -329,7 +355,8 @@ def main(argv=None) -> None:
                   f"median {statistics.median(a):.3f} / {statistics.median(b):.3f}, "
                   f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}, "
                   f"decisions identical: {decided}, largest power/SINR change: "
-                  f"{_largest_change(recipe, out_a, out_b):.2g}")
+                  f"{_largest_change(recipe, out_a, out_b):.2g}"
+                  + ("" if solves is None else f"; level solves {solves[0]} / {solves[1]}"))
 
 
 if __name__ == "__main__":
