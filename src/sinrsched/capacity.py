@@ -354,7 +354,11 @@ def check_power_preconditions(
         p = powers.astype(np.float64, copy=False)
     else:
         p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    s = thresholds_for(instance, ids, thresholds) * instance.d_alpha[instance.positions(ids)]
+    # the instance's own ids (an all-link solve's) are rows 0..n-1
+    own = ids is instance.link_ids
+    pos = np.arange(len(ids)) if own else instance.positions(ids)
+    d_alpha = instance.d_alpha if own else instance.d_alpha[pos]
+    s = thresholds_for(instance, ids, thresholds, pos) * d_alpha
     q = p / s
     rtol = 1e-12
     issues = []

@@ -38,7 +38,10 @@ EXIT_INTERNAL = 3
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _option(parse, value: str, flag: str, what: str):
@@ -51,7 +54,10 @@ def _option(parse, value: str, flag: str, what: str):
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Write ``data`` to the file ``out``, or to stdout, as one line of JSON
+    with sorted keys. With no ``indent``, ``json`` takes its C encoder, and
+    the text is the one ``experiments.instance_digest`` hashes."""
+    text = json.dumps(data, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

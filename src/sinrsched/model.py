@@ -783,7 +783,9 @@ def powers_for(
     a mapping is given, else its own fixed power. Raises ValueError naming
     the first link without one."""
     if powers is None:
-        out = [instance.link(lid).fixed_power for lid in ids]
+        # the instance's own ids (an all-link solve's) are its links in order
+        links = instance.links if ids is instance.link_ids else map(instance.link, ids)
+        out = [link.fixed_power for link in links]
         missing = "link {} has no fixed power"
     else:
         out = [powers.get(lid) for lid in ids]

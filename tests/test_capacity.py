@@ -532,6 +532,38 @@ def test_preconditions_match_pairwise_reference(case):
             assert (count, total) == (len({b for _, b in pairs}), len(ids))
 
 
+def test_all_link_fixed_solve_reads_its_links_in_place(monkeypatch):
+    # a default solve hands the instance's own link_ids on: it reads each
+    # link's fixed power and d^alpha in place, with no id lookup, and returns
+    # the solution and the warning of a solve given the same ids as a list,
+    # which looks every id up
+    data = gen_random(GenConfig(n=40, seed=5, power=1e6)).to_dict()
+    data["links"][sensitivity_order(Instance.from_dict(data))[0]]["power"] = 5e5
+    inst = Instance.from_dict(data)
+
+    def solve(links):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = solve_fixed(inst, links=links)
+        return sol.to_dict(include_trace=True), [str(w.message) for w in caught]
+
+    listed = solve(list(inst.link_ids))
+    calls = []
+    for name in ("positions", "link"):
+        real = getattr(Instance, name)
+        monkeypatch.setattr(Instance, name, lambda self, arg, real=real, name=name: (
+            calls.append(name), real(self, arg))[1])
+    assert solve(None) == listed
+    assert calls == []
+    assert len(listed[1]) == 1 and "not monotone" in listed[1][0]
+    # a link without a fixed power is named as before
+    del data["links"][7]["power"]
+    bare = Instance.from_dict(data)
+    for links in (None, list(bare.link_ids)):
+        with pytest.raises(ValueError, match=f"^link {bare.link_ids[7]} has no fixed power$"):
+            solve_fixed(bare, links=links)
+
+
 def test_preconditions_scale_to_ten_thousand_links():
     # uniform power with the most sensitive link at half power: that link
     # is the one violating b, and power / sensitivity stays antitone

@@ -1,5 +1,6 @@
 """Command-line harness: round trips and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,21 @@ from pathlib import Path
 import pytest
 
 import sinrsched
-from sinrsched import CertificationError, UtilityContractError, cli, oracle
+from sinrsched import (
+    CertificationError,
+    GenConfig,
+    UtilityContractError,
+    check_admissible,
+    cli,
+    experiments,
+    gen_random,
+    oracle,
+    solve_fixed,
+    solve_flexible,
+    solve_latency,
+    solve_limited,
+    solve_unlimited,
+)
 from sinrsched.oracle import BRUTE_FORCE_LIMIT
 
 # the child process imports the same package as the tests, installed or not
@@ -27,17 +42,114 @@ def run_cli(*args):
     )
 
 
+def _exact(obj):
+    """``obj`` with every float as its hex form and every tuple as a list,
+    so that equal results are equal to the bit."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    return obj
+
+
+def assert_artifact(text, expected=None):
+    """``text`` is an artifact's form: one line of JSON with sorted keys and
+    a closing newline, which parses to ``expected`` (the library's
+    ``to_dict``), when given, with bit-equal floats."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text)
+    assert text == json.dumps(parsed, sort_keys=True) + "\n"
+    if expected is not None:
+        assert _exact(parsed) == _exact(expected)
+    return parsed
+
+
 def test_gen_solve_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     sol = tmp_path / "sol.json"
     assert run_cli("gen", "--n", "8", "--seed", "42", "--out", str(inst)).returncode == 0
+    assert_artifact(inst.read_text(), gen_random(GenConfig(n=8, seed=42)).to_dict())
     for algorithm in ("unlimited", "limited"):
         r = run_cli(
             "solve", "--instance", str(inst), "--algorithm", algorithm, "--out", str(sol)
         )
         assert r.returncode == 0
+        assert_artifact(sol.read_text())
         v = run_cli("verify", "--instance", str(inst), "--artifact", str(sol))
         assert v.returncode == 0, v.stderr
+
+
+# the library call behind each ``solve --algorithm``, in the CLI's default mode
+LIBRARY_SOLVES = {
+    "unlimited": solve_unlimited,
+    "fixed": solve_fixed,
+    "limited": solve_limited,
+    "flexible": lambda instance: solve_flexible(instance, mode="unlimited"),
+}
+
+
+def test_every_artifact_is_one_sorted_line_of_the_library_dict(tmp_path, capsys):
+    utility = {"family": "step", "steps": 3, "value_max": 2.0}
+    config = GenConfig(n=12, seed=4, p_max=40000.0, power=40000.0, utility=utility,
+                       demand_range=(0.5, 2.0))
+    instance = gen_random(config)
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out.json"
+    assert cli.main([
+        "gen", "--n", "12", "--seed", "4", "--pmax", "40000", "--power", "40000",
+        "--utility", json.dumps(utility), "--demand-min", "0.5", "--demand-max", "2.0",
+        "--out", str(inst),
+    ]) == cli.EXIT_OK
+    assert_artifact(inst.read_text(), instance.to_dict())
+    assert set(LIBRARY_SOLVES) == set(cli.ALGORITHMS)
+    for algorithm, solve in LIBRARY_SOLVES.items():
+        for trace in (False, True):
+            argv = ["solve", "--instance", str(inst), "--algorithm", algorithm, "--out", str(out)]
+            assert cli.main(argv + ["--trace"] * trace) == cli.EXIT_OK
+            assert_artifact(out.read_text(), solve(instance).to_dict(include_trace=trace))
+    assert cli.main(["schedule", "--instance", str(inst), "--out", str(out)]) == cli.EXIT_OK
+    assert_artifact(out.read_text(), solve_latency(instance).to_dict())
+    assert cli.main(["oracle", "--instance", str(inst), "--out", str(out)]) == cli.EXIT_OK
+    assert_artifact(out.read_text(), check_admissible(instance, instance.link_ids).to_dict())
+    # without --out the same line goes to stdout
+    capsys.readouterr()
+    assert cli.main(["oracle", "--instance", str(inst), "--brute", "variable"]) == cli.EXIT_OK
+    ids, size = oracle.brute_opt_threshold(instance, regime="variable")
+    assert_artifact(capsys.readouterr().out,
+                    {"best": list(ids), "size": size, "regime": "variable"})
+    assert cli.main(["experiment", "--name", "aloha", "--k", "4", "--trials", "5",
+                     "--seed", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert_artifact(out.read_text(), experiments.experiment_aloha(k=4, trials=5, seed=3))
+    assert cli.main(["experiment", "--name", "adversary", "--k", "4"]) == cli.EXIT_OK
+    assert_artifact(capsys.readouterr().out, experiments.experiment_adversary(k=4))
+
+
+def test_ratio_digest_is_the_hash_of_the_file_gen_writes(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "7", "--seed", "11", "--pmax", "18000",
+                     "--out", str(inst)]) == cli.EXIT_OK
+    written = inst.read_bytes()
+    assert written.endswith(b"\n")
+    digest = hashlib.sha256(written[:-1]).hexdigest()[:12]
+    assert experiments.instance_digest(gen_random(GenConfig(n=7, seed=11, p_max=18000.0))) == digest
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    # the decoder recurses once per level: past the recursion limit that is
+    # malformed input naming the file, not an internal error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    inst = tmp_path / "inst.json"
+    assert cli.main(["gen", "--n", "3", "--seed", "1", "--out", str(inst)]) == cli.EXIT_OK
+    capsys.readouterr()
+    for argv in (["solve", "--instance", str(deep), "--algorithm", "unlimited"],
+                 ["verify", "--instance", str(inst), "--artifact", str(deep)]):
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT == 2
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    r = run_cli("solve", "--instance", str(deep), "--algorithm", "unlimited")
+    assert (r.returncode, r.stderr) == (2, f"error: {deep}: JSON nested too deeply\n")
 
 
 def test_verify_flags_tampered_power(tmp_path):
@@ -89,7 +201,7 @@ def test_schedule_and_verify(tmp_path):
     assert r.returncode == 0, r.stderr
     r = run_cli("schedule", "--instance", str(inst), "--out", str(out))
     assert r.returncode == 0, r.stderr
-    data = json.loads(out.read_text())
+    data = assert_artifact(out.read_text())
     assert data["scheme"] in (1, 2) and data["fulfilled"]
     assert run_cli("verify", "--instance", str(inst), "--artifact", str(out)).returncode == 0
 
@@ -100,7 +212,7 @@ def test_oracle_subcommand(tmp_path):
     run_cli("gen", "--n", "4", "--seed", "3", "--out", str(inst))
     r = run_cli("oracle", "--instance", str(inst), "--cap", "inf", "--out", str(out))
     assert r.returncode == 0
-    cert = json.loads(out.read_text())
+    cert = assert_artifact(out.read_text())
     assert set(cert) >= {"feasible", "iterations", "method"}
     r = run_cli("oracle", "--instance", str(inst), "--brute", "variable", "--out", str(out))
     assert r.returncode == 0
@@ -115,7 +227,7 @@ def test_experiment_report_and_csv(tmp_path):
         "--seed", "7", "--out", str(out), "--csv", str(csv_path),
     )
     assert r.returncode == 0, r.stderr
-    report = json.loads(out.read_text())
+    report = assert_artifact(out.read_text())
     assert report["seed"] == 7
     assert report["summary"]["violations"] == 0
     header = csv_path.read_text().splitlines()[0]
@@ -176,7 +288,7 @@ def test_experiment_rejects_fewer_than_one_trial(capsys, name, field, trials):
 def test_experiment_adversary():
     r = run_cli("experiment", "--name", "adversary", "--k", "8")
     assert r.returncode == 0
-    report = json.loads(r.stdout)
+    report = assert_artifact(r.stdout)
     assert report["summary"]["ratio"] >= 8
 
 

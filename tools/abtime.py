@@ -15,8 +15,8 @@ decisions are every solution's selected ids and trace rows' (id, accepted)
 (for ``latency`` and ``shannon``, every slot's of both scheme runs, plus
 the chosen scheme and both lengths, and for ``shannon`` also every level's
 of each flexible run and its best level), for ``verify`` the problem lists
-and each slot's verdict, and for ``ratio``, ``brute`` and ``gen`` the output
-itself; so a change to the arithmetic alone shows as outputs that differ,
+and each slot's verdict, and for ``ratio``, ``brute``, ``gen`` and ``emit`` the
+output itself; so a change to the arithmetic alone shows as outputs that differ,
 decisions that do not, and how far the floats moved.
 
 Recipes: ``unlimited``, ``limited`` and ``fixed`` run the capacity solvers
@@ -38,7 +38,12 @@ a set of at most 128 candidates on more than 128 links, which measures its
 own pair matrix; ``gen`` runs that ``gen_random`` call itself, and its
 output is the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
 small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
-ends of a generator change show in one command; ``latency`` runs
+ends of a generator change show in one command; ``emit`` runs, in process,
+the cli-roundtrip benchmark's set-up, ``sinrsched gen --n 300 --seed s
+--pmax 18000 --power 18000 --out FILE`` for seeds ``--seed`` to ``--seed`` +
+6 (default 0 to 6), and reads each file back: the CLI's writer end to end.
+Its output is the parsed files, and it also prints each side's bytes
+written; ``latency`` runs
 ``solve_latency`` on each of the latency-medium benchmark's five instances
 (n = 64, 3-step utilities, seeds ``--seed`` to ``--seed`` + 4, default 0
 to 4), the workload's op mix, so that a change which helps some instances
@@ -66,7 +71,7 @@ of that recipe (seeds ``--seed`` and the next one, default 5000, each with
 lengths 50-100 and 1-100), and its output is the returned (ids, size)
 pairs. ``all`` runs ``unlimited``, ``limited``, ``fixed``,
 ``capacity-cold``, ``cli``, ``latency``, ``verify``, ``shannon``, ``ratio``,
-``brute`` and ``gen`` in turn, each for ``--rounds`` rounds, which checks a
+``brute``, ``gen`` and ``emit`` in turn, each for ``--rounds`` rounds, which checks a
 solver, checker, oracle or generator change for identity and speed in one
 command, on candidate sets above and below the capacity solvers'
 dense-matrix limit and on instances above and below it.
@@ -79,6 +84,7 @@ dense-matrix limit and on instances above and below it.
     python tools/abtime.py HEAD . --recipe verify --rounds 20
     python tools/abtime.py HEAD . --recipe shannon --rounds 20
     python tools/abtime.py HEAD . --recipe gen --rounds 20
+    python tools/abtime.py HEAD . --recipe emit --rounds 20
     python tools/abtime.py HEAD . --recipe ratio --rounds 10
     python tools/abtime.py HEAD . --recipe brute --rounds 5
     python tools/abtime.py HEAD . --recipe fixed --n 10000 --rounds 5
@@ -107,7 +113,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/sinrsched"
 RECIPES = ("unlimited", "limited", "fixed", "capacity-cold", "cli", "latency", "verify",
-           "shannon", "ratio", "brute", "gen")  # ``all``
+           "shannon", "ratio", "brute", "gen", "emit")  # ``all``
 LINES = {"gen": ("gen", "gen-ratio")}  # the lines a recipe prints, when more than its own
 RATIO_SEEDS = 100
 LATENCY_SEEDS = 5
@@ -190,6 +196,20 @@ def _recipe(pkg, name: str, n: int, seed: int):
         )) for s in range(seed, seed + SHANNON_SEEDS)]
         return lambda: ([pkg.solve_latency(inst, mode="limited") for inst in insts],
                         [pkg.solve_flexible(inst, mode="limited") for inst in insts])
+    if name == "emit":  # cli-roundtrip's set-up through this side's CLI
+        main = importlib.import_module(f"{pkg.__name__}.cli").main
+        # each file sits beside this side's package copy, in the temporary directory
+        paths = [Path(pkg.__path__[0]).parent / f"emit{s}.json"
+                 for s in range(seed, seed + CLI_SEEDS)]
+        argvs = [["gen", "--n", str(n), "--seed", str(s), "--pmax", "18000", "--power", "18000",
+                  "--out", str(path)] for s, path in zip(range(seed, seed + CLI_SEEDS), paths)]
+
+        def emit():
+            codes = [main(argv) for argv in argvs]
+            if any(codes):
+                raise RuntimeError(f"sinrsched gen exited {codes}")
+            return [path.read_text() for path in paths]
+        return emit
     if name == "cli":  # the instance sinrsched gen --n n --seed s --pmax 18000 --power 18000 builds
         insts = [pkg.gen_random(pkg.GenConfig(
             n=n, seed=s, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0), alpha=2.0,
@@ -224,6 +244,8 @@ def _output(recipe: str, out) -> str:
         return json.dumps(out.to_dict())  # an instance has no trace
     if recipe == "gen-ratio":
         return json.dumps([inst.to_dict() for inst in out])
+    if recipe == "emit":  # the parsed files, whatever their layout
+        return json.dumps([json.loads(text) for text in out], sort_keys=True)
     if recipe in ("brute", "verify"):
         return json.dumps(out)
     if recipe in ("latency", "shannon"):
@@ -240,9 +262,9 @@ def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one,
     ``capacity-cold``'s three, ``cli``'s fourteen, every slot's of both
     scheme runs of each latency schedule (and then every level's of each
-    ``shannon`` flexible run), none for ``ratio``, ``brute``, ``verify`` and
-    the ``gen`` lines."""
-    if recipe in ("ratio", "brute", "verify", "gen", "gen-ratio"):
+    ``shannon`` flexible run), none for ``ratio``, ``brute``, ``verify``,
+    ``emit`` and the ``gen`` lines."""
+    if recipe in ("ratio", "brute", "verify", "gen", "gen-ratio", "emit"):
         return []
     if recipe in ("cli", "capacity-cold"):
         return out
@@ -259,7 +281,7 @@ def _decisions(recipe: str, out) -> str:
     if recipe == "verify":  # the problem lists and each slot's verdict
         return json.dumps([[problems, [cert["feasible"] for cert in certs]]
                            for problems, certs in out])
-    if recipe in ("ratio", "brute", "gen", "gen-ratio"):
+    if recipe in ("ratio", "brute", "gen", "gen-ratio", "emit"):
         return _output(recipe, out)
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
@@ -328,11 +350,11 @@ def main(argv=None) -> None:
     parser.add_argument("head", nargs="?", default=".", help="revision of side B (default: .)")
     parser.add_argument("--recipe", choices=(*RECIPES, "fixed-checked", "all"), default="limited")
     parser.add_argument("--n", type=int,
-                        help="links (default: 2000, cli 300, latency and verify 64, shannon "
-                             "20, ratio and gen-ratio 10, brute 16)")
-    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, cli, latency, "
-                                                 "verify, ratio and gen-ratio 0, shannon 500, "
-                                                 "brute 5000)")
+                        help="links (default: 2000, cli and emit 300, latency and verify 64, "
+                             "shannon 20, ratio and gen-ratio 10, brute 16)")
+    parser.add_argument("--seed", type=int, help="instance seed (default: 1000, cli, emit, "
+                                                 "latency, verify, ratio and gen-ratio 0, "
+                                                 "shannon 500, brute 5000)")
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
 
@@ -342,21 +364,24 @@ def main(argv=None) -> None:
                 for side, rev in (("A", args.base), ("B", args.head))}
         recipes = RECIPES if args.recipe == "all" else (args.recipe,)
         for recipe in [line for r in recipes for line in LINES.get(r, (r,))]:
-            n = args.n or {"cli": 300, "latency": 64, "verify": 64, "shannon": 20, "ratio": 10,
-                           "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
+            n = args.n or {"cli": 300, "emit": 300, "latency": 64, "verify": 64, "shannon": 20,
+                           "ratio": 10, "gen-ratio": 10, "brute": 16}.get(recipe, 2000)
             seed = args.seed if args.seed is not None else (
-                {"cli": 0, "latency": 0, "verify": 0, "shannon": 500, "ratio": 0,
+                {"cli": 0, "emit": 0, "latency": 0, "verify": 0, "shannon": 500, "ratio": 0,
                  "gen-ratio": 0, "brute": 5000}.get(recipe, 1000))
             times, out_a, out_b, solves = _compare(pkgs, recipe, n, seed, args.rounds)
             a, b = ([t * 1e3 for t in times[side]] for side in "AB")
             same = _output(recipe, out_a) == _output(recipe, out_b)
+            if recipe == "emit":
+                written = [sum(len(text.encode()) for text in out) for out in (out_a, out_b)]
             decided = _decisions(recipe, out_a) == _decisions(recipe, out_b)
             print(f"  {recipe:>13} n={n} seed={seed}: min {min(a):.3f} / {min(b):.3f}, "
                   f"median {statistics.median(a):.3f} / {statistics.median(b):.3f}, "
                   f"B/A min ratio {min(b) / min(a):.3f}; outputs identical: {same}, "
                   f"decisions identical: {decided}, largest power/SINR change: "
                   f"{_largest_change(recipe, out_a, out_b):.2g}"
-                  + ("" if solves is None else f"; level solves {solves[0]} / {solves[1]}"))
+                  + ("" if solves is None else f"; level solves {solves[0]} / {solves[1]}")
+                  + (f"; bytes written {written[0]} / {written[1]}" if recipe == "emit" else ""))
 
 
 if __name__ == "__main__":
