@@ -838,7 +838,16 @@ def sensitivity_order(
 
 @dataclass(frozen=True)
 class Solution:
-    """Selected links with powers, per-link SINR and the objective value."""
+    """Selected links with powers, per-link SINR and the objective value.
+
+    ``trace`` holds one row (id, accepted, load) per candidate in walk
+    order, where load is what the greedy compared with its budget: inf for a
+    link a pass rejects up front. The fixed pass (``solve_fixed`` and the
+    full-power branch of ``solve_limited``) freezes a candidate whose load
+    passed the budget before it was walked, at one of the checks after every
+    8th accept; its row holds the load at the first such check, which is
+    above the budget and at most its load when walked.
+    """
 
     selected: tuple[int, ...]
     powers: dict[int, float]

@@ -39,6 +39,7 @@ from sinrsched.capacity import (
     _greedy,
     check_power_preconditions,
 )
+from sinrsched.experiments import experiment_ratio
 from sinrsched.model import empty_solution, thresholds_for
 from sinrsched.verify import verify_solution
 
@@ -92,12 +93,14 @@ def test_greedy_never_reads_a_walked_candidates_own_entry(kernel):
         values = getattr(cands, kernel)
         walks = []
         for own in (0.0, math.nan):
-            def row(k, own=own):
+            load = np.zeros(len(ids))
+
+            def accept(k, own=own, load=load):
                 out = values(k, ALL) + values(ALL, k)
                 out[k] = own
-                return out
+                load += out
 
-            walks.append(_greedy(reversed(order), cands.index, np.zeros(len(ids)), 0.5, row))
+            walks.append(_greedy(reversed(order), cands.index, load, 0.5, accept))
     assert walks[0] == walks[1]
     assert 1 < len(walks[0][0]) < len(ids)
 
@@ -722,8 +725,8 @@ def _capacity_benchmark_instance(seed):
 
 @pytest.mark.parametrize("solver, want", [
     ("unlimited", "8522676647ec14c9a366d66709917ab8958c9d57f67ad94773ea1bdf1db2e8e8"),
-    ("limited", "1e76b99937d8707ad165cadeee9faeede7026e884351d9f6af29d05dad8427d7"),
-    ("fixed", "a66710755cddfcfbafd4fd99f169e13f39083bac1f53e47ff38ae7ca70c163b2"),
+    ("limited", "3a42ebdc29afa770c22028890c4c142f47ceca5ead96971a14021edf45a4a2ea"),
+    ("fixed", "a135e91f84ed9afa82cb6d9e261af23379540c6d2ea91562f254de3660c461b5"),
 ], ids=["unlimited", "limited", "fixed"])
 def test_capacity_benchmark_solutions_are_pinned(solver, want):
     # the benchmark's capacity-large instances (workload seed 1): a faster
@@ -760,3 +763,35 @@ def _capacity_benchmark_solutions(solver):
         else:
             uniform = {lid: inst.p_max for lid in inst.link_ids}
             yield solve_fixed(inst, powers=uniform, warn_preconditions=False)
+
+
+def test_fixed_pass_compacts_on_large_instances_only(monkeypatch):
+    # the pass drops dead candidates through _Candidates.subset; checks run
+    # after every 8th accept
+    checks, compactions = [], []
+    check, subset = capacity._FixedLoads._check, capacity._Candidates.subset
+
+    def counted_check(self, j):
+        checks.append(len(self.tracked))
+        return check(self, j)
+
+    def counted_subset(self, at):
+        compactions.append(len(at))
+        return subset(self, at)
+
+    monkeypatch.setattr(capacity._FixedLoads, "_check", counted_check)
+    monkeypatch.setattr(capacity._Candidates, "subset", counted_subset)
+    # capacity-large: each compaction keeps at most half of the tracked links
+    inst = _capacity_benchmark_instance(1000)
+    solve_fixed(inst, powers=dict.fromkeys(inst.link_ids, inst.p_max), warn_preconditions=False)
+    assert compactions and checks
+    assert all(2 * kept <= tracked for kept, tracked in zip(compactions, [checks[0], *compactions]))
+    # ratio-small's instances, n <= 10: no compaction. Ten far-apart links all
+    # pass, so the check after the 8th accept finds 8 of 10 still mattering
+    checks.clear()
+    compactions.clear()
+    experiment_ratio(n=10, trials=40, seed=0)
+    sparse = gen_random(GenConfig(n=10, seed=5, area=1e5, d_range=(1.0, 10.0), p_max=1e4))
+    assert len(solve_fixed(sparse, powers=dict.fromkeys(sparse.link_ids, 1e4),
+                           warn_preconditions=False).selected) == 10
+    assert checks == [10] and compactions == []

@@ -2,8 +2,9 @@
 
 The reference below is the dense formulation: full weight and affectance
 matrices over every candidate, and each load summed over the accepted links
-in acceptance order. The streaming solvers must reproduce it exactly:
-selected sets, powers, SINRs and trace rows, bit for bit.
+in acceptance order, with the fixed pass's freeze rule applied to those sums.
+The streaming solvers must reproduce it exactly: selected sets, powers,
+SINRs and trace rows, bit for bit.
 """
 
 import json
@@ -43,6 +44,7 @@ from sinrsched.model import (
 )
 
 P_MAX = 20.0 * 30.0**2
+FREEZE_EVERY = 8  # accepts between two freeze checks of the fixed pass
 
 
 # -- dense reference ---------------------------------------------------------
@@ -136,25 +138,43 @@ def ref_unlimited(instance, thresholds=None):
     return _ref_finish(instance, accepted, powers, "unlimited", trace)
 
 
-def ref_fixed(instance, ids, powers, thresholds=None):
+def ref_fixed(instance, ids, powers, thresholds=None, freeze_every=FREEZE_EVERY):
+    """The fixed solver's solution; ``freeze_every`` None records every
+    row's walk-time load, with no freeze rule."""
     order = sensitivity_order(instance, ids, thresholds)
     geo = geometry(instance, ids)
     beta = thresholds_for(instance, ids, thresholds)
     p = np.array([powers[lid] for lid in geo.ids], dtype=np.float64)
     a = _affectance_matrix(geo, beta, p, instance.noise)
     row = _rows(geo)
-    tentative, trace = [], []
-    for cand in reversed(order):
-        c = row[cand]
-        if not (0 < p[c] < INF
-                and p[c] / geo.d_alpha[c] >= beta[c] * instance.noise * (1 - FEAS_RTOL)):
+    walk = list(reversed(order))
+    gated = {cand for cand in walk
+             if 0 < p[row[cand]] < INF
+             and p[row[cand]] / geo.d_alpha[row[cand]]
+             >= beta[row[cand]] * instance.noise * (1 - FEAS_RTOL)}
+
+    def load_of(c):
+        return float(sum(a[row[t], c] + a[c, row[t]] for t in tentative))
+
+    # the freeze rule: after every freeze_every-th accept, each gated
+    # candidate not yet walked whose load is above the budget keeps that
+    # load as its trace load, the first time it is found there
+    frozen, tentative, trace = {}, [], []
+    for step, cand in enumerate(walk):
+        if cand not in gated:
             trace.append((cand, False, INF))
             continue
-        load = float(sum(a[row[t], c] + a[c, row[t]] for t in tentative))
+        load = frozen[cand] if cand in frozen else load_of(row[cand])
         ok = load <= 0.5
         trace.append((cand, ok, load))
         if ok:
             tentative.append(cand)
+            if freeze_every and len(tentative) % freeze_every == 0:
+                for later in walk[step + 1:]:
+                    if later in gated and later not in frozen:
+                        partial = load_of(row[later])
+                        if partial > 0.5:
+                            frozen[later] = partial
     final = [lid for lid in tentative if sum(a[row[t], row[lid]] for t in tentative) < 1.0]
     return _ref_finish(instance, final, {lid: powers[lid] for lid in final}, "fixed", tuple(trace))
 
@@ -246,6 +266,48 @@ def test_streaming_matches_dense_threshold_overrides():
     inst = gen_random(GenConfig(n=120, seed=5, area=300.0, d_range=(1.0, 50.0), p_max=P_MAX))
     thresholds = {lid: 1.0 + (lid % 5) * 0.75 for lid in inst.link_ids[::2]}
     _check_all(inst, thresholds=thresholds)
+
+
+@pytest.mark.parametrize("trigger", ["every check", "never"])
+def test_fixed_traces_do_not_depend_on_when_the_pass_compacts(monkeypatch, trigger):
+    # capacity-large's instance at the links' own thresholds, and a denser
+    # one with overrides: compacting at every check, or never, must give the
+    # default's solutions, frozen loads included
+    capacity_large = gen_random(GenConfig(n=2000, seed=1000, area=1000.0, d_range=(1.0, 100.0),
+                                          beta_range=(1.0, 10.0), p_max=P_MAX))
+    overridden = gen_random(GenConfig(n=500, seed=3, area=400.0, d_range=(1.0, 60.0),
+                                      p_max=P_MAX))
+    cases = [(capacity_large, None),
+             (overridden, {lid: 1.0 + (lid % 7) * 0.5 for lid in overridden.link_ids[::3]})]
+
+    def solves():
+        return [solve(inst, thresholds) for inst, thresholds in cases for solve in (
+            lambda i, t: solve_limited(i, thresholds=t),
+            lambda i, t: solve_fixed(i, powers=dict.fromkeys(i.link_ids, i.p_max),
+                                     thresholds=t, warn_preconditions=False))]
+
+    default = solves()
+    monkeypatch.setattr(capacity, "_compacts",
+                        {"every check": lambda matter, tracked: True,
+                         "never": lambda matter, tracked: False}[trigger])
+    for got, want in zip(solves(), default):
+        _assert_identical(got, want)
+
+
+def test_frozen_loads_lie_between_the_budget_and_the_walk_time_load():
+    # a rejected row's load is its walk-time sum unless the pass froze it,
+    # and a frozen load is above the budget and at most that sum
+    inst = gen_random(GenConfig(n=500, seed=3, area=400.0, d_range=(1.0, 60.0), p_max=P_MAX))
+    powers = dict.fromkeys(inst.link_ids, inst.p_max)
+    sol = solve_fixed(inst, powers=powers, warn_preconditions=False)
+    walk_time = ref_fixed(inst, list(inst.link_ids), powers, freeze_every=None)
+    frozen = 0
+    for got, want in zip(sol.trace, walk_time.trace, strict=True):
+        assert got[:2] == want[:2]
+        if got[2] != want[2]:
+            frozen += 1
+            assert not got[1] and 0.5 < got[2] <= want[2]
+    assert frozen
 
 
 def test_streaming_matches_dense_degenerate_powers():
