@@ -13,12 +13,16 @@ Three solvers share the sensitivity ordering from the model:
   and finishes only the branch that keeps more links (powers, SINRs), which
   it returns. Powers never exceed the cap.
 
-Every greedy pass is one loop, ``_greedy``: it walks the candidates in
-sensitivity order, accepts a candidate while its running load stays within
-the budget and, on each acceptance, adds the accepted link's O(n) weight or
-affectance row to the loads; rows, columns and blocks all come from one
-kernel per value (see ``_Candidates``). Above ``_DENSE`` = 128 candidates no
-solver builds an n x n matrix over its n candidates: a solve takes O(n *
+Every greedy pass lays its candidate arrays out once in walk order, least
+sensitive first with ties by descending id, so that the candidates not yet
+walked are a suffix. One loop, ``_greedy``, walks every pass: it accepts a
+candidate while its load stays within the budget and, on accepting the
+candidate at position j, adds the accepted link's weight or affectance row
+to the loads of positions j + 1 on; rows, columns and blocks all come from
+one kernel per value (see ``_Candidates``). No row touches a walked entry,
+so when the walk ends the load array holds every candidate's walk-time load
+and the trace is read off it. Above ``_DENSE`` = 128 candidates no solver
+builds an n x n matrix over its n candidates: a solve takes O(n *
 |accepted|) time and O(n) memory, plus O(|accepted|^2) for the power
 recurrence and the SINR evaluation of the accepted links, which share one
 cross matrix taken from the same kernel. A set of at most 128 candidates,
@@ -36,32 +40,31 @@ never be accepted: after every 8th accept the fixed pass freezes each such
 candidate at its load then, which its trace row records, and once at most
 half of the candidates its rows cover still matter (tentative links, whose
 incoming affectance the filter reads, and unwalked candidates that are not
-frozen) it compacts them to those, through ``_Candidates.subset``. Frozen
-loads follow from the accepts alone, not from when the set is compacted, so
-a rejected candidate still changes no other row. On an n = 10^5 instance
-(area 1000 * sqrt(n / 300), uniform power 10^6) this cut the rows' work to
-30 % and ``solve_fixed`` from 13.5 to 5.0 s on a 2-CPU Linux machine. The
-walk stays ``_greedy``: it reads the loads of every candidate in one array,
-and after a compaction each accept writes the compacted loads back over
-their entries. The limited solver's second pass over the k links its first pass
-accepted takes their weights in column blocks of 256 links, in O(k * 256)
-memory. Endpoints, ``d^alpha`` and thresholds are sliced from the per-link
-arrays cached on ``Instance``, so every sensitivity and kernel here reads
-the one ``Instance.d_alpha``. Every cross ``d^alpha`` is one
-``MetricSpace.between`` call, which raises the squared distance to alpha / 2
-with no square root (the sum itself at alpha = 2).
+frozen) it compacts them to those, through ``_Candidates.subset``, still in
+walk order. Frozen loads follow from the accepts alone, not from when the
+set is compacted, so a rejected candidate still changes no other row. On an
+n = 10^5 instance (area 1000 * sqrt(n / 300), uniform power 10^6) this cut
+the rows' work to 30 % and ``solve_fixed`` from 13.5 to 5.0 s on a 2-CPU
+Linux machine. A compaction writes the loads it drops, which are final,
+back to the pass's load array. The limited solver's second pass over the k
+links its first pass accepted takes their weights in column blocks of 256
+links, in O(k * 256) memory. Endpoints, ``d^alpha`` and thresholds are
+sliced from the per-link arrays cached on ``Instance``, so every
+sensitivity and kernel here reads the one ``Instance.d_alpha``. Every cross
+``d^alpha`` is one ``MetricSpace.between`` call, which raises the squared
+distance to alpha / 2 with no square root (the sum itself at alpha = 2).
 
 ``thresholds`` is a mapping id -> beta that overrides the links' own
 thresholds, or an array aligned with ``links`` (see ``thresholds_for``). A
-solve resolves its ids to rows and thresholds once and hands slices down.
-A pass under the links' own thresholds (every solve whose caller gave none)
-asks ``sensitivity_order`` for them (``thresholds`` None), which reads the
-order the instance sorts once and keeps: capacity-large's unlimited,
-limited (both branches) and fixed solves of one instance sort its
-sensitivities once between them, where overrides, such as every latency or
-flexible level's, sort their own. An all-link solve (``links`` None) takes
-rows 0..n-1 and, when every link is admitted, indexes its candidates through
-the instance's own id -> row map instead of building one per solve.
+solve resolves its ids to rows and thresholds once, asks
+``sensitivity_order`` for its links' order together with the index that
+lays its arrays out in it, and hands the walk-order arrays down: no pass
+looks an id up. Under the links' own thresholds (every solve whose caller
+gave none) that reads the order the instance sorts once and keeps:
+capacity-large's unlimited, limited and fixed solves of one instance sort
+its sensitivities once between them, and the limited solver's two branches
+walk parts of one order. Overrides, such as every latency or flexible
+level's, sort their own; a level also passes the rows it holds (``pos``).
 """
 
 from __future__ import annotations
@@ -110,15 +113,18 @@ ALL = slice(None)  # the kernels' position of every candidate
 
 
 class _Candidates:
-    """O(n) arrays over a candidate set and the pair kernels the greedies add up.
+    """O(n) arrays over a candidate set, in walk order, and the pair kernels
+    the greedies add up.
 
-    ``pos`` are the candidates' rows of the instance arrays, ``beta`` their
-    resolved thresholds and ``p`` their powers, None when the power
-    recurrence is to assign them. A kernel gives the
-    value from each candidate a onto each b, for positions that broadcast:
-    ``(k, ALL)`` is a row, ``(ALL, k)`` a column, ``(rows[:, None], cols[None,
-    :])`` a block. A value onto itself is left as computed. Use it under
-    ``_ROW_ERRSTATE``.
+    ``ids`` (a list) are the candidates in the order a pass walks them,
+    least sensitive first, ``pos`` their rows of the instance arrays,
+    ``beta`` their resolved thresholds and ``p`` their powers, None when the
+    power recurrence is to assign them; a candidate's position is its index
+    in these. A kernel gives the value from each candidate a onto each b, for
+    positions that broadcast: ``(k, ALL)`` is a row, ``(ALL, k)`` a column,
+    ``(k, slice(k + 1, None))`` the part of a row after k, ``(rows[:, None],
+    cols[None, :])`` a block. A value onto itself is left as computed. Use it
+    under ``_ROW_ERRSTATE``.
 
     ``_alpha`` reads ``cross[i, j] = d(sender_j, receiver_i)^alpha`` (m x m
     floats, at most 128 KB) when the set has it, and otherwise measures with
@@ -146,9 +152,7 @@ class _Candidates:
     """
 
     def __init__(self, instance, ids, pos, beta, p=None):
-        # ids that are the instance's own link_ids (an all-link solve that
-        # admitted every link, at rows 0..n-1) index through its id -> row map
-        self.index = instance._positions if ids is instance.link_ids else index_of(ids)
+        self.ids = ids
         self.cross = None
         if len(instance.links) <= _DENSE:
             # rows pos, then columns pos, of the instance's pair matrix,
@@ -167,7 +171,7 @@ class _Candidates:
                                           self.senders[..., None, :], self.alpha)
         self.d_alpha = instance.d_alpha[pos]
         self.beta = beta
-        self.sens = _sensitivities(ids, beta, self.d_alpha)
+        self.sens = beta * self.d_alpha
         self.p = p
         if p is not None:
             self.margin = np.maximum(p / self.d_alpha - beta * instance.noise, 0.0)
@@ -214,6 +218,8 @@ def solve_unlimited(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
     thresholds: Optional[Thresholds] = None,
+    *,
+    pos: Optional[np.ndarray] = None,
 ) -> Solution:
     """Greedy capacity maximization choosing powers from an unbounded range.
 
@@ -223,81 +229,110 @@ def solve_unlimited(
     each power covers noise plus the interference of the more sensitive links
     twice over, which guarantees every accepted link meets its threshold.
     A link whose beta * d^alpha * N underflows to 0, and which would get
-    power 0, is dropped up front.
+    power 0, is dropped up front. ``pos``, when given, are the rows of
+    ``links`` in the instance arrays (``Instance.positions(links)``), which
+    a caller that holds them passes to save the lookups; the links must then
+    be distinct, which is not checked.
     """
-    ids, pos = _rows(instance, links)
+    ids, pos = _rows(instance, links, pos)
     if not ids:
         return empty_solution("unlimited")
-    beta = thresholds_for(instance, ids, thresholds, pos)
+    beta = _thresholds(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
-        selected, trace, cands = _greedy_unlimited(instance, ids, pos, beta, thresholds is None)
-        return _finish(instance, cands, selected[::-1], "unlimited", trace)
+        accepted, trace, cands = _greedy_unlimited(
+            instance, *_walk_order(instance, ids, pos, beta, thresholds is None))
+        return _finish(instance, cands, accepted[::-1], "unlimited", trace)
 
 
-def _rows(instance, links):
+def _rows(instance, links, pos):
     """(ids, rows) of a solve's links: the instance's own ``link_ids`` at
     rows 0..n-1 when ``links`` is None, else a list of ``links`` and their
-    rows."""
+    rows, ``pos`` when the caller holds them. Without ``pos``, a link given
+    twice raises ValueError naming it (see ``index_of``): it would count as
+    two interfering copies of itself."""
     if links is None:
         return instance.link_ids, np.arange(len(instance.links))
     ids = list(links)
-    return ids, instance.positions(ids)
+    if pos is None:
+        pos = instance.positions(ids)
+        if len(set(ids)) < len(ids):
+            index_of(ids)
+    return ids, pos
 
 
-def _order(instance, ids, beta, own):
-    """``sensitivity_order`` of ``ids`` under the thresholds ``beta``, which
-    are asked for as None when they are the links' own (``own``): that reads
-    the order the instance keeps. The instance's own ``link_ids`` ask for
-    every link, whose order needs no row lookup."""
-    return sensitivity_order(instance, None if ids is instance.link_ids else ids,
-                             None if own else beta)
+def _thresholds(instance, ids, thresholds, pos):
+    """The solve's threshold array (see ``thresholds_for``). An array of
+    overrides is taken as it is: ``sensitivity_order`` checks it when the
+    solve sorts by it, before anything reads it, so that a level solve
+    checks its thresholds once."""
+    if isinstance(thresholds, np.ndarray):
+        return thresholds
+    return thresholds_for(instance, ids, thresholds, pos)
 
 
-def _greedy(candidates, index, load, budget, accept):
-    """Walk ``candidates`` (ids, positions ``index[id]``) in the given order
-    and accept each whose entry of ``load`` is within ``budget``; accepting
-    the candidate at position k calls ``accept(k)``, which adds its row to
-    ``load`` in place. Entry k of that row is never read, since each
-    candidate is walked once. A candidate missing from ``index`` is rejected
-    at an infinite load.
-
-    Returns the accepted ids in acceptance order and one trace row
-    (id, accepted, load) per candidate.
-    """
-    accepted = []
-    trace = []
-    for cand in candidates:
-        k = index.get(cand)
-        if k is None:
-            trace.append((cand, False, INF))
-            continue
-        lk = load.item(k)
-        ok = lk <= budget
-        trace.append((cand, ok, lk))
-        if ok:
-            accepted.append(cand)
-            accept(k)
-    return accepted, tuple(trace)
+def _walk_order(instance, ids, pos, beta, own, *aligned):
+    """``ids`` in the order every pass walks them, least sensitive first with
+    ties by descending id (``sensitivity_order`` reversed), and their rows
+    ``pos``, thresholds ``beta`` (the links' own when ``own``) and each array
+    of ``aligned`` laid out in that order. An override whose sensitivity
+    overflows raises ValueError naming the first such link of ``ids``; the
+    links' own cannot overflow (see ``Instance``)."""
+    order_ids, order = sensitivity_order(instance, None if ids is instance.link_ids else ids,
+                                         None if own else beta, pos, return_index=True)
+    walk = order[::-1]
+    pos_w, beta_w = pos[walk], beta[walk]
+    # the last link walked is the most sensitive
+    if not own and beta_w.item(-1) * instance.d_alpha.item(pos_w.item(-1)) == INF:
+        _sensitivities(ids, beta, instance.d_alpha[pos])
+    return order_ids[::-1], pos_w, beta_w, *(a[walk] for a in aligned)
 
 
-def _admit(ids, pos, beta, d_alpha, gate, *aligned):
-    """``ids``, their rows ``pos``, thresholds ``beta`` and each array of
-    ``aligned`` cut to the links where the mask ``gate`` holds. Repeated ids
-    and overflowing sensitivities (``d_alpha`` are the links') are checked
-    over all the links first, as candidates over all of them would check
-    them; index_of names a repeat."""
+def _admit(gate, ids, *aligned):
+    """``ids`` (a list) and each array of ``aligned`` cut to the links where
+    the mask ``gate`` holds."""
     if gate.all():
-        return ids, pos, beta, *aligned
-    if len(set(ids)) < len(ids):
-        index_of(ids)
-    _sensitivities(ids, beta, d_alpha)
-    return list(compress(ids, gate.tolist())), pos[gate], beta[gate], *(a[gate] for a in aligned)
+        return ids, *aligned
+    return list(compress(ids, gate.tolist())), *(a[gate] for a in aligned)
 
 
-def _greedy_unlimited(instance, ids, pos, beta, own):
-    """Weight-budget pass of the unlimited greedy over nonempty ``ids`` (rows
-    ``pos``, thresholds ``beta``, the links' own when ``own``): accepted
-    links (least sensitive first), trace rows and the candidates.
+def _greedy(load, budget, accept):
+    """Walk the candidates at positions 0, 1, ... of ``load`` and accept each
+    whose load is within ``budget``. Accepting the candidate at position i
+    calls ``accept(i)``, which adds its row to the entries after i and
+    returns the array and position the walk goes on from: ``load`` and i +
+    1, unless the pass compacted its candidates. No row touches a walked
+    entry, so when the walk ends each entry holds the load the walk
+    compared, and a candidate was accepted exactly when that load is within
+    ``budget``.
+    """
+    i = 0
+    while i < len(load):
+        if load.item(i) <= budget:
+            load, i = accept(i)
+        else:
+            i += 1
+
+
+def _walked(ids, load, budget, gate=None):
+    """(accepted, trace) of a walk over ``ids`` that left each link's
+    walk-time load in ``load``: the positions whose load is within
+    ``budget``, and one trace row (id, accepted, load) per link. When
+    ``load`` covers fewer links, they are those where the mask ``gate``
+    holds, and the others are rejected at an infinite load."""
+    ok = load <= budget
+    accepted = ok.nonzero()[0]
+    if len(load) < len(ids):
+        full = np.full(len(ids), INF)
+        full[gate] = load
+        load, ok = full, full <= budget
+    return accepted, tuple(zip(ids, ok.tolist(), load.tolist()))
+
+
+def _greedy_unlimited(instance, ids, pos, beta):
+    """Weight-budget pass of the unlimited greedy over nonempty ``ids`` in
+    walk order (rows ``pos``, thresholds ``beta``): the positions of the
+    accepted candidates (least sensitive first), trace rows and the
+    candidates.
 
     A load is the summed weight from the accepted links, added one row at a
     time in acceptance order. Accepted links are less sensitive than every
@@ -306,45 +341,53 @@ def _greedy_unlimited(instance, ids, pos, beta, own):
     accepted and is walked only as a trace row (id, False, inf). The first
     admitted candidate starts at load 0, so it is accepted.
     """
-    order = _order(instance, ids, beta, own)
-    d_alpha = instance.d_alpha[pos]
-    ids, pos, beta = _admit(ids, pos, beta, d_alpha, beta * d_alpha * instance.noise > 0)
     cands = _Candidates(instance, ids, pos, beta)
-    load = np.zeros(len(ids))
-    accepted, trace = _greedy(reversed(order), cands.index, load, weight_budget(instance.alpha),
-                              lambda k: np.add(load, cands.weights(k, ALL), out=load))
-    return accepted, trace, cands
+    gate = cands.sens * instance.noise > 0
+    if not gate.all():  # rare: some beta * d^alpha * N underflows
+        cands = _Candidates(instance, *_admit(gate, ids, pos, beta))
+    load = np.zeros(len(cands.ids))
+    budget = weight_budget(instance.alpha)
+
+    def accept(i):
+        rest = load[i + 1:]
+        rest += cands.weights(i, slice(i + 1, None))
+        return load, i + 1
+
+    _greedy(load, budget, accept)
+    return *_walked(ids, load, budget, gate), cands
 
 
-def _finish(instance, cands, accepted, algorithm, trace):
-    """Solution over ``accepted``, some of the candidates ``cands``, at the
+def _finish(instance, cands, at, algorithm, trace):
+    """Solution over the candidates at positions ``at`` of ``cands``, at the
     candidates' powers if they have any; otherwise the power recurrence
-    assigns them, walking ``accepted`` in order, most sensitive link first:
+    assigns them, walking ``at`` in order, most sensitive link first:
     p(l) = 2 beta N d^alpha + 2 beta d^alpha * sum of prior p / cross-distance^alpha.
 
-    The recurrence and the SINRs read one k x k matrix over the accepted
+    The recurrence and the SINRs read one k x k matrix over the selected
     links in sorted id order, cross[i, j] = d(sender_j, receiver_i)^alpha
     from the candidates' kernel: the floats of ``geometry().cross_alpha``,
     so the SINRs are ``evaluate_sinrs``' arithmetic. Scalar steps use Python
     floats. The trace is kept even when nothing is selected."""
-    selected = sorted(accepted)
-    at = np.fromiter(map(cands.index.__getitem__, selected), np.intp, len(selected))
-    cross = cands._alpha(at[None, :], at[:, None])
+    at = at.tolist()
+    by_id = sorted(at, key=cands.ids.__getitem__)
+    selected = [cands.ids[k] for k in by_id]
+    sel = np.fromiter(by_id, np.intp, len(by_id))
+    cross = cands._alpha(sel[None, :], sel[:, None])
     if cands.p is None:
-        beta, d_alpha = cands.beta[at].tolist(), cands.d_alpha[at].tolist()
+        beta, d_alpha = cands.beta[sel].tolist(), cands.d_alpha[sel].tolist()
         gain = 1.0 / cross
         # interference[k]: summed p / cross-distance^alpha at link k from the
         # links assigned so far, in assignment order; no link reads the last
         # assigned link's column
-        interference, powers = np.zeros(len(at)), np.empty(len(at))
-        rank = {lid: k for k, lid in enumerate(selected)}
-        last = rank[accepted[-1]] if accepted else None
-        for k in map(rank.__getitem__, accepted):
+        interference, powers = np.zeros(len(sel)), np.empty(len(sel))
+        rank = dict(zip(by_id, range(len(by_id))))
+        last = rank[at[-1]] if at else None
+        for k in map(rank.__getitem__, at):
             powers[k] = pk = 2.0 * beta[k] * d_alpha[k] * (instance.noise + interference.item(k))
             if k != last:
                 interference += pk * gain[:, k]
     else:
-        powers = cands.p[at]
+        powers = cands.p[sel]
     return Solution(
         selected=tuple(selected),
         powers=dict(zip(selected, powers.tolist())),
@@ -440,6 +483,8 @@ def solve_fixed(
     powers: Optional[Mapping[int, float]] = None,
     thresholds: Optional[Thresholds] = None,
     warn_preconditions: bool = True,
+    *,
+    pos: Optional[np.ndarray] = None,
 ) -> Solution:
     """Greedy capacity maximization under a given power assignment.
 
@@ -448,14 +493,16 @@ def solve_fixed(
     a link when incoming plus outgoing affectance against the accepted set
     stays within 1/2; the final filter keeps links whose total incoming
     affectance is below 1, so every returned link meets its threshold.
+    ``pos`` is as in ``solve_unlimited``.
     """
-    ids, pos = _rows(instance, links)
+    ids, pos = _rows(instance, links, pos)
     if not ids:
         return empty_solution("fixed")
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    beta = thresholds_for(instance, ids, thresholds, pos)
+    beta = _thresholds(instance, ids, thresholds, pos)
     with np.errstate(**_ROW_ERRSTATE):
-        final, trace, cands = _fixed_pass(instance, ids, pos, beta, p, thresholds is None)
+        final, trace, cands = _fixed_pass(
+            instance, *_walk_order(instance, ids, pos, beta, thresholds is None, p))
         solution = _finish(instance, cands, final, "fixed", trace)
     if warn_preconditions:
         issues = check_power_preconditions(instance, ids, p, beta)
@@ -469,10 +516,11 @@ def solve_fixed(
     return solution
 
 
-def _fixed_pass(instance, ids, pos, beta, p, own):
-    """Tentative pass and filter of the fixed solver over nonempty ``ids``
-    (rows ``pos``, thresholds ``beta``, the links' own when ``own``, powers
-    ``p``): the kept links, one trace row per link and the candidates.
+def _fixed_pass(instance, ids, pos, beta, p):
+    """Tentative pass and filter of the fixed solver over nonempty ``ids`` in
+    walk order (rows ``pos``, thresholds ``beta``, powers ``p``): the kept
+    links' positions among the candidates, one trace row per link and the
+    candidates.
 
     A link that misses the solo SINR gate (0 < p < inf, and p / d^alpha must
     reach beta * N up to tolerance) is never accepted and its affectance
@@ -484,15 +532,14 @@ def _fixed_pass(instance, ids, pos, beta, p, own):
     candidate was frozen: then it is the load at the check that froze it,
     above the budget and at most the walk-time sum.
     """
-    order = _order(instance, ids, beta, own)
     d_alpha = instance.d_alpha[pos]
     gate = (0 < p) & (p < INF) & (p / d_alpha >= beta * instance.noise * (1 - FEAS_RTOL))
-    ids, pos, beta, p = _admit(ids, pos, beta, d_alpha, gate, p)
-    cands = _Candidates(instance, ids, pos, beta, p)
-    loads = _FixedLoads(cands, lambda: _ranks(instance, ids, pos, cands.sens, own))
-    tentative, trace = _greedy(reversed(order), cands.index, loads.load, 0.5, loads.accept)
-    final = [lid for lid, incoming in zip(tentative, loads.kept_incoming()) if incoming < 1.0]
-    return final, trace, cands
+    cands = _Candidates(instance, *_admit(gate, ids, pos, beta, p))
+    loads = _FixedLoads(cands)
+    _greedy(loads.tracked, 0.5, loads.accept)
+    load, incoming = loads.result()
+    tentative, trace = _walked(ids, load, 0.5, gate)
+    return tentative[incoming < 1.0], trace, cands
 
 
 # The fixed pass looks for dead candidates after every _CHECK-th accept
@@ -505,23 +552,12 @@ def _compacts(matter: int, tracked: int) -> bool:
     return 2 * matter <= tracked
 
 
-def _ranks(instance, ids, pos, sens, own):
-    """Ranks that order the candidates ``ids`` (rows ``pos``, sensitivities
-    ``sens``) as ``sensitivity_order`` does, most sensitive first: under the
-    links' own thresholds (``own``) the instance's ranks of its links, else
-    the ranks of one ``lexsort`` of the same keys."""
-    if own:
-        return instance._by_sensitivity[1][pos]
-    order = np.lexsort((np.array(ids), -sens))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
 class _FixedLoads:
-    """The tentative pass's loads over the candidates ``cands``: ``load``,
-    which the walk reads, and ``accept(k)``, which adds the two-way
-    affectance row of the tentative link at position k.
+    """The tentative pass's loads over the candidates ``cands``, which
+    ``_greedy`` walks in ``tracked``: ``accept(j)`` adds the two-way
+    affectance row of the tentative link at tracked position j to the
+    unwalked candidates, from j + 1 on, and its outgoing affectances to
+    ``incoming``.
 
     Rows cover only the tracked candidates, at first all of them. After
     every ``_CHECK``-th accept, each unwalked candidate whose load is above
@@ -529,80 +565,80 @@ class _FixedLoads:
     and its load stays the one at that check (the zeroed entries ``frozen``
     of each later row). When at most half of the tracked candidates still
     matter (tentative, so that ``incoming`` gets every add, or unwalked and
-    not frozen), the tracked set is compacted to those. Which candidates
-    freeze, and at what loads, follows from the accepts alone, not from when
-    the set is compacted.
+    not frozen), the tracked set is compacted to those, still in walk order:
+    the tentative links, all walked, come first. Which candidates freeze,
+    and at what loads, follows from the accepts alone, not from when the set
+    is compacted.
 
-    ``kept`` are the tentative links' positions in acceptance order. ``at``
-    are the tracked candidates' positions and ``slot`` their places among
-    them (both None while every candidate is tracked); ``sub`` are the
-    candidates over them, and ``tracked``, ``incoming`` and ``rank`` their
-    loads, affectances from the tentative links onto them and ranks (from
-    ``ranks()``, asked for at the first check). ``tracked`` is ``load``
-    itself until the first compaction; after it, each accept writes it over
-    the tracked entries of ``load``.
+    ``load`` holds every candidate's load. ``at`` are the tracked
+    candidates' positions (None while every candidate is tracked), ``sub``
+    the candidates over them, and ``tracked`` and ``incoming`` their loads
+    and the affectances from the tentative links onto them; ``tracked`` is
+    ``load`` itself until the first compaction, and is written back over
+    ``load`` at each later one and at the end. ``kept`` are the tentative
+    links' tracked positions in acceptance order.
     """
 
-    def __init__(self, cands, ranks):
+    def __init__(self, cands):
         n = len(cands.beta)
         self.sub = cands
-        self.ranks = ranks
         self.load = self.tracked = np.zeros(n)
         self.incoming = np.zeros(n)
         self.kept = []
-        self.at = self.slot = self.rank = self.frozen = None
+        self.at = self.frozen = None
 
-    def kept_incoming(self) -> list:
-        """Affectance from the tentative links onto each of them, in
-        acceptance order, leaving out a link's own entry."""
-        return self.incoming[self.kept if self.slot is None else self.slot[self.kept]].tolist()
-
-    def accept(self, k):
-        j = k if self.slot is None else self.slot.item(k)
-        row = self.sub.affectances(j, ALL)
-        row[j] = 0.0
-        np.add(self.incoming, row, out=self.incoming)
-        row += self.sub.affectances(ALL, j)
+    def accept(self, j):
+        out = self.sub.affectances(j, ALL)
+        out[j] = 0.0
+        self.incoming += out
+        rest = out[j + 1:]
+        rest += self.sub.affectances(slice(j + 1, None), j)
         if self.frozen is not None:
-            row[self.frozen] = 0.0
-        np.add(self.tracked, row, out=self.tracked)
-        if self.at is not None:
-            self.load[self.at] = self.tracked
-        self.kept.append(k)
-        if not len(self.kept) % _CHECK:
-            self._check(j)
+            out[self.frozen] = 0.0
+        self.tracked[j + 1:] += rest
+        self.kept.append(j)
+        if len(self.kept) % _CHECK:
+            return self.tracked, j + 1
+        return self._check(j)
 
     def _check(self, j):
         """Freeze the unwalked candidates above the budget (the tentative
-        link at tracked place j was walked last), and compact when at most
-        half of the tracked candidates still matter."""
-        if self.rank is None:
-            self.rank = self.ranks()
-        unwalked = self.rank < self.rank[j]
-        frozen = np.flatnonzero(unwalked & (self.tracked > 0.5))
-        self.frozen = frozen if frozen.size else None
+        link at tracked position j was walked last), and compact when at
+        most half of the tracked candidates still matter. Returns the array
+        and position the walk goes on from."""
+        dead = self.tracked[j + 1:] > 0.5
+        frozen = np.flatnonzero(dead)
+        self.frozen = frozen + (j + 1) if frozen.size else None
         # every tentative link is tracked, and walked
-        if not _compacts(len(self.kept) + np.count_nonzero(unwalked) - frozen.size,
-                         len(self.tracked)):
-            return
-        matter = unwalked  # in place: unwalked is not read again
-        matter[frozen] = False
-        matter[self.kept if self.slot is None else self.slot[self.kept]] = True
-        keep = np.flatnonzero(matter)
+        if not _compacts(len(self.kept) + len(dead) - frozen.size, len(self.tracked)):
+            return self.tracked, j + 1
+        keep = np.concatenate((self.kept, np.flatnonzero(~dead) + (j + 1)))
+        self._write_back()
         self.at = keep if self.at is None else self.at[keep]
-        if self.slot is None:
-            self.slot = np.empty(len(self.load), dtype=np.intp)
-        self.slot[self.at] = np.arange(len(keep))
         self.sub = self.sub.subset(keep)
-        self.tracked, self.incoming, self.rank = (
-            self.tracked[keep], self.incoming[keep], self.rank[keep])
+        self.tracked, self.incoming = self.tracked[keep], self.incoming[keep]
+        self.kept = list(range(len(self.kept)))
         self.frozen = None
+        return self.tracked, len(self.kept)
+
+    def _write_back(self):
+        if self.at is not None:
+            self.load[self.at] = self.tracked
+
+    def result(self) -> tuple:
+        """(load, incoming) once the walk has ended: every candidate's trace
+        load, and the affectance from the other tentative links onto each
+        tentative link, in acceptance order."""
+        self._write_back()
+        return self.load, self.incoming[self.kept]
 
 
 def solve_limited(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
     thresholds: Optional[Thresholds] = None,
+    *,
+    pos: Optional[np.ndarray] = None,
 ) -> Solution:
     """Capacity maximization with powers chosen from [0, p_max].
 
@@ -614,35 +650,29 @@ def solve_limited(
     wins, the small-sensitivity one on a tie, and only it is finished: its
     powers, SINRs and ``Solution`` are built once, for the links returned.
     Its trace is both branches' traces, so it names every candidate.
+    ``pos`` is as in ``solve_unlimited``.
     """
     if instance.p_max == INF:
         # no cap to respect: the unlimited solver's solution stands as is
-        return replace(solve_unlimited(instance, links, thresholds), algorithm="limited")
+        return replace(solve_unlimited(instance, links, thresholds, pos=pos), algorithm="limited")
 
-    ids, pos = _rows(instance, links)
+    ids, pos = _rows(instance, links, pos)
     if not ids:
         return empty_solution("limited")
-    if isinstance(thresholds, np.ndarray):
-        # two copies of a link may differ in threshold and land one in each
-        # branch; otherwise they share a branch, whose candidates reject them
-        index_of(ids)
-    beta = thresholds_for(instance, ids, thresholds, pos)
-    # the branch to finish, by its kept links and candidates; the trace names
-    # both branches' candidates
-    kept, trace, cands = [], (), None
+    beta = _thresholds(instance, ids, thresholds, pos)
+    # the branch to finish, by its kept links' positions and its candidates;
+    # the trace names both branches' candidates
+    kept, trace, cands = None, (), None
     with np.errstate(**_ROW_ERRSTATE):
-        # its branch rejects a sensitivity that overflows
+        # one walk order, which each branch walks its part of
+        ids, pos, beta = _walk_order(instance, ids, pos, beta, thresholds is None)
         small = beta * instance.noise * instance.d_alpha[pos] <= instance.p_max / 4.0
         if small.any():
-            kept, trace, cands = _limited_first_branch(
-                instance, list(compress(ids, small.tolist())), pos[small], beta[small],
-                thresholds is None)
+            kept, trace, cands = _limited_first_branch(instance, *_admit(small, ids, pos, beta))
         if not small.all():
-            big = ~small
-            r2 = list(compress(ids, big.tolist()))
+            r2, pos2, beta2 = _admit(~small, ids, pos, beta)
             full = np.full(len(r2), instance.p_max, dtype=np.float64)
-            final, trace2, cands2 = _fixed_pass(instance, r2, pos[big], beta[big], full,
-                                                thresholds is None)
+            final, trace2, cands2 = _fixed_pass(instance, r2, pos2, beta2, full)
             # the small-sensitivity branch, if any, wins a tie
             if cands is None or len(final) > len(kept):
                 kept, cands = final, cands2
@@ -650,26 +680,30 @@ def solve_limited(
         return _finish(instance, cands, kept, "limited", trace)
 
 
-def _limited_first_branch(instance, r1, pos, beta, own):
-    """The unlimited greedy's weight-budget pass, then a second pass over the
-    links it accepted, most sensitive first, that keeps a link while its
-    outgoing weight onto the kept links, taken a block of ``_BLOCK`` columns
-    at a time, stays within the budget. Returns the kept links, most
-    sensitive first, the first pass's trace rows followed by the second's,
-    and the candidates. ``own`` is as in ``_greedy_unlimited``."""
-    first_pass, trace1, cands = _greedy_unlimited(instance, r1, pos, beta, own)
+def _limited_first_branch(instance, ids, pos, beta):
+    """The unlimited greedy's weight-budget pass over ``ids`` in walk order
+    (rows ``pos``, thresholds ``beta``), then a second pass over the links it
+    accepted, most sensitive first, that keeps a link while its outgoing
+    weight onto the kept links, taken a block of ``_BLOCK`` columns at a
+    time, stays within the budget. Returns the kept links' positions among
+    the candidates, most sensitive first, the first pass's trace rows
+    followed by the second's, and the candidates."""
+    first, trace1, cands = _greedy_unlimited(instance, ids, pos, beta)
     # the first pass accepted its links least sensitive first; walked back, a
     # load is the weight from c onto the kept links, all more sensitive than c
-    walk = first_pass[::-1]
-    at = np.array([cands.index[lid] for lid in walk], dtype=np.intp)
-    load, kept, trace2 = np.zeros(len(walk)), [], ()
+    walk = first[::-1]
+    load = np.zeros(len(walk))
     for start in range(0, len(walk), _BLOCK):
         cols = slice(start, start + _BLOCK)
         # block[a, j]: weight from walked link start + a onto start + j
-        block = cands.weights(at[start:, None], at[None, cols])
-        rest = load[start:]
-        got, trace = _greedy(walk[cols], index_of(walk[cols]), rest, SECOND_PASS_BUDGET,
-                             lambda j: np.add(rest, block[:, j], out=rest))
-        kept += got
-        trace2 += trace
-    return kept, trace1 + trace2, cands
+        block = cands.weights(walk[start:, None], walk[None, cols])
+        part = load[cols]
+
+        def accept(j):
+            rest = load[start + j + 1:]
+            rest += block[j + 1:, j]
+            return part, j + 1
+
+        _greedy(part, SECOND_PASS_BUDGET, accept)
+    kept, trace2 = _walked([cands.ids[k] for k in walk.tolist()], load, SECOND_PASS_BUDGET)
+    return walk[kept], trace1 + trace2, cands

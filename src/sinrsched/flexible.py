@@ -184,6 +184,7 @@ class _Tables:
     instance: Instance
     powers: Optional[Mapping[int, float]]
     ids: np.ndarray
+    pos: np.ndarray  # the links' rows of the instance arrays
     row: dict  # link id -> row
     cores: tuple
     table: UtilityTable
@@ -197,7 +198,8 @@ class _Tables:
             for lid, core in zip(ids, cores)
         ]
         return cls(
-            instance, powers, np.array(ids), {lid: k for k, lid in enumerate(ids)}, cores,
+            instance, powers, np.array(ids), instance.positions(ids),
+            {lid: k for k, lid in enumerate(ids)}, cores,
             UtilityTable(cores), np.array(solo_max, dtype=np.float64),
         )
 
@@ -406,7 +408,8 @@ def _sweep(instance, mode, tables, cap, powers, top, n_levels, reuse):
     levels, core_values = [], []
     for i, (on, sol) in enumerate(zip(live, found)):
         if sol is None:
-            sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers)
+            sol = _solve_level(instance, mode, tables.ids[on].tolist(), gammas[i][on], powers,
+                               tables.pos[on])
             core, kept = tuple(cores[row[lid]].value(sol.sinr[lid]) for lid in sol.selected), False
         else:
             # the previous level's selection and SINRs: its core values
@@ -424,13 +427,12 @@ def _sweep(instance, mode, tables, cap, powers, top, n_levels, reuse):
     return levels, gammas, tuple(core_values)
 
 
-def _solve_level(instance, mode, candidates, thresholds, powers) -> Solution:
-    """Run the threshold solver on a level's candidates, in id order, and
-    the threshold array aligned with them."""
+def _solve_level(instance, mode, candidates, thresholds, powers, pos) -> Solution:
+    """Run the threshold solver on a level's candidates, in id order, the
+    threshold array aligned with them and their rows ``pos``."""
     if mode == "unlimited":
-        return solve_unlimited(instance, candidates, thresholds=thresholds)
+        return solve_unlimited(instance, candidates, thresholds=thresholds, pos=pos)
     if mode == "limited":
-        return solve_limited(instance, candidates, thresholds=thresholds)
-    return solve_fixed(
-        instance, candidates, powers=powers, thresholds=thresholds, warn_preconditions=False
-    )
+        return solve_limited(instance, candidates, thresholds=thresholds, pos=pos)
+    return solve_fixed(instance, candidates, powers=powers, thresholds=thresholds,
+                       warn_preconditions=False, pos=pos)

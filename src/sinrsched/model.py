@@ -166,12 +166,13 @@ class MetricSpace:
     def gather(self, nodes) -> np.ndarray:
         """The given nodes (an index array or scalar) in the form ``between``
         takes: their coordinates, coordinate-major (shape ``(dim,) +
-        nodes.shape``), in a Euclidean space, and the indices themselves in a
-        matrix space. Either way, entry ``[..., k]`` stands for ``nodes[k]``,
-        so a caller that measures from the same nodes many times gathers them
-        once."""
+        nodes.shape``, a contiguous array, where ``[:, nodes]`` would give
+        strided coordinate rows), in a Euclidean space, and the indices
+        themselves in a matrix space. Either way, entry ``[..., k]`` stands
+        for ``nodes[k]``, so a caller that measures from the same nodes many
+        times gathers them once."""
         nodes = np.asarray(nodes, dtype=np.intp)
-        return nodes if self._matrix is not None else self._coords[:, nodes]
+        return nodes if self._matrix is not None else np.take(self._coords, nodes, axis=1)
 
     def between(self, a, b, alpha=1.0) -> np.ndarray:
         """Element-wise distances between gathered nodes ``a`` and ``b`` (see
@@ -312,7 +313,8 @@ class Instance:
     decreasing ``thresholds * d_alpha`` with ties by ascending id (one
     ``lexsort``; a link without a threshold sorts last), each row's rank in
     that order, both read-only arrays of n entries, and whether every link
-    has a finite positive threshold, so that a request needs no check.
+    has a finite positive threshold, so that a request needs no check; and
+    the ids in that order, a tuple (``_ids_by_sensitivity``).
 
     None of the cached arrays is a field: ``==``, ``hash`` and
     ``dataclasses.replace`` ignore them. Pickle, ``copy`` and ``deepcopy``
@@ -409,6 +411,11 @@ class Instance:
         order.flags.writeable = rank.flags.writeable = False
         # a NaN threshold fails the comparison
         return order, rank, not self.links or bool(np.minimum.reduce(self.thresholds) > 0)
+
+    @cached_property
+    def _ids_by_sensitivity(self) -> tuple:
+        ids = self.link_ids
+        return tuple([ids[k] for k in self._by_sensitivity[0].tolist()])
 
     def _position(self, link_id: int) -> int:
         try:
@@ -800,7 +807,9 @@ def sensitivity_order(
     instance: Instance,
     links: Optional[Sequence[int]] = None,
     thresholds: Optional[Thresholds] = None,
-) -> list[int]:
+    pos: Optional[np.ndarray] = None,
+    return_index: bool = False,
+) -> Union[list[int], tuple[list[int], np.ndarray]]:
     """Link ids ordered by decreasing sensitivity beta * d^alpha.
 
     Position 0 is the most sensitive link (rank 1). Ties break by ascending
@@ -815,12 +824,21 @@ def sensitivity_order(
     subset's an argsort of its links' ranks in it. Overrides sort their own
     keys with one ``lexsort``. Either way a link without a threshold raises
     ValueError (see ``thresholds_for``).
+
+    ``pos`` are the rows of ``links`` in the instance arrays when the caller
+    holds them, as in ``thresholds_for``. With ``return_index`` the result
+    is the pair (ids, index), where ``index[k]`` is the position of
+    ``ids[k]`` in ``links`` (its row when ``links`` is None), so that a
+    caller lays out arrays aligned with ``links`` in this order without
+    looking an id up.
     """
     if links is None:
-        ids, pos = instance.link_ids, np.arange(len(instance.links))
+        ids = instance.link_ids
+        pos = None if thresholds is None else np.arange(len(instance.links))
     else:
         ids = list(links)
-        pos = instance.positions(ids)
+        if pos is None:
+            pos = instance.positions(ids)
     if thresholds is not None:
         sens = thresholds_for(instance, ids, thresholds, pos) * instance.d_alpha[pos]
         order = np.lexsort((np.array(ids), -sens))
@@ -832,8 +850,12 @@ def sensitivity_order(
             # stable: the merge sort lexsort runs too, where the default
             # quicksort maps another sort kernel (+0.3 MB peak RSS)
             order = np.argsort(rank[pos], kind="stable")
-    # on a tuple of ids a comprehension takes half the time of map(ids.__getitem__)
-    return [ids[k] for k in order.tolist()]
+    if links is None and thresholds is None:
+        out = list(instance._ids_by_sensitivity)
+    else:
+        # on a tuple of ids a comprehension takes half the time of map(ids.__getitem__)
+        out = [ids[k] for k in order.tolist()]
+    return (out, order) if return_index else out
 
 
 @dataclass(frozen=True)

@@ -85,24 +85,28 @@ def test_weight_budget_is_defined_for_every_alpha():
 def test_greedy_never_reads_a_walked_candidates_own_entry(kernel):
     # the kernels leave a candidate's value onto itself as the formula gives
     # it; a walk must not depend on it
+    # candidate whole rows, walked entries included
     inst = gen_random(GenConfig(n=80, seed=4, area=300.0, d_range=(1.0, 30.0)))
-    ids = list(inst.link_ids)
-    order = sensitivity_order(inst)
+    ids = sensitivity_order(inst)[::-1]  # walk order
     with np.errstate(**_ROW_ERRSTATE):
         cands = _candidates(inst, ids, dict.fromkeys(ids, 1e4))
         values = getattr(cands, kernel)
         walks = []
         for own in (0.0, math.nan):
             load = np.zeros(len(ids))
+            walk = []
 
-            def accept(k, own=own, load=load):
+            def accept(k, own=own, load=load, walk=walk):
+                walk.append((ids[k], load.item(k)))
                 out = values(k, ALL) + values(ALL, k)
                 out[k] = own
                 load += out
+                return load, k + 1
 
-            walks.append(_greedy(reversed(order), cands.index, load, 0.5, accept))
+            _greedy(load, 0.5, accept)
+            walks.append(walk)
     assert walks[0] == walks[1]
-    assert 1 < len(walks[0][0]) < len(ids)
+    assert 1 < len(walks[0]) < len(ids)
 
 
 def _bits(values):
@@ -235,6 +239,22 @@ def test_threshold_override_whose_sensitivity_overflows_is_rejected(algorithm, t
                r"\(threshold 1e\+300, distance\^alpha 1e\+20\)$")
     with pytest.raises(ValueError, match=message):
         solve(inst, thresholds=thresholds)
+
+
+@pytest.mark.parametrize("algorithm", ["unlimited", "limited", "fixed"])
+def test_the_first_overflowing_link_of_the_input_is_named(algorithm):
+    # both overrides overflow; the solve names the first of its links as
+    # given, whatever order it walks them in
+    inst = gen_line([(0, 1e10, 2.0), (10, 1e10 + 10, 2.0)], alpha=2, noise=1.0, p_max=1e30)
+    solve = {
+        "unlimited": solve_unlimited,
+        "limited": solve_limited,
+        "fixed": functools.partial(solve_fixed, powers={0: 1e30, 1: 1e30}),
+    }[algorithm]
+    for links in ([0, 1], [1, 0]):
+        for thresholds in ({0: 1e300, 1: 2e300}, np.array([1e300, 2e300])):
+            with pytest.raises(ValueError, match=f"^link {links[0]}: sensitivity"):
+                solve(inst, links, thresholds=thresholds)
 
 
 def test_solve_unlimited_single_link():
@@ -795,3 +815,25 @@ def test_fixed_pass_compacts_on_large_instances_only(monkeypatch):
     assert len(solve_fixed(sparse, powers=dict.fromkeys(sparse.link_ids, 1e4),
                            warn_preconditions=False).selected) == 10
     assert checks == [10] and compactions == []
+
+
+@pytest.mark.parametrize("solver", ["unlimited", "limited", "fixed"])
+def test_solvers_name_a_bad_threshold_array(solver):
+    # an array of overrides is checked once, where the solve sorts by it,
+    # with thresholds_for's messages
+    inst = gen_line([(0, 1, 1), (4, 5, 2), (9, 10, 1), (14, 15, 3)], alpha=2, noise=0.1,
+                    p_max=1e3)
+    solve = {"unlimited": solve_unlimited, "limited": solve_limited,
+             "fixed": functools.partial(solve_fixed, powers=dict.fromkeys(range(4), 1e3),
+                                        warn_preconditions=False)}[solver]
+    for links in ([3, 1, 0, 2], None):
+        ids = [3, 1, 0, 2] if links else [0, 1, 2, 3]
+        for bad in (math.nan, 0.0, -1.0, math.inf):
+            beta = np.array([2.0, 2.0, 3.0, 2.0])
+            beta[ids.index(1)] = beta[ids.index(2)] = bad
+            with pytest.raises(ValueError, match=f"link 1: threshold must be finite and "
+                                                 f"positive, got {bad}"):
+                solve(inst, links, thresholds=beta)
+        with pytest.raises(ValueError, match="threshold array does not match the links"):
+            solve(inst, links, thresholds=np.ones(3))
+        assert solve(inst, links, thresholds=np.ones(4)).selected

@@ -213,3 +213,21 @@ def test_between_raises_the_squared_distance(dim):
         assert np.array_equal(space.between(a, b), np.sqrt(squared))
         if np.ndim(squared):  # a scalar's ** 2.0 is C's pow, not a product
             assert np.array_equal(space.between(a, b, 4.0), squared * squared)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_gathered_coordinates_are_contiguous_rows(dim):
+    # gather copies each coordinate's row into one contiguous array, where
+    # the fancy index [:, nodes] gives strided rows; between reads the same
+    # floats either way
+    pts = _points(dim)
+    space = MetricSpace.euclidean(pts)
+    coords = np.ascontiguousarray(pts.T)
+    for i, j in _index_shapes(len(pts)):
+        a, b = space.gather(i), space.gather(j)
+        for got, nodes in ((a, i), (b, j)):
+            assert got.flags.c_contiguous and np.array_equal(got, coords[:, nodes])
+        for alpha in (1.0, 2.0, ALPHA):
+            want = np.asarray(space.between(coords[:, i], coords[:, j], alpha))
+            got = np.asarray(space.between(a, b, alpha))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

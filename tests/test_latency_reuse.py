@@ -375,9 +375,9 @@ def test_searching_sweep_looks_only_at_the_previous_level_of_its_index(monkeypat
     solved, checked = [], []
     solve_level = flexible._solve_level
 
-    def spy(instance, mode, candidates, thresholds, powers):
+    def spy(instance, mode, candidates, thresholds, *args):
         solved.append((tuple(candidates), tuple(thresholds.tolist())))
-        return solve_level(instance, mode, candidates, thresholds, powers)
+        return solve_level(instance, mode, candidates, thresholds, *args)
 
     def sweep(*args, previous=None, **kwargs):
         solved.clear()
@@ -714,7 +714,7 @@ def test_candidate_arrays_equal_per_link_construction(alpha):
         r = np.array([link.receiver], dtype=np.intp)
         d_alpha = _row_major_d_alpha(inst, r, s)
         beta = np.array([thresholds.get(lid, link.threshold)])
-        assert cands.index[lid] == k
+        assert cands.ids[k] == lid
         # row k holds every candidate's sender at k's receiver, column k k's
         # sender at every candidate's receiver
         assert _bits(cands.cross[k]) == _bits(_row_major_d_alpha(inst, [link.receiver] * len(ids),

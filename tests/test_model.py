@@ -304,8 +304,8 @@ def test_capacity_op_mix_sorts_sensitivities_once_per_instance():
             mock.patch.object(np, "sort", spy(np.sort)):
         solutions = [solve_unlimited(inst), solve_limited(inst),
                      solve_fixed(inst, powers=uniform, warn_preconditions=False)]
-    # the order, then one integer argsort per limited branch
-    assert sorts == [True, False, False]
+    # the order, which the limited solver's branches both walk parts of
+    assert sorts == [True]
     fresh = copy.copy(inst)
     own = thresholds_for(fresh, list(fresh.link_ids))
     assert solutions == [solve_unlimited(fresh, thresholds=own),
@@ -833,6 +833,16 @@ REPEATED_ID_CALLS = {
         inst, [3, 0, 3, 1], powers={0: 1e5, 1: 1e5, 3: 0.0}
     ),
     "solve_limited": lambda inst: sinrsched.solve_limited(inst, [2, 3, 3]),
+    # overrides, as a flexible level passes them, sort their own keys
+    "solve_unlimited_overrides": lambda inst: sinrsched.solve_unlimited(
+        inst, [3, 0, 3], thresholds=np.array([1.0, 2.0, 1.0])
+    ),
+    "solve_fixed_overrides": lambda inst: sinrsched.solve_fixed(
+        inst, [0, 3, 3], thresholds={3: 2.0}
+    ),
+    "solve_limited_overrides": lambda inst: sinrsched.solve_limited(
+        inst, [3, 1, 3], thresholds={1: 4.0}
+    ),
     # one copy of link 3 fits a quarter of the cap and the other does not,
     # so each branch of the split would see it once
     "solve_limited_split": lambda inst: sinrsched.solve_limited(

@@ -494,14 +494,14 @@ def test_fixed_pass_measures_only_links_that_pass_the_solo_gate(monkeypatch):
             shapes[-1].append(np.shape(out))
         return out
 
-    def fixed_pass(instance, ids, pos, beta, p, own):
+    def fixed_pass(instance, ids, pos, beta, p):
         nonlocal in_pass
         gate = p / instance.d_alpha[pos] >= beta * instance.noise * (1 - FEAS_RTOL)
         passes.append((len(ids), int(gate.sum())))
         shapes.append([])
         in_pass = True
         try:
-            return original_pass(instance, ids, pos, beta, p, own)
+            return original_pass(instance, ids, pos, beta, p)
         finally:
             in_pass = False
 
@@ -579,9 +579,9 @@ def test_limited_solver_finishes_one_branch(monkeypatch, split):
     original_finish = capacity._finish
     finished = []
 
-    def finish(*args):
-        finished.append(args[2])
-        return original_finish(*args)
+    def finish(instance, cands, at, *args):
+        finished.append([cands.ids[k] for k in at])
+        return original_finish(instance, cands, at, *args)
 
     monkeypatch.setattr(capacity, "_finish", finish)
     sol = solve_limited(inst)
