@@ -154,7 +154,7 @@ class _Candidates:
     def __init__(self, instance, ids, pos, beta, p=None):
         self.ids = ids
         self.cross = None
-        if len(instance.links) <= _DENSE:
+        if len(instance.link_ids) <= _DENSE:
             # rows pos, then columns pos, of the instance's pair matrix,
             # which is measured once per instance
             self.cross = instance._cross_alpha.take(pos, 0).take(pos, 1)
@@ -251,7 +251,7 @@ def _rows(instance, links, pos):
     twice raises ValueError naming it (see ``index_of``): it would count as
     two interfering copies of itself."""
     if links is None:
-        return instance.link_ids, np.arange(len(instance.links))
+        return instance.link_ids, np.arange(len(instance.link_ids))
     ids = list(links)
     if pos is None:
         pos = instance.positions(ids)

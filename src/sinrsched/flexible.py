@@ -210,7 +210,7 @@ _UNREAD = object()  # a link the previous run did not read
 def _split(instance, lid, entry):
     """(cap, core) of link ``lid`` (``split_cap``), whose entry in
     ``utilities`` is ``entry``: that entry, else the link's own utility."""
-    u = instance.link(lid).utility if entry is None else entry
+    u = instance._utilities[instance._position(lid)] if entry is None else entry
     if u is None:
         raise ValueError(f"link {lid} has no utility")
     return split_cap(u)

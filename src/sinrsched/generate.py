@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import INF, Instance, Link, MetricSpace, _integer, _number, _require
+from .model import INF, Instance, MetricSpace, _integer, _number, _require
 from .utility import MAX_STEPS, ShannonUtility, StepUtility, UnboundedObjective, UtilitySpec
 
 # field tags for the per-draw substreams
@@ -367,7 +367,11 @@ def gen_random(config: GenConfig) -> Instance:
     tags = [*spans, _ANGLE] + ([_BETA] if config.beta_set is not None else [])
     block = max(1, min(_BLOCK, _PASS_DRAWS // sum(map(len, spans.values()))))
     coords = np.empty((n, 2, dim))  # sender i's, then receiver i's, for each link i
-    links: list[Link] = []
+    # link i's columns; its sender is node 2i and its receiver node 2i + 1
+    all_betas: list[float] = []
+    all_utilities: list[Optional[UtilitySpec]] = []
+    all_demands: list[Optional[float]] = []
+    all_powers: list[Optional[float]] = []
     rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, n, block):
         ids = range(start, min(start + block, n))
@@ -401,26 +405,22 @@ def gen_random(config: GenConfig) -> Instance:
                 for rel, utility, radius in zip(draws[_DEMAND][0].tolist(), utilities, radii)
             ]
 
-        for i, radius, beta, utility, demand in zip(ids, radii, betas, utilities, demands):
-            power = None
-            if config.power is not None:
-                sens = beta * radius**config.alpha
-                if config.power == "linear":
-                    power = sens
-                elif config.power == "sqrt":
-                    power = math.sqrt(sens)
-                else:
-                    power = float(config.power)
-            # positional: keywords add a fifth to what a Link costs
-            links.append(Link(i, 2 * i, 2 * i + 1, beta, utility, demand, power))
+        powers = [None] * len(ids)
+        if config.power in ("linear", "sqrt"):
+            powers = [beta * radius**config.alpha for beta, radius in zip(betas, radii)]
+            if config.power == "sqrt":
+                powers = list(map(math.sqrt, powers))
+        elif config.power is not None:
+            powers = [float(config.power)] * len(ids)
+        all_betas += betas
+        all_utilities += utilities
+        all_demands += demands
+        all_powers += powers
     metric = MetricSpace.euclidean(coords.reshape(-1, dim), dim=dim)
-    return Instance(
-        metric=metric,
-        alpha=config.alpha,
-        noise=config.noise,
-        p_max=config.p_max,
-        links=tuple(links),
-        allow_sub_unit_threshold=config.allow_sub_unit,
+    return Instance._from_columns(
+        metric, config.alpha, config.noise, config.p_max, config.allow_sub_unit, range(n),
+        np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2), all_betas, tuple(all_utilities),
+        tuple(all_demands), tuple(all_powers),
     )
 
 
@@ -433,19 +433,19 @@ def gen_line(
 ) -> Instance:
     """1-D instance exactly as specified by (sender, receiver, beta) triples."""
     coords: list[float] = []
-    links: list[Link] = []
+    betas: list[float] = []
     for idx, (s, r, beta) in enumerate(entries):
         if s == r:
             raise ValueError(f"entry {idx}: sender and receiver coincide")
         coords += (float(s), float(r))
         if not all(map(math.isfinite, coords[-2:])):
             raise ValueError("coordinates must be finite")
-        links.append(Link(id=idx, sender=2 * idx, receiver=2 * idx + 1, threshold=float(beta)))
-    return Instance(
-        metric=MetricSpace.euclidean(np.array(coords or [0.0]).reshape(-1, 1), dim=1),
-        alpha=alpha,
-        noise=noise,
-        p_max=p_max,
-        links=tuple(links),
-        allow_sub_unit_threshold=allow_sub_unit,
+        betas.append(float(beta))
+        if not math.isfinite(betas[-1]):  # before a later entry's fault, as a Link raises
+            raise ValueError(f"link {idx}: threshold must be finite")
+    n = len(betas)
+    return Instance._from_columns(
+        MetricSpace.euclidean(np.array(coords or [0.0]).reshape(-1, 1), dim=1), alpha, noise,
+        p_max, allow_sub_unit, range(n), np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2), betas,
+        (None,) * n, (None,) * n, (None,) * n,
     )

@@ -134,7 +134,9 @@ def _run_scheme(
     scheme_demands: Mapping[int, float],
 ) -> SchemeRun:
     """Slots until every residual is 0.0, or until no level realizes value;
-    original gains and demands are read off the links."""
+    original gains and demands are the links' own."""
+    rows = instance.positions(ids).tolist()
+    utility = {lid: instance._utilities[k] for lid, k in zip(ids, rows)}
     demands = {lid: float(scheme_demands[lid]) for lid in ids}
     # the live links' utilities capped at their residuals, which are the
     # caps; a slot changes the entries of the links it schedules only
@@ -169,7 +171,7 @@ def _run_scheme(
         sol = level.solution
         original_gains, residuals = {}, {}
         for lid, value in zip(sol.selected, level.values):
-            original_gains[lid] = instance.link(lid).utility.value(sol.sinr[lid])
+            original_gains[lid] = utility[lid].value(sol.sinr[lid])
             delivered[lid] += original_gains[lid]
             residual = max(0.0, capped[lid].cap - value)
             if residual <= RESIDUAL_TOL:
@@ -186,7 +188,7 @@ def _run_scheme(
             )
 
     fulfilled_original = not stalled and all(
-        delivered[lid] >= instance.link(lid).demand - RESIDUAL_TOL for lid in ids
+        delivered[lid] >= instance._demands[k] - RESIDUAL_TOL for lid, k in zip(ids, rows)
     )
     return SchemeRun(scheme, demands, tuple(slots), stalled, fulfilled_original)
 
@@ -209,25 +211,27 @@ def solve_latency(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     # a repeated link would count twice in n, and so in scheme 1's rounding
-    links = [instance.link(lid) for lid in index_of(instance.link_ids if links is None else links)]
-    for link in links:
-        if link.demand is None or link.utility is None:
-            raise ValueError(f"link {link.id} needs both a demand and a utility")
-    links = [link for link in links if link.demand > 0.0]
-    ids = [link.id for link in links]
+    ids = list(index_of(instance.link_ids if links is None else links))
+    rows = instance.positions(ids).tolist()
+    links = [(lid, instance._utilities[k], instance._demands[k]) for lid, k in zip(ids, rows)]
+    for lid, utility, demand in links:
+        if demand is None or utility is None:
+            raise ValueError(f"link {lid} needs both a demand and a utility")
+    links = [(lid, utility, demand) for lid, utility, demand in links if demand > 0.0]
+    ids = [lid for lid, _, _ in links]
     tops = [_max_value(instance, lid, mode) for lid in ids]
-    for link, top in zip(links, tops):
+    for (lid, _, demand), top in zip(links, tops):
         # a slot gives a link at most its solo maximum
-        if (need := link.demand / top) > SLOT_CAP:
+        if (need := demand / top) > SLOT_CAP:
             raise UnschedulableDemand(
-                f"link {link.id} demands {link.demand} but realizes at most {top} per "
+                f"link {lid} demands {demand} but realizes at most {top} per "
                 f"slot, so it needs {need:.6g} slots, over the cap of {SLOT_CAP}"
             )
     n = len(ids)
-    u1 = {link.id: RoundedUtility(link.utility, link.demand, 2 * n) for link in links}
+    u1 = {lid: RoundedUtility(utility, demand, 2 * n) for lid, utility, demand in links}
     d1 = dict.fromkeys(ids, 1.0)
-    u2 = {link.id: scaled(link.utility, 1.0 / top) for link, top in zip(links, tops)}
-    d2 = {link.id: link.demand / top for link, top in zip(links, tops)}
+    u2 = {lid: scaled(utility, 1.0 / top) for (lid, utility, _), top in zip(links, tops)}
+    d2 = {lid: demand / top for (lid, _, demand), top in zip(links, tops)}
 
     run1 = _run_scheme(instance, 1, mode, ids, u1, d1)
     run2 = _run_scheme(instance, 2, mode, ids, u2, d2)
@@ -242,12 +246,14 @@ def _max_value(instance: Instance, lid: int, mode: str) -> float:
     """Largest utility link ``lid`` can realize alone under ``mode``. Raises
     UnschedulableDemand when that is 0, and ValueError when the link has no
     utility; callers pass links with demand."""
-    link = instance.link(lid)
-    if link.utility is None:
+    k = instance._position(lid)
+    utility = instance._utilities[k]
+    if utility is None:
         raise ValueError(f"link {lid} needs both a demand and a utility")
-    top = link.utility.max_value(solo_sinr_cap(instance, lid, mode))
+    top = utility.max_value(solo_sinr_cap(instance, lid, mode))
     if top <= 0.0:
-        raise UnschedulableDemand(f"link {lid} demands {link.demand} but its maximum utility is 0")
+        raise UnschedulableDemand(
+            f"link {lid} demands {instance._demands[k]} but its maximum utility is 0")
     return top
 
 
@@ -256,11 +262,11 @@ def _solo_slots(instance: Instance, links: Optional[Sequence[int]]) -> list[int]
     needs on its own in mode "unlimited", the mode ``solve_latency``
     schedules in by default (no power cap, so a Shannon utility's maximum is
     unbounded and raises, as there)."""
-    ids = index_of(instance.link_ids if links is None else links)
+    demands = instance._demands
     return [
-        math.ceil(instance.link(lid).demand / _max_value(instance, lid, "unlimited"))
-        for lid in ids
-        if instance.link(lid).demand
+        math.ceil(demand / _max_value(instance, lid, "unlimited"))
+        for lid in index_of(instance.link_ids if links is None else links)
+        if (demand := demands[instance._position(lid)])
     ]
 
 

@@ -8,18 +8,19 @@ and ``to_dict``, with each link's utility through ``utility_from_dict`` and
 Everything here is immutable after construction and safe to share between
 concurrent workers; all operations are pure functions of their inputs. (An
 instance of at most ``_DENSE`` links keeps two pair matrices, the solvers'
-and the checkers', and every instance its links' sensitivity order, each
-computed on its first use; every worker that computes one gets the same
-bits, so it does not matter whose is kept.)
+and the checkers', and every instance its links' sensitivity order and its
+``links`` tuple, each computed on its first use. Two workers may both
+compute one; they get the same bits, or equal tuples of equal Links, so it
+does not matter whose is kept.)
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
@@ -238,7 +239,7 @@ def _validate_metric(mat: np.ndarray) -> None:
             raise ValueError(f"triangle inequality violated at pair ({i}, {j})")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Link:
     """Directed sender/receiver pair with optional per-problem attributes.
 
@@ -257,45 +258,45 @@ class Link:
     demand: Optional[float] = None
     fixed_power: Optional[float] = None
 
-    # Written out, checking the arguments before it stores them, because an
-    # instance load builds one Link per entry: the generated __init__ plus a
-    # __post_init__ reading the fields back cost ~20 % more per link. One
-    # self.__dict__.update(...) would store the fields ~0.45 us faster, but
-    # it gives each Link a dict of its own: ~190 B more per link, +80 %.
-    def __init__(self, id, sender, receiver, threshold=None, utility=None, demand=None,
-                 fixed_power=None):
-        if sender == receiver:
-            raise ValueError(f"link {id}: sender and receiver coincide")
-        if threshold is not None and not math.isfinite(threshold):
-            raise ValueError(f"link {id}: threshold must be finite")
-        if demand is not None and not (0 <= demand < INF):
-            raise ValueError(f"link {id}: demand must be finite and >= 0")
-        if fixed_power is not None and not (0 <= fixed_power < INF):
-            raise ValueError(f"link {id}: fixed power must be finite and >= 0")
-        store = object.__setattr__  # frozen: the class's own __setattr__ raises
-        store(self, "id", id)
-        store(self, "sender", sender)
-        store(self, "receiver", receiver)
-        store(self, "threshold", threshold)
-        store(self, "utility", utility)
-        store(self, "demand", demand)
-        store(self, "fixed_power", fixed_power)
+    def __post_init__(self):
+        lid = self.id
+        if self.sender == self.receiver:
+            raise ValueError(f"link {lid}: sender and receiver coincide")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"link {lid}: threshold must be finite")
+        if self.demand is not None and not (0 <= self.demand < INF):
+            raise ValueError(f"link {lid}: demand must be finite and >= 0")
+        if self.fixed_power is not None and not (0 <= self.fixed_power < INF):
+            raise ValueError(f"link {lid}: fixed power must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """A scheduling world: metric space, physical constants and links.
 
-    Per-link data is computed once, at construction. ``link_ids`` is the
-    tuple of link ids, and ``positions`` maps link ids to rows of the cached
-    arrays, which follow the order of ``links``:
+    An instance keeps its links as columns, one entry per link in the order
+    of ``links``: ``link_ids``, the tuple of link ids; the read-only arrays
 
     senders, receivers  node indices
+    thresholds          link thresholds, NaN where a link has none; a link's
+                        sensitivity threshold * d_alpha must be finite too
+
+    and each link's utility, demand and fixed power (``_utilities``,
+    ``_demands`` and ``_powers``, tuples holding the Links' own values, None
+    where a link has none). ``positions`` maps link ids to rows of these and
+    of the one per-link array computed at construction:
+
     d_alpha             length^alpha from ``MetricSpace.between``; every
                         sensitivity, weight, affectance, power and SINR in
                         the package reads it, so it must be finite and positive
-    thresholds          link thresholds, NaN where a link has none; a link's
-                        sensitivity threshold * d_alpha must be finite too
+
+    ``links``, and so ``link``, is built from the columns on first read and
+    then kept. ``from_dict`` and the generators hand in columns, so a loaded
+    or generated instance builds no Link until one is read, and no reader in
+    the package reads one. ``Instance(links=...)`` reads the columns off the
+    given Links once and keeps them as ``links``. Both ways in end in
+    ``_setup``, which runs every check: each link's own, as ``Link`` runs
+    them, then the instance's.
 
     An instance of at most ``_DENSE`` = 128 links keeps two copies of the
     pair matrix ``cross[i, j] = d(sender_j, receiver_i)^alpha`` over all its
@@ -316,11 +317,12 @@ class Instance:
     has a finite positive threshold, so that a request needs no check; and
     the ids in that order, a tuple (``_ids_by_sensitivity``).
 
-    None of the cached arrays is a field: ``==``, ``hash`` and
-    ``dataclasses.replace`` ignore them. Pickle, ``copy`` and ``deepcopy``
-    build a copy through the constructor, so its cached arrays are read-only
-    too and it leaves the lazily cached ones out, computing its own when it
-    needs one.
+    None of the columns and cached arrays is a field: ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` read ``links`` instead, and so build
+    it. Pickle, ``copy`` and ``deepcopy`` build a copy from the columns
+    through ``_setup``, so its arrays are read-only too, it builds its own
+    Links on first read, and it leaves the lazily cached arrays out,
+    computing its own when it needs one.
     """
 
     metric: MetricSpace
@@ -330,62 +332,110 @@ class Instance:
     p_max: float = INF
     allow_sub_unit_threshold: bool = False
 
-    def __post_init__(self):
-        if not 0 < self.alpha < INF:
-            raise ValueError("path-loss exponent alpha must be finite and > 0")
-        if not 0 < self.noise < INF:
-            raise ValueError("ambient noise must be finite and strictly positive")
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive (math.inf for unlimited)")
-        object.__setattr__(self, "links", tuple(self.links))
-        senders = np.array([link.sender for link in self.links], dtype=np.intp)
-        receivers = np.array([link.receiver for link in self.links], dtype=np.intp)
-        self.metric._check_nodes(senders, receivers)
-        positions = index_of([link.id for link in self.links])
-        thresholds = np.array(
-            [math.nan if link.threshold is None else link.threshold for link in self.links],
-            dtype=np.float64,
+    def __init__(self, metric, alpha, noise, links, p_max=INF, allow_sub_unit_threshold=False):
+        links = tuple(links)
+        object.__setattr__(self, "links", links)
+        self._setup(
+            metric, alpha, noise, p_max, allow_sub_unit_threshold,
+            [link.id for link in links], [link.sender for link in links],
+            [link.receiver for link in links], [link.threshold for link in links],
+            tuple(link.utility for link in links), tuple(link.demand for link in links),
+            tuple(link.fixed_power for link in links),
         )
-        metric = self.metric
+
+    @classmethod
+    def _from_columns(cls, metric, alpha, noise, p_max, allow_sub_unit_threshold, ids, senders,
+                      receivers, betas, utilities, demands, powers) -> "Instance":
+        """Instance from per-link columns (see ``_setup``), whose Links are
+        built on the first read of ``links``."""
+        self = object.__new__(cls)
+        self._setup(metric, alpha, noise, p_max, allow_sub_unit_threshold, ids, senders,
+                    receivers, betas, utilities, demands, powers)
+        return self
+
+    def _setup(self, metric, alpha, noise, p_max, sub_unit, ids, senders, receivers, betas,
+               utilities, demands, powers) -> None:
+        """Check and store the fields other than ``links`` and the columns:
+        ``ids``, ``senders`` and ``receivers`` sequences of ints, ``betas`` a
+        list of thresholds or None, and ``utilities``, ``demands`` and
+        ``powers`` tuples of the Links' values. The first link whose own
+        fields ``Link`` refuses raises what ``Link`` raises, before any fault
+        of the instance's."""
+        nodes = np.array((senders, receivers), dtype=np.intp)
+        nodes.flags.writeable = False
+        senders, receivers = nodes[0], nodes[1]  # read-only views
+        thresholds = np.array(betas, dtype=np.float64)  # None: NaN
+        if not _fields_hold(senders, receivers, thresholds, betas, demands, powers):
+            for row in zip(ids, senders.tolist(), receivers.tolist(), betas, utilities, demands,
+                           powers):
+                Link(*row)
+        if not 0 < alpha < INF:
+            raise ValueError("path-loss exponent alpha must be finite and > 0")
+        if not 0 < noise < INF:
+            raise ValueError("ambient noise must be finite and strictly positive")
+        if not p_max > 0:
+            raise ValueError("p_max must be positive (math.inf for unlimited)")
+        # one reduction: a negative node is a huge unsigned one
+        if not np.maximum.reduce(nodes.view(np.uintp), axis=None, initial=0) < metric.n_points:
+            metric._check_nodes(senders, receivers)
+        positions = index_of(ids)
+        ends = metric.gather(nodes)  # [..., 0, :] the senders', [..., 1, :] the receivers'
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            d_alpha = metric.between(metric.gather(receivers), metric.gather(senders), self.alpha)
+            d_alpha = metric.between(ends[..., 1, :], ends[..., 0, :], alpha)
             sens = thresholds * d_alpha
         # the first link with a bad length, sensitivity or threshold; a bad
         # length wins. A length may under- or overflow.
         bad = ~((d_alpha > 0) & (d_alpha < INF)) | (sens == INF)
-        if not self.allow_sub_unit_threshold:
+        if not sub_unit:
             bad |= thresholds < 1
         if bad.any():
             k = int(np.argmax(bad))
-            link = self.links[k]
             if not 0 < d_alpha[k] < INF:
                 with np.errstate(over="ignore"):  # its square may overflow
                     length = metric.distance(receivers[k], senders[k])
                 raise ValueError(
-                    f"link {link.id}: sender-receiver distance^alpha must be "
+                    f"link {ids[k]}: sender-receiver distance^alpha must be "
                     f"{'finite' if d_alpha[k] > 0 else '> 0'} "
-                    f"(distance {length:g}, alpha {self.alpha:g})"
+                    f"(distance {length:g}, alpha {alpha:g})"
                 )
             if sens[k] == INF:
-                raise ValueError(_overflow_message(link.id, thresholds[k], d_alpha[k]))
+                raise ValueError(_overflow_message(ids[k], thresholds[k], d_alpha[k]))
             raise ValueError(
-                f"link {link.id}: threshold {link.threshold} < 1 "
-                "(set allow_sub_unit_threshold to permit)"
+                f"link {ids[k]}: threshold {betas[k]} < 1 (set allow_sub_unit_threshold to permit)"
             )
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "link_ids", tuple(positions))
-        arrays = {
-            "senders": senders,
-            "receivers": receivers,
-            "d_alpha": d_alpha,
-            "thresholds": thresholds,
-        }
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        d_alpha.flags.writeable = thresholds.flags.writeable = False
+        # frozen: the class's own __setattr__ raises
+        self.__dict__.update(
+            metric=metric, alpha=alpha, noise=noise, p_max=p_max,
+            allow_sub_unit_threshold=sub_unit, _positions=positions, link_ids=tuple(positions),
+            senders=senders, receivers=receivers, d_alpha=d_alpha, thresholds=thresholds,
+            _utilities=utilities, _demands=demands, _powers=powers,
+        )
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance does not hold: ``links``
+        # before its first read, which builds and keeps it
+        if name != "links":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        links = tuple(map(Link, *self._columns()[5:]))
+        object.__setattr__(self, "links", links)
+        return links
+
+    def _columns(self) -> tuple:
+        """The arguments of ``_from_columns`` that give this instance: its
+        constants, then ids, senders, receivers, thresholds (None where a
+        link has none), utilities, demands and powers, the per-link ones as
+        Python values."""
+        betas = self.thresholds.tolist()
+        if np.isnan(self.thresholds).any():
+            betas = [None if math.isnan(beta) else beta for beta in betas]
+        return (self.metric, self.alpha, self.noise, self.p_max, self.allow_sub_unit_threshold,
+                self.link_ids, self.senders.tolist(), self.receivers.tolist(), betas,
+                self._utilities, self._demands, self._powers)
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, field.name) for field in fields(self))
+        # through the columns, so a copy builds no Link until it reads one
+        return type(self)._from_columns, self._columns()
 
     @cached_property
     def _cross_alpha(self) -> np.ndarray:
@@ -410,7 +460,7 @@ class Instance:
         rank[order] = np.arange(len(order))
         order.flags.writeable = rank.flags.writeable = False
         # a NaN threshold fails the comparison
-        return order, rank, not self.links or bool(np.minimum.reduce(self.thresholds) > 0)
+        return order, rank, not self.link_ids or bool(np.minimum.reduce(self.thresholds) > 0)
 
     @cached_property
     def _ids_by_sensitivity(self) -> tuple:
@@ -442,16 +492,16 @@ class Instance:
 
     def to_dict(self) -> dict:
         links = []
-        for link in self.links:
-            entry: dict = {"id": link.id, "s": link.sender, "r": link.receiver}
-            if link.threshold is not None:
-                entry["beta"] = link.threshold
-            if link.utility is not None:
-                entry["utility"] = utility_to_dict(link.utility)
-            if link.demand is not None:
-                entry["demand"] = link.demand
-            if link.fixed_power is not None:
-                entry["power"] = link.fixed_power
+        for lid, sender, receiver, beta, utility, demand, power in zip(*self._columns()[5:]):
+            entry: dict = {"id": lid, "s": sender, "r": receiver}
+            if beta is not None:
+                entry["beta"] = beta
+            if utility is not None:
+                entry["utility"] = utility_to_dict(utility)
+            if demand is not None:
+                entry["demand"] = demand
+            if power is not None:
+                entry["power"] = power
             links.append(entry)
         out = {
             "alpha": self.alpha,
@@ -466,14 +516,24 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
-        """Instance from its JSON form. A field of the wrong type raises
-        ValueError naming the field."""
+        """Instance from its JSON form, which fills the per-link columns; its
+        Links are built on the first read of ``links``. A field of the wrong
+        type raises ValueError naming the field."""
         _require(data, Mapping, "an object", "instance")
         metric = data.get("metric")
         _require(metric, Mapping, "an object", "metric")
         metric = MetricSpace.from_dict(metric)
         entries = data.get("links")
         _require(entries, list, "a list", "links")
+        # Whole-column checks first. On any fault, the loop below runs as the
+        # first reader of the entries did: it raises what that reader raised,
+        # for the first faulty entry, before any fault of the constants.
+        try:
+            columns = _json_columns(entries)
+            if columns is not None:
+                return cls._from_columns(metric, *_json_constants(data), *columns)
+        except (ValueError, TypeError, KeyError, OverflowError, IndexError):
+            pass
         n_points = metric.n_points
         links = []
         # Exact JSON types are checked inline; the helpers run only to convert
@@ -509,17 +569,71 @@ class Instance:
             if type(power) is not float and power is not None:
                 power = _number(power, "power", k)
             links.append(Link(lid, sender, receiver, beta, utility, demand, power))
-        p_max = data.get("p_max", "inf")
-        sub_unit = data.get("allow_sub_unit_threshold", False)
-        _require(sub_unit, bool, "a boolean", "allow_sub_unit_threshold")
-        return cls(
-            metric=metric,
-            alpha=_number(data.get("alpha"), "alpha"),
-            noise=_number(data.get("noise"), "noise"),
-            p_max=INF if p_max in ("inf", None) else _number(p_max, "p_max"),
-            links=tuple(links),
-            allow_sub_unit_threshold=sub_unit,
-        )
+        alpha, noise, p_max, sub_unit = _json_constants(data)
+        return cls(metric, alpha, noise, links, p_max, sub_unit)
+
+
+def _json_constants(data: Mapping) -> tuple:
+    """(alpha, noise, p_max, allow_sub_unit_threshold) of an instance's JSON
+    form, each checked in the order the first reader checked them."""
+    p_max = data.get("p_max", "inf")
+    sub_unit = data.get("allow_sub_unit_threshold", False)
+    _require(sub_unit, bool, "a boolean", "allow_sub_unit_threshold")
+    alpha = _number(data.get("alpha"), "alpha")
+    noise = _number(data.get("noise"), "noise")
+    return alpha, noise, INF if p_max in ("inf", None) else _number(p_max, "p_max"), sub_unit
+
+
+def _json_columns(entries: list) -> Optional[tuple]:
+    """The columns ``Instance._setup`` takes, from JSON link entries (objects)
+    whose fields all have their JSON types, each int-valued number converted
+    as ``_number`` converts it: ids, senders, receivers and thresholds as
+    lists, utilities, demands and powers as tuples. None when an entry or a
+    field is of another type; a number too large for a float, or a utility
+    ``utility_from_dict`` refuses, raises."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+
+    def column(key: str) -> list:
+        return list(map(dict.get, entries, repeat(key)))
+
+    ids, senders, receivers = column("id"), column("s"), column("r")
+    if not set(map(type, chain(ids, senders, receivers))) <= {int}:
+        return None
+    numbers = []
+    for key in ("beta", "demand", "power"):
+        values = column(key)
+        kinds = set(map(type, values))
+        if not kinds <= {float, type(None)}:
+            if not kinds <= {float, int, type(None)}:
+                return None
+            values = [float(x) if type(x) is int else x for x in values]
+        numbers.append(values)
+    utilities = column("utility")
+    kinds = set(map(type, utilities))
+    if not kinds <= {type(None)}:
+        if not kinds <= {dict, type(None)}:
+            return None
+        utilities = [u if u is None else utility_from_dict(u) for u in utilities]
+    betas, demands, powers = numbers
+    return ids, senders, receivers, betas, tuple(utilities), tuple(demands), tuple(powers)
+
+
+def _fields_hold(senders, receivers, thresholds, betas, demands, powers) -> bool:
+    """Whether ``Link`` accepts every link's own fields, ``thresholds`` being
+    the list ``betas`` as an array (NaN for None): whole-column tests, where
+    counting the None entries tells a missing value from a NaN one."""
+    n = len(betas)
+    if (np.count_nonzero(senders != receivers) < n
+            or np.count_nonzero(np.isfinite(thresholds)) + betas.count(None) < n):
+        return False
+    for values in (demands, powers):
+        missing = values.count(None)
+        if missing < n:
+            amounts = np.array(values, dtype=np.float64)
+            if np.count_nonzero((amounts >= 0) & (amounts < INF)) + missing < n:
+                return False
+    return True
 
 
 def utility_to_dict(u: UtilitySpec) -> dict:
@@ -673,7 +787,7 @@ def geometry(instance: Instance, ids: Optional[Sequence[int]] = None) -> Geometr
     ids = tuple(ids)
     index_of(ids)
     pos = instance.positions(ids)
-    if len(instance.links) <= _DENSE:
+    if len(instance.link_ids) <= _DENSE:
         # rows pos, then columns pos, of the checkers' own matrix
         cross = instance._geometry_alpha.take(pos, 0).take(pos, 1)
     else:
@@ -791,8 +905,8 @@ def powers_for(
     the first link without one."""
     if powers is None:
         # the instance's own ids (an all-link solve's) are its links in order
-        links = instance.links if ids is instance.link_ids else map(instance.link, ids)
-        out = [link.fixed_power for link in links]
+        own = instance._powers
+        out = list(own) if ids is instance.link_ids else [own[instance._position(lid)] for lid in ids]
         missing = "link {} has no fixed power"
     else:
         out = [powers.get(lid) for lid in ids]
@@ -834,7 +948,7 @@ def sensitivity_order(
     """
     if links is None:
         ids = instance.link_ids
-        pos = None if thresholds is None else np.arange(len(instance.links))
+        pos = None if thresholds is None else np.arange(len(ids))
     else:
         ids = list(links)
         if pos is None:

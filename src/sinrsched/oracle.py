@@ -305,7 +305,7 @@ def brute_opt_flexible_fixed(
     ids = _brute_ids(instance, links)
     cross_alpha = geometry(instance, ids).cross_alpha
     p = np.array(powers_for(instance, ids, powers), dtype=np.float64)
-    utils = [instance.link(lid).utility for lid in ids]
+    utils = [instance._utilities[k] for k in instance.positions(ids).tolist()]
     if None in utils:
         raise ValueError(f"link {ids[utils.index(None)]} has no utility")
     best_combo: tuple[int, ...] = ()

@@ -62,7 +62,9 @@ def verify_solution(
             problems.append(f"link {lid}: power {p} exceeds cap {instance.p_max}")
 
     actual = evaluate_sinrs(instance, solution.selected, solution.powers)
-    for lid in solution.selected:
+    if check_thresholds:  # the links' own, NaN where a link has none
+        own = instance.thresholds[instance.positions(solution.selected)].tolist()
+    for k, lid in enumerate(solution.selected):
         if not math.isfinite(actual[lid]):
             # every comparison against a NaN is false, so no later check fails
             problems.append(f"link {lid}: re-evaluated SINR {actual[lid]} is not finite")
@@ -78,8 +80,8 @@ def verify_solution(
             if thresholds is not None and lid in thresholds:
                 beta = thresholds[lid]
             else:
-                beta = instance.link(lid).threshold
-            if beta is None:
+                beta = own[k]
+            if beta is None or math.isnan(beta):
                 continue
             if actual[lid] < beta * (1 - FEAS_RTOL):
                 problems.append(
@@ -142,7 +144,7 @@ def _values(instance: Instance, sol: Solution) -> list[Optional[float]]:
     """Each selected link's utility value at its re-evaluated SINR, in
     selection order; None for a link with no utility."""
     actual = evaluate_sinrs(instance, sol.selected, sol.powers)
-    utilities = [instance.link(lid).utility for lid in sol.selected]
+    utilities = [instance._utilities[k] for k in instance.positions(sol.selected).tolist()]
     return [None if u is None else u.value(actual[lid]) for lid, u in zip(sol.selected, utilities)]
 
 
@@ -163,10 +165,9 @@ def verify_schedule(instance: Instance, schedule_data: Mapping) -> list[str]:
             if value is not None:
                 delivered[lid] = delivered.get(lid, 0.0) + value
     if schedule_data.get("scheme") == 2 and schedule_data.get("fulfilled"):
-        for link in instance.links:
-            if link.demand and delivered.get(link.id, 0.0) < link.demand - RESIDUAL_TOL:
+        for lid, demand in zip(instance.link_ids, instance._demands):
+            if demand and delivered.get(lid, 0.0) < demand - RESIDUAL_TOL:
                 problems.append(
-                    f"link {link.id}: delivered {delivered.get(link.id, 0.0):.9g} "
-                    f"of demand {link.demand:.9g}"
+                    f"link {lid}: delivered {delivered.get(lid, 0.0):.9g} of demand {demand:.9g}"
                 )
     return problems

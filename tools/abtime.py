@@ -25,17 +25,22 @@ lengths 1-100, thresholds 1-10, alpha 2, p_max 18,000; ``fixed`` at uniform
 power p_max without the precondition check, ``fixed-checked`` the same call
 with the check and its warning, as ``sinrsched solve --algorithm fixed``
 runs it); ``capacity-cold`` runs ``unlimited``, ``limited`` and ``fixed`` in
-turn, each on a fresh ``copy.copy`` of that instance, which goes through the
-constructor and so holds none of the arrays an instance caches on first use
+turn, each on a fresh ``copy.copy`` of that instance, which is set up afresh
+and so holds none of the arrays an instance caches on first use
 (its sensitivity order, for one): the cost a one-shot ``sinrsched solve``
 pays, where the other capacity recipes reuse one warm instance; ``cli``
-makes the cli-roundtrip benchmark's solves, ``solve_fixed`` with its default
-precondition check and ``solve_limited``, on each of its seven instances (n
-= 300, seeds ``--seed`` to ``--seed`` + 6, default 0 to 6, p_max and every
-link's power 18,000: what ``sinrsched gen --n 300 --seed j --pmax 18000
---power 18000`` builds), the one recipe whose instances run
-a set of at most 128 candidates on more than 128 links, which measures its
-own pair matrix; ``gen`` runs that ``gen_random`` call itself, and its
+runs the cli-roundtrip benchmark's four commands through each side's own
+``cli.main``, printed output and warnings captured as there: ``sinrsched
+solve --algorithm fixed`` (``solve_fixed`` with its default precondition
+check) and ``--algorithm limited``, then ``sinrsched verify`` of each
+artifact, on each of its seven instance files (n = 300, seeds ``--seed`` to
+``--seed`` + 6, default 0 to 6, written once per side by ``sinrsched gen
+--n 300 --seed j --pmax 18000 --power 18000``), so that every command loads
+its files as a user's does. Its output is verify's exit codes and the
+parsed artifacts, and its decisions the selections. It is the one recipe
+whose instances run a set of at most 128 candidates on more than 128 links,
+which measures its own pair matrix; ``gen`` runs the capacity recipes'
+``gen_random`` call itself, and its
 output is the instance's bytes, and prints a second line, ``gen-ratio``, for the 100
 small instances (n = 1 to 10) that ``ratio``'s calls draw, so that both
 ends of a generator change show in one command; ``emit`` runs, in process,
@@ -96,6 +101,7 @@ A revision ``.`` stands for the working tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import importlib.util
 import io
@@ -108,6 +114,8 @@ import sys
 import tarfile
 import tempfile
 import time
+import types
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,13 +218,29 @@ def _recipe(pkg, name: str, n: int, seed: int):
                 raise RuntimeError(f"sinrsched gen exited {codes}")
             return [path.read_text() for path in paths]
         return emit
-    if name == "cli":  # the instance sinrsched gen --n n --seed s --pmax 18000 --power 18000 builds
-        insts = [pkg.gen_random(pkg.GenConfig(
-            n=n, seed=s, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0), alpha=2.0,
-            p_max=20.0 * 30.0**2, power=20.0 * 30.0**2,
-        )) for s in range(seed, seed + CLI_SEEDS)]
-        return lambda: [sol for inst in insts
-                        for sol in (pkg.solve_fixed(inst), pkg.solve_limited(inst))]
+    if name == "cli":  # cli-roundtrip's four commands on each instance file
+        main = importlib.import_module(f"{pkg.__name__}.cli").main
+        folder = Path(pkg.__path__[0]).parent  # this side's part of the temporary directory
+        argvs, artifacts = [], []
+        for s in range(seed, seed + CLI_SEEDS):
+            path = folder / f"cli{s}.json"
+            if _quiet(main, ["gen", "--n", str(n), "--seed", str(s), "--pmax", "18000",
+                             "--power", "18000", "--out", str(path)]):
+                raise RuntimeError(f"sinrsched gen --seed {s} failed")
+            solved = {alg: folder / f"cli{s}-{alg}.json" for alg in ("fixed", "limited")}
+            argvs += [["solve", "--instance", str(path), "--algorithm", alg, "--out", str(out)]
+                      for alg, out in solved.items()]
+            argvs += [["verify", "--instance", str(path), "--artifact", str(out)]
+                      for out in solved.values()]
+            artifacts += solved.values()
+
+        def roundtrip():
+            codes = [_quiet(main, argv) for argv in argvs]
+            if any(code for argv, code in zip(argvs, codes) if argv[0] == "solve"):
+                raise RuntimeError(f"sinrsched solve exited {codes}")
+            return ([code for argv, code in zip(argvs, codes) if argv[0] == "verify"],
+                    [json.loads(path.read_text()) for path in artifacts])
+        return roundtrip
     config = pkg.GenConfig(
         n=n, seed=seed, area=1000.0, d_range=(1.0, 100.0), beta_range=(1.0, 10.0),
         alpha=2.0, p_max=20.0 * 30.0**2,
@@ -238,6 +262,15 @@ def _recipe(pkg, name: str, n: int, seed: int):
     return lambda: pkg.solve_fixed(inst, powers=uniform, warn_preconditions=False)
 
 
+def _quiet(main, argv) -> int:
+    """``main(argv)``'s exit code, with its printed output and warnings
+    captured, as the cli-roundtrip benchmark runs each command."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        return main(argv)
+
+
 def _output(recipe: str, out) -> str:
     """The recipe's output as JSON text: traces included, no timings."""
     if recipe == "gen":
@@ -246,11 +279,13 @@ def _output(recipe: str, out) -> str:
         return json.dumps([inst.to_dict() for inst in out])
     if recipe == "emit":  # the parsed files, whatever their layout
         return json.dumps([json.loads(text) for text in out], sort_keys=True)
+    if recipe == "cli":  # verify's exit codes and the parsed artifacts
+        return json.dumps(out, sort_keys=True)
     if recipe in ("brute", "verify"):
         return json.dumps(out)
     if recipe in ("latency", "shannon"):
         return json.dumps([x.to_dict(include_trace=True) for part in out for x in part])
-    if recipe in ("cli", "capacity-cold"):
+    if recipe == "capacity-cold":
         return json.dumps([sol.to_dict(include_trace=True) for sol in out])
     if recipe == "ratio":
         return json.dumps([{k: v for k, v in row.items() if k != "runtime_ms"}
@@ -260,13 +295,16 @@ def _output(recipe: str, out) -> str:
 
 def _solutions(recipe: str, out) -> list:
     """The solutions in a recipe's output: a capacity solve's one,
-    ``capacity-cold``'s three, ``cli``'s fourteen, every slot's of both
-    scheme runs of each latency schedule (and then every level's of each
-    ``shannon`` flexible run), none for ``ratio``, ``brute``, ``verify``,
-    ``emit`` and the ``gen`` lines."""
+    ``capacity-cold``'s three, ``cli``'s fourteen artifacts (their
+    ``powers`` and ``sinr`` only), every slot's of both scheme runs of each
+    latency schedule (and then every level's of each ``shannon`` flexible
+    run), none for ``ratio``, ``brute``, ``verify``, ``emit`` and the ``gen``
+    lines."""
     if recipe in ("ratio", "brute", "verify", "gen", "gen-ratio", "emit"):
         return []
-    if recipe in ("cli", "capacity-cold"):
+    if recipe == "cli":  # artifact keys are strings on both sides
+        return [types.SimpleNamespace(powers=art["powers"], sinr=art["sinr"]) for art in out[1]]
+    if recipe == "capacity-cold":
         return out
     if recipe in ("latency", "shannon"):
         schedules, runs = out
@@ -283,6 +321,8 @@ def _decisions(recipe: str, out) -> str:
                            for problems, certs in out])
     if recipe in ("ratio", "brute", "gen", "gen-ratio", "emit"):
         return _output(recipe, out)
+    if recipe == "cli":  # the selections
+        return json.dumps([art["selected"] for art in out[1]])
     decided = [[list(sol.selected), [row[:2] for row in sol.trace]]
                for sol in _solutions(recipe, out)]
     if recipe in ("latency", "shannon"):
