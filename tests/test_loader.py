@@ -202,8 +202,9 @@ CONSTANTS = {
 @st.composite
 def edited_files(draw):
     """A base file with one to three edits: a link field set to a JSON value
-    of any type (or deleted), a link entry replaced, or a constant set."""
-    data = json.loads(json.dumps(draw(st.sampled_from(BASES))))  # a copy, NaN and all
+    of any type (or deleted), a link entry replaced, a constant set, or a
+    link's length zeroed or its threshold set low."""
+    data = json.loads(json.dumps(draw(st.sampled_from(BASES))))  # a copy
     links = data["links"]
     n_points = len(data["metric"]["points"])
     for _ in range(draw(st.integers(1, 3))):
@@ -262,8 +263,8 @@ def test_loads_match_the_eager_loader(data):
     metric, alpha, noise, p_max, sub_unit, links = want
     assert (got.metric, got.alpha, got.noise, got.p_max, got.allow_sub_unit_threshold) == (
         metric, alpha, noise, p_max, sub_unit)
-    # a JSON file's entries are objects: the columns hold them, and nothing
-    # has built a Link yet
+    # every entry is a JSON object, so the load filled the columns and built
+    # no Link
     assert "links" not in vars(got)
     assert got.to_dict() == reference_to_dict(got, links)
     assert len(got.links) == len(links)
