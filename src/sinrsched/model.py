@@ -270,6 +270,22 @@ class Link:
             raise ValueError(f"link {lid}: fixed power must be finite and >= 0")
 
 
+class _LinksOnRead:
+    """``Instance.links``: built from the instance's columns on the first
+    read and kept in its ``__dict__``, which later reads find first (this is
+    a non-data descriptor). A ``__getattr__`` hook would do the same, but it
+    takes every attribute read of the class off the interpreter's
+    specialized path: each costs several times as much, by an amount that
+    changes from one process to the next."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        links = tuple(map(Link, *instance._columns()[5:]))
+        instance.__dict__["links"] = links
+        return links
+
+
 @dataclass(frozen=True, init=False)
 class Instance:
     """A scheduling world: metric space, physical constants and links.
@@ -328,7 +344,7 @@ class Instance:
     metric: MetricSpace
     alpha: float
     noise: float
-    links: tuple[Link, ...]
+    links: tuple[Link, ...] = _LinksOnRead()
     p_max: float = INF
     allow_sub_unit_threshold: bool = False
 
@@ -411,15 +427,6 @@ class Instance:
             senders=senders, receivers=receivers, d_alpha=d_alpha, thresholds=thresholds,
             _utilities=utilities, _demands=demands, _powers=powers,
         )
-
-    def __getattr__(self, name):
-        # called only for an attribute the instance does not hold: ``links``
-        # before its first read, which builds and keeps it
-        if name != "links":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        links = tuple(map(Link, *self._columns()[5:]))
-        object.__setattr__(self, "links", links)
-        return links
 
     def _columns(self) -> tuple:
         """The arguments of ``_from_columns`` that give this instance: its

@@ -328,6 +328,10 @@ def test_link_reads_build_links_once():
     assert inst.link(2) is link is inst.links[2]
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         inst.nope
+    # links is a descriptor on the class: a __getattr__ hook would take every
+    # attribute read of an instance off the interpreter's specialized path
+    assert not hasattr(Instance, "__getattr__")
+    assert Instance.__getattribute__ is object.__getattribute__
 
 
 # -- no package path builds a Link ----------------------------------------------
