@@ -63,6 +63,7 @@ gains off its level's values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import is_not
@@ -158,7 +159,14 @@ class FlexibleRun:
 
 
 def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float:
-    """Best SINR the link can reach alone under ``mode``: power / (noise * d^alpha).
+    """Best SINR the link can reach alone under ``mode``, at power p: the
+    largest float gamma with ``gamma * d^alpha * noise <= p``, multiplied in
+    that order, as ``check_admissible`` builds a single link's minimal power
+    to compare with the cap. The quotient ``p / (noise * d^alpha)`` may round
+    to either side of it, by a few floats where p is a normal float;
+    ``math.nextafter`` steps it there. Below the normal floats, where a step
+    up may leave the product unchanged for many steps, the quotient is only
+    stepped down.
 
     The power is unbounded for "unlimited", the instance cap for "limited"
     and, for "fixed", the link's entry in ``powers`` when that is given, else
@@ -171,7 +179,13 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     p = instance.p_max if mode == "limited" else powers_for(instance, [lid], powers)[0]
     if p == INF:
         return INF
-    return p / (instance.noise * float(instance.d_alpha[instance._position(lid)]))
+    d_alpha, noise = float(instance.d_alpha[instance._position(lid)]), instance.noise
+    gamma = p / (noise * d_alpha)
+    while gamma * d_alpha * noise > p:
+        gamma = math.nextafter(gamma, 0.0)
+    while p >= sys.float_info.min and (up := math.nextafter(gamma, INF)) * d_alpha * noise <= p:
+        gamma = up
+    return gamma
 
 
 @dataclass(frozen=True)

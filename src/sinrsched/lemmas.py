@@ -15,7 +15,7 @@ submatrices of that one geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
@@ -124,15 +124,13 @@ def strengthen(
 
 def reversed_instance(instance: Instance, ids: Optional[Sequence[int]] = None) -> Instance:
     """Fragment with each link's sender and receiver swapped."""
-    links = instance.links if ids is None else [instance.link(lid) for lid in ids]
-    return Instance(
-        metric=instance.metric,
-        alpha=instance.alpha,
-        noise=instance.noise,
-        p_max=instance.p_max,
-        links=tuple(replace(link, sender=link.receiver, receiver=link.sender) for link in links),
-        allow_sub_unit_threshold=True,
-    )
+    metric, alpha, noise, p_max, _, *columns = instance._columns()
+    if ids is not None:
+        rows = list(map(instance._position, ids))
+        columns = [[column[k] for k in rows] for column in columns]
+    lids, senders, receivers, betas, *rest = columns
+    return Instance._from_columns(metric, alpha, noise, p_max, True, lids, receivers, senders,
+                                  betas, *map(tuple, rest))
 
 
 def markov_survivors(

@@ -2,7 +2,9 @@
 
 This module reads and writes the whole instance file: ``Instance.from_dict``
 and ``to_dict``, with each link's utility through ``utility_from_dict`` and
-``utility_to_dict``. Its JSON field checkers (``_require``, ``_number``,
+``utility_to_dict``. The link entries have one reader, ``_json_columns``,
+which reads each field as one column and finds the first faulty entry and
+field from the columns. Its JSON field checkers (``_require``, ``_number``,
 ``_integer``) are the ones every reader in the package uses.
 
 Everything here is immutable after construction and safe to share between
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import add
+from operator import add, attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -312,7 +314,7 @@ class Instance:
     the package reads one. ``Instance(links=...)`` reads the columns off the
     given Links once and keeps them as ``links``. Both ways in end in
     ``_setup``, which runs every check: each link's own, as ``Link`` runs
-    them, then the instance's.
+    them (``_check_links``), then the instance's.
 
     An instance of at most ``_DENSE`` = 128 links keeps two copies of the
     pair matrix ``cross[i, j] = d(sender_j, receiver_i)^alpha`` over all its
@@ -351,13 +353,9 @@ class Instance:
     def __init__(self, metric, alpha, noise, links, p_max=INF, allow_sub_unit_threshold=False):
         links = tuple(links)
         object.__setattr__(self, "links", links)
-        self._setup(
-            metric, alpha, noise, p_max, allow_sub_unit_threshold,
-            [link.id for link in links], [link.sender for link in links],
-            [link.receiver for link in links], [link.threshold for link in links],
-            tuple(link.utility for link in links), tuple(link.demand for link in links),
-            tuple(link.fixed_power for link in links),
-        )
+        # one tuple per Link field, in the order _setup takes them
+        columns = tuple(zip(*map(attrgetter(*(f.name for f in fields(Link))), links)))
+        self._setup(metric, alpha, noise, p_max, allow_sub_unit_threshold, *(columns or [()] * 7))
 
     @classmethod
     def _from_columns(cls, metric, alpha, noise, p_max, allow_sub_unit_threshold, ids, senders,
@@ -373,18 +371,14 @@ class Instance:
                utilities, demands, powers) -> None:
         """Check and store the fields other than ``links`` and the columns:
         ``ids``, ``senders`` and ``receivers`` sequences of ints, ``betas`` a
-        list of thresholds or None, and ``utilities``, ``demands`` and
-        ``powers`` tuples of the Links' values. The first link whose own
+        list or tuple of thresholds or None, and ``utilities``, ``demands``
+        and ``powers`` tuples of the Links' values. The first link whose own
         fields ``Link`` refuses raises what ``Link`` raises, before any fault
-        of the instance's."""
+        of the instance's (``_check_links``)."""
         nodes = np.array((senders, receivers), dtype=np.intp)
         nodes.flags.writeable = False
         senders, receivers = nodes[0], nodes[1]  # read-only views
-        thresholds = np.array(betas, dtype=np.float64)  # None: NaN
-        if not _fields_hold(senders, receivers, thresholds, betas, demands, powers):
-            for row in zip(ids, senders.tolist(), receivers.tolist(), betas, utilities, demands,
-                           powers):
-                Link(*row)
+        thresholds = _check_links(ids, senders, receivers, betas, utilities, demands, powers)
         if not 0 < alpha < INF:
             raise ValueError("path-loss exponent alpha must be finite and > 0")
         if not 0 < noise < INF:
@@ -525,59 +519,32 @@ class Instance:
     def from_dict(cls, data: Mapping) -> "Instance":
         """Instance from its JSON form, which fills the per-link columns; its
         Links are built on the first read of ``links``. A field of the wrong
-        type raises ValueError naming the field."""
+        type raises ValueError naming the field.
+
+        Faults are raised in the order of a reader that took one entry at a
+        time: an entry's field faults (``_json_columns``) and then what
+        ``Link`` refuses in it, entry by entry; then the constants' field
+        faults; then the instance's own checks (``_setup``). So a fault in
+        the entries is raised only after ``_check_links`` has passed the
+        entries before it, and a fault of the constants only after it has
+        passed all of them."""
         _require(data, Mapping, "an object", "instance")
         metric = data.get("metric")
         _require(metric, Mapping, "an object", "metric")
         metric = MetricSpace.from_dict(metric)
         entries = data.get("links")
         _require(entries, list, "a list", "links")
-        # Whole-column checks first. On any fault, the loop below runs as the
-        # first reader of the entries did: it raises what that reader raised,
-        # for the first faulty entry, before any fault of the constants.
+        columns, fault = _json_columns(entries, metric.n_points)
         try:
-            columns = _json_columns(entries)
-            if columns is not None:
-                return cls._from_columns(metric, *_json_constants(data), *columns)
-        except (ValueError, TypeError, KeyError, OverflowError, IndexError):
-            pass
-        n_points = metric.n_points
-        links = []
-        # Exact JSON types are checked inline; the helpers run only to convert
-        # an int-valued number or to raise, in the order of the fields below.
-        for k, entry in enumerate(entries):
-            if type(entry) is not dict:
-                _require(entry, Mapping, "an object", None, k)
-            get = entry.get
-            sender, receiver = get("s"), get("r")
-            if type(sender) is not int:
-                sender = _integer(sender, "s", k)
-            if type(receiver) is not int:
-                receiver = _integer(receiver, "r", k)
-            if not (0 <= sender < n_points and 0 <= receiver < n_points):
-                key, node = ("s", sender) if not 0 <= sender < n_points else ("r", receiver)
-                raise ValueError(f"links[{k}].{key}: node {node} is not in the metric")
-            utility = get("utility")
-            if utility is not None:
-                _require(utility, Mapping, "an object", "utility", k)
-                try:
-                    utility = utility_from_dict(utility)
-                except KeyError as exc:
-                    raise ValueError(f"links[{k}].utility: missing field {exc}") from None
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"links[{k}].utility: {exc}") from None
-            lid, beta, demand, power = get("id"), get("beta"), get("demand"), get("power")
-            if type(lid) is not int:
-                lid = _integer(lid, "id", k)
-            if type(beta) is not float and beta is not None:
-                beta = _number(beta, "beta", k)
-            if type(demand) is not float and demand is not None:
-                demand = _number(demand, "demand", k)
-            if type(power) is not float and power is not None:
-                power = _number(power, "power", k)
-            links.append(Link(lid, sender, receiver, beta, utility, demand, power))
-        alpha, noise, p_max, sub_unit = _json_constants(data)
-        return cls(metric, alpha, noise, links, p_max, sub_unit)
+            constants = _json_constants(data)
+        except ValueError as exc:  # raised after the entries' faults
+            fault = fault or exc
+        if fault is not None:
+            # the links before the fault are read: the first that Link
+            # refuses raises first
+            _check_links(*columns)
+            raise fault
+        return cls._from_columns(metric, *constants, *columns)
 
 
 def _json_constants(data: Mapping) -> tuple:
@@ -591,56 +558,115 @@ def _json_constants(data: Mapping) -> tuple:
     return alpha, noise, INF if p_max in ("inf", None) else _number(p_max, "p_max"), sub_unit
 
 
-def _json_columns(entries: list) -> Optional[tuple]:
-    """The columns ``Instance._setup`` takes, from JSON link entries (objects)
-    whose fields all have their JSON types, each int-valued number converted
-    as ``_number`` converts it: ids, senders, receivers and thresholds as
-    lists, utilities, demands and powers as tuples. None when an entry or a
-    field is of another type; a number too large for a float, or a utility
-    ``utility_from_dict`` refuses, raises."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
+def _json_columns(entries: list, n_points: int) -> tuple:
+    """(columns, fault): the columns of the JSON link ``entries`` that
+    ``_check_links`` and ``Instance._setup`` take, over the entries before
+    the first fault, and that fault (a ValueError), or None.
 
-    def column(key: str) -> list:
-        return list(map(dict.get, entries, repeat(key)))
+    The first fault is the one a reader taking one entry at a time meets
+    first: the entry must be an object, then its fields s and r, their nodes
+    (in a metric of ``n_points``), utility, id, beta, demand and power must
+    hold, in that order. Here each field is read as one column, over the
+    entries before the first fault found so far. A column whose values all
+    have their exact JSON types takes no per-value work; in any other, each
+    value of another type goes through the field's checker until one
+    raises, and that entry becomes the new limit. A later column can only
+    find a fault before it, so the last fault found is the first in that
+    order. Whether ``Link`` accepts the entries before it is left to
+    ``_check_links``.
 
-    ids, senders, receivers = column("id"), column("s"), column("r")
-    if not set(map(type, chain(ids, senders, receivers))) <= {int}:
-        return None
-    numbers = []
-    for key in ("beta", "demand", "power"):
-        values = column(key)
-        kinds = set(map(type, values))
-        if not kinds <= {float, type(None)}:
-            if not kinds <= {float, int, type(None)}:
-                return None
-            values = [float(x) if type(x) is int else x for x in values]
-        numbers.append(values)
-    utilities = column("utility")
-    kinds = set(map(type, utilities))
-    if not kinds <= {type(None)}:
-        if not kinds <= {dict, type(None)}:
-            return None
-        utilities = [u if u is None else utility_from_dict(u) for u in utilities]
-    betas, demands, powers = numbers
-    return ids, senders, receivers, betas, tuple(utilities), tuple(demands), tuple(powers)
+    The columns are the ids (a list), the senders and receivers (int
+    arrays), the thresholds (a list) and the utilities, demands and powers
+    (tuples); every number is read as ``_number`` reads it.
+    """
+    fault, columns = None, []
+
+    def cut(k: int, exc: ValueError) -> None:
+        nonlocal entries, fault
+        entries, fault = entries[:k], exc
+        for column in columns:
+            del column[k:]
+
+    plain = set(map(type, entries)) <= {dict}
+    if not plain:
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, Mapping):
+                cut(k, _type_error(entry, "an object", None, k))
+                break
+
+    def read(key: str, exact: set, check) -> list:
+        """The entries' ``key`` fields, each whose type is not in ``exact``
+        through ``check``; cut at the first that ``check`` refuses."""
+        if plain:
+            values = list(map(dict.get, entries, repeat(key)))
+        else:
+            values = [entry.get(key) for entry in entries]
+        columns.append(values)
+        if not set(map(type, values)) <= exact:
+            for k, value in enumerate(values):
+                if type(value) not in exact:
+                    try:
+                        values[k] = check(value, key, k)
+                    except ValueError as exc:
+                        cut(k, exc)
+                        break
+        return values
+
+    senders, receivers = read("s", {int}, _integer), read("r", {int}, _integer)
+    try:
+        nodes = np.array((senders, receivers), dtype=np.intp)
+        # one reduction: a negative node is a huge unsigned one
+        inside = np.maximum.reduce(nodes.view(np.uintp), axis=None, initial=0) < n_points
+    except OverflowError:  # a node beyond intp, so outside the metric
+        inside = False
+    if not inside:  # also in an empty metric with no links
+        for k, (sender, receiver) in enumerate(zip(senders, receivers)):
+            if not (0 <= sender < n_points and 0 <= receiver < n_points):
+                key, node = ("s", sender) if not 0 <= sender < n_points else ("r", receiver)
+                cut(k, ValueError(f"links[{k}].{key}: node {node} is not in the metric"))
+                nodes = np.array((senders, receivers), dtype=np.intp)
+                break
+    utilities = read("utility", {type(None)}, _json_utility)
+    ids = read("id", {int}, _integer)
+    betas, demands, powers = (read(key, {float, type(None)}, _number)
+                              for key in ("beta", "demand", "power"))
+    senders, receivers = nodes[:, :len(entries)]  # the rows before a later cut
+    return (ids, senders, receivers, betas, tuple(utilities), tuple(demands), tuple(powers)), fault
 
 
-def _fields_hold(senders, receivers, thresholds, betas, demands, powers) -> bool:
-    """Whether ``Link`` accepts every link's own fields, ``thresholds`` being
-    the list ``betas`` as an array (NaN for None): whole-column tests, where
-    counting the None entries tells a missing value from a NaN one."""
+def _json_utility(value, key: str, link: int) -> UtilitySpec:
+    """A link entry's utility from its JSON form; a fault raises ValueError
+    naming the link and the utility's field."""
+    _require(value, Mapping, "an object", key, link)
+    try:
+        return utility_from_dict(value)
+    except KeyError as exc:
+        raise ValueError(f"links[{link}].{key}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"links[{link}].{key}: {exc}") from None
+
+
+def _check_links(ids, senders, receivers, betas, utilities, demands, powers) -> np.ndarray:
+    """Raise what ``Link`` raises for the first link whose own fields it
+    refuses; return the thresholds ``betas`` as an array, NaN for None.
+    ``senders`` and ``receivers`` are int arrays. The test is one count per
+    column, where counting the None entries tells a missing value from a NaN
+    one; only when a count falls short are the rows replayed through
+    ``Link``, in order, up to the first bad one."""
+    thresholds = np.array(betas, dtype=np.float64)  # None: NaN
     n = len(betas)
-    if (np.count_nonzero(senders != receivers) < n
-            or np.count_nonzero(np.isfinite(thresholds)) + betas.count(None) < n):
-        return False
+    holds = (np.count_nonzero(senders != receivers) == n
+             and np.count_nonzero(np.isfinite(thresholds)) + betas.count(None) == n)
     for values in (demands, powers):
         missing = values.count(None)
-        if missing < n:
+        if holds and missing < n:
             amounts = np.array(values, dtype=np.float64)
-            if np.count_nonzero((amounts >= 0) & (amounts < INF)) + missing < n:
-                return False
-    return True
+            holds = np.count_nonzero((amounts >= 0) & (amounts < INF)) + missing == n
+    if not holds:
+        for row in zip(ids, senders.tolist(), receivers.tolist(), betas, utilities, demands,
+                       powers):
+            Link(*row)
+    return thresholds
 
 
 def utility_to_dict(u: UtilitySpec) -> dict:

@@ -12,10 +12,12 @@ from sinrsched import (
     MetricSpace,
     ShannonUtility,
     StepUtility,
+    check_admissible,
     gen_random,
     solve_flexible,
     solve_unlimited,
 )
+from sinrsched.flexible import solo_sinr_cap
 
 
 def _inst(links, points, noise=1.0, p_max=math.inf, alpha=2.0):
@@ -185,3 +187,27 @@ def test_level_thresholds_are_in_id_order_whatever_the_link_order():
         assert list(bwd.thresholds.items()) == list(fwd.thresholds.items())
         assert bwd.thresholds
     assert backward.to_dict(include_trace=True) == forward.to_dict(include_trace=True)
+
+
+def test_solo_sinr_cap_keeps_a_lone_link_within_its_power():
+    # p / (noise * d^alpha) rounds above the largest gamma whose power
+    # gamma * d^alpha * noise, multiplied as check_admissible multiplies a
+    # single link's, is within the cap on 22 of these 400 links
+    over, below = [], []
+    for seed in range(20):
+        inst = gen_random(GenConfig(n=20, seed=seed, area=300.0, p_max=5e4,
+                                    utility={"family": "shannon"}))
+        for lid, d_alpha in zip(inst.link_ids, inst.d_alpha.tolist()):
+            gamma = solo_sinr_cap(inst, lid, "limited")
+            if gamma * d_alpha * inst.noise > inst.p_max:
+                over.append((seed, lid))
+            elif math.nextafter(gamma, math.inf) * d_alpha * inst.noise <= inst.p_max:
+                below.append((seed, lid))
+            elif not check_admissible(inst, [lid], thresholds={lid: gamma}).feasible:
+                over.append((seed, lid))
+    assert over == []
+    assert below == []  # the largest such gamma
+    # a link of power 0 reaches nothing, and no step up goes below the
+    # normal floats
+    inst = gen_random(GenConfig(n=2, seed=1, power=0.0))
+    assert solo_sinr_cap(inst, 0, "fixed") == 0.0

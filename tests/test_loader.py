@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import pickle
+import types
 from typing import Mapping
 
 import numpy as np
@@ -274,6 +275,50 @@ def test_loads_match_the_eager_loader(data):
     assert got == Instance(metric, alpha, noise, links, p_max, sub_unit)
 
 
+class _Id(int):
+    """An int subclass, such as a caller's own id type."""
+
+
+# entries that are no plain JSON, each as a caller may hand them in; the
+# eager loader took each of them
+NON_JSON_EDITS = {
+    "mapping-proxy": lambda links: links.__setitem__(1, types.MappingProxyType(links[1])),
+    "numpy-floats": lambda links: links[0].update(
+        beta=np.float64(2.5), demand=np.float64(0.75), power=np.float64(40.0)),
+    "int-subclass-id": lambda links: links[2].update(id=_Id(7)),
+    "numpy-int-sender": lambda links: links[0].update(s=np.int64(0)),
+}
+
+
+@pytest.mark.parametrize("edit", NON_JSON_EDITS.values(), ids=NON_JSON_EDITS)
+def test_non_json_entries_load_as_the_eager_loader_loads_them(edit):
+    data = json.loads(json.dumps(BASES[1]))  # every per-link field present
+    edit(data["links"])
+    want = _outcome(reference_from_dict, data)
+    got = _outcome(Instance.from_dict, data)
+    if isinstance(want, Exception):
+        # numpy's ints are not ints to the loader
+        assert str(want) == "links[0].s must be an integer, got int64"
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    links = want[-1]
+    assert "links" not in vars(got)
+    assert got.to_dict() == reference_to_dict(got, links)
+    for mine, theirs in zip(got.links, links):
+        for field in dataclasses.fields(Link):
+            assert _same(getattr(mine, field.name), getattr(theirs, field.name)), field.name
+
+
+@pytest.mark.parametrize("points", [[], [[0.0, 0.0]]], ids=["no-points", "one-point"])
+def test_a_file_without_links_loads(points):
+    data = {"alpha": 2.0, "noise": 1.0, "links": [],
+            "metric": {"type": "euclidean", "dim": 2, "points": points}}
+    assert reference_from_dict(data)[-1] == ()
+    inst = Instance.from_dict(data)
+    assert inst.link_ids == () and inst.metric.n_points == len(points)
+    assert inst.to_dict() == reference_to_dict(inst, ())
+
+
 # -- the contract of lazily built Links ----------------------------------------
 
 
@@ -368,6 +413,7 @@ def test_no_command_builds_a_link(tmp_path, capsys, monkeypatch):
         ["schedule", "--instance", str(rates), "--out", str(schedule)],
         ["verify", "--instance", str(rates), "--artifact", str(schedule)],
         ["experiment", "--name", "ratio", "--n", "4", "--trials", "3"],
+        ["experiment", "--name", "reverse", "--trials", "3"],
         ["oracle", "--instance", str(plain)],
         ["oracle", "--instance", str(plain), "--subset", "0,1,2,3,4,5", "--brute", "fixed"],
         ["oracle", "--instance", str(rates), "--subset", "0,1,2,3", "--brute", "flexible_fixed"],

@@ -1,7 +1,8 @@
-"""Count the lines of ``src/**/*.py`` at two revisions, side by side.
+"""Count the lines of ``src/**/*.py`` and ``tools/**/*.py`` at two revisions.
 
-For every Python file under ``src/`` at either revision, prints all lines and
-code lines at BASE and at HEAD, and their differences, then the totals. Code
+For every Python file under ``src/`` or ``tools/`` at either revision, prints
+all lines and code lines at BASE and at HEAD, and their differences, then a
+total for each of the two directories. Code
 lines leave out blank lines, comment-only lines and docstrings (the string
 that opens a module, class or function body); a line that holds code and a
 trailing comment counts as code.
@@ -22,15 +23,16 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIRS = ("src", "tools")
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def _sources(rev: str) -> dict[str, str]:
-    """Path -> text of each ``src/**/*.py`` at ``rev`` (``.``: the working tree)."""
+def _sources(rev: str, top: str) -> dict[str, str]:
+    """Path -> text of each ``top/**/*.py`` at ``rev`` (``.``: the working tree)."""
     if rev == ".":
-        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
-    names = subprocess.run(["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", rev, "src"],
+        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / top).rglob("*.py"))}
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-tree", "-r", "--name-only", rev, top],
                            check=True, capture_output=True, text=True).stdout.split()
     return {
         name: subprocess.run(["git", "-C", str(ROOT), "show", f"{rev}:{name}"],
@@ -64,19 +66,21 @@ def main(argv=None) -> None:
     parser.add_argument("base")
     parser.add_argument("head", nargs="?", default=".")
     args = parser.parse_args(argv)
-    base, head = _sources(args.base), _sources(args.head)
     rows = []
-    for name in sorted(base.keys() | head.keys()):
-        b = count(base[name]) if name in base else (0, 0)
-        h = count(head[name]) if name in head else (0, 0)
-        rows.append((name, *b, *h))
-    rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
+    for top in DIRS:
+        base, head = _sources(args.base, top), _sources(args.head, top)
+        files = []
+        for name in sorted(base.keys() | head.keys()):
+            b = count(base[name]) if name in base else (0, 0)
+            h = count(head[name]) if name in head else (0, 0)
+            files.append((name, *b, *h))
+        rows += files
+        rows.append((f"total {top}/", *(sum(row[i] for row in files) for i in range(1, 5))))
     width = max(len(row[0]) for row in rows)
     print(f"{'file':<{width}}  {'all':>11} {'delta':>6}  {'code':>11} {'delta':>6}")
     for name, b_all, b_code, h_all, h_code in rows:
         print(f"{name:<{width}}  {b_all:>5}->{h_all:<5} {h_all - b_all:>+6}  "
               f"{b_code:>5}->{h_code:<5} {h_code - b_code:>+6}")
-
 
 if __name__ == "__main__":
     main()
