@@ -63,7 +63,7 @@ gains off its level's values.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import is_not
@@ -162,11 +162,14 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     """Best SINR the link can reach alone under ``mode``, at power p: the
     largest float gamma with ``gamma * d^alpha * noise <= p``, multiplied in
     that order, as ``check_admissible`` builds a single link's minimal power
-    to compare with the cap. The quotient ``p / (noise * d^alpha)`` may round
-    to either side of it, by a few floats where p is a normal float;
-    ``math.nextafter`` steps it there. Below the normal floats, where a step
-    up may leave the product unchanged for many steps, the quotient is only
-    stepped down.
+    to compare with the cap; 0 at power 0.
+
+    Non-negative floats are ordered as their bit patterns, and the product
+    grows with gamma, so the search runs over the patterns. It starts at the
+    quotient ``p / d^alpha / noise``, which where nothing under- or
+    overflows lies within a few floats of the answer, gallops away from it
+    in steps that double, then bisects, so it takes at most about 130
+    products whatever the magnitudes.
 
     The power is unbounded for "unlimited", the instance cap for "limited"
     and, for "fixed", the link's entry in ``powers`` when that is given, else
@@ -177,15 +180,19 @@ def solo_sinr_cap(instance: Instance, lid: int, mode: str, powers=None) -> float
     if mode == "unlimited":
         return INF
     p = instance.p_max if mode == "limited" else powers_for(instance, [lid], powers)[0]
-    if p == INF:
-        return INF
+    if p in (0.0, INF):
+        return float(p)
     d_alpha, noise = float(instance.d_alpha[instance._position(lid)]), instance.noise
-    gamma = p / (noise * d_alpha)
-    while gamma * d_alpha * noise > p:
-        gamma = math.nextafter(gamma, 0.0)
-    while p >= sys.float_info.min and (up := math.nextafter(gamma, INF)) * d_alpha * noise <= p:
-        gamma = up
-    return gamma
+    # the bit patterns of a float that fits (0.0's) and of one that does not (inf's)
+    lo, hi, step = 0, 0x7FF0000000000000, 1
+    probe = struct.unpack("<q", struct.pack("<d", p / d_alpha / noise))[0]
+    while hi - lo > 1:
+        if struct.unpack("<d", struct.pack("<q", probe))[0] * d_alpha * noise <= p:
+            lo, probe = probe, min(probe + step, (probe + hi) // 2)
+        else:
+            hi, probe = probe, max(probe - step, (lo + probe) // 2)
+        step *= 2
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
 
 
 @dataclass(frozen=True)

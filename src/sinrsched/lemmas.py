@@ -124,13 +124,9 @@ def strengthen(
 
 def reversed_instance(instance: Instance, ids: Optional[Sequence[int]] = None) -> Instance:
     """Fragment with each link's sender and receiver swapped."""
-    metric, alpha, noise, p_max, _, *columns = instance._columns()
-    if ids is not None:
-        rows = list(map(instance._position, ids))
-        columns = [[column[k] for k in rows] for column in columns]
-    lids, senders, receivers, betas, *rest = columns
+    metric, alpha, noise, p_max, _, lids, senders, receivers, *rest = instance._columns(ids)
     return Instance._from_columns(metric, alpha, noise, p_max, True, lids, receivers, senders,
-                                  betas, *map(tuple, rest))
+                                  *rest)
 
 
 def markov_survivors(

@@ -422,17 +422,22 @@ class Instance:
             _utilities=utilities, _demands=demands, _powers=powers,
         )
 
-    def _columns(self) -> tuple:
-        """The arguments of ``_from_columns`` that give this instance: its
-        constants, then ids, senders, receivers, thresholds (None where a
-        link has none), utilities, demands and powers, the per-link ones as
-        Python values."""
+    def _columns(self, ids: Optional[Sequence[int]] = None) -> tuple:
+        """The arguments of ``_from_columns``, in its order, that give this
+        instance, or with ``ids`` its fragment of those links in that order:
+        the constants, then ids, senders, receivers, thresholds (None where
+        a link has none), utilities, demands and powers, the per-link ones as
+        Python values. A link id not in the instance raises KeyError."""
         betas = self.thresholds.tolist()
         if np.isnan(self.thresholds).any():
             betas = [None if math.isnan(beta) else beta for beta in betas]
+        columns = (self.link_ids, self.senders.tolist(), self.receivers.tolist(), betas,
+                   self._utilities, self._demands, self._powers)
+        if ids is not None:
+            rows = list(map(self._position, ids))
+            columns = [tuple(map(column.__getitem__, rows)) for column in columns]
         return (self.metric, self.alpha, self.noise, self.p_max, self.allow_sub_unit_threshold,
-                self.link_ids, self.senders.tolist(), self.receivers.tolist(), betas,
-                self._utilities, self._demands, self._powers)
+                *columns)
 
     def __reduce__(self):
         # through the columns, so a copy builds no Link until it reads one
@@ -587,20 +592,17 @@ def _json_columns(entries: list, n_points: int) -> tuple:
         for column in columns:
             del column[k:]
 
-    plain = set(map(type, entries)) <= {dict}
-    if not plain:
+    if not set(map(type, entries)) <= {dict}:
         for k, entry in enumerate(entries):
             if not isinstance(entry, Mapping):
                 cut(k, _type_error(entry, "an object", None, k))
                 break
+        entries = list(map(dict, entries))  # other Mappings, read as the JSON objects are
 
     def read(key: str, exact: set, check) -> list:
         """The entries' ``key`` fields, each whose type is not in ``exact``
         through ``check``; cut at the first that ``check`` refuses."""
-        if plain:
-            values = list(map(dict.get, entries, repeat(key)))
-        else:
-            values = [entry.get(key) for entry in entries]
+        values = list(map(dict.get, entries, repeat(key)))
         columns.append(values)
         if not set(map(type, values)) <= exact:
             for k, value in enumerate(values):

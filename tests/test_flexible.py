@@ -211,3 +211,18 @@ def test_solo_sinr_cap_keeps_a_lone_link_within_its_power():
     # normal floats
     inst = gen_random(GenConfig(n=2, seed=1, power=0.0))
     assert solo_sinr_cap(inst, 0, "fixed") == 0.0
+
+
+@pytest.mark.parametrize("distance, noise, p_max", [
+    (1e150, 1e10, 5e4),  # noise * d^alpha overflows: the quotient is 0
+    (10.0, 1e-300, 1e10),  # p / noise overflows: gamma * d^alpha caps gamma
+    (1e100, 1e-300, 1e-300),  # p / d^alpha is below the normal floats
+    (1e-160, 1e300, 1e300),  # d^alpha is below the normal floats
+])
+def test_solo_sinr_cap_is_the_largest_fitting_float_at_extreme_magnitudes(distance, noise, p_max):
+    inst = _inst([Link(id=0, sender=0, receiver=1, utility=ShannonUtility(1.0, 1.0))],
+                 [[0.0], [distance]], noise=noise, p_max=p_max)
+    d_alpha = float(inst.d_alpha[0])
+    gamma = solo_sinr_cap(inst, 0, "limited")
+    assert gamma * d_alpha * noise <= p_max
+    assert math.nextafter(gamma, math.inf) * d_alpha * noise > p_max

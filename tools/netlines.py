@@ -82,5 +82,6 @@ def main(argv=None) -> None:
         print(f"{name:<{width}}  {b_all:>5}->{h_all:<5} {h_all - b_all:>+6}  "
               f"{b_code:>5}->{h_code:<5} {h_code - b_code:>+6}")
 
+
 if __name__ == "__main__":
     main()
